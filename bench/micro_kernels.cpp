@@ -1,10 +1,13 @@
 // Micro-benchmarks of the numeric kernels on the hot paths: the float
-// reference model, the fixed-point datapath, and the ITH calibration
-// statistics. google-benchmark timings, independent of the trained suite.
+// reference model, the fixed-point datapath, the ITH calibration
+// statistics and one whole device simulation. google-benchmark timings,
+// independent of the trained suite.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "accel/accelerator.hpp"
+#include "accel/compiler.hpp"
 #include "accel/fx_types.hpp"
 #include "data/dataset.hpp"
 #include "model/memn2n.hpp"
@@ -134,5 +137,35 @@ void BM_ModelForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelForward);
+
+// One cold Accelerator::run (model upload + every story) over qa1 test
+// stories, on a randomly initialised model: the uncached device-simulation
+// path. Items are simulated cycles, so items_per_second is simulated cycles
+// per host second (1e9 / it = host ns per simulated cycle). Arg = fabric
+// clock in MHz.
+void BM_AcceleratorRun(benchmark::State& state) {
+  data::DatasetConfig dc;
+  dc.train_stories = 1;
+  dc.test_stories = 50;
+  const auto ds =
+      data::build_task_dataset(data::TaskId::kSingleSupportingFact, dc);
+  model::ModelConfig mc;
+  mc.vocab_size = ds.vocab_size();
+  mc.embedding_dim = 24;
+  mc.hops = 3;
+  numeric::Rng rng(11);
+  const model::MemN2N net(mc, rng);
+  accel::AccelConfig config;
+  config.clock_hz = static_cast<double>(state.range(0)) * 1.0e6;
+  const accel::Accelerator device(config, accel::compile_model(net));
+  std::int64_t cycles = 0;
+  for (auto _ : state) {
+    const accel::RunResult result = device.run(ds.test);
+    cycles += static_cast<std::int64_t>(result.total_cycles);
+    benchmark::DoNotOptimize(result.stories.data());
+  }
+  state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_AcceleratorRun)->Arg(25)->Arg(100);
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 
 #include "accel/control.hpp"
@@ -84,6 +85,81 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   return fp.value();
 }
 
+/// One of Simulator's clock loops (run_events or run_until).
+using ClockLoop = sim::Cycle (sim::Simulator::*)(const std::function<bool()>&,
+                                                 sim::Cycle);
+
+/// Builds the device's module graph, clocks it with `loop` until every
+/// story's answer has reached the host, and assembles the report.
+RunResult simulate_graph(const AccelConfig& config,
+                         const DeviceProgram& program,
+                         std::span<const data::EncodedStory> stories,
+                         bool model_resident, ClockLoop loop) {
+  AcceleratorState state(program);
+  if (model_resident) {
+    // Warm device: BRAM already holds this program; the stream carries no
+    // model words and CONTROL must accept stories immediately.
+    state.model_words_seen = program.model_words();
+    state.model_loaded = true;
+  }
+  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config.fifo_depth);
+  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config.fifo_depth);
+  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config.fifo_depth);
+
+  HostLinkModule host(
+      config,
+      encode_workload(model_resident ? 0 : program.model_words(), stories),
+      fifo_in, fifo_out);
+  ControlModule control(state, fifo_in, cmd_fifo);
+  InputWriteModule input_write(state, config, cmd_fifo);
+  MemModule mem(state, config);
+  ReadModule read(state, config);
+  OutputModule output(state, config, fifo_out);
+
+  sim::Simulator simulator;
+  // Producer-to-consumer order along the write path, then the read path.
+  simulator.add_module(host);
+  simulator.add_module(control);
+  simulator.add_module(input_write);
+  simulator.add_module(read);
+  simulator.add_module(mem);
+  simulator.add_module(output);
+
+  const std::size_t expected = stories.size();
+  (simulator.*loop)([&] { return host.answers().size() >= expected; },
+                    config.watchdog_cycles);
+
+  RunResult result;
+  result.total_cycles = simulator.now();
+  result.seconds = static_cast<double>(result.total_cycles) / config.clock_hz;
+  result.stream_words = host.words_total();
+  result.link_active_cycles = host.link_active_cycles();
+
+  const auto& records = output.records();
+  if (records.size() != expected || host.answers().size() != expected) {
+    throw std::logic_error("Accelerator: record/answer count mismatch");
+  }
+  result.stories.reserve(expected);
+  for (std::size_t i = 0; i < expected; ++i) {
+    StoryOutcome outcome;
+    outcome.prediction = records[i].prediction;
+    outcome.output_probes = records[i].probes;
+    outcome.early_exit = records[i].early_exit;
+    outcome.finish_cycle = host.answers()[i].cycle;
+    result.stories.push_back(outcome);
+  }
+
+  const std::array<const sim::Module*, 6> all_modules = {
+      &host, &control, &input_write, &read, &mem, &output};
+  for (const sim::Module* m : all_modules) {
+    result.modules.push_back({m->name(), m->stats()});
+    result.total_ops += m->stats().ops;
+  }
+  result.fifo_in_stats = fifo_in.stats();
+  result.fifo_out_stats = fifo_out.stats();
+  return result;
+}
+
 }  // namespace
 
 double RunResult::early_exit_rate() const noexcept {
@@ -159,72 +235,19 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
 
 RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
                                 const RunOptions& options) const {
-  AcceleratorState state(program_);
-  if (options.model_resident) {
-    // Warm device: BRAM already holds this program; the stream carries no
-    // model words and CONTROL must accept stories immediately.
-    state.model_words_seen = program_.model_words();
-    state.model_loaded = true;
-  }
-  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config_.fifo_depth);
-  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config_.fifo_depth);
-  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config_.fifo_depth);
-
-  HostLinkModule host(
-      config_,
-      encode_workload(options.model_resident ? 0 : program_.model_words(),
-                      stories),
-      fifo_in, fifo_out);
-  ControlModule control(state, fifo_in, cmd_fifo);
-  InputWriteModule input_write(state, config_, cmd_fifo);
-  MemModule mem(state, config_);
-  ReadModule read(state, config_);
-  OutputModule output(state, config_, fifo_out);
-
-  sim::Simulator simulator;
-  // Producer-to-consumer order along the write path, then the read path.
-  simulator.add_module(host);
-  simulator.add_module(control);
-  simulator.add_module(input_write);
-  simulator.add_module(read);
-  simulator.add_module(mem);
-  simulator.add_module(output);
-
-  const std::size_t expected = stories.size();
-  simulator.run_until(
-      [&] { return host.answers().size() >= expected; },
-      config_.watchdog_cycles);
-
-  RunResult result;
-  result.total_cycles = simulator.now();
-  result.seconds =
-      static_cast<double>(result.total_cycles) / config_.clock_hz;
-  result.stream_words = host.words_total();
-  result.link_active_cycles = host.link_active_cycles();
-
-  const auto& records = output.records();
-  if (records.size() != expected || host.answers().size() != expected) {
-    throw std::logic_error("Accelerator: record/answer count mismatch");
-  }
-  result.stories.reserve(expected);
-  for (std::size_t i = 0; i < expected; ++i) {
-    StoryOutcome outcome;
-    outcome.prediction = records[i].prediction;
-    outcome.output_probes = records[i].probes;
-    outcome.early_exit = records[i].early_exit;
-    outcome.finish_cycle = host.answers()[i].cycle;
-    result.stories.push_back(outcome);
-  }
-
-  const std::array<const sim::Module*, 6> all_modules = {
-      &host, &control, &input_write, &read, &mem, &output};
-  for (const sim::Module* m : all_modules) {
-    result.modules.push_back({m->name(), m->stats()});
-    result.total_ops += m->stats().ops;
-  }
-  result.fifo_in_stats = fifo_in.stats();
-  result.fifo_out_stats = fifo_out.stats();
-  return result;
+  return simulate_graph(config_, program_, stories, options.model_resident,
+                        &sim::Simulator::run_events);
 }
+
+namespace detail {
+
+RunResult simulate_per_cycle(const Accelerator& device,
+                             std::span<const data::EncodedStory> stories,
+                             bool model_resident) {
+  return simulate_graph(device.config(), device.program(), stories,
+                        model_resident, &sim::Simulator::run_until);
+}
+
+}  // namespace detail
 
 }  // namespace mann::accel

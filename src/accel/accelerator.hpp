@@ -138,4 +138,16 @@ class Accelerator {
   std::uint64_t fingerprint_ = 0;
 };
 
+namespace detail {
+
+/// Reference clock for the tick-vs-event differential tests: the module
+/// graph Accelerator::run simulates, ticked on every cycle by
+/// Simulator::run_until instead of run_events. Uncached; not a serving
+/// path.
+[[nodiscard]] RunResult simulate_per_cycle(
+    const Accelerator& device, std::span<const data::EncodedStory> stories,
+    bool model_resident);
+
+}  // namespace detail
+
 }  // namespace mann::accel

@@ -7,8 +7,11 @@ namespace mann::accel {
 ControlModule::ControlModule(AcceleratorState& state,
                              sim::Fifo<StreamWord>& fifo_in,
                              sim::Fifo<InputCmd>& cmd_fifo)
-    : Module("CONTROL"), state_(state), fifo_in_(fifo_in),
-      cmd_fifo_(cmd_fifo) {}
+    : Module("CONTROL"),
+      state_(state),
+      fifo_in_(fifo_in),
+      cmd_fifo_(cmd_fifo),
+      model_words_(state.program.model_words()) {}
 
 void ControlModule::tick() {
   const StreamWord* word = fifo_in_.peek();
@@ -21,7 +24,7 @@ void ControlModule::tick() {
       (void)fifo_in_.try_pop();
       ++state_.model_words_seen;
       ++ops().mem_write;  // one BRAM weight-word write
-      if (state_.model_words_seen >= state_.program.model_words()) {
+      if (state_.model_words_seen >= model_words_) {
         state_.model_loaded = true;
       }
       mark_busy();
@@ -76,6 +79,32 @@ void ControlModule::tick() {
       mark_busy();
       return;
     }
+  }
+}
+
+bool ControlModule::blocked(const StreamWord& word) const noexcept {
+  switch (word.op) {
+    case StreamOp::kModelWord:
+      return false;
+    case StreamOp::kStoryStart:
+      return state_.model_loaded && state_.story_active;
+    default:
+      return state_.story_active && cmd_fifo_.full();
+  }
+}
+
+std::optional<sim::Cycle> ControlModule::next_activity(sim::Cycle now) const {
+  const StreamWord* word = fifo_in_.peek();
+  if (word == nullptr || blocked(*word)) {
+    return sim::kNever;
+  }
+  return now;
+}
+
+void ControlModule::skip(sim::Cycle cycles) {
+  const StreamWord* word = fifo_in_.peek();
+  if (word != nullptr && blocked(*word)) {
+    mark_stalled(cycles);
   }
 }
 

@@ -18,11 +18,22 @@ class ControlModule final : public sim::Module {
                 sim::Fifo<InputCmd>& cmd_fifo);
 
   void tick() override;
+  /// Now when the head of FIFO_IN can move (or is illegal, so the tick
+  /// throws); kNever while FIFO_IN is empty or the head is blocked on
+  /// the datapath or a full CMD_FIFO, which other modules release.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  /// A blocked head stalls every skipped cycle.
+  void skip(sim::Cycle cycles) override;
 
  private:
+  /// The head word is legal but cannot move this cycle.
+  [[nodiscard]] bool blocked(const StreamWord& word) const noexcept;
+
   AcceleratorState& state_;
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<InputCmd>& cmd_fifo_;
+  const std::uint64_t model_words_;  ///< upload length of the program
 };
 
 }  // namespace mann::accel

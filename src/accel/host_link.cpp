@@ -1,5 +1,6 @@
 #include "accel/host_link.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,6 +10,11 @@ namespace {
 sim::Cycle seconds_to_cycles(double seconds, double clock_hz) {
   return static_cast<sim::Cycle>(std::llround(seconds * clock_hz));
 }
+
+// Credit ticks one next_activity() call replays at most. A very slow link
+// then reports an early activity (one ordinary tick, then a fresh replay)
+// instead of replaying for the whole gap.
+constexpr sim::Cycle kCreditReplayCap = sim::Cycle{1} << 16;
 
 }  // namespace
 
@@ -54,15 +60,14 @@ void HostLinkModule::tick() {
   }
 
   // Model upload is bulk DMA; the inference stream is word-granular.
-  const bool in_model_phase = words_[position_].op == StreamOp::kModelWord;
-  credit_ += in_model_phase ? model_words_per_cycle_ : words_per_cycle_;
+  credit_ += current_rate();
   bool pushed = false;
   while (credit_ >= 1.0 && position_ < words_.size()) {
     const StreamWord& word = words_[position_];
     if (word.op == StreamOp::kStoryStart) {
       // Request/response host: wait for the previous story's answer
       // before streaming the next request.
-      if (synchronous_ && answers_.size() < stories_sent_) {
+      if (awaiting_answer()) {
         credit_ = 0.0;
         break;
       }
@@ -89,6 +94,56 @@ void HostLinkModule::tick() {
   if (pushed) {
     ++link_active_cycles_;
     mark_busy();
+  }
+}
+
+std::optional<sim::Cycle> HostLinkModule::next_activity(
+    sim::Cycle now) const {
+  if (!fifo_out_.empty()) {
+    return now;  // an answer drains on this tick
+  }
+  if (position_ >= words_.size() || awaiting_answer()) {
+    return sim::kNever;  // the next answer in FIFO_OUT wakes us
+  }
+  // credit_ is a double, so there is no exact closed form: replay tick()'s
+  // accumulation from where the DMA delay (if any) leaves it. The first
+  // tick whose add reaches 1.0 tries a push or charges the story latency.
+  const sim::Cycle first = now + delay_;
+  const double rate = current_rate();
+  double credit = delay_ > 0 ? 0.0 : credit_;
+  for (sim::Cycle k = 0; k < kCreditReplayCap; ++k) {
+    credit += rate;
+    if (credit >= 1.0) {
+      return first + k;
+    }
+    if (!(rate > 0.0)) {
+      return sim::kNever;  // a stalled link: only the watchdog ends it
+    }
+  }
+  return first + kCreditReplayCap;
+}
+
+void HostLinkModule::skip(sim::Cycle cycles) {
+  cycle_ += cycles;
+  if (position_ >= words_.size()) {
+    return;
+  }
+  const sim::Cycle setup = std::min(cycles, delay_);
+  if (setup > 0) {
+    delay_ -= setup;
+    credit_ = 0.0;
+    link_active_cycles_ += setup;
+    mark_busy(setup);
+    cycles -= setup;
+  }
+  // The remaining ticks add credit add by add, as tick() does. Only a host
+  // awaiting an answer can reach 1.0 here, and its tick resets to 0.
+  const double rate = current_rate();
+  for (; cycles > 0; --cycles) {
+    credit_ += rate;
+    if (credit_ >= 1.0) {
+      credit_ = 0.0;
+    }
   }
 }
 

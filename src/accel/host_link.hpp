@@ -28,6 +28,13 @@ class HostLinkModule final : public sim::Module {
                  sim::Fifo<std::int32_t>& fifo_out);
 
   void tick() override;
+  /// The next answer drain, credit crossing 1.0 (a push attempt, the
+  /// story-latency charge) or the end of a DMA delay followed by that
+  /// crossing. A synchronous host waiting on an answer is idle: its
+  /// credit only cycles, and the answer arrives through FIFO_OUT.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
   [[nodiscard]] bool all_words_sent() const noexcept {
     return position_ >= words_.size();
@@ -45,6 +52,19 @@ class HostLinkModule final : public sim::Module {
   }
 
  private:
+  /// Credit added per cycle while the word at position_ waits.
+  [[nodiscard]] double current_rate() const noexcept {
+    return words_[position_].op == StreamOp::kModelWord
+               ? model_words_per_cycle_
+               : words_per_cycle_;
+  }
+  /// The synchronous host holds the next story until the previous
+  /// answer has arrived.
+  [[nodiscard]] bool awaiting_answer() const noexcept {
+    return synchronous_ && words_[position_].op == StreamOp::kStoryStart &&
+           answers_.size() < stories_sent_;
+  }
+
   std::vector<StreamWord> words_;
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<std::int32_t>& fifo_out_;

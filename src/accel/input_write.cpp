@@ -1,5 +1,7 @@
 #include "accel/input_write.hpp"
 
+#include <algorithm>
+
 namespace mann::accel {
 
 InputWriteModule::InputWriteModule(AcceleratorState& state,
@@ -77,6 +79,17 @@ void InputWriteModule::tick() {
   }
   mark_busy();
   --busy_;
+}
+
+std::optional<sim::Cycle> InputWriteModule::next_activity(
+    sim::Cycle now) const {
+  return cmd_fifo_.empty() ? sim::kNever : now + busy_;
+}
+
+void InputWriteModule::skip(sim::Cycle cycles) {
+  const sim::Cycle counted = std::min(cycles, busy_);
+  busy_ -= counted;
+  mark_busy(counted);
 }
 
 }  // namespace mann::accel

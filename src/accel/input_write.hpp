@@ -20,6 +20,11 @@ class InputWriteModule final : public sim::Module {
                    sim::Fifo<InputCmd>& cmd_fifo);
 
   void tick() override;
+  /// A command's cycles count down without effect; the tick after the
+  /// last one pops the next command, if CMD_FIFO holds one.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
  private:
   void process(const InputCmd& cmd);

@@ -5,12 +5,30 @@
 #include <stdexcept>
 
 namespace mann::accel {
+namespace {
+
+// The function-unit tables depend only on their default configuration,
+// so every MEM module reads one shared copy instead of rebuilding (and
+// error-probing) them for each simulation.
+const numeric::ExpLut& shared_exp_lut() {
+  static const numeric::ExpLut lut;
+  return lut;
+}
+
+const numeric::ReciprocalLut& shared_recip_lut() {
+  static const numeric::ReciprocalLut lut;
+  return lut;
+}
+
+}  // namespace
 
 MemModule::MemModule(AcceleratorState& state, const AccelConfig& config)
     : Module("MEM"),
       state_(state),
       timing_(config.timing),
-      sparse_slots_(config.sparse_read_slots) {}
+      sparse_slots_(config.sparse_read_slots),
+      exp_lut_(shared_exp_lut()),
+      recip_lut_(shared_recip_lut()) {}
 
 void MemModule::start() {
   const std::size_t slots = state_.mem_a.size();
@@ -23,7 +41,8 @@ void MemModule::start() {
   // for softmax stability (the running-max register next to the adder
   // tree in Fig. 1's address path). Every slot is scored even in sparse
   // mode — content addressing cannot skip candidates.
-  std::vector<Fx> scores(slots);
+  std::vector<Fx>& scores = scores_;
+  scores.resize(slots);
   Fx max_score = Fx::min();
   for (std::size_t i = 0; i < slots; ++i) {
     scores[i] = fx_dot(state_.mem_a[i], state_.reg_k);
@@ -36,7 +55,8 @@ void MemModule::start() {
   // Sparse selection (§VI-B): keep only the best k slots for the
   // exp/divide/read phases. A sequential k-max pass costs one compare per
   // slot and `slots` cycles.
-  std::vector<std::size_t> selected(slots);
+  std::vector<std::size_t>& selected = selected_;
+  selected.resize(slots);
   std::iota(selected.begin(), selected.end(), std::size_t{0});
   sim::Cycle select_cycles = 0;
   if (sparse_slots_ > 0 && sparse_slots_ < slots) {
@@ -107,6 +127,19 @@ void MemModule::tick() {
   if (busy_ == 0) {
     finish();
   }
+}
+
+std::optional<sim::Cycle> MemModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  return state_.mem_request ? now : sim::kNever;
+}
+
+void MemModule::skip(sim::Cycle cycles) {
+  const sim::Cycle counted = std::min(cycles, busy_);
+  busy_ -= counted;
+  mark_busy(counted);
 }
 
 }  // namespace mann::accel

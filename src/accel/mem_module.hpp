@@ -18,6 +18,11 @@ class MemModule final : public sim::Module {
   MemModule(AcceleratorState& state, const AccelConfig& config);
 
   void tick() override;
+  /// The tick that takes busy_ from 1 to 0 publishes the read vector; an
+  /// idle MEM acts on READ's request.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
  private:
   void start();
@@ -26,10 +31,12 @@ class MemModule final : public sim::Module {
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
-  numeric::ExpLut exp_lut_;
-  numeric::ReciprocalLut recip_lut_;
+  const numeric::ExpLut& exp_lut_;
+  const numeric::ReciprocalLut& recip_lut_;
 
   sim::Cycle busy_ = 0;
+  std::vector<Fx> scores_;             ///< start()'s scratch, reused
+  std::vector<std::size_t> selected_;  ///< start()'s scratch, reused
   std::vector<Fx> next_attention_;
   FxVector next_read_;
 };

@@ -20,46 +20,36 @@ std::size_t OutputModule::probe_class(std::size_t rank) const noexcept {
 
 void OutputModule::begin_search() {
   state_.features_ready = false;
-  phase_ = Phase::kProbing;
-  rank_ = 0;
-  classes_ = state_.program.vocab_size;
-  best_logit_ = Fx::min();
-  best_class_ = 0;
   record_ = {};
-  start_probe();
-}
-
-void OutputModule::start_probe() {
-  const std::size_t cls = probe_class(rank_);
+  // Transaction semantics: the whole search runs now, probe by probe in
+  // datapath order, and the module then stays busy for the probes'
+  // summed latency (the first pays the tree fill, later ones pipeline).
   const std::size_t e = state_.program.embedding_dim;
-  current_logit_ = fx_dot(state_.program.w_o.row(cls), state_.reg_h);
-  ops().mac += e;
-  ops().mem_read += e;
-  ops().compare += 1;
-  ++record_.probes;
-  // First probe pays the tree fill latency; later probes pipeline.
-  busy_ = rank_ == 0 ? timing_.dot_cycles(e) : timing_.dot_ii(e);
-}
-
-void OutputModule::finish_probe() {
-  const std::size_t cls = probe_class(rank_);
-  if (ith_enabled_ && current_logit_ > state_.program.thresholds[cls]) {
-    record_.prediction = static_cast<std::int32_t>(cls);
-    record_.early_exit = true;
-    phase_ = Phase::kPushing;
-    return;
+  Fx best_logit = Fx::min();
+  std::size_t best_class = 0;
+  busy_ = 0;
+  for (std::size_t rank = 0; rank < state_.program.vocab_size; ++rank) {
+    const std::size_t cls = probe_class(rank);
+    const Fx logit = fx_dot(state_.program.w_o.row(cls), state_.reg_h);
+    ++record_.probes;
+    busy_ += rank == 0 ? timing_.dot_cycles(e) : timing_.dot_ii(e);
+    if (ith_enabled_ && logit > state_.program.thresholds[cls]) {
+      record_.prediction = static_cast<std::int32_t>(cls);
+      record_.early_exit = true;
+      break;
+    }
+    if (logit > best_logit) {
+      best_logit = logit;
+      best_class = cls;
+    }
   }
-  if (current_logit_ > best_logit_) {
-    best_logit_ = current_logit_;
-    best_class_ = cls;
+  if (!record_.early_exit) {
+    record_.prediction = static_cast<std::int32_t>(best_class);
   }
-  ++rank_;
-  if (rank_ < classes_) {
-    start_probe();
-    return;
-  }
-  record_.prediction = static_cast<std::int32_t>(best_class_);
-  phase_ = Phase::kPushing;
+  ops().mac += record_.probes * e;
+  ops().mem_read += record_.probes * e;
+  ops().compare += record_.probes;
+  phase_ = Phase::kProbing;
 }
 
 void OutputModule::tick() {
@@ -72,9 +62,8 @@ void OutputModule::tick() {
       [[fallthrough]];
     case Phase::kProbing:
       mark_busy();
-      --busy_;
-      if (busy_ == 0) {
-        finish_probe();
+      if (--busy_ == 0) {
+        phase_ = Phase::kPushing;
       }
       return;
     case Phase::kPushing:
@@ -87,6 +76,25 @@ void OutputModule::tick() {
       state_.story_active = false;  // datapath free for the next story
       phase_ = Phase::kIdle;
       return;
+  }
+}
+
+std::optional<sim::Cycle> OutputModule::next_activity(sim::Cycle now) const {
+  switch (phase_) {
+    case Phase::kIdle:
+      return state_.features_ready ? now : sim::kNever;
+    case Phase::kProbing:
+      return now + busy_ - 1;
+    case Phase::kPushing:
+      break;
+  }
+  return now;
+}
+
+void OutputModule::skip(sim::Cycle cycles) {
+  if (phase_ == Phase::kProbing) {
+    busy_ -= cycles;
+    mark_busy(cycles);
   }
 }
 

@@ -29,6 +29,12 @@ class OutputModule final : public sim::Module {
                sim::Fifo<std::int32_t>& fifo_out);
 
   void tick() override;
+  /// The search ends on the tick that takes busy_ from 1 to 0; an idle
+  /// OUTPUT acts when features are ready, and a pending answer tries
+  /// FIFO_OUT every cycle (a refused push counts in the FIFO's stats).
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -36,8 +42,6 @@ class OutputModule final : public sim::Module {
 
  private:
   void begin_search();
-  void start_probe();
-  void finish_probe();
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
 
   AcceleratorState& state_;
@@ -48,12 +52,7 @@ class OutputModule final : public sim::Module {
 
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };
   Phase phase_ = Phase::kIdle;
-  sim::Cycle busy_ = 0;
-  std::size_t rank_ = 0;
-  std::size_t classes_ = 0;
-  Fx current_logit_;
-  Fx best_logit_;
-  std::size_t best_class_ = 0;
+  sim::Cycle busy_ = 0;  ///< probe cycles left in the current search
   Record record_;
   std::vector<Record> records_;
 };

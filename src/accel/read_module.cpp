@@ -1,9 +1,20 @@
 #include "accel/read_module.hpp"
 
+#include <algorithm>
+
 namespace mann::accel {
 
 ReadModule::ReadModule(AcceleratorState& state, const AccelConfig& config)
     : Module("READ"), state_(state), timing_(config.timing) {}
+
+bool ReadModule::hop_ready() const noexcept {
+  const bool first_hop = state_.input_done && !state_.read_busy &&
+                         state_.hops_done == 0 && !state_.features_ready;
+  const bool next_hop = state_.read_busy &&
+                        state_.hops_done < state_.program.hops &&
+                        state_.hops_done > 0;
+  return first_hop || next_hop;
+}
 
 void ReadModule::start_hop() {
   const std::size_t e = state_.program.embedding_dim;
@@ -55,19 +66,12 @@ void ReadModule::tick() {
     return;
   }
   switch (phase_) {
-    case Phase::kIdle: {
-      const bool first_hop = state_.input_done && !state_.read_busy &&
-                             state_.hops_done == 0 &&
-                             !state_.features_ready;
-      const bool next_hop = state_.read_busy &&
-                            state_.hops_done < state_.program.hops &&
-                            state_.hops_done > 0;
-      if (first_hop || next_hop) {
+    case Phase::kIdle:
+      if (hop_ready()) {
         start_hop();
         mark_busy();
       }
       return;
-    }
     case Phase::kWaitMem: {
       if (!state_.mem_done) {
         return;  // stalled on the memory pipeline
@@ -91,6 +95,28 @@ void ReadModule::tick() {
     case Phase::kAdd:
       return;  // busy_ handled above
   }
+}
+
+std::optional<sim::Cycle> ReadModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  switch (phase_) {
+    case Phase::kIdle:
+      return hop_ready() ? now : sim::kNever;
+    case Phase::kWaitMem:
+      return state_.mem_done ? now : sim::kNever;
+    case Phase::kWrk:
+    case Phase::kAdd:
+      break;
+  }
+  return sim::kNever;
+}
+
+void ReadModule::skip(sim::Cycle cycles) {
+  const sim::Cycle counted = std::min(cycles, busy_);
+  busy_ -= counted;
+  mark_busy(counted);
 }
 
 }  // namespace mann::accel

@@ -23,6 +23,11 @@ class ReadModule final : public sim::Module {
   ReadModule(AcceleratorState& state, const AccelConfig& config);
 
   void tick() override;
+  /// The tick that takes busy_ from 1 to 0 finishes a phase; an idle
+  /// READ acts when a hop can start or the read vector is ready.
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
  private:
   enum class Phase : std::uint8_t {
@@ -32,6 +37,8 @@ class ReadModule final : public sim::Module {
     kAdd,      ///< element-wise h = wrk + r
   };
 
+  /// An idle READ starts a story's first hop, or the next hop of one.
+  [[nodiscard]] bool hop_ready() const noexcept;
   void start_hop();
   void on_busy_complete();
   void finish_hop();

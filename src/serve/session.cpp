@@ -136,7 +136,8 @@ class ServerSession::Frontend final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle /*now*/) const override {
     return s_.next_arrival();
   }
 
@@ -183,14 +184,15 @@ class ServerSession::BatchStage final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override {
     if (s_.batcher_.pending() == 0) {
       return sim::kNever;
     }
     if (s_.drain_ready() || !s_.scheduler_.has_capacity()) {
       // Drain mode or blocked on downstream: may act at the very next
       // tick, so report the current clock (vetoes any skip past it).
-      return s_.simulator_.now();
+      return now;
     }
     // Waiting to fill: wake at the oldest request's timeout. A fill-up
     // wakes us anyway via the frontend's arrival horizon.
@@ -227,11 +229,12 @@ class ServerSession::Dispatch final : public sim::Module {
     }
   }
 
-  [[nodiscard]] std::optional<sim::Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override {
     if (s_.scheduler_.pending_batches() > 0) {
       // Next dispatch opportunity: a slot freeing (conservative — a past
       // cycle just vetoes the skip and falls back to per-cycle ticking).
-      return std::min(s_.scheduler_.next_slot_free(s_.simulator_.now()),
+      return std::min(s_.scheduler_.next_slot_free(now),
                       s_.scheduler_.next_completion());
     }
     return s_.scheduler_.next_completion();
@@ -388,7 +391,8 @@ bool ServerSession::step_until(sim::Cycle limit) {
     sim::Cycle horizon = sim::kNever;
     bool skippable = !modules.empty();
     for (const sim::Module* m : modules) {
-      const std::optional<sim::Cycle> next = m->next_activity();
+      const std::optional<sim::Cycle> next =
+          m->next_activity(simulator_.now());
       if (!next.has_value()) {
         skippable = false;
         break;

@@ -34,20 +34,25 @@ Cycle Simulator::run_events(const std::function<bool()>& done,
     }
 
     // Quiescence check: if every module agrees nothing can happen before
-    // some future cycle, jump straight there. A nullopt vetoes the jump.
+    // some future cycle, jump straight there. A nullopt, or any module
+    // due now, vetoes the jump (and spares asking the rest).
     Cycle horizon = kNever;
     bool skippable = !modules_.empty();
     for (const Module* m : modules_) {
-      const std::optional<Cycle> next = m->next_activity();
-      if (!next.has_value()) {
+      const std::optional<Cycle> next = m->next_activity(now_);
+      if (!next.has_value() || *next <= now_) {
         skippable = false;
         break;
       }
       horizon = std::min(horizon, *next);
     }
-    if (skippable && horizon > now_) {
+    if (skippable) {
       // Clamp so the watchdog still fires instead of wrapping past it.
-      advance(std::min(horizon, start + max_cycles) - now_);
+      const Cycle gap = std::min(horizon, start + max_cycles) - now_;
+      for (Module* m : modules_) {
+        m->skip(gap);
+      }
+      advance(gap);
       if (now_ - start >= max_cycles) {
         throw std::runtime_error(
             "Simulator: watchdog expired — all modules idle forever");

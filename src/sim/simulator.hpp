@@ -23,22 +23,25 @@ class Simulator {
   Cycle run_until(const std::function<bool()>& done, Cycle max_cycles);
 
   /// Like run_until, but when every registered module reports a future
-  /// next_activity() the clock jumps straight to the earliest one instead
-  /// of ticking through the quiescent gap. Exact for modules that honour
-  /// the next_activity contract; identical to run_until when any module
-  /// returns nullopt. The serving runtime uses this to simulate sparse
-  /// request arrivals over billions of cycles in bounded host time.
+  /// next_activity(now) the clock jumps straight to the earliest one:
+  /// each module's skip() bulk-accounts the gap, then advance() moves the
+  /// clock. Cycle-exact (same state, stats and done() cycle as
+  /// run_until) for modules that honour the next_activity/skip contract;
+  /// identical to run_until when any module returns nullopt. The
+  /// accelerator runs every device simulation on it, and the serving
+  /// runtime's step loop shares its shape to cross sparse request
+  /// arrivals over billions of cycles in bounded host time.
   Cycle run_events(const std::function<bool()>& done, Cycle max_cycles);
 
-  /// Cheap timing fast-forward: advances the clock by `cycles` without
-  /// ticking any module. run_events uses it for the quiescence jump, and
-  /// it is the replay hook for consumers that already know a stretch's
-  /// exact cycle count from a previous simulation (the service-cycle
-  /// cache replays memoized device runs this way: the clock lands
-  /// exactly where a full re-simulation would, at zero cost).
+  /// Moves the clock by `cycles` without ticking or skipping any module.
+  /// run_events calls it after the modules' skip() accounting, and it is
+  /// the replay hook for consumers that already know a stretch's exact
+  /// cycle count from a previous simulation (the service-cycle cache
+  /// replays memoized device runs this way: the clock lands exactly
+  /// where a full re-simulation would, at zero cost).
   void advance(Cycle cycles) noexcept { now_ += cycles; }
 
-  /// Total cycles ticked since construction.
+  /// Cycles elapsed since construction: ticked, skipped or advanced.
   [[nodiscard]] Cycle now() const noexcept { return now_; }
 
   [[nodiscard]] const std::vector<Module*>& modules() const noexcept {

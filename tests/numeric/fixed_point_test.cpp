@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace mann::numeric {
@@ -130,6 +133,98 @@ TYPED_TEST(FixedPointPrecision, DotProductErrorShrinksWithPrecision) {
   }
   const float lsb = 1.0F / static_cast<float>(1U << TypeParam::kFracBits);
   EXPECT_NEAR(acc.to_float(), ref, 8.0F * lsb);
+}
+
+/// The branch-free form of the multiply's sign-branching rounding: the
+/// arithmetic shift floors, so a negative product takes one less bias to
+/// land on -floor((|prod| + bias) / 2^F), round half away from zero. The
+/// datapath keeps the branch (see FixedPoint::operator*); these tests hold
+/// the two to the same bits so either can be used.
+template <typename Fx>
+typename Fx::raw_type reference_multiply(typename Fx::raw_type a,
+                                         typename Fx::raw_type b) {
+  using wide = typename Fx::wide_type;
+  const wide prod = static_cast<wide>(a) * static_cast<wide>(b);
+  const wide bias = wide{1} << (Fx::kFracBits - 1);
+  const wide rounded =
+      (prod + bias - static_cast<wide>(prod < 0)) >> Fx::kFracBits;
+  return static_cast<typename Fx::raw_type>(
+      std::clamp<wide>(rounded, Fx::kRawMin, Fx::kRawMax));
+}
+
+template <typename Fx>
+void expect_multiply_matches_reference(typename Fx::raw_type a,
+                                       typename Fx::raw_type b) {
+  EXPECT_EQ((Fx::from_raw(a) * Fx::from_raw(b)).raw(),
+            (reference_multiply<Fx>(a, b)))
+      << a << " * " << b;
+}
+
+TYPED_TEST(FixedPointPrecision, MultiplyTiesRoundHalfAwayFromZero) {
+  using raw = typename TypeParam::raw_type;
+  constexpr unsigned f = TypeParam::kFracBits;
+  const raw half = raw{1} << (f - 1);
+  // Raw x times raw 1 (one LSB) is the full-precision product x, which
+  // shifts back to x / 2^F: x = +-2^(F-1) is an exact tie, +-1 around it
+  // its neighbours.
+  const std::vector<raw> near_ties = {half,     -half,    half + 1,
+                                      half - 1, -half + 1, -half - 1};
+  for (const raw x : near_ties) {
+    expect_multiply_matches_reference<TypeParam>(x, 1);
+    expect_multiply_matches_reference<TypeParam>(1, x);
+  }
+  EXPECT_EQ((TypeParam::from_raw(half) * TypeParam::epsilon()).raw(), 1);
+  EXPECT_EQ((TypeParam::from_raw(-half) * TypeParam::epsilon()).raw(), -1);
+  EXPECT_EQ((TypeParam::from_raw(half - 1) * TypeParam::epsilon()).raw(), 0);
+  EXPECT_EQ((TypeParam::from_raw(-half + 1) * TypeParam::epsilon()).raw(), 0);
+  // Products k * 2^F +- 2^(F-1): the ties above and below each integer
+  // k, built as raw (k * 2^F +- 2^(F-1)) times raw 1 and raw -1.
+  for (raw k = -300; k <= 300; ++k) {
+    const std::int64_t base = static_cast<std::int64_t>(k) << f;
+    for (const std::int64_t off : {-std::int64_t{half}, std::int64_t{half}}) {
+      const std::int64_t v = base + off;
+      if (v >= TypeParam::kRawMin && v <= TypeParam::kRawMax) {
+        expect_multiply_matches_reference<TypeParam>(static_cast<raw>(v), 1);
+        expect_multiply_matches_reference<TypeParam>(static_cast<raw>(v), -1);
+      }
+    }
+  }
+}
+
+TYPED_TEST(FixedPointPrecision, MultiplyMatchesReferenceAtTheExtremes) {
+  using raw = typename TypeParam::raw_type;
+  const std::vector<raw> edges = {TypeParam::kRawMin, TypeParam::kRawMax, 0,
+                                  1, -1};
+  for (const raw a : edges) {
+    for (const raw b : edges) {
+      expect_multiply_matches_reference<TypeParam>(a, b);
+    }
+  }
+}
+
+TYPED_TEST(FixedPointPrecision, MultiplyMatchesReferenceOnRandomPairs) {
+  using raw = typename TypeParam::raw_type;
+  std::mt19937_64 rng(0x5EED0F1C5ULL + TypeParam::kFracBits);
+  std::uniform_int_distribution<raw> full(TypeParam::kRawMin,
+                                          TypeParam::kRawMax);
+  std::uniform_int_distribution<raw> small(-(raw{1} << 20), raw{1} << 20);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Half the pairs span the whole word (mostly saturating), half stay
+    // near the datapath's working range, where rounding decides the LSB.
+    const bool wide = (i & 1) == 0;
+    const raw a = wide ? full(rng) : small(rng);
+    const raw b = wide ? full(rng) : small(rng);
+    if ((TypeParam::from_raw(a) * TypeParam::from_raw(b)).raw() !=
+        reference_multiply<TypeParam>(a, b)) {
+      ++mismatches;
+      ADD_FAILURE() << a << " * " << b;
+      if (mismatches > 5) {
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace mann::sim {
@@ -111,7 +113,8 @@ class EventModule final : public Module {
     }
   }
 
-  [[nodiscard]] std::optional<Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<Cycle> next_activity(
+      Cycle /*now*/) const override {
     return next_ < events_.size() ? events_[next_] : kNever;
   }
 
@@ -172,6 +175,114 @@ TEST(Simulator, AdvanceReplaysTimeWithoutTicking) {
   // Replayed and simulated time compose on one clock.
   (void)sim.run_until([&] { return counting.ticks >= 5; }, 100);
   EXPECT_EQ(sim.now(), 1'005U);
+}
+
+/// Works through a list of jobs, each busy for its length and completing
+/// on the tick that takes the countdown from 1 to 0; stalls once the list
+/// is exhausted. Bulk-accounts skipped countdown and stall cycles, and
+/// records any skip that would swallow a completion tick.
+class CountdownModule final : public Module {
+ public:
+  CountdownModule(std::string name, const Simulator& clock,
+                  std::vector<Cycle> jobs)
+      : Module(std::move(name)), clock_(clock), jobs_(std::move(jobs)) {
+    start_next();
+  }
+
+  void tick() override {
+    ++ticks;
+    if (busy_ == 0) {
+      mark_stalled();
+      return;
+    }
+    mark_busy();
+    if (--busy_ == 0) {
+      completed.push_back(clock_.now());
+      start_next();
+    }
+  }
+
+  [[nodiscard]] std::optional<Cycle> next_activity(
+      Cycle now) const override {
+    return busy_ > 0 ? now + busy_ - 1 : kNever;
+  }
+
+  void skip(Cycle cycles) override {
+    if (busy_ > 0 && cycles >= busy_) {
+      crossed_activity = true;
+    }
+    const Cycle counted = std::min(cycles, busy_);
+    busy_ -= counted;
+    mark_busy(counted);
+    mark_stalled(cycles - counted);
+  }
+
+  Cycle ticks = 0;
+  std::vector<Cycle> completed;
+  bool crossed_activity = false;
+
+ private:
+  void start_next() {
+    if (next_ < jobs_.size()) {
+      busy_ = jobs_[next_++];
+    }
+  }
+
+  const Simulator& clock_;
+  std::vector<Cycle> jobs_;
+  std::size_t next_ = 0;
+  Cycle busy_ = 0;
+};
+
+TEST(Simulator, SkipAccountingMatchesTickedAccounting) {
+  const std::vector<Cycle> jobs_a = {7, 3, 50, 1, 1, 400};
+  const std::vector<Cycle> jobs_b = {20, 20, 1, 90};
+  const auto run = [&](bool events) {
+    Simulator sim;
+    CountdownModule a("a", sim, jobs_a);
+    CountdownModule b("b", sim, jobs_b);
+    sim.add_module(a);
+    sim.add_module(b);
+    const auto done = [&] {
+      return a.completed.size() == jobs_a.size() &&
+             b.completed.size() == jobs_b.size();
+    };
+    const Cycle elapsed =
+        events ? sim.run_events(done, 10'000) : sim.run_until(done, 10'000);
+    return std::tuple(elapsed, a.stats().busy_cycles, a.stats().stall_cycles,
+                      b.stats().busy_cycles, b.stats().stall_cycles,
+                      a.completed, b.completed, a.ticks + b.ticks,
+                      a.crossed_activity || b.crossed_activity);
+  };
+  const auto ticked = run(false);
+  const auto skipped = run(true);
+  // Same clock, same busy/stall split, same completion cycles…
+  EXPECT_EQ(std::get<0>(skipped), std::get<0>(ticked));
+  EXPECT_EQ(std::get<1>(skipped), std::get<1>(ticked));
+  EXPECT_EQ(std::get<2>(skipped), std::get<2>(ticked));
+  EXPECT_EQ(std::get<3>(skipped), std::get<3>(ticked));
+  EXPECT_EQ(std::get<4>(skipped), std::get<4>(ticked));
+  EXPECT_EQ(std::get<5>(skipped), std::get<5>(ticked));
+  EXPECT_EQ(std::get<6>(skipped), std::get<6>(ticked));
+  EXPECT_EQ(std::get<4>(ticked), 462U - 131U);  // b idles after its jobs
+  // …with a fraction of the ticks, and no skip ever swallowed the tick
+  // on which a module's countdown completes.
+  EXPECT_LT(std::get<7>(skipped), std::get<7>(ticked) / 10);
+  EXPECT_FALSE(std::get<8>(skipped));
+}
+
+TEST(Simulator, SkipStopsAtTheEarliestModulesActivity) {
+  Simulator sim;
+  CountdownModule slow("slow", sim, {1000});
+  EventModule fast("fast", sim, {10, 20});
+  sim.add_module(slow);
+  sim.add_module(fast);
+  (void)sim.run_events([&] { return !slow.completed.empty(); }, 10'000);
+  EXPECT_EQ(fast.fired, (std::vector<Cycle>{10, 20}));
+  EXPECT_EQ(slow.completed, (std::vector<Cycle>{999}));
+  EXPECT_EQ(slow.stats().busy_cycles, 1000U);
+  EXPECT_FALSE(slow.crossed_activity);
+  EXPECT_EQ(sim.now(), 1000U);
 }
 
 TEST(OpCounts, AccumulateAndTotal) {
