@@ -4,6 +4,7 @@
 // independent of the trained suite.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -138,11 +139,13 @@ void BM_ModelForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelForward);
 
-// One cold Accelerator::run (model upload + every story) over qa1 test
-// stories, on a randomly initialised model: the uncached device-simulation
-// path. Items are simulated cycles, so items_per_second is simulated cycles
-// per host second (1e9 / it = host ns per simulated cycle). Arg = fabric
-// clock in MHz.
+// One Accelerator::run over qa1 test stories, on a randomly initialised
+// model: the uncached device-simulation path. Items are simulated cycles,
+// so items_per_second is simulated cycles per host second (1e9 / it = host
+// ns per simulated cycle). Args: fabric clock in MHz, stories per run, and
+// whether the model is already resident (1) or uploaded first (0, the
+// cold run). With one story, cold minus resident time is the host cost of
+// one model upload.
 void BM_AcceleratorRun(benchmark::State& state) {
   data::DatasetConfig dc;
   dc.train_stories = 1;
@@ -158,14 +161,23 @@ void BM_AcceleratorRun(benchmark::State& state) {
   accel::AccelConfig config;
   config.clock_hz = static_cast<double>(state.range(0)) * 1.0e6;
   const accel::Accelerator device(config, accel::compile_model(net));
+  const std::span<const data::EncodedStory> stories(
+      ds.test.data(), static_cast<std::size_t>(state.range(1)));
+  accel::RunOptions options;
+  options.model_resident = state.range(2) != 0;
   std::int64_t cycles = 0;
   for (auto _ : state) {
-    const accel::RunResult result = device.run(ds.test);
+    const accel::RunResult result = device.run(stories, options);
     cycles += static_cast<std::int64_t>(result.total_cycles);
     benchmark::DoNotOptimize(result.stories.data());
   }
   state.SetItemsProcessed(cycles);
 }
-BENCHMARK(BM_AcceleratorRun)->Arg(25)->Arg(100);
+BENCHMARK(BM_AcceleratorRun)
+    ->ArgNames({"mhz", "stories", "resident"})
+    ->Args({25, 50, 0})
+    ->Args({100, 50, 0})
+    ->Args({100, 1, 0})
+    ->Args({100, 1, 1});
 
 }  // namespace

@@ -106,11 +106,11 @@ RunResult simulate_graph(const AccelConfig& config,
   sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config.fifo_depth);
   sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config.fifo_depth);
 
-  HostLinkModule host(
-      config,
-      encode_workload(model_resident ? 0 : program.model_words(), stories),
-      fifo_in, fifo_out);
-  ControlModule control(state, fifo_in, cmd_fifo);
+  HostLinkModule host(config, model_resident ? 0 : program.model_words(),
+                      encode_workload(stories), fifo_in, fifo_out);
+  // CONTROL drains FIFO_IN right after HOST_LINK ticks, which lets the
+  // two skip a steady model upload together.
+  ControlModule control(state, fifo_in, cmd_fifo, &host);
   InputWriteModule input_write(state, config, cmd_fifo);
   MemModule mem(state, config);
   ReadModule read(state, config);

@@ -6,12 +6,18 @@ namespace mann::accel {
 
 ControlModule::ControlModule(AcceleratorState& state,
                              sim::Fifo<StreamWord>& fifo_in,
-                             sim::Fifo<InputCmd>& cmd_fifo)
+                             sim::Fifo<InputCmd>& cmd_fifo,
+                             HostLinkModule* upstream)
     : Module("CONTROL"),
       state_(state),
       fifo_in_(fifo_in),
       cmd_fifo_(cmd_fifo),
-      model_words_(state.program.model_words()) {}
+      upstream_(upstream),
+      model_words_(state.program.model_words()) {
+  if (upstream != nullptr) {
+    upstream->couple_upload_drain(fifo_in_);
+  }
+}
 
 void ControlModule::tick() {
   const StreamWord* word = fifo_in_.peek();
@@ -22,12 +28,7 @@ void ControlModule::tick() {
   switch (word->op) {
     case StreamOp::kModelWord: {
       (void)fifo_in_.try_pop();
-      ++state_.model_words_seen;
-      ++ops().mem_write;  // one BRAM weight-word write
-      if (state_.model_words_seen >= model_words_) {
-        state_.model_loaded = true;
-      }
-      mark_busy();
+      store_model_words(1);
       return;
     }
     case StreamOp::kStoryStart: {
@@ -82,6 +83,15 @@ void ControlModule::tick() {
   }
 }
 
+void ControlModule::store_model_words(std::uint64_t count) noexcept {
+  state_.model_words_seen += count;
+  ops().mem_write += count;  // one BRAM weight-word write each
+  if (state_.model_words_seen >= model_words_) {
+    state_.model_loaded = true;
+  }
+  mark_busy(count);
+}
+
 bool ControlModule::blocked(const StreamWord& word) const noexcept {
   switch (word.op) {
     case StreamOp::kModelWord:
@@ -98,12 +108,22 @@ std::optional<sim::Cycle> ControlModule::next_activity(sim::Cycle now) const {
   if (word == nullptr || blocked(*word)) {
     return sim::kNever;
   }
+  if (word->op == StreamOp::kModelWord && upstream_ != nullptr) {
+    return now + upstream_->upload_window();
+  }
   return now;
 }
 
 void ControlModule::skip(sim::Cycle cycles) {
   const StreamWord* word = fifo_in_.peek();
-  if (word != nullptr && blocked(*word)) {
+  if (word == nullptr) {
+    return;
+  }
+  if (word->op == StreamOp::kModelWord) {
+    store_model_words(cycles);  // an upload window: one word a cycle
+    return;
+  }
+  if (blocked(*word)) {
     mark_stalled(cycles);
   }
 }

@@ -20,12 +20,9 @@ std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
 }
 
 std::vector<StreamWord> encode_workload(
-    std::size_t model_words, std::span<const data::EncodedStory> stories) {
+    std::span<const data::EncodedStory> stories) {
   std::vector<StreamWord> words;
-  words.reserve(model_words + stories.size() * 48);
-  for (std::size_t i = 0; i < model_words; ++i) {
-    words.push_back({StreamOp::kModelWord, 0});
-  }
+  words.reserve(stories.size() * 48);
   for (const data::EncodedStory& s : stories) {
     const auto sw = encode_story(s);
     words.insert(words.end(), sw.begin(), sw.end());

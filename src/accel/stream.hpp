@@ -37,9 +37,12 @@ struct StreamWord {
 [[nodiscard]] std::vector<StreamWord> encode_story(
     const data::EncodedStory& story);
 
-/// Renders a whole workload: `model_words` kModelWord words (the trained
-/// parameters crossing the PCIe link) followed by every story.
+/// Renders every story of a workload, in order. On a cold run the trained
+/// parameters cross the PCIe link first, as identical kModelWord words, so
+/// HostLinkModule streams them from a count instead of rendered words. That
+/// identity is also what lets HOST_LINK and CONTROL skip a steady upload
+/// without touching FIFO_IN's contents (HostLinkModule::upload_window).
 [[nodiscard]] std::vector<StreamWord> encode_workload(
-    std::size_t model_words, std::span<const data::EncodedStory> stories);
+    std::span<const data::EncodedStory> stories);
 
 }  // namespace mann::accel

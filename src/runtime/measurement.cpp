@@ -73,7 +73,8 @@ std::vector<TaskArtifacts> prepare_suite(const PrepareConfig& config) {
 namespace {
 
 std::string cache_key(const PrepareConfig& c, data::TaskId id) {
-  return "g" + std::to_string(data::kGeneratorVersion) + "_task" +
+  std::string key = "g";
+  key += std::to_string(data::kGeneratorVersion) + "_task" +
          std::to_string(data::task_number(id)) + "_s" +
          std::to_string(c.dataset.seed) + "_n" +
          std::to_string(c.dataset.train_stories) + "_e" +
@@ -81,6 +82,7 @@ std::string cache_key(const PrepareConfig& c, data::TaskId id) {
          std::to_string(c.model.hops) + "_ep" +
          std::to_string(c.train.epochs) + "_i" +
          std::to_string(c.init_seed) + ".mann";
+  return key;
 }
 
 TaskArtifacts finish_from_model(data::TaskDataset dataset,

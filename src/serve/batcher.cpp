@@ -29,7 +29,8 @@ Batcher::Batcher(BatcherConfig config, std::size_t num_tasks,
     for (std::size_t u = 0; u < num_tenants_; ++u) {
       std::string name = "BATCH_Q" + std::to_string(t);
       if (num_tenants_ > 1) {
-        name += "." + std::to_string(u);
+        name += '.';
+        name += std::to_string(u);
       }
       queues_.emplace_back(std::move(name), config_.queue_capacity);
     }

@@ -87,6 +87,23 @@ class Fifo {
     return items_.empty() ? nullptr : &items_.front();
   }
 
+  /// Accounts `cycles` cycles of a queue one item short of full, in each
+  /// of which one push fills it and one pop drains the head, plus
+  /// `full_rejects` pushes refused in between. The contents stay as they
+  /// are, which is exact only when every queued item equals every pushed
+  /// one. HOST_LINK's steady model upload is the one caller: FIFO_IN then
+  /// holds nothing but identical kModelWord words.
+  void account_push_pop(std::uint64_t cycles,
+                        std::uint64_t full_rejects) noexcept {
+    if (cycles == 0) {
+      return;
+    }
+    stats_.pushes += cycles;
+    stats_.pops += cycles;
+    stats_.full_rejects += full_rejects;
+    stats_.max_occupancy = std::max(stats_.max_occupancy, items_.size() + 1);
+  }
+
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
  private:

@@ -37,6 +37,18 @@ class Module {
   /// module is idle until some other module acts; nullopt means "unknown
   /// — tick me every cycle", the default for a module without a model of
   /// its own timing.
+  ///
+  /// One coupled pair is exempt from "no new input": the accelerator's
+  /// HOST_LINK and CONTROL during a steady model upload, when every cycle
+  /// HOST_LINK pushes a word into FIFO_IN and CONTROL pops one. Neither
+  /// alone is quiescent, but the pair repeats the same cycle. The
+  /// precondition is state both see at the cycle boundary (FIFO_IN one
+  /// word short of full, a model word next, a model rate above 1
+  /// word/cycle) plus the wiring: CONTROL drains the link's FIFO_IN and
+  /// is ticked right after it. Both then report the same window end, and
+  /// each skip() accounts its own half of every cycle: HOST_LINK its
+  /// pushes, refused pushes and FIFO_IN's stats, CONTROL the model words
+  /// it stores. accel::HostLinkModule::upload_window() has the details.
   [[nodiscard]] virtual std::optional<Cycle> next_activity(
       Cycle /*now*/) const {
     return std::nullopt;

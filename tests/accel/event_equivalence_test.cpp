@@ -248,6 +248,54 @@ TEST_F(EventEquivalence, DeadlockTripsTheWatchdogOnBothClocks) {
       std::runtime_error);
 }
 
+TEST_F(EventEquivalence, ColdUploadAtEveryModelRateAndDepth) {
+  // HOST_LINK and CONTROL skip a steady upload together only above 1
+  // model word per cycle into a FIFO_IN at least two words deep. Below
+  // that rate the FIFO never fills; at exactly 1 it never holds a word at
+  // a cycle boundary; at depth 1 CONTROL never sees a head there. At 1.5
+  // the credit left after a push reaches 1.0 only on some cycles, so
+  // each cycle's refused push must be counted, not assumed.
+  for (const double rate : {0.7, 1.0, 1.5}) {
+    for (const std::size_t depth : {1U, 2U, 32U}) {
+      SCOPED_TRACE(std::to_string(rate) + " model words/cycle, fifo_depth " +
+                   std::to_string(depth));
+      AccelConfig cfg = config(50.0e6);
+      cfg.link.model_words_per_second = rate * cfg.clock_hz;
+      cfg.fifo_depth = depth;
+      check(cfg);
+    }
+  }
+}
+
+TEST_F(EventEquivalence, UploadCreditCarriesIntoTheStories) {
+  // With no story latency an asynchronous host spends the credit the
+  // upload left behind on the stories. At 75 MHz the model rate is 8/3
+  // words/cycle, inexact in binary, so the skip replays every add; at
+  // 100 MHz it is 2 and the integer closed form applies.
+  for (const double mhz : {75.0, 100.0}) {
+    for (const bool ith : {false, true}) {
+      SCOPED_TRACE(std::to_string(mhz) + " MHz, ITH " + (ith ? "on" : "off"));
+      AccelConfig cfg = config(mhz * 1.0e6);
+      cfg.link.synchronous_stories = false;
+      cfg.link.per_story_latency = 0.0;
+      cfg.ith_enabled = ith;
+      check(cfg);
+    }
+  }
+}
+
+TEST_F(EventEquivalence, WatchdogExpiresMidUploadOnBothClocks) {
+  // CONTROL stores one model word per cycle, so the watchdog clamps the
+  // event clock's skip partway through an upload window.
+  AccelConfig cfg = config(100.0e6);
+  cfg.watchdog_cycles = plain_->model_words() / 2;
+  const Accelerator device(cfg, *plain_);
+  EXPECT_THROW((void)device.run(dataset_->test), std::runtime_error);
+  EXPECT_THROW(
+      (void)detail::simulate_per_cycle(device, dataset_->test, false),
+      std::runtime_error);
+}
+
 // ---- module-level twins --------------------------------------------------
 
 /// Drives `module` to cycle `until` the way run_events would — skipping
@@ -289,7 +337,9 @@ void drive_twins(sim::Module& module, sim::Module& twin, sim::Cycle until,
 struct LinkRig {
   LinkRig(const AccelConfig& cfg, std::vector<StreamWord> words,
           std::size_t depth)
-      : in("IN", depth), out("OUT", 4), link(cfg, std::move(words), in, out) {}
+      : in("IN", depth),
+        out("OUT", 4),
+        link(cfg, 0, std::move(words), in, out) {}
   sim::Fifo<StreamWord> in;
   sim::Fifo<std::int32_t> out;
   HostLinkModule link;
@@ -381,6 +431,153 @@ DeviceProgram tiny_program() {
   p.w_r = FxMatrix(2, 2);
   p.w_o = FxMatrix(4, 2);
   return p;
+}
+
+/// HOST_LINK + CONTROL + FIFO_IN, coupled as Accelerator::run wires
+/// them: a cold upload of tiny_program() (36 model words), then a story
+/// streamed word by word into CONTROL's command queue. The story is
+/// longer than the credit the upload leaves, so the credit's exact value
+/// shows in when the last words go out.
+struct UploadRig {
+  UploadRig(const AccelConfig& cfg, std::size_t depth)
+      : state(tiny_program()),
+        in("IN", depth),
+        out("OUT", 4),
+        cmds("CMD", 128),
+        link(cfg, state.program.model_words(), story(), in, out),
+        control(state, in, cmds, &link) {}
+
+  static std::vector<StreamWord> story() {
+    std::vector<StreamWord> words = {{StreamOp::kStoryStart, 0},
+                                     {StreamOp::kSentenceStart, 0}};
+    for (std::int32_t w = 0; w < 60; ++w) {
+      words.push_back({StreamOp::kContextWord, w % 4});
+    }
+    words.push_back({StreamOp::kQuestionStart, 0});
+    words.push_back({StreamOp::kQuestionWord, 1});
+    words.push_back({StreamOp::kEndOfStory, 0});
+    return words;
+  }
+
+  [[nodiscard]] std::vector<sim::Module*> modules() {
+    return {&link, &control};
+  }
+
+  AcceleratorState state;
+  sim::Fifo<StreamWord> in;
+  sim::Fifo<std::int32_t> out;
+  sim::Fifo<InputCmd> cmds;
+  HostLinkModule link;
+  ControlModule control;
+};
+
+/// Clocks `rig` to cycle `until` as run_events does, except that no skip
+/// spans more than `stride` cycles, so skips end anywhere inside an
+/// upload window. Returns the widest window seen.
+sim::Cycle clock_in_strides(UploadRig& rig, sim::Cycle until,
+                            sim::Cycle stride) {
+  sim::Cycle widest = 0;
+  sim::Cycle c = 0;
+  while (c < until) {
+    widest = std::max(widest, rig.link.upload_window());
+    sim::Cycle target = until - c > stride ? c + stride : until;
+    for (const sim::Module* m : rig.modules()) {
+      const std::optional<sim::Cycle> next = m->next_activity(c);
+      target = next.has_value() ? std::min(target, *next) : c;
+    }
+    if (target > c) {
+      for (sim::Module* m : rig.modules()) {
+        m->skip(target - c);
+      }
+      c = target;
+      continue;
+    }
+    for (sim::Module* m : rig.modules()) {
+      m->tick();
+    }
+    ++c;
+  }
+  return widest;
+}
+
+void expect_rigs_equal(const UploadRig& a, const UploadRig& b) {
+  EXPECT_EQ(a.in.size(), b.in.size());
+  expect_fifo_equal(a.in.stats(), b.in.stats());
+  expect_fifo_equal(a.cmds.stats(), b.cmds.stats());
+  expect_stats_equal(a.link.stats(), b.link.stats());
+  expect_stats_equal(a.control.stats(), b.control.stats());
+  EXPECT_EQ(a.link.link_active_cycles(), b.link.link_active_cycles());
+  EXPECT_EQ(a.link.all_words_sent(), b.link.all_words_sent());
+  EXPECT_EQ(a.state.model_words_seen, b.state.model_words_seen);
+  EXPECT_EQ(a.state.model_loaded, b.state.model_loaded);
+  EXPECT_EQ(a.state.story_active, b.state.story_active);
+}
+
+TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
+  // Cut the coupled upload at every cycle, skipping in strides of 1, 3
+  // and unbounded: HOST_LINK's pushes, refusals and credit, CONTROL's
+  // model words and FIFO_IN's stats must match a ticked twin at each cut,
+  // and so must the story words the leftover credit streams afterwards
+  // at the slower word rate.
+  const sim::Cycle model_words = tiny_program().model_words();
+  for (const double rate : {0.7, 1.0, 1.3, 1.5, 2.0, 8.0 / 3.0}) {
+    for (const std::size_t depth : {1U, 2U, 5U}) {
+      AccelConfig cfg = slow_link();
+      cfg.link.model_words_per_second = rate * cfg.clock_hz;
+      cfg.link.synchronous_stories = false;
+      const bool opens = rate > 1.0 && depth >= 2;
+      sim::Cycle widest = 0;
+      for (sim::Cycle until = 1; until < model_words + 200; ++until) {
+        for (const sim::Cycle stride : {sim::Cycle{1}, sim::Cycle{3},
+                                        sim::kNever}) {
+          SCOPED_TRACE(std::to_string(rate) + " words/cycle, depth " +
+                       std::to_string(depth) + ", until " +
+                       std::to_string(until) + ", stride " +
+                       std::to_string(stride));
+          UploadRig events(cfg, depth);
+          UploadRig ticked(cfg, depth);
+          widest = std::max(widest, clock_in_strides(events, until, stride));
+          for (sim::Cycle c = 0; c < until; ++c) {
+            for (sim::Module* m : ticked.modules()) {
+              m->tick();
+            }
+          }
+          expect_rigs_equal(events, ticked);
+        }
+      }
+      SCOPED_TRACE(std::to_string(rate) + " words/cycle, depth " +
+                   std::to_string(depth));
+      if (opens) {
+        EXPECT_GT(widest, 0U);
+      } else {
+        EXPECT_EQ(widest, 0U);
+      }
+    }
+  }
+}
+
+TEST(EventTwins, UploadWindowNeedsTheCoupledDrain) {
+  // A link whose FIFO_IN nobody drains never opens a window, even one
+  // word short of full: the next cycle would refuse instead of push.
+  AccelConfig cfg = slow_link();
+  cfg.link.model_words_per_second = 2.0 * cfg.clock_hz;
+  sim::Fifo<StreamWord> in("IN", 3);
+  sim::Fifo<std::int32_t> out("OUT", 4);
+  HostLinkModule link(cfg, 36, {}, in, out);
+  link.tick();  // two words: one short of full
+  ASSERT_EQ(in.size(), 2U);
+  EXPECT_EQ(link.upload_window(), 0U);
+  EXPECT_EQ(link.next_activity(1), 1U);
+
+  sim::Fifo<StreamWord> other("OTHER", 3);
+  AcceleratorState state(tiny_program());
+  sim::Fifo<InputCmd> cmds("CMD", 4);
+  EXPECT_THROW((void)ControlModule(state, other, cmds, &link),
+               std::invalid_argument);
+  ControlModule control(state, in, cmds, &link);
+  EXPECT_EQ(link.upload_window(), 36U - 1U - 2U);
+  EXPECT_EQ(link.next_activity(1), 1U + 33U);
+  EXPECT_EQ(control.next_activity(1), 1U + 33U);
 }
 
 TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {

@@ -315,8 +315,7 @@ TEST(HostLinkModule, RespectsWordRate) {
   cfg.link.result_latency = 0.0;
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<std::int32_t> out("OUT", 4);
-  std::vector<StreamWord> words(16, {StreamOp::kModelWord, 0});
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 16, {}, in, out);
   for (int i = 0; i < 32; ++i) {
     link.tick();
   }
@@ -332,12 +331,40 @@ TEST(HostLinkModule, ModelPhaseUsesBulkRate) {
   cfg.link.model_words_per_second = 1.0e6;  // 1 word/cycle for the model
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<std::int32_t> out("OUT", 4);
-  std::vector<StreamWord> words(10, {StreamOp::kModelWord, 0});
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 10, {}, in, out);
   for (int i = 0; i < 10; ++i) {
     link.tick();
   }
   EXPECT_TRUE(link.all_words_sent());
+}
+
+TEST(HostLinkModule, StreamsModelWordsBeforeTheStories) {
+  // The upload is a count of identical words, sent ahead of the story
+  // words and counted in words_total().
+  AccelConfig cfg = tiny_config();
+  cfg.clock_hz = 1.0e6;
+  cfg.link.words_per_second = 1.0e6;
+  cfg.link.model_words_per_second = 1.0e6;
+  cfg.link.per_story_latency = 0.0;
+  cfg.link.synchronous_stories = false;
+  sim::Fifo<StreamWord> in("IN", 64);
+  sim::Fifo<std::int32_t> out("OUT", 4);
+  const std::vector<StreamWord> story = {{StreamOp::kStoryStart, 0},
+                                         {StreamOp::kContextWord, 3},
+                                         {StreamOp::kEndOfStory, 0}};
+  HostLinkModule link(cfg, 7, story, in, out);
+  EXPECT_EQ(link.words_total(), 10U);
+  for (int i = 0; i < 10; ++i) {
+    link.tick();
+  }
+  EXPECT_TRUE(link.all_words_sent());
+  ASSERT_EQ(in.size(), 10U);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(in.try_pop().value().op, StreamOp::kModelWord);
+  }
+  for (const StreamWord& word : story) {
+    EXPECT_EQ(in.try_pop().value(), word);
+  }
 }
 
 TEST(HostLinkModule, ChargesPerStoryLatencyOnce) {
@@ -351,7 +378,7 @@ TEST(HostLinkModule, ChargesPerStoryLatencyOnce) {
   std::vector<StreamWord> words = {{StreamOp::kStoryStart, 0},
                                    {StreamOp::kSentenceStart, 0},
                                    {StreamOp::kContextWord, 1}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   int cycles = 0;
   while (!link.all_words_sent() && cycles < 100) {
     link.tick();
@@ -375,7 +402,7 @@ TEST(HostLinkModule, SynchronousModeWaitsForAnswer) {
                                    {StreamOp::kEndOfStory, 0},
                                    {StreamOp::kStoryStart, 0},
                                    {StreamOp::kEndOfStory, 0}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   for (int i = 0; i < 20; ++i) {
     link.tick();
   }
@@ -402,7 +429,7 @@ TEST(HostLinkModule, AsynchronousModeStreamsAhead) {
                                    {StreamOp::kEndOfStory, 0},
                                    {StreamOp::kStoryStart, 0},
                                    {StreamOp::kEndOfStory, 0}};
-  HostLinkModule link(cfg, words, in, out);
+  HostLinkModule link(cfg, 0, words, in, out);
   for (int i = 0; i < 20; ++i) {
     link.tick();
   }

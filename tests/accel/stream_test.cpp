@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace mann::accel {
 namespace {
 
@@ -29,19 +31,17 @@ TEST(Stream, EncodeStoryStructure) {
   EXPECT_EQ(words[9].op, StreamOp::kEndOfStory);
 }
 
-TEST(Stream, EncodeWorkloadPrependsModelWords) {
+TEST(Stream, EncodeWorkloadConcatenatesStories) {
   const std::vector<data::EncodedStory> stories = {story(), story()};
-  const auto words = encode_workload(7, stories);
-  ASSERT_EQ(words.size(), 7U + 2U * 10U);
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(words[i].op, StreamOp::kModelWord);
-  }
-  EXPECT_EQ(words[7].op, StreamOp::kStoryStart);
-  EXPECT_EQ(words[17].op, StreamOp::kStoryStart);
+  const auto words = encode_workload(stories);
+  ASSERT_EQ(words.size(), 2U * 10U);
+  const auto one = encode_story(story());
+  EXPECT_TRUE(std::equal(one.begin(), one.end(), words.begin()));
+  EXPECT_TRUE(std::equal(one.begin(), one.end(), words.begin() + 10));
 }
 
 TEST(Stream, EmptyWorkload) {
-  const auto words = encode_workload(0, {});
+  const auto words = encode_workload({});
   EXPECT_TRUE(words.empty());
 }
 

@@ -46,10 +46,7 @@ TEST(Encoder, EncodePreservesStructure) {
 TEST(Encoder, UnknownTokenThrows) {
   Vocab v;
   v.add("a");
-  Story s;
-  s.context = {{"a"}};
-  s.question = {"mystery"};
-  s.answer = "a";
+  const Story s{.context = {{"a"}}, .question = {"mystery"}, .answer = "a"};
   EXPECT_THROW((void)encode_story(s, v), std::out_of_range);
 }
 
