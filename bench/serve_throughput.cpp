@@ -16,7 +16,9 @@
 //   5. optional trace replay (--replay) (recorded schedule, identical
 //      simulated reports across worker counts; v2 traces carry tenants)
 //   6. sequential vs workers+cache      (wall-clock only; simulated
-//      numbers must be bit-identical)
+//      numbers must be bit-identical): the 4-worker leg runs twice
+//      through one in-process cycle cache — a cold leg that fills it and
+//      a warm replay that must re-simulate nothing
 //   7. multi-tenant QoS at overload     (one adversarial quota-violating
 //      tenant beside two conforming ones: plain EDF lets the flood
 //      degrade the conforming tenants' SLOs; admission control + WFQ
@@ -57,20 +59,12 @@
 //   --trace PATH       export a Chrome trace-event JSON of the acceptance
 //                      workload (sweep 8; open in Perfetto or feed to
 //                      scripts/trace_summary.py)
-//   --parallel off     skip the workers+cache acceptance leg
-//   --wall-gate off    keep the >=3x wall speedup informational (CI perf
-//                      runs on shared machines; simulated identity still
-//                      gates)
-//   --cache-dir DIR    persist the service-cycle cache across runs: load
-//                      DIR/cycle_cache.bin before the parallel leg, save
-//                      it after (the suite and seeds are deterministic,
-//                      so memoized results stay valid between processes
-//                      — a warm cache makes the repeat run near-free).
-//                      Only the parallel leg attaches it; the sequential
-//                      leg stays uncached so wall_speedup keeps meaning
-//                      "parallel+cache vs true sequential cost".
-//   --no-affinity      disable affinity-aware speculation (restores the
-//                      legacy global-residency warm/cold predictor)
+//   --parallel off     skip the workers+cache acceptance legs (cold and
+//                      warm)
+//   --wall-gate off    keep the cold leg's >=3x wall speedup
+//                      informational (CI perf runs on shared machines;
+//                      simulated identity and the warm leg's zero-miss
+//                      replay still gate)
 //   --cluster-trace P  run the cluster sweep (sweep 9) over the trace CSV
 //   --cluster-scale F  amplify the cluster trace F-fold via
 //                      serve::scale_trace before the fleet legs
@@ -93,7 +87,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,7 +109,6 @@ struct BenchOptions {
   std::string policies_json_path;
   std::string replay_path;  ///< recorded arrival schedule (CSV, sweep 5)
   std::string trace_path;   ///< Chrome trace-event export (JSON, sweep 8)
-  std::string cache_dir;    ///< cross-run persistent cycle cache (sweep 6)
   std::string cluster_trace_path;  ///< cluster-sweep arrival CSV (sweep 9)
   std::size_t cluster_scale = 10;  ///< trace amplification for the fleet legs
   std::size_t fleet_threads = 4;   ///< cluster host threads (0/1 = sequential)
@@ -124,16 +116,8 @@ struct BenchOptions {
   serve::EvictionPolicyKind eviction = serve::EvictionPolicyKind::kLru;
   bool parallel = true;
   bool wall_gate = true;
-  bool affinity = true;
   bool train_fallback = false;
   bool train_suite = false;  ///< repopulate mann_bench_cache with real models
-};
-
-/// What the persistent cycle cache did this run (for the host JSON).
-struct PersistentCacheInfo {
-  bool enabled = false;
-  std::size_t loaded = 0;  ///< entries restored from --cache-dir
-  std::size_t saved = 0;   ///< entries written back
 };
 
 BenchOptions parse_args(int argc, char** argv) {
@@ -208,16 +192,12 @@ BenchOptions parse_args(int argc, char** argv) {
       opts.parallel = std::strcmp(next(), "off") != 0;
     } else if (arg == "--wall-gate") {
       opts.wall_gate = std::strcmp(next(), "off") != 0;
-    } else if (arg == "--cache-dir") {
-      opts.cache_dir = next();
     } else if (arg == "--cluster-trace") {
       opts.cluster_trace_path = next();
     } else if (arg == "--cluster-scale") {
       opts.cluster_scale = positive(next());
     } else if (arg == "--fleet-threads") {
       opts.fleet_threads = nonnegative(next());
-    } else if (arg == "--no-affinity") {
-      opts.affinity = false;
     } else if (arg == "--train-fallback") {
       opts.train_fallback = true;
     } else if (arg == "--train-suite") {
@@ -228,9 +208,9 @@ BenchOptions parse_args(int argc, char** argv) {
                    "[--json PATH] [--policies-json PATH] [--scheduler "
                    "fifo|edf] [--eviction lru|lfu|cost] [--replay PATH] "
                    "[--trace PATH] [--parallel off] [--wall-gate off] "
-                   "[--cache-dir DIR] [--cluster-trace PATH] "
-                   "[--cluster-scale F] [--fleet-threads N] "
-                   "[--no-affinity] [--train-fallback] [--train-suite]\n");
+                   "[--cluster-trace PATH] [--cluster-scale F] "
+                   "[--fleet-threads N] [--train-fallback] "
+                   "[--train-suite]\n");
       std::exit(2);
     }
   }
@@ -447,6 +427,17 @@ void write_cluster_leg(std::FILE* f, const char* key,
   std::fprintf(f, "    }%s\n", trailing_comma ? "," : "");
 }
 
+/// Sweep 6's two 4-worker runs through one in-process cycle cache: the
+/// cold leg fills it, the warm replay reads it back.
+struct HostLegs {
+  serve::ServingReport cold;
+  serve::ServingReport warm;
+  accel::ServiceCycleCacheStats warm_cache;  ///< the warm run's lookups only
+  double cold_speedup = 1.0;  ///< sequential wall / cold-leg wall
+  double warm_speedup = 1.0;  ///< sequential wall / warm-replay wall
+  bool identical = true;      ///< both runs match the sequential report
+};
+
 /// Outcome of the optional sweep-8 trace export (--trace PATH).
 struct TraceExport {
   bool ran = false;        ///< the leg executed (path given)
@@ -545,11 +536,9 @@ void write_policies_json(const BenchOptions& opts,
 void write_json(const BenchOptions& opts, const std::string& suite_source,
                 const runtime::ServingOptions& accept,
                 const serve::ServingReport& sequential,
-                const serve::ServingReport& parallel, double speedup,
-                bool identical, const serve::ServingReport& qos_edf,
+                const HostLegs& host, const serve::ServingReport& qos_edf,
                 const serve::ServingReport& qos_wfq,
                 bool qos_worker_identical, const TraceExport& trace,
-                const PersistentCacheInfo& persist,
                 const ClusterSweep& cluster_sweep) {
   std::FILE* f = std::fopen(opts.json_path.c_str(), "w");
   if (f == nullptr) {
@@ -558,11 +547,10 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
   }
   // The `simulated` block is deterministic given the seed, so CI can
   // gate on it; the `host` block is machine-dependent and informative.
-  const serve::ServingReport& r = opts.parallel ? parallel : sequential;
+  const serve::ServingReport& r = opts.parallel ? host.warm : sequential;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"serve_throughput\",\n");
   std::fprintf(f, "  \"schema\": 6,\n");
-  std::fprintf(f, "  \"affinity\": %s,\n", opts.affinity ? "true" : "false");
   std::fprintf(f, "  \"suite_source\": \"%s\",\n", suite_source.c_str());
   std::fprintf(f, "  \"tasks\": %zu,\n", opts.tasks);
   std::fprintf(f, "  \"requests\": %zu,\n", opts.requests);
@@ -675,53 +663,38 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
                sequential.host_wall_seconds,
                opts.parallel || trace.ran ? "," : "");
   if (opts.parallel) {
-    // Only claim parallel-leg facts when the leg actually ran.
+    // Only claim parallel-leg facts when the legs actually ran. The
+    // parallel wall, wall_speedup and cache block describe the warm
+    // replay; cold_wall_speedup is the cold leg of the same run.
+    const serve::ServingReport& warm = host.warm;
     std::fprintf(f, "    \"parallel_wall_seconds\": %.6f,\n",
-                 parallel.host_wall_seconds);
-    std::fprintf(f, "    \"wall_speedup\": %.3f,\n", speedup);
-    if (!persist.enabled || persist.loaded == 0) {
-      // Cold-pass provenance: the speedup earned without a warm
-      // persistent cache. Soft-reported by the gate script so warm-run
-      // ratchets don't hide cold-path regressions.
-      std::fprintf(f, "    \"cold_wall_speedup\": %.3f,\n", speedup);
-    }
-    std::fprintf(f, "    \"workers\": %zu,\n", parallel.workers);
+                 warm.host_wall_seconds);
+    std::fprintf(f, "    \"wall_speedup\": %.3f,\n", host.warm_speedup);
+    std::fprintf(f, "    \"cold_wall_speedup\": %.3f,\n",
+                 host.cold_speedup);
+    std::fprintf(f, "    \"workers\": %zu,\n", warm.workers);
     std::fprintf(f, "    \"reports_identical\": %s,\n",
-                 identical ? "true" : "false");
+                 host.identical ? "true" : "false");
     std::fprintf(f, "    \"cache\": {\n");
     std::fprintf(f, "      \"hits\": %llu,\n",
-                 static_cast<unsigned long long>(parallel.cycle_cache.hits));
+                 static_cast<unsigned long long>(host.warm_cache.hits));
     std::fprintf(f, "      \"misses\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     parallel.cycle_cache.misses));
+                 static_cast<unsigned long long>(host.warm_cache.misses));
     std::fprintf(f, "      \"waits\": %llu,\n",
-                 static_cast<unsigned long long>(parallel.cycle_cache.waits));
+                 static_cast<unsigned long long>(host.warm_cache.waits));
     std::fprintf(f, "      \"evictions\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     parallel.cycle_cache.evictions));
-    std::fprintf(f, "      \"hit_rate\": %.6f\n",
-                 parallel.cycle_cache.hit_rate());
+                 static_cast<unsigned long long>(host.warm_cache.evictions));
+    std::fprintf(f, "      \"hit_rate\": %.6f\n", host.warm_cache.hit_rate());
     std::fprintf(f, "    },\n");
     // Worker prefetch scoring — deterministic (simulated-state inputs),
     // so the gate script can reason about it like any simulated number.
     std::fprintf(f, "    \"speculation\": {\n");
     std::fprintf(f, "      \"speculated\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     parallel.speculation.speculated));
+                 static_cast<unsigned long long>(warm.speculation.speculated));
     std::fprintf(f, "      \"useful\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     parallel.speculation.useful));
+                 static_cast<unsigned long long>(warm.speculation.useful));
     std::fprintf(f, "      \"wasted\": %llu\n",
-                 static_cast<unsigned long long>(
-                     parallel.speculation.wasted));
-    std::fprintf(f, "    },\n");
-    // What the --cache-dir cross-run cache did (host-side provenance:
-    // loaded > 0 distinguishes a warm run from a cold one in CI logs).
-    std::fprintf(f, "    \"persistent_cache\": {\n");
-    std::fprintf(f, "      \"enabled\": %s,\n",
-                 persist.enabled ? "true" : "false");
-    std::fprintf(f, "      \"loaded\": %zu,\n", persist.loaded);
-    std::fprintf(f, "      \"saved\": %zu\n", persist.saved);
+                 static_cast<unsigned long long>(warm.speculation.wasted));
     std::fprintf(f, "    }%s\n", trace.ran ? "," : "");
   }
   if (trace.ran) {
@@ -755,11 +728,6 @@ int main(int argc, char** argv) {
   base.max_wait_cycles = 200'000;
   base.seed = 2019;
   base.eviction = opts.eviction;
-  base.affinity_speculation = opts.affinity;
-  if (!opts.affinity) {
-    std::printf("# affinity-aware speculation disabled (--no-affinity): "
-                "legacy global-residency predictor\n");
-  }
 
   bench::print_header(
       "Serving sweep 1: device-pool size at saturating load "
@@ -933,11 +901,14 @@ int main(int argc, char** argv) {
   }
 
   // Host-execution acceptance: the same saturating workload, once on the
-  // sequential path and once with one worker per device slot plus a
-  // fresh service-cycle cache. Only wall-clock may move.
+  // sequential path and then twice with one worker per device slot
+  // through one in-process service-cycle cache. The first parallel run
+  // (the cold leg) fills the cache; the second (the warm replay) must
+  // find every workload there. Only wall-clock may move.
   bench::print_header(
       "Serving sweep 6: host execution — sequential vs workers + "
-      "service-cycle cache (N=4 dedicated, B=8, interarrival 500 cycles)");
+      "service-cycle cache, cold then warm (N=4 dedicated, B=8, "
+      "interarrival 500 cycles)");
   print_serving_header();
   runtime::ServingOptions accept = base;
   accept.pool_devices = 4;
@@ -954,77 +925,70 @@ int main(int argc, char** argv) {
       runtime::measure_serving(tasks, accept);
   print_serving_row(sequential);
 
-  // Cross-run persistence (--cache-dir): restore memoized results from a
-  // previous process before the parallel leg, write them back after. The
-  // cache only attaches to the parallel leg — the sequential run above
-  // stays uncached so wall_speedup keeps comparing against the true
-  // re-simulation cost.
-  accel::ServiceCycleCache persistent_cache(4096);
-  PersistentCacheInfo persist;
-  std::string cache_file;
-  if (!opts.cache_dir.empty()) {
-    persist.enabled = true;
-    std::error_code ec;
-    std::filesystem::create_directories(opts.cache_dir, ec);
-    cache_file = opts.cache_dir + "/cycle_cache.bin";
-    persist.loaded = persistent_cache.load(cache_file);
-    std::printf("# persistent cycle cache: loaded %zu entries from %s\n",
-                persist.loaded, cache_file.c_str());
-  }
-
-  runtime::ServingMeasurement parallel = sequential;
+  HostLegs host;
   bool parallel_ok = true;
-  double wall_speedup = 1.0;
-  bool identical = true;
   if (opts.parallel) {
+    accel::ServiceCycleCache cache(4096);
     accept.workers = 4;
-    accept.cycle_cache = persist.enabled ? &persistent_cache : nullptr;
-    parallel = runtime::measure_serving(tasks, accept);
+    accept.cycle_cache = &cache;
+    runtime::ServingMeasurement cold = runtime::measure_serving(tasks, accept);
+    cold.config_name += " cold";
+    print_serving_row(cold);
+    runtime::ServingMeasurement warm = runtime::measure_serving(tasks, accept);
+    warm.config_name += " warm";
+    print_serving_row(warm);
     accept.cycle_cache = nullptr;  // sweep 8 owns its own fresh cache
-    print_serving_row(parallel);
-    identical = simulated_reports_identical(sequential.report,
-                                            parallel.report);
-    wall_speedup = parallel.report.host_wall_seconds > 0.0
-                       ? sequential.report.host_wall_seconds /
-                             parallel.report.host_wall_seconds
-                       : 0.0;
+
+    host.cold = cold.report;
+    host.warm = warm.report;
+    // The reports carry the shared cache's running totals; the warm
+    // replay's own lookups are what the cold leg had not yet counted.
+    const accel::ServiceCycleCacheStats& before = cold.report.cycle_cache;
+    const accel::ServiceCycleCacheStats& after = warm.report.cycle_cache;
+    host.warm_cache.hits = after.hits - before.hits;
+    host.warm_cache.misses = after.misses - before.misses;
+    host.warm_cache.waits = after.waits - before.waits;
+    host.warm_cache.insertions = after.insertions - before.insertions;
+    host.warm_cache.evictions = after.evictions - before.evictions;
+    host.identical =
+        simulated_reports_identical(sequential.report, cold.report) &&
+        simulated_reports_identical(sequential.report, warm.report);
+    const double seq_wall = sequential.report.host_wall_seconds;
+    const auto speedup = [seq_wall](const serve::ServingReport& r) {
+      return r.host_wall_seconds > 0.0 ? seq_wall / r.host_wall_seconds
+                                       : 0.0;
+    };
+    host.cold_speedup = speedup(cold.report);
+    host.warm_speedup = speedup(warm.report);
     std::printf(
-        "\nhost wall: %.3f s -> %.3f s (%.2fx); cache hit rate %.1f%% "
-        "(%llu hits / %llu misses); simulated reports %s\n",
-        sequential.report.host_wall_seconds,
-        parallel.report.host_wall_seconds, wall_speedup,
-        parallel.report.cycle_cache.hit_rate() * 100.0,
-        static_cast<unsigned long long>(parallel.report.cycle_cache.hits),
-        static_cast<unsigned long long>(parallel.report.cycle_cache.misses),
-        identical ? "identical" : "DIVERGED");
+        "\nhost wall: sequential %.3f s -> cold %.3f s (%.2fx) -> warm "
+        "%.3f s (%.2fx); warm cache %llu hits / %llu misses / %llu "
+        "insertions; simulated reports %s\n",
+        seq_wall, cold.report.host_wall_seconds, host.cold_speedup,
+        warm.report.host_wall_seconds, host.warm_speedup,
+        static_cast<unsigned long long>(host.warm_cache.hits),
+        static_cast<unsigned long long>(host.warm_cache.misses),
+        static_cast<unsigned long long>(host.warm_cache.insertions),
+        host.identical ? "identical" : "DIVERGED");
     std::printf(
-        "speculation: %llu speculated, %llu useful, %llu wasted "
-        "(affinity %s)\n",
-        static_cast<unsigned long long>(
-            parallel.report.speculation.speculated),
-        static_cast<unsigned long long>(parallel.report.speculation.useful),
-        static_cast<unsigned long long>(parallel.report.speculation.wasted),
-        opts.affinity ? "on" : "off");
-    if (persist.enabled) {
-      persist.saved = persistent_cache.save(cache_file);
-      std::printf("# persistent cycle cache: saved %zu entries to %s\n",
-                  persist.saved, cache_file.c_str());
-    }
-    // The simulated-identity contract holds at any size and always
-    // gates. The >=3x wall gate needs a workload large enough for the
-    // cache to warm (repeated batch windows) and a quiet machine, so
-    // small smoke runs and CI perf (--wall-gate off, shared runners)
-    // keep it informational.
+        "speculation: %llu speculated, %llu useful, %llu wasted\n",
+        static_cast<unsigned long long>(warm.report.speculation.speculated),
+        static_cast<unsigned long long>(warm.report.speculation.useful),
+        static_cast<unsigned long long>(warm.report.speculation.wasted));
+    // The simulated-identity contract and the warm replay's zero misses
+    // hold at any size and always gate. The >=3x wall gate scores the
+    // cold leg; it needs a workload large enough for the cache to warm
+    // (repeated batch windows) and a quiet machine, so small smoke runs
+    // and CI perf (--wall-gate off, shared runners) keep it
+    // informational.
     const bool check_speedup = opts.wall_gate && opts.requests >= 2000;
-    parallel_ok = identical && (!check_speedup || wall_speedup >= 3.0);
-    if (check_speedup) {
-      std::printf("parallel check (>=3x wall, identical simulation): %s\n",
-                  parallel_ok ? "PASS" : "FAIL");
-    } else {
-      std::printf("parallel check (identical simulation; >=3x wall gate "
-                  "off for this run): %s\n",
-                  parallel_ok ? "PASS" : "FAIL");
-    }
+    parallel_ok = host.identical && host.warm_cache.misses == 0 &&
+                  (!check_speedup || host.cold_speedup >= 3.0);
+    std::printf("parallel check (identical simulation, warm replay "
+                "re-simulates nothing%s): %s\n",
+                check_speedup ? ", >=3x cold wall"
+                              : "; >=3x cold wall gate off for this run",
+                parallel_ok ? "PASS" : "FAIL");
   } else {
     std::printf("\n(parallel leg skipped: --parallel off)\n");
   }
@@ -1141,8 +1105,10 @@ int main(int argc, char** argv) {
         runtime::measure_serving(tasks, traced);
     print_serving_row(traced_run);
 
+    // The traced run starts from a fresh cache, so its untraced twin is
+    // the cold leg.
     const serve::ServingReport& untraced =
-        opts.parallel ? parallel.report : sequential.report;
+        opts.parallel ? host.cold : sequential.report;
     trace_export.ran = true;
     trace_export.identical =
         simulated_reports_identical(untraced, traced_run.report);
@@ -1364,10 +1330,9 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.json_path.empty()) {
-    write_json(opts, suite_source, accept, sequential.report,
-               parallel.report, wall_speedup, identical, qos_edf.report,
-               qos_wfq.report, qos_worker_identical, trace_export,
-               persist, cluster_sweep);
+    write_json(opts, suite_source, accept, sequential.report, host,
+               qos_edf.report, qos_wfq.report, qos_worker_identical,
+               trace_export, cluster_sweep);
   }
 
   std::printf(

@@ -19,15 +19,15 @@ fi
 cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target serve_throughput
 
-# Exactly the CI perf invocation (see .github/workflows/ci.yml), with
-# only the artifact destinations swapped — and deliberately NO
-# --cache-dir: the baseline must stay COLD. CI gates its warm
-# (persistent-cache) run against this file, and a warm run's ~100%
-# cycle-cache hit rate only has headroom against the 10-point drop
-# limit if the baseline records the cold hit rate. The cluster sweep
-# flags must match CI's too: the schema-6 cluster block is compared
-# count-for-count against this baseline (--fleet-threads only moves
-# wall clock, but matching CI keeps the artifacts comparable).
+# The CI perf invocation (see .github/workflows/ci.yml) without the obs
+# trace export, with only the artifact destinations swapped. Sweep 6
+# writes host.cache from its warm replay, which hits 100% whenever the
+# replay passes, so a regenerated baseline records a 100% hit rate and
+# the 10-point hit-rate drop limit then compares replay with replay
+# (the committed baseline still holds an older cold-pass rate). The
+# cluster sweep flags must match CI's too: the schema-6 cluster block is
+# compared count-for-count against this baseline (--fleet-threads only
+# moves wall clock, but matching CI keeps the artifacts comparable).
 "${build_dir}/bench/serve_throughput" \
   --tasks 20 --requests 4000 --wall-gate off \
   --replay bench/traces/sample_diurnal.csv \

@@ -19,31 +19,20 @@
 // lets the simulation thread pick up a prefetched result the moment it
 // is ready.
 //
-// Sizing is cost-informed: an admission floor drops entries cheaper to
-// re-simulate than to keep (set_admission_floor), and capacity eviction
-// can delegate the victim choice to the serving stack's EvictionPolicy
-// machinery (set_eviction_policy) — e.g. cost-aware eviction drops the
-// entry with the fewest simulated cycles, i.e. the one cheapest to
-// recompute. Without a policy the built-in O(1) LRU order applies.
-//
-// Cross-run persistence: the serving suite and its seeds are
-// deterministic, so memoized results are valid across process runs.
-// save()/load() serialize the resident entries to a versioned,
-// checksummed binary file; load is corruption-tolerant (a truncated,
-// garbled or version-mismatched file is ignored with a warning, never a
-// crash) and round-trips bit-exactly (doubles travel as raw bits), so a
-// replayed entry is indistinguishable from a re-simulated one.
+// Capacity eviction can delegate the victim choice to the serving
+// stack's EvictionPolicy machinery (set_eviction_policy) — e.g.
+// cost-aware eviction drops the entry with the fewest simulated cycles,
+// i.e. the one cheapest to recompute. Without a policy the built-in O(1)
+// LRU order applies.
 //
 // Sharding: at higher host-thread counts (cluster fleet threads, many
 // workers) a single mutex serializes every lookup. The cache can be
 // split into S independently-locked segments selected by the key hash
 // (which mixes the story digest, so concurrent distinct batches spread
 // across segments). Each segment keeps its own LRU order, in-flight
-// rendezvous and stats; stats() sums the segments, and save()/load()
-// serialize the merged view so the on-disk format is identical for any
-// segment count. The per-lookup outcome (hit/wait/miss) depends only on
-// which keys are resident, so hits+waits+misses and admission rejects
-// are invariant across segment counts.
+// rendezvous, eviction policy and stats; stats() sums the segments. The
+// per-lookup outcome (hit/wait/miss) depends only on which keys are
+// resident, so hits+waits+misses are invariant across segment counts.
 #pragma once
 
 #include <atomic>
@@ -54,7 +43,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -62,7 +50,6 @@
 #include "accel/accelerator.hpp"
 #include "data/types.hpp"
 #include "obs/metrics.hpp"
-#include "sim/types.hpp"
 
 namespace mann::serve {
 class EvictionPolicy;  // serve/eviction.hpp (victim choice machinery)
@@ -82,7 +69,6 @@ struct ServiceCycleCacheStats {
   std::uint64_t waits = 0;        ///< resolved by an in-flight run we blocked on
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t admission_rejects = 0;  ///< publishes below the cost floor
   std::size_t entries = 0;        ///< resident entries at sample time
 
   /// True hits over all lookups (hits + waits + misses).
@@ -119,12 +105,6 @@ class ServiceCycleCache {
     [[nodiscard]] bool operator==(const Key&) const noexcept = default;
   };
 
-  /// On-disk format version: bump whenever the serialized layout
-  /// changes. (Simulator-behaviour changes are guarded elsewhere: the CI
-  /// persistence key hashes the sources, and the bench's sequential-vs-
-  /// parallel identity gate re-derives every number from scratch.)
-  static constexpr std::uint32_t kPersistVersion = 1;
-
   /// `capacity` bounds resident entries; the least recently used entry is
   /// evicted on overflow. Throws std::invalid_argument when `capacity` or
   /// `segments` is 0. When `metrics` is set the cache mirrors its stats
@@ -151,47 +131,20 @@ class ServiceCycleCache {
       const Key& key, CacheOutcome* outcome = nullptr);
 
   /// Inserts the owned key's result (evicting beyond capacity) and wakes
-  /// any acquire() blocked on it. Results below the admission floor are
-  /// not kept — cheaper to recompute than to cache — but the waiters are
-  /// still woken (the rendezvous contract is unconditional).
+  /// any acquire() blocked on it.
   void publish(const Key& key, const RunResult& result);
 
   /// Releases ownership without a result (the simulation threw); a
   /// blocked acquire() takes over the computation.
   void abandon(const Key& key) noexcept;
 
-  /// Cost-informed admission: publish() drops results whose simulated
-  /// cost is under `floor` cycles (0 = keep everything, the default).
-  void set_admission_floor(sim::Cycle floor);
-
   /// Delegates capacity-eviction victim choice to a serve::EvictionPolicy
   /// (candidates: recency = touch order, frequency = per-entry hits,
-  /// reload cost = the entry's simulated cycles). Null restores the
-  /// built-in O(1) LRU order. A sharded cache needs one policy instance
-  /// per segment, so this overload throws std::invalid_argument when
-  /// segments() > 1 — use the kind overload there.
-  void set_eviction_policy(std::unique_ptr<serve::EvictionPolicy> policy);
-
-  /// Same, by policy kind: constructs one independent policy per segment
-  /// via serve::make_eviction_policy(kind, metrics), so it works for any
-  /// segment count.
+  /// reload cost = the entry's simulated cycles). One independent policy
+  /// per segment is built via serve::make_eviction_policy(kind, metrics),
+  /// so it works for any segment count.
   void set_eviction_policy(serve::EvictionPolicyKind kind,
                            obs::MetricsRegistry* metrics = nullptr);
-
-  // ---- cross-run persistence ----
-
-  /// Serializes every resident entry to `path` (atomically: tmp file +
-  /// rename). Returns the entry count written, or 0 with a stderr
-  /// warning when the file cannot be written. Never throws.
-  [[nodiscard]] std::size_t save(const std::string& path) const;
-
-  /// Merges entries from a file previously written by save() (keys
-  /// already resident win; capacity eviction applies). All-or-nothing:
-  /// a missing, truncated, corrupted or version-mismatched file loads
-  /// nothing, warns on stderr and returns 0 — never throws. Returns the
-  /// entry count loaded. Loaded entries do not count as insertions (the
-  /// stats describe this process's lookups and publishes).
-  [[nodiscard]] std::size_t load(const std::string& path);
 
   [[nodiscard]] ServiceCycleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -199,7 +152,6 @@ class ServiceCycleCache {
   [[nodiscard]] std::size_t segments() const noexcept {
     return segments_.size();
   }
-  void clear();
 
  private:
   struct KeyHash {
@@ -223,7 +175,6 @@ class ServiceCycleCache {
     std::unordered_set<Key, KeyHash> in_flight;
     ServiceCycleCacheStats stats;
     std::uint64_t touch_counter = 0;
-    sim::Cycle admission_floor = 0;
     std::unique_ptr<serve::EvictionPolicy> eviction;
     // Mirrored per-segment obs instruments (null without a registry or
     // for a single-segment cache).
@@ -237,10 +188,6 @@ class ServiceCycleCache {
   /// Locks `segment.mutex`, counting the acquisition as contended when
   /// another thread already holds it.
   [[nodiscard]] std::unique_lock<std::mutex> lock_segment(Segment& segment);
-  /// Inserts without claiming in-flight ownership (load() path); the
-  /// segment lock must be held. Returns false when the key is already
-  /// resident.
-  bool insert_locked(Segment& segment, Key key, RunResult result);
   /// Evicts past the segment's share of capacity via the installed policy
   /// (or LRU); the segment lock must be held.
   void evict_over_capacity_locked(Segment& segment);

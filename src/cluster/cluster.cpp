@@ -236,6 +236,10 @@ Cluster::Submission Cluster::submit(const serve::SubmitRequest& request) {
   if (finalized_) {
     throw std::logic_error("Cluster: submit after finalize()");
   }
+  // Refuse before any state moves: a request every instance would reject
+  // must not count as offered, wake the autoscaler or draw from the
+  // router's RNG. Instances share one template, so one check covers all.
+  instances_.front()->session->check_submit(request);
   const sim::Cycle at =
       std::max({request.at_cycle, clock_, last_arrival_});
   if (const auto target = autoscaler_.observe(at, active_instances())) {

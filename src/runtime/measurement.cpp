@@ -253,7 +253,6 @@ serve::ServerConfig build_server_config(const ServingOptions& options) {
   scheduler.work_stealing = options.work_stealing;
   scheduler.eviction = options.eviction;
   scheduler.workers = options.workers;
-  scheduler.affinity_speculation = options.affinity_speculation;
   scheduler.cache_capacity = options.cache_capacity;
   scheduler.cycle_cache = options.cycle_cache;
 

@@ -136,9 +136,6 @@ struct ServingOptions {
   /// cache. The simulated report is bit-identical either way; only wall
   /// clock moves.
   std::size_t workers = 0;
-  /// Affinity-aware warm/cold speculation prediction (the bench's
-  /// --no-affinity flag flips it off to restore the legacy heuristic).
-  bool affinity_speculation = true;
   std::size_t cache_capacity = 1024;
   /// External cache shared across measure_serving calls (non-owning);
   /// when null and workers > 0 the scheduler owns a private one.

@@ -67,14 +67,9 @@ Scheduler::Scheduler(SchedulerConfig config,
         config_.metrics,
         config_.cache_segments == 0 ? 1 : config_.cache_segments);
     // Cost-informed sizing for the owned cache: evict the entry cheapest
-    // to re-simulate (its cycles ARE its reload cost), and refuse entries
-    // below the admission floor outright. External caches are configured
-    // by their owner (the bench's persistent cache wants everything).
-    owned_cache_->set_eviction_policy(EvictionPolicyKind::kCostAware,
-                                      nullptr);
-    if (config_.cycle_cache_min_cycles > 0) {
-      owned_cache_->set_admission_floor(config_.cycle_cache_min_cycles);
-    }
+    // to re-simulate (its cycles ARE its reload cost). External caches
+    // are configured by their owner.
+    owned_cache_->set_eviction_policy(EvictionPolicyKind::kCostAware);
     cache_ = owned_cache_.get();
   }
   if (config_.workers > 0) {
@@ -191,34 +186,26 @@ std::int8_t Scheduler::speculate(const Batch& batch) {
   // never affects correctness — dispatch simulates the variant it needs
   // inline — it only wastes the worker's run, so the predictor's job is
   // purely to keep workers useful.
+  //
+  // Affinity predictor: within a shard, submit order approximates
+  // dispatch order, so the shard's most recently *submitted* task is the
+  // best estimate of what its slot will hold when this batch reaches the
+  // device. Under churn (more tasks than slots) consecutive same-task
+  // batches still predict warm while everything else correctly predicts
+  // cold, and on small task sets it predicts warm one submit earlier
+  // than waiting to observe residency. Before the shard's first submit,
+  // fall back to current residency (the home slot's for a dedicated
+  // shard, anywhere for the shared pool).
   bool warm = false;
-  if (config_.affinity_speculation) {
-    // Affinity predictor: within a shard, submit order approximates
-    // dispatch order, so the shard's most recently *submitted* task is
-    // the best estimate of what its slot will hold when this batch
-    // reaches the device. That beats global residency in both regimes:
-    // under churn (more tasks than slots) consecutive same-task batches
-    // still predict warm while everything else correctly predicts cold,
-    // and on small task sets it predicts warm one submit earlier than
-    // waiting to observe residency. Before the shard's first submit,
-    // fall back to current residency (the home slot's for a dedicated
-    // shard, anywhere for the shared pool).
-    const std::size_t shard = queue_for(batch.task);
-    if (const auto& tail = speculation_tail_[shard]; tail.has_value()) {
-      warm = *tail == batch.task;
-    } else if (config_.dedicated_devices > 0) {
-      warm = slots_[shard].resident_task == batch.task;
-    } else {
-      warm = task_resident_anywhere(batch.task);
-    }
-    speculation_tail_[shard] = batch.task;
+  const std::size_t shard = queue_for(batch.task);
+  if (const auto& tail = speculation_tail_[shard]; tail.has_value()) {
+    warm = *tail == batch.task;
+  } else if (config_.dedicated_devices > 0) {
+    warm = slots_[shard].resident_task == batch.task;
   } else {
-    // Legacy heuristic (PR 2): warm once resident anywhere, except in
-    // the churn regime where eviction rarely lets residency survive from
-    // submit to dispatch.
-    const bool churn = task_devices_.size() > slots_.size();
-    warm = !churn && task_resident_anywhere(batch.task);
+    warm = task_resident_anywhere(batch.task);
   }
+  speculation_tail_[shard] = batch.task;
   ++speculation_.speculated;
   auto stories = std::make_shared<const std::vector<data::EncodedStory>>(
       batch.stories);

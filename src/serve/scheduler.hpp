@@ -70,8 +70,6 @@
 // matched the one the slot actually needed, wasted otherwise) into
 // SpeculationStats; the prediction is a pure function of the simulated
 // submit history, so the counts are identical for any worker count > 0.
-// `SchedulerConfig::affinity_speculation = false` restores the PR 2
-// global-residency heuristic as a measurement escape hatch.
 #pragma once
 
 #include <cstdint>
@@ -144,11 +142,6 @@ struct SchedulerConfig {
   /// clock. 0 = sequential host execution (the debugging escape hatch);
   /// the natural setting is one worker per device slot.
   std::size_t workers = 0;
-  /// Affinity-aware warm/cold prediction for speculation (see the header
-  /// comment). Off restores the PR 2 global-residency heuristic — the
-  /// bench's `--no-affinity` escape hatch for measuring what affinity
-  /// awareness buys. Never affects dispatch, only worker efficiency.
-  bool affinity_speculation = true;
   /// Entry bound of the internally owned service-cycle cache (ignored
   /// when `cycle_cache` is supplied).
   std::size_t cache_capacity = 1024;
@@ -158,11 +151,6 @@ struct SchedulerConfig {
   /// host-side knob: hit/wait/miss totals and every simulated number are
   /// segment-count invariant.
   std::size_t cache_segments = 1;
-  /// Admission floor of the owned cycle cache: published results cheaper
-  /// than this many simulated cycles are not cached (recomputing them
-  /// costs less than the entry they would displace). 0 keeps everything.
-  /// Ignored for an external `cycle_cache` (its owner configures it).
-  sim::Cycle cycle_cache_min_cycles = 0;
   /// External service-cycle cache (non-owning) — lets callers share one
   /// cache across Server runs so a repeated workload replays instantly.
   /// When null and `workers > 0`, the scheduler owns a private cache

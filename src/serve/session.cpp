@@ -309,10 +309,7 @@ sim::Cycle ServerSession::deadline_for(std::size_t task,
   return slo_.deadline_for(task);
 }
 
-RequestId ServerSession::submit(const SubmitRequest& request) {
-  if (finalized_) {
-    throw std::logic_error("ServerSession: submit after finalize()");
-  }
+void ServerSession::check_submit(const SubmitRequest& request) const {
   if (request.task >= workloads_.size()) {
     throw std::out_of_range("ServerSession: task " +
                             std::to_string(request.task) + " outside the " +
@@ -326,6 +323,20 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
                             std::to_string(num_tenants()) +
                             "-entry registry");
   }
+  if (request.at_cycle >= config_.watchdog_cycles) {
+    throw std::out_of_range("ServerSession: arrival cycle " +
+                            std::to_string(request.at_cycle) +
+                            " at or past the " +
+                            std::to_string(config_.watchdog_cycles) +
+                            "-cycle serving watchdog");
+  }
+}
+
+RequestId ServerSession::submit(const SubmitRequest& request) {
+  if (finalized_) {
+    throw std::logic_error("ServerSession: submit after finalize()");
+  }
+  check_submit(request);
   InferenceRequest arrival;
   arrival.id = next_injected_id_++;
   arrival.task = request.task;

@@ -113,9 +113,15 @@ class ServerSession {
 
   /// Injects one request; returns its id (submission order, starting
   /// after the closed-loop generator's id range). Throws
-  /// std::out_of_range for an unknown task/tenant and std::logic_error
-  /// after finalize().
+  /// std::out_of_range when check_submit() refuses the request and
+  /// std::logic_error after finalize().
   RequestId submit(const SubmitRequest& request);
+
+  /// Throws std::out_of_range, changing nothing, for a request submit()
+  /// can never serve: an unknown task or tenant, or an arrival at or
+  /// past ServerConfig::watchdog_cycles (the session clock starts at 0,
+  /// so the watchdog expires before such an arrival is reached).
+  void check_submit(const SubmitRequest& request) const;
 
   /// Advances the serving loop up to `cycles` simulated cycles from the
   /// current clock (0 = to quiescence). Returns true when the session is

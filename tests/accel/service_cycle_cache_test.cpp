@@ -5,6 +5,7 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,39 +280,9 @@ TEST(ServiceCycleCache, DifferentProgramsDoNotCollide) {
   EXPECT_EQ(cache.stats().hits, 0U);
 }
 
-TEST(ServiceCycleCache, AdmissionFloorDropsCheapResultsButWakesWaiters) {
-  ServiceCycleCache cache(4);
-  cache.set_admission_floor(100);
-
-  // Below the floor: cheaper to re-simulate than to hold a slot.
-  const ServiceCycleCache::Key cheap{1, 1, 1, false};
-  EXPECT_FALSE(cache.acquire(cheap).has_value());
-  std::optional<RunResult> seen{fake_result(0)};  // sentinel non-empty
-  std::thread waiter([&] { seen = cache.acquire(cheap); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  cache.publish(cheap, fake_result(99));
-  waiter.join();
-  // The rendezvous contract held — the waiter woke — but the entry was
-  // not admitted, so the waiter took over the computation (a miss).
-  EXPECT_FALSE(seen.has_value());
-  cache.abandon(cheap);
-  EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.stats().admission_rejects, 1U);
-  EXPECT_EQ(cache.stats().insertions, 0U);
-
-  // At/above the floor: admitted as usual.
-  const ServiceCycleCache::Key costly{1, 2, 1, false};
-  EXPECT_FALSE(cache.acquire(costly).has_value());
-  cache.publish(costly, fake_result(100));
-  EXPECT_TRUE(cache.acquire(costly).has_value());
-  EXPECT_EQ(cache.stats().insertions, 1U);
-  EXPECT_EQ(cache.stats().admission_rejects, 1U);
-}
-
 TEST(ServiceCycleCache, CostAwareEvictionDropsCheapestToRecompute) {
   ServiceCycleCache cache(2);
-  cache.set_eviction_policy(
-      serve::make_eviction_policy(serve::EvictionPolicyKind::kCostAware));
+  cache.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
 
   const ServiceCycleCache::Key expensive{1, 0, 1, false};
   const ServiceCycleCache::Key cheap{2, 0, 1, false};
@@ -333,56 +304,37 @@ TEST(ServiceCycleCache, CostAwareEvictionDropsCheapestToRecompute) {
   cache.abandon(cheap);
 }
 
-TEST(ServiceCycleCache, ClearResetsEntriesAndStats) {
-  ServiceCycleCache cache(4);
-  const ServiceCycleCache::Key key{1, 2, 3, false};
-  EXPECT_FALSE(cache.acquire(key).has_value());
-  cache.publish(key, fake_result(1));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.stats().hits, 0U);
-  EXPECT_FALSE(cache.acquire(key).has_value());  // gone
-  cache.abandon(key);
-}
-
 // ------------------------------------------------------------- sharding
 
 TEST(ServiceCycleCacheSharded, StatTotalsAreInvariantAcrossSegmentCounts) {
   // One deterministic single-threaded sequence replayed against caches
   // sharded 1/2/4/8 ways: segmentation moves entries between locks, but
-  // the summed hit/miss/insertion/admission accounting must not move.
-  // Capacity is sized so even the most skewed hash split cannot
-  // overflow a single segment (capacity/segments = 64 >= 32 entries):
-  // per-segment LRU means a tight cache CAN evict earlier when sharded,
-  // which is a capacity artifact, not an accounting difference.
+  // the summed hit/miss/insertion accounting must not move. Capacity is
+  // sized so even the most skewed hash split cannot overflow a single
+  // segment (capacity/segments = 64 >= 48 entries): per-segment LRU
+  // means a tight cache CAN evict earlier when sharded, which is a
+  // capacity artifact, not an accounting difference.
   const auto run_sequence = [](std::size_t segments) {
     ServiceCycleCache cache(512, nullptr, segments);
     EXPECT_EQ(cache.segments(), segments);
-    cache.set_admission_floor(100);
     for (std::uint64_t k = 0; k < 48; ++k) {
       const ServiceCycleCache::Key key{k * 7 + 1, k * 13 + 2, 4, k % 2 == 0};
       EXPECT_FALSE(cache.acquire(key).has_value());
-      // The first 16 results sit below the admission floor: rejected.
-      cache.publish(key, fake_result(k < 16 ? 50 : 200));
+      cache.publish(key, fake_result(200));
     }
     for (std::uint64_t k = 0; k < 48; ++k) {
       const ServiceCycleCache::Key key{k * 7 + 1, k * 13 + 2, 4, k % 2 == 0};
-      const std::optional<RunResult> seen = cache.acquire(key);
-      EXPECT_EQ(seen.has_value(), k >= 16) << "key " << k;
-      if (!seen.has_value()) {
-        cache.abandon(key);
-      }
+      EXPECT_TRUE(cache.acquire(key).has_value()) << "key " << k;
     }
     return cache.stats();
   };
 
   const ServiceCycleCacheStats one = run_sequence(1);
-  EXPECT_EQ(one.hits, 32U);
-  EXPECT_EQ(one.misses, 64U);  // 48 first-pass + 16 rejected re-misses
+  EXPECT_EQ(one.hits, 48U);
+  EXPECT_EQ(one.misses, 48U);
   EXPECT_EQ(one.waits, 0U);
-  EXPECT_EQ(one.insertions, 32U);
-  EXPECT_EQ(one.admission_rejects, 16U);
-  EXPECT_EQ(one.entries, 32U);
+  EXPECT_EQ(one.insertions, 48U);
+  EXPECT_EQ(one.entries, 48U);
   for (const std::size_t segments : {2u, 4u, 8u}) {
     const ServiceCycleCacheStats sharded = run_sequence(segments);
     EXPECT_EQ(sharded.hits + sharded.waits + sharded.misses,
@@ -391,63 +343,62 @@ TEST(ServiceCycleCacheSharded, StatTotalsAreInvariantAcrossSegmentCounts) {
     EXPECT_EQ(sharded.hits, one.hits) << segments << " segments";
     EXPECT_EQ(sharded.misses, one.misses) << segments << " segments";
     EXPECT_EQ(sharded.insertions, one.insertions) << segments << " segments";
-    EXPECT_EQ(sharded.admission_rejects, one.admission_rejects)
-        << segments << " segments";
     EXPECT_EQ(sharded.entries, one.entries) << segments << " segments";
   }
-}
-
-TEST(ServiceCycleCacheSharded, UniquePtrEvictionPolicyIsRefusedKindWorks) {
-  // One policy object cannot serve concurrently-locked segments; the
-  // kind overload builds one per segment instead.
-  ServiceCycleCache sharded(16, nullptr, 4);
-  EXPECT_THROW(sharded.set_eviction_policy(serve::make_eviction_policy(
-                   serve::EvictionPolicyKind::kCostAware)),
-               std::invalid_argument);
-  sharded.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
-  // Resetting to the built-in LRU via a null unique_ptr stays legal.
-  sharded.set_eviction_policy(nullptr);
-
-  ServiceCycleCache single(16);
-  single.set_eviction_policy(
-      serve::make_eviction_policy(serve::EvictionPolicyKind::kCostAware));
 }
 
 TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
   // TSan coverage for the segment locks and the in-flight rendezvous:
   // four threads over an 8-segment cache, overlapping key ranges so the
   // same segments see hits, misses, publishes and waits concurrently.
-  ServiceCycleCache cache(256, nullptr, 8);
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint64_t kKeys = 64;
-  constexpr int kRounds = 40;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::uint64_t k = 0; k < kKeys; ++k) {
-          const ServiceCycleCache::Key key{k + 1, (k + t) % kKeys + 1, 2,
-                                           false};
-          const std::optional<RunResult> seen = cache.acquire(key);
-          if (seen.has_value()) {
-            EXPECT_EQ(seen->total_cycles, 1'000 + key.program_fingerprint);
-          } else {
-            cache.publish(key, fake_result(1'000 + key.program_fingerprint));
+  // The second input installs cost-aware eviction by kind (one policy
+  // per segment) at a capacity the 256 distinct keys overflow, so
+  // victim choice also runs under concurrently held segment locks.
+  struct Input {
+    std::size_t capacity;
+    bool cost_aware;
+  };
+  for (const Input input : {Input{256, false}, Input{64, true}}) {
+    SCOPED_TRACE("capacity " + std::to_string(input.capacity));
+    ServiceCycleCache cache(input.capacity, nullptr, 8);
+    if (input.cost_aware) {
+      cache.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
+    }
+    constexpr std::size_t kThreads = 4;
+    constexpr std::uint64_t kKeys = 64;
+    constexpr int kRounds = 40;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&cache, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (std::uint64_t k = 0; k < kKeys; ++k) {
+            const ServiceCycleCache::Key key{k + 1, (k + t) % kKeys + 1, 2,
+                                             false};
+            const std::optional<RunResult> seen = cache.acquire(key);
+            if (seen.has_value()) {
+              EXPECT_EQ(seen->total_cycles, 1'000 + key.program_fingerprint);
+            } else {
+              cache.publish(key,
+                            fake_result(1'000 + key.program_fingerprint));
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    const ServiceCycleCacheStats stats = cache.stats();
+    // Every lookup landed in exactly one bucket.
+    EXPECT_EQ(stats.hits + stats.waits + stats.misses,
+              kThreads * kRounds * kKeys);
+    EXPECT_EQ(stats.entries, cache.size());
+    EXPECT_LE(cache.size(), input.capacity);
+    if (input.cost_aware) {
+      EXPECT_GT(stats.evictions, 0U);
+    }
   }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  const ServiceCycleCacheStats stats = cache.stats();
-  // Every lookup landed in exactly one bucket.
-  EXPECT_EQ(stats.hits + stats.waits + stats.misses,
-            kThreads * kRounds * kKeys);
-  EXPECT_EQ(stats.entries, cache.size());
-  EXPECT_LE(cache.size(), 256U);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -302,6 +303,50 @@ TEST(Cluster, MergedStreamIsSortedOverDisjointIdRanges) {
   const ClusterReport report = cluster.finalize();
   EXPECT_EQ(report.offered, kRequests);
   EXPECT_EQ(report.completed + report.rejected, kRequests);
+}
+
+TEST(Cluster, RefusedSubmitsChangeNoFleetState) {
+  // A request the instances refuse (unknown task or tenant, or an
+  // arrival at or past the serving watchdog) must fail before the fleet
+  // counts it offered or the router draws for it: p2c draws from a
+  // seeded RNG, so a refused submit that reached the router would
+  // reroute every request after it.
+  const auto stories = tiny_stories(8);
+  const auto models = two_models(stories);
+  const ClusterConfig config =
+      cluster_config(3, {}, RouterPolicyKind::kPowerOfTwo);
+  Cluster clean(config, models);
+  Cluster refused(config, models);
+
+  serve::SubmitRequest bad_task;
+  bad_task.task = 99;
+  serve::SubmitRequest bad_tenant;
+  bad_tenant.tenant = 7;
+  serve::SubmitRequest too_late;
+  too_late.at_cycle = config.server.watchdog_cycles;
+  for (const serve::SubmitRequest& bad : {bad_task, bad_tenant, too_late}) {
+    EXPECT_THROW((void)refused.submit(bad), std::out_of_range);
+  }
+  EXPECT_EQ(refused.info().offered, 0u);
+  EXPECT_EQ(refused.info().router_shed, 0u);
+  EXPECT_EQ(refused.last_submitted_arrival(), 0u);
+
+  constexpr std::size_t kRequests = 12;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::SubmitRequest request;
+    request.task = i % 2;
+    request.tenant = static_cast<serve::TenantId>(i % 3);
+    request.at_cycle = 1'000 + static_cast<sim::Cycle>(i) * 500;
+    const Cluster::Submission expected = clean.submit(request);
+    const Cluster::Submission seen = refused.submit(request);
+    EXPECT_EQ(seen.instance, expected.instance) << "request " << i;
+    EXPECT_EQ(seen.id, expected.id) << "request " << i;
+    (void)clean.step_until(clean.last_submitted_arrival());
+    (void)refused.step_until(refused.last_submitted_arrival());
+  }
+  EXPECT_EQ(refused.info().offered, kRequests);
+  EXPECT_TRUE(simulated_cluster_reports_identical(clean.finalize(),
+                                                  refused.finalize()));
 }
 
 TEST(Cluster, AutoscaledFleetBeatsFixedOnFleetEnergy) {

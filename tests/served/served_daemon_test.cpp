@@ -103,10 +103,16 @@ TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
       "config policy sjf\n"
       "config tenant 0\n"
       "trace on\n"
+      // A tenant id past 32 bits, a signed deadline, and an arrival at
+      // or past the serving watchdog: refused, not truncated, wrapped or
+      // left to expire the watchdog later.
+      "submit 0 4294967296\n"
+      "submit 0 0 -1\n"
+      "submit 1 0 0 30000000000\n"
       "submit 0\n"
       "quit\n",
       "malformed");
-  EXPECT_EQ(count_lines_with(transcript, "err "), 7U);
+  EXPECT_EQ(count_lines_with(transcript, "err "), 10U);
   // The daemon kept serving after every rejection.
   EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U);
   EXPECT_EQ(count_lines_with(transcript, "bye "), 1U);

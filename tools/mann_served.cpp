@@ -68,6 +68,7 @@
 // (--train-fallback to train stand-ins inline when the cache is absent).
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -76,6 +77,7 @@
 #include <deque>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -691,14 +693,28 @@ class Manager {
 
   static std::uint64_t parse_count(const std::string& token,
                                    const char* what) {
+    // strtoull alone would take a sign (wrapping "-1" to 2^64-1) and
+    // saturate an overflow to 2^64-1; the token must be plain digits.
     char* end = nullptr;
+    errno = 0;
     const unsigned long long parsed =
         std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
+    if (std::isdigit(static_cast<unsigned char>(token.front())) == 0 ||
+        *end != '\0' || errno == ERANGE) {
       fail(std::string(what) + " needs a non-negative integer, got '" +
            token + "'");
     }
     return parsed;
+  }
+
+  /// parse_count for 32-bit fields (tenant ids, tiers): a wider value
+  /// must be refused, not truncated into some other tenant.
+  static std::uint32_t parse_u32(const std::string& token, const char* what) {
+    const std::uint64_t parsed = parse_count(token, what);
+    if (parsed > std::numeric_limits<std::uint32_t>::max()) {
+      fail(std::string(what) + " must fit in 32 bits, got '" + token + "'");
+    }
+    return static_cast<std::uint32_t>(parsed);
   }
 
   static double parse_real(const std::string& token, const char* what) {
@@ -746,8 +762,7 @@ class Manager {
     serve::SubmitRequest request;
     request.task = parse_count(tokens[1], "task");
     if (tokens.size() > 2) {
-      request.tenant = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant"));
+      request.tenant = parse_u32(tokens[2], "tenant");
     }
     if (tokens.size() > 3) {
       request.deadline_cycles = parse_count(tokens[3], "deadline");
@@ -784,11 +799,9 @@ class Manager {
         fail("config tenant <id> <tier> <weight> <quota_interarrival> "
              "<quota_burst> <slo>");
       }
-      const auto id = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant id"));
+      const serve::TenantId id = parse_u32(tokens[2], "tenant id");
       serve::TenantConfig config;
-      config.tier = static_cast<std::uint32_t>(
-          parse_count(tokens[3], "tier"));
+      config.tier = parse_u32(tokens[3], "tier");
       config.weight = parse_real(tokens[4], "weight");
       config.quota_interarrival_cycles =
           parse_real(tokens[5], "quota_interarrival");
