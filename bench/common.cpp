@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include "accel/compiler.hpp"
+
 namespace mann::bench {
 
 runtime::PrepareConfig suite_config() {
@@ -20,6 +22,16 @@ std::vector<runtime::TaskArtifacts> load_suite() {
               " first run trains ~20 models)\n");
   std::fflush(stdout);
   return runtime::prepare_suite_cached(suite_config(), "mann_bench_cache");
+}
+
+std::vector<serve::ServedModel> served_models(
+    const std::vector<runtime::TaskArtifacts>& suite) {
+  std::vector<serve::ServedModel> models;
+  models.reserve(suite.size());
+  for (const runtime::TaskArtifacts& art : suite) {
+    models.push_back({accel::compile_model(art.model), art.dataset.test});
+  }
+  return models;
 }
 
 namespace {

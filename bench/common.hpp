@@ -9,6 +9,7 @@
 
 #include "power/energy.hpp"
 #include "runtime/measurement.hpp"
+#include "serve/server.hpp"
 
 namespace mann::bench {
 
@@ -21,6 +22,12 @@ inline constexpr std::size_t kRepetitions = 100;
 
 /// Loads (or trains once and caches) the 20-task suite.
 [[nodiscard]] std::vector<runtime::TaskArtifacts> load_suite();
+
+/// Compiles each task (without ITH tables) into a served model whose
+/// corpus is a view of the task's test split, so `suite` must outlive
+/// every server built from the result.
+[[nodiscard]] std::vector<serve::ServedModel> served_models(
+    const std::vector<runtime::TaskArtifacts>& suite);
 
 /// One configuration measured over the whole suite.
 struct SuiteMeasurement {

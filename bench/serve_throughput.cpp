@@ -83,16 +83,18 @@
 //                      numbers (the suite is seeded); how CI repopulates
 //                      mann_bench_cache/, which is generated, not tracked
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "accel/service_cycle_cache.hpp"
-
+#include "cluster/cluster.hpp"
 #include "common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -291,6 +293,65 @@ std::vector<sim::Cycle> mixed_slos(std::size_t tasks) {
   return slo;
 }
 
+/// One serving leg under a printable label. The report's
+/// host_wall_seconds is the session's own wall clock (first step to
+/// finalize).
+struct ServingRow {
+  std::string config_name;
+  serve::ServingReport report;
+};
+
+ServingRow serve_leg(const std::vector<serve::ServedModel>& models,
+                     const serve::ServerConfig& config,
+                     std::size_t requests) {
+  const serve::SchedulerConfig& sched = config.scheduler;
+  std::string name =
+      "serve N=" + std::to_string(sched.devices) +
+      " B=" + std::to_string(config.batcher.max_batch) + " ia=" +
+      std::to_string(static_cast<long long>(
+          config.traffic.mean_interarrival_cycles)) +
+      "cy " + serve::scheduler_policy_name(sched.policy);
+  if (!config.traffic.tenants.empty()) {
+    name += " T=" + std::to_string(config.traffic.tenants.size());
+  }
+  if (sched.workers > 0) {
+    name += " W=" + std::to_string(sched.workers);
+  }
+  if (sched.workers > 0 || sched.cycle_cache != nullptr) {
+    name += " +cache";
+  }
+  return {std::move(name), serve::Server(config, models).run(requests)};
+}
+
+/// One fleet leg: the report plus the host wall clock spent in
+/// Cluster::run (the ClusterReport itself is purely simulated).
+struct ClusterRow {
+  std::string config_name;
+  double host_wall_seconds = 0.0;
+  cluster::ClusterReport report;
+};
+
+ClusterRow cluster_leg(const std::vector<serve::ServedModel>& models,
+                       cluster::ClusterConfig config, std::size_t requests) {
+  ClusterRow row;
+  row.config_name =
+      "cluster x" + std::to_string(config.instances) + " " +
+      cluster::router_policy_name(config.router.kind) +
+      " N=" + std::to_string(config.server.scheduler.devices) +
+      " B=" + std::to_string(config.server.batcher.max_batch) +
+      (config.autoscaler.enabled ? " +autoscale" : "") +
+      (config.fleet_threads > 1
+           ? " F=" + std::to_string(config.fleet_threads)
+           : "");
+  cluster::Cluster fleet(std::move(config), models);
+  const auto start = std::chrono::steady_clock::now();
+  row.report = fleet.run(requests);
+  row.host_wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return row;
+}
+
 void print_serving_header() {
   std::printf("%-30s %10s %9s %9s %9s %6s %7s %6s %6s %7s %9s %9s\n",
               "config", "stories/s", "p50 ms", "p95 ms", "p99 ms", "hit%",
@@ -298,7 +359,7 @@ void print_serving_header() {
   mann::bench::print_rule(128);
 }
 
-void print_serving_row(const runtime::ServingMeasurement& m) {
+void print_serving_row(const ServingRow& m) {
   const serve::ServingReport& r = m.report;
   std::printf(
       "%-30s %10.0f %9.3f %9.3f %9.3f %5.1f%% %7llu %6llu %6.3f %7llu "
@@ -356,10 +417,10 @@ struct ClusterSweep {
   /// least one must hold.
   bool p2c_wins_queue_wait = false;
   bool affinity_wins_warm_dispatch = false;
-  runtime::ClusterMeasurement affinity;
-  runtime::ClusterMeasurement p2c;
-  runtime::ClusterMeasurement spill;
-  runtime::ClusterMeasurement autoscaled;
+  ClusterRow affinity;
+  ClusterRow p2c;
+  ClusterRow spill;
+  ClusterRow autoscaled;
   /// Host-parallelism comparison: the p2c leg re-run at 1 fleet thread
   /// vs `fleet_threads`, reports gated bit-identical. Only the walls and
   /// the identity verdict live here — everything simulated is above.
@@ -379,7 +440,7 @@ void print_cluster_header() {
   mann::bench::print_rule(122);
 }
 
-void print_cluster_row(const runtime::ClusterMeasurement& m) {
+void print_cluster_row(const ClusterRow& m) {
   const cluster::ClusterReport& r = m.report;
   std::printf(
       "%-34s %10.0f %9.3f %9.3f %5.1f%% %6llu %6.3f %5.1f%% %9.4f %6.2f "
@@ -505,7 +566,7 @@ void write_policy_json(std::FILE* f, const char* key,
 /// FIFO-vs-EDF comparison artifact (uploaded by the CI perf job so a
 /// policy regression is diagnosable straight from the Actions tab).
 void write_policies_json(const BenchOptions& opts,
-                         const runtime::ServingOptions& workload,
+                         const serve::ServerConfig& workload,
                          const serve::ServingReport& fifo,
                          const serve::ServingReport& edf,
                          bool edf_worker_identical) {
@@ -519,11 +580,11 @@ void write_policies_json(const BenchOptions& opts,
   std::fprintf(f, "  \"bench\": \"serve_policy_compare\",\n");
   std::fprintf(f, "  \"schema\": 1,\n");
   std::fprintf(f, "  \"tasks\": %zu,\n", opts.tasks);
-  std::fprintf(f, "  \"requests\": %zu,\n", workload.requests);
-  std::fprintf(f, "  \"devices\": %zu,\n", workload.pool_devices);
+  std::fprintf(f, "  \"requests\": %zu,\n", opts.requests);
+  std::fprintf(f, "  \"devices\": %zu,\n", workload.scheduler.devices);
   std::fprintf(f, "  \"process\": \"bursty\",\n");
   std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(workload.seed));
+               static_cast<unsigned long long>(workload.traffic.seed));
   std::fprintf(f, "  \"edf_identical_across_workers\": %s,\n",
                edf_worker_identical ? "true" : "false");
   write_policy_json(f, "fifo", fifo, /*trailing_comma=*/true);
@@ -534,7 +595,7 @@ void write_policies_json(const BenchOptions& opts,
 }
 
 void write_json(const BenchOptions& opts, const std::string& suite_source,
-                const runtime::ServingOptions& accept,
+                const serve::ServerConfig& accept,
                 const serve::ServingReport& sequential,
                 const HostLegs& host, const serve::ServingReport& qos_edf,
                 const serve::ServingReport& qos_wfq,
@@ -554,14 +615,14 @@ void write_json(const BenchOptions& opts, const std::string& suite_source,
   std::fprintf(f, "  \"suite_source\": \"%s\",\n", suite_source.c_str());
   std::fprintf(f, "  \"tasks\": %zu,\n", opts.tasks);
   std::fprintf(f, "  \"requests\": %zu,\n", opts.requests);
-  std::fprintf(f, "  \"devices\": %zu,\n", accept.pool_devices);
-  std::fprintf(f, "  \"max_batch\": %zu,\n", accept.max_batch);
+  std::fprintf(f, "  \"devices\": %zu,\n", accept.scheduler.devices);
+  std::fprintf(f, "  \"max_batch\": %zu,\n", accept.batcher.max_batch);
   std::fprintf(f, "  \"scheduler_policy\": \"%s\",\n",
-               serve::scheduler_policy_name(accept.policy));
+               serve::scheduler_policy_name(accept.scheduler.policy));
   std::fprintf(f, "  \"eviction_policy\": \"%s\",\n",
-               serve::eviction_policy_name(accept.eviction));
+               serve::eviction_policy_name(accept.scheduler.eviction));
   std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(accept.seed));
+               static_cast<unsigned long long>(accept.traffic.seed));
   std::fprintf(f, "  \"simulated\": {\n");
   std::fprintf(f, "    \"throughput_stories_per_second\": %.6f,\n",
                r.throughput_stories_per_second);
@@ -720,57 +781,54 @@ int main(int argc, char** argv) {
   const BenchOptions opts = parse_args(argc, argv);
   std::string suite_source;
   const auto tasks = prepare_serving_tasks(opts, suite_source);
+  const std::vector<serve::ServedModel> models = bench::served_models(tasks);
 
-  runtime::ServingOptions base;
-  base.clock_hz = 100.0e6;
-  base.requests = 400;
-  base.max_batch = 8;
-  base.max_wait_cycles = 200'000;
-  base.seed = 2019;
-  base.eviction = opts.eviction;
+  // The defaults: 100 MHz devices, batches of up to 8 flushed at 200k
+  // cycles, Poisson arrivals from seed 2019, 2 shared devices under EDF.
+  serve::ServerConfig base;
+  base.scheduler.eviction = opts.eviction;
+  constexpr std::size_t kSweepRequests = 400;
 
   bench::print_header(
       "Serving sweep 1: device-pool size at saturating load "
       "(400 requests, B=8, interarrival 500 cycles)");
   print_serving_header();
-  runtime::ServingOptions sweep1 = base;
-  sweep1.mean_interarrival_cycles = 500.0;
-  std::vector<runtime::ServingMeasurement> pool_rows;
+  serve::ServerConfig sweep1 = base;
+  sweep1.traffic.mean_interarrival_cycles = 500.0;
+  std::vector<ServingRow> pool_rows;
   for (const std::size_t devices : {1U, 2U, 4U, 8U}) {
-    sweep1.pool_devices = devices;
-    pool_rows.push_back(runtime::measure_serving(tasks, sweep1));
+    sweep1.scheduler.devices = devices;
+    pool_rows.push_back(serve_leg(models, sweep1, kSweepRequests));
     print_serving_row(pool_rows.back());
   }
 
   bench::print_header(
       "Serving sweep 2: dynamic batch size (N=2, interarrival 10k cycles)");
   print_serving_header();
-  runtime::ServingOptions sweep2 = base;
-  sweep2.pool_devices = 2;
-  sweep2.mean_interarrival_cycles = 10'000.0;
+  serve::ServerConfig sweep2 = base;
+  sweep2.traffic.mean_interarrival_cycles = 10'000.0;
   for (const std::size_t max_batch : {1U, 4U, 8U, 16U}) {
-    sweep2.max_batch = max_batch;
-    print_serving_row(runtime::measure_serving(tasks, sweep2));
+    sweep2.batcher.max_batch = max_batch;
+    print_serving_row(serve_leg(models, sweep2, kSweepRequests));
   }
 
   bench::print_header(
       "Serving sweep 3: arrival rate (N=2, B=8, Poisson vs bursty vs "
       "diurnal)");
   print_serving_header();
-  runtime::ServingOptions sweep3 = base;
-  sweep3.pool_devices = 2;
+  serve::ServerConfig sweep3 = base;
   for (const double interarrival : {2'000.0, 10'000.0, 50'000.0}) {
-    sweep3.mean_interarrival_cycles = interarrival;
-    sweep3.process = serve::ArrivalProcess::kPoisson;
-    print_serving_row(runtime::measure_serving(tasks, sweep3));
-    sweep3.process = serve::ArrivalProcess::kBursty;
-    print_serving_row(runtime::measure_serving(tasks, sweep3));
+    sweep3.traffic.mean_interarrival_cycles = interarrival;
+    sweep3.traffic.process = serve::ArrivalProcess::kPoisson;
+    print_serving_row(serve_leg(models, sweep3, kSweepRequests));
+    sweep3.traffic.process = serve::ArrivalProcess::kBursty;
+    print_serving_row(serve_leg(models, sweep3, kSweepRequests));
   }
-  sweep3.mean_interarrival_cycles = 10'000.0;
-  sweep3.process = serve::ArrivalProcess::kDiurnal;
-  sweep3.diurnal_amplitude = 0.6;
-  sweep3.diurnal_period_cycles = 2.0e6;
-  print_serving_row(runtime::measure_serving(tasks, sweep3));
+  sweep3.traffic.mean_interarrival_cycles = 10'000.0;
+  sweep3.traffic.process = serve::ArrivalProcess::kDiurnal;
+  sweep3.traffic.diurnal_amplitude = 0.6;
+  sweep3.traffic.diurnal_period_cycles = 2.0e6;
+  print_serving_row(serve_leg(models, sweep3, kSweepRequests));
 
   // Simulated-scaling acceptance: invariants against the N=1 baseline.
   const serve::ServingReport& one = pool_rows.front().report;
@@ -796,27 +854,24 @@ int main(int argc, char** argv) {
       "Serving sweep 4: scheduler policy — FIFO head-of-line vs EDF + "
       "work-stealing (N=4 dedicated, B=8, bursty, mixed 3/30 ms SLOs)");
   print_serving_header();
-  runtime::ServingOptions policy_load = base;
-  policy_load.pool_devices = 4;
-  policy_load.dedicated_devices = 4;
-  policy_load.process = serve::ArrivalProcess::kBursty;
-  policy_load.mean_interarrival_cycles = 2'000.0;
-  policy_load.requests = opts.requests;
-  policy_load.slo_per_task = mixed_slos(tasks.size());
+  serve::ServerConfig policy_load = base;
+  policy_load.scheduler.devices = 4;
+  policy_load.scheduler.dedicated_devices = 4;
+  policy_load.traffic.process = serve::ArrivalProcess::kBursty;
+  policy_load.traffic.mean_interarrival_cycles = 2'000.0;
+  policy_load.traffic.slo.per_task = mixed_slos(tasks.size());
 
-  policy_load.policy = serve::SchedulerPolicy::kFifo;
-  const runtime::ServingMeasurement fifo =
-      runtime::measure_serving(tasks, policy_load);
+  policy_load.scheduler.policy = serve::SchedulerPolicy::kFifo;
+  const ServingRow fifo = serve_leg(models, policy_load, opts.requests);
   print_serving_row(fifo);
-  policy_load.policy = serve::SchedulerPolicy::kEdf;
-  const runtime::ServingMeasurement edf =
-      runtime::measure_serving(tasks, policy_load);
+  policy_load.scheduler.policy = serve::SchedulerPolicy::kEdf;
+  const ServingRow edf = serve_leg(models, policy_load, opts.requests);
   print_serving_row(edf);
   // EDF's timeline must not depend on host workers either.
-  policy_load.workers = 4;
-  const runtime::ServingMeasurement edf_workers =
-      runtime::measure_serving(tasks, policy_load);
-  policy_load.workers = 0;
+  policy_load.scheduler.workers = 4;
+  const ServingRow edf_workers =
+      serve_leg(models, policy_load, opts.requests);
+  policy_load.scheduler.workers = 0;
   const bool edf_worker_identical =
       simulated_reports_identical(edf.report, edf_workers.report);
 
@@ -852,15 +907,16 @@ int main(int argc, char** argv) {
     bench::print_header(
         "Serving sweep 5: trace replay (recorded arrival schedule)");
     print_serving_header();
-    runtime::ServingOptions trace_load = base;
-    trace_load.process = serve::ArrivalProcess::kTrace;
+    serve::ServerConfig trace_load = base;
+    std::vector<serve::TraceEntry>& trace = trace_load.traffic.trace;
+    trace_load.traffic.process = serve::ArrivalProcess::kTrace;
     try {
-      trace_load.trace = serve::load_trace_csv(opts.replay_path);
+      trace = serve::load_trace_csv(opts.replay_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
-    if (trace_load.trace.empty()) {
+    if (trace.empty()) {
       // A header-only CSV parses fine but replays nothing: without this
       // guard it became a zero-request sweep that died dividing by the
       // empty trace length. Refuse it with a usable message instead.
@@ -875,23 +931,22 @@ int main(int argc, char** argv) {
     // the recording with a default registry (QoS knobs are the
     // replayer's choice; the recording only fixes identity).
     serve::TenantId max_tenant = 0;
-    for (serve::TraceEntry& entry : trace_load.trace) {
+    for (serve::TraceEntry& entry : trace) {
       entry.task %= tasks.size();
       max_tenant = std::max(max_tenant, entry.tenant);
     }
     if (max_tenant > 0) {
-      trace_load.tenants.assign(max_tenant + 1, serve::TenantConfig{});
+      trace_load.traffic.tenants.assign(max_tenant + 1,
+                                        serve::TenantConfig{});
     }
-    trace_load.pool_devices = 4;
-    trace_load.dedicated_devices = 4;
-    trace_load.requests = trace_load.trace.size();
-    trace_load.slo_per_task = mixed_slos(tasks.size());
-    const runtime::ServingMeasurement replay =
-        runtime::measure_serving(tasks, trace_load);
+    trace_load.scheduler.devices = 4;
+    trace_load.scheduler.dedicated_devices = 4;
+    trace_load.traffic.slo.per_task = mixed_slos(tasks.size());
+    const ServingRow replay = serve_leg(models, trace_load, trace.size());
     print_serving_row(replay);
-    trace_load.workers = 4;
-    const runtime::ServingMeasurement replay_workers =
-        runtime::measure_serving(tasks, trace_load);
+    trace_load.scheduler.workers = 4;
+    const ServingRow replay_workers =
+        serve_leg(models, trace_load, trace.size());
     print_serving_row(replay_workers);
     trace_ok = simulated_reports_identical(replay.report,
                                            replay_workers.report);
@@ -910,34 +965,31 @@ int main(int argc, char** argv) {
       "service-cycle cache, cold then warm (N=4 dedicated, B=8, "
       "interarrival 500 cycles)");
   print_serving_header();
-  runtime::ServingOptions accept = base;
-  accept.pool_devices = 4;
+  serve::ServerConfig accept = base;
+  accept.scheduler.devices = 4;
   // Per-task sharding: stable residency keeps the device pool warm, so
   // repeated batch windows are cache hits instead of new cold variants.
-  accept.dedicated_devices = 4;
-  accept.mean_interarrival_cycles = 500.0;
-  accept.requests = opts.requests;
-  accept.policy = opts.policy;
-  accept.slo_per_task = mixed_slos(tasks.size());
+  accept.scheduler.dedicated_devices = 4;
+  accept.traffic.mean_interarrival_cycles = 500.0;
+  accept.scheduler.policy = opts.policy;
+  accept.traffic.slo.per_task = mixed_slos(tasks.size());
 
-  accept.workers = 0;
-  const runtime::ServingMeasurement sequential =
-      runtime::measure_serving(tasks, accept);
+  const ServingRow sequential = serve_leg(models, accept, opts.requests);
   print_serving_row(sequential);
 
   HostLegs host;
   bool parallel_ok = true;
   if (opts.parallel) {
     accel::ServiceCycleCache cache(4096);
-    accept.workers = 4;
-    accept.cycle_cache = &cache;
-    runtime::ServingMeasurement cold = runtime::measure_serving(tasks, accept);
+    serve::ServerConfig cached = accept;
+    cached.scheduler.workers = 4;
+    cached.scheduler.cycle_cache = &cache;
+    ServingRow cold = serve_leg(models, cached, opts.requests);
     cold.config_name += " cold";
     print_serving_row(cold);
-    runtime::ServingMeasurement warm = runtime::measure_serving(tasks, accept);
+    ServingRow warm = serve_leg(models, cached, opts.requests);
     warm.config_name += " warm";
     print_serving_row(warm);
-    accept.cycle_cache = nullptr;  // sweep 8 owns its own fresh cache
 
     host.cold = cold.report;
     host.warm = warm.report;
@@ -1004,43 +1056,39 @@ int main(int argc, char** argv) {
       "Serving sweep 7: multi-tenant QoS — plain EDF vs admission + WFQ "
       "(N=4 dedicated, B=8, bursty overload, adversarial tenant 2)");
   print_serving_header();
-  runtime::ServingOptions qos_load = base;
-  qos_load.pool_devices = 4;
-  qos_load.dedicated_devices = 4;
-  qos_load.process = serve::ArrivalProcess::kBursty;
-  qos_load.mean_interarrival_cycles = 1'200.0;
-  qos_load.requests = opts.requests;
-  qos_load.slo_per_task = mixed_slos(tasks.size());
-  qos_load.tenants = qos_tenants();
+  serve::ServerConfig qos_load = base;
+  qos_load.scheduler.devices = 4;
+  qos_load.scheduler.dedicated_devices = 4;
+  qos_load.traffic.process = serve::ArrivalProcess::kBursty;
+  qos_load.traffic.mean_interarrival_cycles = 1'200.0;
+  qos_load.traffic.slo.per_task = mixed_slos(tasks.size());
+  qos_load.traffic.tenants = qos_tenants();
 
   // Leg A: the PR-3 escape hatch — EDF dispatch, transparent admission.
-  qos_load.policy = serve::SchedulerPolicy::kEdf;
+  qos_load.scheduler.policy = serve::SchedulerPolicy::kEdf;
   qos_load.admission = serve::AdmissionConfig{};
   qos_load.admission.enforce_quotas = false;
-  const runtime::ServingMeasurement qos_edf =
-      runtime::measure_serving(tasks, qos_load);
+  const ServingRow qos_edf = serve_leg(models, qos_load, opts.requests);
   print_serving_row(qos_edf);
   print_tenant_rows(qos_edf.report);
 
   // Leg B: the control plane on — quotas, doom shedding, tiered
   // overload shedding, WFQ dispatch (weights from the registry).
-  qos_load.policy = serve::SchedulerPolicy::kWfq;
+  qos_load.scheduler.policy = serve::SchedulerPolicy::kWfq;
   qos_load.admission = serve::AdmissionConfig{};
   qos_load.admission.enforce_quotas = true;
   qos_load.admission.shed_doomed = true;
   qos_load.admission.overload_pending_requests = 1'024;
   qos_load.admission.overload_watermark = 0.70;
-  const runtime::ServingMeasurement qos_wfq =
-      runtime::measure_serving(tasks, qos_load);
+  const ServingRow qos_wfq = serve_leg(models, qos_load, opts.requests);
   print_serving_row(qos_wfq);
   print_tenant_rows(qos_wfq.report);
 
   // Worker invariance covers the per-tenant view too: admission and WFQ
   // decisions are simulated state, so workers must not move them.
-  qos_load.workers = 4;
-  const runtime::ServingMeasurement qos_wfq_workers =
-      runtime::measure_serving(tasks, qos_load);
-  qos_load.workers = 0;
+  qos_load.scheduler.workers = 4;
+  const ServingRow qos_wfq_workers =
+      serve_leg(models, qos_load, opts.requests);
   const bool qos_worker_identical =
       simulated_reports_identical(qos_wfq.report, qos_wfq_workers.report) &&
       tenant_reports_identical(qos_wfq.report, qos_wfq_workers.report);
@@ -1097,12 +1145,11 @@ int main(int argc, char** argv) {
     print_serving_header();
     obs::MetricsRegistry registry;
     obs::TraceRecorder recorder;
-    runtime::ServingOptions traced = accept;
-    traced.workers = opts.parallel ? 4 : 0;
+    serve::ServerConfig traced = accept;
+    traced.scheduler.workers = opts.parallel ? 4 : 0;
     traced.metrics = &registry;
-    traced.trace_recorder = &recorder;
-    const runtime::ServingMeasurement traced_run =
-        runtime::measure_serving(tasks, traced);
+    traced.trace = &recorder;
+    const ServingRow traced_run = serve_leg(models, traced, opts.requests);
     print_serving_row(traced_run);
 
     // The traced run starts from a fresh cache, so its untraced twin is
@@ -1120,7 +1167,7 @@ int main(int argc, char** argv) {
                   untraced.host_wall_seconds
             : 1.0;
     trace_export.wrote = obs::write_chrome_trace(
-        opts.trace_path, recorder, base.clock_hz, &registry);
+        opts.trace_path, recorder, base.accel.clock_hz, &registry);
     if (trace_export.wrote) {
       std::printf("# wrote %s\n", opts.trace_path.c_str());
     } else {
@@ -1177,44 +1224,47 @@ int main(int argc, char** argv) {
     // Per-instance pools sized so the fleet's capacity sits between the
     // diurnal trough and peak rates at 10x volume: the peak queues, the
     // trough idles — exactly the regime where parking instances pays.
-    runtime::ServingOptions cluster_load = base;
-    cluster_load.pool_devices = 8;  // per instance: the fleet has 4x this
-    cluster_load.process = serve::ArrivalProcess::kTrace;
-    cluster_load.slo_per_task = mixed_slos(tasks.size());
+    serve::ServerConfig cluster_load = base;
+    cluster_load.scheduler.devices = 8;  // per instance: the fleet has 4x
+    cluster_load.traffic.process = serve::ArrivalProcess::kTrace;
+    cluster_load.traffic.slo.per_task = mixed_slos(tasks.size());
     if (max_tenant > 0) {
-      cluster_load.tenants.assign(max_tenant + 1, serve::TenantConfig{});
+      cluster_load.traffic.tenants.assign(max_tenant + 1,
+                                          serve::TenantConfig{});
     }
 
     // Identity leg (1x trace): a cluster of one IS the bare Server.
-    cluster_load.trace = cluster_trace;
-    cluster_load.requests = cluster_trace.size();
-    const runtime::ServingMeasurement bare =
-        runtime::measure_serving(tasks, cluster_load);
-    runtime::ClusterServingOptions single;
+    cluster_load.traffic.trace = cluster_trace;
+    const ServingRow bare =
+        serve_leg(models, cluster_load, cluster_trace.size());
+    cluster::ClusterConfig single;
     single.instances = 1;
+    single.server = cluster_load;
     single.router.kind = cluster::RouterPolicyKind::kPowerOfTwo;
-    const runtime::ClusterMeasurement one =
-        runtime::measure_cluster(tasks, cluster_load, single);
+    const ClusterRow one =
+        cluster_leg(models, std::move(single), cluster_trace.size());
     cluster_sweep.single_equivalent =
         one.report.instance_reports.size() == 1 &&
         simulated_reports_identical(bare.report,
                                     one.report.instance_reports[0].report);
 
     // Fleet legs on the amplified trace.
-    cluster_load.trace =
-        serve::scale_trace(cluster_trace, opts.cluster_scale, base.seed);
-    cluster_load.requests = cluster_load.trace.size();
+    cluster::ClusterConfig fleet;
+    fleet.server = cluster_load;
+    fleet.server.traffic.trace = serve::scale_trace(
+        cluster_trace, opts.cluster_scale, base.traffic.seed);
+    const std::vector<serve::TraceEntry>& fleet_trace =
+        fleet.server.traffic.trace;
     cluster_sweep.ran = true;
     cluster_sweep.scale = opts.cluster_scale;
-    cluster_sweep.requests = cluster_load.requests;
+    cluster_sweep.requests = fleet_trace.size();
     std::printf("# %zu-entry trace x%zu -> %zu fleet arrivals; "
                 "cluster-of-1 vs bare Server on 1x: %s\n",
                 cluster_trace.size(), opts.cluster_scale,
-                cluster_load.requests,
+                cluster_sweep.requests,
                 cluster_sweep.single_equivalent ? "identical" : "DIVERGED");
     print_cluster_header();
 
-    runtime::ClusterServingOptions fleet;
     fleet.instances = cluster_sweep.instances;
     // Saturation threshold scaled to the 8-device pools: an instance is
     // "full" near its peak-hour queue depth, not the default sized for
@@ -1231,36 +1281,34 @@ int main(int argc, char** argv) {
     cluster_sweep.fleet_threads = opts.fleet_threads;
     cluster_sweep.cache_segments = fleet.cache_segments;
     cluster_sweep.host_cores = std::thread::hardware_concurrency();
+    const std::size_t fleet_requests = fleet_trace.size();
     fleet.router.kind = cluster::RouterPolicyKind::kTaskAffinity;
-    cluster_sweep.affinity =
-        runtime::measure_cluster(tasks, cluster_load, fleet);
+    cluster_sweep.affinity = cluster_leg(models, fleet, fleet_requests);
     print_cluster_row(cluster_sweep.affinity);
     fleet.router.kind = cluster::RouterPolicyKind::kPowerOfTwo;
-    cluster_sweep.p2c = runtime::measure_cluster(tasks, cluster_load, fleet);
+    cluster_sweep.p2c = cluster_leg(models, fleet, fleet_requests);
     print_cluster_row(cluster_sweep.p2c);
     fleet.router.kind = cluster::RouterPolicyKind::kTenantSpill;
-    cluster_sweep.spill =
-        runtime::measure_cluster(tasks, cluster_load, fleet);
+    cluster_sweep.spill = cluster_leg(models, fleet, fleet_requests);
     print_cluster_row(cluster_sweep.spill);
 
     // Autoscaled leg: thresholds derived from the trace itself so any
     // replayed schedule self-calibrates — the epoch grid divides the
     // span, and up/down bracket the mean arrivals per instance per epoch
     // inside the diurnal envelope (peak ~1.5x mean, trough ~0.5x).
-    const sim::Cycle span = cluster_load.trace.back().arrival_cycle + 1;
+    const sim::Cycle span = fleet_trace.back().arrival_cycle + 1;
     constexpr std::size_t kEpochs = 16;
     fleet.router.kind = cluster::RouterPolicyKind::kPowerOfTwo;
     fleet.autoscaler.enabled = true;
     fleet.autoscaler.epoch_cycles = std::max<sim::Cycle>(1, span / kEpochs);
     const double mean_per_instance =
-        static_cast<double>(cluster_load.requests) /
+        static_cast<double>(fleet_requests) /
         static_cast<double>(kEpochs * fleet.instances);
     fleet.autoscaler.up_arrivals_per_instance = 1.25 * mean_per_instance;
     fleet.autoscaler.down_arrivals_per_instance = 0.75 * mean_per_instance;
     fleet.autoscaler.cooldown_epochs = 0;
     fleet.autoscaler.min_instances = 1;
-    cluster_sweep.autoscaled =
-        runtime::measure_cluster(tasks, cluster_load, fleet);
+    cluster_sweep.autoscaled = cluster_leg(models, fleet, fleet_requests);
     print_cluster_row(cluster_sweep.autoscaled);
 
     // Host-parallelism check: the power-of-two leg again at one fleet
@@ -1268,14 +1316,11 @@ int main(int argc, char** argv) {
     // reports must be bit-identical — that is the determinism contract
     // — and the two walls give the 1-vs-N ratio the perf job prints.
     if (opts.fleet_threads > 1) {
-      runtime::ClusterServingOptions lone;
-      lone.instances = cluster_sweep.instances;
-      lone.router.spill_queue_threshold = 256;
-      lone.router.kind = cluster::RouterPolicyKind::kPowerOfTwo;
+      cluster::ClusterConfig lone = fleet;
+      lone.autoscaler = cluster::AutoscalerConfig{};
       lone.fleet_threads = 1;
-      lone.cache_segments = cluster_sweep.cache_segments;
-      const runtime::ClusterMeasurement one_thread =
-          runtime::measure_cluster(tasks, cluster_load, lone);
+      const ClusterRow one_thread =
+          cluster_leg(models, std::move(lone), fleet_requests);
       print_cluster_row(one_thread);
       cluster_sweep.wall_seconds_1thread = one_thread.host_wall_seconds;
       cluster_sweep.wall_seconds_fleet = cluster_sweep.p2c.host_wall_seconds;

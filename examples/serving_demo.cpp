@@ -14,10 +14,12 @@
 //   7. observability: re-serve with the mann::obs recorder + metrics
 //      registry attached and export serving_demo_trace.json — open it in
 //      Perfetto (ui.perfetto.dev) or run scripts/trace_summary.py on it
-//   8. the incremental API: drive the same stack open-loop through
-//      Server::start() / submit() / step() / poll_completions(), with a
-//      live mid-run SLO change — the programmatic face of the
+//   8. the incremental API: drive the same stack open-loop through a
+//      serve::ServerSession — submit() / step() / poll_completions(),
+//      with a live mid-run SLO change — the programmatic face of the
 //      mann_served daemon (tools/mann_served.cpp)
+//
+// Acts 3-7 each serve one serve::ServerConfig through Server::run(n).
 //
 // Build & run:  cmake --build build && ./build/examples/serving_demo
 #include <cstdio>
@@ -26,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/measurement.hpp"
-#include "serve/options.hpp"
 #include "serve/session.hpp"
 
 int main() {
@@ -44,23 +45,25 @@ int main() {
     tasks.push_back(runtime::prepare_task(id, prep));
   }
 
-  runtime::ServingOptions options;
-  options.clock_hz = 100.0e6;
-  options.pool_devices = 2;
-  options.max_batch = 8;
-  options.max_wait_cycles = 200'000;  // 2 ms at 100 MHz
-  options.mean_interarrival_cycles = 10'000.0;
-  options.requests = 200;
+  std::vector<serve::ServedModel> models;
+  for (const runtime::TaskArtifacts& art : tasks) {
+    models.push_back({accel::compile_model(art.model), art.dataset.test});
+  }
+
+  serve::ServerConfig config;
+  config.accel.clock_hz = 100.0e6;
+  config.scheduler.devices = 2;
+  config.batcher.max_batch = 8;
+  config.batcher.max_wait_cycles = 200'000;  // 2 ms at 100 MHz
+  config.traffic.mean_interarrival_cycles = 10'000.0;
   // Deadline-aware dispatch (the default policy): every request carries
   // a 5 ms SLO, and the report below shows how many were met.
-  options.policy = serve::SchedulerPolicy::kEdf;
-  options.slo_default_deadline_cycles = 500'000;  // 5 ms at 100 MHz
+  config.scheduler.policy = serve::SchedulerPolicy::kEdf;
+  config.traffic.slo.default_deadline_cycles = 500'000;  // 5 ms at 100 MHz
 
-  const runtime::ServingMeasurement m =
-      runtime::measure_serving(tasks, options);
-  const serve::ServingReport& r = m.report;
+  const serve::ServingReport r = serve::Server(config, models).run(200);
 
-  std::printf("\n%s\n", m.config_name.c_str());
+  std::printf("\n2 devices, B=8, Poisson 10k-cycle arrivals, EDF\n");
   std::printf("requests: offered=%zu completed=%zu rejected=%zu\n",
               r.offered, r.completed, r.rejected);
   std::printf("throughput: %.0f stories/s (offered %.0f/s) over %.3f ms\n",
@@ -104,20 +107,19 @@ int main() {
   // The parallel runtime: one host worker per device slot plus the
   // service-cycle cache. Simulated numbers are bit-identical to the
   // sequential run above — only host wall-clock moves.
-  options.workers = options.pool_devices;
-  const runtime::ServingMeasurement p =
-      runtime::measure_serving(tasks, options);
-  std::printf("\n%s\n", p.config_name.c_str());
+  serve::ServerConfig parallel = config;
+  parallel.scheduler.workers = parallel.scheduler.devices;
+  const serve::ServingReport p = serve::Server(parallel, models).run(200);
+  std::printf("\nthe same with 2 host workers + service-cycle cache\n");
   std::printf("host wall: %.3f s -> %.3f s; cache hit rate %.1f%% "
               "(%llu hits / %llu misses)\n",
-              r.host_wall_seconds, p.report.host_wall_seconds,
-              p.report.cycle_cache.hit_rate() * 100.0,
-              static_cast<unsigned long long>(p.report.cycle_cache.hits),
-              static_cast<unsigned long long>(p.report.cycle_cache.misses));
-  const bool identical =
-      p.report.makespan_cycles == r.makespan_cycles &&
-      p.report.accuracy == r.accuracy &&
-      p.report.latency.p99_cycles == r.latency.p99_cycles;
+              r.host_wall_seconds, p.host_wall_seconds,
+              p.cycle_cache.hit_rate() * 100.0,
+              static_cast<unsigned long long>(p.cycle_cache.hits),
+              static_cast<unsigned long long>(p.cycle_cache.misses));
+  const bool identical = p.makespan_cycles == r.makespan_cycles &&
+                         p.accuracy == r.accuracy &&
+                         p.latency.p99_cycles == r.latency.p99_cycles;
   std::printf("simulated reports identical: %s\n",
               identical ? "yes" : "NO (bug!)");
 
@@ -125,35 +127,35 @@ int main() {
   // offers half the traffic but its quota entitles it to far less; with
   // plain EDF the flood degrades everyone, with admission + WFQ the
   // excess is shed at the door and conforming tenants keep their SLOs.
-  options.workers = 0;
-  options.mean_interarrival_cycles = 400.0;        // past pool saturation
-  options.max_wait_cycles = 30'000;                // batches form quickly
-  options.slo_default_deadline_cycles = 100'000;   // 1 ms at 100 MHz
-  options.requests = 2000;
-  options.tenants.resize(3);
-  options.tenants[0] = {.tier = 0, .weight = 4.0, .traffic_share = 1.0};
-  options.tenants[1] = {.tier = 1, .weight = 2.0, .traffic_share = 1.0};
-  options.tenants[2] = {.tier = 2,
-                        .weight = 1.0,
-                        .traffic_share = 2.0,
-                        .quota_interarrival_cycles = 20'000.0,
-                        .quota_burst = 4.0};
+  serve::ServerConfig qos = config;
+  qos.traffic.mean_interarrival_cycles = 400.0;       // past pool saturation
+  qos.batcher.max_wait_cycles = 30'000;               // batches form quickly
+  qos.traffic.slo.default_deadline_cycles = 100'000;  // 1 ms at 100 MHz
+  qos.traffic.tenants.resize(3);
+  qos.traffic.tenants[0] = {.tier = 0, .weight = 4.0, .traffic_share = 1.0};
+  qos.traffic.tenants[1] = {.tier = 1, .weight = 2.0, .traffic_share = 1.0};
+  qos.traffic.tenants[2] = {.tier = 2,
+                            .weight = 1.0,
+                            .traffic_share = 2.0,
+                            .quota_interarrival_cycles = 20'000.0,
+                            .quota_burst = 4.0};
 
   for (const serve::SchedulerPolicy policy :
        {serve::SchedulerPolicy::kEdf, serve::SchedulerPolicy::kWfq}) {
-    options.policy = policy;
+    qos.scheduler.policy = policy;
     // Quotas only bite under kWfq here so the EDF leg shows the
     // unprotected baseline.
-    options.admission.enforce_quotas = policy == serve::SchedulerPolicy::kWfq;
-    const runtime::ServingMeasurement q =
-        runtime::measure_serving(tasks, options);
-    std::printf("\n%s\n", q.config_name.c_str());
+    qos.admission.enforce_quotas = policy == serve::SchedulerPolicy::kWfq;
+    const serve::ServingReport q = serve::Server(qos, models).run(2000);
+    std::printf("\n3 tenants at overload, %s%s\n",
+                serve::scheduler_policy_name(policy),
+                qos.admission.enforce_quotas ? " + quotas" : "");
     std::printf("fairness index %.3f; shed %llu (quota %llu)\n",
-                q.report.fairness_index,
-                static_cast<unsigned long long>(q.report.shed.total()),
+                q.fairness_index,
+                static_cast<unsigned long long>(q.shed.total()),
                 static_cast<unsigned long long>(
-                    q.report.shed.count(serve::ShedReason::kQuota)));
-    for (const serve::TenantReport& t : q.report.tenants) {
+                    q.shed.count(serve::ShedReason::kQuota)));
+    for (const serve::TenantReport& t : q.tenants) {
       std::printf("  tenant %u (tier %u, w=%.0f): offered %llu admitted "
                   "%llu, SLO hit %.1f%%\n",
                   t.tenant, t.tier, t.weight,
@@ -167,27 +169,19 @@ int main() {
   // and the metrics registry attached. The simulated report must not
   // move (tracing is invisible to the simulation); the trace lands
   // beside the binary as Chrome trace-event JSON.
-  options.tenants.clear();
-  options.admission = serve::AdmissionConfig{};
-  options.policy = serve::SchedulerPolicy::kEdf;
-  options.mean_interarrival_cycles = 10'000.0;
-  options.max_wait_cycles = 200'000;
-  options.slo_default_deadline_cycles = 500'000;
-  options.requests = 200;
-  options.workers = options.pool_devices;
   obs::MetricsRegistry registry;
   obs::TraceRecorder recorder;
-  options.metrics = &registry;
-  options.trace_recorder = &recorder;
-  const runtime::ServingMeasurement traced =
-      runtime::measure_serving(tasks, options);
+  serve::ServerConfig observed = parallel;
+  observed.metrics = &registry;
+  observed.trace = &recorder;
+  const serve::ServingReport traced = serve::Server(observed, models).run(200);
   const bool trace_identical =
-      traced.report.makespan_cycles == r.makespan_cycles &&
-      traced.report.accuracy == r.accuracy &&
-      traced.report.latency.p99_cycles == r.latency.p99_cycles;
+      traced.makespan_cycles == r.makespan_cycles &&
+      traced.accuracy == r.accuracy &&
+      traced.latency.p99_cycles == r.latency.p99_cycles;
   const char* trace_path = "serving_demo_trace.json";
-  const bool wrote = obs::write_chrome_trace(trace_path, recorder,
-                                             options.clock_hz, &registry);
+  const bool wrote = obs::write_chrome_trace(
+      trace_path, recorder, config.accel.clock_hz, &registry);
   if (obs::kEnabled) {
     std::printf("\nobservability: recorded %zu trace events; simulated "
                 "report %s the untraced run\n",
@@ -209,39 +203,39 @@ int main() {
   // process. Submit a small burst, watch it resolve, tighten the SLO
   // live, submit another burst, then drain. This is exactly what the
   // mann_served daemon does per protocol command.
-  std::vector<serve::ServedModel> models;
+  std::vector<serve::ServedModel> ith_models;
   for (const runtime::TaskArtifacts& art : tasks) {
-    models.push_back({accel::compile_model(art.model, &art.ith),
-                      art.dataset.test});
+    ith_models.push_back({accel::compile_model(art.model, &art.ith),
+                          art.dataset.test});
   }
   serve::SloConfig open_slo;
   open_slo.default_deadline_cycles = 500'000;
-  serve::Server open_server(
-      serve::ServingOptions().slo(open_slo), std::move(models));
-  (void)open_server.start();
+  serve::ServerConfig open_config;
+  open_config.traffic.slo = open_slo;
+  serve::ServerSession session(open_config, ith_models);
   std::printf("\nincremental session:\n");
   for (int burst = 0; burst < 2; ++burst) {
     for (int i = 0; i < 4; ++i) {
       serve::SubmitRequest request;
       request.task = static_cast<std::size_t>(i % 2);
-      (void)open_server.submit(request);
+      (void)session.submit(request);
     }
-    (void)open_server.step(0);  // run the burst to quiescence
-    for (const serve::Completion& c : open_server.poll_completions()) {
+    (void)session.step(0);  // run the burst to quiescence
+    for (const serve::Completion& c : session.poll_completions()) {
       std::printf("  id=%llu task=%zu outcome=%s latency=%.3f ms\n",
                   static_cast<unsigned long long>(c.response.id),
                   c.response.task, serve::request_outcome_name(c.outcome),
                   static_cast<double>(c.response.latency_cycles()) /
-                      options.clock_hz * 1e3);
+                      open_config.accel.clock_hz * 1e3);
     }
     if (burst == 0) {
       open_slo.default_deadline_cycles = 150'000;  // tighten live
-      open_server.session()->set_slo(open_slo);
+      session.set_slo(open_slo);
       std::printf("  -- SLO tightened to 1.5 ms mid-session --\n");
     }
   }
-  open_server.drain();
-  const serve::ServingReport open_report = open_server.finalize();
+  session.drain();
+  const serve::ServingReport open_report = session.finalize();
   std::printf("  session report: offered=%zu completed=%zu over %llu "
               "cycles\n",
               open_report.offered, open_report.completed,

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <functional>
 #include <stdexcept>
 
 #include "accel/control.hpp"
@@ -85,16 +84,13 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   return fp.value();
 }
 
-/// One of Simulator's clock loops (run_events or run_until).
-using ClockLoop = sim::Cycle (sim::Simulator::*)(const std::function<bool()>&,
-                                                 sim::Cycle);
-
-/// Builds the device's module graph, clocks it with `loop` until every
-/// story's answer has reached the host, and assembles the report.
+/// Builds the device's module graph, clocks it until every story's
+/// answer has reached the host (on Simulator::run_events, or run_until
+/// when `per_cycle`), and assembles the report.
 RunResult simulate_graph(const AccelConfig& config,
                          const DeviceProgram& program,
                          std::span<const data::EncodedStory> stories,
-                         bool model_resident, ClockLoop loop) {
+                         bool model_resident, bool per_cycle) {
   AcceleratorState state(program);
   if (model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
@@ -126,8 +122,12 @@ RunResult simulate_graph(const AccelConfig& config,
   simulator.add_module(output);
 
   const std::size_t expected = stories.size();
-  (simulator.*loop)([&] { return host.answers().size() >= expected; },
-                    config.watchdog_cycles);
+  const auto answered = [&] { return host.answers().size() >= expected; };
+  if (per_cycle) {
+    (void)simulator.run_until(answered, config.watchdog_cycles);
+  } else {
+    (void)simulator.run_events(answered, config.watchdog_cycles);
+  }
 
   RunResult result;
   result.total_cycles = simulator.now();
@@ -236,7 +236,7 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
 RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
                                 const RunOptions& options) const {
   return simulate_graph(config_, program_, stories, options.model_resident,
-                        &sim::Simulator::run_events);
+                        /*per_cycle=*/false);
 }
 
 namespace detail {
@@ -245,7 +245,7 @@ RunResult simulate_per_cycle(const Accelerator& device,
                              std::span<const data::EncodedStory> stories,
                              bool model_resident) {
   return simulate_graph(device.config(), device.program(), stories,
-                        model_resident, &sim::Simulator::run_until);
+                        model_resident, /*per_cycle=*/true);
 }
 
 }  // namespace detail

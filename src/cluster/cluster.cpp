@@ -125,7 +125,6 @@ Cluster::Cluster(ClusterConfig config,
   for (std::size_t i = 0; i < config_.instances; ++i) {
     serve::SessionOptions options;
     options.total_requests = 0;  // arrivals come through the router
-    options.auto_drain = false;
     options.collect_completions = true;
     options.first_id = static_cast<serve::RequestId>(i) * kIdStride;
     auto instance = std::make_unique<Instance>();

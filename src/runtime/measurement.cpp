@@ -1,7 +1,6 @@
 #include "runtime/measurement.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 
@@ -9,7 +8,6 @@
 #include "core/ith_eval.hpp"
 #include "model/flops.hpp"
 #include "model/serialize.hpp"
-#include "serve/options.hpp"
 
 namespace mann::runtime {
 
@@ -203,148 +201,6 @@ MeasurementRow measure_fpga(const TaskArtifacts& artifacts,
   row.link_active_seconds =
       static_cast<double>(run.link_active_cycles) / options.clock_hz * reps;
   return row;
-}
-
-namespace {
-
-/// Compiles every suite task into the served-model registry (the same
-/// build for a bare Server and for every cluster instance).
-std::vector<serve::ServedModel> build_served_models(
-    const std::vector<TaskArtifacts>& suite, const ServingOptions& options) {
-  std::vector<serve::ServedModel> models;
-  models.reserve(suite.size());
-  for (const TaskArtifacts& art : suite) {
-    serve::ServedModel model;
-    model.program =
-        accel::compile_model(art.model, options.ith ? &art.ith : nullptr);
-    model.stories = art.dataset.test;
-    models.push_back(std::move(model));
-  }
-  return models;
-}
-
-/// Lowers the harness-level ServingOptions into a full ServerConfig —
-/// shared by measure_serving (one server) and measure_cluster (the
-/// per-instance template).
-serve::ServerConfig build_server_config(const ServingOptions& options) {
-  accel::AccelConfig accel;
-  accel.clock_hz = options.clock_hz;
-  accel.ith_enabled = options.ith;
-
-  serve::TrafficConfig traffic;
-  traffic.process = options.process;
-  traffic.mean_interarrival_cycles = options.mean_interarrival_cycles;
-  traffic.diurnal_amplitude = options.diurnal_amplitude;
-  traffic.diurnal_period_cycles = options.diurnal_period_cycles;
-  traffic.trace = options.trace;
-  traffic.seed = options.seed;
-
-  serve::SloConfig slo;
-  slo.default_deadline_cycles = options.slo_default_deadline_cycles;
-  slo.per_task = options.slo_per_task;
-
-  serve::BatcherConfig batcher;
-  batcher.max_batch = options.max_batch;
-  batcher.max_wait_cycles = options.max_wait_cycles;
-
-  serve::SchedulerConfig scheduler;
-  scheduler.devices = options.pool_devices;
-  scheduler.dedicated_devices = options.dedicated_devices;
-  scheduler.work_stealing = options.work_stealing;
-  scheduler.eviction = options.eviction;
-  scheduler.workers = options.workers;
-  scheduler.cache_capacity = options.cache_capacity;
-  scheduler.cycle_cache = options.cycle_cache;
-
-  // tenants()/slo()/policy() after traffic()/scheduler(): the block
-  // setters replace their whole config, the granular ones just a slice.
-  return serve::ServingOptions()
-      .accel(accel)
-      .traffic(std::move(traffic))
-      .admission(options.admission)
-      .batcher(batcher)
-      .scheduler(std::move(scheduler))
-      .tenants(options.tenants)
-      .slo(std::move(slo))
-      .policy(options.policy)
-      .metrics(options.metrics)
-      .trace_recorder(options.trace_recorder)
-      .build();
-}
-
-}  // namespace
-
-ServingMeasurement measure_serving(const std::vector<TaskArtifacts>& suite,
-                                   const ServingOptions& options) {
-  if (suite.empty()) {
-    throw std::invalid_argument("measure_serving: empty suite");
-  }
-
-  const serve::Server server(build_server_config(options),
-                             build_served_models(suite, options));
-
-  ServingMeasurement measurement;
-  measurement.config_name =
-      "serve N=" + std::to_string(options.pool_devices) +
-      " B=" + std::to_string(options.max_batch) + " ia=" +
-      std::to_string(static_cast<long long>(
-          options.mean_interarrival_cycles)) +
-      "cy " + serve::scheduler_policy_name(options.policy) +
-      (options.ith ? " + ITH" : "");
-  if (!options.tenants.empty()) {
-    measurement.config_name +=
-        " T=" + std::to_string(options.tenants.size());
-  }
-  if (options.workers > 0) {
-    measurement.config_name += " W=" + std::to_string(options.workers);
-  }
-  if (options.workers > 0 || options.cycle_cache != nullptr) {
-    measurement.config_name += " +cache";
-  }
-  measurement.report = server.run(options.requests);
-  return measurement;
-}
-
-ClusterMeasurement measure_cluster(const std::vector<TaskArtifacts>& suite,
-                                   const ServingOptions& options,
-                                   const ClusterServingOptions& cluster_options) {
-  if (suite.empty()) {
-    throw std::invalid_argument("measure_cluster: empty suite");
-  }
-
-  // The registry outlives the fleet: instances hold references, each
-  // with its own device pool.
-  const std::vector<serve::ServedModel> models =
-      build_served_models(suite, options);
-
-  cluster::ClusterConfig config;
-  config.instances = cluster_options.instances;
-  config.server = build_server_config(options);
-  config.router = cluster_options.router;
-  config.autoscaler = cluster_options.autoscaler;
-  config.fleet_threads = cluster_options.fleet_threads;
-  config.cache_segments = cluster_options.cache_segments;
-
-  cluster::Cluster fleet(std::move(config), models);
-
-  ClusterMeasurement measurement;
-  measurement.config_name =
-      "cluster x" + std::to_string(cluster_options.instances) + " " +
-      cluster::router_policy_name(cluster_options.router.kind) +
-      " N=" + std::to_string(options.pool_devices) +
-      " B=" + std::to_string(options.max_batch) +
-      (cluster_options.autoscaler.enabled ? " +autoscale" : "") +
-      (options.workers > 0 ? " W=" + std::to_string(options.workers) : "") +
-      (cluster_options.fleet_threads > 1
-           ? " F=" + std::to_string(cluster_options.fleet_threads)
-           : "");
-
-  const auto start = std::chrono::steady_clock::now();
-  measurement.report = fleet.run(options.requests);
-  measurement.host_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return measurement;
 }
 
 }  // namespace mann::runtime

@@ -2,36 +2,37 @@
 //
 // ServerConfig grew one nested config per control-plane stage, and the
 // call sites grew with it — a dozen lines of field-by-field assignment
-// (src/runtime/measurement.cpp was the worst offender) before a Server
-// could be constructed. The builder collapses that into a chain that
-// names only what deviates from the defaults:
+// before a Server could be constructed. The builder collapses that into
+// a chain that names only what deviates from the defaults:
 //
 //   serve::Server server(serve::ServingOptions()
 //                            .tenants(registry)
 //                            .slo(slos)
 //                            .policy(serve::SchedulerPolicy::kEdf)
-//                            .metrics(&registry),
+//                            .metrics(&registry)
+//                            .build(),
 //                        std::move(models));
 //
 // Defaults (all inherited from the nested configs — the builder never
 // invents its own):
-//   * accel      — AccelConfig{}: 200 MHz clock, default FIFO depths,
+//   * accel      — AccelConfig{}: 100 MHz clock, default FIFO depths,
 //                  ITH off.
 //   * traffic    — TrafficConfig{}: Poisson arrivals at one request per
 //                  50k cycles, no SLOs, single default tenant, seed 2019.
 //   * admission  — AdmissionConfig{}: transparent (quota enforcement on
 //                  but no tenant carries a quota; doom/overload off).
 //   * batcher    — BatcherConfig{}: batch up to 8, flush at 200k cycles,
-//                  lanes bounded at 64.
-//   * scheduler  — SchedulerConfig{}: EDF over 1 device, no stealing,
-//                  sequential host execution.
+//                  lanes bounded at 4096.
+//   * scheduler  — SchedulerConfig{}: EDF over 2 shared devices with work
+//                  stealing, LRU eviction, sequential host execution.
 //   * power      — FpgaPowerConfig{}: the calibrated board model.
 //   * watchdog   — 20e9 cycles; histogram_bins 64; obs sinks null.
 //
 // The builder is a value: copy it to fork a baseline into variants. It
 // intentionally has no behaviour beyond accumulation — build() hands the
-// finished ServerConfig to Server, and every validity check stays where
-// it always lived (the component constructors).
+// finished ServerConfig to Server, ServerSession or a ClusterConfig, and
+// every validity check stays where it always lived (the component
+// constructors).
 #pragma once
 
 #include <utility>

@@ -64,8 +64,7 @@ Scheduler::Scheduler(SchedulerConfig config,
   if (cache_ == nullptr && config_.workers > 0) {
     owned_cache_ = std::make_unique<accel::ServiceCycleCache>(
         config_.cache_capacity == 0 ? 1 : config_.cache_capacity,
-        config_.metrics,
-        config_.cache_segments == 0 ? 1 : config_.cache_segments);
+        config_.metrics);
     // Cost-informed sizing for the owned cache: evict the entry cheapest
     // to re-simulate (its cycles ARE its reload cost). External caches
     // are configured by their owner.

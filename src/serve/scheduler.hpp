@@ -145,12 +145,6 @@ struct SchedulerConfig {
   /// Entry bound of the internally owned service-cycle cache (ignored
   /// when `cycle_cache` is supplied).
   std::size_t cache_capacity = 1024;
-  /// Lock segments of the owned cache (ignored when `cycle_cache` is
-  /// supplied; its owner shards it). 1 = the classic single-mutex cache;
-  /// more keeps many workers from serializing on one lock. Purely a
-  /// host-side knob: hit/wait/miss totals and every simulated number are
-  /// segment-count invariant.
-  std::size_t cache_segments = 1;
   /// External service-cycle cache (non-owning) — lets callers share one
   /// cache across Server runs so a repeated workload replays instantly.
   /// When null and `workers > 0`, the scheduler owns a private cache

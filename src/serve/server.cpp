@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/options.hpp"
 #include "serve/session.hpp"
 
 namespace mann::serve {
@@ -20,62 +19,17 @@ Server::Server(ServerConfig config, std::vector<ServedModel> models)
   }
 }
 
-Server::Server(const ServingOptions& options, std::vector<ServedModel> models)
-    : Server(options.build(), std::move(models)) {}
-
-Server::~Server() = default;
-Server::Server(Server&&) noexcept = default;
-Server& Server::operator=(Server&&) noexcept = default;
-
 ServingReport Server::run(std::size_t total_requests) const {
   SessionOptions options;
   options.total_requests = total_requests;
-  // The closed-loop contract: flush leftovers the moment the generator
-  // runs dry, and skip the completion outbox nobody will poll.
-  options.auto_drain = true;
+  // The closed-loop contract: skip the completion outbox nobody will
+  // poll, and drain from the start so leftovers flush the moment the
+  // generator runs dry.
   options.collect_completions = false;
   ServerSession session(config_, models_, options);
   session.drain();
   (void)session.step(0);
   return session.finalize();
-}
-
-ServerSession& Server::start(const SessionOptions& options) {
-  if (session_ != nullptr) {
-    throw std::logic_error(
-        "Server: a session is already active — finalize() it first");
-  }
-  session_ = std::make_unique<ServerSession>(config_, models_, options);
-  return *session_;
-}
-
-ServerSession& Server::start() { return start(SessionOptions{}); }
-
-ServerSession& Server::active_session() {
-  if (session_ == nullptr) {
-    throw std::logic_error("Server: no active session — start() first");
-  }
-  return *session_;
-}
-
-RequestId Server::submit(const SubmitRequest& request) {
-  return active_session().submit(request);
-}
-
-bool Server::step(sim::Cycle cycles) {
-  return active_session().step(cycles);
-}
-
-std::vector<Completion> Server::poll_completions() {
-  return active_session().poll_completions();
-}
-
-void Server::drain() { active_session().drain(); }
-
-ServingReport Server::finalize() {
-  ServingReport report = active_session().finalize();
-  session_.reset();
-  return report;
 }
 
 }  // namespace mann::serve

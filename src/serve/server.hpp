@@ -19,19 +19,17 @@
 //
 // Two ways to drive it:
 //
-//   * run(n) — the closed-loop one-shot: serve n generated requests to
-//     completion and report. Implemented as a thin composition over the
-//     incremental API below and bit-identical to the historical loop.
-//   * start()/submit()/step()/poll_completions()/drain()/finalize() —
-//     the incremental session API (serve/session.hpp): an outside driver
-//     (tools/mann_served, a test harness) feeds arrivals in, advances
-//     the clock in bounded steps, drains resolved requests as
-//     serve::Completion records, and reconfigures tenants/SLOs/policy
-//     mid-run.
+//   * Server::run(n) — the closed-loop one-shot: serve n generated
+//     requests to completion and report. A drain/step/finalize
+//     composition over one private ServerSession.
+//   * serve::ServerSession (serve/session.hpp) — the incremental API: an
+//     outside driver (tools/mann_served, mann::cluster, a test harness)
+//     feeds arrivals in, advances the clock in bounded steps, drains
+//     resolved requests as serve::Completion records, and reconfigures
+//     tenants/SLOs/policy mid-run.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,19 +42,12 @@
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
 #include "serve/metrics.hpp"
-#include "serve/outcome.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/tenant.hpp"
 #include "sim/types.hpp"
 
 namespace mann::serve {
-
-class ServingOptions;  // serve/options.hpp — fluent ServerConfig builder
-class ServerSession;   // serve/session.hpp — the incremental session
-struct SessionOptions;
-struct SubmitRequest;
-struct SessionInfo;
 
 /// One deployable model: its compiled device program plus the corpus of
 /// encodable questions traffic is drawn from (non-owning).
@@ -95,18 +86,10 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Preferred: build the config with the serve::ServingOptions fluent
-  /// builder (serve/options.hpp) and hand it over.
-  Server(const ServingOptions& options, std::vector<ServedModel> models);
-
-  /// Legacy shim: direct field-by-field ServerConfig construction.
-  /// Prefer the ServingOptions overload above — this one stays only so
-  /// existing call sites keep compiling unchanged.
+  /// Build `config` field by field or with the serve::ServingOptions
+  /// fluent builder (serve/options.hpp). Throws std::invalid_argument
+  /// for an empty registry or a model with an empty corpus.
   Server(ServerConfig config, std::vector<ServedModel> models);
-
-  ~Server();
-  Server(Server&&) noexcept;
-  Server& operator=(Server&&) noexcept;
 
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
@@ -114,53 +97,13 @@ class Server {
 
   /// Serves `total_requests` drawn from the traffic config to completion
   /// (every admitted request answered, queues drained) and reports. A
-  /// thin closed loop over the incremental API: it opens a private
-  /// auto-draining session, steps it to quiescence and finalizes —
-  /// bit-identical to the historical single-call implementation.
+  /// thin closed loop over one private ServerSession: drain, step to
+  /// quiescence, finalize.
   [[nodiscard]] ServingReport run(std::size_t total_requests) const;
 
-  // ---- incremental API ----
-  //
-  // One active session at a time, owned by the server; each method
-  // below delegates to it (std::logic_error when no session is active).
-  // For full control — several concurrent sessions, custom options
-  // wiring — construct serve::ServerSession directly; these wrappers are
-  // the convenient 90% path.
-
-  /// Opens the session. Throws std::logic_error if one is already
-  /// active (finalize() first).
-  ServerSession& start(const SessionOptions& options);
-  ServerSession& start();
-
-  /// Injects one request into the active session (see
-  /// SubmitRequest/ServerSession::submit for arrival/deadline rules).
-  RequestId submit(const SubmitRequest& request);
-
-  /// Advances the active session up to `cycles` simulated cycles
-  /// (0 = to quiescence); true when quiescent.
-  bool step(sim::Cycle cycles);
-
-  /// Drains the active session's resolved requests — completions and
-  /// sheds — as a deterministic (cycle, id)-sorted stream.
-  [[nodiscard]] std::vector<Completion> poll_completions();
-
-  /// Switches the active session to drain mode (sub-size batches flush
-  /// immediately; the end-of-stream signal).
-  void drain();
-
-  /// Runs the active session to quiescence, closes it and returns its
-  /// ServingReport. A new session may be start()ed afterwards.
-  [[nodiscard]] ServingReport finalize();
-
-  /// The active session, or nullptr outside start()..finalize().
-  [[nodiscard]] ServerSession* session() noexcept { return session_.get(); }
-
  private:
-  [[nodiscard]] ServerSession& active_session();
-
   ServerConfig config_;
   std::vector<ServedModel> models_;
-  std::unique_ptr<ServerSession> session_;
 };
 
 }  // namespace mann::serve

@@ -147,9 +147,8 @@ class ServerSession::Frontend final : public sim::Module {
 
 /// Moves ready batches from the batcher into the scheduler, respecting
 /// the scheduler's queue bound (back-pressure instead of drop). Once the
-/// session is draining (explicitly, or auto-drain with idle sources —
-/// the closed-loop end-of-run), flushes sub-size leftovers immediately
-/// rather than letting them age to the timeout.
+/// session is draining and its sources are idle, flushes sub-size
+/// leftovers immediately rather than letting them age to the timeout.
 class ServerSession::BatchStage final : public sim::Module {
  public:
   explicit BatchStage(ServerSession& session)
@@ -381,61 +380,14 @@ bool ServerSession::step_until(sim::Cycle limit) {
     wall_running_ = true;
     wall_start_ = std::chrono::steady_clock::now();
   }
-  if (!watchdog_start_.has_value()) {
-    watchdog_start_ = simulator_.now();
-  }
-  // This loop is Simulator::run_events with two surgical additions — the
-  // exclusive `limit` holds (marked below) — so that with limit ==
-  // sim::kNever it replays the closed-loop run() tick sequence
-  // bit-identically, watchdog throws included.
-  const sim::Cycle start = *watchdog_start_;
-  const sim::Cycle max_cycles = config_.watchdog_cycles;
-  const std::vector<sim::Module*>& modules = simulator_.modules();
-  while (!idle()) {
-    if (simulator_.now() - start >= max_cycles) {
-      throw std::runtime_error(
-          "Simulator: watchdog expired — dataflow deadlock or runaway");
-    }
-
-    // Quiescence check: if every module agrees nothing can happen before
-    // some future cycle, jump straight there. A nullopt vetoes the jump.
-    sim::Cycle horizon = sim::kNever;
-    bool skippable = !modules.empty();
-    for (const sim::Module* m : modules) {
-      const std::optional<sim::Cycle> next =
-          m->next_activity(simulator_.now());
-      if (!next.has_value()) {
-        skippable = false;
-        break;
-      }
-      horizon = std::min(horizon, *next);
-    }
-    if (skippable && horizon > simulator_.now()) {
-      if (limit != sim::kNever && horizon >= limit) {
-        // Exclusive-limit hold: the next event sits at or past the
-        // horizon the driver vouched for, so stop *without* moving the
-        // clock — a later submit may land before `horizon`.
-        return false;
-      }
-      // Clamp so the watchdog still fires instead of wrapping past it.
-      simulator_.advance(std::min(horizon, start + max_cycles) -
-                         simulator_.now());
-      if (simulator_.now() - start >= max_cycles) {
-        throw std::runtime_error(
-            "Simulator: watchdog expired — all modules idle forever");
-      }
-    } else if (limit != sim::kNever && simulator_.now() >= limit) {
-      // Exclusive-limit hold: work is due *now*, but now is past the
-      // driver's horizon — the tick belongs to a future step_until.
-      return false;
-    }
-
-    for (sim::Module* m : modules) {
-      m->tick();
-    }
-    simulator_.advance(1);
-  }
-  return true;
+  // The serving watchdog counts from cycle 0 (the clock only moves
+  // here), not from this call: a driver stepping in many short horizons
+  // gets no more cycles than one run() would. The simulator throws
+  // before the clock passes the watchdog, so the subtraction is safe.
+  (void)simulator_.run_events([this] { return idle(); },
+                              config_.watchdog_cycles - simulator_.now(),
+                              limit);
+  return idle();
 }
 
 std::vector<Completion> ServerSession::poll_completions() {

@@ -24,15 +24,17 @@
 // Determinism contract: the tick sequence is a pure function of the
 // arrival schedule (generated + submitted), never of *when* the driver
 // called step_until — pausing at any horizon and resuming later replays
-// the exact same cycles. Server::run() is reimplemented as a thin
-// drain/step/finalize composition over one session and stays
-// bit-identical to the historical single-call loop.
+// the exact same cycles. Server::run() is a drain/step/finalize
+// composition over one private session.
 //
-// The horizon is exclusive: step_until(h) processes every event at
-// cycles < h and holds everything at >= h. A lockstep driver that has
-// submitted all arrivals up to cycle c can therefore step_until(c)
-// safely — a not-yet-submitted arrival at exactly c is still in the
-// future when it finally arrives.
+// The pipeline stages are sim::Modules, and every step is one
+// sim::Simulator::run_events call with an exclusive horizon:
+// step_until(h) processes every event at cycles < h and holds
+// everything at >= h. A lockstep driver that has submitted all arrivals
+// up to cycle c can therefore step_until(c) safely — a not-yet-submitted
+// arrival at exactly c is still in the future when it finally arrives.
+// The serving watchdog (ServerConfig::watchdog_cycles) counts from cycle
+// 0 across all steps, never per call.
 #pragma once
 
 #include <chrono>
@@ -48,18 +50,11 @@
 
 namespace mann::serve {
 
-/// Knobs of one incremental session (see Server::start()).
+/// Knobs of one incremental session.
 struct SessionOptions {
   /// Closed-loop requests drawn from config.traffic by the generator.
   /// 0 = pure open-loop: every request arrives via submit().
   std::size_t total_requests = 0;
-  /// Flush sub-size batches as soon as the arrival sources are idle —
-  /// the closed-loop run() behaviour, where "sources idle" means "the
-  /// run is over". Off (the open-loop default), leftovers age to the
-  /// batcher timeout until drain() is called: between submits the
-  /// sources are *always* momentarily idle, and flushing then would
-  /// defeat batching entirely.
-  bool auto_drain = false;
   /// Record a Completion per resolved request for poll_completions().
   /// run() turns this off — nobody polls, so nothing should accumulate.
   bool collect_completions = true;
@@ -102,8 +97,7 @@ struct SessionInfo {
 
 class ServerSession {
  public:
-  /// `models` must outlive the session (Server owns them for sessions
-  /// created via Server::start()).
+  /// `models` must outlive the session.
   ServerSession(ServerConfig config, const std::vector<ServedModel>& models,
                 SessionOptions options = {});
   ~ServerSession();
@@ -130,7 +124,8 @@ class ServerSession {
 
   /// Advances until the exclusive cycle horizon `limit` (sim::kNever =
   /// to quiescence). Returns true when quiescent. Throws the serving
-  /// watchdog's std::runtime_error exactly like the historical run().
+  /// watchdog's std::runtime_error once the clock reaches
+  /// ServerConfig::watchdog_cycles with work left, exactly like run().
   bool step_until(sim::Cycle limit);
 
   /// Moves out every request resolved since the last poll — completions
@@ -213,10 +208,12 @@ class ServerSession {
   [[nodiscard]] bool sources_exhausted() const noexcept {
     return generator_.exhausted() && injected_.empty();
   }
-  /// Sub-size leftovers flush immediately (drain mode): explicit drain,
-  /// or auto_drain with idle sources (the closed-loop end-of-run).
+  /// Sub-size leftovers flush immediately once drain() was called and
+  /// the arrival sources are idle. Until then they age to the batcher
+  /// timeout: between submits the sources are always momentarily idle,
+  /// and flushing then would defeat batching.
   [[nodiscard]] bool drain_ready() const noexcept {
-    return (draining_ || options_.auto_drain) && sources_exhausted();
+    return draining_ && sources_exhausted();
   }
   /// SLO deadline for a submitted request (tenant override, else task).
   [[nodiscard]] sim::Cycle deadline_for(std::size_t task,
@@ -247,7 +244,6 @@ class ServerSession {
   bool draining_ = false;
   bool finalized_ = false;
 
-  std::optional<sim::Cycle> watchdog_start_;  ///< clock at first step
   bool wall_running_ = false;
   std::chrono::steady_clock::time_point wall_start_{};
   double wall_seconds_ = 0.0;

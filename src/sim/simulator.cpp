@@ -25,7 +25,7 @@ Cycle Simulator::run_until(const std::function<bool()>& done,
 }
 
 Cycle Simulator::run_events(const std::function<bool()>& done,
-                            Cycle max_cycles) {
+                            Cycle max_cycles, Cycle limit) {
   const Cycle start = now_;
   while (!done()) {
     if (now_ - start >= max_cycles) {
@@ -45,6 +45,12 @@ Cycle Simulator::run_events(const std::function<bool()>& done,
         break;
       }
       horizon = std::min(horizon, *next);
+    }
+    // Exclusive horizon: the next event (the skip target, or this very
+    // cycle when nothing can be skipped) is at or past `limit`, so it
+    // belongs to a later call. Stop before moving the clock to it.
+    if (limit != kNever && (skippable ? horizon : now_) >= limit) {
+      break;
     }
     if (skippable) {
       // Clamp so the watchdog still fires instead of wrapping past it.

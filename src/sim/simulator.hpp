@@ -29,9 +29,16 @@ class Simulator {
   /// run_until) for modules that honour the next_activity/skip contract;
   /// identical to run_until when any module returns nullopt. The
   /// accelerator runs every device simulation on it, and the serving
-  /// runtime's step loop shares its shape to cross sparse request
-  /// arrivals over billions of cycles in bounded host time.
-  Cycle run_events(const std::function<bool()>& done, Cycle max_cycles);
+  /// session steps on it to cross sparse request arrivals over billions
+  /// of cycles in bounded host time.
+  ///
+  /// `limit` is an exclusive horizon: events before it run; when the
+  /// next one is at or past it, the call returns without moving the
+  /// clock, so a caller that learns of new input later can resume from
+  /// the same cycle (done() is then still false). kNever runs until
+  /// done() or the watchdog, including the "idle forever" one.
+  Cycle run_events(const std::function<bool()>& done, Cycle max_cycles,
+                   Cycle limit = kNever);
 
   /// Moves the clock by `cycles` without ticking or skipping any module.
   /// run_events calls it after the modules' skip() accounting, and it is

@@ -281,36 +281,22 @@ TEST(ServerSession, ValidatesSubmissionsAndLifecycle) {
   EXPECT_THROW((void)session.finalize(), std::logic_error);
 }
 
-TEST(Server, StartSubmitFinalizeMatchesRun) {
-  const auto stories = tiny_stories(8);
-  const auto trace = fixed_trace();
-  const ServingReport closed =
-      closed_loop_report(trace, two_models(stories));
+TEST(ServerSession, WatchdogCountsFromTheFirstStepAcrossHorizons) {
+  const auto stories = tiny_stories(4);
+  const auto models = two_models(stories);
+  ServerConfig config = session_config();
+  config.watchdog_cycles = 50'000;
+  ServerSession session(config, models);
 
-  // The same composition through the Server facade (which owns the
-  // models and the session).
-  Server server(session_config(), two_models(stories));
-  ServerSession& session = server.start();
-  EXPECT_EQ(server.session(), &session);
-  EXPECT_THROW((void)server.start(), std::logic_error);
-  for (const TraceEntry& entry : trace) {
-    SubmitRequest request{entry.task, entry.tenant, entry.arrival_cycle, 0};
-    (void)server.submit(request);
+  // Every lockstep horizon sits inside the watchdog, but the last
+  // arrival lands 10 cycles before it expires: too late to be served.
+  // A budget restarted on each step_until would let finalize() run on.
+  for (const sim::Cycle at : {sim::Cycle{0}, sim::Cycle{20'000},
+                              sim::Cycle{40'000}, sim::Cycle{49'990}}) {
+    (void)session.submit(SubmitRequest{0, 0, at, 0});
+    (void)session.step_until(session.last_submitted_arrival());
   }
-  server.drain();
-  const ServingReport open = server.finalize();
-  EXPECT_EQ(server.session(), nullptr);
-  expect_reports_equal(closed, open);
-
-  // The server is reusable after finalize — and run() still works.
-  const ServingReport again = [&] {
-    ServerConfig config = session_config();
-    config.traffic.process = ArrivalProcess::kTrace;
-    config.traffic.trace = trace;
-    const Server rerun(config, two_models(stories));
-    return rerun.run(trace.size());
-  }();
-  expect_reports_equal(closed, again);
+  EXPECT_THROW((void)session.finalize(), std::runtime_error);
 }
 
 TEST(ServerSession, MixedGeneratedAndSubmittedTraffic) {

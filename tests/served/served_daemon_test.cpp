@@ -8,6 +8,7 @@
 // All runs use --tiny models: protocol and scheduling behaviour only
 // depend on cycle costs (shapes), so nothing here needs trained models.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -117,6 +118,24 @@ TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
   EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U);
   EXPECT_EQ(count_lines_with(transcript, "bye "), 1U);
   EXPECT_NE(transcript.find("offered=1"), std::string::npos);
+}
+
+TEST(ServedDaemon, NumericFlagsFollowTheProtocolRule) {
+  // Flags take the protocol's plain-digit rule: an overflowing value is
+  // refused with the usage message (exit 2) instead of saturating into
+  // another seed or an impossible tenant registry.
+  const auto exit_code = [](const std::string& flags) {
+    const std::string cmd = "echo quit | " + std::string(MANN_SERVED_PATH) +
+                            " --tiny 1 " + flags + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(exit_code("--seed 18446744073709551615"), 0);  // 2^64-1 fits
+  EXPECT_EQ(exit_code("--seed 18446744073709551616"), 2);
+  EXPECT_EQ(exit_code("--tenants 99999999999999999999"), 2);
+  EXPECT_EQ(exit_code("--devices -1"), 2);
+  EXPECT_EQ(exit_code("--max-batch +4"), 2);
+  EXPECT_EQ(exit_code("--slo ''"), 2);
 }
 
 TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {

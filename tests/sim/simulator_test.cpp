@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -159,6 +160,53 @@ TEST(Simulator, RunEventsWatchdogStillFires) {
   sim.add_module(m);
   EXPECT_THROW((void)sim.run_events([] { return false; }, 100),
                std::runtime_error);
+}
+
+TEST(Simulator, RunEventsHoldsAtAnExclusiveLimit) {
+  Simulator sim;
+  EventModule m("m", sim, {5, 1000, 100'000});
+  sim.add_module(m);
+  const auto done = [&] { return m.fired.size() >= 3; };
+
+  // Events before the limit run; the next one sits exactly at it, so
+  // the call returns with the clock where the last event left it.
+  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000), 6U);
+  EXPECT_EQ(m.fired, (std::vector<Cycle>{5}));
+  EXPECT_EQ(sim.now(), 6U);
+  // Asking again moves nothing.
+  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000), 0U);
+  EXPECT_EQ(sim.now(), 6U);
+  // A later limit resumes the same timeline, then kNever runs to done().
+  (void)sim.run_events(done, 1'000'000, 1001);
+  EXPECT_EQ(m.fired, (std::vector<Cycle>{5, 1000}));
+  EXPECT_EQ(sim.now(), 1001U);
+  (void)sim.run_events(done, 1'000'000);
+  EXPECT_EQ(m.fired, (std::vector<Cycle>{5, 1000, 100'000}));
+  EXPECT_EQ(sim.now(), 100'001U);
+
+  // Work due every cycle stops at the limit too.
+  Simulator dense_sim;
+  CountingModule dense("d");
+  dense_sim.add_module(dense);
+  EXPECT_EQ(dense_sim.run_events([] { return false; }, 1000, 10), 10U);
+  EXPECT_EQ(dense.ticks, 10U);
+}
+
+TEST(Simulator, RunEventsLimitHoldsIdleModulesButKNeverTrips) {
+  Simulator sim;
+  EventModule m("m", sim, {});  // permanently idle, done never true
+  sim.add_module(m);
+  // Under a limit, "idle forever" is only "nothing before the limit".
+  EXPECT_EQ(sim.run_events([] { return false; }, 100, 50), 0U);
+  EXPECT_EQ(sim.now(), 0U);
+  // Without one, the watchdog still fires at its end.
+  try {
+    (void)sim.run_events([] { return false; }, 100);
+    ADD_FAILURE() << "expected the idle-forever watchdog";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("idle forever"), std::string::npos);
+  }
+  EXPECT_EQ(sim.now(), 100U);
 }
 
 TEST(Simulator, AdvanceReplaysTimeWithoutTicking) {

@@ -145,6 +145,20 @@ struct DaemonOptions {
   std::exit(code);
 }
 
+/// The one numeric rule for flags and protocol tokens: plain decimal
+/// digits that fit in 64 bits. strtoull alone would take a sign
+/// (wrapping "-1" to 2^64-1) and saturate an overflow to 2^64-1.
+std::optional<std::uint64_t> parse_digits(const char* token) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(token, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*token)) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 DaemonOptions parse_args(int argc, char** argv) {
   DaemonOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -157,14 +171,13 @@ DaemonOptions parse_args(int argc, char** argv) {
       return argv[++i];
     };
     const auto count = [&](const char* value) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || parsed < 0) {
+      const std::optional<std::uint64_t> parsed = parse_digits(value);
+      if (!parsed.has_value()) {
         std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
                      arg.c_str(), value);
         usage(2);
       }
-      return static_cast<std::uint64_t>(parsed);
+      return *parsed;
     };
     if (arg == "--tiny") {
       opts.tiny = count(next());
@@ -298,12 +311,7 @@ Workload suite_workload(const DaemonOptions& opts) {
                  "--train-fallback or --tiny N\n");
     std::exit(2);
   }
-  for (const runtime::TaskArtifacts& art : w.suite) {
-    serve::ServedModel model;
-    model.program = accel::compile_model(art.model, nullptr);
-    model.stories = art.dataset.test;
-    w.models.push_back(std::move(model));
-  }
+  w.models = bench::served_models(w.suite);
   return w;
 }
 
@@ -693,18 +701,12 @@ class Manager {
 
   static std::uint64_t parse_count(const std::string& token,
                                    const char* what) {
-    // strtoull alone would take a sign (wrapping "-1" to 2^64-1) and
-    // saturate an overflow to 2^64-1; the token must be plain digits.
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed =
-        std::strtoull(token.c_str(), &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(token.front())) == 0 ||
-        *end != '\0' || errno == ERANGE) {
+    const std::optional<std::uint64_t> parsed = parse_digits(token.c_str());
+    if (!parsed.has_value()) {
       fail(std::string(what) + " needs a non-negative integer, got '" +
            token + "'");
     }
-    return parsed;
+    return *parsed;
   }
 
   /// parse_count for 32-bit fields (tenant ids, tiers): a wider value
