@@ -1,5 +1,9 @@
 #include "common.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+
 #include "accel/compiler.hpp"
 
 namespace mann::bench {
@@ -32,6 +36,54 @@ std::vector<serve::ServedModel> served_models(
     models.push_back({accel::compile_model(art.model), art.dataset.test});
   }
   return models;
+}
+
+std::vector<sim::Cycle> mixed_slos(std::size_t tasks) {
+  std::vector<sim::Cycle> slo(tasks, 0);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    slo[t] = t % 2 == 0 ? 300'000 : 3'000'000;
+  }
+  return slo;
+}
+
+serve::ServerConfig acceptance_config(std::size_t tasks) {
+  serve::ServerConfig config;
+  config.scheduler.devices = 4;
+  // Per-task sharding: stable residency keeps the pool warm, so repeated
+  // batch windows recur instead of becoming new cold variants.
+  config.scheduler.dedicated_devices = 4;
+  config.traffic.mean_interarrival_cycles = 500.0;
+  config.traffic.slo.per_task = mixed_slos(tasks);
+  return config;
+}
+
+serve::ServerConfig trace_replay_config(std::vector<serve::TraceEntry> trace,
+                                        std::size_t tasks) {
+  serve::ServerConfig config;
+  serve::TenantId max_tenant = 0;
+  for (serve::TraceEntry& entry : trace) {
+    entry.task %= tasks;
+    max_tenant = std::max(max_tenant, entry.tenant);
+  }
+  if (max_tenant > 0) {
+    config.traffic.tenants.assign(max_tenant + 1, serve::TenantConfig{});
+  }
+  config.scheduler.devices = 8;
+  config.traffic.process = serve::ArrivalProcess::kTrace;
+  config.traffic.trace = std::move(trace);
+  config.traffic.slo.per_task = mixed_slos(tasks);
+  return config;
+}
+
+cluster::ClusterConfig fleet_config(const serve::ServerConfig& instance,
+                                    std::size_t scale) {
+  cluster::ClusterConfig fleet;
+  fleet.server = instance;
+  fleet.server.traffic.trace =
+      serve::scale_trace(instance.traffic.trace, scale, instance.traffic.seed);
+  fleet.instances = 4;
+  fleet.router.spill_queue_threshold = 256;
+  return fleet;
 }
 
 namespace {
@@ -104,6 +156,17 @@ void print_header(const std::string& title) {
   print_rule();
   std::printf("%s\n", title.c_str());
   print_rule();
+}
+
+std::uint64_t count_flag(const std::string& flag, const char* value,
+                         std::uint64_t least) {
+  const std::optional<std::uint64_t> parsed = serve::parse_digits(value);
+  if (!parsed || *parsed < least) {
+    std::fprintf(stderr, "%s needs an integer >= %llu, got '%s'\n",
+                 flag.c_str(), static_cast<unsigned long long>(least), value);
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 }  // namespace mann::bench

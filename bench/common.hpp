@@ -3,13 +3,16 @@
 // the paper), suite-level aggregation, and plain-text table printing.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "power/energy.hpp"
 #include "runtime/measurement.hpp"
 #include "serve/server.hpp"
+#include "serve/trace.hpp"
 
 namespace mann::bench {
 
@@ -28,6 +31,29 @@ inline constexpr std::size_t kRepetitions = 100;
 /// every server built from the result.
 [[nodiscard]] std::vector<serve::ServedModel> served_models(
     const std::vector<runtime::TaskArtifacts>& suite);
+
+/// Mixed per-task SLOs: even tasks are "interactive" (3 ms at 100 MHz),
+/// odd tasks "batch" (30 ms). The split gives EDF an urgency that
+/// differs from arrival order, which FIFO cannot express.
+[[nodiscard]] std::vector<sim::Cycle> mixed_slos(std::size_t tasks);
+
+/// The serving acceptance workload over `tasks` suite tasks: 4 devices,
+/// one dedicated per shard, batches of 8, Poisson arrivals every 500
+/// cycles (saturating), EDF, mixed SLOs. serve_throughput times it and
+/// the serving contract tests gate its simulated report.
+[[nodiscard]] serve::ServerConfig acceptance_config(std::size_t tasks);
+
+/// One instance replaying `trace`: task ids folded onto the `tasks`
+/// served models, a default tenant registry covering every recorded
+/// tenant (QoS knobs are the replayer's choice), 8 devices, mixed SLOs.
+[[nodiscard]] serve::ServerConfig trace_replay_config(
+    std::vector<serve::TraceEntry> trace, std::size_t tasks);
+
+/// The routed fleet over `instance`'s trace amplified `scale`-fold: 4
+/// instances, power-of-two routing (the default), each instance counted
+/// saturated for spilling at its peak-hour queue depth (256).
+[[nodiscard]] cluster::ClusterConfig fleet_config(
+    const serve::ServerConfig& instance, std::size_t scale);
 
 /// One configuration measured over the whole suite.
 struct SuiteMeasurement {
@@ -52,5 +78,12 @@ struct SuiteMeasurement {
 /// Printf helpers shared by the harnesses.
 void print_rule(int width = 96);
 void print_header(const std::string& title);
+
+/// The value of the count flag `flag` in every harness and tool: plain
+/// digits by serve::parse_digits, at least `least`. Anything else prints
+/// why and exits 2.
+[[nodiscard]] std::uint64_t count_flag(const std::string& flag,
+                                       const char* value,
+                                       std::uint64_t least = 0);
 
 }  // namespace mann::bench

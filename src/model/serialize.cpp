@@ -1,7 +1,11 @@
 #include "model/serialize.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -69,11 +73,31 @@ void save_model(std::ostream& out, const MemN2N& model) {
 }
 
 void save_model_file(const std::string& path, const MemN2N& model) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("save_model_file: cannot open " + path);
+  // Written beside the target under a name no other writer uses, then
+  // renamed over it: a reader opens either the old file or the complete
+  // new one, never a half-written one, and an interrupted save leaves
+  // the old file in place.
+  static std::atomic<unsigned> saves{0};
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "_" +
+                          std::to_string(saves++);
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary);
+      if (!out) {
+        throw std::runtime_error("save_model_file: cannot open " + tmp);
+      }
+      save_model(out, model);
+      out.close();
+      if (!out) {
+        throw std::runtime_error("save_model_file: write failed on " + tmp);
+      }
+    }
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
   }
-  save_model(out, model);
 }
 
 MemN2N load_model(std::istream& in) {

@@ -14,6 +14,8 @@ namespace mann::model {
 
 /// Writes config + parameters. Throws std::runtime_error on stream failure.
 void save_model(std::ostream& out, const MemN2N& model);
+/// Replaces `path` atomically (temporary file in the same directory, then
+/// rename), so concurrent loaders never see a partly written model.
 void save_model_file(const std::string& path, const MemN2N& model);
 
 /// Reads a model back. Throws std::runtime_error on malformed input.

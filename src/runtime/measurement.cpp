@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 
 #include "accel/compiler.hpp"
 #include "core/ith_eval.hpp"
@@ -111,13 +113,19 @@ std::vector<TaskArtifacts> prepare_suite_cached(const PrepareConfig& config,
   for (data::TaskDataset& ds : datasets) {
     const std::string path = cache_dir + "/" + cache_key(config, ds.id);
     if (std::filesystem::exists(path)) {
-      model::MemN2N net = model::load_model_file(path);
-      if (net.config().vocab_size == ds.vocab_size()) {
+      // A file that does not load (torn by a crash or an older
+      // non-atomic writer) or whose vocabulary is stale (data generator
+      // changed) is retrained and replaced.
+      std::optional<model::MemN2N> net;
+      try {
+        net = model::load_model_file(path);
+      } catch (const std::runtime_error&) {
+      }
+      if (net && net->config().vocab_size == ds.vocab_size()) {
         suite.push_back(
-            finish_from_model(std::move(ds), std::move(net), config));
+            finish_from_model(std::move(ds), std::move(*net), config));
         continue;
       }
-      // Stale cache (data generator changed): fall through and retrain.
     }
     TaskArtifacts art = finish_artifacts(std::move(ds), config);
     model::save_model_file(path, art.model);

@@ -9,28 +9,25 @@
 
 namespace mann::serve {
 
-namespace {
-
-[[nodiscard]] bool parse_u64(const std::string& text, std::size_t begin,
-                             std::size_t end, std::uint64_t& out) {
-  if (begin >= end) {
-    return false;
+std::optional<std::uint64_t> parse_digits(std::string_view text) {
+  if (text.empty()) {
+    return std::nullopt;
   }
   std::uint64_t value = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const char c = text[i];
+  for (const char c : text) {
     if (c < '0' || c > '9') {
-      return false;
+      return std::nullopt;
     }
     const auto digit = static_cast<std::uint64_t>(c - '0');
     if (value > (~std::uint64_t{0} - digit) / 10) {
-      return false;  // overflow
+      return std::nullopt;  // overflow
     }
     value = value * 10 + digit;
   }
-  out = value;
-  return true;
+  return value;
 }
+
+namespace {
 
 [[nodiscard]] std::string trimmed(const std::string& line) {
   std::size_t begin = 0;
@@ -81,26 +78,28 @@ std::vector<TraceEntry> load_trace_csv(const std::string& path) {
     const std::size_t second_comma = line.find(',', comma + 1);
     const std::size_t task_end =
         second_comma == std::string::npos ? line.size() : second_comma;
-    std::uint64_t cycle = 0;
-    std::uint64_t task = 0;
-    std::uint64_t tenant = 0;
-    if (!parse_u64(line, 0, comma, cycle) ||
-        !parse_u64(line, comma + 1, task_end, task)) {
+    const std::string_view row = line;
+    const std::optional<std::uint64_t> cycle =
+        parse_digits(row.substr(0, comma));
+    const std::optional<std::uint64_t> task =
+        parse_digits(row.substr(comma + 1, task_end - comma - 1));
+    if (!cycle || !task) {
       fail("expected 'arrival_cycle,task_id[,tenant_id]'");
     }
+    std::optional<std::uint64_t> tenant = 0;
     if (second_comma != std::string::npos) {
-      if (!parse_u64(line, second_comma + 1, line.size(), tenant) ||
-          tenant > std::numeric_limits<TenantId>::max()) {
+      tenant = parse_digits(row.substr(second_comma + 1));
+      if (!tenant || *tenant > std::numeric_limits<TenantId>::max()) {
         fail("expected a tenant_id in the third column");
       }
     }
-    if (!entries.empty() && cycle < entries.back().arrival_cycle) {
+    if (!entries.empty() && *cycle < entries.back().arrival_cycle) {
       throw std::runtime_error("load_trace_csv: " + path + ":" +
                                std::to_string(line_number) +
                                ": arrival cycles must be non-decreasing");
     }
-    entries.push_back({cycle, static_cast<std::size_t>(task),
-                       static_cast<TenantId>(tenant)});
+    entries.push_back({*cycle, static_cast<std::size_t>(*task),
+                       static_cast<TenantId>(*tenant)});
   }
   return entries;
 }

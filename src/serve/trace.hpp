@@ -18,7 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/tenant.hpp"
@@ -36,6 +38,13 @@ struct TraceEntry {
 
   [[nodiscard]] bool operator==(const TraceEntry&) const noexcept = default;
 };
+
+/// The one rule for every count a trace row, a tool flag or a daemon
+/// command carries: plain decimal digits that fit in 64 bits. A sign,
+/// whitespace, a trailing non-digit or an overflow yields nullopt
+/// (strtoull would take "-1" as 2^64-1 and saturate an overflow).
+[[nodiscard]] std::optional<std::uint64_t> parse_digits(
+    std::string_view text);
 
 /// Parses a trace CSV (either versioned header row, blank lines and `#`
 /// comments ignored; rows may be 2-column v1 or 3-column v2). Throws

@@ -146,24 +146,45 @@ TEST(Cluster, FleetThreadCountChangesNoSimulatedReportField) {
   // 4x the fixed schedule so four instances all see traffic.
   const auto trace = serve::scale_trace(fixed_trace(), 4, 2019);
 
-  std::vector<ClusterReport> reports;
-  for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
-    ClusterConfig config =
-        cluster_config(4, trace, RouterPolicyKind::kPowerOfTwo);
+  // Every routing tier: power-of-two; task affinity; tenant spill with a
+  // low saturation threshold, so the opening burst spills past its three
+  // tenant homes onto instance 3; power-of-two with the autoscaler
+  // parking through the quiet tail.
+  const ClusterConfig p2c =
+      cluster_config(4, trace, RouterPolicyKind::kPowerOfTwo);
+  const ClusterConfig affinity =
+      cluster_config(4, trace, RouterPolicyKind::kTaskAffinity);
+  ClusterConfig spill =
+      cluster_config(4, trace, RouterPolicyKind::kTenantSpill);
+  spill.router.spill_queue_threshold = 2;
+  ClusterConfig autoscaled = p2c;
+  autoscaled.autoscaler.enabled = true;
+  autoscaled.autoscaler.epoch_cycles = 100'000;
+  autoscaled.autoscaler.up_arrivals_per_instance = 20.0;
+  autoscaled.autoscaler.down_arrivals_per_instance = 5.0;
+  autoscaled.autoscaler.cooldown_epochs = 0;
+
+  const auto run = [&](ClusterConfig config, std::size_t threads) {
     config.fleet_threads = threads;
     // Exercise the fleet-shared sharded cache in every run: concurrent
     // instances hitting the same segments must not perturb anything.
     config.cache_segments = 4;
     Cluster cluster(config, models);
-    reports.push_back(cluster.run(trace.size()));
+    return cluster.run(trace.size());
+  };
+  for (const ClusterConfig& fleet : {p2c, affinity, spill, autoscaled}) {
+    const ClusterReport sequential = run(fleet, 0);
+    EXPECT_EQ(sequential.offered, trace.size());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      EXPECT_TRUE(simulated_cluster_reports_identical(sequential,
+                                                      run(fleet, threads)))
+          << sequential.policy
+          << (fleet.autoscaler.enabled ? " autoscaled" : "")
+          << " fleet report diverged at " << threads << " fleet threads";
+    }
   }
-
-  EXPECT_EQ(reports.front().offered, trace.size());
-  for (std::size_t r = 1; r < reports.size(); ++r) {
-    EXPECT_TRUE(
-        simulated_cluster_reports_identical(reports.front(), reports[r]))
-        << "fleet report diverged at thread-count run " << r;
-  }
+  EXPECT_GT(run(spill, 0).instance_reports[3].routed, 0u);
+  EXPECT_GE(run(autoscaled, 0).scale_downs, 1u);
 }
 
 TEST(Cluster, MergedStreamIsByteIdenticalAcrossFleetThreadCounts) {

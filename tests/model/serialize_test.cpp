@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace mann::model {
@@ -73,6 +75,33 @@ TEST(Serialize, FileRoundTrip) {
   save_model_file(path, original);
   const MemN2N loaded = load_model_file(path);
   EXPECT_EQ(loaded.params().w_o, original.params().w_o);
+}
+
+TEST(Serialize, SaveReplacesTheFileWithoutTouchingOpenReaders) {
+  // A loader that opened the file before a save must still read the old
+  // model whole: saving writes a new file and renames it into place
+  // instead of truncating the one the loader holds.
+  const MemN2N first = make_model(21);
+  ModelConfig other = first.config();
+  other.vocab_size = 30;
+  numeric::Rng rng(22);
+  const MemN2N second(other, rng);
+  const std::string path = ::testing::TempDir() + "/mann_serialize_swap.bin";
+  save_model_file(path, first);
+  std::ifstream reader(path, std::ios::binary);
+  save_model_file(path, second);
+
+  const MemN2N held = load_model(reader);
+  EXPECT_EQ(held.config().vocab_size, first.config().vocab_size);
+  EXPECT_EQ(held.params().w_o, first.params().w_o);
+  EXPECT_EQ(load_model_file(path).config().vocab_size, 30U);
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path())) {
+    EXPECT_EQ(entry.path().filename().string().find("mann_serialize_swap.bin."),
+              std::string::npos)
+        << "temporary file left behind: " << entry.path();
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Serialize, MissingFileThrows) {

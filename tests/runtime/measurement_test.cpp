@@ -123,6 +123,38 @@ TEST(Measurement, CachedSuitePreparationRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Measurement, TornCacheFileIsRetrained) {
+  // A cached model cut short (an interrupted or concurrent writer) must
+  // be retrained and replaced, not abort every later load.
+  PrepareConfig cfg = default_prepare_config();
+  cfg.dataset.train_stories = 12;
+  cfg.dataset.test_stories = 4;
+  cfg.dataset.seed = 778;
+  cfg.model.embedding_dim = 6;
+  cfg.train.epochs = 2;
+
+  const std::string dir = ::testing::TempDir() + "/mann_torn_cache_test";
+  std::filesystem::remove_all(dir);
+  const auto first = prepare_suite_cached(cfg, dir, 2);
+  std::filesystem::path torn;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().find("_task2_") !=
+        std::string::npos) {
+      torn = entry.path();
+    }
+  }
+  ASSERT_FALSE(torn.empty());
+  const std::uintmax_t size = std::filesystem::file_size(torn);
+  std::filesystem::resize_file(torn, size / 2);
+  ASSERT_TRUE(suite_cache_complete(cfg, dir, 2));
+
+  const auto second = prepare_suite_cached(cfg, dir, 2);
+  ASSERT_EQ(second.size(), 2U);
+  EXPECT_EQ(first[1].model.params().w_o, second[1].model.params().w_o);
+  EXPECT_EQ(std::filesystem::file_size(torn), size);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Measurement, DefaultPrepareConfigIsPaperLike) {
   const PrepareConfig cfg = default_prepare_config();
   EXPECT_EQ(cfg.model.hops, 3U);

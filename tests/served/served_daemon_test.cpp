@@ -18,8 +18,9 @@
 #include <string>
 #include <vector>
 
-#ifndef MANN_SERVED_PATH
-#error "MANN_SERVED_PATH must point at the mann_served binary"
+#if !defined(MANN_SERVED_PATH) || !defined(MANN_MAKE_TRACE_PATH) || \
+    !defined(MANN_SERVE_THROUGHPUT_PATH)
+#error "MANN_*_PATH must point at the mann_served and tool binaries"
 #endif
 
 namespace {
@@ -120,22 +121,67 @@ TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
   EXPECT_NE(transcript.find("offered=1"), std::string::npos);
 }
 
+/// Exit status of `command` run by the shell, output discarded.
+int exit_code(const std::string& command) {
+  const int status = std::system((command + " > /dev/null 2>&1").c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST(ServedDaemon, NumericFlagsFollowTheProtocolRule) {
   // Flags take the protocol's plain-digit rule: an overflowing value is
-  // refused with the usage message (exit 2) instead of saturating into
+  // refused (exit 2, naming the flag) instead of saturating into
   // another seed or an impossible tenant registry.
-  const auto exit_code = [](const std::string& flags) {
-    const std::string cmd = "echo quit | " + std::string(MANN_SERVED_PATH) +
-                            " --tiny 1 " + flags + " > /dev/null 2>&1";
-    const int status = std::system(cmd.c_str());
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  const auto daemon = [](const std::string& flags) {
+    return exit_code("echo quit | " + std::string(MANN_SERVED_PATH) +
+                     " --tiny 1 " + flags);
   };
-  EXPECT_EQ(exit_code("--seed 18446744073709551615"), 0);  // 2^64-1 fits
-  EXPECT_EQ(exit_code("--seed 18446744073709551616"), 2);
-  EXPECT_EQ(exit_code("--tenants 99999999999999999999"), 2);
-  EXPECT_EQ(exit_code("--devices -1"), 2);
-  EXPECT_EQ(exit_code("--max-batch +4"), 2);
-  EXPECT_EQ(exit_code("--slo ''"), 2);
+  EXPECT_EQ(daemon("--seed 18446744073709551615"), 0);  // 2^64-1 fits
+  EXPECT_EQ(daemon("--seed 18446744073709551616"), 2);
+  EXPECT_EQ(daemon("--tenants 99999999999999999999"), 2);
+  EXPECT_EQ(daemon("--devices -1"), 2);
+  EXPECT_EQ(daemon("--max-batch +4"), 2);
+  EXPECT_EQ(daemon("--slo ''"), 2);
+}
+
+TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
+  // The trace generator and the serving bench refuse the values the
+  // daemon refuses (exit 2) instead of wrapping a sign, saturating an
+  // overflow or stopping at the first non-digit.
+  const std::filesystem::path out = temp_file("flags_trace.csv");
+  const auto make_trace = [&](const std::string& flags) {
+    return exit_code(std::string(MANN_MAKE_TRACE_PATH) + " --out " +
+                     out.string() + " " + flags);
+  };
+  EXPECT_EQ(make_trace("--requests 12 --seed 18446744073709551615"), 0);
+  EXPECT_EQ(make_trace("--requests 12abc"), 2);
+  EXPECT_EQ(make_trace("--requests 99999999999999999999"), 2);
+  EXPECT_EQ(make_trace("--requests 18446744073709551615"), 2);
+  EXPECT_EQ(make_trace("--scale -1"), 2);
+  EXPECT_EQ(make_trace("--tenants 0"), 2);
+  EXPECT_EQ(make_trace("--seed 18446744073709551616"), 2);
+  std::filesystem::remove(out);
+
+  // The bench also exits 2 when the suite cache is missing, so the
+  // refusal must name the flag.
+  const auto bench_refuses = [](const std::string& flag,
+                                const std::string& value) {
+    const std::string cmd = std::string(MANN_SERVE_THROUGHPUT_PATH) + " " +
+                            flag + " " + value + " 2>&1";
+    std::FILE* pipe = ::popen(cmd.c_str(), "r");
+    std::string output;
+    char buffer[4096];
+    while (pipe != nullptr &&
+           std::fgets(buffer, sizeof buffer, pipe) != nullptr) {
+      output += buffer;
+    }
+    const int status = pipe != nullptr ? ::pclose(pipe) : -1;
+    return WIFEXITED(status) && WEXITSTATUS(status) == 2 &&
+           output.find(flag + " needs") != std::string::npos;
+  };
+  EXPECT_TRUE(bench_refuses("--requests", "99999999999999999999"));
+  EXPECT_TRUE(bench_refuses("--requests", "4000x"));
+  EXPECT_TRUE(bench_refuses("--tasks", "-3"));
+  EXPECT_TRUE(bench_refuses("--fleet-threads", "+2"));
 }
 
 TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {

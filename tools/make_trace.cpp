@@ -29,13 +29,14 @@
 // amplified traces). This is how the cluster bench's 10x diurnal volume
 // is produced from the committed 1x sample. `--scale` also composes
 // with generation: the synthetic schedule is amplified before writing.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "data/types.hpp"
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
@@ -87,21 +88,13 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--in") {
       opts.in = next();
     } else if (arg == "--scale") {
-      opts.scale = static_cast<std::size_t>(std::strtoull(next(), nullptr,
-                                                          10));
-      if (opts.scale == 0) {
-        std::fprintf(stderr, "--scale needs a positive factor\n");
-        std::exit(2);
-      }
+      opts.scale = bench::count_flag(arg, next(), 1);
     } else if (arg == "--requests") {
-      opts.requests = static_cast<std::size_t>(std::strtoull(next(), nullptr,
-                                                             10));
+      opts.requests = bench::count_flag(arg, next(), 1);
     } else if (arg == "--tasks") {
-      opts.tasks = static_cast<std::size_t>(std::strtoull(next(), nullptr,
-                                                          10));
+      opts.tasks = bench::count_flag(arg, next(), 1);
     } else if (arg == "--tenants") {
-      opts.tenants = static_cast<std::size_t>(std::strtoull(next(), nullptr,
-                                                            10));
+      opts.tenants = bench::count_flag(arg, next(), 1);
     } else if (arg == "--process") {
       const std::string p = next();
       if (p == "poisson") {
@@ -120,33 +113,23 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--diurnal-period") {
       opts.diurnal_period = std::strtod(next(), nullptr);
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
+      opts.seed = bench::count_flag(arg, next(), 0);
     } else {
       usage();
     }
   }
-  if (opts.out.empty() || opts.requests == 0 || opts.tasks == 0 ||
-      opts.tenants == 0) {
+  if (opts.out.empty()) {
     usage();
   }
   return opts;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts = parse_args(argc, argv);
-
+int run(const Options& opts) {
   std::vector<serve::TraceEntry> entries;
   if (!opts.in.empty()) {
     // Amplification mode: the recording fixes tasks/tenants/timing; the
     // generation knobs do not apply.
-    try {
-      entries = serve::load_trace_csv(opts.in);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
+    entries = serve::load_trace_csv(opts.in);
     if (entries.empty()) {
       std::fprintf(stderr, "--in %s: trace has no entries\n",
                    opts.in.c_str());
@@ -211,4 +194,18 @@ int main(int argc, char** argv) {
         opts.tasks, opts.tenants, opts.out.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opts = parse_args(argc, argv);
+  // A malformed --in trace, an unwritable --out or a count too large to
+  // hold in memory exits 2 with the reason instead of aborting.
+  try {
+    return run(opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -68,7 +68,6 @@
 // (--train-fallback to train stand-ins inline when the cache is absent).
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -145,20 +144,6 @@ struct DaemonOptions {
   std::exit(code);
 }
 
-/// The one numeric rule for flags and protocol tokens: plain decimal
-/// digits that fit in 64 bits. strtoull alone would take a sign
-/// (wrapping "-1" to 2^64-1) and saturate an overflow to 2^64-1.
-std::optional<std::uint64_t> parse_digits(const char* token) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(token, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(*token)) == 0 ||
-      *end != '\0' || errno == ERANGE) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
 DaemonOptions parse_args(int argc, char** argv) {
   DaemonOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -170,31 +155,24 @@ DaemonOptions parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto count = [&](const char* value) {
-      const std::optional<std::uint64_t> parsed = parse_digits(value);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
-                     arg.c_str(), value);
-        usage(2);
-      }
-      return *parsed;
-    };
     if (arg == "--tiny") {
-      opts.tiny = count(next());
+      opts.tiny = bench::count_flag(arg, next());
     } else if (arg == "--tasks") {
-      opts.tasks = count(next());
+      opts.tasks = bench::count_flag(arg, next());
     } else if (arg == "--train-fallback") {
       opts.train_fallback = true;
     } else if (arg == "--tenants") {
-      opts.tenants = count(next());
+      opts.tenants = bench::count_flag(arg, next());
     } else if (arg == "--slo") {
-      opts.slo = count(next());
+      opts.slo = bench::count_flag(arg, next());
     } else if (arg == "--devices") {
-      opts.devices = std::max<std::uint64_t>(1, count(next()));
+      opts.devices =
+          std::max<std::uint64_t>(1, bench::count_flag(arg, next()));
     } else if (arg == "--dedicated") {
-      opts.dedicated = count(next());
+      opts.dedicated = bench::count_flag(arg, next());
     } else if (arg == "--max-batch") {
-      opts.max_batch = std::max<std::uint64_t>(1, count(next()));
+      opts.max_batch =
+          std::max<std::uint64_t>(1, bench::count_flag(arg, next()));
     } else if (arg == "--policy") {
       const std::string value = next();
       if (value == "fifo") {
@@ -208,9 +186,9 @@ DaemonOptions parse_args(int argc, char** argv) {
         usage(2);
       }
     } else if (arg == "--cluster") {
-      opts.cluster = count(next());
+      opts.cluster = bench::count_flag(arg, next());
     } else if (arg == "--fleet-threads") {
-      opts.fleet_threads = count(next());
+      opts.fleet_threads = bench::count_flag(arg, next());
     } else if (arg == "--router") {
       const std::string value = next();
       if (value == "affinity") {
@@ -226,13 +204,13 @@ DaemonOptions parse_args(int argc, char** argv) {
     } else if (arg == "--lockstep") {
       opts.lockstep = true;
     } else if (arg == "--info-every") {
-      opts.info_every = count(next());
+      opts.info_every = bench::count_flag(arg, next());
     } else if (arg == "--report-json") {
       opts.report_json = next();
     } else if (arg == "--trace-json") {
       opts.trace_json = next();
     } else if (arg == "--seed") {
-      opts.seed = count(next());
+      opts.seed = bench::count_flag(arg, next());
     } else if (arg == "--closed-loop") {
       opts.closed_loop = next();
     } else {
@@ -701,7 +679,7 @@ class Manager {
 
   static std::uint64_t parse_count(const std::string& token,
                                    const char* what) {
-    const std::optional<std::uint64_t> parsed = parse_digits(token.c_str());
+    const std::optional<std::uint64_t> parsed = serve::parse_digits(token);
     if (!parsed.has_value()) {
       fail(std::string(what) + " needs a non-negative integer, got '" +
            token + "'");
