@@ -189,17 +189,17 @@ bool run_host_legs(const std::vector<serve::ServedModel>& models,
   bench::print_rule(100);
   serve::ServerConfig accept = bench::acceptance_config(models.size());
   const serve::ServingReport sequential =
-      serve::Server(accept, models).run(opts.requests);
+      serve::run(accept, models, opts.requests);
   print_serving_row("sequential", sequential);
 
   accel::ServiceCycleCache cache(4096);
   accept.scheduler.workers = 4;
   accept.scheduler.cycle_cache = &cache;
   const serve::ServingReport cold =
-      serve::Server(accept, models).run(opts.requests);
+      serve::run(accept, models, opts.requests);
   print_serving_row("W=4 +cache cold", cold);
   const serve::ServingReport warm =
-      serve::Server(accept, models).run(opts.requests);
+      serve::run(accept, models, opts.requests);
   print_serving_row("W=4 +cache warm", warm);
 
   // The reports carry the shared cache's running totals; the warm

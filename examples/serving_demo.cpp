@@ -19,7 +19,7 @@
 //      with a live mid-run SLO change — the programmatic face of the
 //      mann_served daemon (tools/mann_served.cpp)
 //
-// Acts 3-7 each serve one serve::ServerConfig through Server::run(n).
+// Acts 3-7 each serve one serve::ServerConfig through serve::run().
 //
 // Build & run:  cmake --build build && ./build/examples/serving_demo
 #include <cstdio>
@@ -61,7 +61,7 @@ int main() {
   config.scheduler.policy = serve::SchedulerPolicy::kEdf;
   config.traffic.slo.default_deadline_cycles = 500'000;  // 5 ms at 100 MHz
 
-  const serve::ServingReport r = serve::Server(config, models).run(200);
+  const serve::ServingReport r = serve::run(config, models, 200);
 
   std::printf("\n2 devices, B=8, Poisson 10k-cycle arrivals, EDF\n");
   std::printf("requests: offered=%zu completed=%zu rejected=%zu\n",
@@ -109,7 +109,7 @@ int main() {
   // sequential run above — only host wall-clock moves.
   serve::ServerConfig parallel = config;
   parallel.scheduler.workers = parallel.scheduler.devices;
-  const serve::ServingReport p = serve::Server(parallel, models).run(200);
+  const serve::ServingReport p = serve::run(parallel, models, 200);
   std::printf("\nthe same with 2 host workers + service-cycle cache\n");
   std::printf("host wall: %.3f s -> %.3f s; cache hit rate %.1f%% "
               "(%llu hits / %llu misses)\n",
@@ -146,7 +146,7 @@ int main() {
     // Quotas only bite under kWfq here so the EDF leg shows the
     // unprotected baseline.
     qos.admission.enforce_quotas = policy == serve::SchedulerPolicy::kWfq;
-    const serve::ServingReport q = serve::Server(qos, models).run(2000);
+    const serve::ServingReport q = serve::run(qos, models, 2000);
     std::printf("\n3 tenants at overload, %s%s\n",
                 serve::scheduler_policy_name(policy),
                 qos.admission.enforce_quotas ? " + quotas" : "");
@@ -174,7 +174,7 @@ int main() {
   serve::ServerConfig observed = parallel;
   observed.metrics = &registry;
   observed.trace = &recorder;
-  const serve::ServingReport traced = serve::Server(observed, models).run(200);
+  const serve::ServingReport traced = serve::run(observed, models, 200);
   const bool trace_identical =
       traced.makespan_cycles == r.makespan_cycles &&
       traced.accuracy == r.accuracy &&

@@ -36,6 +36,7 @@ Stdlib only; no third-party imports.
 import argparse
 import collections
 import json
+import math
 import sys
 
 
@@ -89,10 +90,12 @@ def validate_spans(events):
 
 
 def percentile(sorted_values, q):
+    """Nearest rank: the value at 1-based rank ceil(q*n), the rule
+    serve::ServingMetrics and cluster::Cluster report by."""
     if not sorted_values:
         return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 def print_stage_stats(spans):

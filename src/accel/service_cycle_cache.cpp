@@ -104,7 +104,6 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
       segment.lru.splice(segment.lru.begin(), segment.lru,
                          it->second);  // touch
       it->second->touch_seq = ++segment.touch_counter;
-      ++it->second->hits;
       // A lookup resolved by someone else's in-flight simulation is a
       // wait, not a hit: it deduplicated work but paid miss-shaped
       // latency, and exactly one of hits/waits/misses counts per lookup.
@@ -158,7 +157,6 @@ void ServiceCycleCache::evict_over_capacity_locked(Segment& segment) {
         c.slot = index;
         c.resident_task = index;
         c.last_dispatch_cycle = it->touch_seq;
-        c.resident_task_dispatches = it->hits;
         c.reload_cycles = it->result.total_cycles;
         candidates.push_back(c);
         iters.push_back(it);
@@ -179,7 +177,7 @@ void ServiceCycleCache::publish(const Key& key, const RunResult& result) {
     std::unique_lock lock = lock_segment(segment);
     segment.in_flight.erase(key);
     if (!segment.index.contains(key)) {
-      segment.lru.push_front({key, result, ++segment.touch_counter, 0});
+      segment.lru.push_front({key, result, ++segment.touch_counter});
       segment.index.emplace(key, segment.lru.begin());
       entry_count_.fetch_add(1, std::memory_order_relaxed);
       ++segment.stats.insertions;

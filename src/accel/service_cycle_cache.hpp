@@ -139,10 +139,10 @@ class ServiceCycleCache {
   void abandon(const Key& key) noexcept;
 
   /// Delegates capacity-eviction victim choice to a serve::EvictionPolicy
-  /// (candidates: recency = touch order, frequency = per-entry hits,
-  /// reload cost = the entry's simulated cycles). One independent policy
-  /// per segment is built via serve::make_eviction_policy(kind, metrics),
-  /// so it works for any segment count.
+  /// (candidates: recency = touch order, reload cost = the entry's
+  /// simulated cycles). One independent policy per segment is built via
+  /// serve::make_eviction_policy(kind, metrics), so it works for any
+  /// segment count.
   void set_eviction_policy(serve::EvictionPolicyKind kind,
                            obs::MetricsRegistry* metrics = nullptr);
 
@@ -161,7 +161,6 @@ class ServiceCycleCache {
     Key key;
     RunResult result;
     std::uint64_t touch_seq = 0;  ///< monotone recency clock (policy view)
-    std::uint64_t hits = 0;       ///< lookups resolved by this entry
   };
 
   /// One independently-locked shard: its own LRU order, in-flight

@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -19,17 +20,13 @@ namespace {
 /// range, so a cluster-of-1 numbers requests exactly like a bare server.
 constexpr serve::RequestId kIdStride = serve::RequestId{1} << 40;
 
-/// Exact percentile over an unsorted sample set (sorts in place).
-/// Nearest-rank, matching trace_summary.py's convention.
-[[nodiscard]] double percentile(std::vector<double>& values, double q) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  const auto rank = std::min(
-      values.size() - 1, static_cast<std::size_t>(
-                             q * static_cast<double>(values.size())));
-  return values[rank];
+/// Exact nearest-rank percentile (the value at rank ceil(q·n), 1-based)
+/// over sorted samples: serve::ServingMetrics' rule, so a fleet of one
+/// reports what its only instance reports.
+[[nodiscard]] double percentile(const std::vector<double>& sorted, double q) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
 }
 
 [[nodiscard]] serve::LatencySummary summarize(std::vector<double> samples,
@@ -42,6 +39,7 @@ constexpr serve::RequestId kIdStride = serve::RequestId{1} << 40;
   for (const double v : samples) {
     sum += v;
   }
+  std::sort(samples.begin(), samples.end());
   s.mean_cycles = sum / static_cast<double>(samples.size());
   s.p50_cycles = percentile(samples, 0.50);
   s.p95_cycles = percentile(samples, 0.95);
@@ -123,13 +121,9 @@ Cluster::Cluster(ClusterConfig config,
   }
   instances_.reserve(config_.instances);
   for (std::size_t i = 0; i < config_.instances; ++i) {
-    serve::SessionOptions options;
-    options.total_requests = 0;  // arrivals come through the router
-    options.collect_completions = true;
-    options.first_id = static_cast<serve::RequestId>(i) * kIdStride;
     auto instance = std::make_unique<Instance>();
     instance->session = std::make_unique<serve::ServerSession>(
-        config_.server, models, options);
+        config_.server, models, static_cast<serve::RequestId>(i) * kIdStride);
     instances_.push_back(std::move(instance));
   }
   workloads_.reserve(models.size());
@@ -231,14 +225,19 @@ void Cluster::apply_target_active(std::size_t target, sim::Cycle cycle) {
   }
 }
 
+void Cluster::check_submit(const serve::SubmitRequest& request) const {
+  // Instances share one template, so one check covers all.
+  instances_.front()->session->check_submit(request);
+}
+
 Cluster::Submission Cluster::submit(const serve::SubmitRequest& request) {
   if (finalized_) {
     throw std::logic_error("Cluster: submit after finalize()");
   }
   // Refuse before any state moves: a request every instance would reject
   // must not count as offered, wake the autoscaler or draw from the
-  // router's RNG. Instances share one template, so one check covers all.
-  instances_.front()->session->check_submit(request);
+  // router's RNG.
+  check_submit(request);
   const sim::Cycle at =
       std::max({request.at_cycle, clock_, last_arrival_});
   if (const auto target = autoscaler_.observe(at, active_instances())) {
@@ -462,44 +461,8 @@ ClusterReport Cluster::aggregate(std::vector<serve::ServingReport> reports,
 }
 
 ClusterReport Cluster::run(std::size_t total_requests) {
-  if (ran_ || finalized_) {
-    throw std::logic_error("Cluster: run() is single-shot");
-  }
-  ran_ = true;
-  // The cluster-level generator shares the sessions' workload table, so
-  // its arrival schedule, task/tenant draws and deadline stamps are
-  // exactly what a bare Server::run would have produced; the chosen
-  // instance re-draws the story from its own per-task cursor (which, for
-  // a cluster of 1, walks identically to the generator's).
-  serve::TrafficGenerator generator(config_.server.traffic, workloads_,
-                                    total_requests);
-  std::size_t since_poll = 0;
-  while (generator.next_arrival() != sim::kNever) {
-    const sim::Cycle at = generator.next_arrival();
-    // Lockstep: the whole fleet reaches the (exclusive) arrival horizon
-    // before the router looks at load — the decision sees every
-    // completion strictly before the arrival, exactly like a bare
-    // server's frontend does.
-    step_until(at);
-    const std::optional<serve::InferenceRequest> request =
-        generator.poll(at);
-    if (!request) {
-      break;  // defensive; next_arrival promised an emission
-    }
-    serve::SubmitRequest submit_request;
-    submit_request.task = request->task;
-    submit_request.tenant = request->tenant;
-    submit_request.at_cycle = request->enqueue_cycle;
-    submit_request.deadline_cycles =
-        request->deadline_cycle == sim::kNever
-            ? sim::kNever
-            : request->deadline_cycle - request->enqueue_cycle;
-    (void)submit(submit_request);
-    if (++since_poll >= 256) {
-      (void)poll_completions();
-      since_poll = 0;
-    }
-  }
+  serve::drive_closed_loop(*this, config_.server.traffic, workloads_,
+                           total_requests);
   return finalize();
 }
 

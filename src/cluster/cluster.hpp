@@ -1,7 +1,7 @@
 // mann::cluster — a routing tier over N deterministic server instances.
 //
-// One serve::Server with a handful of device slots is a single cabinet;
-// "millions of users" is a fleet. A Cluster owns N serve::ServerSession
+// One serve::ServerSession with a handful of device slots is a single
+// cabinet; "millions of users" is a fleet. A Cluster owns N ServerSession
 // instances — each a full admission → batcher → scheduler → device-pool
 // stack — and steps them in lockstep on one simulated clock: every
 // arrival is routed (router.hpp) to an instance *after* the whole fleet
@@ -24,10 +24,12 @@
 // Determinism contract (the repo-wide one): every ClusterReport field
 // except the host-execution block of the per-instance reports is a pure
 // function of (config, models, arrival schedule). Instances get disjoint
-// request-id ranges (SessionOptions::first_id), so the merged completion
+// request-id ranges (ServerSession's first_id), so the merged completion
 // stream and the shared obs trace stay globally unique, and a
-// cluster-of-1 run is bit-identical to the equivalent bare Server run
-// (serve::simulated_reports_identical — CI gates it).
+// cluster-of-1 run is bit-identical to serve::run() over the same
+// schedule, merged percentiles included (serve::simulated_reports_identical
+// — tier-1 tests gate it). A Cluster is also the daemon's only driver:
+// tools/mann_served serves through a fleet of --cluster N (default 1).
 #pragma once
 
 #include <cstddef>
@@ -56,8 +58,8 @@ struct ClusterConfig {
   std::size_t instances = 2;
   /// Per-instance template: accel/admission/batcher/scheduler/power knobs
   /// apply to each instance; traffic (arrival process, tenants, SLOs,
-  /// seed) drives the cluster-level generator in run() and the tenant/SLO
-  /// registries of every instance; the obs sinks are shared fleet-wide
+  /// seed) drives the closed loop in run() and the tenant/SLO registries
+  /// of every instance; the obs sinks are shared fleet-wide
   /// (router events and per-instance lanes land in one trace).
   serve::ServerConfig server;
   RouterConfig router;
@@ -101,8 +103,9 @@ struct ClusterReport {
   sim::Cycle makespan_cycles = 0;  ///< last completion across the fleet
   double seconds = 0.0;
   double throughput_stories_per_second = 0.0;
-  /// Exact percentiles over the *merged* completion stream (not an
-  /// average of per-instance summaries).
+  /// Exact nearest-rank percentiles over the *merged* completion stream
+  /// (not an average of per-instance summaries), by the rule
+  /// serve::ServingMetrics uses.
   serve::LatencySummary latency;
   serve::LatencySummary queue_wait;
   std::uint64_t deadline_total = 0;
@@ -137,7 +140,7 @@ struct ClusterReport {
 /// (lockstep means every instance has processed exactly the events below
 /// the shared horizon). The post-drain window is itself sorted, but its
 /// sub-size flushes dispatch at each instance's own — possibly lagging —
-/// clock, exactly as a bare drained Server's do, so it can reach back
+/// clock, exactly as a drained ServerSession's do, so it can reach back
 /// before the last pre-drain window. Per-instance subsequences are
 /// always (cycle, id)-sorted ledgers end to end.
 struct ClusterCompletion {
@@ -145,7 +148,7 @@ struct ClusterCompletion {
   serve::Completion completion;
 };
 
-/// Mid-run fleet snapshot (the daemon's `info` line under --cluster).
+/// Mid-run fleet snapshot (the daemon's `info` lines).
 struct ClusterInfo {
   std::size_t instances = 0;
   std::size_t active = 0;
@@ -166,17 +169,24 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Routed open-loop submission: instance is nullopt (and id unused)
-  /// when the router shed the request.
+  /// when the router shed the request. The router sees the fleet as it
+  /// stands: a driver that wants routing to see every completion before
+  /// the arrival steps the fleet to it first (as run() does).
   struct Submission {
     std::optional<InstanceId> instance;
     serve::RequestId id = 0;
   };
   Submission submit(const serve::SubmitRequest& request);
 
-  /// Closed-loop drive, the Server::run() of the fleet: draws
-  /// `total_requests` from the traffic config, routes each arrival with
-  /// the whole fleet stepped to its cycle, autoscales at epoch
-  /// boundaries, then drains and finalizes. Single-shot.
+  /// Throws std::out_of_range, changing nothing, for a request submit()
+  /// would refuse (ServerSession::check_submit's rule).
+  void check_submit(const serve::SubmitRequest& request) const;
+
+  /// The closed loop (serve::drive_closed_loop, shared with serve::run):
+  /// draws `total_requests` from the traffic config, routes each arrival
+  /// with the whole fleet stepped to its cycle, autoscales at epoch
+  /// boundaries, then drains and finalizes. Callable once, like
+  /// finalize().
   [[nodiscard]] ClusterReport run(std::size_t total_requests);
 
   /// Advances every instance to the exclusive cycle horizon `limit`
@@ -230,13 +240,12 @@ class Cluster {
   /// Host threads for step_until fan-out (config_.fleet_threads > 1).
   std::unique_ptr<FleetPool> pool_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  /// Shared task registry for the closed-loop generator in run().
+  /// The task registry run()'s closed loop draws arrivals over.
   std::vector<serve::TaskWorkload> workloads_;
   sim::Cycle clock_ = 0;         ///< highest lockstep horizon reached
   sim::Cycle last_arrival_ = 0;  ///< highest routed arrival cycle
   std::size_t offered_ = 0;
   std::size_t router_shed_ = 0;
-  bool ran_ = false;
   bool finalized_ = false;
   /// Merged-stream percentile inputs, accumulated at poll time.
   std::vector<double> latency_samples_;

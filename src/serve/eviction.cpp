@@ -55,14 +55,6 @@ std::size_t LruEviction::pick_victim(
   });
 }
 
-std::size_t LfuEviction::pick_victim(
-    std::span<const EvictionCandidate> candidates) const {
-  return argmin(candidates, [](const EvictionCandidate& c) {
-    return std::make_tuple(c.resident_task_dispatches,
-                           c.last_dispatch_cycle);
-  });
-}
-
 std::size_t CostAwareEviction::pick_victim(
     std::span<const EvictionCandidate> candidates) const {
   return argmin(candidates, [](const EvictionCandidate& c) {
@@ -77,9 +69,6 @@ std::unique_ptr<EvictionPolicy> make_eviction_policy(
     case EvictionPolicyKind::kLru:
       policy = std::make_unique<LruEviction>();
       break;
-    case EvictionPolicyKind::kLfu:
-      policy = std::make_unique<LfuEviction>();
-      break;
     case EvictionPolicyKind::kCostAware:
       policy = std::make_unique<CostAwareEviction>();
       break;
@@ -92,18 +81,6 @@ std::unique_ptr<EvictionPolicy> make_eviction_policy(
         std::move(policy), obs::counter(metrics, "serve.eviction.victims"));
   }
   return policy;
-}
-
-const char* eviction_policy_name(EvictionPolicyKind kind) noexcept {
-  switch (kind) {
-    case EvictionPolicyKind::kLru:
-      return "lru";
-    case EvictionPolicyKind::kLfu:
-      return "lfu";
-    case EvictionPolicyKind::kCostAware:
-      return "cost";
-  }
-  return "unknown";
 }
 
 }  // namespace mann::serve

@@ -9,17 +9,15 @@
 //
 //   * LRU        — evict the least recently dispatched resident; recency
 //                  approximates reuse for round-robin serving corpora.
-//   * LFU        — evict the resident whose task has the fewest lifetime
-//                  dispatches; protects hot models from one-off tasks.
-//   * cost-aware — evict the resident that is cheapest to bring back,
-//                  measured as the task's observed cold-minus-warm cycle
-//                  delta (the model-upload cost the ServiceCycleCache
-//                  exposes by memoizing both variants of a workload).
+//                  Pool slots always use it.
+//   * cost-aware — evict the candidate that is cheapest to bring back.
+//                  The ServiceCycleCache installs it by kind
+//                  (set_eviction_policy): an entry's reload cost is its
+//                  simulated cycles.
 //
-// Policies are pure choice functions over the candidate view the
-// scheduler assembles — all recency/frequency/cost bookkeeping lives in
-// the scheduler, so a policy cannot desynchronize from the pool state
-// and custom policies stay trivial to write.
+// Policies are pure choice functions over the candidate view the owner
+// assembles — all recency/cost bookkeeping lives with the owner, so a
+// policy cannot desynchronize from its state.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +31,6 @@ namespace mann::serve {
 
 enum class EvictionPolicyKind : std::uint8_t {
   kLru,
-  kLfu,
   kCostAware,
 };
 
@@ -44,12 +41,8 @@ struct EvictionCandidate {
   std::size_t resident_task = 0;
   /// Serving-clock cycle of the slot's last dispatch (recency of use).
   sim::Cycle last_dispatch_cycle = 0;
-  /// Lifetime dispatches of the resident task across the whole pool
-  /// (frequency of use).
-  std::uint64_t resident_task_dispatches = 0;
-  /// Estimated cycles to re-upload the resident model if evicted: the
-  /// task's observed cold-minus-warm service delta (its first cold run
-  /// while only that is known, 0 before any observation).
+  /// Cycles to bring the candidate back once evicted (a cache entry's
+  /// simulated cycles); what cost-aware eviction minimizes.
   sim::Cycle reload_cycles = 0;
 };
 
@@ -74,15 +67,6 @@ class LruEviction final : public EvictionPolicy {
       std::span<const EvictionCandidate> candidates) const override;
 };
 
-/// Least-frequently-dispatched resident goes first; ties fall to LRU
-/// order, then the lower slot.
-class LfuEviction final : public EvictionPolicy {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "lfu"; }
-  [[nodiscard]] std::size_t pick_victim(
-      std::span<const EvictionCandidate> candidates) const override;
-};
-
 /// Cheapest-to-reload resident goes first; ties fall to LRU order, then
 /// the lower slot.
 class CostAwareEviction final : public EvictionPolicy {
@@ -96,8 +80,5 @@ class CostAwareEviction final : public EvictionPolicy {
 /// "serve.eviction.victims" counter (non-owning; may be null).
 [[nodiscard]] std::unique_ptr<EvictionPolicy> make_eviction_policy(
     EvictionPolicyKind kind, obs::MetricsRegistry* metrics = nullptr);
-
-[[nodiscard]] const char* eviction_policy_name(
-    EvictionPolicyKind kind) noexcept;
 
 }  // namespace mann::serve

@@ -198,7 +198,7 @@ struct RunTotals {
 /// fields (wall seconds, cycle-cache stats, worker counts) are excluded
 /// by design; tenant reports compare exactly via their defaulted
 /// operator==. Used by the bench's worker-count invariance checks and by
-/// mann::cluster's cluster-of-1 ≡ bare-Server identity gate.
+/// mann::cluster's cluster-of-1 ≡ serve::run identity gate.
 [[nodiscard]] bool simulated_reports_identical(const ServingReport& a,
                                                const ServingReport& b);
 

@@ -2,16 +2,16 @@
 //
 // ServerConfig grew one nested config per control-plane stage, and the
 // call sites grew with it — a dozen lines of field-by-field assignment
-// before a Server could be constructed. The builder collapses that into
+// before a session could be constructed. The builder collapses that into
 // a chain that names only what deviates from the defaults:
 //
-//   serve::Server server(serve::ServingOptions()
-//                            .tenants(registry)
-//                            .slo(slos)
-//                            .policy(serve::SchedulerPolicy::kEdf)
-//                            .metrics(&registry)
-//                            .build(),
-//                        std::move(models));
+//   serve::ServerSession session(serve::ServingOptions()
+//                                    .tenants(registry)
+//                                    .slo(slos)
+//                                    .policy(serve::SchedulerPolicy::kEdf)
+//                                    .metrics(&registry)
+//                                    .build(),
+//                                models);
 //
 // Defaults (all inherited from the nested configs — the builder never
 // invents its own):
@@ -24,15 +24,15 @@
 //   * batcher    — BatcherConfig{}: batch up to 8, flush at 200k cycles,
 //                  lanes bounded at 4096.
 //   * scheduler  — SchedulerConfig{}: EDF over 2 shared devices with work
-//                  stealing, LRU eviction, sequential host execution.
+//                  stealing, sequential host execution.
 //   * power      — FpgaPowerConfig{}: the calibrated board model.
 //   * watchdog   — 20e9 cycles; histogram_bins 64; obs sinks null.
 //
 // The builder is a value: copy it to fork a baseline into variants. It
 // intentionally has no behaviour beyond accumulation — build() hands the
-// finished ServerConfig to Server, ServerSession or a ClusterConfig, and
-// every validity check stays where it always lived (the component
-// constructors).
+// finished ServerConfig to serve::run, a ServerSession or a
+// ClusterConfig, and every validity check stays where it always lived
+// (the component constructors).
 #pragma once
 
 #include <utility>
@@ -114,7 +114,7 @@ class ServingOptions {
   }
 
   /// The accumulated config (validated by the component constructors at
-  /// Server/ServerSession construction, exactly as always).
+  /// ServerSession construction, exactly as always).
   [[nodiscard]] const ServerConfig& build() const noexcept {
     return config_;
   }

@@ -160,7 +160,6 @@ class TrafficGenerator {
                    std::size_t total_requests);
 
   [[nodiscard]] std::size_t total_requests() const noexcept { return total_; }
-  [[nodiscard]] std::size_t emitted() const noexcept { return emitted_; }
   [[nodiscard]] bool exhausted() const noexcept { return emitted_ >= total_; }
   /// Registry size (1 when no tenants were configured).
   [[nodiscard]] std::size_t num_tenants() const noexcept {
@@ -174,22 +173,6 @@ class TrafficGenerator {
 
   /// Emits the next request if its arrival time has come.
   [[nodiscard]] std::optional<InferenceRequest> poll(sim::Cycle now);
-
-  // ---- live reconfiguration (ServerSession::set_slo / set_tenant) ----
-  // Applies to requests emitted from now on; already-emitted deadlines
-  // are immutable. Arrival timing is never touched, so the schedule
-  // stays bit-reproducible across reconfigurations that don't change
-  // SLOs.
-
-  /// Replaces the per-task SLO table.
-  void set_slo(SloConfig slo) noexcept { config_.slo = std::move(slo); }
-  /// Replaces one tenant's SLO override (0 = use the task's SLO). Out of
-  /// range ids are ignored (the registry size is fixed at construction).
-  void set_tenant_slo(TenantId tenant, sim::Cycle deadline) noexcept {
-    if (tenant < config_.tenants.size()) {
-      config_.tenants[tenant].slo_deadline_cycles = deadline;
-    }
-  }
 
  private:
   void schedule_next();

@@ -56,10 +56,9 @@ Scheduler::Scheduler(SchedulerConfig config,
                                     ? SchedulerPolicy::kFifo
                                     : SchedulerPolicy::kEdf;
   queues_.assign(shards_ * tenant_lanes_, PendingQueue(PendingOrder{order}));
-  task_dispatches_.resize(task_devices_.size(), 0);
   task_cycles_.resize(task_devices_.size());
   speculation_tail_.resize(shards_);
-  eviction_ = make_eviction_policy(config_.eviction, config_.metrics);
+  eviction_ = make_eviction_policy(EvictionPolicyKind::kLru, config_.metrics);
   cache_ = config_.cycle_cache;
   if (cache_ == nullptr && config_.workers > 0) {
     owned_cache_ = std::make_unique<accel::ServiceCycleCache>(
@@ -594,8 +593,8 @@ Scheduler::Slot* Scheduler::choose_slot_edf(
       return slot;
     }
   }
-  // Every candidate displaces a resident model: the eviction policy
-  // chooses the victim instead of slot-order accident.
+  // Every candidate displaces a resident model: LRU chooses the victim
+  // instead of slot-order accident.
   std::vector<EvictionCandidate> candidates;
   candidates.reserve(free_slots.size());
   for (const Slot* slot : free_slots) {
@@ -603,8 +602,6 @@ Scheduler::Slot* Scheduler::choose_slot_edf(
     c.slot = slot->id;
     c.resident_task = *slot->resident_task;
     c.last_dispatch_cycle = slot->last_dispatch_cycle;
-    c.resident_task_dispatches = task_dispatches_[*slot->resident_task];
-    c.reload_cycles = reload_estimate(*slot->resident_task);
     candidates.push_back(c);
   }
   const std::size_t victim = eviction_->pick_victim(candidates);
@@ -679,7 +676,6 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
   slot.stories += batch.size();
   slot.model_uploads += warm ? 0 : 1;
   slot.stolen_batches += stolen ? 1 : 0;
-  ++task_dispatches_[batch.task];
   TaskCycleEstimate& estimate = task_cycles_[batch.task];
   (warm ? estimate.warm : estimate.cold) = run.total_cycles;
   device_queue_stats_ += run.queue_stats();

@@ -40,9 +40,9 @@
 //     ahead.
 //
 // When a dispatch must displace a resident model (every eligible free
-// slot holds some other task's program), the victim is chosen by the
-// configured EvictionPolicy (LRU / LFU / cost-aware) instead of the old
-// last-program-wins accident; evictions are counted per slot.
+// slot holds some other task's program), the least recently dispatched
+// resident goes (serve::LruEviction) instead of the old last-program-wins
+// accident; evictions are counted per slot.
 //
 // The scheduler also exposes its cost model (`service_estimate`,
 // `backlog_cycles`, `reload_estimate`) — the same observed-cycle
@@ -136,8 +136,6 @@ struct SchedulerConfig {
   /// size fixes the per-shard tenant-lane count. Empty degrades kWfq to
   /// a single lane (i.e. plain EDF).
   std::vector<double> tenant_weights = {};
-  /// Victim selection when a dispatch must displace a resident model.
-  EvictionPolicyKind eviction = EvictionPolicyKind::kLru;
   /// Host worker threads simulating device batches ahead of the serving
   /// clock. 0 = sequential host execution (the debugging escape hatch);
   /// the natural setting is one worker per device slot.
@@ -146,7 +144,7 @@ struct SchedulerConfig {
   /// when `cycle_cache` is supplied).
   std::size_t cache_capacity = 1024;
   /// External service-cycle cache (non-owning) — lets callers share one
-  /// cache across Server runs so a repeated workload replays instantly.
+  /// cache across sessions so a repeated workload replays instantly.
   /// When null and `workers > 0`, the scheduler owns a private cache
   /// (workers need one as the speculation rendezvous).
   accel::ServiceCycleCache* cycle_cache = nullptr;
@@ -381,8 +379,8 @@ class Scheduler {
   void step_fifo(sim::Cycle now);
   [[nodiscard]] Slot* pick_slot_fifo(std::size_t task, sim::Cycle now);
   /// EDF/WFQ slot choice for shard `queue`: home, then warm, then empty,
-  /// then the eviction policy's victim among `free_slots` (already
-  /// filtered to the shard's eligible set).
+  /// then the LRU victim among `free_slots` (already filtered to the
+  /// shard's eligible set).
   [[nodiscard]] Slot* choose_slot_edf(const std::vector<Slot*>& free_slots,
                                       std::size_t queue, std::size_t task);
   void dispatch(Slot& slot, const PendingBatch& pending, sim::Cycle now,
@@ -416,7 +414,6 @@ class Scheduler {
   sim::FifoStats device_queue_stats_;
   sim::OpCounts device_ops_;
   sim::Cycle link_active_cycles_ = 0;
-  std::vector<std::uint64_t> task_dispatches_;
   std::vector<TaskCycleEstimate> task_cycles_;
   /// Per-shard task of the most recently *submitted* batch — the
   /// affinity predictor's residency estimate (nullopt before the shard's

@@ -1,5 +1,6 @@
-// The serving runtime: generator -> admission -> batcher -> scheduler ->
-// device pool, advanced by the shared sim::Simulator clock.
+// The serving runtime's configuration: the models it serves and the
+// ServerConfig that shapes admission -> batcher -> scheduler -> device
+// pool, advanced by the shared sim::Simulator clock.
 //
 // The control plane is three explicit stages with tenant identity
 // threaded end-to-end:
@@ -17,21 +18,16 @@
 // first consumer of accel::Accelerator that is not a one-shot experiment:
 // devices stay warm across batches via RunOptions::model_resident.
 //
-// Two ways to drive it:
-//
-//   * Server::run(n) — the closed-loop one-shot: serve n generated
-//     requests to completion and report. A drain/step/finalize
-//     composition over one private ServerSession.
-//   * serve::ServerSession (serve/session.hpp) — the incremental API: an
-//     outside driver (tools/mann_served, mann::cluster, a test harness)
-//     feeds arrivals in, advances the clock in bounded steps, drains
-//     resolved requests as serve::Completion records, and reconfigures
-//     tenants/SLOs/policy mid-run.
+// serve::ServerSession (serve/session.hpp) runs the stack: an outside
+// driver (tools/mann_served, mann::cluster, a test harness) submits
+// arrivals, advances the clock in bounded steps, drains resolved
+// requests as serve::Completion records, and reconfigures
+// tenants/SLOs/policy mid-run. serve::run() in the same header is the
+// closed loop: it serves n generated requests to completion and reports.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/compiler.hpp"
@@ -66,8 +62,8 @@ struct ServerConfig {
   /// The default is transparent: nothing is shed except full queues.
   AdmissionConfig admission;
   BatcherConfig batcher;
-  /// Dispatch policy (EDF/FIFO/WFQ), work-stealing, eviction policy and
-  /// the host-parallel execution knobs. Under kWfq, empty tenant_weights
+  /// Dispatch policy (EDF/FIFO/WFQ), work-stealing and the host-parallel
+  /// execution knobs. Under kWfq, empty tenant_weights
   /// are filled from the tenant registry.
   SchedulerConfig scheduler;
   /// Board power model folded into the report's serving-energy figures.
@@ -82,28 +78,6 @@ struct ServerConfig {
   /// obs::write_chrome_trace().
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
-};
-
-class Server {
- public:
-  /// Build `config` field by field or with the serve::ServingOptions
-  /// fluent builder (serve/options.hpp). Throws std::invalid_argument
-  /// for an empty registry or a model with an empty corpus.
-  Server(ServerConfig config, std::vector<ServedModel> models);
-
-  [[nodiscard]] const ServerConfig& config() const noexcept {
-    return config_;
-  }
-
-  /// Serves `total_requests` drawn from the traffic config to completion
-  /// (every admitted request answered, queues drained) and reports. A
-  /// thin closed loop over one private ServerSession: drain, step to
-  /// quiescence, finalize.
-  [[nodiscard]] ServingReport run(std::size_t total_requests) const;
-
- private:
-  ServerConfig config_;
-  std::vector<ServedModel> models_;
 };
 
 }  // namespace mann::serve

@@ -10,9 +10,9 @@ namespace mann::serve {
 
 namespace {
 
-/// Folds the derived defaults into one canonical config — exactly what
-/// run() historically did inline: WFQ weights default to the tenant
-/// registry's, and the obs sinks are threaded into the scheduler.
+/// Folds the derived defaults into one canonical config: WFQ weights
+/// default to the tenant registry's, and the obs sinks are threaded into
+/// the scheduler.
 ServerConfig resolve_config(ServerConfig config) {
   if (config.scheduler.policy == SchedulerPolicy::kWfq &&
       config.scheduler.tenant_weights.empty()) {
@@ -54,12 +54,10 @@ std::vector<accel::Accelerator> make_devices(
 
 }  // namespace
 
-/// Frontend: pulls due arrivals out of the merged source (generator +
-/// injected submissions), through the admission controller, into the
-/// batcher. Every refusal — an admission decision or the batcher's full
-/// lane — lands in the controller's unified ShedReason accounting, and
-/// (when completion collection is on) in the session outbox as a shed
-/// Completion.
+/// Frontend: pulls due submitted arrivals through the admission
+/// controller into the batcher. Every refusal — an admission decision or
+/// the batcher's full lane — lands in the controller's unified
+/// ShedReason accounting and in the session outbox as a shed Completion.
 class ServerSession::Frontend final : public sim::Module {
  public:
   explicit Frontend(ServerSession& session)
@@ -67,7 +65,10 @@ class ServerSession::Frontend final : public sim::Module {
 
   void tick() override {
     const sim::Cycle now = s_.simulator_.now();
-    while (std::optional<InferenceRequest> request = s_.poll_arrival(now)) {
+    while (!s_.arrivals_.empty() &&
+           s_.arrivals_.front().enqueue_cycle <= now) {
+      const InferenceRequest request = s_.arrivals_.front();
+      s_.arrivals_.pop_front();
       // The outlook snapshots the downstream state the controller judges
       // against: total pending requests for occupancy, and the
       // scheduler's own cost model for the doom test. backlog_cycles
@@ -78,9 +79,9 @@ class ServerSession::Frontend final : public sim::Module {
       outlook.pending_requests =
           s_.batcher_.pending() + s_.scheduler_.pending_stories();
       if (s_.admission_.config().shed_doomed &&
-          request->deadline_cycle != sim::kNever) {
+          request.deadline_cycle != sim::kNever) {
         outlook.service_estimate =
-            s_.scheduler_.service_estimate(request->task);
+            s_.scheduler_.service_estimate(request.task);
         outlook.backlog_cycles_per_device =
             s_.scheduler_.backlog_cycles(now) /
             s_.scheduler_.config().devices;
@@ -88,20 +89,20 @@ class ServerSession::Frontend final : public sim::Module {
       obs::TraceRecorder* trace = s_.config_.trace;
       if (trace != nullptr) {
         trace->begin_async(
-            "request", request->id, now,
-            static_cast<std::int64_t>(request->task), request->tenant,
-            static_cast<std::int64_t>(request->deadline_cycle));
+            "request", request.id, now,
+            static_cast<std::int64_t>(request.task), request.tenant,
+            static_cast<std::int64_t>(request.deadline_cycle));
       }
       std::optional<ShedReason> shed;
       if (const std::optional<ShedReason> reason =
-              s_.admission_.decide(*request, now, outlook)) {
-        s_.admission_.record_shed(request->tenant, *reason);
+              s_.admission_.decide(request, now, outlook)) {
+        s_.admission_.record_shed(request.tenant, *reason);
         shed = reason;
-      } else if (!s_.batcher_.enqueue(*request)) {
-        s_.admission_.record_shed(request->tenant, ShedReason::kQueueFull);
+      } else if (!s_.batcher_.enqueue(request)) {
+        s_.admission_.record_shed(request.tenant, ShedReason::kQueueFull);
         shed = ShedReason::kQueueFull;
       } else {
-        s_.admission_.record_admitted(request->tenant);
+        s_.admission_.record_admitted(request.tenant);
       }
       if (trace != nullptr) {
         if (shed.has_value()) {
@@ -109,27 +110,27 @@ class ServerSession::Frontend final : public sim::Module {
           // carrying the ShedReason, then the request span closes.
           trace->instant(obs::Domain::kSim, obs::kTrackFrontend, "shed",
                          now, shed_reason_name(*shed),
-                         static_cast<std::int64_t>(request->task),
-                         request->tenant);
-          trace->end_async("request", request->id, now);
+                         static_cast<std::int64_t>(request.task),
+                         request.tenant);
+          trace->end_async("request", request.id, now);
         } else {
-          trace->begin_async("queued", request->id, now,
-                             static_cast<std::int64_t>(request->task),
-                             request->tenant);
+          trace->begin_async("queued", request.id, now,
+                             static_cast<std::int64_t>(request.task),
+                             request.tenant);
         }
       }
-      if (shed.has_value() && s_.options_.collect_completions) {
+      if (shed.has_value()) {
         // Sheds resolve here and now: a Completion with a partial
         // response (identity + timing of the refusal, no answer).
         Completion completion;
         completion.outcome = outcome_from_shed(*shed);
         completion.cycle = now;
-        completion.response.id = request->id;
-        completion.response.task = request->task;
-        completion.response.tenant = request->tenant;
-        completion.response.enqueue_cycle = request->enqueue_cycle;
+        completion.response.id = request.id;
+        completion.response.task = request.task;
+        completion.response.tenant = request.tenant;
+        completion.response.enqueue_cycle = request.enqueue_cycle;
         completion.response.complete_cycle = now;
-        completion.response.deadline_cycle = request->deadline_cycle;
+        completion.response.deadline_cycle = request.deadline_cycle;
         s_.outbox_.push_back(std::move(completion));
       }
       mark_busy();
@@ -147,8 +148,9 @@ class ServerSession::Frontend final : public sim::Module {
 
 /// Moves ready batches from the batcher into the scheduler, respecting
 /// the scheduler's queue bound (back-pressure instead of drop). Once the
-/// session is draining and its sources are idle, flushes sub-size
-/// leftovers immediately rather than letting them age to the timeout.
+/// session is draining and every submitted request has arrived, flushes
+/// sub-size leftovers immediately rather than letting them age to the
+/// timeout.
 class ServerSession::BatchStage final : public sim::Module {
  public:
   explicit BatchStage(ServerSession& session)
@@ -203,7 +205,7 @@ class ServerSession::BatchStage final : public sim::Module {
 };
 
 /// Drives the device pool, feeds completed responses to the metrics and
-/// (when completion collection is on) mirrors them into the outbox.
+/// mirrors them into the outbox.
 class ServerSession::Dispatch final : public sim::Module {
  public:
   explicit Dispatch(ServerSession& session)
@@ -216,14 +218,12 @@ class ServerSession::Dispatch final : public sim::Module {
       s_.metrics_.record(response);
       s_.last_completion_ =
           std::max(s_.last_completion_, response.complete_cycle);
-      if (s_.options_.collect_completions) {
-        Completion completion;
-        completion.outcome = outcome_from_response(response);
-        completion.cache_outcome = response.cache_outcome;
-        completion.cycle = response.complete_cycle;
-        completion.response = response;
-        s_.outbox_.push_back(std::move(completion));
-      }
+      Completion completion;
+      completion.outcome = outcome_from_response(response);
+      completion.cache_outcome = response.cache_outcome;
+      completion.cycle = response.complete_cycle;
+      completion.response = response;
+      s_.outbox_.push_back(std::move(completion));
       mark_busy();
     }
   }
@@ -245,13 +245,11 @@ class ServerSession::Dispatch final : public sim::Module {
 
 ServerSession::ServerSession(ServerConfig config,
                              const std::vector<ServedModel>& models,
-                             SessionOptions options)
+                             RequestId first_id)
     : config_(resolve_config(std::move(config))),
-      options_(options),
       workloads_(make_workloads(models)),
       tenants_(config_.traffic.tenants),
       slo_(config_.traffic.slo),
-      generator_(config_.traffic, workloads_, options_.total_requests),
       admission_(config_.admission, config_.traffic.tenants,
                  config_.metrics),
       batcher_(config_.batcher, models.size(),
@@ -261,10 +259,7 @@ ServerSession::ServerSession(ServerConfig config,
       metrics_(config_.accel.clock_hz, config_.histogram_bins,
                /*histogram_hi_cycles=*/50.0e6, config_.power),
       cursors_(models.size(), 0),
-      // Injected ids start after the generator's range so the merged
-      // id space stays collision-free (and, in pure open loop, 0-based);
-      // first_id shifts the whole range for multi-instance drivers.
-      next_injected_id_(options_.first_id + options_.total_requests) {
+      next_id_(first_id) {
   frontend_ = std::make_unique<Frontend>(*this);
   batch_stage_ = std::make_unique<BatchStage>(*this);
   dispatch_ = std::make_unique<Dispatch>(*this);
@@ -275,32 +270,9 @@ ServerSession::ServerSession(ServerConfig config,
 
 ServerSession::~ServerSession() = default;
 
-std::optional<InferenceRequest> ServerSession::poll_arrival(sim::Cycle now) {
-  if (!injected_.empty()) {
-    const InferenceRequest& front = injected_.front();
-    // The generator wins ties so a mixed schedule orders exactly like
-    // the closed loop would on the shared cycle.
-    if (front.enqueue_cycle <= now &&
-        front.enqueue_cycle < generator_.next_arrival()) {
-      InferenceRequest request = front;
-      injected_.pop_front();
-      return request;
-    }
-  }
-  return generator_.poll(now);
-}
-
-sim::Cycle ServerSession::next_arrival() const noexcept {
-  const sim::Cycle injected = injected_.empty()
-                                  ? sim::kNever
-                                  : injected_.front().enqueue_cycle;
-  return std::min(generator_.next_arrival(), injected);
-}
-
 sim::Cycle ServerSession::deadline_for(std::size_t task,
                                        TenantId tenant) const noexcept {
-  // Mirrors TrafficGenerator::deadline_for over the *live* tables, so a
-  // submitted request is stamped exactly like a generated one.
+  // TrafficGenerator::deadline_for's rule over the *live* tables.
   if (tenant < tenants_.size() &&
       tenants_[tenant].slo_deadline_cycles != 0) {
     return tenants_[tenant].slo_deadline_cycles;
@@ -337,7 +309,7 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
   }
   check_submit(request);
   InferenceRequest arrival;
-  arrival.id = next_injected_id_++;
+  arrival.id = next_id_++;
   arrival.task = request.task;
   arrival.tenant = request.tenant;
   const TaskWorkload& workload = workloads_[request.task];
@@ -356,8 +328,8 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
     const sim::Cycle slo = deadline_for(request.task, request.tenant);
     arrival.deadline_cycle = slo == sim::kNever ? sim::kNever : at + slo;
   }
-  injected_.push_back(arrival);
-  ++injected_emitted_;
+  arrivals_.push_back(arrival);
+  ++offered_;
   return arrival.id;
 }
 
@@ -382,7 +354,7 @@ bool ServerSession::step_until(sim::Cycle limit) {
   }
   // The serving watchdog counts from cycle 0 (the clock only moves
   // here), not from this call: a driver stepping in many short horizons
-  // gets no more cycles than one run() would. The simulator throws
+  // gets no more cycles than one long step would. The simulator throws
   // before the clock passes the watchdog, so the subtraction is safe.
   (void)simulator_.run_events([this] { return idle(); },
                               config_.watchdog_cycles - simulator_.now(),
@@ -406,13 +378,12 @@ std::vector<Completion> ServerSession::poll_completions() {
 }
 
 bool ServerSession::idle() const noexcept {
-  return sources_exhausted() && batcher_.pending() == 0 &&
-         scheduler_.idle();
+  return arrivals_.empty() && batcher_.pending() == 0 && scheduler_.idle();
 }
 
 SessionInfo ServerSession::info() const {
   SessionInfo info;
-  info.offered = generator_.emitted() + injected_emitted_;
+  info.offered = offered_;
   for (const std::uint64_t admitted : admission_.tenant_admitted()) {
     info.admitted += admitted;
   }
@@ -436,14 +407,10 @@ void ServerSession::set_tenant(TenantId tenant, const TenantConfig& config) {
   // before anything is mutated, keeping the update all-or-nothing.
   admission_.set_tenant(tenant, config);
   scheduler_.set_tenant_weight(tenant, config.weight);
-  generator_.set_tenant_slo(tenant, config.slo_deadline_cycles);
   tenants_[tenant] = config;
 }
 
-void ServerSession::set_slo(const SloConfig& slo) {
-  slo_ = slo;
-  generator_.set_slo(slo);
-}
+void ServerSession::set_slo(const SloConfig& slo) { slo_ = slo; }
 
 bool ServerSession::set_policy(SchedulerPolicy policy) {
   if (!scheduler_.set_policy(policy)) {
@@ -470,7 +437,7 @@ ServingReport ServerSession::finalize() {
   finalized_ = true;
 
   RunTotals totals;
-  totals.offered = generator_.emitted() + injected_emitted_;
+  totals.offered = offered_;
   totals.makespan = last_completion_;
   totals.max_batch = config_.batcher.max_batch;
   totals.batching = batcher_.counters();
@@ -495,6 +462,14 @@ ServingReport ServerSession::finalize() {
   totals.cycle_cache = scheduler_.cache_stats();
   totals.speculation = scheduler_.speculation_stats();
   return metrics_.finalize(std::move(totals));
+}
+
+ServingReport run(ServerConfig config, const std::vector<ServedModel>& models,
+                  std::size_t total_requests) {
+  ServerSession session(std::move(config), models);
+  drive_closed_loop(session, session.config().traffic, make_workloads(models),
+                    total_requests);
+  return session.finalize();
 }
 
 }  // namespace mann::serve

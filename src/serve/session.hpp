@@ -1,13 +1,9 @@
-// ServerSession: the incremental serving session underneath Server.
+// ServerSession: the serving stack as stepwise primitives.
 //
-// Server::run() is one-shot and closed-loop: it owns the clock,
-// fabricates its own arrivals, and returns a single report. A
-// ServerSession exposes the same stack — generator -> admission ->
-// batcher -> scheduler -> device pool on the shared sim::Simulator — as
-// stepwise primitives an outside driver can interleave:
+// A ServerSession runs admission -> batcher -> scheduler -> device pool
+// on the shared sim::Simulator, and takes every arrival from its driver:
 //
-//   submit()            inject one request (open-loop ingestion beside,
-//                       or instead of, the closed-loop generator)
+//   submit()            inject one request (the only arrival path)
 //   step()/step_until() advance the simulated serving loop, bounded by a
 //                       cycle horizon so a driver that learns of
 //                       arrivals late (a live daemon) never lets the
@@ -21,11 +17,14 @@
 // plus live reconfiguration (set_tenant / set_slo / set_policy) that
 // takes effect mid-run without dropping in-flight requests.
 //
+// serve::run() below is the closed loop over one session: it draws a
+// TrafficGenerator's schedule and feeds it through drive_closed_loop(),
+// the loop cluster::Cluster::run() shares.
+//
 // Determinism contract: the tick sequence is a pure function of the
-// arrival schedule (generated + submitted), never of *when* the driver
-// called step_until — pausing at any horizon and resuming later replays
-// the exact same cycles. Server::run() is a drain/step/finalize
-// composition over one private session.
+// submitted arrival schedule, never of *when* the driver called
+// step_until — pausing at any horizon and resuming later replays the
+// exact same cycles.
 //
 // The pipeline stages are sim::Modules, and every step is one
 // sim::Simulator::run_events call with an exclusive horizon:
@@ -42,6 +41,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "serve/outcome.hpp"
@@ -50,40 +50,24 @@
 
 namespace mann::serve {
 
-/// Knobs of one incremental session.
-struct SessionOptions {
-  /// Closed-loop requests drawn from config.traffic by the generator.
-  /// 0 = pure open-loop: every request arrives via submit().
-  std::size_t total_requests = 0;
-  /// Record a Completion per resolved request for poll_completions().
-  /// run() turns this off — nobody polls, so nothing should accumulate.
-  bool collect_completions = true;
-  /// Offset added to the injected-id range (which already starts after
-  /// the generator's). A multi-instance driver (mann::cluster) gives
-  /// every instance a disjoint id space so completion streams and trace
-  /// spans stay globally unique; 0 (the default, and always instance 0)
-  /// keeps the historical 0-based open-loop numbering.
-  RequestId first_id = 0;
-};
-
 /// One open-loop submission (ServerSession::submit()).
 struct SubmitRequest {
   std::size_t task = 0;
   TenantId tenant = 0;
   /// Absolute arrival cycle; 0 = "at the session clock". Arrivals are
   /// clamped monotone (>= the session clock and every prior arrival) so
-  /// the merged schedule is always a valid trace.
+  /// the submitted schedule is always a valid trace.
   sim::Cycle at_cycle = 0;
   /// Relative deadline budget in cycles: 0 derives the deadline from the
-  /// tenant/task SLO config (exactly like generated traffic),
+  /// tenant/task SLO config (as TrafficGenerator stamps it),
   /// sim::kNever forces "no deadline", anything else is an explicit
   /// arrival-relative budget.
   sim::Cycle deadline_cycles = 0;
 };
 
-/// Mid-run status snapshot (the daemon's `info` line).
+/// Mid-run status snapshot (the daemon's `info[i]` lines).
 struct SessionInfo {
-  std::size_t offered = 0;    ///< generated + submitted so far
+  std::size_t offered = 0;    ///< submitted so far
   std::size_t admitted = 0;   ///< entered the batcher
   std::size_t completed = 0;  ///< responses recorded
   std::size_t shed = 0;       ///< refused, all reasons
@@ -97,18 +81,22 @@ struct SessionInfo {
 
 class ServerSession {
  public:
-  /// `models` must outlive the session.
+  /// `models` must outlive the session. Request ids count up from
+  /// `first_id`: a multi-instance driver (mann::cluster) gives every
+  /// instance a disjoint id range so completion streams and trace spans
+  /// stay globally unique. Throws std::invalid_argument for an empty
+  /// registry or a model with an empty corpus.
   ServerSession(ServerConfig config, const std::vector<ServedModel>& models,
-                SessionOptions options = {});
+                RequestId first_id = 0);
   ~ServerSession();
 
   ServerSession(const ServerSession&) = delete;
   ServerSession& operator=(const ServerSession&) = delete;
 
-  /// Injects one request; returns its id (submission order, starting
-  /// after the closed-loop generator's id range). Throws
-  /// std::out_of_range when check_submit() refuses the request and
-  /// std::logic_error after finalize().
+  /// Injects one request; returns its id (submission order, from the
+  /// constructor's `first_id`). Throws std::out_of_range when
+  /// check_submit() refuses the request and std::logic_error after
+  /// finalize().
   RequestId submit(const SubmitRequest& request);
 
   /// Throws std::out_of_range, changing nothing, for a request submit()
@@ -119,13 +107,14 @@ class ServerSession {
 
   /// Advances the serving loop up to `cycles` simulated cycles from the
   /// current clock (0 = to quiescence). Returns true when the session is
-  /// quiescent (all sources idle, queues empty, nothing in flight).
+  /// quiescent (every submitted request arrived, queues empty, nothing
+  /// in flight).
   bool step(sim::Cycle cycles);
 
   /// Advances until the exclusive cycle horizon `limit` (sim::kNever =
   /// to quiescence). Returns true when quiescent. Throws the serving
   /// watchdog's std::runtime_error once the clock reaches
-  /// ServerConfig::watchdog_cycles with work left, exactly like run().
+  /// ServerConfig::watchdog_cycles with work left.
   bool step_until(sim::Cycle limit);
 
   /// Moves out every request resolved since the last poll — completions
@@ -139,8 +128,7 @@ class ServerSession {
   void drain() noexcept { draining_ = true; }
 
   /// Drains, runs to quiescence, quiesces host workers and folds the
-  /// final ServingReport — byte-identical to what run() returns for the
-  /// same arrival schedule. Callable once.
+  /// final ServingReport. Callable once.
   [[nodiscard]] ServingReport finalize();
 
   // ---- live reconfiguration (takes effect at the next tick; never
@@ -171,16 +159,13 @@ class ServerSession {
   [[nodiscard]] sim::Cycle last_submitted_arrival() const noexcept {
     return last_arrival_;
   }
-  /// All sources idle, every queue empty, nothing in flight.
+  /// Every submitted request arrived, every queue empty, nothing in
+  /// flight.
   [[nodiscard]] bool idle() const noexcept;
-  [[nodiscard]] bool draining() const noexcept { return draining_; }
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
   [[nodiscard]] SessionInfo info() const;
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
-  }
-  [[nodiscard]] std::size_t num_tasks() const noexcept {
-    return workloads_.size();
   }
   [[nodiscard]] std::size_t num_tenants() const noexcept {
     return tenants_.empty() ? 1 : tenants_.size();
@@ -200,31 +185,25 @@ class ServerSession {
   class BatchStage;
   class Dispatch;
 
-  /// Merged arrival source: the earlier of the generator's next emission
-  /// and the injected queue's front (generator wins ties, preserving the
-  /// closed-loop ordering when both fire on one cycle).
-  [[nodiscard]] std::optional<InferenceRequest> poll_arrival(sim::Cycle now);
-  [[nodiscard]] sim::Cycle next_arrival() const noexcept;
-  [[nodiscard]] bool sources_exhausted() const noexcept {
-    return generator_.exhausted() && injected_.empty();
+  /// Arrival cycle of the earliest submitted request still to arrive.
+  [[nodiscard]] sim::Cycle next_arrival() const noexcept {
+    return arrivals_.empty() ? sim::kNever : arrivals_.front().enqueue_cycle;
   }
   /// Sub-size leftovers flush immediately once drain() was called and
-  /// the arrival sources are idle. Until then they age to the batcher
-  /// timeout: between submits the sources are always momentarily idle,
-  /// and flushing then would defeat batching.
+  /// every submitted request has arrived. Until then they age to the
+  /// batcher timeout: between submits nothing is pending, and flushing
+  /// then would defeat batching.
   [[nodiscard]] bool drain_ready() const noexcept {
-    return draining_ && sources_exhausted();
+    return draining_ && arrivals_.empty();
   }
   /// SLO deadline for a submitted request (tenant override, else task).
   [[nodiscard]] sim::Cycle deadline_for(std::size_t task,
                                         TenantId tenant) const noexcept;
 
   ServerConfig config_;  ///< resolved: WFQ weights + obs sinks threaded
-  SessionOptions options_;
   std::vector<TaskWorkload> workloads_;
   std::vector<TenantConfig> tenants_;  ///< live registry (set_tenant)
   SloConfig slo_;                      ///< live SLO table (set_slo)
-  TrafficGenerator generator_;
   AdmissionController admission_;
   Batcher batcher_;
   Scheduler scheduler_;
@@ -235,11 +214,11 @@ class ServerSession {
   std::unique_ptr<BatchStage> batch_stage_;
   std::unique_ptr<Dispatch> dispatch_;
 
-  std::deque<InferenceRequest> injected_;  ///< arrival-ordered
+  std::deque<InferenceRequest> arrivals_;  ///< arrival-ordered
   std::vector<std::size_t> cursors_;  ///< submit(): per-task round-robin
   std::vector<Completion> outbox_;
-  RequestId next_injected_id_ = 0;
-  std::size_t injected_emitted_ = 0;
+  RequestId next_id_ = 0;
+  std::size_t offered_ = 0;
   sim::Cycle last_arrival_ = 0;
   bool draining_ = false;
   bool finalized_ = false;
@@ -248,5 +227,47 @@ class ServerSession {
   std::chrono::steady_clock::time_point wall_start_{};
   double wall_seconds_ = 0.0;
 };
+
+/// The one closed loop, shared by serve::run() and cluster::Cluster::run():
+/// draws `total_requests` arrivals from `traffic` over `workloads` (task t
+/// = model t's corpus) and feeds them to `driver` (a ServerSession or a
+/// cluster::Cluster). Before each
+/// arrival the driver steps to its cycle (exclusive), so every decision
+/// at that arrival sees all work before it and none after; the arrival
+/// is then submitted with its generated deadline, relative to itself.
+/// Completions are polled every 256 arrivals and dropped, so a long run
+/// keeps no ledger. Draining and finalizing are left to the caller.
+template <typename Driver>
+void drive_closed_loop(Driver& driver, const TrafficConfig& traffic,
+                       std::vector<TaskWorkload> workloads,
+                       std::size_t total_requests) {
+  TrafficGenerator generator(traffic, std::move(workloads), total_requests);
+  std::size_t since_poll = 0;
+  for (sim::Cycle at = generator.next_arrival(); at != sim::kNever;
+       at = generator.next_arrival()) {
+    (void)driver.step_until(at);
+    const InferenceRequest request = generator.poll(at).value();
+    SubmitRequest submit;
+    submit.task = request.task;
+    submit.tenant = request.tenant;
+    submit.at_cycle = at;
+    submit.deadline_cycles = request.deadline_cycle == sim::kNever
+                                 ? sim::kNever
+                                 : request.deadline_cycle - at;
+    (void)driver.submit(submit);
+    if (++since_poll == 256) {
+      (void)driver.poll_completions();
+      since_poll = 0;
+    }
+  }
+}
+
+/// Serves `total_requests` drawn from config.traffic to completion (every
+/// admitted request answered, queues drained) and reports: the closed
+/// loop over one session. Throws std::invalid_argument for an empty
+/// registry or a model with an empty corpus.
+[[nodiscard]] ServingReport run(ServerConfig config,
+                                const std::vector<ServedModel>& models,
+                                std::size_t total_requests);
 
 }  // namespace mann::serve

@@ -1,5 +1,5 @@
 // Cluster: the fleet-level determinism contract. A cluster of one is
-// bit-identical to a bare Server on every simulated report field; the
+// bit-identical to serve::run() on every simulated report field; the
 // host worker count and the fleet-thread count change nothing about
 // routing, the per-instance timelines, or the merged completion stream;
 // that stream is a (cycle, id)-sorted ledger over disjoint id ranges;
@@ -13,12 +13,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "serve/metrics.hpp"
 #include "serve/outcome.hpp"
 #include "serve/request.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve/trace.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -78,10 +79,12 @@ ClusterConfig cluster_config(std::size_t instances,
 TEST(Cluster, ClusterOfOneIsBitIdenticalToABareServer) {
   const auto stories = tiny_stories(8);
   const auto models = two_models(stories);
-  const auto trace = fixed_trace();
+  // 4x the fixed schedule: enough completions that a percentile rule
+  // off by one rank shows in the merged summary.
+  const auto trace = serve::scale_trace(fixed_trace(), 4, 2019);
 
-  const serve::Server server(server_config(trace), models);
-  const serve::ServingReport bare = server.run(trace.size());
+  const serve::ServingReport bare =
+      serve::run(server_config(trace), models, trace.size());
 
   Cluster cluster(cluster_config(1, trace, RouterPolicyKind::kPowerOfTwo),
                   models);
@@ -95,6 +98,15 @@ TEST(Cluster, ClusterOfOneIsBitIdenticalToABareServer) {
   EXPECT_EQ(report.completed, bare.completed);
   EXPECT_EQ(report.makespan_cycles, bare.makespan_cycles);
   EXPECT_EQ(report.instance_reports[0].routed, trace.size());
+  // The fleet's merged summary reads like its only instance's.
+  for (const auto& [fleet, own] :
+       {std::pair{report.latency, bare.latency},
+        std::pair{report.queue_wait, bare.queue_wait}}) {
+    EXPECT_EQ(fleet.p50_cycles, own.p50_cycles);
+    EXPECT_EQ(fleet.p95_cycles, own.p95_cycles);
+    EXPECT_EQ(fleet.p99_cycles, own.p99_cycles);
+    EXPECT_EQ(fleet.max_cycles, own.max_cycles);
+  }
 }
 
 TEST(Cluster, HostWorkerCountChangesNeitherRoutingNorTimelines) {

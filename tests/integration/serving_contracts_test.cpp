@@ -17,7 +17,7 @@
 #include "common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve/trace.hpp"
 
 namespace mann {
@@ -92,7 +92,7 @@ class ServingContracts : public ::testing::Test {
 
   static serve::ServingReport run_server(const serve::ServerConfig& config,
                                          std::size_t requests) {
-    return serve::Server(config, *models_).run(requests);
+    return serve::run(config, *models_, requests);
   }
 
   static cluster::ClusterReport run_fleet(

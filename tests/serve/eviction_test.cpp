@@ -9,26 +9,19 @@ namespace mann::serve {
 namespace {
 
 EvictionCandidate candidate(std::size_t slot, std::size_t task,
-                            sim::Cycle last_dispatch,
-                            std::uint64_t dispatches,
-                            sim::Cycle reload) {
+                            sim::Cycle last_dispatch, sim::Cycle reload) {
   EvictionCandidate c;
   c.slot = slot;
   c.resident_task = task;
   c.last_dispatch_cycle = last_dispatch;
-  c.resident_task_dispatches = dispatches;
   c.reload_cycles = reload;
   return c;
 }
 
 TEST(EvictionPolicy, FactoryMatchesKinds) {
   EXPECT_STREQ(make_eviction_policy(EvictionPolicyKind::kLru)->name(), "lru");
-  EXPECT_STREQ(make_eviction_policy(EvictionPolicyKind::kLfu)->name(), "lfu");
   EXPECT_STREQ(make_eviction_policy(EvictionPolicyKind::kCostAware)->name(),
                "cost");
-  EXPECT_STREQ(eviction_policy_name(EvictionPolicyKind::kLru), "lru");
-  EXPECT_STREQ(eviction_policy_name(EvictionPolicyKind::kLfu), "lfu");
-  EXPECT_STREQ(eviction_policy_name(EvictionPolicyKind::kCostAware), "cost");
 }
 
 TEST(EvictionPolicy, RejectsEmptyCandidateList) {
@@ -39,9 +32,9 @@ TEST(EvictionPolicy, RejectsEmptyCandidateList) {
 TEST(EvictionPolicy, LruEvictsLeastRecentlyDispatched) {
   const LruEviction lru;
   const std::vector<EvictionCandidate> candidates = {
-      candidate(0, 4, /*last_dispatch=*/900, 10, 100),
-      candidate(1, 5, /*last_dispatch=*/100, 50, 900),
-      candidate(2, 6, /*last_dispatch=*/500, 1, 10),
+      candidate(0, 4, /*last_dispatch=*/900, 100),
+      candidate(1, 5, /*last_dispatch=*/100, 900),
+      candidate(2, 6, /*last_dispatch=*/500, 10),
   };
   EXPECT_EQ(lru.pick_victim(candidates), 1U);
 }
@@ -49,37 +42,18 @@ TEST(EvictionPolicy, LruEvictsLeastRecentlyDispatched) {
 TEST(EvictionPolicy, LruTieFallsToLowestSlot) {
   const LruEviction lru;
   const std::vector<EvictionCandidate> candidates = {
-      candidate(3, 4, 100, 1, 1),
-      candidate(7, 5, 100, 1, 1),
+      candidate(3, 4, 100, 1),
+      candidate(7, 5, 100, 1),
   };
   EXPECT_EQ(lru.pick_victim(candidates), 0U);
-}
-
-TEST(EvictionPolicy, LfuEvictsLeastFrequentResident) {
-  const LfuEviction lfu;
-  const std::vector<EvictionCandidate> candidates = {
-      candidate(0, 4, 100, /*dispatches=*/40, 100),
-      candidate(1, 5, 900, /*dispatches=*/2, 900),
-      candidate(2, 6, 500, /*dispatches=*/7, 10),
-  };
-  EXPECT_EQ(lfu.pick_victim(candidates), 1U);
-}
-
-TEST(EvictionPolicy, LfuTieFallsToLru) {
-  const LfuEviction lfu;
-  const std::vector<EvictionCandidate> candidates = {
-      candidate(0, 4, /*last_dispatch=*/900, 3, 100),
-      candidate(1, 5, /*last_dispatch=*/100, 3, 900),
-  };
-  EXPECT_EQ(lfu.pick_victim(candidates), 1U);
 }
 
 TEST(EvictionPolicy, CostAwareEvictsCheapestReload) {
   const CostAwareEviction cost;
   const std::vector<EvictionCandidate> candidates = {
-      candidate(0, 4, 100, 1, /*reload=*/5'000),
-      candidate(1, 5, 900, 9, /*reload=*/200),
-      candidate(2, 6, 500, 5, /*reload=*/90'000),
+      candidate(0, 4, 100, /*reload=*/5'000),
+      candidate(1, 5, 900, /*reload=*/200),
+      candidate(2, 6, 500, /*reload=*/90'000),
   };
   EXPECT_EQ(cost.pick_victim(candidates), 1U);
 }
@@ -87,8 +61,8 @@ TEST(EvictionPolicy, CostAwareEvictsCheapestReload) {
 TEST(EvictionPolicy, CostAwareTieFallsToLru) {
   const CostAwareEviction cost;
   const std::vector<EvictionCandidate> candidates = {
-      candidate(0, 4, /*last_dispatch=*/900, 1, 200),
-      candidate(1, 5, /*last_dispatch=*/100, 9, 200),
+      candidate(0, 4, /*last_dispatch=*/900, 200),
+      candidate(1, 5, /*last_dispatch=*/100, 200),
   };
   EXPECT_EQ(cost.pick_victim(candidates), 1U);
 }

@@ -1,4 +1,4 @@
-// End-to-end checks of the mann::obs wiring through serve::Server:
+// End-to-end checks of the mann::obs wiring through serve::run:
 // every lifecycle span closes, the instrument totals agree with the
 // serving report, and — the load-bearing invariant — the simulated
 // slice of the trace is byte-identical across worker counts, exactly
@@ -13,7 +13,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -48,7 +48,7 @@ TracedRun run_traced(std::size_t workers) {
   config.trace = &recorder;
 
   TracedRun run;
-  run.report = Server(std::move(config), std::move(models)).run(60);
+  run.report = serve::run(std::move(config), models, 60);
   run.events = recorder.merged();
   for (const obs::MetricSample& s : registry.snapshot()) {
     if (s.kind == obs::MetricSample::Kind::kCounter) {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "accel/service_cycle_cache.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -66,14 +66,14 @@ void expect_same_simulated_report(const ServingReport& a,
 TEST(ParallelServing, ReportsIdenticalAcrossWorkerCounts) {
   const auto stories = tiny_stories(10);
   const ServingReport sequential =
-      Server(parallel_server_config(0), two_models(stories)).run(80);
+      serve::run(parallel_server_config(0), two_models(stories), 80);
   ASSERT_EQ(sequential.completed, 80U);
   EXPECT_EQ(sequential.workers, 0U);
   EXPECT_FALSE(sequential.cycle_cache_enabled);
 
   for (const std::size_t workers : {1U, 2U, 4U}) {
     const ServingReport parallel =
-        Server(parallel_server_config(workers), two_models(stories)).run(80);
+        serve::run(parallel_server_config(workers), two_models(stories), 80);
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_same_simulated_report(sequential, parallel);
     EXPECT_EQ(parallel.workers, workers);
@@ -86,9 +86,9 @@ TEST(ParallelServing, ReportsIdenticalAcrossWorkerCounts) {
 TEST(ParallelServing, RepeatedRunIsDeterministic) {
   const auto stories = tiny_stories(10);
   const ServingReport first =
-      Server(parallel_server_config(4), two_models(stories)).run(60);
+      serve::run(parallel_server_config(4), two_models(stories), 60);
   const ServingReport second =
-      Server(parallel_server_config(4), two_models(stories)).run(60);
+      serve::run(parallel_server_config(4), two_models(stories), 60);
   expect_same_simulated_report(first, second);
 }
 
@@ -98,10 +98,10 @@ TEST(ParallelServing, SharedCacheReplaysRepeatedWorkloadInstantly) {
   ServerConfig config = parallel_server_config(2);
   config.scheduler.cycle_cache = &cache;
 
-  const Server server(config, two_models(stories));
-  const ServingReport first = server.run(60);
+  const auto models = two_models(stories);
+  const ServingReport first = serve::run(config, models, 60);
   const accel::ServiceCycleCacheStats after_first = cache.stats();
-  const ServingReport second = server.run(60);
+  const ServingReport second = serve::run(config, models, 60);
 
   expect_same_simulated_report(first, second);
   // The second identical run re-simulates nothing, at dispatch or on a
@@ -122,10 +122,8 @@ TEST(ParallelServing, AffinitySpeculationStatsAreDeterministic) {
   // so the score cannot depend on how many workers raced ahead.
   ServerConfig two = parallel_server_config(2);
   ServerConfig four = parallel_server_config(4);
-  const ServingReport with_two =
-      Server(two, two_models(stories)).run(80);
-  const ServingReport with_four =
-      Server(four, two_models(stories)).run(80);
+  const ServingReport with_two = serve::run(two, two_models(stories), 80);
+  const ServingReport with_four = serve::run(four, two_models(stories), 80);
 
   EXPECT_GT(with_two.speculation.speculated, 0U);
   EXPECT_EQ(with_two.speculation.speculated,
@@ -137,7 +135,7 @@ TEST(ParallelServing, AffinitySpeculationStatsAreDeterministic) {
 TEST(ParallelServing, SequentialPathNeverSpeculates) {
   const auto stories = tiny_stories(10);
   const ServingReport sequential =
-      Server(parallel_server_config(0), two_models(stories)).run(60);
+      serve::run(parallel_server_config(0), two_models(stories), 60);
   EXPECT_EQ(sequential.speculation.speculated, 0U);
   EXPECT_EQ(sequential.speculation.useful, 0U);
   EXPECT_EQ(sequential.speculation.wasted, 0U);
@@ -149,10 +147,9 @@ TEST(ParallelServing, CacheWithoutWorkersIsPureMemoization) {
   ServerConfig config = parallel_server_config(0);
   config.scheduler.cycle_cache = &cache;
 
-  const ServingReport cached =
-      Server(config, two_models(stories)).run(60);
+  const ServingReport cached = serve::run(config, two_models(stories), 60);
   const ServingReport plain =
-      Server(parallel_server_config(0), two_models(stories)).run(60);
+      serve::run(parallel_server_config(0), two_models(stories), 60);
   expect_same_simulated_report(plain, cached);
   EXPECT_TRUE(cached.cycle_cache_enabled);
   EXPECT_EQ(cached.workers, 0U);

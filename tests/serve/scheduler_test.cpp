@@ -367,9 +367,7 @@ TEST(Scheduler, LruEvictionDisplacesColdestResident) {
   const auto stories = tiny_stories(2);
   // Shared two-slot pool, three tasks: warm up task 0 on slot 0 and
   // task 1 on slot 1, re-touch task 0, then force task 2 to evict.
-  Scheduler scheduler({.devices = 2,
-                       .policy = SchedulerPolicy::kEdf,
-                       .eviction = EvictionPolicyKind::kLru},
+  Scheduler scheduler({.devices = 2, .policy = SchedulerPolicy::kEdf},
                       task_devices(3));
   ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 1, 0, 0)));
   scheduler.step(0);

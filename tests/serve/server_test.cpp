@@ -1,11 +1,10 @@
-#include "serve/server.hpp"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
 #include "serve/request.hpp"
+#include "serve/session.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -102,9 +101,9 @@ TEST(TrafficGenerator, RejectsBurstGapExceedingRateBudget) {
 
 TEST(Server, AnswersEveryRequestDeterministically) {
   const auto stories = tiny_stories(6);
-  const Server server(small_server_config(), two_models(stories));
-  const ServingReport first = server.run(40);
-  const ServingReport second = server.run(40);
+  const auto models = two_models(stories);
+  const ServingReport first = run(small_server_config(), models, 40);
+  const ServingReport second = run(small_server_config(), models, 40);
 
   EXPECT_EQ(first.offered, 40U);
   EXPECT_EQ(first.completed, 40U);
@@ -126,8 +125,7 @@ TEST(Server, NoRequestDroppedUnderBurstLoad) {
   config.traffic.mean_interarrival_cycles = 1'000.0;
   config.traffic.burst_mean = 12.0;
   config.traffic.burst_gap_cycles = 16.0;
-  const Server server(config, two_models(stories));
-  const ServingReport report = server.run(200);
+  const ServingReport report = run(config, two_models(stories), 200);
   EXPECT_EQ(report.offered, 200U);
   EXPECT_EQ(report.completed, 200U);
   EXPECT_EQ(report.rejected, 0U);
@@ -142,11 +140,9 @@ TEST(Server, PoolScalingImprovesThroughput) {
   config.traffic.mean_interarrival_cycles = 100.0;
 
   config.scheduler.devices = 1;
-  const ServingReport one =
-      Server(config, two_models(stories)).run(120);
+  const ServingReport one = run(config, two_models(stories), 120);
   config.scheduler.devices = 4;
-  const ServingReport four =
-      Server(config, two_models(stories)).run(120);
+  const ServingReport four = run(config, two_models(stories), 120);
 
   EXPECT_EQ(one.completed, 120U);
   EXPECT_EQ(four.completed, 120U);
@@ -160,8 +156,7 @@ TEST(Server, WarmPoolAmortisesModelUploads) {
   const auto stories = tiny_stories(8);
   ServerConfig config = small_server_config();
   config.scheduler.devices = 2;
-  const Server server(config, two_models(stories));
-  const ServingReport report = server.run(80);
+  const ServingReport report = run(config, two_models(stories), 80);
   // Far fewer uploads than batches: devices stay warm across batches.
   EXPECT_GT(report.batching.batches_out, report.model_uploads);
   EXPECT_GE(report.model_uploads, 2U);  // each program uploaded at least once
@@ -172,8 +167,7 @@ TEST(Server, ServingAccuracyMatchesDirectRuns) {
   ServerConfig config = small_server_config();
   std::vector<ServedModel> models;
   models.push_back({tiny_program(7), stories});
-  const Server server(config, std::move(models));
-  const ServingReport report = server.run(50);
+  const ServingReport report = run(config, models, 50);
 
   // Ground truth: the same program run as one offline batch.
   const accel::Accelerator device(config.accel, tiny_program(7));
@@ -190,11 +184,12 @@ TEST(Server, ServingAccuracyMatchesDirectRuns) {
 }
 
 TEST(Server, RejectsEmptyConfiguration) {
-  EXPECT_THROW(Server(small_server_config(), {}), std::invalid_argument);
+  EXPECT_THROW((void)run(small_server_config(), {}, 1),
+               std::invalid_argument);
   const std::vector<data::EncodedStory> empty;
   std::vector<ServedModel> models;
   models.push_back({tiny_program(7), empty});
-  EXPECT_THROW(Server(small_server_config(), std::move(models)),
+  EXPECT_THROW((void)run(small_server_config(), models, 1),
                std::invalid_argument);
 }
 

@@ -1,11 +1,11 @@
-// ServerSession: the incremental serving API must be a refactoring of
-// Server::run(), not a reinterpretation — the closed loop is the spec.
-// The core assertions here: (1) run() equals a submit-everything /
-// step / drain / finalize composition on the deterministic report
-// fields; (2) *when* the driver steps is irrelevant — any step_until
-// horizon schedule replays the same cycles; (3) the completion stream
-// is a complete, (cycle, id)-sorted ledger; (4) live reconfiguration
-// lands mid-run without dropping queued or in-flight requests.
+// ServerSession: the incremental serving API must agree with the closed
+// loop, serve::run() — the closed loop is the spec. The core assertions
+// here: (1) run() equals a submit-everything / step / drain / finalize
+// composition on the deterministic report fields; (2) *when* the driver
+// steps is irrelevant — any step_until horizon schedule replays the same
+// cycles; (3) the completion stream is a complete, (cycle, id)-sorted
+// ledger; (4) live reconfiguration lands mid-run without dropping queued
+// or in-flight requests.
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "serve/outcome.hpp"
 #include "serve/request.hpp"
-#include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -88,14 +87,13 @@ void expect_reports_equal(const ServingReport& a, const ServingReport& b) {
   EXPECT_DOUBLE_EQ(a.energy.total_joules, b.energy.total_joules);
 }
 
-/// The closed-loop baseline: the same schedule served by Server::run().
+/// The closed-loop baseline: the same schedule served by serve::run().
 ServingReport closed_loop_report(const std::vector<TraceEntry>& trace,
                                  const std::vector<ServedModel>& models) {
   ServerConfig config = session_config();
   config.traffic.process = ArrivalProcess::kTrace;
   config.traffic.trace = trace;
-  const Server server(config, models);
-  return server.run(trace.size());
+  return run(config, models, trace.size());
 }
 
 TEST(ServerSession, RunEqualsSubmitStepDrainComposition) {
@@ -297,26 +295,6 @@ TEST(ServerSession, WatchdogCountsFromTheFirstStepAcrossHorizons) {
     (void)session.step_until(session.last_submitted_arrival());
   }
   EXPECT_THROW((void)session.finalize(), std::runtime_error);
-}
-
-TEST(ServerSession, MixedGeneratedAndSubmittedTraffic) {
-  const auto stories = tiny_stories(8);
-  const auto models = two_models(stories);
-  ServerConfig config = session_config();
-  config.traffic.mean_interarrival_cycles = 20'000.0;
-  config.traffic.seed = 5;
-  SessionOptions options;
-  options.total_requests = 6;  // closed-loop generator alongside submit()
-  ServerSession session(config, models, options);
-
-  // Injected ids start after the generator's range.
-  SubmitRequest request;
-  request.at_cycle = 1;
-  EXPECT_EQ(session.submit(request), 6U);
-  session.drain();
-  const ServingReport report = session.finalize();
-  EXPECT_EQ(report.offered, 7U);
-  EXPECT_EQ(report.completed + report.rejected, 7U);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "serve/request.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve/trace.hpp"
 #include "serve_test_util.hpp"
 
@@ -408,7 +408,7 @@ TEST(TraceTraffic, ReplayDeterministicAcrossWorkerCounts) {
     std::vector<ServedModel> models;
     models.push_back({tiny_program(7), stories});
     models.push_back({tiny_program(8), stories});
-    return Server(config, std::move(models)).run(60);
+    return serve::run(config, models, 60);
   };
 
   const ServingReport sequential = run_with_workers(0);

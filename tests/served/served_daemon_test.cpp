@@ -3,7 +3,8 @@
 // injected as MANN_SERVED_PATH by CMake) end to end — command parsing,
 // err handling that keeps the daemon alive, live reconfiguration with
 // requests in flight, byte-stable output at a fixed schedule, and
-// replay equivalence against the daemon's own --closed-loop mode.
+// replay equivalence against the daemon's own --closed-loop mode, on a
+// fleet of one (the default) and of two.
 //
 // All runs use --tiny models: protocol and scheduling behaviour only
 // depend on cycle costs (shapes), so nothing here needs trained models.
@@ -77,6 +78,21 @@ std::size_t count_lines_with(const std::string& transcript,
   return count;
 }
 
+/// Lines starting with `prefix` that do not also contain `needle`.
+std::size_t lines_missing(const std::string& transcript,
+                          const std::string& prefix,
+                          const std::string& needle) {
+  std::size_t count = 0;
+  std::istringstream in(transcript);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find(prefix) == 0 && line.find(needle) == std::string::npos) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 TEST(ServedDaemon, SubmitInfoDrainQuitRoundTrip) {
   const std::string transcript = run_daemon(
       "--tiny 2",
@@ -87,9 +103,15 @@ TEST(ServedDaemon, SubmitInfoDrainQuitRoundTrip) {
       "quit\n",
       "roundtrip");
   EXPECT_EQ(count_lines_with(transcript, "ready "), 1U);
+  EXPECT_NE(transcript.find(" instances=1 "), std::string::npos);
   EXPECT_EQ(count_lines_with(transcript, "ok id="), 2U);
   EXPECT_EQ(count_lines_with(transcript, "done id="), 2U);
+  // One protocol: replies and stream lines name the serving instance,
+  // and `info` is the fleet line plus one line per instance.
+  EXPECT_EQ(lines_missing(transcript, "ok id=", " instance=0 "), 0U);
+  EXPECT_EQ(lines_missing(transcript, "done id=", " instance=0"), 0U);
   EXPECT_EQ(count_lines_with(transcript, "info cycle="), 1U);
+  EXPECT_EQ(count_lines_with(transcript, "info[0] cycle="), 1U);
   EXPECT_EQ(count_lines_with(transcript, "ok quit"), 1U);
   EXPECT_EQ(count_lines_with(transcript, "bye "), 1U);
   EXPECT_NE(transcript.find("completed=2"), std::string::npos);
@@ -115,10 +137,29 @@ TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
       "quit\n",
       "malformed");
   EXPECT_EQ(count_lines_with(transcript, "err "), 10U);
-  // The daemon kept serving after every rejection.
+  // The daemon kept serving after every rejection, and no refused submit
+  // moved the clock: the good one still arrives at the fleet clock, 0.
   EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U);
+  EXPECT_EQ(count_lines_with(transcript, "ok id=0 instance=0 at=0"), 1U);
   EXPECT_EQ(count_lines_with(transcript, "bye "), 1U);
   EXPECT_NE(transcript.find("offered=1"), std::string::npos);
+}
+
+TEST(ServedDaemon, StepSaturatesInsteadOfWrapping) {
+  // A step whose horizon lies past the last cycle runs to quiescence,
+  // as ServerSession::step does: the request completes before `quit`
+  // instead of the horizon wrapping below the clock.
+  const std::string transcript = run_daemon(
+      "--tiny 2 --lockstep --cluster 2",
+      "submit 0 0 0 1000\n"
+      "step 18446744073709551615\n"
+      "quit\n",
+      "step_saturates");
+  EXPECT_EQ(count_lines_with(transcript, "ok step cycle="), 1U);
+  EXPECT_EQ(lines_missing(transcript, "ok step cycle=", " idle=1"), 0U);
+  const std::size_t done = transcript.find("\ndone id=0 ");
+  ASSERT_NE(done, std::string::npos);
+  EXPECT_LT(done, transcript.find("\nok quit"));
 }
 
 /// Exit status of `command` run by the shell, output discarded.
@@ -141,6 +182,7 @@ TEST(ServedDaemon, NumericFlagsFollowTheProtocolRule) {
   EXPECT_EQ(daemon("--devices -1"), 2);
   EXPECT_EQ(daemon("--max-batch +4"), 2);
   EXPECT_EQ(daemon("--slo ''"), 2);
+  EXPECT_EQ(daemon("--cluster 0"), 2);  // a fleet needs an instance
 }
 
 TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
@@ -245,38 +287,40 @@ TEST(ServedDaemon, TranscriptIsByteStableAtAFixedSchedule) {
 TEST(ServedDaemon, LockstepReplayMatchesClosedLoop) {
   // The acceptance gate in miniature: one arrival schedule served twice
   // — open loop through the protocol under --lockstep, closed loop via
-  // --closed-loop — must produce byte-identical report JSON.
+  // --closed-loop — must produce byte-identical report JSON, on a fleet
+  // of one and on a load-routed (p2c) fleet of two.
   const std::filesystem::path trace = temp_file("equiv.csv");
+  const struct { unsigned long long at; int task; int tenant; } rows[] = {
+      {1'000, 0, 0}, {1'000, 1, 1}, {1'500, 0, 2},  {60'000, 1, 0},
+      {60'200, 0, 1}, {61'000, 1, 2}, {300'000, 0, 0},
+  };
+  std::string commands;
   {
-    const struct { unsigned long long at; int task; int tenant; } rows[] = {
-        {1'000, 0, 0}, {1'000, 1, 1}, {1'500, 0, 2},  {60'000, 1, 0},
-        {60'200, 0, 1}, {61'000, 1, 2}, {300'000, 0, 0},
-    };
-    std::string commands;
-    {
-      std::ofstream out(trace);  // closed before the daemon reads it
-      out << "arrival_cycle,task_id,tenant_id\n";
-      for (const auto& row : rows) {
-        out << row.at << "," << row.task << "," << row.tenant << "\n";
-        commands += "submit " + std::to_string(row.task) + " " +
-                    std::to_string(row.tenant) + " 0 " +
-                    std::to_string(row.at) + "\n";
-      }
-      commands += "drain\nquit\n";
+    std::ofstream out(trace);  // closed before the daemon reads it
+    out << "arrival_cycle,task_id,tenant_id\n";
+    for (const auto& row : rows) {
+      out << row.at << "," << row.task << "," << row.tenant << "\n";
+      commands += "submit " + std::to_string(row.task) + " " +
+                  std::to_string(row.tenant) + " 0 " +
+                  std::to_string(row.at) + "\n";
     }
+    commands += "drain\nquit\n";
+  }
+  for (const char* fleet : {"", " --cluster 2"}) {
+    SCOPED_TRACE(fleet);
+    const std::string flags = std::string("--tiny 2 --tenants 3") + fleet;
     const std::filesystem::path open_json = temp_file("equiv_open.json");
-    const std::string transcript = run_daemon(
-        "--tiny 2 --tenants 3 --lockstep --report-json " +
-            open_json.string(),
-        commands, "equiv_open");
+    const std::string transcript =
+        run_daemon(flags + " --lockstep --report-json " + open_json.string(),
+                   commands, "equiv_open");
     EXPECT_EQ(count_lines_with(transcript, "done id="), 7U);
 
     const std::filesystem::path closed_json =
         temp_file("equiv_closed.json");
     const std::string closed_cmd =
-        std::string(MANN_SERVED_PATH) + " --tiny 2 --tenants 3" +
-        " --closed-loop " + trace.string() + " --report-json " +
-        closed_json.string() + " > /dev/null 2>&1";
+        std::string(MANN_SERVED_PATH) + " " + flags + " --closed-loop " +
+        trace.string() + " --report-json " + closed_json.string() +
+        " > /dev/null 2>&1";
     ASSERT_EQ(std::system(closed_cmd.c_str()), 0);
 
     const std::string open_report = read_file(open_json);

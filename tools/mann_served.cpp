@@ -1,66 +1,76 @@
-// mann_served: a long-running serving daemon over the incremental
-// ServerSession API (serve/session.hpp).
+// mann_served: a long-running serving daemon over a cluster::Cluster of
+// serve::ServerSession instances (cluster/cluster.hpp, serve/session.hpp).
 //
 // Where mann_cli and the benches run one closed loop and exit, this tool
-// keeps a serving session open and speaks a line protocol on stdin — the
-// MAGPIE ucgi.c shape: a scan loop accepting commands while a manager
-// thread owns the engine. Here the scan loop (main thread) reads and
-// enqueues command lines; the manager thread is the sole owner of the
-// ServerSession and the sole stdout writer, so replies and streamed
-// per-request lines never interleave mid-line.
+// keeps a fleet open and speaks a line protocol on stdin — the MAGPIE
+// ucgi.c shape: a scan loop accepting commands while a manager thread
+// owns the engine. Here the scan loop (main thread) reads and enqueues
+// command lines; the manager thread is the sole owner of the Cluster and
+// the sole stdout writer, so replies and streamed per-request lines
+// never interleave mid-line.
+//
+// The manager always drives one Cluster: --cluster N instances behind a
+// router, 1 by default (0 exits 2). A fleet of one serves exactly like a
+// bare session, so there is one protocol and one report schema.
 //
 // Protocol (one command per line; every command answers `ok ...` or
-// `err ...`, and resolved requests stream as `done`/`shed` lines):
+// `err ...`, and resolved requests stream as `done`/`shed` lines tagged
+// `instance=<i>`, the instance that resolved them):
 //
 //   submit <task> [tenant] [deadline] [at]   inject one request.
 //                        deadline: relative cycles (0 = SLO default);
-//                        at: absolute arrival cycle (0 = session clock;
-//                        clamped monotone). -> ok id=<id> at=<cycle>
-//   info                 one status line (also emitted every
-//                        --info-every N resolved requests)
+//                        at: absolute arrival cycle (0 = fleet clock;
+//                        clamped monotone).
+//                        -> ok id=<id> instance=<i> at=<cycle>, or
+//                           ok shed=router when the router refuses it
+//   info                 a fleet line plus one `info[i]` line per
+//                        instance (also emitted every --info-every N
+//                        resolved requests)
 //   config tenant <id> <tier> <weight> <quota_interarrival>
 //                 <quota_burst> <slo>        live-replace one tenant's
 //                        contract (admission + WFQ weight + SLO stamp)
 //   config slo <default> [per-task...]       live-replace the SLO table
 //   config policy fifo|edf|wfq               live-switch dispatch policy
-//                        (wfq needs a session started with --policy wfq,
+//                        (wfq needs a fleet started with --policy wfq,
 //                        which is the default for --tenants >= 2)
 //   trace on|off         gate lifecycle trace recording (--trace-json)
-//   step [cycles]        advance explicitly (default: to quiescence)
+//   step [cycles]        advance explicitly (default: to quiescence;
+//                        a horizon past the last cycle saturates)
 //   drain                end-of-stream: flush sub-size batches from now
 //                        on and stop holding the lockstep horizon
 //   quit                 finalize, report, exit (EOF behaves like quit)
 //
-// Clocking: by default each command is followed by an advance to
-// quiescence (submitted work completes immediately — interactive, but
-// batches rarely fill). Under --lockstep the manager never advances past
-// the last submitted arrival cycle (exclusive), so a driver that submits
-// a recorded schedule gets the exact closed-loop timeline: batching,
-// admission and dispatch all see the same state at the same cycles, and
-// the final report is bit-identical to Server::run() over the same
-// trace. `drain` lifts the horizon. The CI replay-equivalence leg pipes
-// bench/traces/sample_diurnal.csv through scripts/served_client.py in
-// this mode and diffs the report against --closed-loop below.
-//
-// One-shot modes (no daemon):
-//   --closed-loop FILE   serve the trace CSV via Server::run() and write
-//                        the same deterministic report JSON the daemon
-//                        writes — the comparison baseline.
-//
-// Cluster mode (--cluster N): the manager owns a cluster::Cluster of N
-// lockstep instances instead of one ServerSession. The protocol is
-// unchanged; `submit` replies gain `instance=<i>` (or `shed=router` when
-// the router refuses), `done`/`shed` stream lines carry the serving
-// instance, `info` prints one fleet line plus a line per instance, and
-// `config` fans out fleet-wide. --router picks the routing policy
+// `config` fans out to every instance. --router picks the routing policy
 // (affinity = consistent-hash task affinity, p2c = power-of-two-choices,
-// spill = tenant home + spill set; default p2c). --closed-loop composes:
-// the trace is served by Cluster::run() and the report JSON switches to
-// the fleet schema. A --cluster 1 closed loop reproduces the bare
-// server's simulated timeline exactly (the CI identity gate).
-// --fleet-threads N advances the instances on N host threads between
-// routing barriers over a sharded fleet-shared cycle cache; every line
-// the daemon emits is bit-identical for any N (wall clock only).
+// spill = tenant home + spill set; default p2c). --fleet-threads N
+// advances the instances on N host threads between routing barriers
+// over a sharded fleet-shared cycle cache; every line the daemon emits
+// is bit-identical for any N (wall clock only).
+//
+// Clocking: a valid submit first steps the fleet to its arrival cycle
+// (exclusive), then routes it — the order Cluster::run() uses, so a
+// load-aware router sees every completion before the arrival. By
+// default each command is then followed by an advance to quiescence
+// (submitted work completes immediately — interactive, but batches
+// rarely fill). Under --lockstep the manager never advances past the
+// last submitted arrival cycle (exclusive), so a driver that submits a
+// recorded schedule gets the exact closed-loop timeline: routing,
+// batching, admission and dispatch all see the same state at the same
+// cycles, and the final report is byte-identical to --closed-loop over
+// the same trace. `drain` lifts the horizon. The CI replay-equivalence
+// legs pipe bench/traces/sample_diurnal.csv through
+// scripts/served_client.py in this mode, with one instance and with a
+// 4-instance p2c fleet, and diff each report against --closed-loop.
+//
+// One-shot mode (no daemon):
+//   --closed-loop FILE   serve the trace CSV via Cluster::run() (the
+//                        closed loop serve::run() shares) and write the
+//                        report JSON the daemon writes — the comparison
+//                        baseline.
+//
+// --report-json writes the deterministic slice of the ClusterReport:
+// fleet totals, merged-stream percentiles and fleet energy, and under
+// each per_instance entry that instance's full serving report slice.
 //
 // Workload: --tiny N serves N synthetic untrained tasks (shape-only cost
 // model; instant startup, used by the pipe-driven tests); --tasks K
@@ -94,7 +104,6 @@
 #include "obs/trace.hpp"
 #include "runtime/measurement.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
 
@@ -112,7 +121,7 @@ struct DaemonOptions {
   std::size_t dedicated = 0;
   std::size_t max_batch = 8;
   std::optional<serve::SchedulerPolicy> policy;  ///< default: see below
-  std::size_t cluster = 0;  ///< fleet size (0 = single bare session)
+  std::size_t cluster = 1;  ///< fleet size (instances behind the router)
   /// Host threads advancing the fleet between routing barriers (0/1 =
   /// sequential); >1 also shards a fleet-shared cycle cache 2x this
   /// wide. Wall-clock only — every simulated line is thread-invariant.
@@ -187,6 +196,10 @@ DaemonOptions parse_args(int argc, char** argv) {
       }
     } else if (arg == "--cluster") {
       opts.cluster = bench::count_flag(arg, next());
+      if (opts.cluster == 0) {
+        std::fprintf(stderr, "--cluster needs at least one instance\n");
+        usage(2);
+      }
     } else if (arg == "--fleet-threads") {
       opts.fleet_threads = bench::count_flag(arg, next());
     } else if (arg == "--router") {
@@ -327,46 +340,41 @@ serve::ServerConfig make_config(const DaemonOptions& opts,
 
 // ---------------------------------------------------------------- report
 
-/// The deterministic slice of a ServingReport, as stable JSON: every
-/// field here is a pure function of the simulated timeline, so two runs
-/// that serve the same schedule must produce byte-identical files — the
-/// CI replay-equivalence gate diffs them directly. Host-dependent fields
-/// (wall clock, worker count, cycle-cache hit rates) are deliberately
-/// absent.
-void write_report_json(const std::string& path,
-                       const serve::ServingReport& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"offered\": %zu,\n", r.offered);
-  std::fprintf(f, "  \"completed\": %zu,\n", r.completed);
-  std::fprintf(f, "  \"rejected\": %zu,\n", r.rejected);
-  std::fprintf(f, "  \"makespan_cycles\": %llu,\n",
-               static_cast<unsigned long long>(r.makespan_cycles));
-  std::fprintf(f, "  \"throughput_stories_per_second\": %.6f,\n",
-               r.throughput_stories_per_second);
-  std::fprintf(f, "  \"accuracy\": %.9f,\n", r.accuracy);
-  std::fprintf(f, "  \"early_exit_rate\": %.9f,\n", r.early_exit_rate);
-  std::fprintf(f, "  \"latency_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.latency.mean_cycles, r.latency.p50_cycles,
-               r.latency.p95_cycles, r.latency.p99_cycles,
-               r.latency.max_cycles);
-  std::fprintf(f, "  \"queue_wait_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.queue_wait.mean_cycles, r.queue_wait.p50_cycles,
-               r.queue_wait.p95_cycles, r.queue_wait.p99_cycles,
-               r.queue_wait.max_cycles);
-  std::fprintf(f, "  \"deadline\": {\"total\": %llu, \"missed\": %llu, "
+void write_summary_json(std::FILE* f, const char* pad, const char* name,
+                        const serve::LatencySummary& s) {
+  std::fprintf(f, "%s\"%s\": {\"mean\": %.3f, \"p50\": %.3f, \"p95\": %.3f, "
+               "\"p99\": %.3f, \"max\": %.3f},\n",
+               pad, name, s.mean_cycles, s.p50_cycles, s.p95_cycles,
+               s.p99_cycles, s.max_cycles);
+}
+
+void write_deadline_json(std::FILE* f, const char* pad, std::uint64_t total,
+                         std::uint64_t missed, double hit_rate) {
+  std::fprintf(f, "%s\"deadline\": {\"total\": %llu, \"missed\": %llu, "
                "\"hit_rate\": %.9f},\n",
-               static_cast<unsigned long long>(r.deadline_total),
-               static_cast<unsigned long long>(r.deadline_missed),
-               r.deadline_hit_rate);
-  std::fprintf(f, "  \"shed\": {\"queue_full\": %llu, \"quota\": %llu, "
+               pad, static_cast<unsigned long long>(total),
+               static_cast<unsigned long long>(missed), hit_rate);
+}
+
+/// One instance's serving report, one field per line at indent `pad`.
+void write_serving_json(std::FILE* f, const char* pad,
+                        const serve::ServingReport& r) {
+  std::fprintf(f, "%s\"offered\": %zu,\n", pad, r.offered);
+  std::fprintf(f, "%s\"completed\": %zu,\n", pad, r.completed);
+  std::fprintf(f, "%s\"rejected\": %zu,\n", pad, r.rejected);
+  std::fprintf(f, "%s\"makespan_cycles\": %llu,\n", pad,
+               static_cast<unsigned long long>(r.makespan_cycles));
+  std::fprintf(f, "%s\"throughput_stories_per_second\": %.6f,\n", pad,
+               r.throughput_stories_per_second);
+  std::fprintf(f, "%s\"accuracy\": %.9f,\n", pad, r.accuracy);
+  std::fprintf(f, "%s\"early_exit_rate\": %.9f,\n", pad, r.early_exit_rate);
+  write_summary_json(f, pad, "latency_cycles", r.latency);
+  write_summary_json(f, pad, "queue_wait_cycles", r.queue_wait);
+  write_deadline_json(f, pad, r.deadline_total, r.deadline_missed,
+                      r.deadline_hit_rate);
+  std::fprintf(f, "%s\"shed\": {\"queue_full\": %llu, \"quota\": %llu, "
                "\"doomed\": %llu, \"overload\": %llu},\n",
+               pad,
                static_cast<unsigned long long>(
                    r.shed.count(serve::ShedReason::kQueueFull)),
                static_cast<unsigned long long>(
@@ -375,47 +383,48 @@ void write_report_json(const std::string& path,
                    r.shed.count(serve::ShedReason::kDoomed)),
                static_cast<unsigned long long>(
                    r.shed.count(serve::ShedReason::kOverload)));
-  std::fprintf(f, "  \"fairness_index\": %.9f,\n", r.fairness_index);
-  std::fprintf(f, "  \"tenants\": [");
+  std::fprintf(f, "%s\"fairness_index\": %.9f,\n", pad, r.fairness_index);
+  std::fprintf(f, "%s\"tenants\": [", pad);
   for (std::size_t i = 0; i < r.tenants.size(); ++i) {
     const serve::TenantReport& t = r.tenants[i];
     std::fprintf(f,
-                 "%s\n    {\"tenant\": %u, \"tier\": %u, \"weight\": %.6f, "
+                 "%s\n%s  {\"tenant\": %u, \"tier\": %u, \"weight\": %.6f, "
                  "\"admitted\": %llu, \"completed\": %llu, "
                  "\"with_deadline\": %llu, \"violations\": %llu, "
                  "\"shed\": %llu}",
-                 i == 0 ? "" : ",", t.tenant, t.tier, t.weight,
+                 i == 0 ? "" : ",", pad, t.tenant, t.tier, t.weight,
                  static_cast<unsigned long long>(t.admitted),
                  static_cast<unsigned long long>(t.completed),
                  static_cast<unsigned long long>(t.with_deadline),
                  static_cast<unsigned long long>(t.violations),
                  static_cast<unsigned long long>(t.shed.total()));
   }
-  std::fprintf(f, "%s],\n", r.tenants.empty() ? "" : "\n  ");
-  std::fprintf(f, "  \"mean_batch_size\": %.6f,\n", r.mean_batch_size);
-  std::fprintf(f, "  \"batching_efficiency\": %.6f,\n",
+  std::fprintf(f, "%s%s],\n", r.tenants.empty() ? "" : "\n",
+               r.tenants.empty() ? "" : pad);
+  std::fprintf(f, "%s\"mean_batch_size\": %.6f,\n", pad, r.mean_batch_size);
+  std::fprintf(f, "%s\"batching_efficiency\": %.6f,\n", pad,
                r.batching_efficiency);
-  std::fprintf(f, "  \"mean_device_utilization\": %.9f,\n",
+  std::fprintf(f, "%s\"mean_device_utilization\": %.9f,\n", pad,
                r.mean_device_utilization);
-  std::fprintf(f, "  \"model_uploads\": %llu,\n",
+  std::fprintf(f, "%s\"model_uploads\": %llu,\n", pad,
                static_cast<unsigned long long>(r.model_uploads));
-  std::fprintf(f, "  \"model_evictions\": %llu,\n",
+  std::fprintf(f, "%s\"model_evictions\": %llu,\n", pad,
                static_cast<unsigned long long>(r.model_evictions));
-  std::fprintf(f, "  \"stolen_batches\": %llu,\n",
+  std::fprintf(f, "%s\"stolen_batches\": %llu,\n", pad,
                static_cast<unsigned long long>(r.stolen_batches));
-  std::fprintf(f, "  \"energy\": {\"total_joules\": %.9f, "
+  std::fprintf(f, "%s\"energy\": {\"total_joules\": %.9f, "
                "\"per_inference_joules\": %.9f}\n",
-               r.energy.total_joules, r.energy.per_inference_joules);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+               pad, r.energy.total_joules, r.energy.per_inference_joules);
 }
 
-/// The fleet flavour of the report: the deterministic slice of a
-/// ClusterReport (merged-stream percentiles, fleet energy, autoscaler
-/// counters). Host-dependent fields (wall clock, cycle-cache hit rate)
-/// are deliberately absent, same as the bare-session report above.
-void write_cluster_report_json(const std::string& path,
-                               const cluster::ClusterReport& r) {
+/// The deterministic slice of a ClusterReport, as stable JSON: every
+/// field here is a pure function of the simulated timeline, so two runs
+/// that serve the same schedule must produce byte-identical files — the
+/// CI replay-equivalence gate diffs them directly. Host-dependent fields
+/// (wall clock, worker count, cycle-cache hit rates) are deliberately
+/// absent.
+void write_report_json(const std::string& path,
+                       const cluster::ClusterReport& r) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -432,21 +441,10 @@ void write_cluster_report_json(const std::string& path,
                static_cast<unsigned long long>(r.makespan_cycles));
   std::fprintf(f, "  \"throughput_stories_per_second\": %.6f,\n",
                r.throughput_stories_per_second);
-  std::fprintf(f, "  \"latency_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.latency.mean_cycles, r.latency.p50_cycles,
-               r.latency.p95_cycles, r.latency.p99_cycles,
-               r.latency.max_cycles);
-  std::fprintf(f, "  \"queue_wait_cycles\": {\"mean\": %.3f, \"p50\": %.3f, "
-               "\"p95\": %.3f, \"p99\": %.3f, \"max\": %.3f},\n",
-               r.queue_wait.mean_cycles, r.queue_wait.p50_cycles,
-               r.queue_wait.p95_cycles, r.queue_wait.p99_cycles,
-               r.queue_wait.max_cycles);
-  std::fprintf(f, "  \"deadline\": {\"total\": %llu, \"missed\": %llu, "
-               "\"hit_rate\": %.9f},\n",
-               static_cast<unsigned long long>(r.deadline_total),
-               static_cast<unsigned long long>(r.deadline_missed),
-               r.deadline_hit_rate);
+  write_summary_json(f, "  ", "latency_cycles", r.latency);
+  write_summary_json(f, "  ", "queue_wait_cycles", r.queue_wait);
+  write_deadline_json(f, "  ", r.deadline_total, r.deadline_missed,
+                      r.deadline_hit_rate);
   std::fprintf(f, "  \"instance_fairness\": %.9f,\n", r.instance_fairness);
   std::fprintf(f, "  \"model_uploads\": %llu,\n",
                static_cast<unsigned long long>(r.model_uploads));
@@ -463,12 +461,12 @@ void write_cluster_report_json(const std::string& path,
     const cluster::InstanceReport& inst = r.instance_reports[i];
     std::fprintf(f,
                  "%s\n    {\"id\": %zu, \"routed\": %llu, "
-                 "\"active_cycles\": %llu, \"completed\": %zu, "
-                 "\"rejected\": %zu}",
+                 "\"active_cycles\": %llu, \"report\": {\n",
                  i == 0 ? "" : ",", inst.id,
                  static_cast<unsigned long long>(inst.routed),
-                 static_cast<unsigned long long>(inst.active_cycles),
-                 inst.report.completed, inst.report.rejected);
+                 static_cast<unsigned long long>(inst.active_cycles));
+    write_serving_json(f, "      ", inst.report);
+    std::fprintf(f, "    }}");
   }
   std::fprintf(f, "%s]\n", r.instance_reports.empty() ? "" : "\n  ");
   std::fprintf(f, "}\n");
@@ -480,11 +478,10 @@ void write_cluster_report_json(const std::string& path,
 /// The daemon never autoscales — parking decisions belong to recorded
 /// schedules with a known span (the bench), not an open stdin stream.
 cluster::ClusterConfig make_cluster_config(const DaemonOptions& opts,
-                                           obs::MetricsRegistry* metrics,
-                                           obs::TraceRecorder* trace) {
+                                           serve::ServerConfig server) {
   cluster::ClusterConfig config;
   config.instances = opts.cluster;
-  config.server = make_config(opts, metrics, trace);
+  config.server = std::move(server);
   config.router.kind = opts.router;
   config.router.seed = opts.seed;
   config.fleet_threads = opts.fleet_threads;
@@ -496,8 +493,8 @@ cluster::ClusterConfig make_cluster_config(const DaemonOptions& opts,
 // ------------------------------------------------------------ closed loop
 
 /// One-shot comparison baseline: the recorded schedule served by the
-/// historical closed loop (Server::run over kTrace traffic).
-int run_closed_loop(const DaemonOptions& opts, Workload& workload) {
+/// closed loop (Cluster::run over kTrace traffic).
+int run_closed_loop(const DaemonOptions& opts, const Workload& workload) {
   std::vector<serve::TraceEntry> trace;
   try {
     trace = serve::load_trace_csv(opts.closed_loop);
@@ -522,30 +519,16 @@ int run_closed_loop(const DaemonOptions& opts, Workload& workload) {
     }
   }
   config.traffic.trace = trace;
-  if (opts.cluster > 0) {
-    cluster::ClusterConfig fleet_config =
-        make_cluster_config(opts, nullptr, nullptr);
-    fleet_config.server = config;  // carries the trace traffic
-    cluster::Cluster fleet(std::move(fleet_config), workload.models);
-    const cluster::ClusterReport report = fleet.run(trace.size());
-    if (!opts.report_json.empty()) {
-      write_cluster_report_json(opts.report_json, report);
-    }
-    std::printf("closed-loop instances=%zu policy=%s offered=%zu "
-                "completed=%zu rejected=%zu router_shed=%zu makespan=%llu\n",
-                report.instances, report.policy.c_str(), report.offered,
-                report.completed, report.rejected, report.router_shed,
-                static_cast<unsigned long long>(report.makespan_cycles));
-    return 0;
-  }
-  const serve::Server server(config, std::move(workload.models));
-  const serve::ServingReport report = server.run(trace.size());
+  cluster::Cluster fleet(make_cluster_config(opts, std::move(config)),
+                         workload.models);
+  const cluster::ClusterReport report = fleet.run(trace.size());
   if (!opts.report_json.empty()) {
     write_report_json(opts.report_json, report);
   }
-  std::printf("closed-loop offered=%zu completed=%zu rejected=%zu "
-              "makespan=%llu\n",
-              report.offered, report.completed, report.rejected,
+  std::printf("closed-loop instances=%zu policy=%s offered=%zu "
+              "completed=%zu rejected=%zu router_shed=%zu makespan=%llu\n",
+              report.instances, report.policy.c_str(), report.offered,
+              report.completed, report.rejected, report.router_shed,
               static_cast<unsigned long long>(report.makespan_cycles));
   return 0;
 }
@@ -608,17 +591,15 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// The manager: sole owner of the session (or the fleet under
-/// --cluster), sole stdout writer. Commands execute strictly in arrival
-/// order, and each command is followed by one pump (advance + stream
-/// resolved requests), so the entire output byte stream is a pure
-/// function of the input line sequence. Exactly one of `session`/`fleet`
-/// is non-null.
+/// The manager: sole owner of the fleet, sole stdout writer. Commands
+/// execute strictly in arrival order, and each command is followed by
+/// one pump (advance + stream resolved requests), so the entire output
+/// byte stream is a pure function of the input line sequence.
 class Manager {
  public:
-  Manager(const DaemonOptions& opts, serve::ServerSession* session,
-          cluster::Cluster* fleet, obs::TraceRecorder* trace)
-      : opts_(opts), session_(session), fleet_(fleet), trace_(trace) {}
+  Manager(const DaemonOptions& opts, cluster::Cluster& fleet,
+          obs::TraceRecorder* trace)
+      : opts_(opts), fleet_(fleet), trace_(trace) {}
 
   /// True while the daemon should keep reading commands.
   [[nodiscard]] bool running() const noexcept { return !quitting_; }
@@ -640,34 +621,21 @@ class Manager {
   }
 
   /// EOF or quit: drain, run to quiescence, stream the tail, report.
-  /// Owns the report JSON too — the session and fleet schemas differ.
   void finish() {
-    if (fleet_ != nullptr) {
-      // Cluster::finalize() folds (and discards) any still-pending
-      // completions into its percentiles, so stream the tail first; the
-      // drain + quiescence pass below makes finalize's own a no-op.
-      fleet_->drain();
-      (void)fleet_->step_until(sim::kNever);
-      emit_completions();
-      const cluster::ClusterReport report = fleet_->finalize();
-      std::printf("bye offered=%zu completed=%zu rejected=%zu "
-                  "router_shed=%zu makespan=%llu\n",
-                  report.offered, report.completed, report.rejected,
-                  report.router_shed,
-                  static_cast<unsigned long long>(report.makespan_cycles));
-      if (!opts_.report_json.empty()) {
-        write_cluster_report_json(opts_.report_json, report);
-      }
-    } else {
-      const serve::ServingReport report = session_->finalize();
-      emit_completions();
-      std::printf("bye offered=%zu completed=%zu rejected=%zu "
-                  "makespan=%llu\n",
-                  report.offered, report.completed, report.rejected,
-                  static_cast<unsigned long long>(report.makespan_cycles));
-      if (!opts_.report_json.empty()) {
-        write_report_json(opts_.report_json, report);
-      }
+    // Cluster::finalize() folds (and discards) any still-pending
+    // completions into its percentiles, so stream the tail first; the
+    // drain + quiescence pass below makes finalize's own a no-op.
+    fleet_.drain();
+    (void)fleet_.step_until(sim::kNever);
+    emit_completions();
+    const cluster::ClusterReport report = fleet_.finalize();
+    std::printf("bye offered=%zu completed=%zu rejected=%zu "
+                "router_shed=%zu makespan=%llu\n",
+                report.offered, report.completed, report.rejected,
+                report.router_shed,
+                static_cast<unsigned long long>(report.makespan_cycles));
+    if (!opts_.report_json.empty()) {
+      write_report_json(opts_.report_json, report);
     }
     std::fflush(stdout);
   }
@@ -719,12 +687,8 @@ class Manager {
     } else if (command == "step") {
       cmd_step(tokens);
     } else if (command == "drain") {
-      if (fleet_ != nullptr) {
-        fleet_->drain();
-        drained_ = true;
-      } else {
-        session_->drain();
-      }
+      fleet_.drain();
+      drained_ = true;
       std::printf("ok drain\n");
     } else if (command == "quit") {
       quitting_ = true;
@@ -750,23 +714,21 @@ class Manager {
     if (tokens.size() > 4) {
       request.at_cycle = parse_count(tokens[4], "at");
     }
-    if (fleet_ != nullptr) {
-      const cluster::Cluster::Submission sub = fleet_->submit(request);
-      if (!sub.instance.has_value()) {
-        std::printf("ok shed=router\n");
-      } else {
-        std::printf("ok id=%llu instance=%zu at=%llu\n",
-                    static_cast<unsigned long long>(sub.id), *sub.instance,
-                    static_cast<unsigned long long>(
-                        fleet_->last_submitted_arrival()));
-      }
+    // Refuse before any clock moves, then step the fleet to the arrival
+    // (exclusive) so the router sees every completion before it:
+    // Cluster::run()'s order.
+    fleet_.check_submit(request);
+    (void)fleet_.step_until(
+        std::max(request.at_cycle, fleet_.last_submitted_arrival()));
+    const cluster::Cluster::Submission sub = fleet_.submit(request);
+    if (!sub.instance.has_value()) {
+      std::printf("ok shed=router\n");
       return;
     }
-    const serve::RequestId id = session_->submit(request);
-    std::printf("ok id=%llu at=%llu\n",
-                static_cast<unsigned long long>(id),
+    std::printf("ok id=%llu instance=%zu at=%llu\n",
+                static_cast<unsigned long long>(sub.id), *sub.instance,
                 static_cast<unsigned long long>(
-                    session_->last_submitted_arrival()));
+                    fleet_.last_submitted_arrival()));
   }
 
   void cmd_config(const std::vector<std::string>& tokens) {
@@ -787,11 +749,7 @@ class Manager {
           parse_real(tokens[5], "quota_interarrival");
       config.quota_burst = parse_real(tokens[6], "quota_burst");
       config.slo_deadline_cycles = parse_count(tokens[7], "slo");
-      if (fleet_ != nullptr) {
-        fleet_->set_tenant(id, config);
-      } else {
-        session_->set_tenant(id, config);
-      }
+      fleet_.set_tenant(id, config);
       std::printf("ok config tenant %u\n", id);
     } else if (what == "slo") {
       if (tokens.size() < 3) {
@@ -804,11 +762,7 @@ class Manager {
       for (std::size_t i = 3; i < tokens.size(); ++i) {
         slo.per_task.push_back(parse_count(tokens[i], "per-task deadline"));
       }
-      if (fleet_ != nullptr) {
-        fleet_->set_slo(slo);
-      } else {
-        session_->set_slo(slo);
-      }
+      fleet_.set_slo(slo);
       std::printf("ok config slo\n");
     } else if (what == "policy") {
       if (tokens.size() != 3) {
@@ -825,12 +779,10 @@ class Manager {
         fail("config policy fifo|edf|wfq");
         return;
       }
-      const bool switched = fleet_ != nullptr ? fleet_->set_policy(policy)
-                                              : session_->set_policy(policy);
-      if (switched) {
+      if (fleet_.set_policy(policy)) {
         std::printf("ok config policy %s\n", tokens[2].c_str());
       } else {
-        std::printf("err policy wfq needs a session started under wfq "
+        std::printf("err policy wfq needs a fleet started under wfq "
                     "(tenant lanes are fixed at construction)\n");
       }
     } else {
@@ -855,74 +807,51 @@ class Manager {
     }
     const sim::Cycle cycles =
         tokens.size() == 2 ? parse_count(tokens[1], "cycles") : 0;
-    if (fleet_ != nullptr) {
-      // step N = advance the lockstep horizon by N; step = quiescence,
-      // matching ServerSession::step's contract.
-      const bool idle = fleet_->step_until(
-          cycles == 0 ? sim::kNever : fleet_->now() + cycles);
-      std::printf("ok step cycle=%llu idle=%d\n",
-                  static_cast<unsigned long long>(fleet_->now()),
-                  idle ? 1 : 0);
-      return;
-    }
-    const bool idle = session_->step(cycles);
+    // step N advances the lockstep horizon by N, saturating instead of
+    // wrapping past sim::kNever; step = quiescence (ServerSession::step's
+    // contract).
+    const sim::Cycle now = fleet_.now();
+    const bool idle = fleet_.step_until(
+        cycles == 0 || cycles >= sim::kNever - now ? sim::kNever
+                                                   : now + cycles);
     std::printf("ok step cycle=%llu idle=%d\n",
-                static_cast<unsigned long long>(session_->now()),
-                idle ? 1 : 0);
+                static_cast<unsigned long long>(fleet_.now()), idle ? 1 : 0);
   }
 
-  /// Advance per the clocking mode, then stream resolved requests.
+  /// Advance per the clocking mode, then stream resolved requests. Under
+  /// lockstep the last submit already stepped to its arrival, the
+  /// horizon held until `drain`.
   void pump() {
-    if (fleet_ != nullptr) {
-      if (opts_.lockstep && !drained_) {
-        (void)fleet_->step_until(fleet_->last_submitted_arrival());
-      } else {
-        (void)fleet_->step_until(sim::kNever);
-      }
-    } else if (opts_.lockstep && !session_->draining()) {
-      // Never run past the last vouched-for arrival (exclusive), so the
-      // replayed schedule batches exactly like the closed loop.
-      (void)session_->step_until(session_->last_submitted_arrival());
-    } else {
-      (void)session_->step(0);
+    if (!opts_.lockstep || drained_) {
+      (void)fleet_.step_until(sim::kNever);
     }
     emit_completions();
   }
 
   void emit_completions() {
-    if (fleet_ != nullptr) {
-      for (const cluster::ClusterCompletion& c : fleet_->poll_completions()) {
-        emit_resolved(c.completion, static_cast<long long>(c.instance));
-      }
-    } else {
-      for (const serve::Completion& c : session_->poll_completions()) {
-        emit_resolved(c, -1);
-      }
+    for (const cluster::ClusterCompletion& c : fleet_.poll_completions()) {
+      emit_resolved(c.completion, c.instance);
     }
   }
 
-  /// One `done`/`shed` stream line; instance >= 0 (cluster mode) appends
-  /// an `instance=` token so drivers can attribute the resolution.
-  void emit_resolved(const serve::Completion& c, long long instance) {
-    char tag[32] = "";
-    if (instance >= 0) {
-      std::snprintf(tag, sizeof(tag), " instance=%lld", instance);
-    }
+  /// One `done`/`shed` stream line, tagged with the resolving instance.
+  void emit_resolved(const serve::Completion& c, cluster::InstanceId instance) {
     const serve::InferenceResponse& r = c.response;
     if (serve::outcome_is_shed(c.outcome)) {
       std::printf("shed id=%llu task=%zu tenant=%u reason=%s "
-                  "cycle=%llu%s\n",
+                  "cycle=%llu instance=%zu\n",
                   static_cast<unsigned long long>(r.id), r.task,
                   r.tenant, serve::request_outcome_name(c.outcome),
-                  static_cast<unsigned long long>(c.cycle), tag);
+                  static_cast<unsigned long long>(c.cycle), instance);
     } else {
       std::printf("done id=%llu task=%zu tenant=%u outcome=%s "
-                  "enqueue=%llu complete=%llu latency=%llu%s\n",
+                  "enqueue=%llu complete=%llu latency=%llu instance=%zu\n",
                   static_cast<unsigned long long>(r.id), r.task,
                   r.tenant, serve::request_outcome_name(c.outcome),
                   static_cast<unsigned long long>(r.enqueue_cycle),
                   static_cast<unsigned long long>(r.complete_cycle),
-                  static_cast<unsigned long long>(r.latency_cycles()), tag);
+                  static_cast<unsigned long long>(r.latency_cycles()),
+                  instance);
     }
     ++resolved_since_info_;
     if (opts_.info_every > 0 && resolved_since_info_ >= opts_.info_every) {
@@ -932,51 +861,34 @@ class Manager {
   }
 
   void print_info() {
-    if (fleet_ != nullptr) {
-      const cluster::ClusterInfo fleet_info = fleet_->info();
-      std::printf("info cycle=%llu instances=%zu active=%zu offered=%zu "
-                  "router_shed=%zu policy=%s\n",
-                  static_cast<unsigned long long>(fleet_info.cycle),
-                  fleet_info.instances, fleet_info.active,
-                  fleet_info.offered, fleet_info.router_shed,
-                  fleet_->policy_name());
-      for (std::size_t i = 0; i < fleet_info.per_instance.size(); ++i) {
-        print_session_info(fleet_info.per_instance[i],
-                           static_cast<long long>(i));
-      }
-      return;
+    const cluster::ClusterInfo fleet = fleet_.info();
+    std::printf("info cycle=%llu instances=%zu active=%zu offered=%zu "
+                "router_shed=%zu policy=%s\n",
+                static_cast<unsigned long long>(fleet.cycle),
+                fleet.instances, fleet.active, fleet.offered,
+                fleet.router_shed, fleet_.policy_name());
+    for (std::size_t i = 0; i < fleet.per_instance.size(); ++i) {
+      const serve::SessionInfo& info = fleet.per_instance[i];
+      std::printf("info[%zu] cycle=%llu offered=%zu admitted=%zu "
+                  "completed=%zu shed=%zu pending=%zu in_flight=%zu "
+                  "policy=%s draining=%d\n",
+                  i, static_cast<unsigned long long>(info.cycle),
+                  info.offered, info.admitted, info.completed, info.shed,
+                  info.batcher_pending + info.scheduler_pending,
+                  info.in_flight, serve::scheduler_policy_name(info.policy),
+                  info.draining ? 1 : 0);
     }
-    print_session_info(session_->info(), -1);
-  }
-
-  static void print_session_info(const serve::SessionInfo& info,
-                                 long long instance) {
-    char label[32] = "info";
-    if (instance >= 0) {
-      std::snprintf(label, sizeof(label), "info[%lld]", instance);
-    }
-    std::printf("%s cycle=%llu offered=%zu admitted=%zu completed=%zu "
-                "shed=%zu pending=%zu in_flight=%zu policy=%s "
-                "draining=%d\n",
-                label,
-                static_cast<unsigned long long>(info.cycle), info.offered,
-                info.admitted, info.completed, info.shed,
-                info.batcher_pending + info.scheduler_pending,
-                info.in_flight,
-                serve::scheduler_policy_name(info.policy),
-                info.draining ? 1 : 0);
   }
 
   const DaemonOptions& opts_;
-  serve::ServerSession* session_;  ///< bare mode (null under --cluster)
-  cluster::Cluster* fleet_;        ///< --cluster mode (null otherwise)
+  cluster::Cluster& fleet_;
   obs::TraceRecorder* trace_;
   std::size_t resolved_since_info_ = 0;
-  bool drained_ = false;  ///< fleet drain latch (Cluster has no draining())
+  bool drained_ = false;  ///< `drain` seen: lockstep no longer holds
   bool quitting_ = false;
 };
 
-int run_daemon(const DaemonOptions& opts, Workload& workload) {
+int run_daemon(const DaemonOptions& opts, const Workload& workload) {
   obs::MetricsRegistry metrics;
   obs::TraceRecorder trace_recorder;
   obs::TraceRecorder* trace =
@@ -985,35 +897,18 @@ int run_daemon(const DaemonOptions& opts, Workload& workload) {
     trace->set_enabled(false);  // armed by the `trace on` command
   }
   const serve::ServerConfig config = make_config(opts, &metrics, trace);
-
-  std::optional<serve::ServerSession> session;
-  std::optional<cluster::Cluster> fleet;
-  if (opts.cluster > 0) {
-    fleet.emplace(make_cluster_config(opts, &metrics, trace),
-                  workload.models);
-    std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d "
-                "instances=%zu router=%s\n",
-                workload.models.size(),
-                std::max<std::size_t>(1, opts.tenants),
-                serve::scheduler_policy_name(config.scheduler.policy),
-                opts.lockstep ? 1 : 0, fleet->size(),
-                fleet->policy_name());
-  } else {
-    serve::SessionOptions session_options;
-    session_options.total_requests = 0;  // pure open loop
-    session.emplace(config, workload.models, session_options);
-    std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d\n",
-                session->num_tasks(), session->num_tenants(),
-                serve::scheduler_policy_name(config.scheduler.policy),
-                opts.lockstep ? 1 : 0);
-  }
+  cluster::Cluster fleet(make_cluster_config(opts, config), workload.models);
+  std::printf("ready tasks=%zu tenants=%zu policy=%s lockstep=%d "
+              "instances=%zu router=%s\n",
+              workload.models.size(), std::max<std::size_t>(1, opts.tenants),
+              serve::scheduler_policy_name(config.scheduler.policy),
+              opts.lockstep ? 1 : 0, fleet.size(), fleet.policy_name());
   std::fflush(stdout);
 
-  Manager manager(opts, session.has_value() ? &*session : nullptr,
-                  fleet.has_value() ? &*fleet : nullptr, trace);
+  Manager manager(opts, fleet, trace);
   CommandQueue queue;
 
-  // The manager thread owns the session; the main thread stays the scan
+  // The manager thread owns the fleet; the main thread stays the scan
   // loop so Ctrl-D on a terminal lands as a clean EOF-quit.
   std::thread manager_thread([&] {
     while (manager.running()) {
@@ -1048,7 +943,7 @@ int run_daemon(const DaemonOptions& opts, Workload& workload) {
 
 int main(int argc, char** argv) {
   const DaemonOptions opts = parse_args(argc, argv);
-  Workload workload =
+  const Workload workload =
       opts.tiny > 0 ? tiny_workload(opts.tiny) : suite_workload(opts);
   if (workload.models.empty()) {
     std::fprintf(stderr, "no models to serve (--tiny N or --tasks K)\n");
