@@ -2,10 +2,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
-#include <vector>
-
-#include "serve/eviction.hpp"
 
 namespace mann::accel {
 
@@ -72,9 +70,6 @@ ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
   }
 }
 
-// Out of line: serve::EvictionPolicy is forward-declared in the header.
-ServiceCycleCache::~ServiceCycleCache() = default;
-
 ServiceCycleCache::Segment& ServiceCycleCache::segment_for(
     const Key& key) noexcept {
   // KeyHash mixes the story digest, so concurrent distinct batches
@@ -139,29 +134,18 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
 }
 
 void ServiceCycleCache::evict_over_capacity_locked(Segment& segment) {
+  const auto reload_order = [](const Entry& entry) {
+    // Re-simulating IS the reload; the unique touch clock breaks ties.
+    return std::tie(entry.result.total_cycles, entry.touch_seq);
+  };
   while (segment.lru.size() > segment_capacity_) {
     auto victim = std::prev(segment.lru.end());  // LRU order: back is coldest
-    if (segment.eviction != nullptr && segment.lru.size() > 1) {
-      // Policy view of the resident entries (in list order): recency is
-      // the touch clock, frequency the per-entry hit count, and reload
-      // cost the entry's own simulated cycles — re-simulating IS the
-      // reload. The policy's pick maps back to a list iterator.
-      std::vector<serve::EvictionCandidate> candidates;
-      std::vector<std::list<Entry>::iterator> iters;
-      candidates.reserve(segment.lru.size());
-      iters.reserve(segment.lru.size());
-      std::size_t index = 0;
-      for (auto it = segment.lru.begin(); it != segment.lru.end();
-           ++it, ++index) {
-        serve::EvictionCandidate c;
-        c.slot = index;
-        c.resident_task = index;
-        c.last_dispatch_cycle = it->touch_seq;
-        c.reload_cycles = it->result.total_cycles;
-        candidates.push_back(c);
-        iters.push_back(it);
+    if (eviction_ == serve::EvictionPolicyKind::kCostAware) {
+      for (auto it = segment.lru.begin(); it != segment.lru.end(); ++it) {
+        if (reload_order(*it) < reload_order(*victim)) {
+          victim = it;
+        }
       }
-      victim = iters[segment.eviction->pick_victim(candidates)];
     }
     segment.index.erase(victim->key);
     segment.lru.erase(victim);
@@ -196,15 +180,6 @@ void ServiceCycleCache::abandon(const Key& key) noexcept {
     segment.in_flight.erase(key);
   }
   segment.ready.notify_all();
-}
-
-void ServiceCycleCache::set_eviction_policy(serve::EvictionPolicyKind kind,
-                                            obs::MetricsRegistry* metrics) {
-  for (const auto& segment : segments_) {
-    auto policy = serve::make_eviction_policy(kind, metrics);
-    std::lock_guard lock(segment->mutex);
-    segment->eviction = std::move(policy);
-  }
 }
 
 ServiceCycleCacheStats ServiceCycleCache::stats() const {

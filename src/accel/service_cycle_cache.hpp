@@ -19,18 +19,17 @@
 // lets the simulation thread pick up a prefetched result the moment it
 // is ready.
 //
-// Capacity eviction can delegate the victim choice to the serving
-// stack's EvictionPolicy machinery (set_eviction_policy) — e.g.
-// cost-aware eviction drops the entry with the fewest simulated cycles,
-// i.e. the one cheapest to recompute. Without a policy the built-in O(1)
-// LRU order applies.
+// Capacity eviction drops the least recently used entry in O(1), or —
+// after set_eviction_policy(serve::EvictionPolicyKind::kCostAware) — the
+// entry with the fewest simulated cycles, i.e. the one cheapest to
+// recompute (equal cycles fall to the least recently touched).
 //
 // Sharding: at higher host-thread counts (cluster fleet threads, many
 // workers) a single mutex serializes every lookup. The cache can be
 // split into S independently-locked segments selected by the key hash
 // (which mixes the story digest, so concurrent distinct batches spread
 // across segments). Each segment keeps its own LRU order, in-flight
-// rendezvous, eviction policy and stats; stats() sums the segments. The
+// rendezvous and stats; stats() sums the segments. The
 // per-lookup outcome (hit/wait/miss) depends only on which keys are
 // resident, so hits+waits+misses are invariant across segment counts.
 #pragma once
@@ -50,11 +49,7 @@
 #include "accel/accelerator.hpp"
 #include "data/types.hpp"
 #include "obs/metrics.hpp"
-
-namespace mann::serve {
-class EvictionPolicy;  // serve/eviction.hpp (victim choice machinery)
-enum class EvictionPolicyKind : std::uint8_t;
-}  // namespace mann::serve
+#include "serve/eviction.hpp"
 
 namespace mann::accel {
 
@@ -117,7 +112,6 @@ class ServiceCycleCache {
   explicit ServiceCycleCache(std::size_t capacity = 1024,
                              obs::MetricsRegistry* metrics = nullptr,
                              std::size_t segments = 1);
-  ~ServiceCycleCache();
 
   ServiceCycleCache(const ServiceCycleCache&) = delete;
   ServiceCycleCache& operator=(const ServiceCycleCache&) = delete;
@@ -138,13 +132,12 @@ class ServiceCycleCache {
   /// blocked acquire() takes over the computation.
   void abandon(const Key& key) noexcept;
 
-  /// Delegates capacity-eviction victim choice to a serve::EvictionPolicy
-  /// (candidates: recency = touch order, reload cost = the entry's
-  /// simulated cycles). One independent policy per segment is built via
-  /// serve::make_eviction_policy(kind, metrics), so it works for any
-  /// segment count.
-  void set_eviction_policy(serve::EvictionPolicyKind kind,
-                           obs::MetricsRegistry* metrics = nullptr);
+  /// Chooses how capacity eviction picks its victim in every segment:
+  /// kLru (the default) or kCostAware (see the header comment). Call it
+  /// before the cache is shared across threads.
+  void set_eviction_policy(serve::EvictionPolicyKind kind) noexcept {
+    eviction_ = kind;
+  }
 
   [[nodiscard]] ServiceCycleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -160,7 +153,7 @@ class ServiceCycleCache {
   struct Entry {
     Key key;
     RunResult result;
-    std::uint64_t touch_seq = 0;  ///< monotone recency clock (policy view)
+    std::uint64_t touch_seq = 0;  ///< monotone recency clock (cost ties)
   };
 
   /// One independently-locked shard: its own LRU order, in-flight
@@ -174,7 +167,6 @@ class ServiceCycleCache {
     std::unordered_set<Key, KeyHash> in_flight;
     ServiceCycleCacheStats stats;
     std::uint64_t touch_counter = 0;
-    std::unique_ptr<serve::EvictionPolicy> eviction;
     // Mirrored per-segment obs instruments (null without a registry or
     // for a single-segment cache).
     obs::Counter* obs_hits = nullptr;
@@ -187,13 +179,14 @@ class ServiceCycleCache {
   /// Locks `segment.mutex`, counting the acquisition as contended when
   /// another thread already holds it.
   [[nodiscard]] std::unique_lock<std::mutex> lock_segment(Segment& segment);
-  /// Evicts past the segment's share of capacity via the installed policy
-  /// (or LRU); the segment lock must be held.
+  /// Evicts past the segment's share of capacity by the configured kind;
+  /// the segment lock must be held.
   void evict_over_capacity_locked(Segment& segment);
 
   std::size_t capacity_;
   std::size_t segment_capacity_;
   std::vector<std::unique_ptr<Segment>> segments_;
+  serve::EvictionPolicyKind eviction_ = serve::EvictionPolicyKind::kLru;
   /// Resident entries across all segments, maintained atomically so the
   /// entries gauge never needs a cross-segment lock sweep.
   std::atomic<std::int64_t> entry_count_{0};

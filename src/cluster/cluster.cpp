@@ -1,7 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -19,39 +18,6 @@ namespace {
 /// [i * kIdStride, (i+1) * kIdStride). Instance 0 keeps the 0-based
 /// range, so a cluster-of-1 numbers requests exactly like a bare server.
 constexpr serve::RequestId kIdStride = serve::RequestId{1} << 40;
-
-/// Exact nearest-rank percentile (the value at rank ceil(q·n), 1-based)
-/// over sorted samples: serve::ServingMetrics' rule, so a fleet of one
-/// reports what its only instance reports.
-[[nodiscard]] double percentile(const std::vector<double>& sorted, double q) {
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
-}
-
-[[nodiscard]] serve::LatencySummary summarize(std::vector<double> samples,
-                                              double clock_hz) {
-  serve::LatencySummary s;
-  if (samples.empty()) {
-    return s;
-  }
-  double sum = 0.0;
-  for (const double v : samples) {
-    sum += v;
-  }
-  std::sort(samples.begin(), samples.end());
-  s.mean_cycles = sum / static_cast<double>(samples.size());
-  s.p50_cycles = percentile(samples, 0.50);
-  s.p95_cycles = percentile(samples, 0.95);
-  s.p99_cycles = percentile(samples, 0.99);
-  s.max_cycles = samples.back();
-  s.mean_seconds = s.mean_cycles / clock_hz;
-  s.p50_seconds = s.p50_cycles / clock_hz;
-  s.p95_seconds = s.p95_cycles / clock_hz;
-  s.p99_seconds = s.p99_cycles / clock_hz;
-  s.max_seconds = s.max_cycles / clock_hz;
-  return s;
-}
 
 /// Jain's fairness index over per-instance completed counts.
 [[nodiscard]] double jain_index(const std::vector<InstanceReport>& reports) {
@@ -88,6 +54,7 @@ struct Cluster::Instance {
 Cluster::Cluster(ClusterConfig config,
                  const std::vector<serve::ServedModel>& models)
     : config_(std::move(config)),
+      num_tasks_(models.size()),
       policy_(make_router_policy(config_.router)),
       autoscaler_(config_.autoscaler, std::max<std::size_t>(
                                           1, config_.instances)) {
@@ -125,10 +92,6 @@ Cluster::Cluster(ClusterConfig config,
     instance->session = std::make_unique<serve::ServerSession>(
         config_.server, models, static_cast<serve::RequestId>(i) * kIdStride);
     instances_.push_back(std::move(instance));
-  }
-  workloads_.reserve(models.size());
-  for (std::size_t t = 0; t < models.size(); ++t) {
-    workloads_.push_back({t, models[t].stories});
   }
   policy_->set_topology(active_set());
 }
@@ -323,10 +286,8 @@ std::vector<ClusterCompletion> Cluster::poll_completions() {
     for (serve::Completion& completion :
          instances_[i]->session->poll_completions()) {
       if (serve::outcome_is_completion(completion.outcome)) {
-        latency_samples_.push_back(static_cast<double>(
-            completion.response.latency_cycles()));
-        queue_wait_samples_.push_back(static_cast<double>(
-            completion.response.queue_cycles()));
+        latency_samples_.push_back(completion.response.latency_cycles());
+        queue_wait_samples_.push_back(completion.response.queue_cycles());
       }
       merged.push_back({i, std::move(completion)});
     }
@@ -453,15 +414,17 @@ ClusterReport Cluster::aggregate(std::vector<serve::ServingReport> reports,
         static_cast<double>(active_cycle_sum) /
         static_cast<double>(fleet_makespan);
   }
-  out.latency = summarize(std::move(latency_samples_), clock_hz);
-  out.queue_wait = summarize(std::move(queue_wait_samples_), clock_hz);
+  out.latency =
+      serve::summarize_latency(std::move(latency_samples_), clock_hz);
+  out.queue_wait =
+      serve::summarize_latency(std::move(queue_wait_samples_), clock_hz);
   latency_samples_.clear();
   queue_wait_samples_.clear();
   return out;
 }
 
 ClusterReport Cluster::run(std::size_t total_requests) {
-  serve::drive_closed_loop(*this, config_.server.traffic, workloads_,
+  serve::drive_closed_loop(*this, config_.server.traffic, num_tasks_,
                            total_requests);
   return finalize();
 }

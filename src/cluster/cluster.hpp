@@ -232,6 +232,7 @@ class Cluster {
       std::vector<serve::ServingReport> reports, sim::Cycle fleet_makespan);
 
   ClusterConfig config_;
+  std::size_t num_tasks_;  ///< run()'s closed loop draws tasks below it
   std::unique_ptr<RouterPolicy> policy_;
   Autoscaler autoscaler_;
   /// Fleet-shared cycle cache (config_.cache_segments > 0); must outlive
@@ -240,16 +241,14 @@ class Cluster {
   /// Host threads for step_until fan-out (config_.fleet_threads > 1).
   std::unique_ptr<FleetPool> pool_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  /// The task registry run()'s closed loop draws arrivals over.
-  std::vector<serve::TaskWorkload> workloads_;
   sim::Cycle clock_ = 0;         ///< highest lockstep horizon reached
   sim::Cycle last_arrival_ = 0;  ///< highest routed arrival cycle
   std::size_t offered_ = 0;
   std::size_t router_shed_ = 0;
   bool finalized_ = false;
   /// Merged-stream percentile inputs, accumulated at poll time.
-  std::vector<double> latency_samples_;
-  std::vector<double> queue_wait_samples_;
+  std::vector<sim::Cycle> latency_samples_;
+  std::vector<sim::Cycle> queue_wait_samples_;
 };
 
 /// True when every deterministic field of the two fleet reports matches:

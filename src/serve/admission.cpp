@@ -77,8 +77,8 @@ std::optional<ShedReason> AdmissionController::decide(
     }
   }
 
-  // Doom shedding: if even the cost model's estimate — observed service
-  // cycles plus the (weighted) per-device backlog — lands past the
+  // Doom shedding: if even the cost model's estimate — now plus the
+  // observed service cycles plus the per-device backlog — lands past the
   // deadline, the request can only complete late; shed it now instead of
   // spending device time on it. Computed in doubles so a pathological
   // backlog cannot overflow the cycle arithmetic.
@@ -87,8 +87,7 @@ std::optional<ShedReason> AdmissionController::decide(
     const double eta =
         static_cast<double>(now) +
         static_cast<double>(outlook.service_estimate) +
-        config_.doom_backlog_factor *
-            static_cast<double>(outlook.backlog_cycles_per_device);
+        static_cast<double>(outlook.backlog_cycles_per_device);
     if (eta > static_cast<double>(request.deadline_cycle)) {
       return ShedReason::kDoomed;
     }

@@ -51,10 +51,6 @@ struct AdmissionConfig {
   /// Off by default: it changes which requests complete, so it is an
   /// opt-in policy, not ambient behaviour.
   bool shed_doomed = false;
-  /// Weight of the pool backlog in the doom ETA. 0 sheds only on the
-  /// optimistic bound (service time alone misses the deadline); 1 adds
-  /// the full per-device backlog to the estimate.
-  double doom_backlog_factor = 1.0;
   /// Pending-request count treated as occupancy 1.0 by tiered overload
   /// shedding; 0 disables overload shedding entirely.
   std::size_t overload_pending_requests = 0;

@@ -2,40 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace mann::serve {
 
 namespace {
-
-LatencySummary summarize(const numeric::Histogram& hist, double clock_hz) {
-  LatencySummary s;
-  const std::span<const float> samples = hist.samples();
-  if (samples.empty()) {
-    return s;
-  }
-  // One sorted copy serves every quantile (nearest-rank) and the max.
-  std::vector<float> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto percentile = [&sorted](double q) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    return static_cast<double>(
-        sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)]);
-  };
-  s.mean_cycles = hist.mean();
-  s.p50_cycles = percentile(0.50);
-  s.p95_cycles = percentile(0.95);
-  s.p99_cycles = percentile(0.99);
-  s.max_cycles = sorted.back();
-  s.mean_seconds = s.mean_cycles / clock_hz;
-  s.p50_seconds = s.p50_cycles / clock_hz;
-  s.p95_seconds = s.p95_cycles / clock_hz;
-  s.p99_seconds = s.p99_cycles / clock_hz;
-  s.max_seconds = s.max_cycles / clock_hz;
-  return s;
-}
 
 /// Jain's fairness index over the tenants' weight-normalized completed
 /// throughput: (Σx)² / (n·Σx²), 1.0 when service is exactly
@@ -62,13 +35,39 @@ double jain_fairness(const std::vector<TenantReport>& tenants) {
 
 }  // namespace
 
-ServingMetrics::ServingMetrics(double clock_hz, std::size_t histogram_bins,
-                               double histogram_hi_cycles,
+LatencySummary summarize_latency(std::vector<sim::Cycle> samples,
+                                 double clock_hz) {
+  LatencySummary s;
+  if (samples.empty()) {
+    return s;
+  }
+  // One sorted copy serves every quantile and the max.
+  std::sort(samples.begin(), samples.end());
+  const auto percentile = [&samples](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    return static_cast<double>(
+        samples[std::min(rank == 0 ? 0 : rank - 1, samples.size() - 1)]);
+  };
+  const sim::Cycle sum =
+      std::accumulate(samples.begin(), samples.end(), sim::Cycle{0});
+  s.mean_cycles = static_cast<double>(sum) /
+                  static_cast<double>(samples.size());
+  s.p50_cycles = percentile(0.50);
+  s.p95_cycles = percentile(0.95);
+  s.p99_cycles = percentile(0.99);
+  s.max_cycles = static_cast<double>(samples.back());
+  s.mean_seconds = s.mean_cycles / clock_hz;
+  s.p50_seconds = s.p50_cycles / clock_hz;
+  s.p95_seconds = s.p95_cycles / clock_hz;
+  s.p99_seconds = s.p99_cycles / clock_hz;
+  s.max_seconds = s.max_cycles / clock_hz;
+  return s;
+}
+
+ServingMetrics::ServingMetrics(double clock_hz,
                                power::FpgaPowerConfig power_config)
-    : clock_hz_(clock_hz), power_config_(power_config),
-      latency_(0.0F, static_cast<float>(histogram_hi_cycles), histogram_bins),
-      queue_wait_(0.0F, static_cast<float>(histogram_hi_cycles),
-                  histogram_bins) {
+    : clock_hz_(clock_hz), power_config_(power_config) {
   if (clock_hz <= 0.0) {
     throw std::invalid_argument("ServingMetrics: clock must be positive");
   }
@@ -79,8 +78,8 @@ void ServingMetrics::record(const InferenceResponse& response) {
   correct_ += response.prediction == response.answer ? 1 : 0;
   early_exits_ += response.early_exit ? 1 : 0;
   batch_size_sum_ += response.batch_size;
-  latency_.add(static_cast<float>(response.latency_cycles()));
-  queue_wait_.add(static_cast<float>(response.queue_cycles()));
+  latency_.push_back(response.latency_cycles());
+  queue_wait_.push_back(response.queue_cycles());
 
   if (response.task >= per_task_.size()) {
     per_task_.resize(response.task + 1);
@@ -131,8 +130,8 @@ ServingReport ServingMetrics::finalize(RunTotals totals) const {
     report.batching_efficiency =
         report.mean_batch_size / static_cast<double>(totals.max_batch);
   }
-  report.latency = summarize(latency_, clock_hz_);
-  report.queue_wait = summarize(queue_wait_, clock_hz_);
+  report.latency = summarize_latency(latency_, clock_hz_);
+  report.queue_wait = summarize_latency(queue_wait_, clock_hz_);
 
   report.deadline_total = deadline_total_;
   report.deadline_missed = deadline_missed_;

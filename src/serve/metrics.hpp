@@ -3,9 +3,10 @@
 // energy, accumulated per response and folded into one ServingReport at
 // the end of a run.
 //
-// Latencies are accumulated in a numeric::Histogram (which retains raw
-// samples), so the report carries both exact percentiles and a binned
-// distribution without a second pass over the responses.
+// Latencies are kept as exact cycle samples and summarized by one
+// nearest-rank rule (summarize_latency), which the cluster's merged
+// stream shares, so a fleet of one reports exactly what its instance
+// reports.
 //
 // Rejection accounting is unified: every shed request — the batcher's
 // full-queue rejects and the admission controller's quota/doom/overload
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "accel/service_cycle_cache.hpp"
-#include "numeric/histogram.hpp"
 #include "power/power_model.hpp"
 #include "serve/batcher.hpp"
 #include "serve/request.hpp"
@@ -51,6 +51,12 @@ struct LatencySummary {
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
 };
+
+/// Mean and nearest-rank percentiles (the sample at rank ceil(q·n),
+/// 1-based) of exact cycle samples, in cycles and seconds; all zeros when
+/// there are none.
+[[nodiscard]] LatencySummary summarize_latency(std::vector<sim::Cycle> samples,
+                                               double clock_hz);
 
 /// SLO attainment of one served task.
 struct TaskSloReport {
@@ -204,21 +210,13 @@ struct RunTotals {
 
 class ServingMetrics {
  public:
-  /// `histogram_hi_cycles` bounds the binned latency view (samples beyond
-  /// it clamp into the top bin; percentiles stay exact via raw samples).
   /// `power_config` parameterizes the serving energy estimate.
-  ServingMetrics(double clock_hz, std::size_t histogram_bins = 64,
-                 double histogram_hi_cycles = 50.0e6,
-                 power::FpgaPowerConfig power_config = {});
+  explicit ServingMetrics(double clock_hz,
+                          power::FpgaPowerConfig power_config = {});
 
   void record(const InferenceResponse& response);
 
   [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
-
-  /// Binned end-to-end latency distribution (cycles).
-  [[nodiscard]] const numeric::Histogram& latency_histogram() const noexcept {
-    return latency_;
-  }
 
   /// Folds accumulated observations plus the component counters into the
   /// final report. `totals.makespan` is the serving clock at the last
@@ -248,8 +246,8 @@ class ServingMetrics {
   std::uint64_t deadline_missed_ = 0;
   std::vector<TaskCounters> per_task_;      ///< grows to the max task seen
   std::vector<TenantCounters> per_tenant_;  ///< grows to the max tenant seen
-  numeric::Histogram latency_;
-  numeric::Histogram queue_wait_;
+  std::vector<sim::Cycle> latency_;     ///< enqueue -> answer, per response
+  std::vector<sim::Cycle> queue_wait_;  ///< enqueue -> dispatch
 };
 
 }  // namespace mann::serve

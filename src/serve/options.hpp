@@ -23,10 +23,10 @@
 //                  but no tenant carries a quota; doom/overload off).
 //   * batcher    — BatcherConfig{}: batch up to 8, flush at 200k cycles,
 //                  lanes bounded at 4096.
-//   * scheduler  — SchedulerConfig{}: EDF over 2 shared devices with work
-//                  stealing, sequential host execution.
+//   * scheduler  — SchedulerConfig{}: EDF over 2 shared devices,
+//                  sequential host execution.
 //   * power      — FpgaPowerConfig{}: the calibrated board model.
-//   * watchdog   — 20e9 cycles; histogram_bins 64; obs sinks null.
+//   * watchdog   — 20e9 cycles; obs sinks null.
 //
 // The builder is a value: copy it to fork a baseline into variants. It
 // intentionally has no behaviour beyond accumulation — build() hands the
@@ -64,7 +64,7 @@ class ServingOptions {
     config_.batcher = value;
     return *this;
   }
-  /// Dispatch policy block (devices, stealing, workers, cycle cache).
+  /// Dispatch policy block (devices, queue bound, workers, cycle cache).
   /// policy() below switches just the policy enum.
   ServingOptions& scheduler(SchedulerConfig value) {
     config_.scheduler = std::move(value);
@@ -76,10 +76,6 @@ class ServingOptions {
   }
   ServingOptions& watchdog_cycles(sim::Cycle value) {
     config_.watchdog_cycles = value;
-    return *this;
-  }
-  ServingOptions& histogram_bins(std::size_t value) {
-    config_.histogram_bins = value;
     return *this;
   }
 
@@ -95,9 +91,8 @@ class ServingOptions {
     config_.traffic.slo = std::move(value);
     return *this;
   }
-  /// Dispatch policy (kFifo / kEdf / kWfq). Under kWfq, weights default
-  /// to the tenant registry's unless scheduler().tenant_weights says
-  /// otherwise.
+  /// Dispatch policy (kFifo / kEdf / kWfq). Under kWfq the scheduler
+  /// weighs tenants by the tenant registry's weights.
   ServingOptions& policy(SchedulerPolicy value) {
     config_.scheduler.policy = value;
     return *this;

@@ -14,18 +14,13 @@ constexpr std::uint64_t kTenantStreamSalt = 0xA5A5'5A5A'7E6A'2019ULL;
 }  // namespace
 
 TrafficGenerator::TrafficGenerator(TrafficConfig config,
-                                   std::vector<TaskWorkload> workloads,
+                                   std::size_t num_tasks,
                                    std::size_t total_requests)
-    : config_(std::move(config)), workloads_(std::move(workloads)),
-      total_(total_requests), cursors_(workloads_.size(), 0),
-      rng_(config_.seed), tenant_rng_(config_.seed ^ kTenantStreamSalt) {
-  if (workloads_.empty()) {
-    throw std::invalid_argument("TrafficGenerator: no workloads");
-  }
-  for (const TaskWorkload& w : workloads_) {
-    if (w.stories.empty()) {
-      throw std::invalid_argument("TrafficGenerator: empty task corpus");
-    }
+    : config_(std::move(config)), num_tasks_(num_tasks),
+      total_(total_requests), rng_(config_.seed),
+      tenant_rng_(config_.seed ^ kTenantStreamSalt) {
+  if (num_tasks_ == 0) {
+    throw std::invalid_argument("TrafficGenerator: no tasks");
   }
   if (config_.mean_interarrival_cycles <= 0.0) {
     throw std::invalid_argument(
@@ -77,7 +72,6 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
       throw std::invalid_argument("TrafficGenerator: trace replay needs a "
                                   "non-empty trace");
     }
-    trace_task_slot_.reserve(config_.trace.size());
     sim::Cycle previous = 0;
     for (const TraceEntry& entry : config_.trace) {
       if (entry.arrival_cycle < previous) {
@@ -85,17 +79,11 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
             "TrafficGenerator: trace arrival cycles must be non-decreasing");
       }
       previous = entry.arrival_cycle;
-      std::size_t slot = workloads_.size();
-      for (std::size_t i = 0; i < workloads_.size(); ++i) {
-        if (workloads_[i].task == entry.task) {
-          slot = i;
-          break;
-        }
-      }
-      if (slot == workloads_.size()) {
+      if (entry.task >= num_tasks_) {
         throw std::invalid_argument(
             "TrafficGenerator: trace names task " +
-            std::to_string(entry.task) + " but no such workload was given");
+            std::to_string(entry.task) + " but only " +
+            std::to_string(num_tasks_) + " task(s) are served");
       }
       if (entry.tenant >= num_tenants_) {
         throw std::invalid_argument(
@@ -103,7 +91,6 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
             std::to_string(entry.tenant) + " but the registry has " +
             std::to_string(num_tenants_) + " tenant(s)");
       }
-      trace_task_slot_.push_back(slot);
     }
     // Loop shift: one trace span plus the trace's own mean gap, so the
     // next lap neither overlaps the last arrival nor opens a dead gap.
@@ -116,11 +103,11 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
   schedule_next();
 }
 
-std::size_t TrafficGenerator::next_workload_slot() {
+std::size_t TrafficGenerator::next_task() {
   if (config_.process == ArrivalProcess::kTrace) {
-    return trace_task_slot_[emitted_ % config_.trace.size()];
+    return config_.trace[emitted_ % config_.trace.size()].task;
   }
-  return rng_.index(workloads_.size());
+  return rng_.index(num_tasks_);
 }
 
 TenantId TrafficGenerator::next_tenant() {
@@ -139,38 +126,19 @@ TenantId TrafficGenerator::next_tenant() {
   return static_cast<TenantId>(tenant_share_cdf_.size() - 1);
 }
 
-sim::Cycle TrafficGenerator::deadline_for(std::size_t task,
-                                          TenantId tenant) const noexcept {
-  if (tenant < config_.tenants.size() &&
-      config_.tenants[tenant].slo_deadline_cycles != 0) {
-    return config_.tenants[tenant].slo_deadline_cycles;
-  }
-  return config_.slo.deadline_for(task);
-}
-
-std::optional<InferenceRequest> TrafficGenerator::poll(sim::Cycle now) {
+std::optional<TraceEntry> TrafficGenerator::poll(sim::Cycle now) {
   if (exhausted() || next_cycle_ > now) {
     return std::nullopt;
   }
-  const std::size_t task_slot = next_workload_slot();
-  const TenantId tenant = next_tenant();
-  const TaskWorkload& workload = workloads_[task_slot];
-  std::size_t& cursor = cursors_[task_slot];
-  InferenceRequest request;
-  request.id = emitted_;
-  request.task = workload.task;
-  request.tenant = tenant;
-  request.story = &workload.stories[cursor];
-  request.enqueue_cycle = next_cycle_;
-  const sim::Cycle slo = deadline_for(workload.task, tenant);
-  request.deadline_cycle =
-      slo == sim::kNever ? sim::kNever : next_cycle_ + slo;
-  cursor = (cursor + 1) % workload.stories.size();
+  TraceEntry arrival;
+  arrival.arrival_cycle = next_cycle_;
+  arrival.task = next_task();
+  arrival.tenant = next_tenant();
   ++emitted_;
   if (!exhausted()) {
     schedule_next();
   }
-  return request;
+  return arrival;
 }
 
 void TrafficGenerator::schedule_next() {

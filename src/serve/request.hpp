@@ -3,23 +3,23 @@
 // The seed measures one task's test split as a single batch (the paper's
 // protocol); mann::serve turns that into a runtime serving many concurrent
 // users. An InferenceRequest is one user question against one task's
-// model; the TrafficGenerator emits a deterministic arrival schedule over
-// a fixed request corpus so every serving experiment is exactly
-// reproducible from a seed.
+// model; the TrafficGenerator draws a deterministic arrival schedule —
+// (cycle, task, tenant) rows, the same TraceEntry a recorded trace holds
+// — so every serving experiment is exactly reproducible from a seed.
 //
-// Every request carries a completion deadline derived from a per-task SLO
-// config (sim::kNever when the task has no SLO) and a TenantId naming who
-// it belongs to (see serve/tenant.hpp). Tenants are drawn from the
-// configured traffic shares by a dedicated RNG stream, so labelling
-// traffic with tenants never perturbs the arrival timing — the same seed
-// produces the same schedule with or without a tenant registry. Deadlines
-// drive the deadline-aware scheduler and the admission controller's
-// load-shedding; the metrics report per-task and per-tenant hit-rates.
+// Every request carries a completion deadline the session stamps from a
+// per-task SLO config (sim::kNever when the task has no SLO) and a
+// TenantId naming who it belongs to (see serve/tenant.hpp). Tenants are
+// drawn from the configured traffic shares by a dedicated RNG stream, so
+// labelling traffic with tenants never perturbs the arrival timing — the
+// same seed produces the same schedule with or without a tenant
+// registry. Deadlines drive the deadline-aware scheduler and the
+// admission controller's load-shedding; the metrics report per-task and
+// per-tenant hit-rates.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "data/types.hpp"
@@ -126,13 +126,13 @@ struct TrafficConfig {
   /// period is one simulated "day".
   double diurnal_amplitude = 0.5;
   double diurnal_period_cycles = 10.0e6;
-  /// Trace only: the recorded schedule to replay. Task ids must name
-  /// workloads the generator was given; tenant ids must name registry
-  /// entries; arrival cycles must be non-decreasing. When total_requests
+  /// Trace only: the recorded schedule to replay. Task ids must be below
+  /// the generator's task count; tenant ids must name registry entries;
+  /// arrival cycles must be non-decreasing. When total_requests
   /// exceeds the trace length the trace loops, shifted by its span each
   /// lap, so long experiments can replay a short recording.
   std::vector<TraceEntry> trace;
-  /// Per-task deadlines stamped on every emitted request.
+  /// Per-task deadlines the session stamps on every arrival.
   SloConfig slo;
   /// Tenant registry: entry i configures tenant id i. Synthetic
   /// processes draw each request's tenant in proportion to
@@ -143,20 +143,14 @@ struct TrafficConfig {
   std::uint64_t seed = 2019;
 };
 
-/// One task's servable corpus (non-owning view of its encoded stories).
-struct TaskWorkload {
-  std::size_t task = 0;
-  std::span<const data::EncodedStory> stories;
-};
-
 /// Deterministic open-loop arrival source: draws tasks uniformly at
-/// random (seeded), walks each task's corpus round-robin, draws tenants
-/// by traffic share, and spaces arrivals by the configured process —
-/// except trace replay, which takes the task, tenant and spacing from
-/// the recording. Exhausted after `total_requests`.
+/// random (seeded) from [0, num_tasks), draws tenants by traffic share,
+/// and spaces arrivals by the configured process — except trace replay,
+/// which takes the task, tenant and spacing from the recording.
+/// Exhausted after `total_requests`.
 class TrafficGenerator {
  public:
-  TrafficGenerator(TrafficConfig config, std::vector<TaskWorkload> workloads,
+  TrafficGenerator(TrafficConfig config, std::size_t num_tasks,
                    std::size_t total_requests);
 
   [[nodiscard]] std::size_t total_requests() const noexcept { return total_; }
@@ -171,27 +165,22 @@ class TrafficGenerator {
     return exhausted() ? sim::kNever : next_cycle_;
   }
 
-  /// Emits the next request if its arrival time has come.
-  [[nodiscard]] std::optional<InferenceRequest> poll(sim::Cycle now);
+  /// Emits the next arrival if its cycle has come.
+  [[nodiscard]] std::optional<TraceEntry> poll(sim::Cycle now);
 
  private:
   void schedule_next();
-  /// Workload slot serving the next emission (trace: dictated by the
-  /// recording; otherwise drawn uniformly at schedule time).
-  [[nodiscard]] std::size_t next_workload_slot();
+  /// Task of the next emission (trace: dictated by the recording;
+  /// otherwise drawn uniformly).
+  [[nodiscard]] std::size_t next_task();
   /// Tenant of the next emission (trace: from the recording; otherwise
   /// drawn by traffic share from the dedicated tenant RNG stream).
   [[nodiscard]] TenantId next_tenant();
-  /// The request's deadline: the tenant's SLO override when set,
-  /// otherwise the task's SLO.
-  [[nodiscard]] sim::Cycle deadline_for(std::size_t task,
-                                        TenantId tenant) const noexcept;
 
   TrafficConfig config_;
-  std::vector<TaskWorkload> workloads_;
+  std::size_t num_tasks_;
   std::size_t total_;
   std::size_t emitted_ = 0;
-  std::vector<std::size_t> cursors_;  ///< per-task round-robin position
   numeric::Rng rng_;
   numeric::Rng tenant_rng_;  ///< independent stream for tenant draws
   std::size_t num_tenants_ = 1;
@@ -199,7 +188,6 @@ class TrafficGenerator {
   double arrival_clock_ = 0.0;  ///< exact (fractional) arrival time
   sim::Cycle next_cycle_ = 0;
   std::size_t burst_left_ = 0;  ///< bursty: requests left in this burst
-  std::vector<std::size_t> trace_task_slot_;  ///< trace row -> workload slot
   sim::Cycle trace_span_ = 0;  ///< loop shift when replaying past the end
 };
 

@@ -21,8 +21,10 @@ const char* scheduler_policy_name(SchedulerPolicy policy) noexcept {
 }
 
 Scheduler::Scheduler(SchedulerConfig config,
-                     std::vector<accel::Accelerator> task_devices)
-    : config_(config), task_devices_(std::move(task_devices)) {
+                     std::vector<accel::Accelerator> task_devices,
+                     std::span<const TenantConfig> tenants)
+    : config_(config), task_devices_(std::move(task_devices)),
+      tenant_registry_(tenants) {
   if (config_.devices == 0) {
     throw std::invalid_argument("Scheduler: need at least one device");
   }
@@ -38,27 +40,25 @@ Scheduler::Scheduler(SchedulerConfig config,
   }
   // One shard per dedicated slot (a single shared shard when the whole
   // pool is shared); under kWfq each shard fans out into one EDF lane
-  // per tenant weight. The lanes order themselves by the policy (WFQ
+  // per registered tenant. The lanes order themselves by the policy (WFQ
   // lanes are EDF within the tenant).
   shards_ = config_.dedicated_devices > 0 ? config_.dedicated_devices : 1;
   if (config_.policy == SchedulerPolicy::kWfq) {
-    tenant_lanes_ = std::max<std::size_t>(1, config_.tenant_weights.size());
-    tenants_.resize(tenant_lanes_);
-    for (std::size_t t = 0; t < config_.tenant_weights.size(); ++t) {
-      if (config_.tenant_weights[t] <= 0.0) {
+    tenant_lanes_ = std::max<std::size_t>(1, tenant_registry_.size());
+    for (const TenantConfig& tenant : tenant_registry_) {
+      if (tenant.weight <= 0.0) {
         throw std::invalid_argument(
             "Scheduler: WFQ tenant weights must be > 0");
       }
-      tenants_[t].weight = config_.tenant_weights[t];
     }
   }
+  tenants_.resize(tenant_lanes_);
   const SchedulerPolicy order = config_.policy == SchedulerPolicy::kFifo
                                     ? SchedulerPolicy::kFifo
                                     : SchedulerPolicy::kEdf;
   queues_.assign(shards_ * tenant_lanes_, PendingQueue(PendingOrder{order}));
   task_cycles_.resize(task_devices_.size());
   speculation_tail_.resize(shards_);
-  eviction_ = make_eviction_policy(EvictionPolicyKind::kLru, config_.metrics);
   cache_ = config_.cycle_cache;
   if (cache_ == nullptr && config_.workers > 0) {
     owned_cache_ = std::make_unique<accel::ServiceCycleCache>(
@@ -81,6 +81,8 @@ Scheduler::Scheduler(SchedulerConfig config,
       obs::counter(config_.metrics, "serve.scheduler.model_evictions");
   obs_stolen_batches_ =
       obs::counter(config_.metrics, "serve.scheduler.stolen_batches");
+  obs_eviction_victims_ =
+      obs::counter(config_.metrics, "serve.eviction.victims");
   obs_speculations_ =
       obs::counter(config_.metrics, "serve.scheduler.speculations");
   obs_queue_wait_ =
@@ -110,7 +112,7 @@ bool Scheduler::submit(Batch batch) {
   }
   if (tenant_lanes_ > 1 && batch.tenant >= tenant_lanes_) {
     throw std::out_of_range("Scheduler: batch tenant outside the WFQ "
-                            "weight registry");
+                            "tenant registry");
   }
   if (!has_capacity()) {
     ++pending_stats_.full_rejects;
@@ -118,17 +120,14 @@ bool Scheduler::submit(Batch batch) {
   }
   const std::int8_t predicted = pool_ != nullptr ? speculate(batch) : -1;
   const std::size_t lane = tenant_lanes_ > 1 ? batch.tenant : 0;
-  if (tenant_lanes_ > 1) {
-    TenantQueueState& tenant = tenants_[lane];
-    if (tenant.pending == 0) {
-      // (Re)activation: a tenant returning from idle resumes at the
-      // current virtual time instead of cashing in credit for the
-      // capacity it never used.
-      tenant.virtual_finish =
-          std::max(tenant.virtual_finish, global_virtual_);
-    }
-    ++tenant.pending;
+  TenantQueueState& tenant = tenants_[lane];
+  if (tenant.pending == 0) {
+    // (Re)activation: a tenant returning from idle resumes at the
+    // current virtual time instead of cashing in credit for the
+    // capacity it never used.
+    tenant.virtual_finish = std::max(tenant.virtual_finish, global_virtual_);
   }
+  ++tenant.pending;
   const std::size_t index = lane_index(queue_for(batch.task), lane);
   pending_stories_ += batch.size();
   queues_[index].insert({std::move(batch), next_seq_++, predicted});
@@ -248,7 +247,7 @@ bool Scheduler::set_policy(SchedulerPolicy policy) {
   }
   if (policy == SchedulerPolicy::kWfq && tenant_lanes_ <= 1) {
     // The per-tenant lane layout is fixed at construction; without it
-    // WFQ has nothing to arbitrate over (and tenants_ is unsized).
+    // WFQ has nothing to arbitrate over.
     return false;
   }
   // The queues' comparator is FIFO (seq) or EDF ((deadline, seq)); WFQ
@@ -272,29 +271,17 @@ bool Scheduler::set_policy(SchedulerPolicy policy) {
   return true;
 }
 
-void Scheduler::set_tenant_weight(TenantId tenant, double weight) {
-  if (weight <= 0.0) {
-    throw std::invalid_argument("Scheduler: WFQ tenant weights must be > 0");
-  }
-  if (tenant < tenants_.size()) {
-    tenants_[tenant].weight = weight;
-  }
-  if (tenant < config_.tenant_weights.size()) {
-    config_.tenant_weights[tenant] = weight;
-  }
-}
-
 void Scheduler::step(sim::Cycle now) {
   switch (config_.policy) {
     case SchedulerPolicy::kFifo:
       step_fifo(now);
       return;
     case SchedulerPolicy::kEdf:
-      while (dispatch_best_edf(now)) {
+      while (dispatch_most_urgent(0, 1, now) > 0) {
       }
       return;
     case SchedulerPolicy::kWfq:
-      while (dispatch_best_wfq(now)) {
+      while (dispatch_wfq(now)) {
       }
       return;
   }
@@ -307,9 +294,7 @@ Scheduler::PendingBatch Scheduler::pop_queue(std::size_t index) {
   --pending_total_;
   ++pending_stats_.pops;
   pending_stories_ -= pending.batch.size();
-  if (tenant_lanes_ > 1) {
-    --tenants_[index % tenant_lanes_].pending;
-  }
+  --tenants_[index % tenant_lanes_].pending;
   return pending;
 }
 
@@ -400,94 +385,72 @@ bool Scheduler::steal_worthwhile(std::size_t home_queue, const Batch& batch,
   return false;
 }
 
-bool Scheduler::slot_eligible(const Slot& slot, std::size_t q,
-                              bool steal_ok, sim::Cycle now) const noexcept {
-  // Eligible free slots for shard q: its home slot, the overflow pool,
-  // and — when stealing is on and worth the reload — any foreign
-  // dedicated slot that is idle (free with an empty shard).
+bool Scheduler::slot_eligible(const Slot& slot, std::size_t shard,
+                              const Batch& batch,
+                              sim::Cycle now) const noexcept {
+  // Eligible free slots for a shard's batch: its home slot, the overflow
+  // pool, and any foreign dedicated slot that is idle (free with an empty
+  // shard) when stealing the batch onto it is worth the reload.
   if (!slot.free(now)) {
     return false;
   }
   const std::size_t dedicated = config_.dedicated_devices;
-  if (dedicated == 0 || slot.id >= dedicated || slot.id == q) {
+  if (dedicated == 0 || slot.id >= dedicated || slot.id == shard) {
     return true;
   }
-  return steal_ok && shard_empty(slot.id);
+  return shard_empty(slot.id) && steal_worthwhile(shard, batch, now);
 }
 
-bool Scheduler::dispatch_best_edf(sim::Cycle now) {
-  if (pending_total_ == 0) {
-    return false;
-  }
+std::size_t Scheduler::dispatch_most_urgent(std::size_t first,
+                                            std::size_t stride,
+                                            sim::Cycle now) {
   // Urgency key: deadline first (kNever sorts last, so SLO-free batches
   // degrade to submit order), admission sequence as the deterministic
-  // tie-break. Each shard queue keeps that order, so its begin() is the
-  // shard's most urgent batch. (Under a kEdf-constructed scheduler there
-  // is exactly one tenant lane, so queue index == shard index; after a
-  // live switch from kWfq the lanes persist and the shard is recovered
-  // by dividing the lane count out — EDF then simply ignores tenant
-  // identity, scanning every lane of every shard.)
+  // tie-break. Each queue keeps that order, so its begin() is the
+  // queue's most urgent batch. A queue's shard is its index with the
+  // tenant lanes divided out (after a live switch from kWfq to kEdf the
+  // lanes persist, and EDF simply scans every lane of every shard).
   using Key = std::tuple<sim::Cycle, std::uint64_t>;
-  const std::size_t dedicated = config_.dedicated_devices;
-
   std::size_t best_queue = queues_.size();
-  std::size_t best_shard = 0;
   Key best_key{};
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    const PendingQueue& queue = queues_[q];
-    if (queue.empty()) {
+  for (std::size_t q = first; q < queues_.size(); q += stride) {
+    if (queues_[q].empty()) {
       continue;
     }
-    const std::size_t shard = q / tenant_lanes_;
-    const PendingBatch& head = *queue.begin();
+    const PendingBatch& head = *queues_[q].begin();
     const Key key{head.batch.deadline, head.seq};
     if (best_queue != queues_.size() && best_key < key) {
-      continue;  // a more urgent shard already has a slot lined up
+      continue;  // a more urgent head already has a slot lined up
     }
-    const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                          steal_worthwhile(shard, head.batch, now);
-    bool has_slot = false;
-    for (const Slot& slot : slots_) {
-      if (slot_eligible(slot, shard, steal_ok, now)) {
-        has_slot = true;
-        break;
-      }
-    }
-    if (!has_slot) {
+    const std::size_t shard = q / tenant_lanes_;
+    if (std::none_of(slots_.begin(), slots_.end(), [&](const Slot& slot) {
+          return slot_eligible(slot, shard, head.batch, now);
+        })) {
       continue;
     }
     best_queue = q;
-    best_shard = shard;
     best_key = key;
   }
   if (best_queue == queues_.size()) {
-    return false;
+    return 0;
   }
+  const std::size_t shard = best_queue / tenant_lanes_;
   const PendingBatch pending = pop_queue(best_queue);
-  // Rebuild the winner's eligible set once for the slot choice (same
-  // inputs as the scan above, so the same slots qualify).
-  const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                        steal_worthwhile(best_shard, pending.batch, now);
   std::vector<Slot*> free_slots;
   for (Slot& slot : slots_) {
-    if (slot_eligible(slot, best_shard, steal_ok, now)) {
+    if (slot_eligible(slot, shard, pending.batch, now)) {
       free_slots.push_back(&slot);
     }
   }
-  Slot* slot = choose_slot_edf(free_slots, best_shard, pending.batch.task);
+  Slot* slot = choose_slot_edf(free_slots, shard, pending.batch.task);
+  const std::size_t dedicated = config_.dedicated_devices;
   const bool stolen =
-      dedicated > 0 && slot->id < dedicated && slot->id != best_shard;
+      dedicated > 0 && slot->id < dedicated && slot->id != shard;
   dispatch(*slot, pending, now, stolen);
-  return true;
+  return pending.batch.size();
 }
 
-bool Scheduler::dispatch_best_wfq(sim::Cycle now) {
-  if (pending_total_ == 0) {
-    return false;
-  }
-  const std::size_t dedicated = config_.dedicated_devices;
-  using Key = std::tuple<sim::Cycle, std::uint64_t>;
-
+bool Scheduler::dispatch_wfq(sim::Cycle now) {
   // Tenants in (virtual finish, id) order: the least-served active
   // tenant whose work can actually go wins the dispatch; a flooding
   // tenant only advances its own virtual time, so it cannot displace a
@@ -509,62 +472,22 @@ bool Scheduler::dispatch_best_wfq(sim::Cycle now) {
             });
 
   for (const std::size_t lane : order) {
-    // Within the tenant: EDF across its shard lanes, considering only
-    // batches with an eligible slot (work-conserving, like kEdf).
-    std::size_t best_index = queues_.size();
-    std::size_t best_shard = 0;
-    Key best_key{};
-    for (std::size_t q = 0; q < shards_; ++q) {
-      const std::size_t index = lane_index(q, lane);
-      const PendingQueue& queue = queues_[index];
-      if (queue.empty()) {
-        continue;
-      }
-      const PendingBatch& head = *queue.begin();
-      const Key key{head.batch.deadline, head.seq};
-      if (best_index != queues_.size() && best_key < key) {
-        continue;
-      }
-      const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                            steal_worthwhile(q, head.batch, now);
-      bool has_slot = false;
-      for (const Slot& slot : slots_) {
-        if (slot_eligible(slot, q, steal_ok, now)) {
-          has_slot = true;
-          break;
-        }
-      }
-      if (!has_slot) {
-        continue;
-      }
-      best_index = index;
-      best_shard = q;
-      best_key = key;
-    }
-    if (best_index == queues_.size()) {
+    // Within the tenant: EDF across its shard lanes.
+    const std::size_t stories =
+        dispatch_most_urgent(lane, tenant_lanes_, now);
+    if (stories == 0) {
       continue;  // this tenant's work is slot-blocked; try the next one
     }
-    const PendingBatch pending = pop_queue(best_index);
-    const bool steal_ok = config_.work_stealing && dedicated > 0 &&
-                          steal_worthwhile(best_shard, pending.batch, now);
-    std::vector<Slot*> free_slots;
-    for (Slot& slot : slots_) {
-      if (slot_eligible(slot, best_shard, steal_ok, now)) {
-        free_slots.push_back(&slot);
-      }
-    }
-    Slot* slot =
-        choose_slot_edf(free_slots, best_shard, pending.batch.task);
-    const bool stolen =
-        dedicated > 0 && slot->id < dedicated && slot->id != best_shard;
     // Virtual-time charge: the global clock advances to the winner's
     // pre-charge level (the least-served active tenant defines "now"),
-    // then the tenant pays stories/weight for the slot it just took.
+    // then the tenant pays stories/weight for the slot it just took (an
+    // empty registry is one lane of weight 1).
+    const double weight = lane < tenant_registry_.size()
+                              ? tenant_registry_[lane].weight
+                              : 1.0;
     TenantQueueState& tenant = tenants_[lane];
     global_virtual_ = std::max(global_virtual_, tenant.virtual_finish);
-    tenant.virtual_finish +=
-        static_cast<double>(pending.batch.size()) / tenant.weight;
-    dispatch(*slot, pending, now, stolen);
+    tenant.virtual_finish += static_cast<double>(stories) / weight;
     return true;
   }
   return false;
@@ -593,19 +516,14 @@ Scheduler::Slot* Scheduler::choose_slot_edf(
       return slot;
     }
   }
-  // Every candidate displaces a resident model: LRU chooses the victim
-  // instead of slot-order accident.
-  std::vector<EvictionCandidate> candidates;
-  candidates.reserve(free_slots.size());
-  for (const Slot* slot : free_slots) {
-    EvictionCandidate c;
-    c.slot = slot->id;
-    c.resident_task = *slot->resident_task;
-    c.last_dispatch_cycle = slot->last_dispatch_cycle;
-    candidates.push_back(c);
-  }
-  const std::size_t victim = eviction_->pick_victim(candidates);
-  return free_slots[victim];
+  // Every candidate displaces a resident model: the least recently
+  // dispatched goes (min_element keeps the first, i.e. lowest, on ties).
+  obs::add(obs_eviction_victims_);
+  return *std::min_element(free_slots.begin(), free_slots.end(),
+                           [](const Slot* a, const Slot* b) {
+                             return a->last_dispatch_cycle <
+                                    b->last_dispatch_cycle;
+                           });
 }
 
 void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,

@@ -16,33 +16,37 @@
 //     deadlines configured EDF picks batches in submit order — though
 //     unlike kFifo it is work-conserving: a younger batch may dispatch
 //     while the oldest waits for an eligible slot). Free slots serve their
-//     own shard first; with work_stealing on, an idle slot that finds
-//     its queue empty steals the most urgent batch from any other
-//     shard's queue — across the shard/overflow boundary in both
-//     directions — so one overloaded shard can no longer idle the rest
-//     of the pool. A steal displaces the idle slot's resident model, so
-//     it only happens when it is worth the reload: the home slot's
-//     remaining busy time exceeds the task's observed reload cost, or
-//     waiting for home would miss the batch's deadline.
+//     own shard first; an idle slot that finds its queue empty steals the
+//     most urgent batch from any other shard's queue — across the
+//     shard/overflow boundary in both directions — so one overloaded
+//     shard cannot idle the rest of the pool. A steal displaces the idle
+//     slot's resident model, so it only happens when it is worth the
+//     reload: the home slot's remaining busy time exceeds the task's
+//     observed reload cost, or waiting for home would miss the batch's
+//     deadline.
 //   * kWfq — weighted fair queueing across tenants, EDF within a
-//     tenant. Every shard keeps one EDF-ordered lane per tenant; at each
-//     dispatch the least-served active tenant (smallest virtual finish
-//     time, advanced by stories/weight on every dispatch) wins the slot,
-//     and its most urgent batch with an eligible slot goes. A tenant
-//     that floods the queues only advances its own virtual time, so a
-//     misbehaving tenant cannot displace conforming tenants' slots —
-//     the dispatch-stage half of tenant isolation (admission is the
-//     other half). Slot choice, stealing and eviction are shared with
-//     kEdf.
-//   * kFifo — the legacy head-of-line dispatcher kept as the comparison
-//     baseline and escape hatch: the globally oldest pending batch waits
-//     for its home or an overflow slot, and nothing behind it may jump
-//     ahead.
+//     tenant. Every shard keeps one EDF-ordered lane per tenant of the
+//     registry the scheduler was built with; at each dispatch the
+//     least-served active tenant (smallest virtual finish time, advanced
+//     by stories/weight on every dispatch, the weight read live from the
+//     registry) wins the slot, and its most urgent batch with an eligible
+//     slot goes. A tenant that floods the queues only advances its own
+//     virtual time, so a misbehaving tenant cannot displace conforming
+//     tenants' slots — the dispatch-stage half of tenant isolation
+//     (admission is the other half).
+//   * kFifo — the head-of-line dispatcher kept as the comparison
+//     baseline: the globally oldest pending batch waits for its home or
+//     an overflow slot, and nothing behind it may jump ahead.
 //
-// When a dispatch must displace a resident model (every eligible free
-// slot holds some other task's program), the least recently dispatched
-// resident goes (serve::LruEviction) instead of the old last-program-wins
-// accident; evictions are counted per slot.
+// kEdf and kWfq share one pick-and-dispatch routine: among a set of
+// queues (every queue for kEdf, one tenant's lanes for kWfq) it pops the
+// most urgent (deadline, seq) head that has an eligible slot and
+// dispatches it. WFQ's virtual-time charge is their only difference.
+//
+// Slot choice for both: home, then a warm slot, then an empty one; when
+// every eligible free slot holds some other task's program, the least
+// recently dispatched resident goes (lowest slot id on ties), counted
+// per slot and in "serve.eviction.victims".
 //
 // The scheduler also exposes its cost model (`service_estimate`,
 // `backlog_cycles`, `reload_estimate`) — the same observed-cycle
@@ -76,6 +80,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -83,7 +88,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batcher.hpp"
-#include "serve/eviction.hpp"
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
 #include "serve/worker_pool.hpp"
@@ -95,7 +99,7 @@ namespace mann::serve {
 /// Dispatch-ordering policies (see the header comment).
 enum class SchedulerPolicy : std::uint8_t {
   kFifo,  ///< legacy head-of-line: strict submit order, no stealing
-  kEdf,   ///< earliest-deadline-first with optional work-stealing
+  kEdf,   ///< earliest-deadline-first with work-stealing
   kWfq,   ///< weighted fair queueing across tenants, EDF within a tenant
 };
 
@@ -128,14 +132,6 @@ struct SchedulerConfig {
   /// rejects beyond it).
   std::size_t queue_capacity = 1024;
   SchedulerPolicy policy = SchedulerPolicy::kEdf;
-  /// EDF/WFQ only: idle slots with an empty shard queue pull the most
-  /// urgent batch from other shards' queues. The FIFO policy never
-  /// steals (it reproduces the pre-EDF dispatcher exactly).
-  bool work_stealing = true;
-  /// kWfq only: tenant_weights[t] is tenant t's fair share (> 0); its
-  /// size fixes the per-shard tenant-lane count. Empty degrades kWfq to
-  /// a single lane (i.e. plain EDF).
-  std::vector<double> tenant_weights = {};
   /// Host worker threads simulating device batches ahead of the serving
   /// clock. 0 = sequential host execution (the debugging escape hatch);
   /// the natural setting is one worker per device slot.
@@ -149,9 +145,10 @@ struct SchedulerConfig {
   /// (workers need one as the speculation rendezvous).
   accel::ServiceCycleCache* cycle_cache = nullptr;
   /// Observability sinks (non-owning, both optional). `metrics` receives
-  /// "serve.scheduler.*" instruments and flows into the owned cache,
-  /// eviction policy and worker pool; `trace` receives per-request
-  /// service spans, device occupancy and worker speculation spans.
+  /// "serve.scheduler.*" instruments and "serve.eviction.victims", and
+  /// flows into the owned cache and worker pool; `trace` receives
+  /// per-request service spans, device occupancy and worker speculation
+  /// spans.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
 };
@@ -172,8 +169,15 @@ class Scheduler {
  public:
   /// `task_devices[t]` is the compiled accelerator for task t. All pool
   /// slots share these immutable program images; residency is per slot.
+  /// `tenants` is the tenant registry (non-owning; it must outlive the
+  /// scheduler and keep its size). Built under kWfq, the scheduler keeps
+  /// one lane per entry and weighs tenant t by tenants[t].weight at each
+  /// dispatch, so a registry update lands at the next one; an empty
+  /// registry is one lane of weight 1. Throws std::invalid_argument for
+  /// an empty pool or program set, or under kWfq for a weight <= 0.
   Scheduler(SchedulerConfig config,
-            std::vector<accel::Accelerator> task_devices);
+            std::vector<accel::Accelerator> task_devices,
+            std::span<const TenantConfig> tenants = {});
 
   [[nodiscard]] const SchedulerConfig& config() const noexcept {
     return config_;
@@ -196,17 +200,11 @@ class Scheduler {
   /// every queued batch is re-keyed under the new ordering (in-flight
   /// work is untouched). Returns false — and changes nothing — when the
   /// switch is impossible: kWfq needs the per-tenant lanes that only
-  /// exist when the scheduler was *constructed* with tenant weights
-  /// (lane count is part of the queue layout, which is fixed).
-  /// Switching between kFifo/kEdf, or away from and back to kWfq on a
-  /// WFQ-constructed scheduler, always succeeds.
+  /// exist when the scheduler was *constructed* under kWfq with two or
+  /// more tenants (lane count is part of the queue layout, which is
+  /// fixed). Switching between kFifo/kEdf, or away from and back to kWfq
+  /// on a WFQ-constructed scheduler, always succeeds.
   [[nodiscard]] bool set_policy(SchedulerPolicy policy);
-
-  /// Updates one tenant's WFQ weight (takes effect at the next dispatch;
-  /// accumulated virtual finish time is preserved, so past service is
-  /// not re-billed). No-op when the scheduler has no tenant lanes.
-  /// Throws std::invalid_argument for weight <= 0.
-  void set_tenant_weight(TenantId tenant, double weight);
 
   /// Moves out every response whose completion time has been reached.
   [[nodiscard]] std::vector<InferenceResponse> collect(sim::Cycle now);
@@ -343,9 +341,8 @@ class Scheduler {
     sim::Cycle warm = 0;  ///< latest observed warm run
   };
 
-  /// kWfq bookkeeping: one entry per tenant lane.
+  /// Per tenant lane: WFQ's virtual time and the lane's pending count.
   struct TenantQueueState {
-    double weight = 1.0;
     double virtual_finish = 0.0;  ///< advanced by stories/weight
     std::size_t pending = 0;      ///< batches queued across all shards
   };
@@ -359,11 +356,11 @@ class Scheduler {
   /// True when every tenant lane of `shard` is empty (the foreign-slot
   /// idleness test work-stealing keys on).
   [[nodiscard]] bool shard_empty(std::size_t shard) const noexcept;
-  /// True when `slot` may serve shard `q`'s work at `now` (free, and
-  /// either home/overflow or an idle foreign dedicated slot worth
-  /// stealing onto).
-  [[nodiscard]] bool slot_eligible(const Slot& slot, std::size_t q,
-                                   bool steal_ok,
+  /// True when `slot` may take `batch` from shard `shard` at `now`
+  /// (free, and either home/overflow or an idle foreign dedicated slot
+  /// worth stealing onto).
+  [[nodiscard]] bool slot_eligible(const Slot& slot, std::size_t shard,
+                                   const Batch& batch,
                                    sim::Cycle now) const noexcept;
   /// True when taking `batch` from `home_queue` on a foreign dedicated
   /// slot beats waiting for the home slot (the reload-vs-wait trade, or
@@ -374,13 +371,20 @@ class Scheduler {
   /// Removes and returns the head batch of queues_[index], maintaining
   /// the pending counters and tenant state.
   [[nodiscard]] PendingBatch pop_queue(std::size_t index);
-  [[nodiscard]] bool dispatch_best_edf(sim::Cycle now);
-  [[nodiscard]] bool dispatch_best_wfq(sim::Cycle now);
+  /// The EDF/WFQ pick-and-dispatch over queues first, first + stride, …:
+  /// pops the most urgent (deadline, seq) head with an eligible slot and
+  /// dispatches it. Returns its story count (0 when nothing could go).
+  [[nodiscard]] std::size_t dispatch_most_urgent(std::size_t first,
+                                                 std::size_t stride,
+                                                 sim::Cycle now);
+  /// One WFQ dispatch: the least-served tenant with a dispatchable batch
+  /// goes and pays stories/weight. False when no tenant could go.
+  [[nodiscard]] bool dispatch_wfq(sim::Cycle now);
   void step_fifo(sim::Cycle now);
   [[nodiscard]] Slot* pick_slot_fifo(std::size_t task, sim::Cycle now);
   /// EDF/WFQ slot choice for shard `queue`: home, then warm, then empty,
-  /// then the LRU victim among `free_slots` (already filtered to the
-  /// shard's eligible set).
+  /// then the least recently dispatched among `free_slots` (already
+  /// filtered to the shard's eligible set, id-ordered).
   [[nodiscard]] Slot* choose_slot_edf(const std::vector<Slot*>& free_slots,
                                       std::size_t queue, std::size_t task);
   void dispatch(Slot& slot, const PendingBatch& pending, sim::Cycle now,
@@ -397,13 +401,14 @@ class Scheduler {
   std::vector<Slot> slots_;
   /// Shard-major, tenant-lane-minor: queues_[shard * tenant_lanes_ +
   /// lane]. One shard per dedicated slot (a single shared shard when the
-  /// pool is undedicated); one tenant lane per WFQ weight (a single lane
-  /// under kFifo/kEdf). begin() of each queue is its most urgent batch
-  /// under the configured policy.
+  /// pool is undedicated); one tenant lane per registry entry under kWfq
+  /// (a single lane when built under kFifo/kEdf). begin() of each queue
+  /// is its most urgent batch under the configured policy.
   std::vector<PendingQueue> queues_;
   std::size_t shards_ = 1;
   std::size_t tenant_lanes_ = 1;
-  std::vector<TenantQueueState> tenants_;  ///< kWfq lane bookkeeping
+  std::span<const TenantConfig> tenant_registry_;  ///< WFQ weights (live)
+  std::vector<TenantQueueState> tenants_;  ///< one per tenant lane
   double global_virtual_ = 0.0;  ///< WFQ virtual time (min served level)
   std::size_t pending_total_ = 0;
   std::size_t pending_stories_ = 0;
@@ -420,7 +425,6 @@ class Scheduler {
   /// first submit).
   std::vector<std::optional<std::size_t>> speculation_tail_;
   SpeculationStats speculation_;
-  std::unique_ptr<EvictionPolicy> eviction_;
   std::unique_ptr<accel::ServiceCycleCache> owned_cache_;
   accel::ServiceCycleCache* cache_ = nullptr;  ///< owned or external
   obs::TraceRecorder* trace_ = nullptr;        ///< non-owning, may be null
@@ -429,6 +433,7 @@ class Scheduler {
   obs::Counter* obs_model_uploads_ = nullptr;
   obs::Counter* obs_model_evictions_ = nullptr;
   obs::Counter* obs_stolen_batches_ = nullptr;
+  obs::Counter* obs_eviction_victims_ = nullptr;
   obs::Counter* obs_speculations_ = nullptr;
   obs::Histogram* obs_queue_wait_ = nullptr;  ///< enqueue→dispatch cycles
   /// Declared last: its destructor joins the workers while the devices

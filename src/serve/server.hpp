@@ -62,15 +62,15 @@ struct ServerConfig {
   /// The default is transparent: nothing is shed except full queues.
   AdmissionConfig admission;
   BatcherConfig batcher;
-  /// Dispatch policy (EDF/FIFO/WFQ), work-stealing and the host-parallel
-  /// execution knobs. Under kWfq, empty tenant_weights
-  /// are filled from the tenant registry.
+  /// Dispatch policy (EDF/FIFO/WFQ), the device pool and the
+  /// host-parallel execution knobs. Under kWfq the scheduler weighs
+  /// tenants by the session's live registry (traffic.tenants, then
+  /// set_tenant).
   SchedulerConfig scheduler;
   /// Board power model folded into the report's serving-energy figures.
   power::FpgaPowerConfig power;
   /// Serving-level watchdog (independent of the per-batch accel watchdog).
   sim::Cycle watchdog_cycles = 20'000'000'000ULL;
-  std::size_t histogram_bins = 64;
   /// Observability sinks (non-owning, both optional; no-ops when the
   /// layer is compiled out). `metrics` receives every control-plane
   /// stage's instruments; `trace` receives per-request lifecycle spans

@@ -10,36 +10,27 @@ namespace mann::serve {
 
 namespace {
 
-/// Folds the derived defaults into one canonical config: WFQ weights
-/// default to the tenant registry's, and the obs sinks are threaded into
-/// the scheduler.
+/// Threads the obs sinks into the scheduler.
 ServerConfig resolve_config(ServerConfig config) {
-  if (config.scheduler.policy == SchedulerPolicy::kWfq &&
-      config.scheduler.tenant_weights.empty()) {
-    config.scheduler.tenant_weights.reserve(config.traffic.tenants.size());
-    for (const TenantConfig& tenant : config.traffic.tenants) {
-      config.scheduler.tenant_weights.push_back(tenant.weight);
-    }
-  }
   config.scheduler.metrics = config.metrics;
   config.scheduler.trace = config.trace;
   return config;
 }
 
-std::vector<TaskWorkload> make_workloads(
+std::vector<std::span<const data::EncodedStory>> make_corpora(
     const std::vector<ServedModel>& models) {
   if (models.empty()) {
     throw std::invalid_argument("ServerSession: no models to serve");
   }
-  std::vector<TaskWorkload> workloads;
-  workloads.reserve(models.size());
-  for (std::size_t t = 0; t < models.size(); ++t) {
-    if (models[t].stories.empty()) {
+  std::vector<std::span<const data::EncodedStory>> corpora;
+  corpora.reserve(models.size());
+  for (const ServedModel& model : models) {
+    if (model.stories.empty()) {
       throw std::invalid_argument("ServerSession: model with empty corpus");
     }
-    workloads.push_back({t, models[t].stories});
+    corpora.push_back(model.stories);
   }
-  return workloads;
+  return corpora;
 }
 
 std::vector<accel::Accelerator> make_devices(
@@ -247,7 +238,7 @@ ServerSession::ServerSession(ServerConfig config,
                              const std::vector<ServedModel>& models,
                              RequestId first_id)
     : config_(resolve_config(std::move(config))),
-      workloads_(make_workloads(models)),
+      corpora_(make_corpora(models)),
       tenants_(config_.traffic.tenants),
       slo_(config_.traffic.slo),
       admission_(config_.admission, config_.traffic.tenants,
@@ -255,9 +246,9 @@ ServerSession::ServerSession(ServerConfig config,
       batcher_(config_.batcher, models.size(),
                std::max<std::size_t>(1, config_.traffic.tenants.size()),
                config_.metrics),
-      scheduler_(config_.scheduler, make_devices(config_.accel, models)),
-      metrics_(config_.accel.clock_hz, config_.histogram_bins,
-               /*histogram_hi_cycles=*/50.0e6, config_.power),
+      scheduler_(config_.scheduler, make_devices(config_.accel, models),
+                 tenants_),
+      metrics_(config_.accel.clock_hz, config_.power),
       cursors_(models.size(), 0),
       next_id_(first_id) {
   frontend_ = std::make_unique<Frontend>(*this);
@@ -272,7 +263,8 @@ ServerSession::~ServerSession() = default;
 
 sim::Cycle ServerSession::deadline_for(std::size_t task,
                                        TenantId tenant) const noexcept {
-  // TrafficGenerator::deadline_for's rule over the *live* tables.
+  // The tenant's override when set, else the task's SLO, from the live
+  // tables.
   if (tenant < tenants_.size() &&
       tenants_[tenant].slo_deadline_cycles != 0) {
     return tenants_[tenant].slo_deadline_cycles;
@@ -281,10 +273,10 @@ sim::Cycle ServerSession::deadline_for(std::size_t task,
 }
 
 void ServerSession::check_submit(const SubmitRequest& request) const {
-  if (request.task >= workloads_.size()) {
+  if (request.task >= corpora_.size()) {
     throw std::out_of_range("ServerSession: task " +
                             std::to_string(request.task) + " outside the " +
-                            std::to_string(workloads_.size()) +
+                            std::to_string(corpora_.size()) +
                             "-model registry");
   }
   if (request.tenant >= num_tenants()) {
@@ -312,10 +304,10 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
   arrival.id = next_id_++;
   arrival.task = request.task;
   arrival.tenant = request.tenant;
-  const TaskWorkload& workload = workloads_[request.task];
+  const std::span<const data::EncodedStory> corpus = corpora_[request.task];
   std::size_t& cursor = cursors_[request.task];
-  arrival.story = &workload.stories[cursor];
-  cursor = (cursor + 1) % workload.stories.size();
+  arrival.story = &corpus[cursor];
+  cursor = (cursor + 1) % corpus.size();
   const sim::Cycle at =
       std::max({request.at_cycle, simulator_.now(), last_arrival_});
   last_arrival_ = at;
@@ -404,9 +396,10 @@ void ServerSession::set_tenant(TenantId tenant, const TenantConfig& config) {
         "ServerSession: tenant weight must be > 0");
   }
   // The admission controller validates range and quota knobs and throws
-  // before anything is mutated, keeping the update all-or-nothing.
+  // before anything is mutated, keeping the update all-or-nothing. The
+  // scheduler reads WFQ weights from tenants_, so the new weight lands
+  // at its next dispatch.
   admission_.set_tenant(tenant, config);
-  scheduler_.set_tenant_weight(tenant, config.weight);
   tenants_[tenant] = config;
 }
 
@@ -467,7 +460,7 @@ ServingReport ServerSession::finalize() {
 ServingReport run(ServerConfig config, const std::vector<ServedModel>& models,
                   std::size_t total_requests) {
   ServerSession session(std::move(config), models);
-  drive_closed_loop(session, session.config().traffic, make_workloads(models),
+  drive_closed_loop(session, session.config().traffic, models.size(),
                     total_requests);
   return session.finalize();
 }

@@ -18,7 +18,7 @@
 // takes effect mid-run without dropping in-flight requests.
 //
 // serve::run() below is the closed loop over one session: it draws a
-// TrafficGenerator's schedule and feeds it through drive_closed_loop(),
+// TrafficGenerator's arrivals and feeds them through drive_closed_loop(),
 // the loop cluster::Cluster::run() shares.
 //
 // Determinism contract: the tick sequence is a pure function of the
@@ -41,6 +41,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -59,9 +60,9 @@ struct SubmitRequest {
   /// the submitted schedule is always a valid trace.
   sim::Cycle at_cycle = 0;
   /// Relative deadline budget in cycles: 0 derives the deadline from the
-  /// tenant/task SLO config (as TrafficGenerator stamps it),
-  /// sim::kNever forces "no deadline", anything else is an explicit
-  /// arrival-relative budget.
+  /// session's live SLO tables (the tenant's override when set, else the
+  /// task's SLO), sim::kNever forces "no deadline", anything else is an
+  /// explicit arrival-relative budget.
   sim::Cycle deadline_cycles = 0;
 };
 
@@ -146,8 +147,8 @@ class ServerSession {
   void set_slo(const SloConfig& slo);
 
   /// Switches the dispatch policy; false (and no change) when the
-  /// layout cannot support it (kWfq on a session built without tenant
-  /// weights). Pending work is re-keyed, never dropped.
+  /// layout cannot support it (kWfq on a session not built under kWfq
+  /// with two or more tenants). Pending work is re-keyed, never dropped.
   [[nodiscard]] bool set_policy(SchedulerPolicy policy);
 
   // ---- introspection ----
@@ -200,9 +201,11 @@ class ServerSession {
   [[nodiscard]] sim::Cycle deadline_for(std::size_t task,
                                         TenantId tenant) const noexcept;
 
-  ServerConfig config_;  ///< resolved: WFQ weights + obs sinks threaded
-  std::vector<TaskWorkload> workloads_;
-  std::vector<TenantConfig> tenants_;  ///< live registry (set_tenant)
+  ServerConfig config_;  ///< resolved: obs sinks threaded
+  std::vector<std::span<const data::EncodedStory>> corpora_;  ///< per task
+  /// Live registry (set_tenant); the scheduler reads WFQ weights from it,
+  /// so it is declared before scheduler_ and never resized.
+  std::vector<TenantConfig> tenants_;
   SloConfig slo_;                      ///< live SLO table (set_slo)
   AdmissionController admission_;
   Batcher batcher_;
@@ -229,32 +232,24 @@ class ServerSession {
 };
 
 /// The one closed loop, shared by serve::run() and cluster::Cluster::run():
-/// draws `total_requests` arrivals from `traffic` over `workloads` (task t
-/// = model t's corpus) and feeds them to `driver` (a ServerSession or a
-/// cluster::Cluster). Before each
-/// arrival the driver steps to its cycle (exclusive), so every decision
-/// at that arrival sees all work before it and none after; the arrival
-/// is then submitted with its generated deadline, relative to itself.
-/// Completions are polled every 256 arrivals and dropped, so a long run
-/// keeps no ledger. Draining and finalizing are left to the caller.
+/// draws `total_requests` arrivals over tasks [0, num_tasks) from
+/// `traffic` and feeds them to `driver` (a ServerSession or a
+/// cluster::Cluster). Before each arrival the driver steps to its cycle
+/// (exclusive), so every decision at that arrival sees all work before it
+/// and none after; the arrival is then submitted with deadline 0, so the
+/// session stamps its SLO. Completions are polled every 256 arrivals and
+/// dropped, so a long run keeps no ledger. Draining and finalizing are
+/// left to the caller.
 template <typename Driver>
 void drive_closed_loop(Driver& driver, const TrafficConfig& traffic,
-                       std::vector<TaskWorkload> workloads,
-                       std::size_t total_requests) {
-  TrafficGenerator generator(traffic, std::move(workloads), total_requests);
+                       std::size_t num_tasks, std::size_t total_requests) {
+  TrafficGenerator generator(traffic, num_tasks, total_requests);
   std::size_t since_poll = 0;
   for (sim::Cycle at = generator.next_arrival(); at != sim::kNever;
        at = generator.next_arrival()) {
     (void)driver.step_until(at);
-    const InferenceRequest request = generator.poll(at).value();
-    SubmitRequest submit;
-    submit.task = request.task;
-    submit.tenant = request.tenant;
-    submit.at_cycle = at;
-    submit.deadline_cycles = request.deadline_cycle == sim::kNever
-                                 ? sim::kNever
-                                 : request.deadline_cycle - at;
-    (void)driver.submit(submit);
+    const TraceEntry arrival = generator.poll(at).value();
+    (void)driver.submit({arrival.task, arrival.tenant, at, 0});
     if (++since_poll == 256) {
       (void)driver.poll_completions();
       since_poll = 0;

@@ -304,6 +304,58 @@ TEST(ServiceCycleCache, CostAwareEvictionDropsCheapestToRecompute) {
   cache.abandon(cheap);
 }
 
+// ------------------------------------- cost-aware victim: (cycles, touch)
+
+TEST(EvictionPolicy, CostAwareEvictsCheapestReload) {
+  ServiceCycleCache cache(3);
+  cache.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
+  const ServiceCycleCache::Key stale{1, 0, 1, false};
+  const ServiceCycleCache::Key cheap{2, 0, 1, false};
+  const ServiceCycleCache::Key costly{3, 0, 1, false};
+  const ServiceCycleCache::Key next{4, 0, 1, false};
+  EXPECT_FALSE(cache.acquire(stale).has_value());
+  cache.publish(stale, fake_result(5'000));
+  EXPECT_FALSE(cache.acquire(cheap).has_value());
+  cache.publish(cheap, fake_result(200));
+  EXPECT_FALSE(cache.acquire(costly).has_value());
+  cache.publish(costly, fake_result(90'000));
+  // Touch order is now stale, costly, cheap: the cheapest entry is the
+  // most recently touched, and it still goes.
+  EXPECT_TRUE(cache.acquire(costly).has_value());
+  EXPECT_TRUE(cache.acquire(cheap).has_value());
+  EXPECT_FALSE(cache.acquire(next).has_value());
+  cache.publish(next, fake_result(1'000));
+
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  EXPECT_TRUE(cache.acquire(stale).has_value());
+  EXPECT_TRUE(cache.acquire(costly).has_value());
+  EXPECT_TRUE(cache.acquire(next).has_value());
+  EXPECT_FALSE(cache.acquire(cheap).has_value());  // evicted: cheapest
+  cache.abandon(cheap);
+}
+
+TEST(EvictionPolicy, CostAwareTieFallsToLru) {
+  // Equal simulated cycles tie on cost: the least recently touched entry
+  // goes, not the first inserted.
+  ServiceCycleCache cache(2);
+  cache.set_eviction_policy(serve::EvictionPolicyKind::kCostAware);
+  const ServiceCycleCache::Key first{4, 0, 1, false};
+  const ServiceCycleCache::Key second{5, 0, 1, false};
+  const ServiceCycleCache::Key next{6, 0, 1, false};
+  EXPECT_FALSE(cache.acquire(first).has_value());
+  cache.publish(first, fake_result(100));
+  EXPECT_FALSE(cache.acquire(second).has_value());
+  cache.publish(second, fake_result(100));
+  EXPECT_TRUE(cache.acquire(first).has_value());  // `second` is now coldest
+  EXPECT_FALSE(cache.acquire(next).has_value());
+  cache.publish(next, fake_result(5'000));
+
+  EXPECT_EQ(cache.stats().evictions, 1U);
+  EXPECT_TRUE(cache.acquire(first).has_value());
+  EXPECT_FALSE(cache.acquire(second).has_value());  // evicted: least recent
+  cache.abandon(second);
+}
+
 // ------------------------------------------------------------- sharding
 
 TEST(ServiceCycleCacheSharded, StatTotalsAreInvariantAcrossSegmentCounts) {

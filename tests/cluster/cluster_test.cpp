@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -79,33 +80,53 @@ ClusterConfig cluster_config(std::size_t instances,
 TEST(Cluster, ClusterOfOneIsBitIdenticalToABareServer) {
   const auto stories = tiny_stories(8);
   const auto models = two_models(stories);
-  // 4x the fixed schedule: enough completions that a percentile rule
-  // off by one rank shows in the merged summary.
-  const auto trace = serve::scale_trace(fixed_trace(), 4, 2019);
+  struct Input {
+    std::vector<serve::TraceEntry> trace;
+    sim::Cycle max_wait_cycles;
+    double max_queue_wait;  ///< checked when > 0
+  };
+  const Input inputs[] = {
+      // 4x the fixed schedule: enough completions that a percentile rule
+      // off by one rank shows in the merged summary.
+      {serve::scale_trace(fixed_trace(), 4, 2019), 30'000, 0.0},
+      // A lone first request ages in the batcher for 16,778,259 cycles,
+      // past 2^24, where a float sample would round its wait to
+      // 16,778,260.
+      {{{0, 0, 0}, {20'000'000, 1, 0}}, 16'778'259, 16'778'259.0},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE("max_wait_cycles " + std::to_string(input.max_wait_cycles));
+    const auto& trace = input.trace;
+    ClusterConfig config =
+        cluster_config(1, trace, RouterPolicyKind::kPowerOfTwo);
+    config.server.batcher.max_wait_cycles = input.max_wait_cycles;
+    const serve::ServingReport bare =
+        serve::run(config.server, models, trace.size());
 
-  const serve::ServingReport bare =
-      serve::run(server_config(trace), models, trace.size());
+    Cluster cluster(config, models);
+    const ClusterReport report = cluster.run(trace.size());
 
-  Cluster cluster(cluster_config(1, trace, RouterPolicyKind::kPowerOfTwo),
-                  models);
-  const ClusterReport report = cluster.run(trace.size());
-
-  ASSERT_EQ(report.instance_reports.size(), 1u);
-  EXPECT_TRUE(serve::simulated_reports_identical(
-      bare, report.instance_reports[0].report));
-  EXPECT_EQ(report.offered, trace.size());
-  EXPECT_EQ(report.router_shed, 0u);
-  EXPECT_EQ(report.completed, bare.completed);
-  EXPECT_EQ(report.makespan_cycles, bare.makespan_cycles);
-  EXPECT_EQ(report.instance_reports[0].routed, trace.size());
-  // The fleet's merged summary reads like its only instance's.
-  for (const auto& [fleet, own] :
-       {std::pair{report.latency, bare.latency},
-        std::pair{report.queue_wait, bare.queue_wait}}) {
-    EXPECT_EQ(fleet.p50_cycles, own.p50_cycles);
-    EXPECT_EQ(fleet.p95_cycles, own.p95_cycles);
-    EXPECT_EQ(fleet.p99_cycles, own.p99_cycles);
-    EXPECT_EQ(fleet.max_cycles, own.max_cycles);
+    ASSERT_EQ(report.instance_reports.size(), 1u);
+    EXPECT_TRUE(serve::simulated_reports_identical(
+        bare, report.instance_reports[0].report));
+    EXPECT_EQ(report.offered, trace.size());
+    EXPECT_EQ(report.router_shed, 0u);
+    EXPECT_EQ(report.completed, bare.completed);
+    EXPECT_EQ(report.makespan_cycles, bare.makespan_cycles);
+    EXPECT_EQ(report.instance_reports[0].routed, trace.size());
+    // The fleet's merged summary reads like its only instance's.
+    for (const auto& [fleet, own] :
+         {std::pair{report.latency, bare.latency},
+          std::pair{report.queue_wait, bare.queue_wait}}) {
+      EXPECT_EQ(fleet.mean_cycles, own.mean_cycles);
+      EXPECT_EQ(fleet.p50_cycles, own.p50_cycles);
+      EXPECT_EQ(fleet.p95_cycles, own.p95_cycles);
+      EXPECT_EQ(fleet.p99_cycles, own.p99_cycles);
+      EXPECT_EQ(fleet.max_cycles, own.max_cycles);
+    }
+    if (input.max_queue_wait > 0.0) {
+      EXPECT_EQ(bare.queue_wait.max_cycles, input.max_queue_wait);
+    }
   }
 }
 

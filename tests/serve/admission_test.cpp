@@ -143,7 +143,6 @@ TEST(Admission, DoomShedsOnlyProvablyLateRequests) {
   std::vector<TenantConfig> tenants(1);
   AdmissionConfig config;
   config.shed_doomed = true;
-  config.doom_backlog_factor = 1.0;
   AdmissionController admission(config, tenants);
   const auto stories = tiny_stories(1);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "serve/request.hpp"
 
@@ -44,26 +45,33 @@ TEST(ServingMetrics, EmptyWindowFinalizesToZeros) {
 }
 
 TEST(ServingMetrics, SingleSampleCollapsesEveryPercentile) {
-  ServingMetrics metrics(100.0e6);
-  metrics.record(response_with_latency(1'000, 26'000));
+  // The second latency is past 2^24 cycles, where a float sample would
+  // round it to 1,000,000,000.
+  for (const sim::Cycle latency :
+       {sim::Cycle{25'000}, sim::Cycle{1'000'000'007}}) {
+    SCOPED_TRACE("latency " + std::to_string(latency));
+    ServingMetrics metrics(100.0e6);
+    metrics.record(response_with_latency(1'000, 1'000 + latency));
 
-  RunTotals totals;
-  totals.offered = 1;
-  totals.makespan = 26'000;
-  totals.max_batch = 8;
-  const ServingReport report = metrics.finalize(std::move(totals));
+    RunTotals totals;
+    totals.offered = 1;
+    totals.makespan = 1'000 + latency;
+    totals.max_batch = 8;
+    const ServingReport report = metrics.finalize(std::move(totals));
 
-  ASSERT_EQ(report.completed, 1U);
-  // One observation: every quantile, the mean and the max agree on it.
-  EXPECT_DOUBLE_EQ(report.latency.p50_cycles, 25'000.0);
-  EXPECT_DOUBLE_EQ(report.latency.p95_cycles, 25'000.0);
-  EXPECT_DOUBLE_EQ(report.latency.p99_cycles, 25'000.0);
-  EXPECT_DOUBLE_EQ(report.latency.max_cycles, 25'000.0);
-  EXPECT_DOUBLE_EQ(report.latency.mean_cycles, 25'000.0);
-  EXPECT_DOUBLE_EQ(report.latency.p50_seconds, 25'000.0 / 100.0e6);
-  EXPECT_DOUBLE_EQ(report.accuracy, 1.0);
-  EXPECT_DOUBLE_EQ(report.mean_batch_size, 4.0);
-  EXPECT_DOUBLE_EQ(report.batching_efficiency, 0.5);
+    ASSERT_EQ(report.completed, 1U);
+    // One observation: every quantile, the mean and the max agree on it.
+    const auto expected = static_cast<double>(latency);
+    EXPECT_EQ(report.latency.p50_cycles, expected);
+    EXPECT_EQ(report.latency.p95_cycles, expected);
+    EXPECT_EQ(report.latency.p99_cycles, expected);
+    EXPECT_EQ(report.latency.max_cycles, expected);
+    EXPECT_EQ(report.latency.mean_cycles, expected);
+    EXPECT_DOUBLE_EQ(report.latency.p50_seconds, expected / 100.0e6);
+    EXPECT_DOUBLE_EQ(report.accuracy, 1.0);
+    EXPECT_DOUBLE_EQ(report.mean_batch_size, 4.0);
+    EXPECT_DOUBLE_EQ(report.batching_efficiency, 0.5);
+  }
 }
 
 TEST(ServingMetrics, PercentilesOrderedOnSkewedSamples) {

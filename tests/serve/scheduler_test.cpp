@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -204,11 +205,12 @@ Batch deadline_batch(std::size_t task,
   return batch;
 }
 
-/// Pumps the scheduler until idle, returning responses in completion
-/// order (dispatch order is recoverable from dispatch_cycle).
-std::vector<InferenceResponse> drain(Scheduler& scheduler) {
+/// Pumps the scheduler from cycle `start` until idle, returning responses
+/// in completion order (dispatch order is recoverable from dispatch_cycle).
+std::vector<InferenceResponse> drain(Scheduler& scheduler,
+                                     sim::Cycle start = 0) {
   std::vector<InferenceResponse> all;
-  sim::Cycle now = 0;
+  sim::Cycle now = start;
   for (int guard = 0; guard < 100'000 && !scheduler.idle(); ++guard) {
     scheduler.step(now);
     const sim::Cycle next = scheduler.next_completion();
@@ -291,8 +293,7 @@ TEST(Scheduler, WorkStealingDrainsOverloadedShard) {
   // steal-worthwhile gate.
   Scheduler scheduler({.devices = 2,
                        .dedicated_devices = 2,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = true},
+                       .policy = SchedulerPolicy::kEdf},
                       task_devices(1));
   ASSERT_TRUE(scheduler.submit(deadline_batch(0, stories, 2, 0, 1'000, 0)));
   ASSERT_TRUE(scheduler.submit(deadline_batch(0, stories, 2, 0, 2'000, 2)));
@@ -306,21 +307,6 @@ TEST(Scheduler, WorkStealingDrainsOverloadedShard) {
   EXPECT_EQ(scheduler.total_stolen_batches(), 1U);
 }
 
-TEST(Scheduler, StealingOffLeavesForeignShardsIdle) {
-  const auto stories = tiny_stories(4);
-  Scheduler scheduler({.devices = 2,
-                       .dedicated_devices = 2,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = false},
-                      task_devices(1));
-  ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 2, 0, 0)));
-  ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 2, 0, 2)));
-  scheduler.step(0);
-  // Without stealing the second batch waits for slot 0 to free.
-  EXPECT_EQ(scheduler.pending_batches(), 1U);
-  EXPECT_EQ(scheduler.device_reports()[1].batches, 0U);
-}
-
 TEST(Scheduler, StealingNeverLosesOrDuplicatesBatches) {
   const auto stories = tiny_stories(4);
   // 4 fully sharded slots, 2 tasks (homes 0 and 1; slots 2 and 3 can
@@ -328,8 +314,7 @@ TEST(Scheduler, StealingNeverLosesOrDuplicatesBatches) {
   Scheduler scheduler({.devices = 4,
                        .dedicated_devices = 4,
                        .queue_capacity = 128,
-                       .policy = SchedulerPolicy::kEdf,
-                       .work_stealing = true},
+                       .policy = SchedulerPolicy::kEdf},
                       task_devices(2));
   const std::size_t batches = 24;
   for (std::size_t b = 0; b < batches; ++b) {
@@ -396,6 +381,212 @@ TEST(Scheduler, LruEvictionDisplacesColdestResident) {
   EXPECT_EQ(reports[0].model_evictions, 0U);
   EXPECT_EQ(reports[1].model_evictions, 1U);
   EXPECT_EQ(scheduler.total_model_evictions(), 1U);
+}
+
+// ---- Slot eviction: the least recently dispatched resident goes ----
+
+TEST(EvictionPolicy, LruEvictsLeastRecentlyDispatched) {
+  const auto stories = tiny_stories(3);
+  // Shared three-slot pool, four tasks: tasks 0/1/2 land on slots 0/1/2
+  // at cycle 0, then task 2 and task 0 are re-touched, leaving the middle
+  // slot (task 1) coldest when task 3 needs room.
+  Scheduler scheduler({.devices = 3, .policy = SchedulerPolicy::kEdf},
+                      task_devices(4));
+  for (std::size_t task = 0; task < 3; ++task) {
+    ASSERT_TRUE(scheduler.submit(make_batch(task, stories, 1, 0, task)));
+  }
+  scheduler.step(0);
+  (void)scheduler.collect(sim::kNever - 1);
+  ASSERT_TRUE(scheduler.submit(make_batch(2, stories, 1, 1'000'000, 3)));
+  scheduler.step(1'000'000);
+  (void)scheduler.collect(sim::kNever - 1);
+  ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 1, 2'000'000, 4)));
+  scheduler.step(2'000'000);
+  (void)scheduler.collect(sim::kNever - 1);
+
+  ASSERT_TRUE(scheduler.submit(make_batch(3, stories, 1, 3'000'000, 5)));
+  scheduler.step(3'000'000);
+  const auto reports = scheduler.device_reports();
+  EXPECT_EQ(reports[0].resident_task, 0U);
+  EXPECT_EQ(reports[1].resident_task, 3U);
+  EXPECT_EQ(reports[2].resident_task, 2U);
+  EXPECT_EQ(reports[1].model_evictions, 1U);
+  EXPECT_EQ(scheduler.total_model_evictions(), 1U);
+}
+
+TEST(EvictionPolicy, LruTieFallsToLowestSlot) {
+  const auto stories = tiny_stories(2);
+  // Residents last dispatched in the same cycle tie on recency: the
+  // lower slot goes.
+  Scheduler scheduler({.devices = 2, .policy = SchedulerPolicy::kEdf},
+                      task_devices(3));
+  ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 1, 0, 0)));
+  ASSERT_TRUE(scheduler.submit(make_batch(1, stories, 1, 0, 1)));
+  scheduler.step(0);  // task 0 on slot 0, task 1 on slot 1, both at cycle 0
+  (void)scheduler.collect(sim::kNever - 1);
+  ASSERT_TRUE(scheduler.submit(make_batch(2, stories, 1, 1'000'000, 2)));
+  scheduler.step(1'000'000);
+  const auto reports = scheduler.device_reports();
+  EXPECT_EQ(reports[0].resident_task, 2U);
+  EXPECT_EQ(reports[1].resident_task, 1U);
+  EXPECT_EQ(reports[0].model_evictions, 1U);
+  EXPECT_EQ(scheduler.total_model_evictions(), 1U);
+}
+
+// ---- WFQ: weighted fair queueing across tenant lanes ----
+
+/// A WFQ scheduler whose tenant t is weighted by tenants[t].weight (the
+/// registry must outlive it).
+Scheduler wfq_scheduler(SchedulerConfig config, std::size_t tasks,
+                        const std::vector<TenantConfig>& tenants) {
+  config.policy = SchedulerPolicy::kWfq;
+  return Scheduler(config, task_devices(tasks), tenants);
+}
+
+/// One batch of `count` stories for `tenant`, ids from `first_id`.
+Batch tenant_batch(std::size_t task, TenantId tenant,
+                   const std::vector<data::EncodedStory>& stories,
+                   std::size_t count, sim::Cycle enqueue, sim::Cycle deadline,
+                   RequestId first_id) {
+  Batch batch = deadline_batch(task, stories, count, enqueue, deadline,
+                               first_id);
+  batch.tenant = tenant;
+  for (InferenceRequest& request : batch.requests) {
+    request.tenant = tenant;
+  }
+  return batch;
+}
+
+/// The tenant of every single-story batch, in dispatch order.
+std::vector<TenantId> tenants_in_dispatch_order(
+    std::vector<InferenceResponse> all) {
+  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.dispatch_cycle < b.dispatch_cycle;
+  });
+  std::vector<TenantId> order;
+  for (const InferenceResponse& r : all) {
+    order.push_back(r.tenant);
+  }
+  return order;
+}
+
+TEST(Scheduler, WfqSharesOneDeviceInProportionToWeight) {
+  const auto stories = tiny_stories(1);
+  std::vector<TenantConfig> tenants(2);
+  tenants[0].weight = 2.0;
+  Scheduler scheduler = wfq_scheduler({.devices = 1}, 1, tenants);
+  // Six single-story batches per tenant, all queued before any dispatch.
+  for (RequestId id = 0; id < 12; ++id) {
+    ASSERT_TRUE(scheduler.submit(tenant_batch(
+        0, static_cast<TenantId>(id % 2), stories, 1, 0, sim::kNever, id)));
+  }
+  // Tenant 0 pays 1/2 per dispatch and tenant 1 pays 1, so tenant 0
+  // takes two turns to tenant 1's one (equal virtual times go to the
+  // lower id) until its six batches are gone.
+  const std::vector<TenantId> expected = {0, 1, 0, 0, 1, 0,
+                                          0, 1, 0, 1, 1, 1};
+  EXPECT_EQ(tenants_in_dispatch_order(drain(scheduler)), expected);
+
+  // A registry of one tenant (or none) is a single lane, which still
+  // takes the whole device.
+  for (const std::size_t registered : {0U, 1U}) {
+    SCOPED_TRACE("registered tenants " + std::to_string(registered));
+    const std::vector<TenantConfig> lone(registered);
+    Scheduler single = wfq_scheduler({.devices = 1}, 1, lone);
+    for (RequestId id = 0; id < 3; ++id) {
+      ASSERT_TRUE(single.submit(
+          tenant_batch(0, 0, stories, 1, 0, sim::kNever, id)));
+    }
+    EXPECT_EQ(drain(single).size(), 3U);
+  }
+}
+
+TEST(Scheduler, WfqResumesAnIdleTenantAtTheCurrentVirtualTime) {
+  const auto stories = tiny_stories(1);
+  std::vector<TenantConfig> tenants(2);
+  Scheduler scheduler = wfq_scheduler({.devices = 1}, 1, tenants);
+  // Tenant 0 has the device to itself for four dispatches.
+  for (RequestId id = 0; id < 4; ++id) {
+    ASSERT_TRUE(scheduler.submit(
+        tenant_batch(0, 0, stories, 1, 0, sim::kNever, id)));
+  }
+  const std::vector<InferenceResponse> alone = drain(scheduler);
+  ASSERT_EQ(alone.size(), 4U);
+  sim::Cycle resume = 0;
+  for (const InferenceResponse& r : alone) {
+    resume = std::max(resume, r.complete_cycle);
+  }
+  // Tenant 1 returns from idle at the current virtual time, so it banks
+  // no credit for the capacity it never used: the two alternate instead
+  // of tenant 1 taking three turns in a row.
+  for (RequestId id = 4; id < 10; ++id) {
+    ASSERT_TRUE(scheduler.submit(tenant_batch(
+        0, static_cast<TenantId>(id % 2), stories, 1, resume, sim::kNever,
+        id)));
+  }
+  const std::vector<TenantId> expected = {1, 0, 1, 0, 1, 0};
+  EXPECT_EQ(tenants_in_dispatch_order(drain(scheduler, resume)), expected);
+}
+
+TEST(Scheduler, WfqSkipsATenantWhoseBatchesHaveNoEligibleSlot) {
+  const auto stories = tiny_stories(4);
+  // Two dedicated shards (task t homes on slot t). Tenant 0's heavy
+  // weight keeps it the least-served tenant throughout.
+  std::vector<TenantConfig> tenants(2);
+  tenants[0].weight = 8.0;
+  Scheduler scheduler =
+      wfq_scheduler({.devices = 2, .dedicated_devices = 2}, 2, tenants);
+  ASSERT_TRUE(scheduler.submit(tenant_batch(0, 0, stories, 4, 0,
+                                            sim::kNever, 0)));
+  ASSERT_TRUE(scheduler.submit(tenant_batch(1, 1, stories, 1, 0,
+                                            sim::kNever, 4)));
+  scheduler.step(0);
+  ASSERT_EQ(scheduler.pending_batches(), 0U);
+  // The one-story batch frees slot 1 while slot 0 still runs four.
+  const sim::Cycle t1 = scheduler.next_slot_free(0);
+  ASSERT_NE(t1, sim::kNever);
+  ASSERT_NE(scheduler.next_slot_free(t1), sim::kNever);
+
+  ASSERT_TRUE(scheduler.submit(tenant_batch(0, 0, stories, 1, t1,
+                                            sim::kNever, 5)));
+  ASSERT_TRUE(scheduler.submit(tenant_batch(1, 1, stories, 1, t1,
+                                            sim::kNever, 6)));
+  scheduler.step(t1);
+  // Tenant 0 comes first but its home slot is busy and slot 1's own
+  // shard is not empty, so it cannot go: tenant 1 takes slot 1.
+  EXPECT_EQ(scheduler.pending_batches(), 1U);
+  EXPECT_EQ(scheduler.device_reports()[0].batches, 1U);
+  EXPECT_EQ(scheduler.device_reports()[1].batches, 2U);
+
+  const auto all = drain(scheduler, t1);
+  ASSERT_EQ(all.size(), 7U);
+  for (const InferenceResponse& r : all) {
+    if (r.id == 5) {
+      EXPECT_EQ(r.device, 0U);  // waited for its home slot
+    }
+  }
+}
+
+TEST(Scheduler, EdfAfterWfqSwitchTakesTheMostUrgentBatchAcrossTenants) {
+  const auto stories = tiny_stories(1);
+  std::vector<TenantConfig> tenants(2);
+  Scheduler scheduler = wfq_scheduler({.devices = 1}, 1, tenants);
+  ASSERT_TRUE(scheduler.submit(
+      tenant_batch(0, 0, stories, 1, 0, 30'000'000, 0)));
+  ASSERT_TRUE(scheduler.submit(
+      tenant_batch(0, 0, stories, 1, 0, 20'000'000, 1)));
+  ASSERT_TRUE(scheduler.submit(
+      tenant_batch(0, 1, stories, 1, 0, 10'000'000, 2)));
+  ASSERT_TRUE(scheduler.submit(
+      tenant_batch(0, 1, stories, 1, 0, 40'000'000, 3)));
+  // WFQ would alternate tenants (1, 2, 0, 3); EDF ignores the lanes and
+  // goes by deadline alone.
+  ASSERT_TRUE(scheduler.set_policy(SchedulerPolicy::kEdf));
+  const auto all = drain(scheduler);
+  ASSERT_EQ(all.size(), 4U);
+  EXPECT_LT(dispatch_cycle_of(all, 2), dispatch_cycle_of(all, 1));
+  EXPECT_LT(dispatch_cycle_of(all, 1), dispatch_cycle_of(all, 0));
+  EXPECT_LT(dispatch_cycle_of(all, 0), dispatch_cycle_of(all, 3));
 }
 
 TEST(Scheduler, DeterministicAcrossPoliciesForPredictions) {

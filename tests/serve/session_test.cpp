@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -295,6 +296,72 @@ TEST(ServerSession, WatchdogCountsFromTheFirstStepAcrossHorizons) {
     (void)session.step_until(session.last_submitted_arrival());
   }
   EXPECT_THROW((void)session.finalize(), std::runtime_error);
+}
+
+// ---- SLO deadlines: submit() with deadline 0 stamps the live SLO ----
+
+/// Submits one request per (task, tenant, arrival) row with deadline 0,
+/// serves them all and returns the stamped deadlines in submit order.
+std::vector<sim::Cycle> stamped_deadlines(
+    const ServerConfig& config, const std::vector<ServedModel>& models,
+    const std::vector<TraceEntry>& arrivals) {
+  ServerSession session(config, models);
+  for (const TraceEntry& arrival : arrivals) {
+    (void)session.submit(
+        {arrival.task, arrival.tenant, arrival.arrival_cycle, 0});
+  }
+  session.drain();
+  (void)session.step_until(sim::kNever);
+  std::vector<Completion> done = session.poll_completions();
+  std::sort(done.begin(), done.end(),
+            [](const Completion& a, const Completion& b) {
+              return a.response.id < b.response.id;
+            });
+  std::vector<sim::Cycle> deadlines;
+  for (const Completion& completion : done) {
+    deadlines.push_back(completion.response.deadline_cycle);
+  }
+  return deadlines;
+}
+
+TEST(SloDeadlines, StampedFromPerTaskConfig) {
+  const auto stories = tiny_stories(4);
+  std::vector<ServedModel> models = two_models(stories);
+  models.push_back({tiny_program(9), stories});
+  ServerConfig config;
+  config.traffic.slo.default_deadline_cycles = 5'000;
+  config.traffic.slo.per_task = {0, 1'000};  // task 0 default, task 1 tight
+  const std::vector<sim::Cycle> deadlines = stamped_deadlines(
+      config, models, {{100, 0}, {200, 1}, {300, 2}});
+  // Task 2 lies beyond per_task: the default applies.
+  EXPECT_EQ(deadlines, (std::vector<sim::Cycle>{5'100, 1'200, 5'300}));
+}
+
+TEST(SloDeadlines, NoSloMeansNoDeadline) {
+  const auto stories = tiny_stories(2);
+  const std::vector<sim::Cycle> deadlines =
+      stamped_deadlines(ServerConfig{}, two_models(stories),
+                        {{1'000, 0}, {2'000, 1}, {3'000, 0}});
+  ASSERT_EQ(deadlines.size(), 3U);
+  for (const sim::Cycle deadline : deadlines) {
+    EXPECT_EQ(deadline, sim::kNever);
+    EXPECT_FALSE(
+        InferenceResponse{.deadline_cycle = deadline}.has_deadline());
+  }
+}
+
+TEST(TenantTraffic, SloOverridePerTenant) {
+  const auto stories = tiny_stories(4);
+  ServerConfig config;
+  config.traffic.slo.default_deadline_cycles = 5'000;
+  config.traffic.tenants.resize(3);
+  config.traffic.tenants[1].slo_deadline_cycles = 1'000;  // tighter contract
+  config.traffic.tenants[2].slo_deadline_cycles = sim::kNever;  // no SLO
+  const std::vector<sim::Cycle> deadlines = stamped_deadlines(
+      config, two_models(stories), {{100, 0, 0}, {200, 0, 1}, {300, 0, 2}});
+  // Task SLO, tenant override, then no deadline at all.
+  EXPECT_EQ(deadlines,
+            (std::vector<sim::Cycle>{5'100, 1'200, sim::kNever}));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Diurnal and trace-driven arrival processes, SLO deadline stamping, and
-// the trace CSV interchange format.
+// Diurnal and trace-driven arrival processes, tenant draws, and the trace
+// CSV interchange format. (The session stamps SLO deadlines; its tests
+// live in session_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,11 +21,10 @@ namespace {
 using testing::tiny_program;
 using testing::tiny_stories;
 
-std::vector<InferenceRequest> emit_all(const TrafficConfig& config,
-                                       std::vector<TaskWorkload> workloads,
-                                       std::size_t total) {
-  TrafficGenerator gen(config, std::move(workloads), total);
-  std::vector<InferenceRequest> out;
+std::vector<TraceEntry> emit_all(const TrafficConfig& config,
+                                 std::size_t num_tasks, std::size_t total) {
+  TrafficGenerator gen(config, num_tasks, total);
+  std::vector<TraceEntry> out;
   while (auto r = gen.poll(sim::kNever - 1)) {
     out.push_back(*r);
   }
@@ -32,16 +32,15 @@ std::vector<InferenceRequest> emit_all(const TrafficConfig& config,
 }
 
 TEST(DiurnalTraffic, KeepsLongRunRate) {
-  const auto stories = tiny_stories(8);
   TrafficConfig config;
   config.process = ArrivalProcess::kDiurnal;
   config.mean_interarrival_cycles = 1'000.0;
   config.diurnal_amplitude = 0.8;
   config.diurnal_period_cycles = 500'000.0;
-  const auto requests = emit_all(config, {{0, stories}}, 4'000);
+  const auto requests = emit_all(config, 1, 4'000);
   ASSERT_EQ(requests.size(), 4'000U);
   const double mean_gap =
-      static_cast<double>(requests.back().enqueue_cycle) / 4'000.0;
+      static_cast<double>(requests.back().arrival_cycle) / 4'000.0;
   // Long-run rate within 25% of the flat-Poisson configuration (the
   // sinusoid averages out over the eight periods this spans).
   EXPECT_GT(mean_gap, 750.0);
@@ -49,21 +48,20 @@ TEST(DiurnalTraffic, KeepsLongRunRate) {
 }
 
 TEST(DiurnalTraffic, PeakIsDenserThanTrough) {
-  const auto stories = tiny_stories(8);
   TrafficConfig config;
   config.process = ArrivalProcess::kDiurnal;
   config.mean_interarrival_cycles = 1'000.0;
   config.diurnal_amplitude = 0.9;
   config.diurnal_period_cycles = 1'000'000.0;
-  const auto requests = emit_all(config, {{0, stories}}, 3'000);
+  const auto requests = emit_all(config, 1, 3'000);
 
   // sin peaks at P/4 and troughs at 3P/4; count arrivals in equal-width
   // windows around both across every period covered.
   const auto period = static_cast<sim::Cycle>(config.diurnal_period_cycles);
   std::size_t peak = 0;
   std::size_t trough = 0;
-  for (const InferenceRequest& r : requests) {
-    const sim::Cycle phase = r.enqueue_cycle % period;
+  for (const TraceEntry& r : requests) {
+    const sim::Cycle phase = r.arrival_cycle % period;
     if (phase < period / 2) {
       ++peak;
     } else {
@@ -76,105 +74,72 @@ TEST(DiurnalTraffic, PeakIsDenserThanTrough) {
 }
 
 TEST(DiurnalTraffic, ValidatesModulationParameters) {
-  const auto stories = tiny_stories(2);
   TrafficConfig config;
   config.process = ArrivalProcess::kDiurnal;
   config.diurnal_amplitude = 1.0;  // rate would touch zero
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 4),
+  EXPECT_THROW(TrafficGenerator(config, 1, 4),
                std::invalid_argument);
   config.diurnal_amplitude = 0.5;
   config.diurnal_period_cycles = 0.0;
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 4),
+  EXPECT_THROW(TrafficGenerator(config, 1, 4),
                std::invalid_argument);
 }
 
 TEST(TraceTraffic, ReplaysScheduleExactly) {
-  const auto stories = tiny_stories(4);
   TrafficConfig config;
   config.process = ArrivalProcess::kTrace;
   config.trace = {{100, 1}, {250, 0}, {250, 1}, {900, 0}};
   const auto requests =
-      emit_all(config, {{0, stories}, {1, stories}}, 4);
+      emit_all(config, 2, 4);
   ASSERT_EQ(requests.size(), 4U);
-  EXPECT_EQ(requests[0].enqueue_cycle, 100U);
+  EXPECT_EQ(requests[0].arrival_cycle, 100U);
   EXPECT_EQ(requests[0].task, 1U);
-  EXPECT_EQ(requests[1].enqueue_cycle, 250U);
+  EXPECT_EQ(requests[1].arrival_cycle, 250U);
   EXPECT_EQ(requests[1].task, 0U);
-  EXPECT_EQ(requests[2].enqueue_cycle, 250U);
+  EXPECT_EQ(requests[2].arrival_cycle, 250U);
   EXPECT_EQ(requests[2].task, 1U);
-  EXPECT_EQ(requests[3].enqueue_cycle, 900U);
+  EXPECT_EQ(requests[3].arrival_cycle, 900U);
   EXPECT_EQ(requests[3].task, 0U);
 }
 
 TEST(TraceTraffic, LoopsWithShiftWhenRequestsExceedTrace) {
-  const auto stories = tiny_stories(4);
   TrafficConfig config;
   config.process = ArrivalProcess::kTrace;
   config.trace = {{100, 0}, {400, 0}};
-  const auto requests = emit_all(config, {{0, stories}}, 5);
+  const auto requests = emit_all(config, 1, 5);
   ASSERT_EQ(requests.size(), 5U);
   // Span = last + max(1, last/n) = 400 + 200 = 600 per lap.
-  EXPECT_EQ(requests[0].enqueue_cycle, 100U);
-  EXPECT_EQ(requests[1].enqueue_cycle, 400U);
-  EXPECT_EQ(requests[2].enqueue_cycle, 700U);
-  EXPECT_EQ(requests[3].enqueue_cycle, 1'000U);
-  EXPECT_EQ(requests[4].enqueue_cycle, 1'300U);
+  EXPECT_EQ(requests[0].arrival_cycle, 100U);
+  EXPECT_EQ(requests[1].arrival_cycle, 400U);
+  EXPECT_EQ(requests[2].arrival_cycle, 700U);
+  EXPECT_EQ(requests[3].arrival_cycle, 1'000U);
+  EXPECT_EQ(requests[4].arrival_cycle, 1'300U);
 }
 
 TEST(TraceTraffic, RejectsMalformedTraces) {
-  const auto stories = tiny_stories(2);
   TrafficConfig config;
   config.process = ArrivalProcess::kTrace;
   config.trace = {};
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 2),
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
   config.trace = {{500, 0}, {100, 0}};  // time goes backwards
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 2),
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
   config.trace = {{100, 9}};  // unknown task
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 1),
+  EXPECT_THROW(TrafficGenerator(config, 1, 1),
                std::invalid_argument);
-}
-
-TEST(SloDeadlines, StampedFromPerTaskConfig) {
-  const auto stories = tiny_stories(4);
-  TrafficConfig config;
-  config.process = ArrivalProcess::kTrace;
-  config.trace = {{100, 0}, {200, 1}, {300, 2}};
-  config.slo.default_deadline_cycles = 5'000;
-  config.slo.per_task = {0, 1'000};  // task 0 default, task 1 tight
-  const auto requests = emit_all(
-      config, {{0, stories}, {1, stories}, {2, stories}}, 3);
-  ASSERT_EQ(requests.size(), 3U);
-  EXPECT_EQ(requests[0].deadline_cycle, 5'100U);
-  EXPECT_EQ(requests[1].deadline_cycle, 1'200U);
-  EXPECT_EQ(requests[2].deadline_cycle, 5'300U);  // beyond per_task: default
-}
-
-TEST(SloDeadlines, NoSloMeansNoDeadline) {
-  const auto stories = tiny_stories(2);
-  TrafficConfig config;
-  config.mean_interarrival_cycles = 1'000.0;
-  const auto requests = emit_all(config, {{0, stories}}, 3);
-  for (const InferenceRequest& r : requests) {
-    EXPECT_EQ(r.deadline_cycle, sim::kNever);
-    EXPECT_FALSE(InferenceResponse{.deadline_cycle = r.deadline_cycle}
-                     .has_deadline());
-  }
 }
 
 TEST(TenantTraffic, DefaultsToSingleTenant) {
-  const auto stories = tiny_stories(4);
   TrafficConfig config;
   config.mean_interarrival_cycles = 1'000.0;
-  const auto requests = emit_all(config, {{0, stories}}, 16);
-  for (const InferenceRequest& r : requests) {
+  const auto requests = emit_all(config, 1, 16);
+  for (const TraceEntry& r : requests) {
     EXPECT_EQ(r.tenant, 0U);
   }
 }
 
 TEST(TenantTraffic, DrawsByTrafficShareDeterministically) {
-  const auto stories = tiny_stories(8);
   TrafficConfig config;
   config.mean_interarrival_cycles = 500.0;
   config.tenants.resize(3);
@@ -182,9 +147,9 @@ TEST(TenantTraffic, DrawsByTrafficShareDeterministically) {
   config.tenants[1].traffic_share = 1.0;
   config.tenants[2].traffic_share = 6.0;
 
-  const auto first = emit_all(config, {{0, stories}}, 2'000);
+  const auto first = emit_all(config, 1, 2'000);
   std::size_t counts[3] = {0, 0, 0};
-  for (const InferenceRequest& r : first) {
+  for (const TraceEntry& r : first) {
     ASSERT_LT(r.tenant, 3U);
     ++counts[r.tenant];
   }
@@ -196,7 +161,7 @@ TEST(TenantTraffic, DrawsByTrafficShareDeterministically) {
   EXPECT_GT(counts[1], 100U);
 
   // Same seed, same sequence — tenant by tenant.
-  const auto second = emit_all(config, {{0, stories}}, 2'000);
+  const auto second = emit_all(config, 1, 2'000);
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(second[i].tenant, first[i].tenant);
@@ -206,51 +171,33 @@ TEST(TenantTraffic, DrawsByTrafficShareDeterministically) {
 TEST(TenantTraffic, LabelsNeverPerturbArrivalTiming) {
   // The tenant draw uses its own RNG stream: adding a registry must not
   // move a single arrival cycle or task pick.
-  const auto stories = tiny_stories(8);
   TrafficConfig plain;
   plain.process = ArrivalProcess::kBursty;
   plain.mean_interarrival_cycles = 1'000.0;
-  const auto without = emit_all(plain, {{0, stories}, {1, stories}}, 500);
+  const auto without = emit_all(plain, 2, 500);
 
   TrafficConfig tenanted = plain;
   tenanted.tenants.resize(3);
   tenanted.tenants[2].traffic_share = 5.0;
   const auto with =
-      emit_all(tenanted, {{0, stories}, {1, stories}}, 500);
+      emit_all(tenanted, 2, 500);
 
   ASSERT_EQ(with.size(), without.size());
   for (std::size_t i = 0; i < with.size(); ++i) {
-    EXPECT_EQ(with[i].enqueue_cycle, without[i].enqueue_cycle);
+    EXPECT_EQ(with[i].arrival_cycle, without[i].arrival_cycle);
     EXPECT_EQ(with[i].task, without[i].task);
   }
 }
 
-TEST(TenantTraffic, SloOverridePerTenant) {
-  const auto stories = tiny_stories(4);
-  TrafficConfig config;
-  config.process = ArrivalProcess::kTrace;
-  config.trace = {{100, 0, 0}, {200, 0, 1}, {300, 0, 2}};
-  config.slo.default_deadline_cycles = 5'000;
-  config.tenants.resize(3);
-  config.tenants[1].slo_deadline_cycles = 1'000;     // tighter contract
-  config.tenants[2].slo_deadline_cycles = sim::kNever;  // no SLO at all
-  const auto requests = emit_all(config, {{0, stories}}, 3);
-  ASSERT_EQ(requests.size(), 3U);
-  EXPECT_EQ(requests[0].deadline_cycle, 5'100U);  // task SLO
-  EXPECT_EQ(requests[1].deadline_cycle, 1'200U);  // tenant override
-  EXPECT_EQ(requests[2].deadline_cycle, sim::kNever);
-}
-
 TEST(TenantTraffic, ValidatesSharesAndTraceTenants) {
-  const auto stories = tiny_stories(2);
   TrafficConfig config;
   config.tenants.resize(2);
   config.tenants[0].traffic_share = -1.0;
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 2),
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
   config.tenants[0].traffic_share = 0.0;
   config.tenants[1].traffic_share = 0.0;
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 2),
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
 
   // A trace naming a tenant outside the registry is as malformed as one
@@ -258,19 +205,18 @@ TEST(TenantTraffic, ValidatesSharesAndTraceTenants) {
   TrafficConfig trace_config;
   trace_config.process = ArrivalProcess::kTrace;
   trace_config.trace = {{100, 0, 1}};
-  EXPECT_THROW(TrafficGenerator(trace_config, {{0, stories}}, 1),
+  EXPECT_THROW(TrafficGenerator(trace_config, 1, 1),
                std::invalid_argument);
   trace_config.tenants.resize(2);
-  EXPECT_NO_THROW(TrafficGenerator(trace_config, {{0, stories}}, 1));
+  EXPECT_NO_THROW(TrafficGenerator(trace_config, 1, 1));
 }
 
 TEST(TraceTraffic, ReplaysTenantsFromRecording) {
-  const auto stories = tiny_stories(4);
   TrafficConfig config;
   config.process = ArrivalProcess::kTrace;
   config.trace = {{100, 0, 2}, {250, 0, 0}, {400, 0, 1}};
   config.tenants.resize(3);
-  const auto requests = emit_all(config, {{0, stories}}, 3);
+  const auto requests = emit_all(config, 1, 3);
   ASSERT_EQ(requests.size(), 3U);
   EXPECT_EQ(requests[0].tenant, 2U);
   EXPECT_EQ(requests[1].tenant, 0U);
@@ -368,7 +314,6 @@ TEST(TraceCsv, RejectsMalformedRows) {
 // A task id a trace names but the replayer was never given is a
 // configuration error at generator construction, not a silent wrap.
 TEST(TraceTraffic, RejectsUnknownTaskIdFromLoadedTrace) {
-  const auto stories = tiny_stories(2);
   const std::string path =
       (std::filesystem::temp_directory_path() / "mann_trace_unknown.csv")
           .string();
@@ -380,7 +325,7 @@ TEST(TraceTraffic, RejectsUnknownTaskIdFromLoadedTrace) {
   config.process = ArrivalProcess::kTrace;
   config.trace = load_trace_csv(path);
   std::filesystem::remove(path);
-  EXPECT_THROW(TrafficGenerator(config, {{0, stories}}, 2),
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
 }
 
@@ -482,21 +427,20 @@ TEST(ScaleTrace, IsDeterministicPerSeedAndIdentityAtFactorOne) {
 }
 
 TEST(ScaleTrace, ScaledTraceReplaysDeterministically) {
-  const auto stories = testing::tiny_stories(6);
   const std::vector<TraceEntry> base = {
       {1'000, 0, 0}, {1'200, 1, 1}, {40'000, 0, 2}, {41'000, 1, 0}};
   TrafficConfig config;
   config.process = ArrivalProcess::kTrace;
   config.trace = scale_trace(base, 5, 11);
   config.tenants.resize(3);
-  const auto first = emit_all(config, {{0, stories}, {1, stories}},
+  const auto first = emit_all(config, 2,
                               config.trace.size());
-  const auto second = emit_all(config, {{0, stories}, {1, stories}},
+  const auto second = emit_all(config, 2,
                                config.trace.size());
   ASSERT_EQ(first.size(), base.size() * 5);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].enqueue_cycle, second[i].enqueue_cycle);
+    EXPECT_EQ(first[i].arrival_cycle, second[i].arrival_cycle);
     EXPECT_EQ(first[i].task, second[i].task);
     EXPECT_EQ(first[i].tenant, second[i].tenant);
   }

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "data/types.hpp"
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
 #include "serve/trace.hpp"
@@ -136,16 +135,6 @@ int run(const Options& opts) {
       return 2;
     }
   } else {
-    // The generator wants a non-empty corpus per task; arrival recording
-    // only reads tasks, tenants and cycles, so a one-story dummy corpus
-    // suffices.
-    const std::vector<data::EncodedStory> dummy(1);
-    std::vector<serve::TaskWorkload> workloads;
-    workloads.reserve(opts.tasks);
-    for (std::size_t t = 0; t < opts.tasks; ++t) {
-      workloads.push_back({t, dummy});
-    }
-
     serve::TrafficConfig config;
     config.process = opts.process;
     config.mean_interarrival_cycles = opts.mean_interarrival;
@@ -158,11 +147,10 @@ int run(const Options& opts) {
       config.tenants.assign(opts.tenants, serve::TenantConfig{});
     }
 
-    serve::TrafficGenerator generator(config, workloads, opts.requests);
+    serve::TrafficGenerator generator(config, opts.tasks, opts.requests);
     entries.reserve(opts.requests);
-    while (auto request = generator.poll(sim::kNever - 1)) {
-      entries.push_back({request->enqueue_cycle, request->task,
-                         request->tenant});
+    while (const auto arrival = generator.poll(sim::kNever - 1)) {
+      entries.push_back(*arrival);
     }
   }
 
