@@ -182,15 +182,10 @@ int main() {
   const char* trace_path = "serving_demo_trace.json";
   const bool wrote = obs::write_chrome_trace(
       trace_path, recorder, config.accel.clock_hz, &registry);
-  if (obs::kEnabled) {
-    std::printf("\nobservability: recorded %zu trace events; simulated "
-                "report %s the untraced run\n",
-                recorder.event_count(),
-                trace_identical ? "identical to" : "DIVERGED from (bug!)");
-  } else {
-    std::printf("\nobservability: mann::obs compiled out (MANN_OBS=OFF); "
-                "wrote an empty, still-valid trace\n");
-  }
+  std::printf("\nobservability: recorded %zu trace events; simulated "
+              "report %s the untraced run\n",
+              recorder.event_count(),
+              trace_identical ? "identical to" : "DIVERGED from (bug!)");
   if (wrote) {
     std::printf("wrote %s — open in Perfetto (ui.perfetto.dev) or run "
                 "scripts/trace_summary.py %s\n",

@@ -152,7 +152,7 @@ def print_cache_attribution(events):
             wasted_tasks[args["task"]] += 1
     if not outcomes:
         print("\ncache attribution: no host-domain cache events "
-              "(sequential run or MANN_OBS=OFF)")
+              "(no cycle cache, or recording never enabled)")
         return
     print("\ncache attribution (host-domain dispatch + speculation):")
     for key, count in sorted(outcomes.items()):
@@ -351,9 +351,11 @@ def main():
     print(f"{args.trace}: {len(events)} events, {len(spans)} closed spans, "
           f"{requests} request lifecycles — well-formed")
     if requests == 0:
-        # An empty trace (MANN_OBS=OFF) is valid but has nothing to
-        # summarize; still exit 0 so the OFF build's smoke run passes.
-        print("no request spans recorded (empty trace / MANN_OBS=OFF)")
+        # A trace whose recording was never enabled (a daemon run with
+        # --trace-json and no `trace on`) is valid but has nothing to
+        # summarize; still exit 0.
+        print("no request spans recorded (recording never enabled, e.g. "
+              "mann_served --trace-json without `trace on`)")
         print_metrics(top)
         return 0
 

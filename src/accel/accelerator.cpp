@@ -62,7 +62,6 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   fp.mix(config.link.synchronous_stories);
   fp.mix(config.sparse_read_slots);
   fp.mix(config.ith_enabled);
-  fp.mix(config.use_index_ordering);
 
   fp.mix(program.vocab_size);
   fp.mix(program.embedding_dim);

@@ -48,10 +48,9 @@ struct AccelConfig {
   /// pipeline over only the best `sparse_read_slots` slots. 0 = dense.
   std::size_t sparse_read_slots = 0;
 
-  /// Inference thresholding (Algo. 1 Step 4) in the OUTPUT module.
+  /// Inference thresholding (Algo. 1 Step 4) in the OUTPUT module, which
+  /// then probes classes in the program's silhouette order (Step 3).
   bool ith_enabled = false;
-  /// Probe classes in silhouette order (Step 3) vs natural index order.
-  bool use_index_ordering = true;
 
   /// Watchdog: simulation aborts if one workload exceeds this many cycles.
   sim::Cycle watchdog_cycles = 500'000'000;

@@ -8,11 +8,10 @@ OutputModule::OutputModule(AcceleratorState& state, const AccelConfig& config,
       state_(state),
       timing_(config.timing),
       ith_enabled_(config.ith_enabled && state.program.has_ith_tables()),
-      use_index_ordering_(config.use_index_ordering),
       fifo_out_(fifo_out) {}
 
 std::size_t OutputModule::probe_class(std::size_t rank) const noexcept {
-  if (ith_enabled_ && use_index_ordering_) {
+  if (ith_enabled_) {
     return static_cast<std::size_t>(state_.program.probe_order[rank]);
   }
   return rank;

@@ -47,7 +47,6 @@ class OutputModule final : public sim::Module {
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   const bool ith_enabled_;
-  const bool use_index_ordering_;
   sim::Fifo<std::int32_t>& fifo_out_;
 
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };

@@ -19,24 +19,6 @@ namespace {
 /// range, so a cluster-of-1 numbers requests exactly like a bare server.
 constexpr serve::RequestId kIdStride = serve::RequestId{1} << 40;
 
-/// Jain's fairness index over per-instance completed counts.
-[[nodiscard]] double jain_index(const std::vector<InstanceReport>& reports) {
-  if (reports.size() < 2) {
-    return 1.0;
-  }
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const InstanceReport& r : reports) {
-    const auto x = static_cast<double>(r.report.completed);
-    sum += x;
-    sum_sq += x * x;
-  }
-  if (sum_sq == 0.0) {
-    return 1.0;
-  }
-  return (sum * sum) / (static_cast<double>(reports.size()) * sum_sq);
-}
-
 }  // namespace
 
 /// One fleet slot: the session plus its routing/energy bookkeeping.
@@ -348,8 +330,6 @@ ClusterReport Cluster::aggregate(std::vector<serve::ServingReport> reports,
   out.scale_downs = autoscaler_.scale_downs();
 
   std::uint64_t batches_out = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_lookups = 0;
   sim::Cycle active_cycle_sum = 0;
   const double device_watts =
       config_.server.power.static_watts +
@@ -362,9 +342,6 @@ ClusterReport Cluster::aggregate(std::vector<serve::ServingReport> reports,
     out.deadline_missed += report.deadline_missed;
     out.model_uploads += report.model_uploads;
     batches_out += report.batching.batches_out;
-    cache_hits += report.cycle_cache.hits;
-    cache_lookups += report.cycle_cache.hits + report.cycle_cache.waits +
-                     report.cycle_cache.misses;
     active_cycle_sum += instances_[i]->active_cycles;
 
     out.energy.dynamic_joules += report.energy.dynamic_joules;
@@ -399,15 +376,16 @@ ClusterReport Cluster::aggregate(std::vector<serve::ServingReport> reports,
           ? 1.0
           : 1.0 - static_cast<double>(out.deadline_missed) /
                       static_cast<double>(out.deadline_total);
-  out.instance_fairness = jain_index(out.instance_reports);
+  std::vector<double> completions;
+  completions.reserve(out.instance_reports.size());
+  for (const InstanceReport& slice : out.instance_reports) {
+    completions.push_back(static_cast<double>(slice.report.completed));
+  }
+  out.instance_fairness = serve::jain_index(completions);
   if (batches_out > 0) {
     out.warm_dispatch_rate =
         1.0 - static_cast<double>(out.model_uploads) /
                   static_cast<double>(batches_out);
-  }
-  if (cache_lookups > 0) {
-    out.cycle_cache_hit_rate = static_cast<double>(cache_hits) /
-                               static_cast<double>(cache_lookups);
   }
   if (fleet_makespan > 0) {
     out.mean_active_instances =

@@ -119,9 +119,6 @@ struct ClusterReport {
   /// warm cycle-cache variant) already resident. Task-affinity routing
   /// exists to maximize this.
   double warm_dispatch_rate = 0.0;
-  /// Host cycle-cache hit rate summed over instances (0 when caching is
-  /// off). Host-dependent — reported, never gated across policies.
-  double cycle_cache_hit_rate = 0.0;
   /// Fleet energy: dynamic + link joules summed from the instances;
   /// static + clock-tree watts charged per device over each instance's
   /// *active window* (idle watts are real watts). This intentionally

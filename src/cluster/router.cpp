@@ -34,8 +34,7 @@ namespace {
 class TaskAffinityPolicy final : public RouterPolicy {
  public:
   explicit TaskAffinityPolicy(const RouterConfig& config)
-      : ring_(config.virtual_nodes),
-        spill_threshold_(config.spill_queue_threshold) {}
+      : spill_threshold_(config.spill_queue_threshold) {}
 
   [[nodiscard]] const char* name() const noexcept override {
     return "task_affinity";
@@ -200,9 +199,9 @@ std::unique_ptr<RouterPolicy> make_router_policy(const RouterConfig& config) {
 
 void HashRing::rebuild(const std::vector<InstanceId>& instances) {
   ring_.clear();
-  ring_.reserve(instances.size() * virtual_nodes_);
+  ring_.reserve(instances.size() * kVirtualNodes);
   for (const InstanceId instance : instances) {
-    for (std::size_t replica = 0; replica < virtual_nodes_; ++replica) {
+    for (std::size_t replica = 0; replica < kVirtualNodes; ++replica) {
       // Replica points hash (instance, replica) so an instance's arcs
       // are fixed for the lifetime of the cluster: adding or removing
       // another instance never moves them.

@@ -77,9 +77,6 @@ struct RouterConfig {
   RouterPolicyKind kind = RouterPolicyKind::kPowerOfTwo;
   /// Seeds the kPowerOfTwo sampler (the other policies are RNG-free).
   std::uint64_t seed = 2019;
-  /// Ring replicas per instance (kTaskAffinity). More replicas smooth
-  /// the key distribution at the cost of a larger ring.
-  std::size_t virtual_nodes = 64;
   /// Queue depth at which kTaskAffinity / kTenantSpill consider an
   /// instance saturated and spill past it.
   std::size_t spill_queue_threshold = 64;
@@ -117,8 +114,9 @@ class RouterPolicy {
 /// ring arcs adjacent to the changed instance move, ~K/N of K keys.
 class HashRing {
  public:
-  explicit HashRing(std::size_t virtual_nodes = 64)
-      : virtual_nodes_(virtual_nodes == 0 ? 1 : virtual_nodes) {}
+  /// Ring replicas per instance. More replicas smooth the key
+  /// distribution at the cost of a larger ring.
+  static constexpr std::size_t kVirtualNodes = 64;
 
   void rebuild(const std::vector<InstanceId>& instances);
   [[nodiscard]] bool empty() const noexcept { return ring_.empty(); }
@@ -132,7 +130,6 @@ class HashRing {
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
 
  private:
-  std::size_t virtual_nodes_;
   /// (hash, instance), hash-sorted.
   std::vector<std::pair<std::uint64_t, InstanceId>> ring_;
 };

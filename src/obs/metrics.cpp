@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if MANN_OBS
-
 #include <algorithm>
 
 namespace mann::obs {
@@ -72,5 +70,3 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 }  // namespace mann::obs
-
-#endif  // MANN_OBS

@@ -2,57 +2,41 @@
 // for the serving stack.
 //
 // Design constraints, in order:
-//   1. Zero overhead when compiled out. With MANN_OBS=0 every instrument
-//      is an empty struct and every record call an empty inline function,
-//      so the serving hot path is byte-for-byte the uninstrumented code.
-//      The obs test suite static_asserts the emptiness.
-//   2. Lock-free hot path when compiled in. Instruments are plain relaxed
+//   1. Null sinks cost one well-predicted branch. Components hold
+//      nullable instrument pointers and record through the null-safe
+//      free helpers below, so a run without a registry (every timed
+//      benchmark rep) pays one null check per record and nothing else.
+//   2. Lock-free hot path with a registry. Instruments are plain relaxed
 //      atomics — a counter add is one uncontended fetch_add, a histogram
 //      observation a handful. The registry's mutex is taken only at
 //      instrument registration (cold: once per name at startup) and at
 //      snapshot time (cold: end of run); instrument addresses are stable
 //      for the registry's lifetime (deque storage), so components cache
 //      raw pointers and never touch the registry again.
-//   3. Optional everywhere. Components hold nullable instrument pointers
-//      and record through the null-safe free helpers, so a server run
-//      without a registry costs one branch per record.
 //
 // Instruments are process-agnostic; the serving stack registers names
 // like "serve.admission.shed.quota" or "accel.cycle_cache.hits" and the
 // trace writer exports a snapshot beside the trace events.
 #pragma once
 
-#ifndef MANN_OBS
-#define MANN_OBS 1
-#endif
-
 #include <array>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#if MANN_OBS
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
+#include <string>
 #include <string_view>
-#else
-#include <string_view>
-#endif
+#include <vector>
 
 namespace mann::obs {
-
-/// True when the observability layer is compiled in (MANN_OBS=1).
-inline constexpr bool kEnabled = MANN_OBS != 0;
 
 /// Histogram buckets: bucket i counts observations v with bit_width(v)
 /// == i, i.e. bucket 0 holds v == 0 and bucket i holds [2^(i-1), 2^i).
 inline constexpr std::size_t kHistogramBuckets = 65;
 
-/// Point-in-time copy of a histogram (also the exchange format when the
-/// layer is compiled out, so reporting code builds in both modes).
+/// Point-in-time copy of a histogram.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -92,8 +76,6 @@ struct MetricSample {
   std::int64_t gauge = 0;      ///< gauge level
   HistogramSnapshot histogram;  ///< kHistogram only
 };
-
-#if MANN_OBS
 
 /// Monotonic event counter (relaxed atomic: totals are exact, ordering
 /// against other instruments is not promised).
@@ -195,49 +177,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge*, std::less<>> gauge_index_;
   std::map<std::string, Histogram*, std::less<>> histogram_index_;
 };
-
-#else  // !MANN_OBS — empty stubs; every call folds away.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) const noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) const noexcept {}
-  [[nodiscard]] std::int64_t value() const noexcept { return 0; }
-};
-
-class Histogram {
- public:
-  void observe(std::uint64_t) const noexcept {}
-  [[nodiscard]] HistogramSnapshot snapshot() const noexcept { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  [[nodiscard]] Counter& counter(std::string_view) noexcept {
-    static Counter shared;
-    return shared;
-  }
-  [[nodiscard]] Gauge& gauge(std::string_view) noexcept {
-    static Gauge shared;
-    return shared;
-  }
-  [[nodiscard]] Histogram& histogram(std::string_view) noexcept {
-    static Histogram shared;
-    return shared;
-  }
-  [[nodiscard]] std::vector<MetricSample> snapshot() const { return {}; }
-};
-
-#endif  // MANN_OBS
 
 // Null-safe record helpers: components hold nullable instrument pointers
 // (nullptr = no registry configured) and record through these.

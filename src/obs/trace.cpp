@@ -11,8 +11,6 @@
 
 namespace mann::obs {
 
-#if MANN_OBS
-
 namespace {
 std::atomic<std::uint64_t> g_next_recorder_id{1};
 }  // namespace
@@ -156,8 +154,6 @@ std::size_t TraceRecorder::event_count() const {
   }
   return total;
 }
-
-#endif  // MANN_OBS
 
 namespace {
 

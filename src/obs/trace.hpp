@@ -26,24 +26,21 @@
 // each thread appends to its own buffer (registered once under a mutex,
 // then cached thread-locally), so the hot path never takes a shared
 // lock; merged() concatenates and stable-sorts the buffers at finalize.
+//
+// Off-switches: a component given no recorder (a null
+// ServerConfig::trace) skips every record site behind one null check,
+// and set_enabled(false) drops events at the door of a live recorder.
 #pragma once
 
-#ifndef MANN_OBS
-#define MANN_OBS 1
-#endif
-
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-
-#if MANN_OBS
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace mann::obs {
 
@@ -94,8 +91,6 @@ struct TraceEvent {
   std::int64_t batch = -1;    ///< batch size
   std::int64_t deadline = -1; ///< deadline cycle
 };
-
-#if MANN_OBS
 
 class TraceRecorder {
  public:
@@ -163,37 +158,10 @@ class TraceRecorder {
   std::vector<std::unique_ptr<Buffer>> buffers_;
 };
 
-#else  // !MANN_OBS — empty recorder; every call folds away.
-
-class TraceRecorder {
- public:
-  TraceRecorder() = default;
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  void begin_async(const char*, std::uint64_t, std::uint64_t,
-                   std::int64_t = -1, std::int64_t = -1,
-                   std::int64_t = -1) const noexcept {}
-  void end_async(const char*, std::uint64_t, std::uint64_t) const noexcept {}
-  void instant(Domain, std::uint32_t, const char*, std::uint64_t,
-               const char* = nullptr, std::int64_t = -1, std::int64_t = -1,
-               std::uint64_t = kNoId) const noexcept {}
-  void complete(Domain, std::uint32_t, const char*, std::uint64_t,
-                std::uint64_t, const char* = nullptr, std::int64_t = -1,
-                std::int64_t = -1, std::int64_t = -1) const noexcept {}
-  [[nodiscard]] std::uint64_t wall_ns() const noexcept { return 0; }
-  void set_enabled(bool) const noexcept {}
-  [[nodiscard]] bool enabled() const noexcept { return false; }
-  [[nodiscard]] std::vector<TraceEvent> merged() const { return {}; }
-  [[nodiscard]] std::size_t event_count() const noexcept { return 0; }
-};
-
-#endif  // MANN_OBS
-
 /// Serializes the recorder (and an optional metrics snapshot, under the
 /// non-standard "mannMetrics" key Perfetto ignores) as Chrome
 /// trace-event JSON. `clock_hz` converts simulated cycles to trace
-/// microseconds. Compiled out, this returns an empty-but-valid trace.
+/// microseconds.
 [[nodiscard]] std::string chrome_trace_json(
     const TraceRecorder& recorder, double clock_hz,
     const MetricsRegistry* metrics = nullptr);

@@ -26,51 +26,6 @@ PrepareConfig default_prepare_config() {
 }
 
 namespace {
-TaskArtifacts finish_artifacts(data::TaskDataset dataset,
-                               const PrepareConfig& config);
-}  // namespace
-
-TaskArtifacts prepare_task(data::TaskId id, const PrepareConfig& config) {
-  return finish_artifacts(data::build_task_dataset(id, config.dataset),
-                          config);
-}
-
-namespace {
-
-TaskArtifacts finish_artifacts(data::TaskDataset dataset,
-                               const PrepareConfig& config) {
-  model::ModelConfig mc = config.model;
-  mc.vocab_size = dataset.vocab_size();
-  numeric::Rng init_rng(
-      config.init_seed +
-      static_cast<std::uint64_t>(data::task_number(dataset.id)));
-  model::MemN2N net(mc, init_rng);
-  model::train(net, dataset.train, config.train);
-
-  core::InferenceThresholding ith = core::InferenceThresholding::calibrate(
-      net, dataset.train, config.ith);
-
-  TaskArtifacts art{std::move(dataset), std::move(net), std::move(ith)};
-  art.test_accuracy = model::evaluate_accuracy(art.model, art.dataset.test);
-  art.ith_test_accuracy =
-      core::evaluate_ith(art.model, art.ith, art.dataset.test).accuracy;
-  return art;
-}
-
-}  // namespace
-
-std::vector<TaskArtifacts> prepare_suite(const PrepareConfig& config) {
-  std::vector<data::TaskDataset> datasets =
-      data::build_joint_suite(config.dataset);
-  std::vector<TaskArtifacts> suite;
-  suite.reserve(datasets.size());
-  for (data::TaskDataset& ds : datasets) {
-    suite.push_back(finish_artifacts(std::move(ds), config));
-  }
-  return suite;
-}
-
-namespace {
 
 std::string cache_key(const PrepareConfig& c, data::TaskId id) {
   std::string key = "g";
@@ -85,6 +40,7 @@ std::string cache_key(const PrepareConfig& c, data::TaskId id) {
   return key;
 }
 
+/// Calibrates ITH on the training split and scores the test split.
 TaskArtifacts finish_from_model(data::TaskDataset dataset,
                                 model::MemN2N net,
                                 const PrepareConfig& config) {
@@ -97,7 +53,25 @@ TaskArtifacts finish_from_model(data::TaskDataset dataset,
   return art;
 }
 
+/// Trains a fresh model on the training split, then finishes it.
+TaskArtifacts finish_artifacts(data::TaskDataset dataset,
+                               const PrepareConfig& config) {
+  model::ModelConfig mc = config.model;
+  mc.vocab_size = dataset.vocab_size();
+  numeric::Rng init_rng(
+      config.init_seed +
+      static_cast<std::uint64_t>(data::task_number(dataset.id)));
+  model::MemN2N net(mc, init_rng);
+  model::train(net, dataset.train, config.train);
+  return finish_from_model(std::move(dataset), std::move(net), config);
+}
+
 }  // namespace
+
+TaskArtifacts prepare_task(data::TaskId id, const PrepareConfig& config) {
+  return finish_artifacts(data::build_task_dataset(id, config.dataset),
+                          config);
+}
 
 std::vector<TaskArtifacts> prepare_suite_cached(const PrepareConfig& config,
                                                 const std::string& cache_dir,
@@ -167,7 +141,6 @@ MeasurementRow measure_fpga(const TaskArtifacts& artifacts,
   accel::AccelConfig cfg;
   cfg.clock_hz = options.clock_hz;
   cfg.ith_enabled = options.ith;
-  cfg.use_index_ordering = options.index_ordering;
   if (options.link) {
     cfg.link = *options.link;
   }

@@ -44,15 +44,11 @@ struct PrepareConfig {
                                          const PrepareConfig& config);
 
 /// Prepares all 20 tasks over the joint vocabulary (the Table I / Fig. 4
-/// evaluation regime: output dimension |I| = joint vocab ≫ |E|).
-/// Expensive (trains 20 models); benches call it once and reuse.
-[[nodiscard]] std::vector<TaskArtifacts> prepare_suite(
-    const PrepareConfig& config);
-
-/// Like prepare_suite but caches trained models under `cache_dir`
-/// (created if missing). The cache key encodes the configuration knobs
-/// that affect training, so changing them retrains instead of serving a
-/// stale model. ITH calibration is recomputed (cheap, deterministic).
+/// evaluation regime: output dimension |I| = joint vocab ≫ |E|), caching
+/// trained models under `cache_dir` (created if missing). The cache key
+/// encodes the configuration knobs that affect training, so changing
+/// them retrains instead of serving a stale model. ITH calibration is
+/// recomputed (deterministic).
 /// `max_tasks` > 0 finishes only the first that many tasks of the joint
 /// suite (the joint vocabulary still spans all 20, so cached models stay
 /// compatible); 0 means the whole suite.
@@ -82,7 +78,6 @@ struct MeasurementRow {
 struct FpgaRunOptions {
   double clock_hz = 100.0e6;
   bool ith = false;
-  bool index_ordering = true;
   std::size_t repetitions = 1;
   /// When set, overrides the default host-link model (the ablate_host_link
   /// bench and the §V "no interface bound" estimate use this).

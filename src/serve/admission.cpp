@@ -6,10 +6,15 @@
 
 namespace mann::serve {
 
+namespace {
+/// The contract of tenant 0 when the registry is empty.
+const TenantConfig kDefaultTenant{};
+}  // namespace
+
 AdmissionController::AdmissionController(AdmissionConfig config,
-                                         std::vector<TenantConfig> tenants,
+                                         std::span<const TenantConfig> tenants,
                                          obs::MetricsRegistry* metrics)
-    : config_(config), tenants_(std::move(tenants)) {
+    : config_(config), tenants_(tenants) {
   num_tenants_ = tenants_.empty() ? 1 : tenants_.size();
   obs_admitted_ = obs::counter(metrics, "serve.admission.admitted");
   if (metrics != nullptr) {
@@ -20,14 +25,7 @@ AdmissionController::AdmissionController(AdmissionConfig config,
     }
   }
   for (const TenantConfig& tenant : tenants_) {
-    if (tenant.quota_interarrival_cycles < 0.0) {
-      throw std::invalid_argument(
-          "AdmissionController: quota_interarrival_cycles must be >= 0");
-    }
-    if (tenant.quota_interarrival_cycles > 0.0 && tenant.quota_burst < 1.0) {
-      throw std::invalid_argument(
-          "AdmissionController: a quota needs quota_burst >= 1");
-    }
+    validate_tenant(tenant);
     max_tier_ = std::max(max_tier_, tenant.tier);
   }
   if (config_.overload_watermark <= 0.0 || config_.overload_watermark > 1.0) {
@@ -51,7 +49,7 @@ const TenantConfig& AdmissionController::tenant_config(
                             std::to_string(num_tenants_) +
                             "-entry registry");
   }
-  return tenants_.empty() ? default_tenant_ : tenants_[tenant];
+  return tenants_.empty() ? kDefaultTenant : tenants_[tenant];
 }
 
 std::optional<ShedReason> AdmissionController::decide(
@@ -114,23 +112,7 @@ std::optional<ShedReason> AdmissionController::decide(
   return std::nullopt;
 }
 
-void AdmissionController::set_tenant(TenantId tenant,
-                                     const TenantConfig& config) {
-  if (tenant >= tenants_.size()) {
-    throw std::out_of_range(
-        "AdmissionController: set_tenant(" + std::to_string(tenant) +
-        ") outside the " + std::to_string(tenants_.size()) +
-        "-entry registry (the registry size is fixed at construction)");
-  }
-  if (config.quota_interarrival_cycles < 0.0) {
-    throw std::invalid_argument(
-        "AdmissionController: quota_interarrival_cycles must be >= 0");
-  }
-  if (config.quota_interarrival_cycles > 0.0 && config.quota_burst < 1.0) {
-    throw std::invalid_argument(
-        "AdmissionController: a quota needs quota_burst >= 1");
-  }
-  tenants_[tenant] = config;
+void AdmissionController::set_tenant(TenantId tenant) noexcept {
   // Tiers may have moved in either direction; recompute the ceiling the
   // tiered-overload thresholds are spaced against.
   max_tier_ = 0;
@@ -140,7 +122,7 @@ void AdmissionController::set_tenant(TenantId tenant,
   // Keep the bucket's refill clock but bound the balance by the new
   // burst: a tightened quota must not be pre-funded by the old one.
   Bucket& bucket = buckets_[tenant];
-  bucket.tokens = std::min(bucket.tokens, config.quota_burst);
+  bucket.tokens = std::min(bucket.tokens, tenants_[tenant].quota_burst);
 }
 
 void AdmissionController::record_shed(TenantId tenant, ShedReason reason) {

@@ -34,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -76,12 +77,14 @@ struct AdmissionOutlook {
 
 class AdmissionController {
  public:
-  /// `tenants` is the shared registry (empty = single default tenant
-  /// that is never quota-limited and sits in tier 0). `metrics`, when
-  /// set, receives "serve.admission.*" counters (non-owning; may be
-  /// null).
+  /// `tenants` is the owner's live registry, read on every decision and
+  /// never resized (empty = single default tenant that is never
+  /// quota-limited and sits in tier 0); it must outlive the controller.
+  /// Throws std::invalid_argument for an entry validate_tenant refuses
+  /// or an overload watermark outside (0, 1]. `metrics`, when set,
+  /// receives "serve.admission.*" counters (non-owning; may be null).
   AdmissionController(AdmissionConfig config,
-                      std::vector<TenantConfig> tenants,
+                      std::span<const TenantConfig> tenants,
                       obs::MetricsRegistry* metrics = nullptr);
 
   [[nodiscard]] const AdmissionConfig& config() const noexcept {
@@ -105,19 +108,12 @@ class AdmissionController {
   /// Records a successful admission (request entered the batcher).
   void record_admitted(TenantId tenant);
 
-  /// Live reconfiguration: replaces one tenant's contract mid-run. The
-  /// token bucket keeps its refill timestamp and clamps its balance to
-  /// the new burst, so a quota tightened mid-run bites immediately
-  /// without ever minting retroactive credit. The registry size is fixed
-  /// at construction (tenants cannot be added live): out-of-range ids —
-  /// including any id when the registry is empty — throw
-  /// std::out_of_range, and invalid quota knobs throw
-  /// std::invalid_argument (the original contract is kept either way).
-  void set_tenant(TenantId tenant, const TenantConfig& config);
-
-  [[nodiscard]] const std::vector<TenantConfig>& tenants() const noexcept {
-    return tenants_;
-  }
+  /// Live reconfiguration: the owner has validated and written registry
+  /// entry `tenant` (which must exist). The token bucket keeps its
+  /// refill timestamp and clamps its balance to the new burst, so a
+  /// quota tightened mid-run bites immediately without ever minting
+  /// retroactive credit, and the tier ceiling is recomputed.
+  void set_tenant(TenantId tenant) noexcept;
 
   [[nodiscard]] const ShedCounters& sheds() const noexcept { return sheds_; }
   [[nodiscard]] const std::vector<ShedCounters>& tenant_sheds()
@@ -138,8 +134,7 @@ class AdmissionController {
   [[nodiscard]] const TenantConfig& tenant_config(TenantId tenant) const;
 
   AdmissionConfig config_;
-  std::vector<TenantConfig> tenants_;
-  TenantConfig default_tenant_;  ///< served when the registry is empty
+  std::span<const TenantConfig> tenants_;  ///< the owner's live registry
   std::size_t num_tenants_ = 1;
   std::uint32_t max_tier_ = 0;
   std::vector<Bucket> buckets_;

@@ -11,8 +11,6 @@ Batcher::Batcher(BatcherConfig config, std::size_t num_tasks,
     : config_(config),
       num_tenants_(num_tenants),
       obs_requests_in_(obs::counter(metrics, "serve.batcher.requests_in")),
-      obs_requests_rejected_(
-          obs::counter(metrics, "serve.batcher.requests_rejected")),
       obs_batches_out_(obs::counter(metrics, "serve.batcher.batches_out")),
       obs_batch_size_(obs::histogram(metrics, "serve.batcher.batch_size")) {
   if (num_tasks == 0) {
@@ -49,8 +47,6 @@ bool Batcher::enqueue(const InferenceRequest& request) {
   }
   const std::size_t lane = request.task * num_tenants_ + request.tenant;
   if (!queues_[lane].try_push(request)) {
-    ++counters_.requests_rejected;
-    obs::add(obs_requests_rejected_);
     return false;
   }
   ++counters_.requests_in;
@@ -112,14 +108,6 @@ sim::Cycle Batcher::next_deadline() const noexcept {
     }
   }
   return deadline;
-}
-
-sim::FifoStats Batcher::queue_stats() const noexcept {
-  sim::FifoStats combined;
-  for (const auto& q : queues_) {
-    combined += q.stats();
-  }
-  return combined;
 }
 
 Batch Batcher::flush_lane(std::size_t lane) {

@@ -6,13 +6,12 @@
 // isolation starts at queueing, so one tenant's backlog never rides in
 // (or delays the flush of) another tenant's batches, and every batch
 // belongs to exactly one tenant for the WFQ dispatcher downstream. Each
-// lane is a bounded pending queue (a sim::Fifo, so queue pressure is
-// observable through the same FifoStats code path as the device FIFOs).
-// A lane is flushed into a Batch when it reaches max_batch requests
-// (flush-on-full) or when its oldest request has waited max_wait_cycles
-// (flush-on-timeout) — the classic throughput/latency trade every
-// serving stack exposes. With a single tenant the layout and behaviour
-// are exactly the historical per-task batcher.
+// lane is a bounded pending queue (a sim::Fifo). A lane is flushed into
+// a Batch when it reaches max_batch requests (flush-on-full) or when its
+// oldest request has waited max_wait_cycles (flush-on-timeout) — the
+// classic throughput/latency trade every serving stack exposes. With a
+// single tenant the layout and behaviour are exactly the historical
+// per-task batcher.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,8 @@ struct BatcherConfig {
   std::size_t max_batch = 8;
   sim::Cycle max_wait_cycles = 200'000;
   /// Per-lane pending-queue bound; enqueue() rejects beyond it (open-loop
-  /// overload shedding, surfaced as FifoStats::full_rejects and counted
-  /// as a ShedReason::kQueueFull shed by the admission controller).
+  /// overload shedding, counted as a ShedReason::kQueueFull shed by the
+  /// admission controller).
   std::size_t queue_capacity = 4096;
 };
 
@@ -53,7 +52,6 @@ struct Batch {
 /// Why batches left the batcher, for the batching-efficiency report.
 struct BatcherCounters {
   std::uint64_t requests_in = 0;
-  std::uint64_t requests_rejected = 0;  ///< pending lane was full
   std::uint64_t batches_out = 0;
   std::uint64_t stories_out = 0;
   std::uint64_t flush_full = 0;     ///< lane reached max_batch
@@ -77,7 +75,7 @@ class Batcher {
   }
 
   /// Admits a request to its (task, tenant) lane; false when that lane
-  /// is full (the request is shed, counted in requests_rejected).
+  /// is full (the session sheds it as ShedReason::kQueueFull).
   [[nodiscard]] bool enqueue(const InferenceRequest& request);
 
   /// Returns the next ready batch (full or timed out) at `now`, fairly
@@ -98,10 +96,6 @@ class Batcher {
     return counters_;
   }
 
-  /// Aggregate FifoStats over every pending lane (one code path with the
-  /// device FIFO reports).
-  [[nodiscard]] sim::FifoStats queue_stats() const noexcept;
-
  private:
   [[nodiscard]] Batch flush_lane(std::size_t lane);
 
@@ -113,7 +107,6 @@ class Batcher {
   BatcherCounters counters_;
   // Mirrored obs instruments (null without a registry).
   obs::Counter* obs_requests_in_ = nullptr;
-  obs::Counter* obs_requests_rejected_ = nullptr;
   obs::Counter* obs_batches_out_ = nullptr;
   obs::Histogram* obs_batch_size_ = nullptr;
 };

@@ -8,32 +8,21 @@
 
 namespace mann::serve {
 
-namespace {
-
-/// Jain's fairness index over the tenants' weight-normalized completed
-/// throughput: (Σx)² / (n·Σx²), 1.0 when service is exactly
-/// proportional to weight, approaching 1/n as one tenant monopolizes.
-double jain_fairness(const std::vector<TenantReport>& tenants) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  std::size_t n = 0;
-  for (const TenantReport& tenant : tenants) {
-    if (tenant.weight <= 0.0) {
-      continue;
-    }
-    const double x =
-        static_cast<double>(tenant.completed) / tenant.weight;
-    sum += x;
-    sum_sq += x * x;
-    ++n;
-  }
-  if (n < 2 || sum_sq <= 0.0) {
+double jain_index(std::span<const double> xs) {
+  if (xs.size() < 2) {
     return 1.0;
   }
-  return (sum * sum) / (static_cast<double>(n) * sum_sq);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double x : xs) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  if (sum_sq <= 0.0) {
+    return 1.0;
+  }
+  return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
 }
-
-}  // namespace
 
 LatencySummary summarize_latency(std::vector<sim::Cycle> samples,
                                  double clock_hz) {
@@ -178,10 +167,16 @@ ServingReport ServingMetrics::finalize(RunTotals totals) const {
     }
     report.tenants.push_back(tenant);
   }
-  report.fairness_index = jain_fairness(report.tenants);
+  // Weight-normalized completions (every weight is > 0, validate_tenant):
+  // 1.0 when service is exactly proportional to weight.
+  std::vector<double> shares;
+  shares.reserve(report.tenants.size());
+  for (const TenantReport& tenant : report.tenants) {
+    shares.push_back(static_cast<double>(tenant.completed) / tenant.weight);
+  }
+  report.fairness_index = jain_index(shares);
 
   report.batching = totals.batching;
-  report.queue_stats = totals.queue_stats;
   report.devices = std::move(totals.devices);
   report.model_uploads = totals.model_uploads;
   report.model_evictions = totals.model_evictions;

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/service_cycle_cache.hpp"
@@ -33,7 +34,6 @@
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/tenant.hpp"
-#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace mann::serve {
@@ -57,6 +57,13 @@ struct LatencySummary {
 /// there are none.
 [[nodiscard]] LatencySummary summarize_latency(std::vector<sim::Cycle> samples,
                                                double clock_hz);
+
+/// Jain's fairness index (Σx)² / (n·Σx²), summed in order: 1.0 when every
+/// x is equal (and for fewer than two samples or all zeros), approaching
+/// 1/n as one sample takes everything. Serve scores tenants by
+/// weight-normalized completions with it, the cluster instances by
+/// completions.
+[[nodiscard]] double jain_index(std::span<const double> xs);
 
 /// SLO attainment of one served task.
 struct TaskSloReport {
@@ -163,9 +170,6 @@ struct ServingReport {
 
   BatcherCounters batching;
   std::vector<DeviceReport> devices;
-  /// One FifoStats over every queue in the stack: per-task batch queues,
-  /// the scheduler's pending queue, and the devices' host FIFOs.
-  sim::FifoStats queue_stats;
 };
 
 /// Everything finalize() folds in beside the per-response observations —
@@ -184,7 +188,6 @@ struct RunTotals {
   /// Tenant registry (tier/weight echoed into the per-tenant reports and
   /// the fairness index); empty = single default tenant.
   std::vector<TenantConfig> tenants;
-  sim::FifoStats queue_stats;
   std::vector<DeviceReport> devices;
   std::uint64_t model_uploads = 0;
   std::uint64_t model_evictions = 0;

@@ -1,26 +1,22 @@
 // The unified request-outcome vocabulary of the incremental serving API.
 //
-// Historically three per-layer encodings described how a request left the
-// system: the admission/batcher layers spoke ShedReason, the scheduler's
-// dispatch path spoke accel::CacheOutcome, and "did it complete, and in
-// time?" was implicit in InferenceResponse::deadline_met(). The session
+// Two per-layer encodings describe how a request left the system: the
+// admission/batcher layers speak ShedReason, and "did it complete, and in
+// time?" is implicit in InferenceResponse::deadline_met(). The session
 // API (ServerSession::poll_completions) surfaces one public enum instead:
 // every request resolves to exactly one RequestOutcome, and the
-// conversion helpers below are the single place the legacy encodings map
+// conversion helpers below are the single place the layer encodings map
 // through.
 //
 // Determinism note: RequestOutcome is a pure function of the simulated
 // timeline, so the completion stream is bit-identical for any host worker
-// count. How the host *resolved* a dispatch against the service-cycle
-// cache (accel::CacheOutcome) is worker-count-dependent, which is why it
-// rides beside the outcome in Completion::cache_outcome instead of being
-// folded into the enum — deterministic identity and host-execution
-// diagnostics must never share one value.
+// count. How the host resolved a dispatch against the service-cycle cache
+// depends on the worker count, so it stays out of the completion stream:
+// only the host-domain "cache" trace instant records it.
 #pragma once
 
 #include <cstdint>
 
-#include "accel/accelerator.hpp"
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
 #include "sim/types.hpp"
@@ -115,10 +111,6 @@ inline constexpr std::size_t kRequestOutcomeCount = 6;
 /// Completion per offered request.
 struct Completion {
   RequestOutcome outcome = RequestOutcome::kOk;
-  /// How the host resolved the dispatch against the service-cycle cache
-  /// (kNone when shed, when caching is off, or pre-PR2 sequential runs).
-  /// Host-dependent: excluded from byte-stable output (see header note).
-  accel::CacheOutcome cache_outcome = accel::CacheOutcome::kNone;
   /// Simulated cycle the outcome landed: complete_cycle for completions,
   /// the shed decision cycle for sheds. poll_completions() orders its
   /// window by (cycle, id), and windows are drained at non-decreasing

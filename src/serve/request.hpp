@@ -28,14 +28,6 @@
 #include "serve/trace.hpp"
 #include "sim/types.hpp"
 
-namespace mann::accel {
-// Opaque re-declaration (definition in accel/accelerator.hpp): how the
-// host resolved a dispatched run against the service-cycle cache. Kept
-// opaque so the serving request types don't pull in the whole device
-// layer.
-enum class CacheOutcome : std::uint8_t;
-}  // namespace mann::accel
-
 namespace mann::serve {
 
 using RequestId = std::uint64_t;
@@ -84,10 +76,6 @@ struct InferenceResponse {
   sim::Cycle dispatch_cycle = 0;  ///< batch handed to a device
   sim::Cycle complete_cycle = 0;  ///< answer visible at the host
   sim::Cycle deadline_cycle = sim::kNever;  ///< carried from the request
-  /// How the host resolved this response's dispatch against the
-  /// service-cycle cache (kNone when caching is off). Host-dependent —
-  /// never part of the deterministic simulated report.
-  accel::CacheOutcome cache_outcome{};
 
   [[nodiscard]] sim::Cycle queue_cycles() const noexcept {
     return dispatch_cycle - enqueue_cycle;

@@ -43,14 +43,11 @@ Scheduler::Scheduler(SchedulerConfig config,
   // per registered tenant. The lanes order themselves by the policy (WFQ
   // lanes are EDF within the tenant).
   shards_ = config_.dedicated_devices > 0 ? config_.dedicated_devices : 1;
+  for (const TenantConfig& tenant : tenant_registry_) {
+    validate_tenant(tenant);
+  }
   if (config_.policy == SchedulerPolicy::kWfq) {
     tenant_lanes_ = std::max<std::size_t>(1, tenant_registry_.size());
-    for (const TenantConfig& tenant : tenant_registry_) {
-      if (tenant.weight <= 0.0) {
-        throw std::invalid_argument(
-            "Scheduler: WFQ tenant weights must be > 0");
-      }
-    }
   }
   tenants_.resize(tenant_lanes_);
   const SchedulerPolicy order = config_.policy == SchedulerPolicy::kFifo
@@ -115,7 +112,6 @@ bool Scheduler::submit(Batch batch) {
                             "tenant registry");
   }
   if (!has_capacity()) {
-    ++pending_stats_.full_rejects;
     return false;
   }
   const std::int8_t predicted = pool_ != nullptr ? speculate(batch) : -1;
@@ -132,9 +128,6 @@ bool Scheduler::submit(Batch batch) {
   pending_stories_ += batch.size();
   queues_[index].insert({std::move(batch), next_seq_++, predicted});
   ++pending_total_;
-  ++pending_stats_.pushes;
-  pending_stats_.max_occupancy =
-      std::max(pending_stats_.max_occupancy, pending_total_);
   return true;
 }
 
@@ -292,7 +285,6 @@ Scheduler::PendingBatch Scheduler::pop_queue(std::size_t index) {
   auto node = queue.extract(queue.begin());
   PendingBatch pending = std::move(node.value());
   --pending_total_;
-  ++pending_stats_.pops;
   pending_stories_ -= pending.batch.size();
   --tenants_[index % tenant_lanes_].pending;
   return pending;
@@ -596,7 +588,6 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
   slot.stolen_batches += stolen ? 1 : 0;
   TaskCycleEstimate& estimate = task_cycles_[batch.task];
   (warm ? estimate.warm : estimate.cold) = run.total_cycles;
-  device_queue_stats_ += run.queue_stats();
   device_ops_ += run.total_ops;
   link_active_cycles_ += run.link_active_cycles;
 
@@ -613,7 +604,6 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
     response.early_exit = run.stories[i].early_exit;
     response.enqueue_cycle = request.enqueue_cycle;
     response.deadline_cycle = request.deadline_cycle;
-    response.cache_outcome = outcome;
     response.dispatch_cycle = now;
     // finish_cycle is relative to the batch's own run; rebased onto the
     // serving clock it gives per-story completion inside the batch.

@@ -91,7 +91,6 @@
 #include "serve/request.hpp"
 #include "serve/tenant.hpp"
 #include "serve/worker_pool.hpp"
-#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace mann::serve {
@@ -174,7 +173,8 @@ class Scheduler {
   /// one lane per entry and weighs tenant t by tenants[t].weight at each
   /// dispatch, so a registry update lands at the next one; an empty
   /// registry is one lane of weight 1. Throws std::invalid_argument for
-  /// an empty pool or program set, or under kWfq for a weight <= 0.
+  /// an empty pool or program set, or for an entry validate_tenant
+  /// refuses.
   Scheduler(SchedulerConfig config,
             std::vector<accel::Accelerator> task_devices,
             std::span<const TenantConfig> tenants = {});
@@ -243,18 +243,6 @@ class Scheduler {
   [[nodiscard]] sim::Cycle backlog_cycles(sim::Cycle now) const noexcept;
 
   [[nodiscard]] std::vector<DeviceReport> device_reports() const;
-
-  /// Pending-batch queue stats (same FifoStats shape as every other
-  /// queue in the system, aggregated over the shard queues).
-  [[nodiscard]] const sim::FifoStats& queue_stats() const noexcept {
-    return pending_stats_;
-  }
-
-  /// Aggregate device-internal host FIFO stats over every run dispatched
-  /// so far (summed accel::RunResult::queue_stats()).
-  [[nodiscard]] const sim::FifoStats& device_queue_stats() const noexcept {
-    return device_queue_stats_;
-  }
 
   [[nodiscard]] std::uint64_t total_model_uploads() const noexcept;
   [[nodiscard]] std::uint64_t total_model_evictions() const noexcept;
@@ -414,9 +402,7 @@ class Scheduler {
   std::size_t pending_stories_ = 0;
   std::size_t queue_capacity_ = 0;
   std::uint64_t next_seq_ = 0;
-  sim::FifoStats pending_stats_;
   std::vector<InferenceResponse> in_flight_;  ///< completion times known
-  sim::FifoStats device_queue_stats_;
   sim::OpCounts device_ops_;
   sim::Cycle link_active_cycles_ = 0;
   std::vector<TaskCycleEstimate> task_cycles_;

@@ -71,10 +71,10 @@ struct ServerConfig {
   power::FpgaPowerConfig power;
   /// Serving-level watchdog (independent of the per-batch accel watchdog).
   sim::Cycle watchdog_cycles = 20'000'000'000ULL;
-  /// Observability sinks (non-owning, both optional; no-ops when the
-  /// layer is compiled out). `metrics` receives every control-plane
-  /// stage's instruments; `trace` receives per-request lifecycle spans
-  /// plus device/worker occupancy, exportable via
+  /// Observability sinks (non-owning, both optional; null is the
+  /// off-switch, one check per record site). `metrics` receives every
+  /// control-plane stage's instruments; `trace` receives per-request
+  /// lifecycle spans plus device/worker occupancy, exportable via
   /// obs::write_chrome_trace().
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;

@@ -10,8 +10,12 @@ namespace mann::serve {
 
 namespace {
 
-/// Threads the obs sinks into the scheduler.
+/// Validates the tenant registry and threads the obs sinks into the
+/// scheduler.
 ServerConfig resolve_config(ServerConfig config) {
+  for (const TenantConfig& tenant : config.traffic.tenants) {
+    validate_tenant(tenant);
+  }
   config.scheduler.metrics = config.metrics;
   config.scheduler.trace = config.trace;
   return config;
@@ -211,7 +215,6 @@ class ServerSession::Dispatch final : public sim::Module {
           std::max(s_.last_completion_, response.complete_cycle);
       Completion completion;
       completion.outcome = outcome_from_response(response);
-      completion.cache_outcome = response.cache_outcome;
       completion.cycle = response.complete_cycle;
       completion.response = response;
       s_.outbox_.push_back(std::move(completion));
@@ -241,8 +244,7 @@ ServerSession::ServerSession(ServerConfig config,
       corpora_(make_corpora(models)),
       tenants_(config_.traffic.tenants),
       slo_(config_.traffic.slo),
-      admission_(config_.admission, config_.traffic.tenants,
-                 config_.metrics),
+      admission_(config_.admission, tenants_, config_.metrics),
       batcher_(config_.batcher, models.size(),
                std::max<std::size_t>(1, config_.traffic.tenants.size()),
                config_.metrics),
@@ -391,16 +393,19 @@ SessionInfo ServerSession::info() const {
 }
 
 void ServerSession::set_tenant(TenantId tenant, const TenantConfig& config) {
-  if (config.weight <= 0.0) {
-    throw std::invalid_argument(
-        "ServerSession: tenant weight must be > 0");
+  if (tenant >= tenants_.size()) {
+    throw std::out_of_range(
+        "ServerSession: set_tenant(" + std::to_string(tenant) +
+        ") outside the " + std::to_string(tenants_.size()) +
+        "-entry registry (the registry size is fixed at construction)");
   }
-  // The admission controller validates range and quota knobs and throws
-  // before anything is mutated, keeping the update all-or-nothing. The
-  // scheduler reads WFQ weights from tenants_, so the new weight lands
-  // at its next dispatch.
-  admission_.set_tenant(tenant, config);
+  // Both checks run before anything moves, so the update is
+  // all-or-nothing. Admission and the scheduler read tenants_ live: the
+  // new weight lands at the scheduler's next dispatch, and admission
+  // re-clamps the tenant's bucket and tier ceiling.
+  validate_tenant(config);
   tenants_[tenant] = config;
+  admission_.set_tenant(tenant);
 }
 
 void ServerSession::set_slo(const SloConfig& slo) { slo_ = slo; }
@@ -440,9 +445,6 @@ ServingReport ServerSession::finalize() {
   // The live registry, not the construction-time snapshot: a report
   // should echo the contracts the run actually ended under.
   totals.tenants = tenants_;
-  totals.queue_stats = batcher_.queue_stats();
-  totals.queue_stats += scheduler_.queue_stats();
-  totals.queue_stats += scheduler_.device_queue_stats();
   totals.devices = scheduler_.device_reports();
   totals.model_uploads = scheduler_.total_model_uploads();
   totals.model_evictions = scheduler_.total_model_evictions();

@@ -86,7 +86,8 @@ class ServerSession {
   /// `first_id`: a multi-instance driver (mann::cluster) gives every
   /// instance a disjoint id range so completion streams and trace spans
   /// stay globally unique. Throws std::invalid_argument for an empty
-  /// registry or a model with an empty corpus.
+  /// registry, a model with an empty corpus, or a tenant contract
+  /// validate_tenant refuses.
   ServerSession(ServerConfig config, const std::vector<ServedModel>& models,
                 RequestId first_id = 0);
   ~ServerSession();
@@ -139,8 +140,8 @@ class ServerSession {
   /// admission quota/tier, WFQ dispatch weight, and the SLO override
   /// stamped on future arrivals. Throws std::out_of_range outside the
   /// registry (its size is fixed at construction) and
-  /// std::invalid_argument for invalid knobs; the old contract is kept
-  /// on throw.
+  /// std::invalid_argument for a contract validate_tenant refuses; the
+  /// old contract is kept on throw.
   void set_tenant(TenantId tenant, const TenantConfig& config);
 
   /// Replaces the per-task SLO table used for future arrivals.
@@ -203,8 +204,9 @@ class ServerSession {
 
   ServerConfig config_;  ///< resolved: obs sinks threaded
   std::vector<std::span<const data::EncodedStory>> corpora_;  ///< per task
-  /// Live registry (set_tenant); the scheduler reads WFQ weights from it,
-  /// so it is declared before scheduler_ and never resized.
+  /// Live registry (set_tenant); admission reads quotas and tiers and the
+  /// scheduler WFQ weights from it, so it is declared before both and
+  /// never resized.
   std::vector<TenantConfig> tenants_;
   SloConfig slo_;                      ///< live SLO table (set_slo)
   AdmissionController admission_;

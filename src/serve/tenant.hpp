@@ -27,6 +27,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/types.hpp"
 
@@ -54,6 +55,25 @@ struct TenantConfig {
   /// tenant never carries a deadline".
   sim::Cycle slo_deadline_cycles = 0;
 };
+
+/// The one check a contract passes wherever it enters the serving stack
+/// (a session's registry, ServerSession::set_tenant, and the admission
+/// and scheduler constructors): throws std::invalid_argument for a
+/// weight <= 0, a negative quota interval, or a quota whose burst can
+/// never admit a request. traffic_share is the TrafficGenerator's check.
+inline void validate_tenant(const TenantConfig& tenant) {
+  if (tenant.weight <= 0.0) {
+    throw std::invalid_argument("TenantConfig: weight must be > 0");
+  }
+  if (tenant.quota_interarrival_cycles < 0.0) {
+    throw std::invalid_argument(
+        "TenantConfig: quota_interarrival_cycles must be >= 0");
+  }
+  if (tenant.quota_interarrival_cycles > 0.0 && tenant.quota_burst < 1.0) {
+    throw std::invalid_argument(
+        "TenantConfig: a quota needs quota_burst >= 1");
+  }
+}
 
 /// Why a request was shed — the single rejection-accounting vocabulary
 /// shared by the admission controller, the batcher's full-queue path and

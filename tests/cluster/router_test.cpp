@@ -35,7 +35,7 @@ std::vector<InstanceId> iota_ids(std::size_t n) {
 TEST(HashRing, RemovalMovesOnlyTheDepartedArcs) {
   constexpr std::size_t kKeys = 2000;
   constexpr std::size_t kInstances = 4;
-  HashRing ring(64);
+  HashRing ring;
   ring.rebuild(iota_ids(kInstances));
   std::map<std::uint64_t, InstanceId> before;
   for (std::uint64_t key = 0; key < kKeys; ++key) {
@@ -62,7 +62,7 @@ TEST(HashRing, RemovalMovesOnlyTheDepartedArcs) {
 
 TEST(HashRing, AdditionMovesOnlyArcsOntoTheNewInstance) {
   constexpr std::size_t kKeys = 2000;
-  HashRing ring(64);
+  HashRing ring;
   ring.rebuild(iota_ids(3));
   std::map<std::uint64_t, InstanceId> before;
   for (std::uint64_t key = 0; key < kKeys; ++key) {

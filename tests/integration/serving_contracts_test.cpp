@@ -252,9 +252,7 @@ TEST_F(ServingContracts, TracingLeavesTheSimulationUntouched) {
   const serve::ServingReport traced = run_server(config, kRequests);
 
   EXPECT_TRUE(serve::simulated_reports_identical(untraced, traced));
-  if (obs::kEnabled) {
-    EXPECT_GT(recorder.event_count(), 0U);
-  }
+  EXPECT_GT(recorder.event_count(), 0U);
   const std::string path =
       ::testing::TempDir() + "/serving_contracts_trace.json";
   EXPECT_TRUE(obs::write_chrome_trace(path, recorder, config.accel.clock_hz,

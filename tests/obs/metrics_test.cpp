@@ -3,27 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace mann::obs {
 namespace {
 
-// The compile-time contract: with MANN_OBS=1 instruments are real atomic
-// state; with MANN_OBS=0 they are empty structs and every record call is
-// an inline no-op, so the serving hot path carries zero overhead.
-#if MANN_OBS
-static_assert(kEnabled);
-#else
-static_assert(!kEnabled);
-static_assert(std::is_empty_v<Counter>);
-static_assert(std::is_empty_v<Gauge>);
-static_assert(std::is_empty_v<Histogram>);
-#endif
-
 TEST(NullSafeHelpers, NullPointersAreNoOps) {
   // Components record through these with nullptr when no registry is
-  // configured; none of this may crash in either compile mode.
+  // configured; none of this may crash.
   add(static_cast<Counter*>(nullptr));
   add(static_cast<Counter*>(nullptr), 7);
   set(static_cast<Gauge*>(nullptr), -3);
@@ -45,18 +32,10 @@ TEST(NullSafeHelpers, RegistryLookupRecords) {
   Histogram* h = histogram(&registry, "test.histogram");
   ASSERT_NE(h, nullptr);
   observe(h, 100);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(c->value(), 5U);
-    EXPECT_EQ(g->value(), 17);
-    EXPECT_EQ(h->snapshot().count, 1U);
-  } else {
-    EXPECT_EQ(c->value(), 0U);
-    EXPECT_EQ(g->value(), 0);
-    EXPECT_EQ(h->snapshot().count, 0U);
-  }
+  EXPECT_EQ(c->value(), 5U);
+  EXPECT_EQ(g->value(), 17);
+  EXPECT_EQ(h->snapshot().count, 1U);
 }
-
-#if MANN_OBS
 
 TEST(Counter, AddsAndReads) {
   Counter c;
@@ -160,20 +139,6 @@ TEST(MetricsRegistry, ConcurrentRecordingIsExact) {
   EXPECT_EQ(s.min, 0U);
   EXPECT_EQ(s.max, static_cast<std::uint64_t>(kPerThread - 1));
 }
-
-#else  // !MANN_OBS
-
-TEST(MetricsRegistry, CompiledOutEverythingFoldsAway) {
-  MetricsRegistry registry;
-  Counter& c = registry.counter("anything");
-  c.add(100);
-  EXPECT_EQ(c.value(), 0U);
-  registry.gauge("anything").set(5);
-  registry.histogram("anything").observe(5);
-  EXPECT_TRUE(registry.snapshot().empty());
-}
-
-#endif  // MANN_OBS
 
 }  // namespace
 }  // namespace mann::obs

@@ -60,12 +60,8 @@ TEST(ChromeTraceJson, MetricsSnapshotEmbeds) {
   const std::string json = chrome_trace_json(recorder, 100.0e6, &registry);
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"mannMetrics\""), std::string::npos);
-  if constexpr (kEnabled) {
-    EXPECT_NE(json.find("\"serve.test.counter\":3"), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"serve.test.counter\":3"), std::string::npos);
 }
-
-#if MANN_OBS
 
 TEST(TraceRecorder, LifecycleSpansRoundTrip) {
   TraceRecorder recorder;
@@ -164,21 +160,6 @@ TEST(ChromeTraceJson, EventsSerializeWithArgs) {
   EXPECT_NE(json.find("\"simulated\""), std::string::npos);
   EXPECT_NE(json.find("\"host\""), std::string::npos);
 }
-
-#else  // !MANN_OBS
-
-TEST(TraceRecorder, CompiledOutRecorderIsInert) {
-  const TraceRecorder recorder;
-  recorder.begin_async("request", 1, 10);
-  recorder.end_async("request", 1, 20);
-  recorder.instant(Domain::kSim, kTrackFrontend, "shed", 15);
-  recorder.complete(Domain::kHost, kTrackDispatch, "cache", 1, 2);
-  EXPECT_EQ(recorder.event_count(), 0U);
-  EXPECT_TRUE(recorder.merged().empty());
-  EXPECT_EQ(recorder.wall_ns(), 0U);
-}
-
-#endif  // MANN_OBS
 
 }  // namespace
 }  // namespace mann::obs

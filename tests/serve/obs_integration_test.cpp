@@ -85,10 +85,6 @@ std::string canonical_sim_trace(const std::vector<obs::TraceEvent>& events) {
 
 TEST(ObsIntegration, LifecycleSpansAreWellFormed) {
   const TracedRun run = run_traced(/*workers=*/0);
-  if constexpr (!obs::kEnabled) {
-    EXPECT_TRUE(run.events.empty());
-    return;
-  }
   ASSERT_FALSE(run.events.empty());
 
   // Pair every async begin with its end; ends must not precede begins.
@@ -114,10 +110,6 @@ TEST(ObsIntegration, LifecycleSpansAreWellFormed) {
 
 TEST(ObsIntegration, CountersMatchReport) {
   const TracedRun run = run_traced(/*workers=*/0);
-  if constexpr (!obs::kEnabled) {
-    EXPECT_TRUE(run.counters.empty());
-    return;
-  }
   const auto at = [&](const char* name) {
     const auto it = run.counters.find(name);
     return it == run.counters.end() ? ~std::uint64_t{0} : it->second;
@@ -150,11 +142,9 @@ TEST(ObsIntegration, SimulatedTraceIdenticalAcrossWorkerCounts) {
             canonical_sim_trace(threaded.events));
 
   // Worker-sensitive instruments still balance internally.
-  if constexpr (obs::kEnabled) {
-    const auto& counters = threaded.counters;
-    EXPECT_EQ(counters.at("serve.worker_pool.jobs_submitted"),
-              counters.at("serve.worker_pool.jobs_completed"));
-  }
+  const auto& counters = threaded.counters;
+  EXPECT_EQ(counters.at("serve.worker_pool.jobs_submitted"),
+            counters.at("serve.worker_pool.jobs_completed"));
 }
 
 }  // namespace

@@ -59,8 +59,6 @@ void expect_same_simulated_report(const ServingReport& a,
     EXPECT_EQ(a.devices[i].stories, b.devices[i].stories);
     EXPECT_EQ(a.devices[i].model_uploads, b.devices[i].model_uploads);
   }
-  EXPECT_EQ(a.queue_stats.pushes, b.queue_stats.pushes);
-  EXPECT_EQ(a.queue_stats.pops, b.queue_stats.pops);
 }
 
 TEST(ParallelServing, ReportsIdenticalAcrossWorkerCounts) {

@@ -272,6 +272,15 @@ TEST(ServerSession, ValidatesSubmissionsAndLifecycle) {
   bad_tenant.tenant = 7;
   EXPECT_THROW((void)session.submit(bad_tenant), std::out_of_range);
   EXPECT_THROW(session.set_tenant(9, TenantConfig{}), std::out_of_range);
+  TenantConfig weightless;
+  weightless.weight = 0.0;
+  EXPECT_THROW(session.set_tenant(1, weightless), std::invalid_argument);
+  // The same contract is refused at construction too, under every policy
+  // (only kWfq reads weights, but the registry is one contract).
+  ServerConfig edf_weightless = session_config();
+  ASSERT_EQ(edf_weightless.scheduler.policy, SchedulerPolicy::kEdf);
+  edf_weightless.traffic.tenants[1] = weightless;
+  EXPECT_THROW(ServerSession(edf_weightless, models), std::invalid_argument);
 
   (void)session.submit(SubmitRequest{});
   const ServingReport report = session.finalize();

@@ -4,10 +4,12 @@
 // err handling that keeps the daemon alive, live reconfiguration with
 // requests in flight, byte-stable output at a fixed schedule, and
 // replay equivalence against the daemon's own --closed-loop mode, on a
-// fleet of one (the default) and of two.
+// fleet of one (the default) and of two. The other tools' count flags
+// and a mann_cli train/eval/simulate round trip run here too.
 //
-// All runs use --tiny models: protocol and scheduling behaviour only
-// depend on cycle costs (shapes), so nothing here needs trained models.
+// All daemon runs use --tiny models: protocol and scheduling behaviour
+// only depend on cycle costs (shapes), so nothing here needs trained
+// models.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -20,7 +22,7 @@
 #include <vector>
 
 #if !defined(MANN_SERVED_PATH) || !defined(MANN_MAKE_TRACE_PATH) || \
-    !defined(MANN_SERVE_THROUGHPUT_PATH)
+    !defined(MANN_SERVE_THROUGHPUT_PATH) || !defined(MANN_CLI_PATH)
 #error "MANN_*_PATH must point at the mann_served and tool binaries"
 #endif
 
@@ -186,9 +188,9 @@ TEST(ServedDaemon, NumericFlagsFollowTheProtocolRule) {
 }
 
 TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
-  // The trace generator and the serving bench refuse the values the
-  // daemon refuses (exit 2) instead of wrapping a sign, saturating an
-  // overflow or stopping at the first non-digit.
+  // The trace generator, the serving bench and mann_cli refuse the
+  // values the daemon refuses (exit 2) instead of wrapping a sign,
+  // saturating an overflow or stopping at the first non-digit.
   const std::filesystem::path out = temp_file("flags_trace.csv");
   const auto make_trace = [&](const std::string& flags) {
     return exit_code(std::string(MANN_MAKE_TRACE_PATH) + " --out " +
@@ -202,6 +204,16 @@ TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
   EXPECT_EQ(make_trace("--tenants 0"), 2);
   EXPECT_EQ(make_trace("--seed 18446744073709551616"), 2);
   std::filesystem::remove(out);
+
+  const auto cli = [](const std::string& flags) {
+    return exit_code(std::string(MANN_CLI_PATH) + " generate " + flags);
+  };
+  EXPECT_EQ(cli("--task 3 --count 2"), 0);
+  EXPECT_EQ(cli("--count 2x"), 2);
+  EXPECT_EQ(cli("--count -1"), 2);
+  EXPECT_EQ(cli("--count 99999999999999999999"), 2);  // not LONG_MAX
+  EXPECT_EQ(cli("--task 3abc"), 2);
+  EXPECT_EQ(cli("--task 21"), 2);
 
   // The bench also exits 2 when the suite cache is missing, so the
   // refusal must name the flag.
@@ -224,6 +236,25 @@ TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
   EXPECT_TRUE(bench_refuses("--requests", "4000x"));
   EXPECT_TRUE(bench_refuses("--tasks", "-3"));
   EXPECT_TRUE(bench_refuses("--fleet-threads", "+2"));
+}
+
+TEST(MannCli, TrainEvalSimulateRoundTrip) {
+  // train saves a model and its vocabulary; eval and simulate rebuild
+  // the same (task, seed) split and load the model, so a save/load or
+  // flag-parsing break in any subcommand fails here.
+  const std::filesystem::path dir = temp_file("cli_round_trip");
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.bin").string();
+  const std::string cli = std::string(MANN_CLI_PATH);
+  const std::string split = " --task 1 --train 60 --test 20 --seed 5";
+  EXPECT_EQ(exit_code(cli + " train --out " + model + split +
+                      " --epochs 2 --dim 8 --hops 1"),
+            0);
+  EXPECT_TRUE(std::filesystem::exists(model + ".vocab"));
+  EXPECT_EQ(exit_code(cli + " eval --model " + model + split), 0);
+  EXPECT_EQ(exit_code(cli + " simulate --model " + model + split + " --ith"),
+            0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {

@@ -12,13 +12,17 @@
 //
 // The dataset for a (task, seed) pair is fully reproducible, so a model
 // trained by `train` is evaluated by `eval` on exactly the held-out split
-// it never saw.
+// it never saw. Counts take the digit rule every tool shares
+// (bench::count_flag): a value that is not plain digits, is out of
+// range or overflows exits 2 naming the flag.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 
+#include "common.hpp"
 #include "core/ith_eval.hpp"
 #include "data/encoder.hpp"
 #include "model/serialize.hpp"
@@ -53,9 +57,14 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  [[nodiscard]] long num(const std::string& key, long fallback) const {
+  /// The count flag --key (at least `least`), or `fallback` when absent.
+  [[nodiscard]] std::uint64_t count(const std::string& key,
+                                    std::uint64_t fallback,
+                                    std::uint64_t least = 0) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    return it == values_.end()
+               ? fallback
+               : bench::count_flag("--" + key, it->second.c_str(), least);
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return values_.contains(key);
@@ -66,8 +75,8 @@ class Args {
 };
 
 data::TaskId task_from(const Args& args) {
-  const long n = args.num("task", 1);
-  if (n < 1 || n > 20) {
+  const std::uint64_t n = args.count("task", 1, 1);
+  if (n > 20) {
     std::fprintf(stderr, "--task must be 1..20\n");
     std::exit(2);
   }
@@ -76,9 +85,9 @@ data::TaskId task_from(const Args& args) {
 
 data::DatasetConfig dataset_config_from(const Args& args) {
   data::DatasetConfig dc;
-  dc.train_stories = static_cast<std::size_t>(args.num("train", 700));
-  dc.test_stories = static_cast<std::size_t>(args.num("test", 200));
-  dc.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  dc.train_stories = args.count("train", 700, 1);
+  dc.test_stories = args.count("test", 200, 1);
+  dc.seed = args.count("seed", 42);
   return dc;
 }
 
@@ -99,11 +108,11 @@ void print_story(const data::Story& story) {
 
 int cmd_generate(const Args& args) {
   const data::TaskId task = task_from(args);
-  numeric::Rng rng(static_cast<std::uint64_t>(args.num("seed", 7)));
-  const long count = args.num("count", 3);
+  numeric::Rng rng(args.count("seed", 7));
+  const std::uint64_t count = args.count("count", 3);
   std::printf("%s\n", data::task_name(task).c_str());
-  for (long i = 0; i < count; ++i) {
-    std::printf("story %ld:\n", i + 1);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::printf("story %llu:\n", static_cast<unsigned long long>(i + 1));
     print_story(data::generate_story(task, rng));
   }
   return 0;
@@ -117,13 +126,13 @@ int cmd_train(const Args& args) {
       data::build_task_dataset(task, dataset_config_from(args));
   model::ModelConfig mc;
   mc.vocab_size = ds.vocab_size();
-  mc.embedding_dim = static_cast<std::size_t>(args.num("dim", 24));
-  mc.hops = static_cast<std::size_t>(args.num("hops", 3));
-  numeric::Rng rng(static_cast<std::uint64_t>(args.num("init-seed", 1234)));
+  mc.embedding_dim = args.count("dim", 24, 1);
+  mc.hops = args.count("hops", 3, 1);
+  numeric::Rng rng(args.count("init-seed", 1234));
   model::MemN2N net(mc, rng);
 
   model::TrainConfig tc;
-  tc.epochs = static_cast<std::size_t>(args.num("epochs", 25));
+  tc.epochs = args.count("epochs", 25);
   std::printf("training %s: %zu stories, vocab %zu, E=%zu, %zu hops, %zu "
               "epochs\n",
               data::task_name(task).c_str(), ds.train.size(),
@@ -177,7 +186,7 @@ int cmd_simulate(const Args& args) {
   }
 
   accel::AccelConfig cfg;
-  cfg.clock_hz = static_cast<double>(args.num("mhz", 100)) * 1.0e6;
+  cfg.clock_hz = static_cast<double>(args.count("mhz", 100, 1)) * 1.0e6;
   cfg.ith_enabled = args.flag("ith");
 
   core::InferenceThresholding ith;
