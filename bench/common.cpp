@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "accel/compiler.hpp"
+#include "data/tasks.hpp"
 
 namespace mann::bench {
 
@@ -26,6 +27,40 @@ std::vector<runtime::TaskArtifacts> load_suite() {
               " first run trains ~20 models)\n");
   std::fflush(stdout);
   return runtime::prepare_suite_cached(suite_config(), "mann_bench_cache");
+}
+
+std::vector<runtime::TaskArtifacts> serving_suite(std::size_t tasks,
+                                                  bool train_fallback) {
+  const std::vector<data::TaskId>& all = data::all_tasks();
+  if (tasks == 0 || tasks > all.size()) {
+    std::fprintf(stderr, "--tasks must sit in 1..%zu\n", all.size());
+    std::exit(2);
+  }
+  const runtime::PrepareConfig suite_cfg = suite_config();
+  if (runtime::suite_cache_complete(suite_cfg, "mann_bench_cache", tasks)) {
+    return runtime::prepare_suite_cached(suite_cfg, "mann_bench_cache",
+                                         tasks);
+  }
+  if (!train_fallback) {
+    std::fprintf(stderr,
+                 "mann_bench_cache/ is missing models for the first %zu "
+                 "suite tasks; pass --train-fallback to train quick "
+                 "stand-ins inline (serve_throughput --train-suite trains "
+                 "and caches the real suite)\n",
+                 tasks);
+    std::exit(2);
+  }
+  runtime::PrepareConfig prep = runtime::default_prepare_config();
+  prep.dataset.train_stories = 600;
+  prep.dataset.test_stories = 150;
+  prep.train.epochs = 20;
+  std::vector<runtime::TaskArtifacts> suite;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    std::fprintf(stderr, "# training fallback %s ...\n",
+                 data::task_name(all[t]).c_str());
+    suite.push_back(runtime::prepare_task(all[t], prep));
+  }
+  return suite;
 }
 
 std::vector<serve::ServedModel> served_models(
@@ -164,6 +199,16 @@ std::uint64_t count_flag(const std::string& flag, const char* value,
   if (!parsed || *parsed < least) {
     std::fprintf(stderr, "%s needs an integer >= %llu, got '%s'\n",
                  flag.c_str(), static_cast<unsigned long long>(least), value);
+    std::exit(2);
+  }
+  return *parsed;
+}
+
+double real_flag(const std::string& flag, const char* value) {
+  const std::optional<double> parsed = serve::parse_real(value);
+  if (!parsed) {
+    std::fprintf(stderr, "%s needs a finite number, got '%s'\n",
+                 flag.c_str(), value);
     std::exit(2);
   }
   return *parsed;

@@ -26,6 +26,14 @@ inline constexpr std::size_t kRepetitions = 100;
 /// Loads (or trains once and caches) the 20-task suite.
 [[nodiscard]] std::vector<runtime::TaskArtifacts> load_suite();
 
+/// The serving tools' workload: the first `tasks` suite tasks, loaded
+/// from mann_bench_cache/ when it holds them all, else (when
+/// `train_fallback`) quick stand-ins trained inline on 600 train and 150
+/// test stories for 20 epochs. Exits 2 for `tasks` outside 1..suite
+/// size or a missing cache without `train_fallback`.
+[[nodiscard]] std::vector<runtime::TaskArtifacts> serving_suite(
+    std::size_t tasks, bool train_fallback);
+
 /// Compiles each task (without ITH tables) into a served model whose
 /// corpus is a view of the task's test split, so `suite` must outlive
 /// every server built from the result.
@@ -85,5 +93,10 @@ void print_header(const std::string& title);
 [[nodiscard]] std::uint64_t count_flag(const std::string& flag,
                                        const char* value,
                                        std::uint64_t least = 0);
+
+/// The value of the real-valued flag `flag`: the whole token is one
+/// finite number by serve::parse_real. Anything else prints why and
+/// exits 2.
+[[nodiscard]] double real_flag(const std::string& flag, const char* value);
 
 }  // namespace mann::bench

@@ -111,8 +111,8 @@ BenchOptions parse_args(int argc, char** argv) {
       std::exit(2);
     }
   }
-  // The suite has a fixed size; serving "task 25" would silently wrap or
-  // crash later, so reject it here with the actual bound.
+  // The suite has a fixed size; --train-suite would silently serve fewer
+  // tasks than asked, so reject it here with the actual bound.
   const std::size_t suite_size = data::all_tasks().size();
   if (opts.tasks > suite_size) {
     std::fprintf(stderr,
@@ -120,51 +120,13 @@ BenchOptions parse_args(int argc, char** argv) {
                  opts.tasks, suite_size, suite_size);
     std::exit(2);
   }
-  return opts;
-}
-
-/// Loads the serving workload from the shared suite cache; falls back to
-/// quickstart-size inline training only when allowed.
-std::vector<runtime::TaskArtifacts> prepare_serving_tasks(
-    const BenchOptions& opts) {
-  const std::size_t suite_size = data::all_tasks().size();
   if (opts.tasks < suite_size) {
     std::printf("# serving the first %zu of %zu suite tasks (--tasks %zu "
                 "truncates the mix; pass --tasks %zu for the full suite)\n",
                 opts.tasks, suite_size, opts.tasks, suite_size);
-  }
-  const runtime::PrepareConfig suite_cfg = bench::suite_config();
-  if (runtime::suite_cache_complete(suite_cfg, "mann_bench_cache",
-                                    opts.tasks) ||
-      opts.train_suite) {
-    std::printf("# loading %zu tasks from the shared mann_bench_cache "
-                "suite (training any that are missing) ...\n",
-                opts.tasks);
     std::fflush(stdout);
-    return runtime::prepare_suite_cached(suite_cfg, "mann_bench_cache",
-                                         opts.tasks);
   }
-  if (!opts.train_fallback) {
-    std::fprintf(stderr,
-                 "mann_bench_cache/ is missing models for this "
-                 "configuration; re-run with --train-suite to train and "
-                 "cache the real suite, or --train-fallback to train "
-                 "quick stand-in tasks inline\n");
-    std::exit(2);
-  }
-  runtime::PrepareConfig prep = runtime::default_prepare_config();
-  prep.dataset.train_stories = 600;
-  prep.dataset.test_stories = 150;
-  prep.train.epochs = 20;
-  const std::vector<data::TaskId>& all = data::all_tasks();
-  std::vector<runtime::TaskArtifacts> tasks;
-  for (std::size_t t = 0; t < opts.tasks; ++t) {
-    std::printf("# training fallback %s ...\n",
-                data::task_name(all[t]).c_str());
-    std::fflush(stdout);
-    tasks.push_back(runtime::prepare_task(all[t], prep));
-  }
-  return tasks;
+  return opts;
 }
 
 void print_serving_row(const char* name, const serve::ServingReport& r) {
@@ -301,7 +263,12 @@ bool run_fleet_timing(const std::vector<serve::ServedModel>& models,
 
 int main(int argc, char** argv) {
   const BenchOptions opts = parse_args(argc, argv);
-  const auto tasks = prepare_serving_tasks(opts);
+  // --train-suite trains and caches any missing real-suite model.
+  const std::vector<runtime::TaskArtifacts> tasks =
+      opts.train_suite
+          ? runtime::prepare_suite_cached(bench::suite_config(),
+                                          "mann_bench_cache", opts.tasks)
+          : bench::serving_suite(opts.tasks, opts.train_fallback);
   const std::vector<serve::ServedModel> models = bench::served_models(tasks);
 
   bool ok = run_host_legs(models, opts);

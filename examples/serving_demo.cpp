@@ -215,7 +215,7 @@ int main() {
       request.task = static_cast<std::size_t>(i % 2);
       (void)session.submit(request);
     }
-    (void)session.step(0);  // run the burst to quiescence
+    (void)session.step_until(sim::kNever);  // run the burst to quiescence
     for (const serve::Completion& c : session.poll_completions()) {
       std::printf("  id=%llu task=%zu outcome=%s latency=%.3f ms\n",
                   static_cast<unsigned long long>(c.response.id),

@@ -40,15 +40,6 @@ TaskDataset build_task_dataset(TaskId id, const DatasetConfig& config) {
   return ds;
 }
 
-std::vector<TaskDataset> build_suite(const DatasetConfig& config) {
-  std::vector<TaskDataset> suite;
-  suite.reserve(all_tasks().size());
-  for (TaskId id : all_tasks()) {
-    suite.push_back(build_task_dataset(id, config));
-  }
-  return suite;
-}
-
 std::vector<TaskDataset> build_joint_suite(const DatasetConfig& config) {
   // Pass 1: generate raw stories for every task (same per-task streams as
   // build_task_dataset) and accumulate the joint vocabulary.

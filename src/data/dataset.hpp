@@ -50,10 +50,6 @@ struct DatasetConfig {
 [[nodiscard]] TaskDataset build_task_dataset(TaskId id,
                                              const DatasetConfig& config);
 
-/// Builds all 20 tasks with independent per-task vocabularies.
-[[nodiscard]] std::vector<TaskDataset> build_suite(
-    const DatasetConfig& config);
-
 /// Builds all 20 tasks over one *joint* vocabulary (the union of every
 /// task's tokens). This mirrors the paper's evaluation regime where the
 /// output dimension |I| is much larger than the embedding dimension |E|

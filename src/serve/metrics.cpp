@@ -182,12 +182,6 @@ ServingReport ServingMetrics::finalize(RunTotals totals) const {
   report.model_evictions = totals.model_evictions;
   report.stolen_batches = totals.stolen_batches;
   report.host_wall_seconds = totals.host_wall_seconds;
-  if (totals.host_wall_seconds > 0.0) {
-    report.host_stories_per_second =
-        static_cast<double>(completed_) / totals.host_wall_seconds;
-  }
-  report.workers = totals.workers;
-  report.cycle_cache_enabled = totals.cycle_cache_enabled;
   report.cycle_cache = totals.cycle_cache;
   report.speculation = totals.speculation;
   if (totals.makespan > 0 && !report.devices.empty()) {

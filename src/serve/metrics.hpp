@@ -159,9 +159,6 @@ struct ServingReport {
   // Host-execution view: everything above is on the simulated device
   // clock; these report how fast the host actually ground through it.
   double host_wall_seconds = 0.0;     ///< wall time of the serving loop
-  double host_stories_per_second = 0.0;
-  std::size_t workers = 0;            ///< host worker threads (0 = serial)
-  bool cycle_cache_enabled = false;
   accel::ServiceCycleCacheStats cycle_cache;  ///< zeros when disabled
   /// Worker prefetch scoring: useful = predicted variant matched the
   /// dispatch, wasted = worker simulated a variant the dispatch could
@@ -196,15 +193,13 @@ struct RunTotals {
   sim::OpCounts device_ops;
   sim::Cycle link_active_cycles = 0;
   double host_wall_seconds = 0.0;
-  std::size_t workers = 0;
-  bool cycle_cache_enabled = false;
   accel::ServiceCycleCacheStats cycle_cache;
   SpeculationStats speculation;
 };
 
 /// True when two reports agree on every byte-stable (host-independent)
 /// field — the determinism contract's observable surface. Host-execution
-/// fields (wall seconds, cycle-cache stats, worker counts) are excluded
+/// fields (wall seconds, cycle-cache and speculation stats) are excluded
 /// by design; tenant reports compare exactly via their defaulted
 /// operator==. Used by the bench's worker-count invariance checks and by
 /// mann::cluster's cluster-of-1 ≡ serve::run identity gate.

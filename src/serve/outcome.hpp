@@ -61,22 +61,6 @@ inline constexpr std::size_t kRequestOutcomeCount = 6;
   return RequestOutcome::kShedQueueFull;
 }
 
-/// RequestOutcome -> ShedReason for shed outcomes (kQueueFull for
-/// completions; gate on outcome_is_shed first).
-[[nodiscard]] constexpr ShedReason outcome_to_shed(
-    RequestOutcome o) noexcept {
-  switch (o) {
-    case RequestOutcome::kShedQuota:
-      return ShedReason::kQuota;
-    case RequestOutcome::kShedDoomed:
-      return ShedReason::kDoomed;
-    case RequestOutcome::kShedOverload:
-      return ShedReason::kOverload;
-    default:
-      return ShedReason::kQueueFull;
-  }
-}
-
 /// Completion classification of an answered request.
 [[nodiscard]] inline RequestOutcome outcome_from_response(
     const InferenceResponse& response) noexcept {

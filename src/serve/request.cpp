@@ -22,18 +22,21 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
   if (num_tasks_ == 0) {
     throw std::invalid_argument("TrafficGenerator: no tasks");
   }
-  if (config_.mean_interarrival_cycles <= 0.0) {
+  // Every range test below is written so that NaN fails it.
+  if (!(config_.mean_interarrival_cycles > 0.0) ||
+      !std::isfinite(config_.mean_interarrival_cycles)) {
     throw std::invalid_argument(
-        "TrafficGenerator: mean interarrival must be positive");
+        "TrafficGenerator: mean interarrival must be finite and positive");
   }
   num_tenants_ = config_.tenants.empty() ? 1 : config_.tenants.size();
   if (!config_.tenants.empty()) {
     double cumulative = 0.0;
     tenant_share_cdf_.reserve(config_.tenants.size());
     for (const TenantConfig& tenant : config_.tenants) {
-      if (tenant.traffic_share < 0.0) {
+      if (!(tenant.traffic_share >= 0.0) ||
+          !std::isfinite(tenant.traffic_share)) {
         throw std::invalid_argument(
-            "TrafficGenerator: tenant traffic_share must be >= 0");
+            "TrafficGenerator: tenant traffic_share must be finite and >= 0");
       }
       cumulative += tenant.traffic_share;
       tenant_share_cdf_.push_back(cumulative);
@@ -44,27 +47,32 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
     }
   }
   if (config_.process == ArrivalProcess::kBursty) {
-    if (config_.burst_mean < 1.0) {
-      throw std::invalid_argument("TrafficGenerator: burst_mean must be >= 1");
+    if (!(config_.burst_mean >= 1.0) || !std::isfinite(config_.burst_mean)) {
+      throw std::invalid_argument(
+          "TrafficGenerator: burst_mean must be finite and >= 1");
     }
     // The inter-burst gap absorbs what the intra-burst gaps undershoot so
     // the long-run rate matches mean_interarrival_cycles; that only works
     // when the intra-burst gaps don't already exceed the budget.
-    if (config_.burst_mean * config_.mean_interarrival_cycles <=
-        (config_.burst_mean - 1.0) * config_.burst_gap_cycles) {
+    if (!std::isfinite(config_.burst_gap_cycles) ||
+        !(config_.burst_mean * config_.mean_interarrival_cycles >
+          (config_.burst_mean - 1.0) * config_.burst_gap_cycles)) {
       throw std::invalid_argument(
           "TrafficGenerator: burst_gap_cycles too large to honour "
           "mean_interarrival_cycles at this burst_mean");
     }
   }
   if (config_.process == ArrivalProcess::kDiurnal) {
-    if (config_.diurnal_amplitude < 0.0 || config_.diurnal_amplitude >= 1.0) {
+    if (!(config_.diurnal_amplitude >= 0.0 &&
+          config_.diurnal_amplitude < 1.0)) {
       throw std::invalid_argument(
           "TrafficGenerator: diurnal_amplitude must sit in [0, 1)");
     }
-    if (config_.diurnal_period_cycles <= 0.0) {
+    if (!(config_.diurnal_period_cycles > 0.0) ||
+        !std::isfinite(config_.diurnal_period_cycles)) {
       throw std::invalid_argument(
-          "TrafficGenerator: diurnal_period_cycles must be positive");
+          "TrafficGenerator: diurnal_period_cycles must be finite and "
+          "positive");
     }
   }
   if (config_.process == ArrivalProcess::kTrace) {

@@ -269,13 +269,6 @@ class Scheduler {
   [[nodiscard]] const SpeculationStats& speculation_stats() const noexcept {
     return speculation_;
   }
-  [[nodiscard]] bool cache_enabled() const noexcept {
-    return cache_ != nullptr;
-  }
-  /// Active host worker threads (0 = sequential execution).
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return pool_ ? pool_->size() : 0;
-  }
 
  private:
   struct Slot {

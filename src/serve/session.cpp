@@ -327,17 +327,6 @@ RequestId ServerSession::submit(const SubmitRequest& request) {
   return arrival.id;
 }
 
-bool ServerSession::step(sim::Cycle cycles) {
-  if (cycles == 0) {
-    return step_until(sim::kNever);
-  }
-  const sim::Cycle now = simulator_.now();
-  // Saturate instead of wrapping past kNever.
-  const sim::Cycle limit =
-      cycles >= sim::kNever - now ? sim::kNever : now + cycles;
-  return step_until(limit);
-}
-
 bool ServerSession::step_until(sim::Cycle limit) {
   if (finalized_) {
     throw std::logic_error("ServerSession: step after finalize()");
@@ -452,8 +441,6 @@ ServingReport ServerSession::finalize() {
   totals.device_ops = scheduler_.device_ops();
   totals.link_active_cycles = scheduler_.link_active_cycles();
   totals.host_wall_seconds = wall_seconds_;
-  totals.workers = scheduler_.worker_count();
-  totals.cycle_cache_enabled = scheduler_.cache_enabled();
   totals.cycle_cache = scheduler_.cache_stats();
   totals.speculation = scheduler_.speculation_stats();
   return metrics_.finalize(std::move(totals));

@@ -4,9 +4,9 @@
 // on the shared sim::Simulator, and takes every arrival from its driver:
 //
 //   submit()            inject one request (the only arrival path)
-//   step()/step_until() advance the simulated serving loop, bounded by a
-//                       cycle horizon so a driver that learns of
-//                       arrivals late (a live daemon) never lets the
+//   step_until()        advance the simulated serving loop to an
+//                       exclusive cycle horizon, so a driver that learns
+//                       of arrivals late (a live daemon) never lets the
 //                       clock run past what it has been told about
 //   poll_completions()  drain resolved requests (completions AND sheds)
 //                       as serve::Completion records in a deterministic,
@@ -107,15 +107,10 @@ class ServerSession {
   /// so the watchdog expires before such an arrival is reached).
   void check_submit(const SubmitRequest& request) const;
 
-  /// Advances the serving loop up to `cycles` simulated cycles from the
-  /// current clock (0 = to quiescence). Returns true when the session is
-  /// quiescent (every submitted request arrived, queues empty, nothing
-  /// in flight).
-  bool step(sim::Cycle cycles);
-
   /// Advances until the exclusive cycle horizon `limit` (sim::kNever =
-  /// to quiescence). Returns true when quiescent. Throws the serving
-  /// watchdog's std::runtime_error once the clock reaches
+  /// to quiescence). Returns true when the session is quiescent (every
+  /// submitted request arrived, queues empty, nothing in flight). Throws
+  /// the serving watchdog's std::runtime_error once the clock reaches
   /// ServerConfig::watchdog_cycles with work left.
   bool step_until(sim::Cycle limit);
 

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -58,20 +59,23 @@ struct TenantConfig {
 
 /// The one check a contract passes wherever it enters the serving stack
 /// (a session's registry, ServerSession::set_tenant, and the admission
-/// and scheduler constructors): throws std::invalid_argument for a
-/// weight <= 0, a negative quota interval, or a quota whose burst can
-/// never admit a request. traffic_share is the TrafficGenerator's check.
+/// and scheduler constructors): throws std::invalid_argument unless the
+/// weight is finite and > 0, the quota interval finite and >= 0, and —
+/// under a quota — the burst finite and >= 1. Each test is written so
+/// that NaN fails it. traffic_share is the TrafficGenerator's check.
 inline void validate_tenant(const TenantConfig& tenant) {
-  if (tenant.weight <= 0.0) {
-    throw std::invalid_argument("TenantConfig: weight must be > 0");
+  if (!(tenant.weight > 0.0) || !std::isfinite(tenant.weight)) {
+    throw std::invalid_argument("TenantConfig: weight must be finite and > 0");
   }
-  if (tenant.quota_interarrival_cycles < 0.0) {
+  if (!(tenant.quota_interarrival_cycles >= 0.0) ||
+      !std::isfinite(tenant.quota_interarrival_cycles)) {
     throw std::invalid_argument(
-        "TenantConfig: quota_interarrival_cycles must be >= 0");
+        "TenantConfig: quota_interarrival_cycles must be finite and >= 0");
   }
-  if (tenant.quota_interarrival_cycles > 0.0 && tenant.quota_burst < 1.0) {
+  if (tenant.quota_interarrival_cycles > 0.0 &&
+      (!(tenant.quota_burst >= 1.0) || !std::isfinite(tenant.quota_burst))) {
     throw std::invalid_argument(
-        "TenantConfig: a quota needs quota_burst >= 1");
+        "TenantConfig: a quota needs a finite quota_burst >= 1");
   }
 }
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mann::serve {
 
@@ -23,6 +26,17 @@ std::optional<std::uint64_t> parse_digits(std::string_view text) {
       return std::nullopt;  // overflow
     }
     value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::optional<double> parse_real(std::string_view text) {
+  const std::string token(text);  // strtod needs a terminator
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (token.empty() || end != token.c_str() + token.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
   }
   return value;
 }

@@ -46,6 +46,13 @@ struct TraceEntry {
 [[nodiscard]] std::optional<std::uint64_t> parse_digits(
     std::string_view text);
 
+/// The one rule for every real number a tool flag or a daemon command
+/// carries: the whole text is one finite strtod number. A trailing
+/// non-number, an empty string, "nan", "inf" or an overflow such as
+/// "1e400" yields nullopt (strtod alone would stop at "5x" and take
+/// "abc" as 0).
+[[nodiscard]] std::optional<double> parse_real(std::string_view text);
+
 /// Parses a trace CSV (either versioned header row, blank lines and `#`
 /// comments ignored; rows may be 2-column v1 or 3-column v2). Throws
 /// std::runtime_error on unreadable files, malformed rows, or arrival

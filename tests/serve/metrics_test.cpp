@@ -41,7 +41,6 @@ TEST(ServingMetrics, EmptyWindowFinalizesToZeros) {
   EXPECT_DOUBLE_EQ(report.latency.p99_cycles, 0.0);
   EXPECT_DOUBLE_EQ(report.latency.max_seconds, 0.0);
   EXPECT_DOUBLE_EQ(report.queue_wait.mean_cycles, 0.0);
-  EXPECT_DOUBLE_EQ(report.host_stories_per_second, 0.0);
 }
 
 TEST(ServingMetrics, SingleSampleCollapsesEveryPercentile) {
@@ -99,16 +98,11 @@ TEST(ServingMetrics, CarriesHostExecutionView) {
   totals.makespan = 700;
   totals.max_batch = 8;
   totals.host_wall_seconds = 0.5;
-  totals.workers = 4;
-  totals.cycle_cache_enabled = true;
   totals.cycle_cache.hits = 3;
   totals.cycle_cache.misses = 1;
   const ServingReport report = metrics.finalize(std::move(totals));
 
   EXPECT_DOUBLE_EQ(report.host_wall_seconds, 0.5);
-  EXPECT_DOUBLE_EQ(report.host_stories_per_second, 4.0);  // 2 / 0.5 s
-  EXPECT_EQ(report.workers, 4U);
-  EXPECT_TRUE(report.cycle_cache_enabled);
   EXPECT_DOUBLE_EQ(report.cycle_cache.hit_rate(), 0.75);
   EXPECT_DOUBLE_EQ(report.accuracy, 0.5);
 }

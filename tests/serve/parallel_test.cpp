@@ -66,16 +66,12 @@ TEST(ParallelServing, ReportsIdenticalAcrossWorkerCounts) {
   const ServingReport sequential =
       serve::run(parallel_server_config(0), two_models(stories), 80);
   ASSERT_EQ(sequential.completed, 80U);
-  EXPECT_EQ(sequential.workers, 0U);
-  EXPECT_FALSE(sequential.cycle_cache_enabled);
 
   for (const std::size_t workers : {1U, 2U, 4U}) {
     const ServingReport parallel =
         serve::run(parallel_server_config(workers), two_models(stories), 80);
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_same_simulated_report(sequential, parallel);
-    EXPECT_EQ(parallel.workers, workers);
-    EXPECT_TRUE(parallel.cycle_cache_enabled);
     // Every dispatch went through the cache one way or the other.
     EXPECT_GT(parallel.cycle_cache.hits + parallel.cycle_cache.misses, 0U);
   }
@@ -149,8 +145,6 @@ TEST(ParallelServing, CacheWithoutWorkersIsPureMemoization) {
   const ServingReport plain =
       serve::run(parallel_server_config(0), two_models(stories), 60);
   expect_same_simulated_report(plain, cached);
-  EXPECT_TRUE(cached.cycle_cache_enabled);
-  EXPECT_EQ(cached.workers, 0U);
   EXPECT_GT(cache.stats().misses, 0U);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -88,6 +89,13 @@ TEST(TrafficGenerator, RejectsBurstGapExceedingRateBudget) {
   config.burst_gap_cycles = 64.0;  // 7*64 > 8*50: rate cannot be honoured
   EXPECT_THROW(TrafficGenerator(config, 1, 10),
                std::invalid_argument);
+  // A mean that is not a finite positive number has no budget at all.
+  for (const double mean : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    config.mean_interarrival_cycles = mean;
+    EXPECT_THROW(TrafficGenerator(config, 1, 10),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Server, AnswersEveryRequestDeterministically) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -150,7 +151,7 @@ TEST(ServerSession, SteppingGranularityDoesNotChangeTheTimeline) {
     (void)fussy.step_until(limit);
     EXPECT_LE(fussy.now(), limit);
   }
-  (void)fussy.step(123);  // relative stepping composes too
+  (void)fussy.step_until(fussy.now() + 123);  // relative horizons too
   fussy.drain();
   const ServingReport b = fussy.finalize();
 
@@ -174,7 +175,7 @@ TEST(ServerSession, CompletionStreamIsACompleteSortedLedger) {
     }
   }
   session.drain();
-  (void)session.step(0);
+  (void)session.step_until(sim::kNever);
   for (Completion& c : session.poll_completions()) {
     stream.push_back(std::move(c));
   }
@@ -281,6 +282,16 @@ TEST(ServerSession, ValidatesSubmissionsAndLifecycle) {
   ASSERT_EQ(edf_weightless.scheduler.policy, SchedulerPolicy::kEdf);
   edf_weightless.traffic.tenants[1] = weightless;
   EXPECT_THROW(ServerSession(edf_weightless, models), std::invalid_argument);
+  // Non-finite numbers are refused like out-of-range ones: NaN passes
+  // every `<=` test and infinity most of them.
+  ServerConfig edf_nan_weight = session_config();
+  edf_nan_weight.traffic.tenants[1].weight =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ServerSession(edf_nan_weight, models), std::invalid_argument);
+  TenantConfig endless_quota;
+  endless_quota.quota_interarrival_cycles =
+      std::numeric_limits<double>::infinity();
+  EXPECT_THROW(session.set_tenant(1, endless_quota), std::invalid_argument);
 
   (void)session.submit(SubmitRequest{});
   const ServingReport report = session.finalize();

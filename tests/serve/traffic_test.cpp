@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +78,9 @@ TEST(DiurnalTraffic, ValidatesModulationParameters) {
   TrafficConfig config;
   config.process = ArrivalProcess::kDiurnal;
   config.diurnal_amplitude = 1.0;  // rate would touch zero
+  EXPECT_THROW(TrafficGenerator(config, 1, 4),
+               std::invalid_argument);
+  config.diurnal_amplitude = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(TrafficGenerator(config, 1, 4),
                std::invalid_argument);
   config.diurnal_amplitude = 0.5;
@@ -193,6 +197,9 @@ TEST(TenantTraffic, ValidatesSharesAndTraceTenants) {
   TrafficConfig config;
   config.tenants.resize(2);
   config.tenants[0].traffic_share = -1.0;
+  EXPECT_THROW(TrafficGenerator(config, 1, 2),
+               std::invalid_argument);
+  config.tenants[0].traffic_share = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(TrafficGenerator(config, 1, 2),
                std::invalid_argument);
   config.tenants[0].traffic_share = 0.0;

@@ -2,9 +2,10 @@
 // the public surface, so these tests exercise the real binary (path
 // injected as MANN_SERVED_PATH by CMake) end to end — command parsing,
 // err handling that keeps the daemon alive, live reconfiguration with
-// requests in flight, byte-stable output at a fixed schedule, and
-// replay equivalence against the daemon's own --closed-loop mode, on a
-// fleet of one (the default) and of two. The other tools' count flags
+// requests in flight, both ends of a session (`quit` and EOF),
+// byte-stable output at a fixed schedule, and replay equivalence
+// against the daemon's own --closed-loop mode, on a fleet of one (the
+// default) and of two. The other tools' count, real and unknown flags
 // and a mann_cli train/eval/simulate round trip run here too.
 //
 // All daemon runs use --tiny models: protocol and scheduling behaviour
@@ -190,7 +191,8 @@ TEST(ServedDaemon, NumericFlagsFollowTheProtocolRule) {
 TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
   // The trace generator, the serving bench and mann_cli refuse the
   // values the daemon refuses (exit 2) instead of wrapping a sign,
-  // saturating an overflow or stopping at the first non-digit.
+  // saturating an overflow, stopping at the first non-digit or ignoring
+  // a misspelled flag.
   const std::filesystem::path out = temp_file("flags_trace.csv");
   const auto make_trace = [&](const std::string& flags) {
     return exit_code(std::string(MANN_MAKE_TRACE_PATH) + " --out " +
@@ -203,6 +205,9 @@ TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
   EXPECT_EQ(make_trace("--scale -1"), 2);
   EXPECT_EQ(make_trace("--tenants 0"), 2);
   EXPECT_EQ(make_trace("--seed 18446744073709551616"), 2);
+  // Real-valued flags take the whole token as one finite number.
+  EXPECT_EQ(make_trace("--mean-interarrival 5x"), 2);
+  EXPECT_EQ(make_trace("--diurnal-amplitude abc"), 2);
   std::filesystem::remove(out);
 
   const auto cli = [](const std::string& flags) {
@@ -214,6 +219,8 @@ TEST(ToolFlags, CountsFollowTheDaemonsDigitRule) {
   EXPECT_EQ(cli("--count 99999999999999999999"), 2);  // not LONG_MAX
   EXPECT_EQ(cli("--task 3abc"), 2);
   EXPECT_EQ(cli("--task 21"), 2);
+  // A flag the command does not list is refused, not silently ignored.
+  EXPECT_EQ(cli("--task 1 --cuont 2"), 2);
 
   // The bench also exits 2 when the suite cache is missing, so the
   // refusal must name the flag.
@@ -266,6 +273,10 @@ TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {
       "submit 0 0 0 1000\n"
       "submit 1 1 0 1100\n"
       "submit 0 2 0 1200\n"
+      // Non-finite numbers are refused, not stored as a NaN or infinite
+      // weight: 1e400 overflows a double.
+      "config tenant 1 0 nan 0 8 0\n"
+      "config tenant 1 0 1e400 0 8 0\n"
       "config tenant 1 1 5.0 0 8 2000000\n"
       "config slo 2000000\n"
       "config policy edf\n"
@@ -274,6 +285,7 @@ TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {
       "drain\n"
       "quit\n",
       "reconfig");
+  EXPECT_EQ(count_lines_with(transcript, "err "), 2U);
   EXPECT_EQ(count_lines_with(transcript, "ok config tenant 1"), 1U);
   EXPECT_EQ(count_lines_with(transcript, "ok config slo"), 1U);
   EXPECT_EQ(count_lines_with(transcript, "ok config policy edf"), 1U);
@@ -281,6 +293,67 @@ TEST(ServedDaemon, LiveReconfigurationLandsWithRequestsInFlight) {
   EXPECT_EQ(count_lines_with(transcript, "done id="), 4U);
   EXPECT_EQ(count_lines_with(transcript, "shed id="), 0U);
   EXPECT_NE(transcript.find("completed=4 rejected=0"), std::string::npos);
+}
+
+/// The lines of `transcript` that start with one of `prefixes`.
+std::string lines_starting(const std::string& transcript,
+                           const std::vector<std::string>& prefixes) {
+  std::string kept;
+  std::istringstream in(transcript);
+  std::string line;
+  while (std::getline(in, line)) {
+    for (const std::string& prefix : prefixes) {
+      if (line.find(prefix) == 0) {
+        kept += line + "\n";
+        break;
+      }
+    }
+  }
+  return kept;
+}
+
+TEST(ServedDaemon, EofEndsTheSessionLikeQuit) {
+  // The loop has two exits. EOF without `quit` must finish the session
+  // exactly as `quit` does (drain, stream the tail, bye, report), and a
+  // `quit` with trailing text still quits: nothing after it is answered.
+  const std::string script =
+      "submit 0 0 0 1000\n"
+      "submit 1 1 0 1100\n"
+      "submit 0 2 0 60000\n";
+  const std::string flags = "--tiny 2 --tenants 3 --lockstep --report-json ";
+  const auto serve = [&](const std::string& tail, const std::string& tag,
+                         std::string& report) {
+    const std::filesystem::path json = temp_file(tag + ".json");
+    const std::string transcript =
+        run_daemon(flags + json.string(), script + tail, tag);
+    report = read_file(json);
+    std::filesystem::remove(json);
+    return transcript;
+  };
+  std::string quit_report;
+  std::string eof_report;
+  std::string quit_now_report;
+  const std::string quit = serve("quit\n", "exit_quit", quit_report);
+  const std::string eof = serve("", "exit_eof", eof_report);
+  const std::string quit_now =
+      serve("quit now\nsubmit 0\ninfo\nbogus\n", "exit_quit_now",
+            quit_now_report);
+
+  const std::vector<std::string> resolved = {"done ", "shed ", "bye "};
+  EXPECT_EQ(count_lines_with(quit, "done id="), 3U);
+  EXPECT_EQ(count_lines_with(quit, "bye "), 1U);
+  ASSERT_FALSE(quit_report.empty());
+  EXPECT_EQ(lines_starting(eof, resolved), lines_starting(quit, resolved));
+  EXPECT_EQ(eof_report, quit_report);
+  EXPECT_EQ(count_lines_with(eof, "ok quit"), 0U);
+
+  EXPECT_EQ(lines_starting(quit_now, resolved),
+            lines_starting(quit, resolved));
+  EXPECT_EQ(quit_now_report, quit_report);
+  EXPECT_EQ(count_lines_with(quit_now, "ok quit"), 1U);
+  EXPECT_EQ(count_lines_with(quit_now, "ok id="), 3U);
+  EXPECT_EQ(count_lines_with(quit_now, "info"), 0U);
+  EXPECT_EQ(count_lines_with(quit_now, "err "), 0U);
 }
 
 TEST(ServedDaemon, WfqSwitchNeedsWfqConstruction) {

@@ -106,11 +106,11 @@ Options parse_args(int argc, char** argv) {
         usage();
       }
     } else if (arg == "--mean-interarrival") {
-      opts.mean_interarrival = std::strtod(next(), nullptr);
+      opts.mean_interarrival = bench::real_flag(arg, next());
     } else if (arg == "--diurnal-amplitude") {
-      opts.diurnal_amplitude = std::strtod(next(), nullptr);
+      opts.diurnal_amplitude = bench::real_flag(arg, next());
     } else if (arg == "--diurnal-period") {
-      opts.diurnal_period = std::strtod(next(), nullptr);
+      opts.diurnal_period = bench::real_flag(arg, next());
     } else if (arg == "--seed") {
       opts.seed = bench::count_flag(arg, next(), 0);
     } else {

@@ -3,24 +3,31 @@
 //   mann_cli generate --task 3 --count 2 [--seed 7]
 //       print synthetic stories of a task as text
 //   mann_cli train --task 1 --out model.bin [--epochs 25] [--dim 24]
-//                  [--hops 3] [--train 700] [--seed 42]
+//                  [--hops 3] [--train 700] [--test 200] [--seed 42]
+//                  [--init-seed 1234]
 //       train a MemN2N and save model.bin (+ model.bin.vocab)
-//   mann_cli eval --model model.bin --task 1 [--test 200] [--seed 42]
+//   mann_cli eval --model model.bin --task 1 [--train 700] [--test 200]
+//                 [--seed 42]
 //       accuracy of a saved model on a freshly generated test split
 //   mann_cli simulate --model model.bin --task 1 [--mhz 100] [--ith]
+//                     [--train 700] [--test 200] [--seed 42]
 //       run the test split through the device simulator
 //
 // The dataset for a (task, seed) pair is fully reproducible, so a model
 // trained by `train` is evaluated by `eval` on exactly the held-out split
-// it never saw. Counts take the digit rule every tool shares
-// (bench::count_flag): a value that is not plain digits, is out of
-// range or overflows exits 2 naming the flag.
+// it never saw. Each command accepts only the flags its lines above
+// list; any other --key exits 2 naming it. Counts take the digit rule
+// every tool shares (bench::count_flag): a value that is not plain
+// digits, is out of range or overflows exits 2 naming the flag.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common.hpp"
 #include "core/ith_eval.hpp"
@@ -33,17 +40,25 @@ namespace {
 
 using namespace mann;
 
-/// Minimal --key value / --flag parser.
+/// Minimal --key value / --flag parser over the flags after the command
+/// name (argv[1]); a key outside `accepted` exits 2.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
+  Args(int argc, char** argv,
+       std::initializer_list<std::string_view> accepted) {
+    for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
         std::exit(2);
       }
       key = key.substr(2);
+      if (std::find(accepted.begin(), accepted.end(), key) ==
+          accepted.end()) {
+        std::fprintf(stderr, "%s does not take --%s\n", argv[1],
+                     key.c_str());
+        std::exit(2);
+      }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -231,19 +246,23 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
   try {
     if (cmd == "generate") {
-      return cmd_generate(args);
+      return cmd_generate(Args(argc, argv, {"task", "count", "seed"}));
     }
     if (cmd == "train") {
-      return cmd_train(args);
+      return cmd_train(Args(argc, argv,
+                            {"task", "out", "epochs", "dim", "hops", "train",
+                             "test", "seed", "init-seed"}));
     }
     if (cmd == "eval") {
-      return cmd_eval(args);
+      return cmd_eval(
+          Args(argc, argv, {"model", "task", "train", "test", "seed"}));
     }
     if (cmd == "simulate") {
-      return cmd_simulate(args);
+      return cmd_simulate(Args(argc, argv,
+                               {"model", "task", "mhz", "ith", "train",
+                                "test", "seed"}));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

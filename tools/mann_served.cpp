@@ -2,14 +2,14 @@
 // serve::ServerSession instances (cluster/cluster.hpp, serve/session.hpp).
 //
 // Where mann_cli and the benches run one closed loop and exit, this tool
-// keeps a fleet open and speaks a line protocol on stdin — the MAGPIE
-// ucgi.c shape: a scan loop accepting commands while a manager thread
-// owns the engine. Here the scan loop (main thread) reads and enqueues
-// command lines; the manager thread is the sole owner of the Cluster and
-// the sole stdout writer, so replies and streamed per-request lines
-// never interleave mid-line.
+// keeps a fleet open and speaks a line protocol on stdin: one read-eval
+// loop on the main thread reads a line, executes it, replies, streams
+// what resolved and flushes, then reads the next — the synchronous
+// request/response host loop of the paper's runtime. Every command is
+// answered before the next line is read, so the whole output is a pure
+// function of the input line sequence.
 //
-// The manager always drives one Cluster: --cluster N instances behind a
+// The daemon always drives one Cluster: --cluster N instances behind a
 // router, 1 by default (0 exits 2). A fleet of one serves exactly like a
 // bare session, so there is one protocol and one report schema.
 //
@@ -42,17 +42,14 @@
 //
 // `config` fans out to every instance. --router picks the routing policy
 // (affinity = consistent-hash task affinity, p2c = power-of-two-choices,
-// spill = tenant home + spill set; default p2c). --fleet-threads N
-// advances the instances on N host threads between routing barriers
-// over a sharded fleet-shared cycle cache; every line the daemon emits
-// is bit-identical for any N (wall clock only).
+// spill = tenant home + spill set; default p2c).
 //
 // Clocking: a valid submit first steps the fleet to its arrival cycle
 // (exclusive), then routes it — the order Cluster::run() uses, so a
 // load-aware router sees every completion before the arrival. By
 // default each command is then followed by an advance to quiescence
 // (submitted work completes immediately — interactive, but batches
-// rarely fill). Under --lockstep the manager never advances past the
+// rarely fill). Under --lockstep the daemon never advances past the
 // last submitted arrival cycle (exclusive), so a driver that submits a
 // recorded schedule gets the exact closed-loop timeline: routing,
 // batching, admission and dispatch all see the same state at the same
@@ -78,32 +75,25 @@
 // (--train-fallback to train stand-ins inline when the cache is absent).
 #include <algorithm>
 #include <cctype>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <exception>
 #include <iostream>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "accel/compiler.hpp"
 #include "cluster/cluster.hpp"
 #include "common.hpp"
-#include "data/tasks.hpp"
 #include "data/types.hpp"
 #include "model/memn2n.hpp"
 #include "numeric/random.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/measurement.hpp"
-#include "serve/options.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
 
@@ -122,10 +112,6 @@ struct DaemonOptions {
   std::size_t max_batch = 8;
   std::optional<serve::SchedulerPolicy> policy;  ///< default: see below
   std::size_t cluster = 1;  ///< fleet size (instances behind the router)
-  /// Host threads advancing the fleet between routing barriers (0/1 =
-  /// sequential); >1 also shards a fleet-shared cycle cache 2x this
-  /// wide. Wall-clock only — every simulated line is thread-invariant.
-  std::size_t fleet_threads = 0;
   cluster::RouterPolicyKind router = cluster::RouterPolicyKind::kPowerOfTwo;
   bool lockstep = false;
   std::size_t info_every = 0;  ///< info line per N resolved requests
@@ -142,8 +128,7 @@ struct DaemonOptions {
       "                   [--tenants N] [--slo CYCLES] [--devices N]\n"
       "                   [--dedicated N] [--max-batch B]\n"
       "                   [--policy fifo|edf|wfq] [--lockstep]\n"
-      "                   [--cluster N] [--fleet-threads N]\n"
-      "                   [--router affinity|p2c|spill]\n"
+      "                   [--cluster N] [--router affinity|p2c|spill]\n"
       "                   [--info-every N] [--report-json PATH]\n"
       "                   [--trace-json PATH] [--seed S]\n"
       "                   [--closed-loop TRACE.csv]\n"
@@ -200,8 +185,6 @@ DaemonOptions parse_args(int argc, char** argv) {
         std::fprintf(stderr, "--cluster needs at least one instance\n");
         usage(2);
       }
-    } else if (arg == "--fleet-threads") {
-      opts.fleet_threads = bench::count_flag(arg, next());
     } else if (arg == "--router") {
       const std::string value = next();
       if (value == "affinity") {
@@ -276,32 +259,8 @@ Workload tiny_workload(std::size_t tasks) {
 }
 
 Workload suite_workload(const DaemonOptions& opts) {
-  const std::size_t suite_size = data::all_tasks().size();
-  if (opts.tasks == 0 || opts.tasks > suite_size) {
-    std::fprintf(stderr, "--tasks must sit in 1..%zu\n", suite_size);
-    std::exit(2);
-  }
   Workload w;
-  const runtime::PrepareConfig suite_cfg = bench::suite_config();
-  if (runtime::suite_cache_complete(suite_cfg, "mann_bench_cache",
-                                    opts.tasks)) {
-    w.suite = runtime::prepare_suite_cached(suite_cfg, "mann_bench_cache",
-                                            opts.tasks);
-  } else if (opts.train_fallback) {
-    runtime::PrepareConfig prep = runtime::default_prepare_config();
-    prep.dataset.train_stories = 600;
-    prep.dataset.test_stories = 150;
-    prep.train.epochs = 20;
-    const std::vector<data::TaskId>& all = data::all_tasks();
-    for (std::size_t t = 0; t < opts.tasks; ++t) {
-      w.suite.push_back(runtime::prepare_task(all[t], prep));
-    }
-  } else {
-    std::fprintf(stderr,
-                 "mann_bench_cache/ is missing models; pass "
-                 "--train-fallback or --tiny N\n");
-    std::exit(2);
-  }
+  w.suite = bench::serving_suite(opts.tasks, opts.train_fallback);
   w.models = bench::served_models(w.suite);
   return w;
 }
@@ -311,31 +270,23 @@ Workload suite_workload(const DaemonOptions& opts) {
 serve::ServerConfig make_config(const DaemonOptions& opts,
                                 obs::MetricsRegistry* metrics,
                                 obs::TraceRecorder* trace) {
-  std::vector<serve::TenantConfig> registry(opts.tenants);
-  serve::SloConfig slo;
-  slo.default_deadline_cycles = opts.slo == 0 ? sim::kNever : opts.slo;
-  serve::SchedulerConfig scheduler;
-  scheduler.devices = opts.devices;
-  scheduler.dedicated_devices = std::min(opts.dedicated, opts.devices);
+  serve::ServerConfig config;
+  config.traffic.seed = opts.seed;
+  config.traffic.tenants.resize(opts.tenants);
+  config.traffic.slo.default_deadline_cycles =
+      opts.slo == 0 ? sim::kNever : opts.slo;
+  config.batcher.max_batch = opts.max_batch;
+  config.scheduler.devices = opts.devices;
+  config.scheduler.dedicated_devices = std::min(opts.dedicated, opts.devices);
   // WFQ by default once there is more than one tenant: the tenant lanes
   // it lays out are what makes a later `config policy wfq|edf` switch
   // possible at all (lanes are a construction-time layout decision).
-  scheduler.policy = opts.policy.value_or(
+  config.scheduler.policy = opts.policy.value_or(
       opts.tenants >= 2 ? serve::SchedulerPolicy::kWfq
                         : serve::SchedulerPolicy::kEdf);
-  serve::BatcherConfig batcher;
-  batcher.max_batch = opts.max_batch;
-  serve::TrafficConfig traffic;
-  traffic.seed = opts.seed;
-  return serve::ServingOptions()
-      .traffic(traffic)
-      .batcher(batcher)
-      .scheduler(scheduler)
-      .tenants(std::move(registry))
-      .slo(slo)
-      .metrics(metrics)
-      .trace_recorder(trace)
-      .build();
+  config.metrics = metrics;
+  config.trace = trace;
+  return config;
 }
 
 // ---------------------------------------------------------------- report
@@ -484,9 +435,6 @@ cluster::ClusterConfig make_cluster_config(const DaemonOptions& opts,
   config.server = std::move(server);
   config.router.kind = opts.router;
   config.router.seed = opts.seed;
-  config.fleet_threads = opts.fleet_threads;
-  config.cache_segments =
-      opts.fleet_threads > 1 ? 2 * opts.fleet_threads : 0;
   return config;
 }
 
@@ -535,42 +483,6 @@ int run_closed_loop(const DaemonOptions& opts, const Workload& workload) {
 
 // ---------------------------------------------------------------- daemon
 
-/// Scan-loop -> manager handoff: a closeable line queue.
-class CommandQueue {
- public:
-  void push(std::string line) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      lines_.push_back(std::move(line));
-    }
-    ready_.notify_one();
-  }
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_one();
-  }
-  /// Blocks for the next line; nullopt on close-after-drain (EOF).
-  std::optional<std::string> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !lines_.empty(); });
-    if (lines_.empty()) {
-      return std::nullopt;
-    }
-    std::string line = std::move(lines_.front());
-    lines_.pop_front();
-    return line;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<std::string> lines_;
-  bool closed_ = false;
-};
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> tokens;
   std::size_t i = 0;
@@ -591,10 +503,10 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// The manager: sole owner of the fleet, sole stdout writer. Commands
-/// execute strictly in arrival order, and each command is followed by
-/// one pump (advance + stream resolved requests), so the entire output
-/// byte stream is a pure function of the input line sequence.
+/// The command executor over the fleet. Commands execute strictly in
+/// input order, and each command is followed by one pump (advance +
+/// stream resolved requests), so the entire output byte stream is a
+/// pure function of the input line sequence.
 class Manager {
  public:
   Manager(const DaemonOptions& opts, cluster::Cluster& fleet,
@@ -665,13 +577,15 @@ class Manager {
     return static_cast<std::uint32_t>(parsed);
   }
 
+  /// The tools' real-number rule (serve::parse_real): the whole token
+  /// is one finite number.
   static double parse_real(const std::string& token, const char* what) {
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      fail(std::string(what) + " needs a number, got '" + token + "'");
+    const std::optional<double> parsed = serve::parse_real(token);
+    if (!parsed.has_value()) {
+      fail(std::string(what) + " needs a finite number, got '" + token +
+           "'");
     }
-    return parsed;
+    return *parsed;
   }
 
   void dispatch(const std::vector<std::string>& tokens) {
@@ -808,8 +722,7 @@ class Manager {
     const sim::Cycle cycles =
         tokens.size() == 2 ? parse_count(tokens[1], "cycles") : 0;
     // step N advances the lockstep horizon by N, saturating instead of
-    // wrapping past sim::kNever; step = quiescence (ServerSession::step's
-    // contract).
+    // wrapping past sim::kNever; step (or step 0) runs to quiescence.
     const sim::Cycle now = fleet_.now();
     const bool idle = fleet_.step_until(
         cycles == 0 || cycles >= sim::kNever - now ? sim::kNever
@@ -906,36 +819,18 @@ int run_daemon(const DaemonOptions& opts, const Workload& workload) {
   std::fflush(stdout);
 
   Manager manager(opts, fleet, trace);
-  CommandQueue queue;
-
-  // The manager thread owns the fleet; the main thread stays the scan
-  // loop so Ctrl-D on a terminal lands as a clean EOF-quit.
-  std::thread manager_thread([&] {
-    while (manager.running()) {
-      std::optional<std::string> line = queue.pop();
-      if (!line.has_value()) {
-        break;  // EOF with an empty queue: implicit quit
-      }
-      manager.execute(*line);
-    }
-    manager.finish();  // streams the tail and writes --report-json
-    if (trace != nullptr) {
-      obs::write_chrome_trace(opts.trace_json, *trace,
-                              config.accel.clock_hz, &metrics);
-    }
-  });
-
+  // One read-eval loop: each line is answered (and flushed) before the
+  // next is read. `quit` or EOF ends the session; lines after a quit are
+  // never read.
   std::string line;
-  while (std::getline(std::cin, line)) {
-    const std::vector<std::string> tokens = tokenize(line);
-    const bool was_quit = tokens.size() == 1 && tokens[0] == "quit";
-    queue.push(std::move(line));
-    if (was_quit) {
-      break;  // stop scanning; the manager exits after replying
-    }
+  while (manager.running() && std::getline(std::cin, line)) {
+    manager.execute(line);
   }
-  queue.close();
-  manager_thread.join();
+  manager.finish();  // streams the tail and writes --report-json
+  if (trace != nullptr) {
+    obs::write_chrome_trace(opts.trace_json, *trace, config.accel.clock_hz,
+                            &metrics);
+  }
   return 0;
 }
 
