@@ -8,6 +8,7 @@
 
 #include "common.hpp"
 #include "model/quantized.hpp"
+#include "model/trainer.hpp"
 #include "numeric/fixed_point.hpp"
 
 namespace {
@@ -36,7 +37,9 @@ int main() {
               "accuracy", "max |logit err|");
   bench::print_rule();
   std::printf("%-10s %12.1f%% %12.1f%% %16s\n", "float32", 100.0,
-              100.0 * static_cast<double>(art.test_accuracy), "0");
+              100.0 * static_cast<double>(model::evaluate_accuracy(
+                          art.model, art.dataset.test)),
+              "0");
   run_format<numeric::fx8>(art, "Q24.8");
   run_format<numeric::fx12>(art, "Q20.12");
   run_format<numeric::fx16>(art, "Q16.16");

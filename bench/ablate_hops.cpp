@@ -42,7 +42,8 @@ int main() {
                                                       art.dataset.train);
     std::printf("%-6zu %11.1f%% %11.1f%% %16.1f %11.2f us\n", hops,
                 100.0 * static_cast<double>(history_acc),
-                100.0 * static_cast<double>(art.test_accuracy),
+                100.0 * static_cast<double>(model::evaluate_accuracy(
+                            art.model, art.dataset.test)),
                 cycles_per_story, cycles_per_story / 100.0);
   }
   std::printf(

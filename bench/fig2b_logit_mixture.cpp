@@ -8,12 +8,15 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/ith.hpp"
 #include "numeric/mixture.hpp"
 
 int main() {
   using namespace mann;
   const auto suite = bench::load_suite();
   const runtime::TaskArtifacts& art = suite.front();  // qa1
+  const core::LogitPopulations logits =
+      core::collect_logits(art.model, art.dataset.train);
 
   bench::print_header(
       "Fig. 2(b): per-class logit mixture fits (task qa1, trained model)");
@@ -25,21 +28,20 @@ int main() {
   // The most frequent answer classes.
   std::vector<std::size_t> classes;
   for (std::size_t i = 0; i < art.ith.num_classes(); ++i) {
-    if (art.ith.positive_samples(i).size() >= 20) {
+    if (logits.positive[i].size() >= 20) {
       classes.push_back(i);
     }
   }
   std::sort(classes.begin(), classes.end(), [&](std::size_t a, std::size_t b) {
-    return art.ith.positive_samples(a).size() >
-           art.ith.positive_samples(b).size();
+    return logits.positive[a].size() > logits.positive[b].size();
   });
   if (classes.size() > 8) {
     classes.resize(8);
   }
 
   for (const std::size_t cls : classes) {
-    const auto pos = art.ith.positive_samples(cls);
-    const auto neg = art.ith.negative_samples(cls);
+    const std::vector<float>& pos = logits.positive[cls];
+    const std::vector<float>& neg = logits.negative[cls];
     std::vector<float> pooled(neg.begin(), neg.end());
     pooled.insert(pooled.end(), pos.begin(), pos.end());
     const numeric::MixtureFit fit = numeric::fit_two_gaussians(pooled);

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "accel/accelerator.hpp"
+#include "model/trainer.hpp"
 #include "power/power_model.hpp"
 #include "runtime/measurement.hpp"
 
@@ -108,6 +109,7 @@ int main(int argc, char** argv) {
   std::printf("accuracy on device: %.1f%% (float model: %.1f%%)\n",
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(run.stories.size()),
-              100.0 * static_cast<double>(art.test_accuracy));
+              100.0 * static_cast<double>(model::evaluate_accuracy(
+                          art.model, art.dataset.test)));
   return 0;
 }

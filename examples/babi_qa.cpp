@@ -10,6 +10,7 @@
 #include <string>
 
 #include "data/encoder.hpp"
+#include "model/trainer.hpp"
 #include "runtime/measurement.hpp"
 
 namespace {
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
   std::printf("training MemN2N on %s ...\n", data::task_name(task).c_str());
   const runtime::TaskArtifacts art = runtime::prepare_task(task, prep);
   std::printf("test accuracy: %.1f%% (vocab %zu, E=%zu, %zu hops)\n\n",
-              100.0 * static_cast<double>(art.test_accuracy),
+              100.0 * static_cast<double>(model::evaluate_accuracy(
+                          art.model, art.dataset.test)),
               art.dataset.vocab_size(), art.model.config().embedding_dim,
               art.model.config().hops);
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/ith_eval.hpp"
+#include "model/trainer.hpp"
 #include "power/energy.hpp"
 #include "runtime/measurement.hpp"
 
@@ -27,9 +28,12 @@ int main() {
   const runtime::TaskArtifacts art =
       runtime::prepare_task(data::TaskId::kSingleSupportingFact, prep);
 
-  std::printf("vocab=%zu  test accuracy: model=%.3f  ith=%.3f\n",
-              art.dataset.vocab_size(), static_cast<double>(art.test_accuracy),
-              static_cast<double>(art.ith_test_accuracy));
+  std::printf(
+      "vocab=%zu  test accuracy: model=%.3f  ith=%.3f\n",
+      art.dataset.vocab_size(),
+      static_cast<double>(model::evaluate_accuracy(art.model, art.dataset.test)),
+      static_cast<double>(
+          core::evaluate_ith(art.model, art.ith, art.dataset.test).accuracy));
   std::printf("ITH: %zu/%zu classes hold thresholds\n",
               art.ith.active_classes(), art.ith.num_classes());
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "numeric/kde.hpp"
 #include "numeric/silhouette.hpp"
@@ -9,50 +10,82 @@
 
 namespace mann::core {
 
-InferenceThresholding InferenceThresholding::calibrate(
-    const model::MemN2N& model, std::span<const data::EncodedStory> training,
-    const IthConfig& config) {
+LogitPopulations collect_logits(const model::MemN2N& model,
+                                std::span<const data::EncodedStory> training) {
   const std::size_t classes = model.config().vocab_size;
-  InferenceThresholding ith;
-  ith.config_ = config;
-  ith.thresholds_.assign(classes, kNoThreshold);
-  ith.silhouettes_.assign(classes, 0.0F);
-  ith.priors_.assign(classes, 0.0F);
-  ith.positive_.assign(classes, {});
-  ith.negative_.assign(classes, {});
+  LogitPopulations logits;
+  logits.positive.assign(classes, {});
+  logits.negative.assign(classes, {});
+  logits.priors.assign(classes, 0.0F);
 
-  // Step 1: collect logit populations from correctly-predicted examples.
   std::vector<std::size_t> label_counts(classes, 0);
-  std::size_t labelled = 0;
   for (const data::EncodedStory& story : training) {
     const auto label = static_cast<std::size_t>(story.answer);
     ++label_counts[label];
-    ++labelled;
     const model::ForwardTrace trace = model.forward(story);
     if (trace.prediction != label) {
       continue;
     }
     for (std::size_t i = 0; i < classes; ++i) {
       if (i == label) {
-        ith.positive_[i].push_back(trace.logits[i]);
+        logits.positive[i].push_back(trace.logits[i]);
       } else {
-        ith.negative_[i].push_back(trace.logits[i]);
+        logits.negative[i].push_back(trace.logits[i]);
       }
     }
   }
-  if (labelled > 0) {
+  if (!training.empty()) {
     for (std::size_t i = 0; i < classes; ++i) {
-      ith.priors_[i] = static_cast<float>(label_counts[i]) /
-                       static_cast<float>(labelled);
+      logits.priors[i] = static_cast<float>(label_counts[i]) /
+                         static_cast<float>(training.size());
     }
   }
+  return logits;
+}
+
+InferenceThresholding::InferenceThresholding(
+    IthConfig config, std::vector<float> thresholds,
+    std::vector<std::size_t> probe_order, std::vector<float> silhouettes,
+    std::vector<float> priors)
+    : config_(config),
+      thresholds_(std::move(thresholds)),
+      order_(std::move(probe_order)),
+      silhouettes_(std::move(silhouettes)),
+      priors_(std::move(priors)) {
+  const std::size_t classes = thresholds_.size();
+  if (order_.size() != classes || silhouettes_.size() != classes ||
+      priors_.size() != classes) {
+    throw std::invalid_argument(
+        "InferenceThresholding: tables differ in class count");
+  }
+  std::vector<bool> seen(classes, false);
+  for (const std::size_t cls : order_) {
+    if (cls >= classes || seen[cls]) {
+      throw std::invalid_argument(
+          "InferenceThresholding: probe order is not a permutation");
+    }
+    seen[cls] = true;
+  }
+}
+
+InferenceThresholding InferenceThresholding::calibrate(
+    const model::MemN2N& model, std::span<const data::EncodedStory> training,
+    const IthConfig& config) {
+  const std::size_t classes = model.config().vocab_size;
+  // Step 1: logit populations from correctly-predicted examples.
+  LogitPopulations logits = collect_logits(model, training);
+  InferenceThresholding ith;
+  ith.config_ = config;
+  ith.thresholds_.assign(classes, kNoThreshold);
+  ith.silhouettes_.assign(classes, 0.0F);
+  ith.priors_ = std::move(logits.priors);
 
   // Step 2: per-class threshold θ_i = min{ z ∈ HG_i : p(y=i | z) >= ρ }.
   // The posterior is the two-hypothesis Bayes ratio over the KDE-fitted
   // class-conditional densities weighted by the priors.
   for (std::size_t i = 0; i < classes; ++i) {
-    const auto& pos = ith.positive_[i];
-    const auto& neg = ith.negative_[i];
+    const std::vector<float>& pos = logits.positive[i];
+    const std::vector<float>& neg = logits.negative[i];
     if (pos.size() < config.min_positive_samples || neg.empty() ||
         config.rho > 1.0F) {
       continue;
@@ -98,7 +131,7 @@ InferenceThresholding InferenceThresholding::calibrate(
   // against HG_ī.
   for (std::size_t i = 0; i < classes; ++i) {
     ith.silhouettes_[i] =
-        numeric::average_silhouette(ith.positive_[i], ith.negative_[i]);
+        numeric::average_silhouette(logits.positive[i], logits.negative[i]);
   }
   ith.order_.resize(classes);
   std::iota(ith.order_.begin(), ith.order_.end(), std::size_t{0});

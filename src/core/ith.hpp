@@ -7,9 +7,15 @@
 // class-conditional logit densities (Steps 1-2); the probe order comes
 // from per-class silhouette coefficients (Step 3) so the most separable
 // classes are tried first.
+//
+// Steps 1-3 are training-time work: runtime::prepare_suite_cached stores
+// the tables beside each cached model and reads them back instead of
+// recalibrating (MAGPIE's move generator likewise loads prebuilt tables
+// rather than rebuilding them at start).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -54,6 +60,27 @@ struct IthConfig {
   float support_sigmas = 1.0F;
 };
 
+/// Version of calibrate()'s output. Bump it whenever the same model,
+/// training split and IthConfig would calibrate to different tables:
+/// stored ITH records carrying another version are recalibrated.
+inline constexpr std::uint32_t kCalibrationVersion = 1;
+
+/// Step 1's observations over a training split.
+struct LogitPopulations {
+  /// HG_i: z_i over the stories correctly predicted as class i.
+  std::vector<std::vector<float>> positive;
+  /// HG_ī: z_i over the stories correctly predicted as another class.
+  std::vector<std::vector<float>> negative;
+  /// Training-label priors p(y = i), over every story.
+  std::vector<float> priors;
+};
+
+/// Algorithm 1, Step 1: one float forward pass per training story. Only
+/// stories the model predicts correctly contribute logits (as in the
+/// paper).
+[[nodiscard]] LogitPopulations collect_logits(
+    const model::MemN2N& model, std::span<const data::EncodedStory> training);
+
 /// Outcome of one thresholded inference (Algo. 1, Step 4).
 struct ThresholdedResult {
   std::size_t prediction = 0;
@@ -61,13 +88,22 @@ struct ThresholdedResult {
   bool early_exit = false;      ///< true when a threshold fired
 };
 
-/// Calibrated state: thresholds, probe order, and the per-class logit
-/// populations (exposed for the Fig. 2(b) mixture analysis and tests).
+/// Calibrated state: what the device and evaluation read (thresholds,
+/// probe order) and what an ITH record stores beside them.
 class InferenceThresholding {
  public:
+  InferenceThresholding() = default;
+
+  /// Tables calibrated earlier (an ITH record read back). Throws
+  /// std::invalid_argument unless every table holds one entry per class
+  /// and `probe_order` is a permutation of the classes.
+  InferenceThresholding(IthConfig config, std::vector<float> thresholds,
+                        std::vector<std::size_t> probe_order,
+                        std::vector<float> silhouettes,
+                        std::vector<float> priors);
+
   /// Runs Steps 1-3 of Algorithm 1 on the training split.
-  /// The model must already be trained; only examples the model predicts
-  /// correctly contribute to the histograms (as in the paper).
+  /// The model must already be trained.
   static InferenceThresholding calibrate(
       const model::MemN2N& model,
       std::span<const data::EncodedStory> training, const IthConfig& config);
@@ -107,15 +143,6 @@ class InferenceThresholding {
     return priors_;
   }
 
-  /// Logit observations: HG_i (z_i when i was the correct argmax).
-  [[nodiscard]] std::span<const float> positive_samples(std::size_t i) const {
-    return positive_[i];
-  }
-  /// HG_ī (z_i when i was not the argmax).
-  [[nodiscard]] std::span<const float> negative_samples(std::size_t i) const {
-    return negative_[i];
-  }
-
   /// Number of classes holding a finite threshold.
   [[nodiscard]] std::size_t active_classes() const noexcept;
 
@@ -132,8 +159,6 @@ class InferenceThresholding {
   std::vector<std::size_t> order_;
   std::vector<float> silhouettes_;
   std::vector<float> priors_;
-  std::vector<std::vector<float>> positive_;
-  std::vector<std::vector<float>> negative_;
 };
 
 }  // namespace mann::core

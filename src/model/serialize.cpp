@@ -9,6 +9,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 namespace mann::model {
@@ -73,23 +74,30 @@ void save_model(std::ostream& out, const MemN2N& model) {
 }
 
 void save_model_file(const std::string& path, const MemN2N& model) {
+  std::ostringstream out;
+  save_model(out, model);
+  write_file_atomically(path, out.str());
+}
+
+void write_file_atomically(const std::string& path, std::string_view bytes) {
   // Written beside the target under a name no other writer uses, then
   // renamed over it: a reader opens either the old file or the complete
-  // new one, never a half-written one, and an interrupted save leaves
+  // new one, never a half-written one, and an interrupted write leaves
   // the old file in place.
-  static std::atomic<unsigned> saves{0};
+  static std::atomic<unsigned> writes{0};
   const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "_" +
-                          std::to_string(saves++);
+                          std::to_string(writes++);
   try {
     {
       std::ofstream out(tmp, std::ios::binary);
       if (!out) {
-        throw std::runtime_error("save_model_file: cannot open " + tmp);
+        throw std::runtime_error("write_file_atomically: cannot open " + tmp);
       }
-      save_model(out, model);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       out.close();
       if (!out) {
-        throw std::runtime_error("save_model_file: write failed on " + tmp);
+        throw std::runtime_error("write_file_atomically: write failed on " +
+                                 tmp);
       }
     }
     std::filesystem::rename(tmp, path);

@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "model/memn2n.hpp"
 
@@ -17,6 +18,11 @@ void save_model(std::ostream& out, const MemN2N& model);
 /// Replaces `path` atomically (temporary file in the same directory, then
 /// rename), so concurrent loaders never see a partly written model.
 void save_model_file(const std::string& path, const MemN2N& model);
+
+/// Replaces `path` with `bytes` the way save_model_file does: concurrent
+/// readers see the old file or the complete new one, and a failed write
+/// leaves the old file in place. Throws std::runtime_error on failure.
+void write_file_atomically(const std::string& path, std::string_view bytes);
 
 /// Reads a model back. Throws std::runtime_error on malformed input.
 [[nodiscard]] MemN2N load_model(std::istream& in);

@@ -17,13 +17,12 @@
 
 namespace mann::runtime {
 
-/// Everything needed to measure one bAbI task.
+/// Everything needed to measure one bAbI task. Scores are measured on
+/// request (model::evaluate_accuracy, core::evaluate_ith), not here.
 struct TaskArtifacts {
   data::TaskDataset dataset;
   model::MemN2N model;
   core::InferenceThresholding ith;
-  float test_accuracy = 0.0F;
-  float ith_test_accuracy = 0.0F;
 };
 
 /// Knobs for artifact preparation (shared across all benches so every
@@ -45,10 +44,17 @@ struct PrepareConfig {
 
 /// Prepares all 20 tasks over the joint vocabulary (the Table I / Fig. 4
 /// evaluation regime: output dimension |I| = joint vocab ≫ |E|), caching
-/// trained models under `cache_dir` (created if missing). The cache key
-/// encodes the configuration knobs that affect training, so changing
-/// them retrains instead of serving a stale model. ITH calibration is
-/// recomputed (deterministic).
+/// each trained model under `cache_dir` (created if missing) with its
+/// ITH tables beside it. A model file's name carries a fingerprint of
+/// every knob that shapes training, so changing one retrains instead of
+/// serving a stale model; a model file that does not load is retrained.
+/// The ITH tables are Algorithm 1's training-time product: each model's
+/// `.ith` record is keyed by the full IthConfig,
+/// core::kCalibrationVersion, the DatasetConfig and a checksum of the
+/// model file, and is recalibrated and rewritten (atomically) only when
+/// it is missing, corrupt or keyed differently. Loading a complete cache
+/// therefore runs no model inference: it generates the datasets and
+/// reads files.
 /// `max_tasks` > 0 finishes only the first that many tasks of the joint
 /// suite (the joint vocabulary still spans all 20, so cached models stay
 /// compatible); 0 means the whole suite.
@@ -57,8 +63,11 @@ struct PrepareConfig {
     std::size_t max_tasks = 0);
 
 /// True when every model the (possibly task-limited) suite would load is
-/// already cached under `cache_dir` — the "no training required" probe
-/// benches use to decide between the shared cache and --train-fallback.
+/// already cached under `cache_dir` together with its ITH record — the
+/// "no training or calibration required" probe benches use to decide
+/// between the shared cache and --train-fallback. It checks that the
+/// files exist, not what they hold: prepare_suite_cached still retrains
+/// a torn model and recalibrates a corrupt or differently keyed record.
 [[nodiscard]] bool suite_cache_complete(const PrepareConfig& config,
                                         const std::string& cache_dir,
                                         std::size_t max_tasks = 0);

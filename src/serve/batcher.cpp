@@ -49,6 +49,7 @@ bool Batcher::enqueue(const InferenceRequest& request) {
   if (!queues_[lane].try_push(request)) {
     return false;
   }
+  ++pending_;
   ++counters_.requests_in;
   obs::add(obs_requests_in_);
   return true;
@@ -90,14 +91,6 @@ std::optional<Batch> Batcher::drain(sim::Cycle /*now*/) {
   return std::nullopt;
 }
 
-std::size_t Batcher::pending() const noexcept {
-  std::size_t total = 0;
-  for (const auto& q : queues_) {
-    total += q.size();
-  }
-  return total;
-}
-
 sim::Cycle Batcher::next_deadline() const noexcept {
   sim::Cycle deadline = sim::kNever;
   for (const auto& q : queues_) {
@@ -116,6 +109,7 @@ Batch Batcher::flush_lane(std::size_t lane) {
   batch.task = lane / num_tenants_;
   batch.tenant = static_cast<TenantId>(lane % num_tenants_);
   const std::size_t take = std::min(q.size(), config_.max_batch);
+  pending_ -= take;
   batch.requests.reserve(take);
   batch.stories.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {

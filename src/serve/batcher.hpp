@@ -86,7 +86,8 @@ class Batcher {
   /// drain once the traffic source is exhausted.
   [[nodiscard]] std::optional<Batch> drain(sim::Cycle now);
 
-  [[nodiscard]] std::size_t pending() const noexcept;
+  /// Requests enqueued and not yet flushed, over every lane.
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// Earliest cycle at which a timeout flush could fire; sim::kNever when
   /// nothing is pending. Drives event-skipping in the serving loop.
@@ -104,6 +105,7 @@ class Batcher {
   /// Lane layout: task-major, tenant-minor (lane = task * tenants + t).
   std::vector<sim::Fifo<InferenceRequest>> queues_;
   std::size_t rotate_ = 0;  ///< fairness cursor over lanes
+  std::size_t pending_ = 0;  ///< sum of the lanes' sizes
   BatcherCounters counters_;
   // Mirrored obs instruments (null without a registry).
   obs::Counter* obs_requests_in_ = nullptr;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "model/trainer.hpp"
@@ -226,6 +228,37 @@ TEST_F(IthFixture, PredictFromFeaturesMatchesPredict) {
     EXPECT_EQ(a.comparisons, b.comparisons);
     EXPECT_EQ(a.early_exit, b.early_exit);
   }
+}
+
+TEST_F(IthFixture, StoredTablesRebuildTheCalibratedPredictor) {
+  const auto ith = InferenceThresholding::calibrate(*model_,
+                                                    dataset_->train, {});
+  const InferenceThresholding rebuilt(ith.config(), ith.thresholds(),
+                                      ith.probe_order(), ith.silhouettes(),
+                                      ith.priors());
+  for (const auto& story : dataset_->test) {
+    const auto a = ith.predict(*model_, story);
+    const auto b = rebuilt.predict(*model_, story);
+    EXPECT_EQ(a.prediction, b.prediction);
+    EXPECT_EQ(a.comparisons, b.comparisons);
+  }
+
+  // Tables that would index past the output layer are refused.
+  std::vector<std::size_t> repeated = ith.probe_order();
+  repeated.back() = repeated.front();
+  std::vector<std::size_t> out_of_range = ith.probe_order();
+  out_of_range.back() = ith.num_classes();
+  for (const auto& order : {repeated, out_of_range}) {
+    EXPECT_THROW(InferenceThresholding(ith.config(), ith.thresholds(), order,
+                                       ith.silhouettes(), ith.priors()),
+                 std::invalid_argument);
+  }
+  std::vector<float> short_priors = ith.priors();
+  short_priors.pop_back();
+  EXPECT_THROW(InferenceThresholding(ith.config(), ith.thresholds(),
+                                     ith.probe_order(), ith.silhouettes(),
+                                     short_priors),
+               std::invalid_argument);
 }
 
 TEST(Ith, UntrainedModelCalibratesConservatively) {

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "numeric/random.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -222,6 +223,38 @@ TEST(Batcher, RejectsUnknownTenant) {
   EXPECT_THROW((void)batcher.enqueue(tenant_request(0, 0, 2, stories[0], 0)),
                std::out_of_range);
   EXPECT_THROW(Batcher(small_config(), 1, 0), std::invalid_argument);
+}
+
+TEST(Batcher, PendingCountsEnqueuedMinusFlushedUnderSeededTraffic) {
+  // Random enqueues (full lanes refuse), polls and drains over 3 tasks x
+  // 2 tenants; pending() is a running count, so it must equal what went
+  // in minus what came out after every call.
+  const auto stories = tiny_stories(16);
+  Batcher batcher(small_config(), 3, /*num_tenants=*/2);
+  numeric::Rng rng(2019);
+  std::size_t in = 0;
+  std::size_t out = 0;
+  sim::Cycle now = 0;
+  for (RequestId id = 0; id < 3000; ++id) {
+    now += rng.index(40);
+    const std::size_t op = rng.index(10);
+    if (op < 6) {
+      const InferenceRequest request =
+          tenant_request(id, rng.index(3), static_cast<TenantId>(rng.index(2)),
+                         stories[rng.index(stories.size())], now);
+      in += batcher.enqueue(request) ? 1 : 0;
+    } else {
+      const auto batch = op < 9 ? batcher.poll(now) : batcher.drain(now);
+      out += batch ? batch->size() : 0;
+    }
+    ASSERT_EQ(batcher.pending(), in - out) << "after call " << id;
+  }
+  while (const auto batch = batcher.drain(now)) {
+    out += batch->size();
+    ASSERT_EQ(batcher.pending(), in - out);
+  }
+  EXPECT_EQ(batcher.pending(), 0U);
+  EXPECT_GT(out, 0U);
 }
 
 }  // namespace
