@@ -43,10 +43,13 @@ std::vector<runtime::TaskArtifacts> serving_suite(std::size_t tasks,
   }
   if (!train_fallback) {
     std::fprintf(stderr,
-                 "mann_bench_cache/ is missing models or ITH records for "
-                 "the first %zu suite tasks; pass --train-fallback to train "
-                 "quick stand-ins inline (serve_throughput --train-suite "
-                 "trains and caches the real suite)\n",
+                 "mann_bench_cache/ is missing models, ITH records or "
+                 "dataset records for the first %zu suite tasks; pass "
+                 "--train-fallback to train quick stand-ins inline "
+                 "(serve_throughput --train-suite trains and caches the "
+                 "real suite; when the models are there, any suite load, "
+                 "such as a paper program's, writes the missing records "
+                 "without training)\n",
                  tasks);
     std::exit(2);
   }

@@ -27,8 +27,8 @@ inline constexpr std::size_t kRepetitions = 100;
 [[nodiscard]] std::vector<runtime::TaskArtifacts> load_suite();
 
 /// The serving tools' workload: the first `tasks` suite tasks, loaded
-/// from mann_bench_cache/ when it holds all their models and ITH
-/// records, else (when
+/// from mann_bench_cache/ when it holds all their models, ITH records
+/// and dataset records, else (when
 /// `train_fallback`) quick stand-ins trained inline on 600 train and 150
 /// test stories for 20 epochs. Exits 2 for `tasks` outside 1..suite
 /// size or a missing cache without `train_fallback`.

@@ -35,11 +35,33 @@ void write_matrix(std::ostream& out, const numeric::Matrix& m) {
             static_cast<std::streamsize>(m.size() * sizeof(float)));
 }
 
-numeric::Matrix read_matrix(std::istream& in) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  if (!in || rows > 1'000'000 || cols > 1'000'000) {
+/// Bytes from the read position to the end of `in`: what a matrix header
+/// is checked against before its payload is allocated. A stream that
+/// cannot tell where it ends is refused.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (!in || here == std::istream::pos_type(-1) ||
+      end == std::istream::pos_type(-1)) {
+    throw std::runtime_error("load_model: stream size unknown");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads a matrix that must be `rows` x `cols`, refusing its header
+/// before allocating when the shape differs or the payload would run
+/// past the end of the stream.
+numeric::Matrix read_matrix(std::istream& in, std::uint64_t rows,
+                            std::uint64_t cols) {
+  const std::uint64_t stored_rows = read_u64(in);
+  const std::uint64_t stored_cols = read_u64(in);
+  if (!in || stored_rows != rows || stored_cols != cols) {
     throw std::runtime_error("load_model: corrupt matrix header");
+  }
+  if (rows > bytes_left(in) / sizeof(float) / cols) {
+    throw std::runtime_error("load_model: truncated matrix payload");
   }
   numeric::Matrix m(static_cast<std::size_t>(rows),
                     static_cast<std::size_t>(cols));
@@ -121,12 +143,18 @@ MemN2N load_model(std::istream& in) {
   cfg.embedding_dim = static_cast<std::size_t>(read_u64(in));
   cfg.hops = static_cast<std::size_t>(read_u64(in));
   cfg.max_memory = static_cast<std::size_t>(read_u64(in));
+  if (!in || cfg.vocab_size == 0 || cfg.embedding_dim == 0 ||
+      cfg.hops == 0 || cfg.max_memory == 0) {
+    throw std::runtime_error("load_model: corrupt config");
+  }
+  const std::uint64_t v = cfg.vocab_size;
+  const std::uint64_t e = cfg.embedding_dim;
   Parameters p;
-  p.embedding_a = read_matrix(in);
-  p.embedding_c = read_matrix(in);
-  p.embedding_q = read_matrix(in);
-  p.w_r = read_matrix(in);
-  p.w_o = read_matrix(in);
+  p.embedding_a = read_matrix(in, v, e);
+  p.embedding_c = read_matrix(in, v, e);
+  p.embedding_q = read_matrix(in, v, e);
+  p.w_r = read_matrix(in, e, e);
+  p.w_o = read_matrix(in, v, e);
   return MemN2N(cfg, std::move(p));
 }
 

@@ -24,7 +24,10 @@ void save_model_file(const std::string& path, const MemN2N& model);
 /// leaves the old file in place. Throws std::runtime_error on failure.
 void write_file_atomically(const std::string& path, std::string_view bytes);
 
-/// Reads a model back. Throws std::runtime_error on malformed input.
+/// Reads a model back. Throws std::runtime_error on malformed input: a
+/// zero dimension, a matrix whose shape differs from the header's, or a
+/// payload longer than what is left of `in` (checked before allocating,
+/// so `in` must be seekable).
 [[nodiscard]] MemN2N load_model(std::istream& in);
 [[nodiscard]] MemN2N load_model_file(const std::string& path);
 

@@ -44,30 +44,39 @@ struct PrepareConfig {
 
 /// Prepares all 20 tasks over the joint vocabulary (the Table I / Fig. 4
 /// evaluation regime: output dimension |I| = joint vocab ≫ |E|), caching
-/// each trained model under `cache_dir` (created if missing) with its
-/// ITH tables beside it. A model file's name carries a fingerprint of
-/// every knob that shapes training, so changing one retrains instead of
-/// serving a stale model; a model file that does not load is retrained.
-/// The ITH tables are Algorithm 1's training-time product: each model's
-/// `.ith` record is keyed by the full IthConfig,
-/// core::kCalibrationVersion, the DatasetConfig and a checksum of the
-/// model file, and is recalibrated and rewritten (atomically) only when
-/// it is missing, corrupt or keyed differently. Loading a complete cache
-/// therefore runs no model inference: it generates the datasets and
-/// reads files.
-/// `max_tasks` > 0 finishes only the first that many tasks of the joint
-/// suite (the joint vocabulary still spans all 20, so cached models stay
-/// compatible); 0 means the whole suite.
+/// three files per task under `cache_dir` (created if missing), all
+/// replaced atomically when written:
+///  - `.mann`, the trained model. Its name carries a fingerprint of every
+///    knob that shapes training, so changing one retrains instead of
+///    serving a stale model; a model file that does not load is
+///    retrained.
+///  - `.ith`, Algorithm 1's training-time product: the model's ITH
+///    tables, keyed by the full IthConfig, core::kCalibrationVersion, the
+///    DatasetConfig and a checksum of the model file.
+///  - `.data`, the task's encoded train and test splits and the joint
+///    vocabulary (words in id order), keyed by data::kGeneratorVersion,
+///    the task number and the DatasetConfig.
+/// A record is rewritten only when it is missing, corrupt or keyed
+/// differently (for `.data` also when it holds another vocabulary than
+/// the suite's first task): a `.ith` record is recalibrated, and a bad
+/// `.data` record makes the load generate the joint suite once. Loading a
+/// complete cache therefore only reads files: it generates no story and
+/// runs no model inference.
+/// `max_tasks` > 0 loads only the first that many tasks of the joint
+/// suite and reads only their files (the joint vocabulary still spans all
+/// 20, so cached models stay compatible); 0 means the whole suite.
 [[nodiscard]] std::vector<TaskArtifacts> prepare_suite_cached(
     const PrepareConfig& config, const std::string& cache_dir,
     std::size_t max_tasks = 0);
 
-/// True when every model the (possibly task-limited) suite would load is
-/// already cached under `cache_dir` together with its ITH record — the
-/// "no training or calibration required" probe benches use to decide
-/// between the shared cache and --train-fallback. It checks that the
-/// files exist, not what they hold: prepare_suite_cached still retrains
-/// a torn model and recalibrates a corrupt or differently keyed record.
+/// True when every task the (possibly task-limited) suite would load has
+/// all three files cached under `cache_dir`: its model (`.mann`), its
+/// ITH record (`.ith`) and its dataset record (`.data`) — the "no
+/// training, calibration or generation required" probe benches use to
+/// decide between the shared cache and --train-fallback. It checks that
+/// the files exist, not what they hold: prepare_suite_cached still
+/// retrains a torn model and rewrites a corrupt or differently keyed
+/// record.
 [[nodiscard]] bool suite_cache_complete(const PrepareConfig& config,
                                         const std::string& cache_dir,
                                         std::size_t max_tasks = 0);

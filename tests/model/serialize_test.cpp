@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace mann::model {
 namespace {
@@ -58,14 +63,46 @@ TEST(Serialize, BadMagicRejected) {
   EXPECT_THROW((void)load_model(buffer), std::runtime_error);
 }
 
+/// `bytes` with the u64 at `at` replaced by `value`.
+std::string with_u64(std::string bytes, std::size_t at, std::uint64_t value) {
+  char raw[sizeof value];
+  std::memcpy(raw, &value, sizeof value);
+  bytes.replace(at, sizeof value, raw, sizeof value);
+  return bytes;
+}
+
 TEST(Serialize, TruncatedPayloadRejected) {
+  // Every malformed file must throw std::runtime_error: no other
+  // exception, no allocation for what the header merely claims, and no
+  // model whose matrices disagree with its header.
   const MemN2N original = make_model();
   std::stringstream buffer;
   save_model(buffer, original);
-  std::string bytes = buffer.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream half(bytes);
-  EXPECT_THROW((void)load_model(half), std::runtime_error);
+  const std::string bytes = buffer.str();
+  // After "MANN" and a u32 version come vocab_size, embedding_dim, hops
+  // and max_memory (u64 each), then each matrix as u64 rows, u64 cols and
+  // its floats: embedding_a from offset 40, embedding_c after it.
+  constexpr std::size_t kEmbeddingDim = 16;
+  constexpr std::size_t kEmbeddingA = 40;
+  const std::size_t embedding_c = kEmbeddingA + 16 + 12 * 5 * sizeof(float);
+  // embedding_c one row short, the file still self-consistent.
+  std::string short_c = with_u64(bytes, embedding_c, 11);
+  short_c.erase(embedding_c + 16, 5 * sizeof(float));
+
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"truncated", bytes.substr(0, bytes.size() / 2)},
+      {"1e6 x 1e6 matrix header",
+       with_u64(with_u64(bytes, kEmbeddingA, 1'000'000), kEmbeddingA + 8,
+                1'000'000)},
+      {"embedding_dim 0", with_u64(bytes, kEmbeddingDim, 0)},
+      {"embedding_dim 6", with_u64(bytes, kEmbeddingDim, 6)},
+      {"short embedding_c", short_c},
+  };
+  for (const auto& [what, file] : bad) {
+    SCOPED_TRACE(what);
+    std::stringstream in(file);
+    EXPECT_THROW((void)load_model(in), std::runtime_error);
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

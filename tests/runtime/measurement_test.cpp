@@ -11,12 +11,15 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/ith_eval.hpp"
+#include "datasets_equal.hpp"
 #include "ith_tables_equal.hpp"
 #include "model/trainer.hpp"
+#include "numeric/random.hpp"
 
 namespace mann::runtime {
 namespace {
@@ -146,16 +149,21 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 /// File name -> bytes of every file in `dir` with extension `ext`.
 std::map<std::string, std::string> read_files(const std::string& dir,
                                               const std::string& ext) {
   std::map<std::string, std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ext) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      files[entry.path().filename().string()] = bytes.str();
+      files[entry.path().filename().string()] =
+          read_bytes(entry.path().string());
     }
   }
   return files;
@@ -191,9 +199,10 @@ std::map<std::string, std::int64_t> backdate_files(const std::string& dir) {
 }
 
 TEST(Measurement, CachedSuitePreparationRoundTrips) {
-  // Tiny configuration: first call trains, calibrates and writes the
-  // cache, second call loads it; both must yield byte-identical models
-  // and ITH tables, and loading must rewrite no file.
+  // Tiny configuration: first call generates, trains, calibrates and
+  // writes the cache, second call loads it; both must yield
+  // byte-identical models, ITH tables and datasets, and loading must
+  // rewrite no file.
   const PrepareConfig cfg = tiny_config(777);
   const std::string dir = fresh_dir("mann_cache_test");
   const auto first = prepare_suite_cached(cfg, dir);
@@ -205,34 +214,75 @@ TEST(Measurement, CachedSuitePreparationRoundTrips) {
     SCOPED_TRACE("task " + std::to_string(t + 1));
     EXPECT_EQ(first[t].model.params().w_o, second[t].model.params().w_o);
     core::expect_same_tables(first[t].ith, second[t].ith);
+    data::expect_same_dataset(first[t].dataset, second[t].dataset);
   }
   EXPECT_EQ(file_stamps(dir), stamps);
   std::filesystem::remove_all(dir);
 }
 
+/// The file in `dir` whose name holds `task` (e.g. "_task2_") and ends
+/// in `ext`.
+std::string task_file(const std::string& dir, const std::string& task,
+                      const std::string& ext) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(task) != std::string::npos &&
+        entry.path().extension() == ext) {
+      return entry.path().string();
+    }
+  }
+  return {};
+}
+
+/// `bytes` with the T at `at` replaced by `value`.
+template <typename T>
+std::string with_value(std::string bytes, std::size_t at, T value) {
+  char raw[sizeof value];
+  std::memcpy(raw, &value, sizeof value);
+  bytes.replace(at, sizeof value, raw, sizeof value);
+  return bytes;
+}
+
 TEST(Measurement, TornCacheFileIsRetrained) {
-  // A cached model cut short (an interrupted or concurrent writer) must
-  // be retrained and replaced, not abort every later load.
+  // A cached model cut short (an interrupted or concurrent writer) or
+  // with a corrupt header must be retrained and replaced, not abort
+  // every later load or serve a model of the wrong shape.
   const PrepareConfig cfg = tiny_config(778);
   const std::string dir = fresh_dir("mann_torn_cache_test");
   const auto first = prepare_suite_cached(cfg, dir, 2);
-  std::filesystem::path torn;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().find("_task2_") !=
-            std::string::npos &&
-        entry.path().extension() == ".mann") {
-      torn = entry.path();
-    }
-  }
+  const std::string torn = task_file(dir, "_task2_", ".mann");
   ASSERT_FALSE(torn.empty());
-  const std::uintmax_t size = std::filesystem::file_size(torn);
-  std::filesystem::resize_file(torn, size / 2);
-  ASSERT_TRUE(suite_cache_complete(cfg, dir, 2));
+  const std::string good = read_bytes(torn);
+  // A model file is "MANN", a u32 version, vocab_size, embedding_dim,
+  // hops and max_memory (u64 each), then each matrix as u64 rows, u64
+  // cols and its floats: embedding_a from offset 40, embedding_c next.
+  const std::size_t vocab = first[1].model.config().vocab_size;
+  const std::size_t dim = first[1].model.config().embedding_dim;
+  const std::size_t embedding_c = 40 + 16 + vocab * dim * sizeof(float);
+  std::string short_c = with_value<std::uint64_t>(good, embedding_c, vocab - 1);
+  short_c.erase(embedding_c + 16, dim * sizeof(float));
 
-  const auto second = prepare_suite_cached(cfg, dir, 2);
-  ASSERT_EQ(second.size(), 2U);
-  EXPECT_EQ(first[1].model.params().w_o, second[1].model.params().w_o);
-  EXPECT_EQ(std::filesystem::file_size(torn), size);
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"torn", good.substr(0, good.size() / 2)},
+      {"1e6 x 1e6 matrix header",
+       with_value<std::uint64_t>(
+           with_value<std::uint64_t>(good, 40, 1'000'000), 48, 1'000'000)},
+      {"embedding_dim 0", with_value<std::uint64_t>(good, 16, 0)},
+      {"embedding_dim + 1", with_value<std::uint64_t>(good, 16, dim + 1)},
+      {"short embedding_c", short_c},
+      {"hops + 1", with_value<std::uint64_t>(
+                       good, 24, first[1].model.config().hops + 1)},
+  };
+  for (const auto& [what, bytes] : bad) {
+    SCOPED_TRACE(what);
+    write_file(torn, bytes);
+    ASSERT_TRUE(suite_cache_complete(cfg, dir, 2));
+    std::vector<TaskArtifacts> second;
+    ASSERT_NO_THROW(second = prepare_suite_cached(cfg, dir, 2));
+    ASSERT_EQ(second.size(), 2U);
+    EXPECT_EQ(first[1].model.params().w_o, second[1].model.params().w_o);
+    EXPECT_EQ(second[1].model.config().hops, first[1].model.config().hops);
+    EXPECT_EQ(read_bytes(torn), good);
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -264,26 +314,32 @@ TEST(Measurement, CacheKeyCoversEveryTrainingKnob) {
 }
 
 TEST(Measurement, MissingIthRecordsAreWrittenBesideUntouchedModels) {
-  const PrepareConfig cfg = tiny_config(782);
-  const std::string dir = fresh_dir("mann_missing_records_test");
-  (void)prepare_suite_cached(cfg, dir, 2);
-  ASSERT_TRUE(suite_cache_complete(cfg, dir, 2));
-  const auto models = read_files(dir, ".mann");
-  const auto records = read_files(dir, ".ith");
-  ASSERT_EQ(records.size(), 2U);
-  for (const auto& [name, bytes] : records) {
-    std::filesystem::remove(dir + "/" + name);
-    EXPECT_FALSE(suite_cache_complete(cfg, dir, 2));
+  // Removed records of either kind come back as they were, and no other
+  // file is rewritten.
+  for (const std::string ext : {".ith", ".data"}) {
+    SCOPED_TRACE(ext);
+    const PrepareConfig cfg = tiny_config(782);
+    const std::string dir = fresh_dir("mann_missing_records_test");
+    (void)prepare_suite_cached(cfg, dir, 2);
+    ASSERT_TRUE(suite_cache_complete(cfg, dir, 2));
+    const auto models = read_files(dir, ".mann");
+    const auto records = read_files(dir, ext);
+    ASSERT_EQ(records.size(), 2U);
+    for (const auto& [name, bytes] : records) {
+      std::filesystem::remove(dir + "/" + name);
+      EXPECT_FALSE(suite_cache_complete(cfg, dir, 2));
+    }
+    const auto stamps = backdate_files(dir);
+    (void)prepare_suite_cached(cfg, dir, 2);
+    EXPECT_TRUE(suite_cache_complete(cfg, dir, 2));
+    EXPECT_EQ(read_files(dir, ext), records);
+    EXPECT_EQ(read_files(dir, ".mann"), models);
+    for (const auto& [name, stamp] : stamps) {
+      EXPECT_EQ(file_stamps(dir).at(name), stamp)
+          << name << " was rewritten";
+    }
+    std::filesystem::remove_all(dir);
   }
-  const auto stamps = backdate_files(dir);
-  (void)prepare_suite_cached(cfg, dir, 2);
-  EXPECT_TRUE(suite_cache_complete(cfg, dir, 2));
-  EXPECT_EQ(read_files(dir, ".ith"), records);
-  EXPECT_EQ(read_files(dir, ".mann"), models);
-  for (const auto& [name, stamp] : stamps) {
-    EXPECT_EQ(file_stamps(dir).at(name), stamp) << name << " was rewritten";
-  }
-  std::filesystem::remove_all(dir);
 }
 
 /// FNV-1a, the checksum an ITH record ends with.
@@ -296,42 +352,243 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
+/// `record` (either kind) with its trailer recomputed, as a writer
+/// would have sealed it.
+std::string resealed(std::string record) {
+  const std::size_t body = record.size() - sizeof(std::uint64_t);
+  return with_value(record, body,
+                    fnv1a(std::string_view(record).substr(0, body)));
+}
+
+// A dataset record's key is "MDAT", a u32 layout version, a u32
+// data::kGeneratorVersion and the task number, train_stories,
+// test_stories and seed (u64 each). Its body starts with the vocabulary:
+// a u64 word count, then per word a u32 length and its bytes.
+constexpr std::size_t kDataKeyBytes = 44;
+
+/// Offset of the train split's u64 story count in `dataset`'s record.
+std::size_t train_count_offset(const data::TaskDataset& dataset) {
+  std::size_t at = kDataKeyBytes + sizeof(std::uint64_t);
+  for (const std::string& word : data::vocab_words(dataset.vocab)) {
+    at += sizeof(std::uint32_t) + word.size();
+  }
+  return at;
+}
+
+/// Offset of the first train story's i32 answer id in `dataset`'s record:
+/// a story is a u32 sentence count, each sentence as a u32 word count and
+/// its i32 ids, the question the same way, then the answer.
+std::size_t first_answer_offset(const data::TaskDataset& dataset) {
+  const data::EncodedStory& story = dataset.train.front();
+  std::size_t at = train_count_offset(dataset) + sizeof(std::uint64_t) +
+                   sizeof(std::uint32_t);
+  for (const std::vector<std::int32_t>& sentence : story.context) {
+    at += sizeof(std::uint32_t) + sentence.size() * sizeof(std::int32_t);
+  }
+  return at + sizeof(std::uint32_t) +
+         story.question.size() * sizeof(std::int32_t);
+}
+
 TEST(Measurement, BadIthRecordsAreRecalibrated) {
-  // Each bad record must be recalibrated and rewritten as an empty cache
-  // would write it, without throwing.
+  // Each bad record must be rebuilt (recalibrated or regenerated) and
+  // rewritten as an empty cache would write it, without throwing and
+  // without allocating for a count the record merely claims.
   const PrepareConfig cfg = tiny_config(779);
   const std::string dir = fresh_dir("mann_bad_records_test");
   const auto fresh = prepare_suite_cached(cfg, dir, 2);
-  const auto records = read_files(dir, ".ith");
-  ASSERT_EQ(records.size(), 2U);
-  const auto& [name, good] = *records.begin();
+  const auto ith_records = read_files(dir, ".ith");
+  const auto data_records = read_files(dir, ".data");
+  ASSERT_EQ(ith_records.size(), 2U);
+  ASSERT_EQ(data_records.size(), 2U);
+  const std::string ith_name = task_file(dir, "_task1_", ".ith");
+  const std::string data_name = task_file(dir, "_task2_", ".data");
+  ASSERT_FALSE(ith_name.empty());
+  ASSERT_FALSE(data_name.empty());
+  const std::string ith = read_bytes(ith_name);
+  const std::string data = read_bytes(data_name);
 
-  // A record written under another calibration version: it opens with
-  // "MITH", a u32 layout version and a u32 core::kCalibrationVersion,
-  // and ends with an FNV-1a of everything before it.
-  std::string other_version = good;
-  const std::uint32_t version = core::kCalibrationVersion + 1;
-  std::memcpy(other_version.data() + 8, &version, sizeof version);
-  const std::size_t body = other_version.size() - sizeof(std::uint64_t);
-  const std::uint64_t checksum =
-      fnv1a(std::string_view(other_version).substr(0, body));
-  std::memcpy(other_version.data() + body, &checksum, sizeof checksum);
+  // Each record opens with a four-byte magic, a u32 layout version and a
+  // u32 version of what produced its contents: core::kCalibrationVersion
+  // for ITH tables, data::kGeneratorVersion for datasets.
+  const std::string other_calibration = resealed(with_value<std::uint32_t>(
+      ith, 8, core::kCalibrationVersion + 1));
+  const std::string other_generator = resealed(with_value<std::uint32_t>(
+      data, 8, static_cast<std::uint32_t>(data::kGeneratorVersion) + 1));
+  const std::string huge_split = resealed(with_value<std::uint64_t>(
+      data, train_count_offset(fresh[1].dataset), std::uint64_t{1} << 40));
+  // A record written for one more test story: intact, but keyed for
+  // another DatasetConfig.
+  PrepareConfig other = cfg;
+  other.dataset.test_stories += 1;
+  const std::string other_dir = fresh_dir("mann_bad_records_other_test");
+  (void)prepare_suite_cached(other, other_dir, 2);
+  const std::string other_config =
+      read_bytes(task_file(other_dir, "_task2_", ".data"));
+  std::filesystem::remove_all(other_dir);
 
-  const std::vector<std::pair<const char*, std::string>> bad = {
-      {"garbage", std::string(good.size(), '\x5a')},
-      {"truncated", good.substr(0, good.size() / 2)},
-      {"wrong version", other_version},
+  const std::vector<std::tuple<const char*, std::string, std::string>> bad = {
+      {"ith garbage", ith_name, std::string(ith.size(), '\x5a')},
+      {"ith truncated", ith_name, ith.substr(0, ith.size() / 2)},
+      {"ith wrong version", ith_name, other_calibration},
+      {"data garbage", data_name, std::string(data.size(), '\x5a')},
+      {"data truncated", data_name, data.substr(0, data.size() / 2)},
+      {"data wrong generator", data_name, other_generator},
+      {"task 1's data", data_name,
+       read_bytes(task_file(dir, "_task1_", ".data"))},
+      {"2^40 stories", data_name, huge_split},
+      {"another DatasetConfig's data", data_name, other_config},
   };
-  for (const auto& [what, bytes] : bad) {
+  for (const auto& [what, path, bytes] : bad) {
     SCOPED_TRACE(what);
-    write_file(dir + "/" + name, bytes);
+    write_file(path, bytes);
     std::vector<TaskArtifacts> loaded;
     ASSERT_NO_THROW(loaded = prepare_suite_cached(cfg, dir, 2));
     ASSERT_EQ(loaded.size(), 2U);
     for (std::size_t t = 0; t < 2; ++t) {
       core::expect_same_tables(fresh[t].ith, loaded[t].ith);
+      data::expect_same_dataset(fresh[t].dataset, loaded[t].dataset);
     }
-    EXPECT_EQ(read_files(dir, ".ith"), records);
+    EXPECT_EQ(read_files(dir, ".ith"), ith_records);
+    EXPECT_EQ(read_files(dir, ".data"), data_records);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Measurement, DataRecordIsReadNotRegenerated) {
+  // An answer id edited under a valid trailer loads as edited, so the
+  // datasets come from the record; an id outside the vocabulary does not
+  // load, and the record is regenerated.
+  const PrepareConfig cfg = tiny_config(784);
+  const std::string dir = fresh_dir("mann_data_record_test");
+  const auto fresh = prepare_suite_cached(cfg, dir, 2);
+  const std::string path = task_file(dir, "_task2_", ".data");
+  ASSERT_FALSE(path.empty());
+  const std::string good = read_bytes(path);
+  const data::TaskDataset& dataset = fresh[1].dataset;
+  const std::size_t at = first_answer_offset(dataset);
+  const auto vocab = static_cast<std::int32_t>(dataset.vocab_size());
+  const std::int32_t edited = (dataset.train.front().answer + 1) % vocab;
+
+  write_file(path, resealed(with_value(good, at, edited)));
+  const auto stamps = backdate_files(dir);
+  std::vector<TaskArtifacts> loaded;
+  ASSERT_NO_THROW(loaded = prepare_suite_cached(cfg, dir, 2));
+  EXPECT_EQ(loaded[1].dataset.train.front().answer, edited);
+  data::TaskDataset expected = dataset;
+  expected.train.front().answer = edited;
+  data::expect_same_dataset(expected, loaded[1].dataset);
+  data::expect_same_dataset(fresh[0].dataset, loaded[0].dataset);
+  EXPECT_EQ(file_stamps(dir), stamps);
+
+  for (const std::int32_t outside : {vocab, -1}) {
+    SCOPED_TRACE(outside);
+    write_file(path, resealed(with_value(good, at, outside)));
+    ASSERT_NO_THROW(loaded = prepare_suite_cached(cfg, dir, 2));
+    data::expect_same_dataset(dataset, loaded[1].dataset);
+    EXPECT_EQ(read_bytes(path), good);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// One seeded corruption of a cache file: cut it to `at` bytes, flip
+/// bits of the byte at `at`, or write 0xFF over the aligned 8-byte field
+/// at `at`.
+struct Corruption {
+  enum class Kind { kTruncate, kFlip, kSaturate };
+  Kind kind = Kind::kTruncate;
+  std::size_t at = 0;
+  unsigned char mask = 0;
+
+  [[nodiscard]] std::string apply(std::string bytes) const {
+    switch (kind) {
+      case Kind::kTruncate:
+        bytes.resize(at);
+        break;
+      case Kind::kFlip:
+        bytes[at] = static_cast<char>(bytes[at] ^ mask);
+        break;
+      case Kind::kSaturate:
+        bytes.replace(at, 8, 8, '\xff');
+        break;
+    }
+    return bytes;
+  }
+
+  [[nodiscard]] std::string describe() const {
+    static constexpr const char* kNames[] = {"truncate to", "flip byte",
+                                             "0xFF over field"};
+    return std::string(kNames[static_cast<int>(kind)]) + " " +
+           std::to_string(at);
+  }
+};
+
+/// The corruption cases of one file in the shape of seabrute's
+/// task_generator: each get_next() yields the next case from the seed,
+/// so a failure reproduces from the seed and the case index alone.
+class CorruptionGenerator {
+ public:
+  CorruptionGenerator(std::uint64_t seed, std::size_t file_size,
+                      bool truncations_only)
+      : rng_(seed), size_(file_size), truncations_only_(truncations_only) {}
+
+  Corruption get_next() {
+    Corruption c;
+    const std::size_t kinds = truncations_only_ ? 1 : 3;
+    c.kind = static_cast<Corruption::Kind>(index_++ % kinds);
+    switch (c.kind) {
+      case Corruption::Kind::kTruncate:
+        c.at = rng_.index(size_);
+        break;
+      case Corruption::Kind::kFlip:
+        c.at = rng_.index(size_);
+        c.mask = static_cast<unsigned char>(1 + rng_.index(255));
+        break;
+      case Corruption::Kind::kSaturate:
+        c.at = 8 * rng_.index(size_ / 8);
+        break;
+    }
+    return c;
+  }
+
+ private:
+  numeric::Rng rng_;
+  std::size_t size_;
+  bool truncations_only_;
+  std::size_t index_ = 0;
+};
+
+TEST(Measurement, SeededCorruptionOfCacheFilesIsRepaired) {
+  // Whatever a seeded case does to one of task 2's cache files, the load
+  // must not throw, must return what a clean load returns, and must put
+  // the file back byte for byte (training is deterministic, so a torn
+  // model is retrained to the same bytes).
+  constexpr std::uint64_t kSeed = 2026;
+  constexpr std::size_t kRecordCases = 60;
+  constexpr std::size_t kModelCases = 12;
+  const PrepareConfig cfg = tiny_config(785);
+  const std::string dir = fresh_dir("mann_corruption_sweep_test");
+  const auto clean = prepare_suite_cached(cfg, dir, 2);
+  for (const std::string ext : {".ith", ".data", ".mann"}) {
+    const std::string path = task_file(dir, "_task2_", ext);
+    ASSERT_FALSE(path.empty()) << ext;
+    const std::string good = read_bytes(path);
+    const bool model = ext == ".mann";
+    CorruptionGenerator cases(kSeed, good.size(), model);
+    for (std::size_t i = 0; i < (model ? kModelCases : kRecordCases); ++i) {
+      const Corruption c = cases.get_next();
+      SCOPED_TRACE(ext + " seed " + std::to_string(kSeed) + " case " +
+                   std::to_string(i) + ": " + c.describe());
+      write_file(path, c.apply(good));
+      std::vector<TaskArtifacts> loaded;
+      ASSERT_NO_THROW(loaded = prepare_suite_cached(cfg, dir, 2));
+      ASSERT_EQ(loaded.size(), 2U);
+      for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(clean[t].model.params().w_o, loaded[t].model.params().w_o);
+        core::expect_same_tables(clean[t].ith, loaded[t].ith);
+        data::expect_same_dataset(clean[t].dataset, loaded[t].dataset);
+      }
+      ASSERT_EQ(read_bytes(path), good);
+    }
   }
   std::filesystem::remove_all(dir);
 }
