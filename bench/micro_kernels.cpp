@@ -43,21 +43,39 @@ void BM_Dot(benchmark::State& state) {
 }
 BENCHMARK(BM_Dot)->Arg(24)->Arg(256);
 
+/// One 24-element fx_dot per iteration, streamed as OUTPUT probes: over
+/// the rows of a 155x24 matrix (the shape of W_o), with the next of 64
+/// registers (one per story) after each pass. The products' signs repeat
+/// only every 64 passes, so the branch predictor cannot learn them as it
+/// does a repeated pair. Words lie in [-1, 1]; with `saturating:1` in
+/// [-256, 256], so products saturate and the sequential fallback is
+/// timed.
 void BM_FxDot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto fa = random_vector(n, 3);
-  const auto fb = random_vector(n, 4);
-  accel::FxVector a(n);
-  accel::FxVector b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = accel::Fx::from_float(fa[i]);
-    b[i] = accel::Fx::from_float(fb[i]);
+  constexpr std::size_t kRows = 155;
+  constexpr std::size_t kCols = 24;
+  constexpr std::size_t kStories = 64;
+  const float scale = state.range(0) == 0 ? 1.0F : 256.0F;
+  numeric::Rng rng(3);
+  accel::FxMatrix w(kRows, kCols);
+  accel::FxMatrix h(kStories, kCols);
+  for (accel::FxMatrix* m : {&w, &h}) {
+    for (std::size_t r = 0; r < m->rows(); ++r) {
+      for (std::size_t c = 0; c < kCols; ++c) {
+        (*m)(r, c) = accel::Fx::from_float(rng.uniform(-scale, scale));
+      }
+    }
   }
+  std::size_t row = 0;
+  std::size_t story = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(accel::fx_dot(a, b));
+    benchmark::DoNotOptimize(accel::fx_dot(w.row(row), h.row(story)));
+    if (++row == kRows) {
+      row = 0;
+      story = story + 1 == kStories ? 0 : story + 1;
+    }
   }
 }
-BENCHMARK(BM_FxDot)->Arg(24)->Arg(256);
+BENCHMARK(BM_FxDot)->ArgName("saturating")->Arg(0)->Arg(1);
 
 void BM_Softmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "accel/fx_types.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace mann::accel {
@@ -31,6 +32,22 @@ Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("fx_dot: length mismatch");
   }
+  // A rounded Q16.16 product is at most 2^46 in magnitude (kRawMin
+  // squared, shifted back), so up to this many of them sum in 64 bits.
+  constexpr std::size_t kWideTerms = (std::size_t{1} << 17) - 1;
+  if (a.size() <= kWideTerms) {
+    std::int64_t sum = 0;
+    std::int64_t mag = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t r = Fx::rounded_product(a[i], b[i]);
+      sum += r;
+      mag += r < 0 ? -r : r;
+    }
+    if (mag <= Fx::kRawMax) {
+      return Fx::from_raw(static_cast<Fx::raw_type>(sum));
+    }
+  }
+  // Some product or prefix may saturate: the sequential loop is exact.
   Fx acc;
   for (std::size_t i = 0; i < a.size(); ++i) {
     acc += a[i] * b[i];

@@ -1,9 +1,11 @@
 // Fixed-point containers and kernels for the accelerator datapath.
 //
 // The device stores all weights and architectural registers as Q16.16
-// words. Kernels here perform the arithmetic in datapath order (sequential
-// accumulate — re-associating through the adder tree changes nothing for
-// fixed point since addition is exact until saturation).
+// words. Kernels here give the bits of the datapath's sequential
+// saturating accumulate. fx_dot sums its rounded products in 64 bits and
+// returns that sum when their magnitudes sum to at most 2^31 - 1: then no
+// product and no prefix of the sequential sum can saturate, so the two
+// agree bit for bit. Otherwise it runs the sequential loop.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +56,9 @@ class FxMatrix {
 /// Dequantizes for verification against the float reference.
 [[nodiscard]] numeric::Matrix dequantize(const FxMatrix& m);
 
-/// Fixed-point dot product (sequential saturating accumulate).
+/// Fixed-point dot product: each product rounded by
+/// `Fx::rounded_product` and saturated, then accumulated in order with
+/// saturation.
 [[nodiscard]] Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b);
 
 /// `y[i] += s * x[i]` in fixed point.

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +70,13 @@ numeric::Matrix read_matrix(std::istream& in, std::uint64_t rows,
           static_cast<std::streamsize>(m.size() * sizeof(float)));
   if (!in) {
     throw std::runtime_error("load_model: truncated matrix payload");
+  }
+  // A NaN or infinite weight has no fixed-point word: a file holding one
+  // is refused like any other corrupt file.
+  for (const float w : m.data()) {
+    if (!std::isfinite(w)) {
+      throw std::runtime_error("load_model: non-finite weight");
+    }
   }
   return m;
 }

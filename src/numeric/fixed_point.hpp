@@ -34,8 +34,12 @@ class FixedPoint {
 
   constexpr FixedPoint() = default;
 
-  /// Converts from float with round-to-nearest and saturation.
+  /// Converts from float with round-to-nearest and saturation. NaN maps
+  /// to 0: a word has no NaN, and casting one to an integer is undefined.
   static constexpr FixedPoint from_float(float v) noexcept {
+    if (v != v) {
+      return FixedPoint();
+    }
     const double scaled =
         static_cast<double>(v) * static_cast<double>(kOne);
     return FixedPoint(saturate_to_raw(scaled >= 0.0 ? scaled + 0.5
@@ -78,22 +82,20 @@ class FixedPoint {
   /// Full-precision multiply then round-to-nearest (half away from zero)
   /// shift back; saturates.
   constexpr FixedPoint operator*(FixedPoint other) const noexcept {
-    const wide_type prod = static_cast<wide_type>(raw_) *
-                           static_cast<wide_type>(other.raw_);
+    return FixedPoint(saturate_to_raw(rounded_product(*this, other)));
+  }
+
+  /// The datapath's one rounding rule: the full-precision product of `a`
+  /// and `b` shifted back to FracBits fractional bits, rounded to nearest
+  /// with ties away from zero, before saturation. The arithmetic shift
+  /// floors, so a negative product takes one less bias to land on
+  /// -floor((|prod| + bias) / 2^F), without a branch on the sign.
+  static constexpr wide_type rounded_product(FixedPoint a,
+                                             FixedPoint b) noexcept {
+    const wide_type prod =
+        static_cast<wide_type>(a.raw_) * static_cast<wide_type>(b.raw_);
     const wide_type bias = wide_type{1} << (FracBits - 1);
-    // Symmetric rounding: shift the magnitude so the arithmetic
-    // right-shift's floor behaviour cannot bias negative results.
-    //
-    // The branch-free (prod + bias - (prod < 0)) >> F gives the same bits
-    // (fixed_point_test.cpp checks it) and is ~2x faster on the datapath,
-    // but its speed swings with a shared host's load far more than the
-    // e2e benchmark's host-clock probe does: it widened serve_mix20's
-    // host_sps spread past its bound. The sign branch stays until that
-    // probe tracks well-predicted code.
-    const wide_type rounded = prod >= 0
-                                  ? (prod + bias) >> FracBits
-                                  : -((-prod + bias) >> FracBits);
-    return FixedPoint(saturate_to_raw(rounded));
+    return (prod + bias - static_cast<wide_type>(prod < 0)) >> FracBits;
   }
 
   /// Division; saturates on overflow, returns saturated max/min on

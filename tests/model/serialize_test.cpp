@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -63,8 +64,9 @@ TEST(Serialize, BadMagicRejected) {
   EXPECT_THROW((void)load_model(buffer), std::runtime_error);
 }
 
-/// `bytes` with the u64 at `at` replaced by `value`.
-std::string with_u64(std::string bytes, std::size_t at, std::uint64_t value) {
+/// `bytes` with the T at `at` replaced by `value`.
+template <typename T>
+std::string with_value(std::string bytes, std::size_t at, T value) {
   char raw[sizeof value];
   std::memcpy(raw, &value, sizeof value);
   bytes.replace(at, sizeof value, raw, sizeof value);
@@ -86,17 +88,22 @@ TEST(Serialize, TruncatedPayloadRejected) {
   constexpr std::size_t kEmbeddingA = 40;
   const std::size_t embedding_c = kEmbeddingA + 16 + 12 * 5 * sizeof(float);
   // embedding_c one row short, the file still self-consistent.
-  std::string short_c = with_u64(bytes, embedding_c, 11);
+  std::string short_c = with_value<std::uint64_t>(bytes, embedding_c, 11);
   short_c.erase(embedding_c + 16, 5 * sizeof(float));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
 
   const std::vector<std::pair<const char*, std::string>> bad = {
       {"truncated", bytes.substr(0, bytes.size() / 2)},
       {"1e6 x 1e6 matrix header",
-       with_u64(with_u64(bytes, kEmbeddingA, 1'000'000), kEmbeddingA + 8,
-                1'000'000)},
-      {"embedding_dim 0", with_u64(bytes, kEmbeddingDim, 0)},
-      {"embedding_dim 6", with_u64(bytes, kEmbeddingDim, 6)},
+       with_value<std::uint64_t>(
+           with_value<std::uint64_t>(bytes, kEmbeddingA, 1'000'000),
+           kEmbeddingA + 8, 1'000'000)},
+      {"embedding_dim 0", with_value<std::uint64_t>(bytes, kEmbeddingDim, 0)},
+      {"embedding_dim 6", with_value<std::uint64_t>(bytes, kEmbeddingDim, 6)},
       {"short embedding_c", short_c},
+      {"NaN weight", with_value(bytes, kEmbeddingA + 16, nan)},
+      {"infinite weight", with_value(bytes, embedding_c + 16, inf)},
   };
   for (const auto& [what, file] : bad) {
     SCOPED_TRACE(what);

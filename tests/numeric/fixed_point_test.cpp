@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -89,6 +90,12 @@ TEST(FixedPoint, MultiplicationSaturates) {
 TEST(FixedPoint, FromFloatSaturates) {
   EXPECT_EQ(fx16::from_float(1.0e9F), fx16::max());
   EXPECT_EQ(fx16::from_float(-1.0e9F), fx16::min());
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(fx16::from_float(kInf), fx16::max());
+  EXPECT_EQ(fx16::from_float(-kInf), fx16::min());
+  // A word has no NaN: it converts to zero.
+  EXPECT_EQ(fx16::from_float(std::numeric_limits<float>::quiet_NaN()).raw(),
+            0);
 }
 
 TEST(FixedPoint, ComparisonFollowsValue) {
@@ -135,19 +142,19 @@ TYPED_TEST(FixedPointPrecision, DotProductErrorShrinksWithPrecision) {
   EXPECT_NEAR(acc.to_float(), ref, 8.0F * lsb);
 }
 
-/// The branch-free form of the multiply's sign-branching rounding: the
-/// arithmetic shift floors, so a negative product takes one less bias to
-/// land on -floor((|prod| + bias) / 2^F), round half away from zero. The
-/// datapath keeps the branch (see FixedPoint::operator*); these tests hold
-/// the two to the same bits so either can be used.
+/// The multiply written with a branch on the product's sign: shift the
+/// magnitude so the arithmetic right-shift's floor cannot bias negative
+/// results, round half away from zero, then saturate.
+/// FixedPoint::operator* rounds without the branch; these tests hold the
+/// two to the same bits.
 template <typename Fx>
 typename Fx::raw_type reference_multiply(typename Fx::raw_type a,
                                          typename Fx::raw_type b) {
   using wide = typename Fx::wide_type;
   const wide prod = static_cast<wide>(a) * static_cast<wide>(b);
   const wide bias = wide{1} << (Fx::kFracBits - 1);
-  const wide rounded =
-      (prod + bias - static_cast<wide>(prod < 0)) >> Fx::kFracBits;
+  const wide rounded = prod >= 0 ? (prod + bias) >> Fx::kFracBits
+                                 : -((-prod + bias) >> Fx::kFracBits);
   return static_cast<typename Fx::raw_type>(
       std::clamp<wide>(rounded, Fx::kRawMin, Fx::kRawMax));
 }

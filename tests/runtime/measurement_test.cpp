@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -243,9 +244,9 @@ std::string with_value(std::string bytes, std::size_t at, T value) {
 }
 
 TEST(Measurement, TornCacheFileIsRetrained) {
-  // A cached model cut short (an interrupted or concurrent writer) or
-  // with a corrupt header must be retrained and replaced, not abort
-  // every later load or serve a model of the wrong shape.
+  // A cached model cut short (an interrupted or concurrent writer), with
+  // a corrupt header or with a NaN weight must be retrained and replaced,
+  // not abort every later load or serve a model of the wrong shape.
   const PrepareConfig cfg = tiny_config(778);
   const std::string dir = fresh_dir("mann_torn_cache_test");
   const auto first = prepare_suite_cached(cfg, dir, 2);
@@ -260,6 +261,7 @@ TEST(Measurement, TornCacheFileIsRetrained) {
   const std::size_t embedding_c = 40 + 16 + vocab * dim * sizeof(float);
   std::string short_c = with_value<std::uint64_t>(good, embedding_c, vocab - 1);
   short_c.erase(embedding_c + 16, dim * sizeof(float));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
 
   const std::vector<std::pair<const char*, std::string>> bad = {
       {"torn", good.substr(0, good.size() / 2)},
@@ -271,6 +273,7 @@ TEST(Measurement, TornCacheFileIsRetrained) {
       {"short embedding_c", short_c},
       {"hops + 1", with_value<std::uint64_t>(
                        good, 24, first[1].model.config().hops + 1)},
+      {"NaN weight", with_value(good, 40 + 16, nan)},
   };
   for (const auto& [what, bytes] : bad) {
     SCOPED_TRACE(what);
