@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "accel/control.hpp"
 #include "accel/host_link.hpp"
@@ -83,33 +84,67 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   return fp.value();
 }
 
-/// Builds the device's module graph, clocks it until every story's
-/// answer has reached the host (on Simulator::run_events, or run_until
-/// when `per_cycle`), and assembles the report.
-RunResult simulate_graph(const AccelConfig& config,
-                         const DeviceProgram& program,
-                         std::span<const data::EncodedStory> stories,
-                         bool model_resident, bool per_cycle) {
-  AcceleratorState state(program);
+/// Refuses a program the modules would index out of bounds: every
+/// table a story or a class probe reads must have the shape the
+/// dimensions promise.
+void validate_program(const DeviceProgram& program) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("Accelerator: ") + what);
+    }
+  };
+  const std::size_t v = program.vocab_size;
+  const std::size_t e = program.embedding_dim;
+  require(v >= 1, "vocab_size must be at least 1");
+  require(program.hops >= 1, "hops must be at least 1");
+  require(program.max_memory >= 1, "max_memory must be at least 1");
+  for (const FxMatrix* m : {&program.emb_a, &program.emb_c, &program.emb_q,
+                            &program.w_o}) {
+    require(m->rows() == v && m->cols() == e,
+            "embedding tables and W_o must be vocab_size x embedding_dim");
+  }
+  require(program.w_r.rows() == e && program.w_r.cols() == e,
+          "W_r must be embedding_dim x embedding_dim");
+  if (program.thresholds.empty() && program.probe_order.empty()) {
+    return;
+  }
+  require(program.thresholds.size() == v,
+          "ITH thresholds must have vocab_size entries");
+  require(program.probe_order.size() == v,
+          "ITH probe_order must have vocab_size entries");
+  std::vector<bool> seen(v, false);
+  for (const std::int32_t cls : program.probe_order) {
+    require(cls >= 0 && static_cast<std::size_t>(cls) < v &&
+                !seen[static_cast<std::size_t>(cls)],
+            "ITH probe_order must be a permutation of the classes");
+    seen[static_cast<std::size_t>(cls)] = true;
+  }
+}
+
+}  // namespace
+
+RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
+                                bool model_resident, bool per_cycle) const {
+  AcceleratorState state(program_);
   if (model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
     // model words and CONTROL must accept stories immediately.
-    state.model_words_seen = program.model_words();
+    state.model_words_seen = program_.model_words();
     state.model_loaded = true;
   }
-  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config.fifo_depth);
-  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config.fifo_depth);
-  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config.fifo_depth);
+  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config_.fifo_depth);
+  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config_.fifo_depth);
+  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config_.fifo_depth);
 
-  HostLinkModule host(config, model_resident ? 0 : program.model_words(),
+  HostLinkModule host(config_, model_resident ? 0 : program_.model_words(),
                       encode_workload(stories), fifo_in, fifo_out);
   // CONTROL drains FIFO_IN right after HOST_LINK ticks, which lets the
   // two skip a steady model upload together.
   ControlModule control(state, fifo_in, cmd_fifo, &host);
-  InputWriteModule input_write(state, config, cmd_fifo);
-  MemModule mem(state, config);
-  ReadModule read(state, config);
-  OutputModule output(state, config, fifo_out);
+  InputWriteModule input_write(state, config_, cmd_fifo);
+  MemModule mem(state, config_);
+  ReadModule read(state, config_);
+  OutputModule output(state, config_, fifo_out, output_l1_);
 
   sim::Simulator simulator;
   // Producer-to-consumer order along the write path, then the read path.
@@ -123,14 +158,14 @@ RunResult simulate_graph(const AccelConfig& config,
   const std::size_t expected = stories.size();
   const auto answered = [&] { return host.answers().size() >= expected; };
   if (per_cycle) {
-    (void)simulator.run_until(answered, config.watchdog_cycles);
+    (void)simulator.run_until(answered, config_.watchdog_cycles);
   } else {
-    (void)simulator.run_events(answered, config.watchdog_cycles);
+    (void)simulator.run_events(answered, config_.watchdog_cycles);
   }
 
   RunResult result;
   result.total_cycles = simulator.now();
-  result.seconds = static_cast<double>(result.total_cycles) / config.clock_hz;
+  result.seconds = static_cast<double>(result.total_cycles) / config_.clock_hz;
   result.stream_words = host.words_total();
   result.link_active_cycles = host.link_active_cycles();
 
@@ -158,8 +193,6 @@ RunResult simulate_graph(const AccelConfig& config,
   result.fifo_out_stats = fifo_out.stats();
   return result;
 }
-
-}  // namespace
 
 double RunResult::early_exit_rate() const noexcept {
   if (stories.empty()) {
@@ -192,6 +225,8 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
     throw std::invalid_argument(
         "Accelerator: ITH enabled but the program has no threshold tables");
   }
+  validate_program(program_);
+  output_l1_ = row_l1_norms(program_.w_o);
   fingerprint_ = fingerprint_device(config_, program_);
 }
 
@@ -219,7 +254,8 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
     }
   }
   try {
-    RunResult result = simulate(stories, options);
+    RunResult result =
+        simulate(stories, options.model_resident, /*per_cycle=*/false);
     if (options.cycle_cache != nullptr) {
       options.cycle_cache->publish(key, result);
     }
@@ -232,19 +268,12 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
   }
 }
 
-RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
-                                const RunOptions& options) const {
-  return simulate_graph(config_, program_, stories, options.model_resident,
-                        /*per_cycle=*/false);
-}
-
 namespace detail {
 
 RunResult simulate_per_cycle(const Accelerator& device,
                              std::span<const data::EncodedStory> stories,
                              bool model_resident) {
-  return simulate_graph(device.config(), device.program(), stories,
-                        model_resident, /*per_cycle=*/true);
+  return device.simulate(stories, model_resident, /*per_cycle=*/true);
 }
 
 }  // namespace detail

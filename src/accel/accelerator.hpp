@@ -99,6 +99,20 @@ struct RunOptions {
   CacheOutcome* cache_outcome = nullptr;
 };
 
+class Accelerator;
+
+namespace detail {
+
+/// Reference clock for the tick-vs-event differential tests: the module
+/// graph Accelerator::run simulates, ticked on every cycle by
+/// Simulator::run_until instead of run_events. Uncached; not a serving
+/// path.
+[[nodiscard]] RunResult simulate_per_cycle(
+    const Accelerator& device, std::span<const data::EncodedStory> stories,
+    bool model_resident);
+
+}  // namespace detail
+
 /// The device. Holds no mutable state between run() calls — warm-device
 /// behaviour is expressed per run via RunOptions::model_resident, so the
 /// same instance can serve many batches (the serving scheduler tracks
@@ -110,6 +124,13 @@ struct RunOptions {
 /// device slots on separate host threads against the same Accelerator.
 class Accelerator {
  public:
+  /// Throws std::invalid_argument on a non-positive clock, on ITH without
+  /// threshold tables, and on an inconsistent program: vocab_size must be
+  /// at least 1 and equal the rows of W_o and of the three embedding
+  /// tables, every matrix must be embedding_dim wide, W_r square, hops
+  /// and max_memory at least 1, and ITH tables, when present, must hold
+  /// vocab_size thresholds and a probe order that is a permutation of
+  /// the classes.
   Accelerator(AccelConfig config, DeviceProgram program);
 
   [[nodiscard]] const AccelConfig& config() const noexcept { return config_; }
@@ -128,26 +149,21 @@ class Accelerator {
                               const RunOptions& options = {}) const;
 
  private:
-  /// The uncached path: builds the module graph and ticks it to
-  /// completion (run() adds the memoization layer on top).
+  /// The uncached path: builds the module graph over this device's
+  /// program and ticks it to completion, on Simulator::run_events or,
+  /// when `per_cycle`, run_until (run() adds the memoization layer on
+  /// top).
   [[nodiscard]] RunResult simulate(std::span<const data::EncodedStory> stories,
-                                   const RunOptions& options) const;
+                                   bool model_resident, bool per_cycle) const;
 
   AccelConfig config_;
   DeviceProgram program_;
+  std::vector<std::int64_t> output_l1_;  ///< row_l1_norms(program_.w_o)
   std::uint64_t fingerprint_ = 0;
+
+  friend RunResult detail::simulate_per_cycle(
+      const Accelerator& device, std::span<const data::EncodedStory> stories,
+      bool model_resident);
 };
-
-namespace detail {
-
-/// Reference clock for the tick-vs-event differential tests: the module
-/// graph Accelerator::run simulates, ticked on every cycle by
-/// Simulator::run_until instead of run_events. Uncached; not a serving
-/// path.
-[[nodiscard]] RunResult simulate_per_cycle(
-    const Accelerator& device, std::span<const data::EncodedStory> stories,
-    bool model_resident);
-
-}  // namespace detail
 
 }  // namespace mann::accel

@@ -1,12 +1,25 @@
 // OUTPUT module: the sequential maximum-inner-product search of Eq. 6.
 //
-// One dot product per class through the adder tree, tracking the running
-// maximum — or, with inference thresholding enabled, comparing each logit
-// against its per-class threshold θ in silhouette probe order and exiting
-// early on the first hit (Algo. 1, Step 4 in hardware).
+// The device computes one dot product per class through the adder tree,
+// tracking the running maximum, or, with inference thresholding enabled,
+// compares each logit against its per-class threshold θ in silhouette
+// probe order and exits early on the first hit (Algo. 1, Step 4 in
+// hardware). It probes every class up to that exit, and its busy cycles
+// and op counts say so.
+//
+// The host evaluates only the logits whose bound can still decide the
+// answer. A rounded Q16.16 product has |r| = ⌊(|w·h| + 2^15) / 2^16⌋, so a
+// class's logit, by fx_dot's wide sum or its saturating loop alike, is at
+// most U_c = min(2^31 - 1, ⌊(L1_c·‖h‖∞ + E·2^15) / 2^16⌋), where L1_c sums
+// the magnitudes of W_o's row c. An ITH probe with U_c ≤ θ_c cannot fire,
+// and an argmax candidate with U_c below the running best, or equal to it
+// at a later rank, cannot win (the sequential search keeps the first rank
+// of the maximum, and class 0 when every logit is Fx::min()). Skipping
+// those dot products leaves every answer, probe count and cycle exact.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/config.hpp"
@@ -15,6 +28,10 @@
 #include "sim/module.hpp"
 
 namespace mann::accel {
+
+/// L1_c = Σ_i |raw(w_o[c][i])| for every row of W_o: the per-class half
+/// of OUTPUT's logit bound, computed once per program.
+[[nodiscard]] std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o);
 
 class OutputModule final : public sim::Module {
  public:
@@ -25,8 +42,11 @@ class OutputModule final : public sim::Module {
     bool early_exit = false;
   };
 
+  /// `row_l1` is row_l1_norms(state.program.w_o); it must outlive the
+  /// module.
   OutputModule(AcceleratorState& state, const AccelConfig& config,
-               sim::Fifo<std::int32_t>& fifo_out);
+               sim::Fifo<std::int32_t>& fifo_out,
+               std::span<const std::int64_t> row_l1);
 
   void tick() override;
   /// The search ends on the tick that takes busy_ from 1 to 0; an idle
@@ -43,11 +63,14 @@ class OutputModule final : public sim::Module {
  private:
   void begin_search();
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
+  [[nodiscard]] Fx logit(std::size_t rank) const;
 
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   const bool ith_enabled_;
   sim::Fifo<std::int32_t>& fifo_out_;
+  const std::span<const std::int64_t> row_l1_;
+  std::vector<std::int64_t> bound_;  ///< U per rank, rebuilt each search
 
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };
   Phase phase_ = Phase::kIdle;

@@ -13,9 +13,12 @@
 
 namespace mann::accel {
 
+/// One run's registers and banks. The program is borrowed, not copied:
+/// BRAM contents are the Accelerator's (or the caller's) DeviceProgram,
+/// which must outlive this state, so a temporary cannot bind.
 struct AcceleratorState {
-  explicit AcceleratorState(DeviceProgram prog)
-      : program(std::move(prog)),
+  explicit AcceleratorState(const DeviceProgram& prog)
+      : program(prog),
         acc_a(program.embedding_dim),
         acc_c(program.embedding_dim),
         acc_q(program.embedding_dim),
@@ -26,7 +29,9 @@ struct AcceleratorState {
     mem_c.reserve(program.max_memory);
   }
 
-  DeviceProgram program;
+  AcceleratorState(DeviceProgram&&) = delete;
+
+  const DeviceProgram& program;
 
   // ---- INPUT & WRITE: embedding accumulators (emb_a / emb_c / emb_q) ----
   FxVector acc_a;

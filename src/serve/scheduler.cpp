@@ -625,15 +625,18 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
 }
 
 std::vector<InferenceResponse> Scheduler::collect(sim::Cycle now) {
-  // Single linear pass: keep not-yet-complete responses in place (order
-  // preserved), move the completed tail out.
-  const auto first_done = std::stable_partition(
-      in_flight_.begin(), in_flight_.end(),
-      [now](const InferenceResponse& r) { return r.complete_cycle > now; });
-  std::vector<InferenceResponse> done(
-      std::make_move_iterator(first_done),
-      std::make_move_iterator(in_flight_.end()));
-  in_flight_.erase(first_done, in_flight_.end());
+  // One in-place pass: completed responses move out in dispatch order,
+  // and the rest close up in front, in theirs.
+  std::vector<InferenceResponse> done;
+  auto kept = in_flight_.begin();
+  for (InferenceResponse& r : in_flight_) {
+    if (r.complete_cycle <= now) {
+      done.push_back(std::move(r));
+    } else {
+      *kept++ = std::move(r);
+    }
+  }
+  in_flight_.erase(kept, in_flight_.end());
   return done;
 }
 

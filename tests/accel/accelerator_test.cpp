@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "accel/stream.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
@@ -237,6 +240,88 @@ TEST_F(AcceleratorFixture, RejectsNonPositiveClock) {
   EXPECT_THROW(Accelerator(cfg, compile_model(*model_)),
                std::invalid_argument);
 }
+
+/// One inconsistency the constructor must refuse, applied to a valid
+/// hand-built program with ITH tables.
+struct Refusal {
+  const char* name;
+  void (*break_program)(DeviceProgram&);
+};
+
+void PrintTo(const Refusal& refusal, std::ostream* os) { *os << refusal.name; }
+
+DeviceProgram consistent_program() {
+  DeviceProgram p;
+  p.vocab_size = 4;
+  p.embedding_dim = 2;
+  p.hops = 1;
+  p.max_memory = 4;
+  p.emb_a = FxMatrix(4, 2);
+  p.emb_c = FxMatrix(4, 2);
+  p.emb_q = FxMatrix(4, 2);
+  p.w_r = FxMatrix(2, 2);
+  p.w_o = FxMatrix(4, 2);
+  p.thresholds.assign(4, Fx::max());
+  p.probe_order = {3, 1, 0, 2};
+  return p;
+}
+
+class AcceleratorRefuses : public ::testing::TestWithParam<Refusal> {};
+
+TEST_P(AcceleratorRefuses, InconsistentProgram) {
+  AccelConfig cfg;
+  cfg.ith_enabled = true;
+  // The program before the break runs a story under ITH.
+  const Accelerator valid(cfg, consistent_program());
+  data::EncodedStory story;
+  story.context = {{0, 1}, {2}};
+  story.question = {3};
+  EXPECT_EQ(valid.run(std::span(&story, 1)).stories.size(), 1U);
+
+  DeviceProgram program = consistent_program();
+  GetParam().break_program(program);
+  cfg.ith_enabled = false;
+  EXPECT_THROW(Accelerator(cfg, program), std::invalid_argument);
+}
+
+constexpr Refusal kRefusals[] = {
+    {"VocabSizeZero",
+     [](DeviceProgram& p) {
+       p.vocab_size = 0;
+       for (FxMatrix* m : {&p.emb_a, &p.emb_c, &p.emb_q, &p.w_o}) {
+         *m = FxMatrix(0, 2);
+       }
+       p.thresholds.clear();
+       p.probe_order.clear();
+     }},
+    {"WoShort", [](DeviceProgram& p) { p.w_o = FxMatrix(3, 2); }},
+    {"EmbAShort", [](DeviceProgram& p) { p.emb_a = FxMatrix(3, 2); }},
+    {"EmbCShort", [](DeviceProgram& p) { p.emb_c = FxMatrix(3, 2); }},
+    {"EmbQShort", [](DeviceProgram& p) { p.emb_q = FxMatrix(3, 2); }},
+    {"WoNarrow", [](DeviceProgram& p) { p.w_o = FxMatrix(4, 1); }},
+    {"EmbAWide", [](DeviceProgram& p) { p.emb_a = FxMatrix(4, 3); }},
+    {"EmbCNarrow", [](DeviceProgram& p) { p.emb_c = FxMatrix(4, 1); }},
+    {"EmbQWide", [](DeviceProgram& p) { p.emb_q = FxMatrix(4, 3); }},
+    {"WrNotSquare", [](DeviceProgram& p) { p.w_r = FxMatrix(3, 2); }},
+    {"WrNarrow", [](DeviceProgram& p) { p.w_r = FxMatrix(2, 1); }},
+    {"HopsZero", [](DeviceProgram& p) { p.hops = 0; }},
+    {"MaxMemoryZero", [](DeviceProgram& p) { p.max_memory = 0; }},
+    {"ThresholdsShort", [](DeviceProgram& p) { p.thresholds.pop_back(); }},
+    {"ProbeOrderShort", [](DeviceProgram& p) { p.probe_order.pop_back(); }},
+    {"ProbeOrderPastTheClasses",
+     [](DeviceProgram& p) { p.probe_order[1] = 4; }},
+    {"ProbeOrderNegative", [](DeviceProgram& p) { p.probe_order[2] = -1; }},
+    {"ProbeOrderRepeatsAClass",
+     [](DeviceProgram& p) { p.probe_order = {3, 1, 3, 2}; }},
+    {"ProbeOrderWithoutThresholds",
+     [](DeviceProgram& p) { p.thresholds.clear(); }},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Accelerator, AcceleratorRefuses, ::testing::ValuesIn(kRefusals),
+    [](const ::testing::TestParamInfo<Refusal>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mann::accel

@@ -440,7 +440,8 @@ DeviceProgram tiny_program() {
 /// shows in when the last words go out.
 struct UploadRig {
   UploadRig(const AccelConfig& cfg, std::size_t depth)
-      : state(tiny_program()),
+      : program(tiny_program()),
+        state(program),
         in("IN", depth),
         out("OUT", 4),
         cmds("CMD", 128),
@@ -463,6 +464,7 @@ struct UploadRig {
     return {&link, &control};
   }
 
+  DeviceProgram program;
   AcceleratorState state;
   sim::Fifo<StreamWord> in;
   sim::Fifo<std::int32_t> out;
@@ -570,7 +572,8 @@ TEST(EventTwins, UploadWindowNeedsTheCoupledDrain) {
   EXPECT_EQ(link.next_activity(1), 1U);
 
   sim::Fifo<StreamWord> other("OTHER", 3);
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   sim::Fifo<InputCmd> cmds("CMD", 4);
   EXPECT_THROW((void)ControlModule(state, other, cmds, &link),
                std::invalid_argument);
@@ -581,7 +584,8 @@ TEST(EventTwins, UploadWindowNeedsTheCoupledDrain) {
 }
 
 TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 1);
   ControlModule control(state, in, cmds);
@@ -591,7 +595,7 @@ TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {
   EXPECT_EQ(control.next_activity(3), 3U);
   EXPECT_THROW(control.tick(), std::logic_error);
 
-  AcceleratorState loaded(tiny_program());
+  AcceleratorState loaded(prog);
   loaded.model_loaded = true;
   sim::Fifo<StreamWord> in2("IN", 8);
   ControlModule control2(loaded, in2, cmds);
@@ -601,7 +605,8 @@ TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {
 }
 
 TEST(EventTwins, BlockedControlStallsInBulk) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.model_loaded = true;
   state.story_active = true;
   sim::Fifo<StreamWord> in("IN", 8);
@@ -626,7 +631,7 @@ TEST(EventTwins, BlockedControlStallsInBulk) {
 
 TEST(EventTwins, InputWritePopsOnTheTickAfterItsCountdown) {
   DeviceProgram prog = tiny_program();
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   AccelConfig cfg;
   cfg.timing.bram_write = 5;
@@ -657,7 +662,7 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     for (std::size_t i = 0; i < 4; ++i) {
       prog.w_o(i, 1) = Fx::from_float(static_cast<float>(i + 1));
     }
-    AcceleratorState state(std::move(prog));
+    AcceleratorState state(prog);
     state.begin_story();
     state.mem_a = {{Fx::from_float(1.0F), Fx{}},
                    {Fx::from_float(0.5F), Fx::from_float(0.5F)}};
@@ -670,7 +675,8 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     sim::Fifo<std::int32_t> out("OUT", 1);
     ReadModule read(state, cfg);
     MemModule mem(state, cfg);
-    OutputModule output(state, cfg, out);
+    const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+    OutputModule output(state, cfg, out, l1);
     sim::Simulator sim;
     sim.add_module(read);
     sim.add_module(mem);

@@ -3,15 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <numeric>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "accel/compiler.hpp"
+#include "accel/output_module.hpp"
+#include "core/ith.hpp"
+#include "data/dataset.hpp"
+#include "model/trainer.hpp"
 #include "numeric/random.hpp"
 #include "numeric/vector_ops.hpp"
+#include "sim/simulator.hpp"
 
 namespace mann::accel {
 namespace {
@@ -252,6 +261,392 @@ TEST(FxDot, LengthMismatchThrows) {
   FxVector a(3);
   FxVector b(2);
   EXPECT_THROW((void)fx_dot(a, b), std::invalid_argument);
+}
+
+// ---- OUTPUT's search over the dot products above ----------------------------
+
+/// What one story's OUTPUT search reports: the answer, the probes the
+/// device made, and OUTPUT's busy cycles and ops.
+struct SearchOutcome {
+  std::int32_t prediction = -1;
+  std::uint64_t probes = 0;
+  bool early_exit = false;
+  sim::ModuleStats stats;
+};
+
+/// The device's search written out: every class probed in rank order
+/// through sequential_dot; under ITH the first logit above its threshold
+/// answers, and otherwise the first rank of the largest logit does, or
+/// class 0 when no logit beats Fx::min(). The adder tree's fill is paid
+/// once and each later probe pipelines; the answer's push is one more
+/// busy tick.
+SearchOutcome exhaustive_search(const DeviceProgram& program,
+                                const FxVector& h, const AccelConfig& cfg) {
+  const bool ith = cfg.ith_enabled && program.has_ith_tables();
+  const std::size_t e = program.embedding_dim;
+  SearchOutcome out;
+  std::int32_t best = Fx::kRawMin;
+  std::size_t best_class = 0;
+  sim::Cycle busy = 0;
+  for (std::size_t rank = 0; rank < program.vocab_size; ++rank) {
+    const auto cls =
+        ith ? static_cast<std::size_t>(program.probe_order[rank]) : rank;
+    const std::int32_t z = sequential_dot(program.w_o.row(cls), h);
+    ++out.probes;
+    busy += rank == 0 ? cfg.timing.dot_cycles(e) : cfg.timing.dot_ii(e);
+    if (ith && z > program.thresholds[cls].raw()) {
+      out.prediction = static_cast<std::int32_t>(cls);
+      out.early_exit = true;
+      break;
+    }
+    if (z > best) {
+      best = z;
+      best_class = cls;
+    }
+  }
+  if (!out.early_exit) {
+    out.prediction = static_cast<std::int32_t>(best_class);
+  }
+  out.stats.busy_cycles = busy + 1;
+  out.stats.ops.mac = out.probes * e;
+  out.stats.ops.mem_read = out.probes * e;
+  out.stats.ops.compare = out.probes;
+  return out;
+}
+
+/// One story through OutputModule: `h` in reg_h, clocked until the
+/// answer reaches FIFO_OUT.
+SearchOutcome module_search(const DeviceProgram& program, const FxVector& h,
+                            const AccelConfig& cfg) {
+  AcceleratorState state(program);
+  state.begin_story();
+  state.reg_h = h;
+  state.features_ready = true;
+  sim::Fifo<std::int32_t> out("OUT", 1);
+  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
+  OutputModule module(state, cfg, out, l1);
+  sim::Simulator simulator;
+  simulator.add_module(module);
+  (void)simulator.run_events([&] { return !out.empty(); }, 1'000'000);
+  const OutputModule::Record& record = module.records().at(0);
+  return {record.prediction, record.probes, record.early_exit,
+          module.stats()};
+}
+
+/// A program whose only live tables are OUTPUT's: `v` x `e` zero words.
+DeviceProgram output_program(std::size_t v, std::size_t e) {
+  DeviceProgram p;
+  p.vocab_size = v;
+  p.embedding_dim = e;
+  p.hops = 1;
+  p.max_memory = 1;
+  p.emb_a = FxMatrix(v, e);
+  p.emb_c = FxMatrix(v, e);
+  p.emb_q = FxMatrix(v, e);
+  p.w_r = FxMatrix(e, e);
+  p.w_o = FxMatrix(v, e);
+  return p;
+}
+
+/// The logit bound the header derives, with the same overflow guard:
+/// min(2^31 - 1, floor((L1·‖h‖∞ + E·2^15) / 2^16)).
+std::int32_t logit_bound(std::span<const Fx> w, const FxVector& h) {
+  const auto mag = [](Fx x) { return std::abs(std::int64_t{x.raw()}); };
+  std::int64_t l1 = 0;
+  for (const Fx x : w) {
+    l1 += mag(x);
+  }
+  std::int64_t h_max = 0;
+  for (const Fx x : h) {
+    h_max = std::max(h_max, mag(x));
+  }
+  const std::int64_t shifted_max = std::int64_t{Fx::kRawMax} << Fx::kFracBits;
+  if (h_max != 0 && l1 > shifted_max / h_max) {
+    return Fx::kRawMax;
+  }
+  const std::int64_t slack = static_cast<std::int64_t>(w.size()) << 15;
+  return static_cast<std::int32_t>(std::min<std::int64_t>(
+      Fx::kRawMax, (l1 * h_max + slack) >> Fx::kFracBits));
+}
+
+/// Gives `program` a random probe order and thresholds that sit on the
+/// search's edges: never firing (Fx::max()), always firing (Fx::min()),
+/// equal to the class's bound, at its logit or one either side of it, or
+/// anywhere.
+void add_ith_tables(DeviceProgram& program, const FxVector& h,
+                    std::mt19937_64& rng) {
+  const std::size_t v = program.vocab_size;
+  program.probe_order.resize(v);
+  std::iota(program.probe_order.begin(), program.probe_order.end(), 0);
+  std::shuffle(program.probe_order.begin(), program.probe_order.end(), rng);
+  program.thresholds.resize(v);
+  std::uniform_int_distribution<int> kind(0, 9);
+  for (std::size_t c = 0; c < v; ++c) {
+    const std::int64_t z = sequential_dot(program.w_o.row(c), h);
+    std::int64_t theta = 0;
+    switch (kind(rng)) {
+      case 0:
+      case 1:
+      case 2:
+        theta = Fx::kRawMax;
+        break;
+      case 3:
+        theta = Fx::kRawMin;
+        break;
+      case 4:
+      case 5:
+        theta = logit_bound(program.w_o.row(c), h);
+        break;
+      case 6:
+        theta = z;
+        break;
+      case 7:
+        theta = z - 1;
+        break;
+      case 8:
+        theta = z + 1;
+        break;
+      default:
+        theta = uniform_words(rng, 1, -(1 << 20), 1 << 20)[0].raw();
+        break;
+    }
+    program.thresholds[c] = Fx::from_raw(static_cast<std::int32_t>(
+        std::clamp<std::int64_t>(theta, Fx::kRawMin, Fx::kRawMax)));
+  }
+}
+
+/// Counts the stories on which OutputModule and the exhaustive search
+/// differ in any reported field, reporting the first few.
+class SearchChecker {
+ public:
+  explicit SearchChecker(std::uint64_t seed) : rng_(seed) {}
+
+  std::mt19937_64& rng() { return rng_; }
+
+  /// Checks `h` against `program` plain, and under ITH when the program
+  /// has tables, at a random adder-tree width.
+  void check(const DeviceProgram& program, const FxVector& h,
+             const std::string& what) {
+    static constexpr std::array<std::size_t, 4> kLanes = {1, 2, 3, 8};
+    AccelConfig cfg;
+    cfg.timing.lane_width = kLanes[rng_() % kLanes.size()];
+    for (const bool ith : {false, true}) {
+      if (ith && !program.has_ith_tables()) {
+        continue;
+      }
+      cfg.ith_enabled = ith;
+      ++cases_;
+      const SearchOutcome want = exhaustive_search(program, h, cfg);
+      const SearchOutcome got = module_search(program, h, cfg);
+      const sim::OpCounts& ops = got.stats.ops;
+      const bool same =
+          got.prediction == want.prediction && got.probes == want.probes &&
+          got.early_exit == want.early_exit &&
+          got.stats.busy_cycles == want.stats.busy_cycles &&
+          got.stats.stall_cycles == 0 && ops.mac == want.stats.ops.mac &&
+          ops.mem_read == want.stats.ops.mem_read &&
+          ops.compare == want.stats.ops.compare && ops.add == 0 &&
+          ops.exp == 0 && ops.div == 0 && ops.mem_write == 0;
+      if (!same && ++mismatches_ <= 5) {
+        ADD_FAILURE() << what << (ith ? ", ITH" : ", plain") << " (V "
+                      << program.vocab_size << ", E " << program.embedding_dim
+                      << "): module answered " << got.prediction << " after "
+                      << got.probes << " probes (exit " << got.early_exit
+                      << ", busy " << got.stats.busy_cycles << "), search "
+                      << want.prediction << " after " << want.probes
+                      << " (exit " << want.early_exit << ", busy "
+                      << want.stats.busy_cycles << ")";
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t cases() const { return cases_; }
+  [[nodiscard]] std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  std::mt19937_64 rng_;
+  std::size_t cases_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+/// Copies random rows of W_o over others, so classes tie across ranks.
+void duplicate_rows(DeviceProgram& program, std::mt19937_64& rng) {
+  const std::size_t v = program.vocab_size;
+  for (std::size_t k = rng() % 3; k > 0 && v > 1; --k) {
+    const std::size_t from = rng() % v;
+    const std::size_t to = rng() % v;
+    const auto src = program.w_o.row(from);
+    std::copy(src.begin(), src.end(), program.w_o.row(to).begin());
+  }
+}
+
+TEST(OutputSearch, MatchesExhaustiveSearchOnSmallWords) {
+  // Few distinct words make equal logits and bounds common: whole
+  // numbers (exact products, so with E = 1 the bound is the logit), and
+  // odd raw words times +-0.5 (every product a tie that rounds away
+  // from zero, which makes the bound exact at any width when the signs
+  // agree). Duplicated rows tie classes across ranks.
+  SearchChecker checker(0x0B0D);
+  auto& rng = checker.rng();
+  std::uniform_int_distribution<std::size_t> classes(1, 10);
+  std::uniform_int_distribution<std::size_t> width(1, 5);
+  for (int rep = 0; rep < 4000; ++rep) {
+    DeviceProgram program = output_program(classes(rng), width(rng));
+    const std::size_t e = program.embedding_dim;
+    FxVector h(e);
+    const int family = rep % 3;
+    for (std::size_t c = 0; c < program.vocab_size; ++c) {
+      for (Fx& w : program.w_o.row(c)) {
+        const auto small = static_cast<std::int32_t>(rng() % 7) - 3;
+        w = Fx::from_raw(family == 1 ? 2 * small + 1 : small * Fx::kOne);
+      }
+    }
+    for (Fx& x : h) {
+      const auto small = static_cast<std::int32_t>(rng() % 7) - 3;
+      const std::int32_t sign = (rng() & 1U) != 0U ? 1 : -1;
+      x = Fx::from_raw(family == 1 ? sign * (Fx::kOne / 2)
+                       : family == 2 ? 0
+                                     : small * Fx::kOne);
+    }
+    duplicate_rows(program, rng);
+    checker.check(program, h, "small words");
+    add_ith_tables(program, h, rng);
+    checker.check(program, h, "small words");
+  }
+  // By hand: rank 1 has the larger bound and is probed first, and its
+  // logit equals rank 0's exact bound, so rank 0 ties it at an earlier
+  // rank and must still be evaluated (answer: class 0).
+  DeviceProgram program = output_program(2, 2);
+  program.w_o(0, 0) = Fx::from_raw(1);
+  program.w_o(0, 1) = Fx::from_raw(1);
+  program.w_o(1, 0) = Fx::from_raw(5);
+  program.w_o(1, 1) = Fx::from_raw(-1);
+  const FxVector half(2, Fx::from_raw(Fx::kOne / 2));
+  checker.check(program, half, "earlier rank at an equal bound");
+  EXPECT_EQ(exhaustive_search(program, half, AccelConfig{}).prediction, 0);
+  EXPECT_EQ(checker.mismatches(), 0U);
+}
+
+TEST(OutputSearch, MatchesExhaustiveSearchOnTinyRoundedProducts) {
+  // w = +-1 raw times h = +-2^15 raw is +-0.5 of an LSB, which rounds to
+  // +-1: the whole logit is rounding, so a bound without the E·2^15
+  // slack would read 0 below a logit of 1.
+  SearchChecker checker(0x71A7);
+  auto& rng = checker.rng();
+  for (int rep = 0; rep < 2000; ++rep) {
+    DeviceProgram program = output_program(1 + rng() % 6, 1 + rng() % 4);
+    for (std::size_t c = 0; c < program.vocab_size; ++c) {
+      for (Fx& w : program.w_o.row(c)) {
+        w = Fx::from_raw(static_cast<std::int32_t>(rng() % 3) - 1);
+      }
+    }
+    FxVector h(program.embedding_dim);
+    for (Fx& x : h) {
+      const std::int32_t pick = static_cast<std::int32_t>(rng() % 4);
+      x = Fx::from_raw(pick == 0 ? 0
+                       : pick == 1 ? -(Fx::kOne / 2)
+                                   : Fx::kOne / 2);
+    }
+    duplicate_rows(program, rng);
+    checker.check(program, h, "tiny products");
+    add_ith_tables(program, h, rng);
+    checker.check(program, h, "tiny products");
+  }
+  EXPECT_EQ(checker.mismatches(), 0U);
+}
+
+TEST(OutputSearch, MatchesExhaustiveSearchOnFullRangeWords) {
+  // Whole-word operands: L1·‖h‖∞ passes 2^63 from E = 2, so a bound
+  // formed without the overflow guard wraps, and most logits saturate.
+  SearchChecker checker(0xF0F0);
+  auto& rng = checker.rng();
+  for (int rep = 0; rep < 1500; ++rep) {
+    DeviceProgram program = output_program(1 + rng() % 6, 2 + rng() % 7);
+    for (std::size_t c = 0; c < program.vocab_size; ++c) {
+      const FxVector row = uniform_words(rng, program.embedding_dim,
+                                         Fx::kRawMin, Fx::kRawMax);
+      std::copy(row.begin(), row.end(), program.w_o.row(c).begin());
+    }
+    const FxVector h =
+        uniform_words(rng, program.embedding_dim, Fx::kRawMin, Fx::kRawMax);
+    duplicate_rows(program, rng);
+    checker.check(program, h, "full range");
+    add_ith_tables(program, h, rng);
+    checker.check(program, h, "full range");
+  }
+  // The largest L1 and ‖h‖∞ there are: 8 · 2^31 · 2^31 = 2^65.
+  DeviceProgram program = output_program(3, 8);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (Fx& w : program.w_o.row(c)) {
+      w = c == 1 ? Fx::max() : Fx::min();
+    }
+  }
+  checker.check(program, FxVector(8, Fx::min()), "extremes");
+  checker.check(program, FxVector(8, Fx::max()), "extremes");
+  EXPECT_EQ(checker.mismatches(), 0U);
+}
+
+TEST(OutputSearch, AllMinLogitsAnswerClassZero) {
+  // Every logit saturates at Fx::min(), which no comparison beats: the
+  // device answers class 0 after probing every class, plain or under an
+  // ITH order that starts elsewhere, whatever the thresholds.
+  SearchChecker checker(0x3117);
+  auto& rng = checker.rng();
+  for (int rep = 0; rep < 300; ++rep) {
+    DeviceProgram program = output_program(2 + rng() % 8, 1 + rng() % 4);
+    const FxVector h(program.embedding_dim, Fx::min());
+    for (std::size_t c = 0; c < program.vocab_size; ++c) {
+      for (Fx& w : program.w_o.row(c)) {
+        w = Fx::max();
+      }
+    }
+    add_ith_tables(program, h, rng);
+    if (program.probe_order[0] == 0) {
+      std::rotate(program.probe_order.begin(),
+                  program.probe_order.begin() + 1, program.probe_order.end());
+    }
+    checker.check(program, h, "all Fx::min()");
+    AccelConfig cfg;
+    cfg.ith_enabled = true;
+    EXPECT_EQ(module_search(program, h, cfg).prediction, 0);
+  }
+  EXPECT_EQ(checker.mismatches(), 0U);
+}
+
+TEST(OutputSearch, MatchesExhaustiveSearchOnATrainedProgram) {
+  // A trained qa1 program's W_o and calibrated ITH tables, with the
+  // controller outputs h^H of real stories quantized to Q16.16.
+  data::DatasetConfig dc;
+  dc.train_stories = 200;
+  dc.test_stories = 60;
+  dc.seed = 11;
+  const data::TaskDataset dataset =
+      data::build_task_dataset(data::TaskId::kSingleSupportingFact, dc);
+  model::ModelConfig mc;
+  mc.vocab_size = dataset.vocab_size();
+  mc.embedding_dim = 20;
+  mc.hops = 3;
+  numeric::Rng init(3);
+  model::MemN2N net(mc, init);
+  model::TrainConfig tc;
+  tc.epochs = 6;
+  model::train(net, dataset.train, tc);
+  const core::InferenceThresholding ith =
+      core::InferenceThresholding::calibrate(net, dataset.train, {});
+  const DeviceProgram program = compile_model(net, &ith);
+
+  SearchChecker checker(0x7EA1);
+  for (const auto* split : {&dataset.train, &dataset.test}) {
+    for (const data::EncodedStory& story : *split) {
+      FxVector h;
+      for (const float x : net.forward_features(story)) {
+        h.push_back(Fx::from_float(x));
+      }
+      checker.check(program, h, "trained qa1");
+    }
+  }
+  EXPECT_EQ(checker.cases(), 2 * (dc.train_stories + dc.test_stories));
+  EXPECT_EQ(checker.mismatches(), 0U);
 }
 
 TEST(FxAxpyAndAdd, Basics) {

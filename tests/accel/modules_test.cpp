@@ -55,7 +55,8 @@ AccelConfig tiny_config() {
 // ---- INPUT & WRITE ---------------------------------------------------------
 
 TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
   sim::Fifo<InputCmd> cmds("CMD", 16);
@@ -83,7 +84,7 @@ TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
 TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
   DeviceProgram prog = tiny_program();
   prog.max_memory = 2;
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
   sim::Fifo<InputCmd> cmds("CMD", 32);
@@ -108,7 +109,8 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
 // ---- MEM -------------------------------------------------------------------
 
 TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   // Two memory slots with known contents.
   state.mem_a = {{Fx::from_float(1.0F), Fx::from_float(0.0F)},
@@ -138,7 +140,8 @@ TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
 }
 
 TEST(MemModule, EmptyMemoryIsAProtocolBug) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_k = {Fx::from_float(1.0F), Fx{}};
   state.mem_request = true;
@@ -151,7 +154,7 @@ TEST(MemModule, EmptyMemoryIsAProtocolBug) {
 TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   DeviceProgram prog = tiny_program();
   prog.hops = 2;
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.mem_a = {{Fx::from_float(1.0F), Fx{}}};
   state.mem_c = {{Fx{}, Fx::from_float(4.0F)}};
@@ -177,14 +180,16 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
 // ---- OUTPUT ------------------------------------------------------------------
 
 TEST(OutputModule, SequentialArgmaxWithoutIth) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logits = 1,2,3,4
   state.features_ready = true;
 
   const AccelConfig cfg = tiny_config();
   sim::Fifo<std::int32_t> out("OUT", 4);
-  OutputModule module(state, cfg, out);
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
   sim.add_module(module);
   (void)sim.run_until([&] { return !out.empty(); }, 10'000);
@@ -201,7 +206,7 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   // Probe order 2,3,0,1; thresholds: class 2 fires when z > 2.5.
   prog.probe_order = {2, 3, 0, 1};
   prog.thresholds = {Fx::max(), Fx::max(), Fx::from_float(2.5F), Fx::max()};
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logit of class 2 = 3
   state.features_ready = true;
@@ -209,7 +214,8 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
   sim::Fifo<std::int32_t> out("OUT", 4);
-  OutputModule module(state, cfg, out);
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
   sim.add_module(module);
   (void)sim.run_until([&] { return !out.empty(); }, 10'000);
@@ -223,7 +229,7 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   DeviceProgram prog = tiny_program();
   prog.probe_order = {0, 1, 2, 3};
   prog.thresholds.assign(4, Fx::max());
-  AcceleratorState state(std::move(prog));
+  AcceleratorState state(prog);
   state.begin_story();
   state.reg_h = {Fx{}, Fx::from_float(1.0F)};
   state.features_ready = true;
@@ -231,7 +237,8 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
   sim::Fifo<std::int32_t> out("OUT", 4);
-  OutputModule module(state, cfg, out);
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
   sim.add_module(module);
   (void)sim.run_until([&] { return !out.empty(); }, 10'000);
@@ -243,7 +250,8 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
 // ---- CONTROL -----------------------------------------------------------------
 
 TEST(ControlModule, CountsModelWordsThenRaisesLoaded) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   const std::size_t words = state.program.model_words();
   sim::Fifo<StreamWord> in("IN", 64);
   sim::Fifo<InputCmd> cmds("CMD", 64);
@@ -259,7 +267,8 @@ TEST(ControlModule, CountsModelWordsThenRaisesLoaded) {
 }
 
 TEST(ControlModule, StoryBeforeModelLoadThrows) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 8);
   ControlModule control(state, in, cmds);
@@ -268,7 +277,8 @@ TEST(ControlModule, StoryBeforeModelLoadThrows) {
 }
 
 TEST(ControlModule, DataWordOutsideStoryThrows) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 8);
@@ -278,7 +288,8 @@ TEST(ControlModule, DataWordOutsideStoryThrows) {
 }
 
 TEST(ControlModule, StallsOnBusyDatapathAndFullCmdFifo) {
-  AcceleratorState state(tiny_program());
+  const DeviceProgram prog = tiny_program();
+  AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
   sim::Fifo<InputCmd> cmds("CMD", 1);

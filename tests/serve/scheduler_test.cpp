@@ -101,6 +101,55 @@ TEST(Scheduler, DeterministicGivenSameInputs) {
   }
 }
 
+TEST(Scheduler, CollectKeepsDispatchOrderWhenCompletionsInterleave) {
+  // A six-story batch and a one-story batch start together on two
+  // devices, so the short batch's answer lands among the long one's and
+  // completions arrive out of dispatch order. Each collect must hand
+  // out what completed in dispatch order, and what stays in flight must
+  // keep that order for the next collect.
+  const auto stories = tiny_stories(6);
+  const auto dispatch = [&](Scheduler& scheduler) {
+    ASSERT_TRUE(scheduler.submit(make_batch(0, stories, 6, 0, 0)));
+    ASSERT_TRUE(scheduler.submit(make_batch(1, stories, 1, 0, 6)));
+    scheduler.step(0);
+    ASSERT_EQ(scheduler.in_flight(), 7U);
+  };
+  Scheduler reference({.devices = 2}, task_devices(2));
+  dispatch(reference);
+  const std::vector<InferenceResponse> all =
+      reference.collect(sim::kNever - 1);
+  ASSERT_EQ(all.size(), 7U);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].id, i);  // dispatch order
+  }
+  ASSERT_LT(all[6].complete_cycle, all[1].complete_cycle);
+
+  const auto ids = [](const std::vector<InferenceResponse>& responses) {
+    std::vector<RequestId> out;
+    for (const InferenceResponse& r : responses) {
+      out.push_back(r.id);
+    }
+    return out;
+  };
+  // Cut at every completion: what collect returns, then everything
+  // left, must each be in dispatch order.
+  for (const InferenceResponse& cut : all) {
+    const sim::Cycle now = cut.complete_cycle;
+    std::vector<RequestId> done;
+    std::vector<RequestId> left;
+    for (const InferenceResponse& r : all) {
+      (r.complete_cycle <= now ? done : left).push_back(r.id);
+    }
+    Scheduler scheduler({.devices = 2}, task_devices(2));
+    dispatch(scheduler);
+    EXPECT_EQ(ids(scheduler.collect(now)), done) << "collect(" << now << ")";
+    EXPECT_EQ(scheduler.in_flight(), left.size());
+    EXPECT_EQ(ids(scheduler.collect(sim::kNever - 1)), left)
+        << "after collect(" << now << ")";
+    EXPECT_TRUE(scheduler.idle());
+  }
+}
+
 TEST(Scheduler, WarmDeviceSkipsModelUpload) {
   const auto stories = tiny_stories(2);
   Scheduler scheduler({.devices = 1}, task_devices(1));
