@@ -13,6 +13,7 @@
 #include "accel/read_module.hpp"
 #include "accel/service_cycle_cache.hpp"
 #include "accel/state.hpp"
+#include "accel/stream.hpp"
 #include "sim/simulator.hpp"
 
 namespace mann::accel {
@@ -123,8 +124,9 @@ void validate_program(const DeviceProgram& program) {
 
 }  // namespace
 
-RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
-                                bool model_resident, bool per_cycle) const {
+RunResult Accelerator::simulate(
+    std::span<const data::EncodedStory* const> stories, bool model_resident,
+    bool per_cycle) const {
   AcceleratorState state(program_);
   if (model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
@@ -238,6 +240,11 @@ sim::FifoStats RunResult::queue_stats() const noexcept {
 
 RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
                            const RunOptions& options) const {
+  return run(story_pointers(stories), options);
+}
+
+RunResult Accelerator::run(std::span<const data::EncodedStory* const> stories,
+                           const RunOptions& options) const {
   ServiceCycleCache::Key key;
   if (options.cache_outcome != nullptr) {
     *options.cache_outcome = CacheOutcome::kNone;
@@ -273,7 +280,8 @@ namespace detail {
 RunResult simulate_per_cycle(const Accelerator& device,
                              std::span<const data::EncodedStory> stories,
                              bool model_resident) {
-  return device.simulate(stories, model_resident, /*per_cycle=*/true);
+  return device.simulate(story_pointers(stories), model_resident,
+                         /*per_cycle=*/true);
 }
 
 }  // namespace detail

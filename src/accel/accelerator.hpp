@@ -145,16 +145,28 @@ class Accelerator {
   }
 
   /// Streams `stories` through the device and returns the full report.
+  /// Builds one array of pointers to the stories and runs the overload
+  /// below on it.
   [[nodiscard]] RunResult run(std::span<const data::EncodedStory> stories,
                               const RunOptions& options = {}) const;
+
+  /// The same run over borrowed stories, in pointer order: nothing is
+  /// copied, so every story must outlive the call. The serving scheduler
+  /// passes pointers into its corpus, which outlives every dispatch and
+  /// every speculative run. The cycle cache keys on the stories'
+  /// contents, never their addresses, so both overloads share entries.
+  [[nodiscard]] RunResult run(
+      std::span<const data::EncodedStory* const> stories,
+      const RunOptions& options = {}) const;
 
  private:
   /// The uncached path: builds the module graph over this device's
   /// program and ticks it to completion, on Simulator::run_events or,
   /// when `per_cycle`, run_until (run() adds the memoization layer on
   /// top).
-  [[nodiscard]] RunResult simulate(std::span<const data::EncodedStory> stories,
-                                   bool model_resident, bool per_cycle) const;
+  [[nodiscard]] RunResult simulate(
+      std::span<const data::EncodedStory* const> stories, bool model_resident,
+      bool per_cycle) const;
 
   AccelConfig config_;
   DeviceProgram program_;

@@ -2,28 +2,27 @@
 
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 namespace mann::accel {
 
 std::uint64_t digest_stories(
-    std::span<const data::EncodedStory> stories) noexcept {
+    std::span<const data::EncodedStory* const> stories) noexcept {
   // Digests index streams, not bytes: one multiply per token.
   std::uint64_t h = kFnv1aOffset;
-  for (const data::EncodedStory& story : stories) {
-    h = fnv1a_mix(h, story.context.size());
-    for (const std::vector<std::int32_t>& sentence : story.context) {
+  for (const data::EncodedStory* story : stories) {
+    h = fnv1a_mix(h, story->context.size());
+    for (const std::vector<std::int32_t>& sentence : story->context) {
       h = fnv1a_mix(h, sentence.size());
       for (const std::int32_t word : sentence) {
         h = fnv1a_mix(h, static_cast<std::uint64_t>(word));
       }
     }
-    h = fnv1a_mix(h, story.question.size());
-    for (const std::int32_t word : story.question) {
+    h = fnv1a_mix(h, story->question.size());
+    for (const std::int32_t word : story->question) {
       h = fnv1a_mix(h, static_cast<std::uint64_t>(word));
     }
-    h = fnv1a_mix(h, static_cast<std::uint64_t>(story.answer));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(story->answer));
   }
   return h;
 }
@@ -96,9 +95,14 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
   bool waited = false;
   for (;;) {
     if (const auto it = segment.index.find(key); it != segment.index.end()) {
-      segment.lru.splice(segment.lru.begin(), segment.lru,
-                         it->second);  // touch
-      it->second->touch_seq = ++segment.touch_counter;
+      // Touch: to the LRU front, and re-keyed in the cost index through
+      // its node handle, which allocates nothing.
+      Entry& entry = *it->second;
+      segment.lru.splice(segment.lru.begin(), segment.lru, it->second);
+      auto node = segment.by_cost.extract(reload_key(entry));
+      entry.touch_seq = ++segment.touch_counter;
+      node.key() = reload_key(entry);
+      segment.by_cost.insert(std::move(node));
       // A lookup resolved by someone else's in-flight simulation is a
       // wait, not a hit: it deduplicated work but paid miss-shaped
       // latency, and exactly one of hits/waits/misses counts per lookup.
@@ -134,19 +138,11 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
 }
 
 void ServiceCycleCache::evict_over_capacity_locked(Segment& segment) {
-  const auto reload_order = [](const Entry& entry) {
-    // Re-simulating IS the reload; the unique touch clock breaks ties.
-    return std::tie(entry.result.total_cycles, entry.touch_seq);
-  };
   while (segment.lru.size() > segment_capacity_) {
-    auto victim = std::prev(segment.lru.end());  // LRU order: back is coldest
-    if (eviction_ == serve::EvictionPolicyKind::kCostAware) {
-      for (auto it = segment.lru.begin(); it != segment.lru.end(); ++it) {
-        if (reload_order(*it) < reload_order(*victim)) {
-          victim = it;
-        }
-      }
-    }
+    const EntryIt victim = eviction_ == serve::EvictionPolicyKind::kCostAware
+                               ? segment.by_cost.begin()->second
+                               : std::prev(segment.lru.end());  // coldest
+    segment.by_cost.erase(reload_key(*victim));
     segment.index.erase(victim->key);
     segment.lru.erase(victim);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -163,6 +159,8 @@ void ServiceCycleCache::publish(const Key& key, const RunResult& result) {
     if (!segment.index.contains(key)) {
       segment.lru.push_front({key, result, ++segment.touch_counter});
       segment.index.emplace(key, segment.lru.begin());
+      segment.by_cost.emplace(reload_key(segment.lru.front()),
+                              segment.lru.begin());
       entry_count_.fetch_add(1, std::memory_order_relaxed);
       ++segment.stats.insertions;
       obs::add(obs_insertions_);

@@ -22,7 +22,11 @@
 // Capacity eviction drops the least recently used entry in O(1), or —
 // after set_eviction_policy(serve::EvictionPolicyKind::kCostAware) — the
 // entry with the fewest simulated cycles, i.e. the one cheapest to
-// recompute (equal cycles fall to the least recently touched).
+// recompute (equal cycles fall to the least recently touched). Beside
+// its LRU list each segment keeps an ordered index of every entry's
+// (simulated cycles, touch clock), re-keyed in place on every touch, so
+// the cost-aware victim is the index's front: O(log n) per publish, never
+// a walk of the list.
 //
 // Sharding: at higher host-thread counts (cluster fleet threads, many
 // workers) a single mutex serializes every lookup. The cache can be
@@ -38,12 +42,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -84,10 +90,11 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
   return (h ^ word) * 0x100000001b3ULL;
 }
 
-/// FNV-1a digest of a story span (shapes and contents). Two spans with
-/// the same digest and count are treated as the same workload.
+/// FNV-1a digest of a workload's stories (shapes and contents, never
+/// addresses), in order. Two workloads with the same digest and count are
+/// treated as the same workload, wherever their stories live.
 [[nodiscard]] std::uint64_t digest_stories(
-    std::span<const data::EncodedStory> stories) noexcept;
+    std::span<const data::EncodedStory* const> stories) noexcept;
 
 class ServiceCycleCache {
  public:
@@ -133,8 +140,9 @@ class ServiceCycleCache {
   void abandon(const Key& key) noexcept;
 
   /// Chooses how capacity eviction picks its victim in every segment:
-  /// kLru (the default) or kCostAware (see the header comment). Call it
-  /// before the cache is shared across threads.
+  /// kLru (the default) or kCostAware (see the header comment). Both
+  /// orders are kept under either kind, so a switch applies from the next
+  /// eviction on. Call it before the cache is shared across threads.
   void set_eviction_policy(serve::EvictionPolicyKind kind) noexcept {
     eviction_ = kind;
   }
@@ -155,6 +163,13 @@ class ServiceCycleCache {
     RunResult result;
     std::uint64_t touch_seq = 0;  ///< monotone recency clock (cost ties)
   };
+  using EntryIt = std::list<Entry>::iterator;
+  /// Reload order: re-simulating IS the reload, so fewer cycles evict
+  /// first; the unique touch clock breaks ties toward the coldest entry.
+  using ReloadKey = std::pair<sim::Cycle, std::uint64_t>;
+  [[nodiscard]] static ReloadKey reload_key(const Entry& entry) noexcept {
+    return {entry.result.total_cycles, entry.touch_seq};
+  }
 
   /// One independently-locked shard: its own LRU order, in-flight
   /// rendezvous, recency clock and stats. Never crosses into another
@@ -163,7 +178,9 @@ class ServiceCycleCache {
     mutable std::mutex mutex;
     std::condition_variable ready;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
+    std::unordered_map<Key, EntryIt, KeyHash> index;
+    /// Every entry by reload_key; front = the cost-aware victim.
+    std::map<ReloadKey, EntryIt> by_cost;
     std::unordered_set<Key, KeyHash> in_flight;
     ServiceCycleCacheStats stats;
     std::uint64_t touch_counter = 0;

@@ -2,8 +2,10 @@
 
 namespace mann::accel {
 
-std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
-  std::vector<StreamWord> words;
+namespace {
+
+void append_story(std::vector<StreamWord>& words,
+                  const data::EncodedStory& story) {
   words.push_back({StreamOp::kStoryStart, 0});
   for (const auto& sentence : story.context) {
     words.push_back({StreamOp::kSentenceStart, 0});
@@ -16,18 +18,34 @@ std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
     words.push_back({StreamOp::kQuestionWord, w});
   }
   words.push_back({StreamOp::kEndOfStory, 0});
+}
+
+}  // namespace
+
+std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
+  std::vector<StreamWord> words;
+  append_story(words, story);
   return words;
 }
 
 std::vector<StreamWord> encode_workload(
-    std::span<const data::EncodedStory> stories) {
+    std::span<const data::EncodedStory* const> stories) {
   std::vector<StreamWord> words;
   words.reserve(stories.size() * 48);
-  for (const data::EncodedStory& s : stories) {
-    const auto sw = encode_story(s);
-    words.insert(words.end(), sw.begin(), sw.end());
+  for (const data::EncodedStory* story : stories) {
+    append_story(words, *story);
   }
   return words;
+}
+
+std::vector<const data::EncodedStory*> story_pointers(
+    std::span<const data::EncodedStory> stories) {
+  std::vector<const data::EncodedStory*> pointers;
+  pointers.reserve(stories.size());
+  for (const data::EncodedStory& story : stories) {
+    pointers.push_back(&story);
+  }
+  return pointers;
 }
 
 }  // namespace mann::accel

@@ -37,12 +37,18 @@ struct StreamWord {
 [[nodiscard]] std::vector<StreamWord> encode_story(
     const data::EncodedStory& story);
 
-/// Renders every story of a workload, in order. On a cold run the trained
-/// parameters cross the PCIe link first, as identical kModelWord words, so
-/// HostLinkModule streams them from a count instead of rendered words. That
-/// identity is also what lets HOST_LINK and CONTROL skip a steady upload
-/// without touching FIFO_IN's contents (HostLinkModule::upload_window).
+/// Renders every story of a workload, in order, appending each story's
+/// words in place. On a cold run the trained parameters cross the PCIe
+/// link first, as identical kModelWord words, so HostLinkModule streams
+/// them from a count instead of rendered words. That identity is also
+/// what lets HOST_LINK and CONTROL skip a steady upload without touching
+/// FIFO_IN's contents (HostLinkModule::upload_window).
 [[nodiscard]] std::vector<StreamWord> encode_workload(
+    std::span<const data::EncodedStory* const> stories);
+
+/// One pointer per story, in order: the borrowed form of a workload that
+/// encode_workload, digest_stories and Accelerator::run read.
+[[nodiscard]] std::vector<const data::EncodedStory*> story_pointers(
     std::span<const data::EncodedStory> stories);
 
 }  // namespace mann::accel

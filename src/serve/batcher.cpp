@@ -46,8 +46,15 @@ bool Batcher::enqueue(const InferenceRequest& request) {
     throw std::invalid_argument("Batcher: request without a story");
   }
   const std::size_t lane = request.task * num_tenants_ + request.tenant;
-  if (!queues_[lane].try_push(request)) {
+  sim::Fifo<InferenceRequest>& q = queues_[lane];
+  if (!q.try_push(request)) {
     return false;
+  }
+  if (q.size() == 1) {
+    heads_.emplace(request.enqueue_cycle, lane);
+  }
+  if (q.size() == config_.max_batch) {
+    full_lanes_.insert(lane);
   }
   ++pending_;
   ++counters_.requests_in;
@@ -56,25 +63,35 @@ bool Batcher::enqueue(const InferenceRequest& request) {
 }
 
 std::optional<Batch> Batcher::poll(sim::Cycle now) {
+  // Ready lanes are the full ones and those whose head was enqueued at or
+  // before now - max_wait_cycles; flush the one a scan from the cursor
+  // would meet first, i.e. the one at the least distance past it.
   const std::size_t n = queues_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lane = (rotate_ + i) % n;
-    const sim::Fifo<InferenceRequest>& q = queues_[lane];
-    const InferenceRequest* head = q.peek();
-    if (head == nullptr) {
-      continue;
-    }
-    const bool full = q.size() >= config_.max_batch;
-    const bool timed_out =
-        now - head->enqueue_cycle >= config_.max_wait_cycles;
-    if (!full && !timed_out) {
-      continue;
-    }
-    full ? ++counters_.flush_full : ++counters_.flush_timeout;
-    rotate_ = (lane + 1) % n;  // next poll starts after the flushed lane
-    return flush_lane(lane);
+  const auto past_cursor = [this, n](std::size_t lane) {
+    return (lane + n - rotate_) % n;
+  };
+  std::size_t best = n;  // distance past the cursor; n = nothing ready
+  if (!full_lanes_.empty()) {
+    auto first = full_lanes_.lower_bound(rotate_);
+    best = past_cursor(first != full_lanes_.end() ? *first
+                                                  : *full_lanes_.begin());
   }
-  return std::nullopt;
+  if (now >= config_.max_wait_cycles) {
+    const sim::Cycle waited_since = now - config_.max_wait_cycles;
+    for (auto head = heads_.begin();
+         head != heads_.end() && head->first <= waited_since && best > 0;
+         ++head) {
+      best = std::min(best, past_cursor(head->second));
+    }
+  }
+  if (best == n) {
+    return std::nullopt;
+  }
+  const std::size_t lane = (rotate_ + best) % n;
+  queues_[lane].size() >= config_.max_batch ? ++counters_.flush_full
+                                            : ++counters_.flush_timeout;
+  rotate_ = (lane + 1) % n;  // next poll starts after the flushed lane
+  return flush_lane(lane);
 }
 
 std::optional<Batch> Batcher::drain(sim::Cycle /*now*/) {
@@ -92,15 +109,13 @@ std::optional<Batch> Batcher::drain(sim::Cycle /*now*/) {
 }
 
 sim::Cycle Batcher::next_deadline() const noexcept {
-  sim::Cycle deadline = sim::kNever;
-  for (const auto& q : queues_) {
-    const InferenceRequest* head = q.peek();
-    if (head != nullptr) {
-      deadline =
-          std::min(deadline, head->enqueue_cycle + config_.max_wait_cycles);
-    }
+  if (heads_.empty()) {
+    return sim::kNever;
   }
-  return deadline;
+  const sim::Cycle oldest = heads_.begin()->first;
+  return config_.max_wait_cycles >= sim::kNever - oldest
+             ? sim::kNever
+             : oldest + config_.max_wait_cycles;
 }
 
 Batch Batcher::flush_lane(std::size_t lane) {
@@ -110,13 +125,22 @@ Batch Batcher::flush_lane(std::size_t lane) {
   batch.tenant = static_cast<TenantId>(lane % num_tenants_);
   const std::size_t take = std::min(q.size(), config_.max_batch);
   pending_ -= take;
+  auto head = heads_.extract({q.peek()->enqueue_cycle, lane});
   batch.requests.reserve(take);
   batch.stories.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
     InferenceRequest request = *q.try_pop();
     batch.deadline = std::min(batch.deadline, request.deadline_cycle);
-    batch.stories.push_back(*request.story);
+    batch.stories.push_back(request.story);
     batch.requests.push_back(request);
+  }
+  if (!q.empty()) {
+    // A partial flush: the lane's new head re-keys its node in place.
+    head.value().first = q.peek()->enqueue_cycle;
+    heads_.insert(std::move(head));
+  }
+  if (q.size() < config_.max_batch) {
+    full_lanes_.erase(lane);
   }
   ++counters_.batches_out;
   counters_.stories_out += batch.size();

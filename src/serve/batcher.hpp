@@ -12,10 +12,17 @@
 // classic throughput/latency trade every serving stack exposes. With a
 // single tenant the layout and behaviour are exactly the historical
 // per-task batcher.
+//
+// Ready lanes are found without a scan: the batcher keeps the full lanes
+// in lane order and every non-empty lane's (head enqueue cycle, lane) in
+// age order, so poll() reads the full lanes and the timed-out prefix of
+// the heads, and next_deadline() reads the oldest head.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "data/types.hpp"
@@ -41,7 +48,10 @@ struct Batch {
   std::size_t task = 0;
   TenantId tenant = 0;
   std::vector<InferenceRequest> requests;
-  std::vector<data::EncodedStory> stories;  ///< parallel to requests
+  /// Parallel to requests: each request's own `story` pointer. The
+  /// stories are borrowed from the served corpus, never copied, so the
+  /// corpus must outlive every dispatch and speculative run of the batch.
+  std::vector<const data::EncodedStory*> stories;
   /// Earliest member deadline — the urgency the EDF scheduler orders by
   /// (sim::kNever when no member carries an SLO).
   sim::Cycle deadline = sim::kNever;
@@ -78,8 +88,10 @@ class Batcher {
   /// is full (the session sheds it as ShedReason::kQueueFull).
   [[nodiscard]] bool enqueue(const InferenceRequest& request);
 
-  /// Returns the next ready batch (full or timed out) at `now`, fairly
-  /// rotating across lanes; nullopt when nothing is ready.
+  /// Returns the next ready batch at `now`, fairly rotating across lanes:
+  /// the first lane at or after the rotation cursor that is full or whose
+  /// head has waited max_wait_cycles (a head enqueued after `now` has not
+  /// waited). nullopt when nothing is ready.
   [[nodiscard]] std::optional<Batch> poll(sim::Cycle now);
 
   /// Flushes pending requests regardless of age/size — the end-of-stream
@@ -90,7 +102,8 @@ class Batcher {
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// Earliest cycle at which a timeout flush could fire; sim::kNever when
-  /// nothing is pending. Drives event-skipping in the serving loop.
+  /// nothing is pending or that cycle is past the clock's range. Drives
+  /// event-skipping in the serving loop.
   [[nodiscard]] sim::Cycle next_deadline() const noexcept;
 
   [[nodiscard]] const BatcherCounters& counters() const noexcept {
@@ -106,6 +119,10 @@ class Batcher {
   std::vector<sim::Fifo<InferenceRequest>> queues_;
   std::size_t rotate_ = 0;  ///< fairness cursor over lanes
   std::size_t pending_ = 0;  ///< sum of the lanes' sizes
+  /// Lanes holding at least max_batch requests.
+  std::set<std::size_t> full_lanes_;
+  /// (head enqueue cycle, lane) of every non-empty lane, oldest first.
+  std::set<std::pair<sim::Cycle, std::size_t>> heads_;
   BatcherCounters counters_;
   // Mirrored obs instruments (null without a registry).
   obs::Counter* obs_requests_in_ = nullptr;

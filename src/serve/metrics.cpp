@@ -30,22 +30,28 @@ LatencySummary summarize_latency(std::vector<sim::Cycle> samples,
   if (samples.empty()) {
     return s;
   }
-  // One sorted copy serves every quantile and the max.
-  std::sort(samples.begin(), samples.end());
-  const auto percentile = [&samples](double q) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(samples.size())));
-    return static_cast<double>(
-        samples[std::min(rank == 0 ? 0 : rank - 1, samples.size() - 1)]);
-  };
   const sim::Cycle sum =
       std::accumulate(samples.begin(), samples.end(), sim::Cycle{0});
   s.mean_cycles = static_cast<double>(sum) /
                   static_cast<double>(samples.size());
+  // Selection, not a sort: nth_element leaves every sample at or after
+  // the selected rank no smaller than it, so each higher quantile (and
+  // the max) is selected within the tail the previous selection left.
+  auto tail = samples.begin();
+  const auto percentile = [&samples, &tail](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                           rank == 0 ? 0 : rank - 1,
+                                           samples.size() - 1));
+    std::nth_element(tail, nth, samples.end());
+    tail = nth;
+    return static_cast<double>(*nth);
+  };
   s.p50_cycles = percentile(0.50);
   s.p95_cycles = percentile(0.95);
   s.p99_cycles = percentile(0.99);
-  s.max_cycles = static_cast<double>(samples.back());
+  s.max_cycles = static_cast<double>(*std::max_element(tail, samples.end()));
   s.mean_seconds = s.mean_cycles / clock_hz;
   s.p50_seconds = s.p50_cycles / clock_hz;
   s.p95_seconds = s.p95_cycles / clock_hz;

@@ -197,8 +197,9 @@ std::int8_t Scheduler::speculate(const Batch& batch) {
   }
   speculation_tail_[shard] = batch.task;
   ++speculation_.speculated;
-  auto stories = std::make_shared<const std::vector<data::EncodedStory>>(
-      batch.stories);
+  auto stories =
+      std::make_shared<const std::vector<const data::EncodedStory*>>(
+          batch.stories);
   const accel::Accelerator& device = task_devices_[batch.task];
   accel::ServiceCycleCache* cache = cache_;
   obs::add(obs_speculations_);
@@ -600,7 +601,7 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
     response.device = slot.id;
     response.batch_size = batch.size();
     response.prediction = run.stories[i].prediction;
-    response.answer = batch.stories[i].answer;
+    response.answer = batch.stories[i]->answer;
     response.early_exit = run.stories[i].early_exit;
     response.enqueue_cycle = request.enqueue_cycle;
     response.deadline_cycle = request.deadline_cycle;

@@ -215,7 +215,7 @@ TEST_F(AcceleratorFixture, DeterministicAcrossRuns) {
 
 TEST_F(AcceleratorFixture, EmptyWorkloadCompletesAfterModelLoad) {
   const Accelerator device(base_config(), compile_model(*model_));
-  const RunResult run = device.run({});
+  const RunResult run = device.run(std::span<const data::EncodedStory>{});
   EXPECT_TRUE(run.stories.empty());
   EXPECT_EQ(run.total_cycles, 0U);  // done predicate true immediately
 }

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/control.hpp"
@@ -20,6 +22,8 @@
 #include "accel/mem_module.hpp"
 #include "accel/output_module.hpp"
 #include "accel/read_module.hpp"
+#include "accel/service_cycle_cache.hpp"
+#include "accel/stream.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
 #include "model/trainer.hpp"
@@ -225,6 +229,50 @@ TEST_F(EventEquivalence, PushesIntoAFullFifoInAreCountedAlike) {
   EXPECT_GT(events.fifo_in_stats.full_rejects, 0U);
   expect_identical(detail::simulate_per_cycle(device, dataset_->test, false),
                    events);
+}
+
+TEST_F(EventEquivalence, PointerSpanRunsLikeTheValueSpan) {
+  // A serving batch borrows its stories: pointers, in batch order, into
+  // wherever the corpus lives. Here they point at heap copies of the
+  // test split taken in reverse, so addresses and order both differ from
+  // the source vector.
+  const std::vector<data::EncodedStory> batch(dataset_->test.rbegin(),
+                                              dataset_->test.rend());
+  std::vector<std::unique_ptr<data::EncodedStory>> copies;
+  std::vector<const data::EncodedStory*> pointers;
+  for (const data::EncodedStory& story : batch) {
+    copies.push_back(std::make_unique<data::EncodedStory>(story));
+    pointers.push_back(copies.back().get());
+  }
+  const std::span<const data::EncodedStory* const> borrowed(pointers);
+  // Contents, never addresses: the same key as the batch's own stories.
+  EXPECT_EQ(digest_stories(borrowed), digest_stories(story_pointers(batch)));
+  for (const bool ith : {false, true}) {
+    AccelConfig cfg = config(100.0e6);
+    cfg.ith_enabled = ith;
+    const Accelerator device(cfg, ith ? *with_ith_ : *plain_);
+    for (const bool resident : {false, true}) {
+      SCOPED_TRACE(std::string(ith ? "ITH, " : "plain, ") +
+                   (resident ? "model_resident" : "cold"));
+      RunOptions options;
+      options.model_resident = resident;
+      const RunResult by_value = device.run(batch, options);
+      const RunResult by_pointer = device.run(borrowed, options);
+      expect_identical(by_value, by_pointer);
+      expect_identical(detail::simulate_per_cycle(device, batch, resident),
+                       by_pointer);
+
+      // The value span publishes; the pointers find its entry.
+      ServiceCycleCache cache(2);
+      CacheOutcome outcome = CacheOutcome::kNone;
+      options.cycle_cache = &cache;
+      options.cache_outcome = &outcome;
+      (void)device.run(batch, options);
+      EXPECT_EQ(outcome, CacheOutcome::kMiss);
+      expect_identical(by_value, device.run(borrowed, options));
+      EXPECT_EQ(outcome, CacheOutcome::kHit);
+    }
+  }
 }
 
 TEST_F(EventEquivalence, DeadlockTripsTheWatchdogOnBothClocks) {

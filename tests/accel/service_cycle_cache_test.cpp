@@ -7,10 +7,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/compiler.hpp"
+#include "accel/stream.hpp"
 #include "model/memn2n.hpp"
 #include "numeric/random.hpp"
 #include "serve/eviction.hpp"
@@ -63,11 +65,16 @@ TEST(ServiceCycleCache, RejectsZeroCapacity) {
 TEST(ServiceCycleCache, DigestDistinguishesStories) {
   const auto a = tiny_stories(4, 0);
   const auto b = tiny_stories(4, 1);
-  EXPECT_NE(digest_stories(a), digest_stories(b));
-  EXPECT_EQ(digest_stories(a), digest_stories(tiny_stories(4, 0)));
+  const auto a_copy = tiny_stories(4, 0);
+  const auto digest = [](const std::vector<data::EncodedStory>& stories) {
+    return digest_stories(story_pointers(stories));
+  };
+  EXPECT_NE(digest(a), digest(b));
+  // Contents, never addresses: a copy elsewhere digests the same.
+  EXPECT_EQ(digest(a), digest(a_copy));
   // Prefix of a batch is a different workload even if contents agree.
-  EXPECT_NE(digest_stories(a),
-            digest_stories(std::span(a.data(), 3)));
+  const auto pointers = story_pointers(a);
+  EXPECT_NE(digest(a), digest_stories(std::span(pointers.data(), 3)));
 }
 
 TEST(ServiceCycleCache, MissThenHit) {
@@ -354,6 +361,111 @@ TEST(EvictionPolicy, CostAwareTieFallsToLru) {
   EXPECT_TRUE(cache.acquire(first).has_value());
   EXPECT_FALSE(cache.acquire(second).has_value());  // evicted: least recent
   cache.abandon(second);
+}
+
+/// The linear victim scan the cost index replaced: LRU drops the least
+/// recently touched entry, cost-aware the one with the fewest cycles,
+/// equal cycles falling to the least recently touched.
+class ScanCache {
+ public:
+  explicit ScanCache(std::size_t capacity) : capacity_(capacity) {}
+
+  serve::EvictionPolicyKind kind = serve::EvictionPolicyKind::kLru;
+
+  /// Hit (and touch) when `id` is resident.
+  bool acquire(std::uint64_t id) {
+    for (Entry& entry : entries_) {
+      if (entry.id == id) {
+        entry.touch = ++clock_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Inserts `id` and returns the victim, if the insert overfilled.
+  std::optional<std::uint64_t> publish(std::uint64_t id, sim::Cycle cycles) {
+    entries_.push_back({id, cycles, ++clock_});
+    if (entries_.size() <= capacity_) {
+      return std::nullopt;
+    }
+    auto victim = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      const bool first =
+          kind == serve::EvictionPolicyKind::kLru
+              ? it->touch < victim->touch
+              : std::tie(it->cycles, it->touch) <
+                    std::tie(victim->cycles, victim->touch);
+      if (first) {
+        victim = it;
+      }
+    }
+    const std::uint64_t gone = victim->id;
+    entries_.erase(victim);
+    return gone;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t id = 0;
+    sim::Cycle cycles = 0;
+    std::uint64_t touch = 0;
+  };
+  std::size_t capacity_;
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(EvictionPolicy, IndexedVictimMatchesLinearScanUnderSeededTraffic) {
+  // Random lookups over 24 keys into 6 entries; a miss publishes one of
+  // three cycle counts (so most cost comparisons tie) or now and then
+  // abandons. The kind flips now and then, so both orders must stay
+  // current under either. After every eviction the scan's victim must be
+  // the entry gone: a lookup of it misses, and touches nothing.
+  const auto key_of = [](std::uint64_t id) {
+    return ServiceCycleCache::Key{id, 0, 1, false};
+  };
+  for (const auto first_kind : {serve::EvictionPolicyKind::kLru,
+                                serve::EvictionPolicyKind::kCostAware}) {
+    SCOPED_TRACE(first_kind == serve::EvictionPolicyKind::kLru ? "lru first"
+                                                               : "cost first");
+    ServiceCycleCache cache(6);
+    ScanCache scan(6);
+    scan.kind = first_kind;
+    cache.set_eviction_policy(first_kind);
+    numeric::Rng rng(2019);
+    std::uint64_t evictions = 0;
+    for (std::size_t step = 0; step < 6000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      if (rng.index(400) == 0) {
+        scan.kind = scan.kind == serve::EvictionPolicyKind::kLru
+                        ? serve::EvictionPolicyKind::kCostAware
+                        : serve::EvictionPolicyKind::kLru;
+        cache.set_eviction_policy(scan.kind);
+      }
+      const std::uint64_t id = rng.index(24);
+      const bool hit = cache.acquire(key_of(id)).has_value();
+      ASSERT_EQ(hit, scan.acquire(id));
+      if (hit) {
+        continue;
+      }
+      if (rng.index(10) == 0) {
+        cache.abandon(key_of(id));
+        continue;
+      }
+      const sim::Cycle cycles = 100 * (1 + rng.index(3));
+      cache.publish(key_of(id), fake_result(cycles));
+      const std::optional<std::uint64_t> victim = scan.publish(id, cycles);
+      evictions += victim ? 1 : 0;
+      ASSERT_EQ(cache.stats().evictions, evictions);
+      if (victim) {
+        ASSERT_FALSE(cache.acquire(key_of(*victim)).has_value())
+            << "the cache kept the scan's victim " << *victim;
+        cache.abandon(key_of(*victim));
+      }
+    }
+    EXPECT_GT(evictions, 2000U);
+  }
 }
 
 // ------------------------------------------------------------- sharding

@@ -33,7 +33,7 @@ TEST(Stream, EncodeStoryStructure) {
 
 TEST(Stream, EncodeWorkloadConcatenatesStories) {
   const std::vector<data::EncodedStory> stories = {story(), story()};
-  const auto words = encode_workload(stories);
+  const auto words = encode_workload(story_pointers(stories));
   ASSERT_EQ(words.size(), 2U * 10U);
   const auto one = encode_story(story());
   EXPECT_TRUE(std::equal(one.begin(), one.end(), words.begin()));

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "numeric/random.hpp"
 #include "serve_test_util.hpp"
@@ -94,7 +99,9 @@ TEST(Batcher, BatchCarriesStoriesInRequestOrder) {
   ASSERT_TRUE(batch.has_value());
   ASSERT_EQ(batch->stories.size(), batch->requests.size());
   for (std::size_t i = 0; i < batch->size(); ++i) {
-    EXPECT_EQ(batch->stories[i].answer, stories[i].answer);
+    // Borrowed, not copied: the request's own corpus pointer, in order.
+    EXPECT_EQ(batch->stories[i], batch->requests[i].story);
+    EXPECT_EQ(batch->stories[i], &stories[i]);
   }
 }
 
@@ -255,6 +262,197 @@ TEST(Batcher, PendingCountsEnqueuedMinusFlushedUnderSeededTraffic) {
   }
   EXPECT_EQ(batcher.pending(), 0U);
   EXPECT_GT(out, 0U);
+}
+
+TEST(Batcher, HeadEnqueuedAfterNowHasNotWaited) {
+  // A head stamped ahead of the poll clock has waited no cycles, not
+  // ~2^64 of them: it times out max_wait_cycles after its own stamp.
+  const auto stories = tiny_stories(1);
+  Batcher batcher(small_config(), 1);  // max_wait 100
+  ASSERT_TRUE(batcher.enqueue(make_request(0, 0, stories[0], 500)));
+  EXPECT_FALSE(batcher.poll(100).has_value());
+  EXPECT_FALSE(batcher.poll(599).has_value());
+  EXPECT_TRUE(batcher.poll(600).has_value());
+  EXPECT_EQ(batcher.counters().flush_timeout, 1U);
+}
+
+TEST(Batcher, NoDeadlineWhenRequestsNeverTimeOut) {
+  // max_wait_cycles = kNever flushes only on full: the timeout cycle is
+  // past the clock's range, so next_deadline() reports none.
+  const auto stories = tiny_stories(1);
+  BatcherConfig config = small_config();
+  config.max_wait_cycles = sim::kNever;
+  Batcher batcher(config, 1);
+  ASSERT_TRUE(batcher.enqueue(make_request(0, 0, stories[0], 10)));
+  EXPECT_EQ(batcher.next_deadline(), sim::kNever);
+  EXPECT_FALSE(batcher.poll(1'000'000'000).has_value());
+}
+
+/// The linear scan Batcher replaces with ordered lane sets: from the
+/// rotation cursor, the first lane that is full or whose head has waited
+/// max_wait_cycles (a head enqueued after `now` has not waited); drain
+/// takes the first non-empty lane. Lanes are task-major, tenant-minor.
+class ScanBatcher {
+ public:
+  struct Flush {
+    std::size_t lane = 0;
+    std::vector<RequestId> ids;
+  };
+
+  ScanBatcher(BatcherConfig config, std::size_t lanes)
+      : config_(config), lanes_(lanes) {}
+
+  bool enqueue(std::size_t lane, const InferenceRequest& request) {
+    if (lanes_[lane].size() >= config_.queue_capacity) {
+      return false;
+    }
+    lanes_[lane].push_back(request);
+    return true;
+  }
+
+  std::optional<Flush> poll(sim::Cycle now) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const std::size_t lane = (cursor_ + i) % lanes_.size();
+      const std::deque<InferenceRequest>& q = lanes_[lane];
+      if (q.empty()) {
+        continue;
+      }
+      const sim::Cycle head = q.front().enqueue_cycle;
+      const bool full = q.size() >= config_.max_batch;
+      const bool waited =
+          head <= now && now - head >= config_.max_wait_cycles;
+      if (full || waited) {
+        ++(full ? flush_full : flush_timeout);
+        return flush(lane);
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::optional<Flush> drain() {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const std::size_t lane = (cursor_ + i) % lanes_.size();
+      if (!lanes_[lane].empty()) {
+        return flush(lane);
+      }
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] sim::Cycle next_deadline() const {
+    sim::Cycle deadline = sim::kNever;
+    for (const std::deque<InferenceRequest>& q : lanes_) {
+      if (!q.empty() &&
+          q.front().enqueue_cycle < sim::kNever - config_.max_wait_cycles) {
+        deadline = std::min(deadline,
+                            q.front().enqueue_cycle + config_.max_wait_cycles);
+      }
+    }
+    return deadline;
+  }
+
+  std::uint64_t flush_full = 0;
+  std::uint64_t flush_timeout = 0;
+
+ private:
+  Flush flush(std::size_t lane) {
+    Flush out;
+    out.lane = lane;
+    std::deque<InferenceRequest>& q = lanes_[lane];
+    while (!q.empty() && out.ids.size() < config_.max_batch) {
+      out.ids.push_back(q.front().id);
+      q.pop_front();
+    }
+    cursor_ = (lane + 1) % lanes_.size();
+    return out;
+  }
+
+  BatcherConfig config_;
+  std::vector<std::deque<InferenceRequest>> lanes_;
+  std::size_t cursor_ = 0;
+};
+
+void expect_same_flush(const std::optional<Batch>& batch,
+                       const std::optional<ScanBatcher::Flush>& expected,
+                       std::size_t tenants) {
+  ASSERT_EQ(batch.has_value(), expected.has_value());
+  if (!batch) {
+    return;
+  }
+  EXPECT_EQ(batch->task * tenants + batch->tenant, expected->lane);
+  std::vector<RequestId> ids;
+  for (const InferenceRequest& request : batch->requests) {
+    ids.push_back(request.id);
+  }
+  EXPECT_EQ(ids, expected->ids);
+}
+
+TEST(Batcher, ReadyLaneMatchesLinearScanUnderSeededTraffic) {
+  // 3 tasks x 3 tenants: bursts of up to 6 onto one lane (max_batch 4,
+  // so lanes overfill and flush partially), some stamped ahead of the
+  // clock, clock steps that land on next_deadline() and one cycle before
+  // it, and poll runs that meet full and timed-out lanes at once while
+  // the cursor wraps. Every flush, counter and deadline must equal the
+  // scan's.
+  const auto stories = tiny_stories(16);
+  BatcherConfig config = small_config();  // max_batch 4, max_wait 100
+  config.queue_capacity = 12;
+  constexpr std::size_t kTasks = 3;
+  constexpr std::size_t kTenants = 3;
+  for (const std::uint64_t seed : {2019U, 7U, 8675U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Batcher batcher(config, kTasks, kTenants);
+    ScanBatcher scan(config, kTasks * kTenants);
+    numeric::Rng rng(seed);
+    RequestId next_id = 0;
+    sim::Cycle now = 0;
+    std::uint64_t drained = 0;
+    for (std::size_t step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::size_t op = rng.index(20);
+      if (op < 9) {
+        const std::size_t task = rng.index(kTasks);
+        const auto tenant = static_cast<TenantId>(rng.index(kTenants));
+        const sim::Cycle at =
+            rng.index(20) == 0 ? now + 1 + rng.index(50) : now;
+        for (std::size_t burst = 1 + rng.index(6); burst > 0; --burst) {
+          const InferenceRequest request =
+              tenant_request(next_id++, task, tenant,
+                             stories[rng.index(stories.size())], at);
+          ASSERT_EQ(batcher.enqueue(request),
+                    scan.enqueue(task * kTenants + tenant, request));
+        }
+      } else if (op < 13) {
+        now += rng.index(60);
+      } else if (op < 15) {
+        const sim::Cycle deadline = scan.next_deadline();
+        if (deadline != sim::kNever && deadline > now) {
+          now = deadline - rng.index(2);
+        }
+      } else if (op < 19) {
+        for (std::size_t polls = 1 + rng.index(4); polls > 0; --polls) {
+          const std::optional<ScanBatcher::Flush> expected = scan.poll(now);
+          expect_same_flush(batcher.poll(now), expected, kTenants);
+          if (!expected) {
+            break;
+          }
+        }
+      } else {
+        const std::optional<ScanBatcher::Flush> expected = scan.drain();
+        drained += expected ? 1 : 0;
+        expect_same_flush(batcher.drain(now), expected, kTenants);
+      }
+      ASSERT_EQ(batcher.counters().flush_full, scan.flush_full);
+      ASSERT_EQ(batcher.counters().flush_timeout, scan.flush_timeout);
+      ASSERT_EQ(batcher.counters().flush_drain, drained);
+      ASSERT_EQ(batcher.next_deadline(), scan.next_deadline());
+      if (HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_GT(scan.flush_full, 100U);
+    EXPECT_GT(scan.flush_timeout, 100U);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "numeric/random.hpp"
 #include "serve/request.hpp"
 
 namespace mann::serve {
@@ -86,6 +91,61 @@ TEST(ServingMetrics, PercentilesOrderedOnSkewedSamples) {
   EXPECT_DOUBLE_EQ(report.latency.p95_cycles, 95.0);
   EXPECT_DOUBLE_EQ(report.latency.p99_cycles, 99.0);
   EXPECT_DOUBLE_EQ(report.latency.max_cycles, 100.0);
+}
+
+/// The nearest-rank rule by a full sort: the sample at 1-based rank
+/// ceil(q·n), clamped to [1, n].
+double sorted_rank(const std::vector<sim::Cycle>& sorted, double q) {
+  const auto n = static_cast<double>(sorted.size());
+  const auto rank = std::clamp(static_cast<std::size_t>(std::ceil(q * n)),
+                               std::size_t{1}, sorted.size());
+  return static_cast<double>(sorted[rank - 1]);
+}
+
+TEST(SummarizeLatency, SelectionMatchesASortedNearestRank) {
+  // Seeded sample sets of every shape selection can get wrong: sizes 1
+  // to a few thousand (for n <= 20 the p95 and p99 ranks coincide with
+  // the max; n = 100 and 200 put p99 one and two below it), all-equal
+  // samples, few distinct values (long runs of duplicates) and wide
+  // distinct ones, each shuffled.
+  numeric::Rng rng(2019);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : {99U, 100U, 101U, 199U, 200U, 201U, 1000U,
+                              1999U, 2000U, 4096U}) {
+    sizes.push_back(n);
+  }
+  for (std::size_t i = 0; i < 20; ++i) {
+    sizes.push_back(1 + rng.index(3000));
+  }
+  const double clock_hz = 100.0e6;
+  for (const std::size_t n : sizes) {
+    for (const std::size_t values : {1U, 3U, 1'000'000'000U}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", " + std::to_string(values) +
+                   " possible values");
+      std::vector<sim::Cycle> samples(n);
+      for (sim::Cycle& sample : samples) {
+        sample = 50 + rng.index(values);
+      }
+      std::vector<sim::Cycle> sorted = samples;
+      std::sort(sorted.begin(), sorted.end());
+      const LatencySummary s = summarize_latency(samples, clock_hz);
+      const double mean =
+          static_cast<double>(
+              std::accumulate(sorted.begin(), sorted.end(), sim::Cycle{0})) /
+          static_cast<double>(n);
+      EXPECT_EQ(s.mean_cycles, mean);
+      EXPECT_EQ(s.p50_cycles, sorted_rank(sorted, 0.50));
+      EXPECT_EQ(s.p95_cycles, sorted_rank(sorted, 0.95));
+      EXPECT_EQ(s.p99_cycles, sorted_rank(sorted, 0.99));
+      EXPECT_EQ(s.max_cycles, static_cast<double>(sorted.back()));
+      EXPECT_EQ(s.p50_seconds, sorted_rank(sorted, 0.50) / clock_hz);
+      EXPECT_EQ(s.p99_seconds, sorted_rank(sorted, 0.99) / clock_hz);
+      EXPECT_EQ(s.max_seconds, static_cast<double>(sorted.back()) / clock_hz);
+    }
+  }
 }
 
 TEST(ServingMetrics, CarriesHostExecutionView) {

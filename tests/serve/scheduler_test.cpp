@@ -36,7 +36,7 @@ Batch make_batch(std::size_t task,
   for (std::size_t i = 0; i < count; ++i) {
     batch.requests.push_back(
         make_request(first_id + i, task, stories[i], enqueue));
-    batch.stories.push_back(stories[i]);
+    batch.stories.push_back(&stories[i]);
   }
   return batch;
 }
