@@ -47,7 +47,8 @@ int main() {
   }
   std::printf(
       "\nexpected shape: results are depth-independent (back-pressure is "
-      "lossless); rejects fall\nas depth grows and occupancy saturates at "
-      "the natural burst size of the stream.\n");
+      "lossless); rejects fall\nas depth grows, and max occupancy equals "
+      "the depth at every depth: the queue fills at each\ndepth tried, "
+      "so occupancy does not saturate in this range.\n");
   return 0;
 }

@@ -59,7 +59,8 @@ int main() {
                 100.0 * cmp_ord / total, 100.0 * cmp_nat / total);
   }
   std::printf(
-      "\nexpected shape: comparisons fall as rho decreases; ordering "
-      "improves both columns at fixed rho.\n");
+      "\nexpected shape: comparisons fall as rho decreases; ordering cuts "
+      "comparisons at every rho.\nIt raises accuracy only below rho = "
+      "0.99: at 1.00 and 0.99 the unordered search reads higher.\n");
   return 0;
 }

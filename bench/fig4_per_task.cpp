@@ -68,6 +68,7 @@ int main() {
       numeric::geometric_mean(fpga100_ith_ratios));
   std::printf(
       "expected shape: every FPGA column > 1x on every task; ITH widens "
-      "the margin.\n");
+      "the margin on every task but\nqa16, where it reads 0.01x lower "
+      "at both clocks.\n");
   return 0;
 }

@@ -18,16 +18,6 @@ FxMatrix quantize(const numeric::Matrix& m) {
   return out;
 }
 
-numeric::Matrix dequantize(const FxMatrix& m) {
-  numeric::Matrix out(m.rows(), m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      out(r, c) = m(r, c).to_float();
-    }
-  }
-  return out;
-}
-
 Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("fx_dot: length mismatch");

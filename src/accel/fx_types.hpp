@@ -53,9 +53,6 @@ class FxMatrix {
 /// Quantizes a float matrix to Q16.16 (round-to-nearest, saturating).
 [[nodiscard]] FxMatrix quantize(const numeric::Matrix& m);
 
-/// Dequantizes for verification against the float reference.
-[[nodiscard]] numeric::Matrix dequantize(const FxMatrix& m);
-
 /// Fixed-point dot product: each product rounded by
 /// `Fx::rounded_product` and saturated, then accumulated in order with
 /// saturation.

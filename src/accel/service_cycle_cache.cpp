@@ -95,14 +95,13 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
   bool waited = false;
   for (;;) {
     if (const auto it = segment.index.find(key); it != segment.index.end()) {
-      // Touch: to the LRU front, and re-keyed in the cost index through
-      // its node handle, which allocates nothing.
-      Entry& entry = *it->second;
-      segment.lru.splice(segment.lru.begin(), segment.lru, it->second);
-      auto node = segment.by_cost.extract(reload_key(entry));
+      // Touch: a fresh clock, re-keyed in the victim order through its
+      // node handle, which allocates nothing.
+      Entry& entry = it->second;
+      auto node = segment.order.extract(rank(segment, entry));
       entry.touch_seq = ++segment.touch_counter;
-      node.key() = reload_key(entry);
-      segment.by_cost.insert(std::move(node));
+      node.key() = rank(segment, entry);
+      segment.order.insert(std::move(node));
       // A lookup resolved by someone else's in-flight simulation is a
       // wait, not a hit: it deduplicated work but paid miss-shaped
       // latency, and exactly one of hits/waits/misses counts per lookup.
@@ -118,7 +117,7 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
       if (outcome != nullptr) {
         *outcome = waited ? CacheOutcome::kWait : CacheOutcome::kHit;
       }
-      return it->second->result;
+      return entry.result;
     }
     if (!segment.in_flight.contains(key)) {
       segment.in_flight.insert(key);
@@ -138,13 +137,10 @@ std::optional<RunResult> ServiceCycleCache::acquire(const Key& key,
 }
 
 void ServiceCycleCache::evict_over_capacity_locked(Segment& segment) {
-  while (segment.lru.size() > segment_capacity_) {
-    const EntryIt victim = eviction_ == serve::EvictionPolicyKind::kCostAware
-                               ? segment.by_cost.begin()->second
-                               : std::prev(segment.lru.end());  // coldest
-    segment.by_cost.erase(reload_key(*victim));
-    segment.index.erase(victim->key);
-    segment.lru.erase(victim);
+  while (segment.index.size() > segment_capacity_) {
+    const auto victim = segment.order.begin();
+    segment.index.erase(victim->second);
+    segment.order.erase(victim);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
     ++segment.stats.evictions;
     obs::add(obs_evictions_);
@@ -157,10 +153,10 @@ void ServiceCycleCache::publish(const Key& key, const RunResult& result) {
     std::unique_lock lock = lock_segment(segment);
     segment.in_flight.erase(key);
     if (!segment.index.contains(key)) {
-      segment.lru.push_front({key, result, ++segment.touch_counter});
-      segment.index.emplace(key, segment.lru.begin());
-      segment.by_cost.emplace(reload_key(segment.lru.front()),
-                              segment.lru.begin());
+      const Entry& entry =
+          segment.index.emplace(key, Entry{result, ++segment.touch_counter})
+              .first->second;
+      segment.order.emplace(rank(segment, entry), key);
       entry_count_.fetch_add(1, std::memory_order_relaxed);
       ++segment.stats.insertions;
       obs::add(obs_insertions_);
@@ -180,6 +176,26 @@ void ServiceCycleCache::abandon(const Key& key) noexcept {
   segment.ready.notify_all();
 }
 
+void ServiceCycleCache::set_eviction_policy(
+    serve::EvictionPolicyKind kind) noexcept {
+  for (const auto& segment : segments_) {
+    std::lock_guard lock(segment->mutex);
+    if (segment->kind == kind) {
+      continue;
+    }
+    segment->kind = kind;
+    // Re-rank every entry through its node handle, which allocates
+    // nothing; the touch clocks keep their order.
+    std::map<Rank, Key> old;
+    old.swap(segment->order);
+    while (!old.empty()) {
+      auto node = old.extract(old.begin());
+      node.key() = rank(*segment, segment->index.find(node.mapped())->second);
+      segment->order.insert(std::move(node));
+    }
+  }
+}
+
 ServiceCycleCacheStats ServiceCycleCache::stats() const {
   ServiceCycleCacheStats total;
   for (const auto& segment : segments_) {
@@ -189,16 +205,7 @@ ServiceCycleCacheStats ServiceCycleCache::stats() const {
     total.waits += segment->stats.waits;
     total.insertions += segment->stats.insertions;
     total.evictions += segment->stats.evictions;
-    total.entries += segment->lru.size();
-  }
-  return total;
-}
-
-std::size_t ServiceCycleCache::size() const {
-  std::size_t total = 0;
-  for (const auto& segment : segments_) {
-    std::lock_guard lock(segment->mutex);
-    total += segment->lru.size();
+    total.entries += segment->index.size();
   }
   return total;
 }

@@ -19,20 +19,20 @@
 // lets the simulation thread pick up a prefetched result the moment it
 // is ready.
 //
-// Capacity eviction drops the least recently used entry in O(1), or —
-// after set_eviction_policy(serve::EvictionPolicyKind::kCostAware) — the
-// entry with the fewest simulated cycles, i.e. the one cheapest to
-// recompute (equal cycles fall to the least recently touched). Beside
-// its LRU list each segment keeps an ordered index of every entry's
-// (simulated cycles, touch clock), re-keyed in place on every touch, so
-// the cost-aware victim is the index's front: O(log n) per publish, never
-// a walk of the list.
+// Capacity eviction takes the front of one ordered index per segment.
+// An entry's rank is (simulated cycles under
+// set_eviction_policy(serve::EvictionPolicyKind::kCostAware), or 0 under
+// kLru, then its touch clock). Every publish and every hit takes a fresh
+// touch clock and re-keys the entry through its node handle, so the
+// front is the least recently used entry under kLru and the one
+// cheapest to recompute under kCostAware (equal cycles fall to the least
+// recently touched): O(log n) per publish, hit and eviction.
 //
 // Sharding: at higher host-thread counts (cluster fleet threads, many
 // workers) a single mutex serializes every lookup. The cache can be
 // split into S independently-locked segments selected by the key hash
 // (which mixes the story digest, so concurrent distinct batches spread
-// across segments). Each segment keeps its own LRU order, in-flight
+// across segments). Each segment keeps its own victim order, in-flight
 // rendezvous and stats; stats() sums the segments. The
 // per-lookup outcome (hit/wait/miss) depends only on which keys are
 // resident, so hits+waits+misses are invariant across segment counts.
@@ -41,7 +41,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -107,10 +106,11 @@ class ServiceCycleCache {
     [[nodiscard]] bool operator==(const Key&) const noexcept = default;
   };
 
-  /// `capacity` bounds resident entries; the least recently used entry is
-  /// evicted on overflow. Throws std::invalid_argument when `capacity` or
-  /// `segments` is 0. When `metrics` is set the cache mirrors its stats
-  /// into "accel.cycle_cache.*" counters (non-owning; may be null).
+  /// `capacity` bounds resident entries; overflow evicts by the kind
+  /// set_eviction_policy chose (kLru until it is called). Throws
+  /// std::invalid_argument when `capacity` or `segments` is 0. When
+  /// `metrics` is set the cache mirrors its stats into
+  /// "accel.cycle_cache.*" counters (non-owning; may be null).
   /// `segments` splits the cache into that many independently-locked
   /// shards (key-hash selected; capacity divides evenly, rounded up).
   /// With more than one segment and a registry, per-segment
@@ -140,15 +140,12 @@ class ServiceCycleCache {
   void abandon(const Key& key) noexcept;
 
   /// Chooses how capacity eviction picks its victim in every segment:
-  /// kLru (the default) or kCostAware (see the header comment). Both
-  /// orders are kept under either kind, so a switch applies from the next
-  /// eviction on. Call it before the cache is shared across threads.
-  void set_eviction_policy(serve::EvictionPolicyKind kind) noexcept {
-    eviction_ = kind;
-  }
+  /// kLru (the default) or kCostAware (see the header comment). A change
+  /// of kind re-ranks every resident entry, so it applies from the next
+  /// eviction on.
+  void set_eviction_policy(serve::EvictionPolicyKind kind) noexcept;
 
   [[nodiscard]] ServiceCycleCacheStats stats() const;
-  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t segments() const noexcept {
     return segments_.size();
@@ -159,28 +156,23 @@ class ServiceCycleCache {
     [[nodiscard]] std::size_t operator()(const Key& k) const noexcept;
   };
   struct Entry {
-    Key key;
     RunResult result;
-    std::uint64_t touch_seq = 0;  ///< monotone recency clock (cost ties)
+    std::uint64_t touch_seq = 0;  ///< fresh on every publish and hit
   };
-  using EntryIt = std::list<Entry>::iterator;
-  /// Reload order: re-simulating IS the reload, so fewer cycles evict
-  /// first; the unique touch clock breaks ties toward the coldest entry.
-  using ReloadKey = std::pair<sim::Cycle, std::uint64_t>;
-  [[nodiscard]] static ReloadKey reload_key(const Entry& entry) noexcept {
-    return {entry.result.total_cycles, entry.touch_seq};
-  }
+  /// Victim order, front first (see the header comment): re-simulating
+  /// is the reload, so under kCostAware fewer cycles go first.
+  using Rank = std::pair<sim::Cycle, std::uint64_t>;
 
-  /// One independently-locked shard: its own LRU order, in-flight
-  /// rendezvous, recency clock and stats. Never crosses into another
-  /// segment, so two threads on different segments never contend.
+  /// One independently-locked shard: its own entries, victim order,
+  /// in-flight rendezvous, recency clock and stats. Never crosses into
+  /// another segment, so two threads on different segments never contend.
   struct Segment {
     mutable std::mutex mutex;
     std::condition_variable ready;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<Key, EntryIt, KeyHash> index;
-    /// Every entry by reload_key; front = the cost-aware victim.
-    std::map<ReloadKey, EntryIt> by_cost;
+    std::unordered_map<Key, Entry, KeyHash> index;
+    /// Every resident key by rank; begin() is the next victim.
+    std::map<Rank, Key> order;
+    serve::EvictionPolicyKind kind = serve::EvictionPolicyKind::kLru;
     std::unordered_set<Key, KeyHash> in_flight;
     ServiceCycleCacheStats stats;
     std::uint64_t touch_counter = 0;
@@ -192,18 +184,25 @@ class ServiceCycleCache {
     obs::Counter* obs_contended = nullptr;  ///< lock acquisitions that blocked
   };
 
+  [[nodiscard]] static Rank rank(const Segment& segment,
+                                 const Entry& entry) noexcept {
+    return {segment.kind == serve::EvictionPolicyKind::kCostAware
+                ? entry.result.total_cycles
+                : 0,
+            entry.touch_seq};
+  }
+
   [[nodiscard]] Segment& segment_for(const Key& key) noexcept;
   /// Locks `segment.mutex`, counting the acquisition as contended when
   /// another thread already holds it.
   [[nodiscard]] std::unique_lock<std::mutex> lock_segment(Segment& segment);
-  /// Evicts past the segment's share of capacity by the configured kind;
-  /// the segment lock must be held.
+  /// Evicts from the front of the victim order past the segment's share
+  /// of capacity; the segment lock must be held.
   void evict_over_capacity_locked(Segment& segment);
 
   std::size_t capacity_;
   std::size_t segment_capacity_;
   std::vector<std::unique_ptr<Segment>> segments_;
-  serve::EvictionPolicyKind eviction_ = serve::EvictionPolicyKind::kLru;
   /// Resident entries across all segments, maintained atomically so the
   /// entries gauge never needs a cross-segment lock sweep.
   std::atomic<std::int64_t> entry_count_{0};

@@ -22,12 +22,6 @@ void append_story(std::vector<StreamWord>& words,
 
 }  // namespace
 
-std::vector<StreamWord> encode_story(const data::EncodedStory& story) {
-  std::vector<StreamWord> words;
-  append_story(words, story);
-  return words;
-}
-
 std::vector<StreamWord> encode_workload(
     std::span<const data::EncodedStory* const> stories) {
   std::vector<StreamWord> words;

@@ -33,10 +33,6 @@ struct StreamWord {
   friend bool operator==(const StreamWord&, const StreamWord&) = default;
 };
 
-/// Renders one story into its stream words.
-[[nodiscard]] std::vector<StreamWord> encode_story(
-    const data::EncodedStory& story);
-
 /// Renders every story of a workload, in order, appending each story's
 /// words in place. On a cold run the trained parameters cross the PCIe
 /// link first, as identical kModelWord words, so HostLinkModule streams

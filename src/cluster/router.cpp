@@ -7,16 +7,6 @@ namespace mann::cluster {
 
 namespace {
 
-/// SplitMix64 finalizer — a stateless, library-portable hash (the same
-/// mixer numeric::Rng seeds from), so ring layouts and task placements
-/// are identical on every host.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 /// (queue depth, pending cost, id) — the least-loaded comparison. The id
 /// tiebreak keeps decisions total-ordered and therefore reproducible.
 [[nodiscard]] bool less_loaded(const InstanceStatus& a,
@@ -55,7 +45,7 @@ class TaskAffinityPolicy final : public RouterPolicy {
     // instance under the spill threshold. A fully saturated active set
     // falls back to the owner — shedding is the admission layer's call,
     // affinity routing never refuses outright.
-    const std::uint64_t key = mix64(request.task);
+    const std::uint64_t key = numeric::mix64(request.task);
     const std::size_t start = ring_.owner_index(key);
     const InstanceId owner = ring_.at(start);
     std::size_t seen = 0;
@@ -173,18 +163,6 @@ class TenantSpillPolicy final : public RouterPolicy {
 
 }  // namespace
 
-const char* router_policy_name(RouterPolicyKind kind) noexcept {
-  switch (kind) {
-    case RouterPolicyKind::kTaskAffinity:
-      return "task_affinity";
-    case RouterPolicyKind::kPowerOfTwo:
-      return "power_of_two";
-    case RouterPolicyKind::kTenantSpill:
-      return "tenant_spill";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<RouterPolicy> make_router_policy(const RouterConfig& config) {
   switch (config.kind) {
     case RouterPolicyKind::kTaskAffinity:
@@ -205,8 +183,8 @@ void HashRing::rebuild(const std::vector<InstanceId>& instances) {
       // Replica points hash (instance, replica) so an instance's arcs
       // are fixed for the lifetime of the cluster: adding or removing
       // another instance never moves them.
-      const std::uint64_t h =
-          mix64(mix64(instance) ^ (replica * 0x9E3779B97F4A7C15ULL + 1));
+      const std::uint64_t h = numeric::mix64(
+          numeric::mix64(instance) ^ (replica * 0x9E3779B97F4A7C15ULL + 1));
       ring_.emplace_back(h, instance);
     }
   }
@@ -217,7 +195,7 @@ std::size_t HashRing::owner_index(std::uint64_t key) const {
   if (ring_.empty()) {
     throw std::logic_error("HashRing: owner of an empty ring");
   }
-  const std::uint64_t h = mix64(key);
+  const std::uint64_t h = numeric::mix64(key);
   const auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, InstanceId>& node,

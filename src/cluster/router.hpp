@@ -71,8 +71,6 @@ enum class RouterPolicyKind : std::uint8_t {
   kTenantSpill,   ///< tenant home + designated spill set
 };
 
-[[nodiscard]] const char* router_policy_name(RouterPolicyKind kind) noexcept;
-
 struct RouterConfig {
   RouterPolicyKind kind = RouterPolicyKind::kPowerOfTwo;
   /// Seeds the kPowerOfTwo sampler (the other policies are RNG-free).

@@ -6,20 +6,6 @@
 
 namespace mann::data {
 
-WorkloadStats compute_stats(const std::vector<EncodedStory>& stories) {
-  WorkloadStats st;
-  st.stories = stories.size();
-  for (const EncodedStory& s : stories) {
-    st.sentences += s.context.size();
-    st.max_sentences = std::max(st.max_sentences, s.context.size());
-    for (const auto& sentence : s.context) {
-      st.context_words += sentence.size();
-    }
-    st.question_words += s.question.size();
-  }
-  return st;
-}
-
 TaskDataset build_task_dataset(TaskId id, const DatasetConfig& config) {
   // Derive a task-specific stream so adding tasks never perturbs others.
   numeric::Rng rng(config.seed * std::uint64_t{1000003} +

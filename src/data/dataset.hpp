@@ -1,5 +1,5 @@
-// Per-task dataset assembly: generation, vocabulary building, encoding,
-// train/test split, and workload statistics for the cost models.
+// Per-task dataset assembly: generation, vocabulary building, encoding
+// and the train/test split.
 #pragma once
 
 #include <cstddef>
@@ -11,19 +11,6 @@
 #include "numeric/random.hpp"
 
 namespace mann::data {
-
-/// Aggregate size statistics of a set of encoded stories; these drive the
-/// accelerator stream sizes and the CPU/GPU op-count models.
-struct WorkloadStats {
-  std::size_t stories = 0;
-  std::size_t sentences = 0;       ///< total context sentences
-  std::size_t context_words = 0;   ///< total context word tokens
-  std::size_t question_words = 0;  ///< total question word tokens
-  std::size_t max_sentences = 0;   ///< longest story (memory size L bound)
-};
-
-[[nodiscard]] WorkloadStats compute_stats(
-    const std::vector<EncodedStory>& stories);
 
 /// A fully-prepared task: closed vocabulary plus encoded train/test splits.
 struct TaskDataset {

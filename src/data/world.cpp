@@ -56,9 +56,6 @@ void World::move(const std::string& actor, const std::string& location) {
   (void)index_of(locations_, location, "location");
   ActorState& a = actor_state(actor);
   a.location = location;
-  if (a.visited.empty() || a.visited.back() != location) {
-    a.visited.push_back(location);
-  }
   // Held objects travel with the actor.
   for (const std::string& obj : a.held) {
     record_object_location(object_state(obj), location);
@@ -134,11 +131,6 @@ std::vector<std::string> World::carried(const std::string& actor) const {
 std::vector<std::string> World::object_location_history(
     const std::string& object) const {
   return object_state(object).history;
-}
-
-std::vector<std::string> World::actor_location_history(
-    const std::string& actor) const {
-  return actor_state(actor).visited;
 }
 
 }  // namespace mann::data

@@ -58,10 +58,6 @@ class World {
   [[nodiscard]] std::vector<std::string> object_location_history(
       const std::string& object) const;
 
-  /// Distinct locations an actor has visited, oldest first.
-  [[nodiscard]] std::vector<std::string> actor_location_history(
-      const std::string& actor) const;
-
   [[nodiscard]] const std::vector<std::string>& actors() const noexcept {
     return actors_;
   }
@@ -76,7 +72,6 @@ class World {
   struct ActorState {
     std::optional<std::string> location;
     std::vector<std::string> held;
-    std::vector<std::string> visited;
   };
   struct ObjectState {
     std::optional<std::string> holder;

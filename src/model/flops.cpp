@@ -3,10 +3,9 @@
 #include <algorithm>
 
 namespace mann::model {
-namespace {
 
-FlopBreakdown count_common(const data::EncodedStory& story,
-                           const ModelConfig& config, std::size_t probed) {
+FlopBreakdown count_flops(const data::EncodedStory& story,
+                          const ModelConfig& config) {
   FlopBreakdown fb;
   const std::size_t e = config.embedding_dim;
   const std::size_t v = config.vocab_size;
@@ -30,23 +29,9 @@ FlopBreakdown count_common(const data::EncodedStory& story,
   fb.read = config.hops * per_hop_read;
   fb.controller = config.hops * per_hop_controller;
 
-  // Eq. 6: one dot product plus one comparison per probed class.
-  const std::size_t classes = std::min(probed, v);
-  fb.output = classes * (2 * e + 1);
+  // Eq. 6: one dot product plus one comparison per class.
+  fb.output = v * (2 * e + 1);
   return fb;
-}
-
-}  // namespace
-
-FlopBreakdown count_flops(const data::EncodedStory& story,
-                          const ModelConfig& config) {
-  return count_common(story, config, config.vocab_size);
-}
-
-FlopBreakdown count_flops_thresholded(const data::EncodedStory& story,
-                                      const ModelConfig& config,
-                                      std::size_t probed_classes) {
-  return count_common(story, config, probed_classes);
 }
 
 }  // namespace mann::model

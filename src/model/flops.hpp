@@ -4,12 +4,10 @@
 // be counted identically across CPU, GPU and FPGA configurations. The
 // convention here: multiply and add each count 1, exp and div count 1 each
 // (matching how the FPGA realizes them as single LUT/divider operations),
-// and the output-layer max-comparisons count 1 each. With inference
-// thresholding the output term shrinks to the classes actually probed —
-// same convention the paper uses when it reports identical FLOPS for both
-// modes at a given workload (ITH trades *comparisons*, the numerator the
-// paper keeps is the model's nominal FLOPs; we expose both so the bench can
-// report either).
+// and the output-layer max-comparisons count 1 each. Inference
+// thresholding keeps the same count: the paper reports identical FLOPS
+// for both modes at a given workload (ITH trades *comparisons*; the
+// numerator the paper keeps is the model's nominal FLOPs).
 #pragma once
 
 #include <cstddef>
@@ -35,11 +33,5 @@ struct FlopBreakdown {
 /// Full-output-layer count (conventional MIPS over all |I| classes).
 [[nodiscard]] FlopBreakdown count_flops(const data::EncodedStory& story,
                                         const ModelConfig& config);
-
-/// Count when the output layer probes only `probed_classes` classes before
-/// inference thresholding exits (Algo. 1 Step 4).
-[[nodiscard]] FlopBreakdown count_flops_thresholded(
-    const data::EncodedStory& story, const ModelConfig& config,
-    std::size_t probed_classes);
 
 }  // namespace mann::model

@@ -37,14 +37,6 @@ void Parameters::add_scaled(const Parameters& other, float scale) {
   w_o.add_scaled(other.w_o, scale);
 }
 
-void Parameters::fill(float value) {
-  embedding_a.fill(value);
-  embedding_c.fill(value);
-  embedding_q.fill(value);
-  w_r.fill(value);
-  w_o.fill(value);
-}
-
 MemN2N::MemN2N(ModelConfig config, Parameters params)
     : config_(config), params_(std::move(params)) {
   if (config_.vocab_size == 0 || config_.embedding_dim == 0 ||

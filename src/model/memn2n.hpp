@@ -44,7 +44,6 @@ struct Parameters {
   static Parameters random(const ModelConfig& config, numeric::Rng& rng);
 
   void add_scaled(const Parameters& other, float scale);
-  void fill(float value);
 };
 
 /// Everything the forward pass computes, retained for backprop and for the

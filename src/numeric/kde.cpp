@@ -26,51 +26,30 @@ float sample_sigma(std::span<const float> samples) noexcept {
 
 }  // namespace
 
-KernelDensity::KernelDensity(std::span<const float> samples, float bandwidth) {
-  centers_.assign(samples.begin(), samples.end());
-  weights_.assign(samples.size(), 1.0F);
-  total_ = samples.size();
-  select_bandwidth(bandwidth, sample_sigma(samples));
-}
-
-KernelDensity::KernelDensity(const Histogram& hist, float bandwidth) {
-  for (std::size_t b = 0; b < hist.bin_count(); ++b) {
-    const std::size_t c = hist.count(b);
-    if (c > 0) {
-      centers_.push_back(hist.bin_center(b));
-      weights_.push_back(static_cast<float>(c));
-    }
+KernelDensity::KernelDensity(std::span<const float> samples, float bandwidth)
+    : centers_(samples.begin(), samples.end()) {
+  if (bandwidth > 0.0F) {
+    bandwidth_ = bandwidth;
+  } else if (!centers_.empty()) {
+    const float n = static_cast<float>(centers_.size());
+    const float silverman =
+        1.06F * sample_sigma(samples) * std::pow(n, -0.2F);
+    bandwidth_ = std::max(silverman, kMinBandwidth);
   }
-  total_ = hist.total();
-  select_bandwidth(bandwidth, hist.stddev());
-}
-
-void KernelDensity::select_bandwidth(float requested, float sigma) {
-  if (requested > 0.0F) {
-    bandwidth_ = requested;
-    return;
-  }
-  if (total_ == 0) {
-    bandwidth_ = 1.0F;
-    return;
-  }
-  const float n = static_cast<float>(total_);
-  const float silverman = 1.06F * sigma * std::pow(n, -0.2F);
-  bandwidth_ = std::max(silverman, kMinBandwidth);
 }
 
 float KernelDensity::operator()(float x) const noexcept {
-  if (total_ == 0) {
+  if (centers_.empty()) {
     return 0.0F;
   }
   const float inv_h = 1.0F / bandwidth_;
   const float norm =
-      inv_h / (static_cast<float>(total_) *
+      inv_h / (static_cast<float>(centers_.size()) *
                std::sqrt(2.0F * std::numbers::pi_v<float>));
   float acc = 0.0F;
-  for (std::size_t i = 0; i < centers_.size(); ++i) {
-    const float u = (x - centers_[i]) * inv_h;
-    acc += weights_[i] * std::exp(-0.5F * u * u);
+  for (const float center : centers_) {
+    const float u = (x - center) * inv_h;
+    acc += std::exp(-0.5F * u * u);
   }
   return acc * norm;
 }

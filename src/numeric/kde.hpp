@@ -2,17 +2,13 @@
 //
 // Algorithm 1, Step 1 estimates the class-conditional logit densities
 // p(z_i | y = i) from the training histograms "by kernel density
-// estimation". This is that estimator: a Gaussian-kernel KDE with
-// Silverman's rule-of-thumb bandwidth by default, evaluated either from raw
-// samples or from binned histogram counts (the binned path is what an
-// embedded calibration step would use; both are tested against each other).
+// estimation". This is that estimator: a Gaussian-kernel KDE over the raw
+// samples, with Silverman's rule-of-thumb bandwidth by default.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "numeric/histogram.hpp"
 
 namespace mann::numeric {
 
@@ -26,23 +22,17 @@ class KernelDensity {
   explicit KernelDensity(std::span<const float> samples,
                          float bandwidth = 0.0F);
 
-  /// Fits a KDE to binned data: each bin center acts as `count` stacked
-  /// samples. Matches the raw-sample fit as bins -> infinity.
-  explicit KernelDensity(const Histogram& hist, float bandwidth = 0.0F);
-
   /// Density estimate p(x). Returns 0 when fitted on no data.
   [[nodiscard]] float operator()(float x) const noexcept;
 
   [[nodiscard]] float bandwidth() const noexcept { return bandwidth_; }
-  [[nodiscard]] std::size_t sample_count() const noexcept { return total_; }
-  [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
+  [[nodiscard]] std::size_t sample_count() const noexcept {
+    return centers_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return centers_.empty(); }
 
  private:
-  void select_bandwidth(float requested, float sigma);
-
-  std::vector<float> centers_;
-  std::vector<float> weights_;  ///< per-center multiplicity
-  std::size_t total_ = 0;
+  std::vector<float> centers_;  ///< the samples
   float bandwidth_ = 1.0F;
 };
 

@@ -14,20 +14,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> values)
   }
 }
 
-float& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at: index out of range");
-  }
-  return data_[r * cols_ + c];
-}
-
-float Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at: index out of range");
-  }
-  return data_[r * cols_ + c];
-}
-
 void Matrix::fill(float value) noexcept {
   for (float& v : data_) {
     v = value;
@@ -53,16 +39,6 @@ void Matrix::scale(float value) noexcept {
   for (float& v : data_) {
     v *= value;
   }
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = (*this)(r, c);
-    }
-  }
-  return out;
 }
 
 }  // namespace mann::numeric

@@ -42,10 +42,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Checked element access. Throws std::out_of_range on bad indices.
-  [[nodiscard]] float& at(std::size_t r, std::size_t c);
-  [[nodiscard]] float at(std::size_t r, std::size_t c) const;
-
   /// View of row `r` (unchecked; `r < rows()` required).
   [[nodiscard]] std::span<float> row(std::size_t r) noexcept {
     return {data_.data() + r * cols_, cols_};
@@ -70,9 +66,6 @@ class Matrix {
 
   /// Multiplies every element by `value`.
   void scale(float value) noexcept;
-
-  /// Returns the transpose as a new matrix.
-  [[nodiscard]] Matrix transposed() const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

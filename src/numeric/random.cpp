@@ -6,22 +6,12 @@
 #include <stdexcept>
 
 namespace mann::numeric {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
+  // SplitMix64's stream: word i is mix64(seed + i * golden ratio).
   for (auto& word : state_) {
-    word = splitmix64(s);
+    word = mix64(seed);
+    seed += 0x9E3779B97F4A7C15ULL;
   }
 }
 

@@ -14,6 +14,17 @@
 
 namespace mann::numeric {
 
+/// SplitMix64 (Steele, Lea & Flood): one golden-ratio step of `x` and the
+/// finalizer, as a stateless 64-bit hash. Rng seeds from its stream, and
+/// the cluster's hash ring and trace scaling hash with it, so all three
+/// are the same on every host and standard library.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.
 /// Satisfies std::uniform_random_bit_generator.
 class Rng {

@@ -101,15 +101,4 @@ float norm2(std::span<const float> v) noexcept {
   return std::sqrt(acc);
 }
 
-void clip_norm(std::span<float> v, float max_norm) noexcept {
-  const float n = norm2(v);
-  if (n <= max_norm || n == 0.0F) {
-    return;
-  }
-  const float s = max_norm / n;
-  for (float& e : v) {
-    e *= s;
-  }
-}
-
 }  // namespace mann::numeric

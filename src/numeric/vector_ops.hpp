@@ -45,8 +45,4 @@ void add_outer(Matrix& m, std::span<const float> col,
 /// Euclidean norm.
 [[nodiscard]] float norm2(std::span<const float> v) noexcept;
 
-/// Scales `v` so its Euclidean norm is at most `max_norm` (gradient
-/// clipping). No-op when the norm is already within bounds or zero.
-void clip_norm(std::span<float> v, float max_norm) noexcept;
-
 }  // namespace mann::numeric

@@ -47,7 +47,6 @@ void TraceRecorder::record(TraceEvent event) {
     return;
   }
   event.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  event.wall_ns = wall_ns();
   local_buffer().events.push_back(event);
 }
 
@@ -206,9 +205,7 @@ void append_args(std::string& out, const TraceEvent& e) {
   }
   if (e.detail != nullptr) {
     append(out, "%s\"detail\":\"%s\"", first ? "" : ",", e.detail);
-    first = false;
   }
-  append(out, "%s\"wall_ns\":%" PRIu64, first ? "" : ",", e.wall_ns);
   out += "}";
 }
 

@@ -85,7 +85,6 @@ struct TraceEvent {
   std::uint64_t dur = 0;      ///< kComplete only
   std::uint64_t id = kNoId;   ///< async span id (the request id)
   std::uint64_t seq = 0;      ///< recorder-wide record order
-  std::uint64_t wall_ns = 0;  ///< host clock at record time (any domain)
   std::int64_t task = -1;
   std::int64_t tenant = -1;
   std::int64_t batch = -1;    ///< batch size

@@ -5,6 +5,22 @@
 #include <string>
 
 namespace mann::serve {
+namespace {
+
+/// Inserts `value` into `set` through `spare`, the node its lane left the
+/// set with, so only a lane's first insert allocates.
+template <typename Set>
+void insert_through(Set& set, typename Set::node_type& spare,
+                    typename Set::value_type value) {
+  if (spare.empty()) {
+    set.insert(value);
+    return;
+  }
+  spare.value() = value;
+  set.insert(std::move(spare));
+}
+
+}  // namespace
 
 Batcher::Batcher(BatcherConfig config, std::size_t num_tasks,
                  std::size_t num_tenants, obs::MetricsRegistry* metrics)
@@ -33,6 +49,8 @@ Batcher::Batcher(BatcherConfig config, std::size_t num_tasks,
       queues_.emplace_back(std::move(name), config_.queue_capacity);
     }
   }
+  spare_full_.resize(queues_.size());
+  spare_heads_.resize(queues_.size());
 }
 
 bool Batcher::enqueue(const InferenceRequest& request) {
@@ -51,10 +69,10 @@ bool Batcher::enqueue(const InferenceRequest& request) {
     return false;
   }
   if (q.size() == 1) {
-    heads_.emplace(request.enqueue_cycle, lane);
+    insert_through(heads_, spare_heads_[lane], {request.enqueue_cycle, lane});
   }
   if (q.size() == config_.max_batch) {
-    full_lanes_.insert(lane);
+    insert_through(full_lanes_, spare_full_[lane], lane);
   }
   ++pending_;
   ++counters_.requests_in;
@@ -138,9 +156,13 @@ Batch Batcher::flush_lane(std::size_t lane) {
     // A partial flush: the lane's new head re-keys its node in place.
     head.value().first = q.peek()->enqueue_cycle;
     heads_.insert(std::move(head));
+  } else {
+    spare_heads_[lane] = std::move(head);
   }
   if (q.size() < config_.max_batch) {
-    full_lanes_.erase(lane);
+    if (auto full = full_lanes_.extract(lane)) {
+      spare_full_[lane] = std::move(full);
+    }
   }
   ++counters_.batches_out;
   counters_.stories_out += batch.size();

@@ -16,7 +16,9 @@
 // Ready lanes are found without a scan: the batcher keeps the full lanes
 // in lane order and every non-empty lane's (head enqueue cycle, lane) in
 // age order, so poll() reads the full lanes and the timed-out prefix of
-// the heads, and next_deadline() reads the oldest head.
+// the heads, and next_deadline() reads the oldest head. A lane that
+// leaves either set keeps its node for its next entry, so after a lane's
+// first fill its transitions allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +121,15 @@ class Batcher {
   std::vector<sim::Fifo<InferenceRequest>> queues_;
   std::size_t rotate_ = 0;  ///< fairness cursor over lanes
   std::size_t pending_ = 0;  ///< sum of the lanes' sizes
+  using LaneSet = std::set<std::size_t>;
+  using HeadSet = std::set<std::pair<sim::Cycle, std::size_t>>;
   /// Lanes holding at least max_batch requests.
-  std::set<std::size_t> full_lanes_;
+  LaneSet full_lanes_;
   /// (head enqueue cycle, lane) of every non-empty lane, oldest first.
-  std::set<std::pair<sim::Cycle, std::size_t>> heads_;
+  HeadSet heads_;
+  /// Per lane, its node of each set while the lane is out of that set.
+  std::vector<LaneSet::node_type> spare_full_;
+  std::vector<HeadSet::node_type> spare_heads_;
   BatcherCounters counters_;
   // Mirrored obs instruments (null without a registry).
   obs::Counter* obs_requests_in_ = nullptr;

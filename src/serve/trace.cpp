@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "numeric/random.hpp"
+
 namespace mann::serve {
 
 std::optional<std::uint64_t> parse_digits(std::string_view text) {
@@ -133,20 +135,6 @@ void save_trace_csv(const std::string& path,
   }
 }
 
-namespace {
-
-/// SplitMix64 — the seeding mixer numeric::Rng also builds on; used here
-/// as a stateless hash so every replica's jitter is a pure function of
-/// (seed, row, replica) and never of iteration order.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::vector<TraceEntry> scale_trace(const std::vector<TraceEntry>& entries,
                                     std::size_t factor, std::uint64_t seed) {
   if (entries.empty() || factor <= 1) {
@@ -173,8 +161,12 @@ std::vector<TraceEntry> scale_trace(const std::vector<TraceEntry>& entries,
             : mean_gap;
     for (std::size_t r = 1; r < factor; ++r) {
       TraceEntry replica = row;
+      // A pure function of (seed, row, replica), never of iteration order.
       replica.arrival_cycle =
-          row.arrival_cycle + mix64(seed ^ mix64(i) ^ (r * 0x2545F4914F6CDD1DULL)) % gap;
+          row.arrival_cycle +
+          numeric::mix64(seed ^ numeric::mix64(i) ^
+                         (r * 0x2545F4914F6CDD1DULL)) %
+              gap;
       scaled.push_back(replica);
     }
   }

@@ -187,10 +187,9 @@ TEST_F(AcceleratorFixture, StreamWordsAccountedOnce) {
   const DeviceProgram prog = compile_model(*model_);
   const Accelerator device(base_config(), prog);
   const RunResult run = device.run(test_slice(5));
-  std::size_t expected = prog.model_words();
-  for (std::size_t i = 0; i < 5; ++i) {
-    expected += encode_story(dataset_->test[i]).size();
-  }
+  const std::size_t expected =
+      prog.model_words() +
+      encode_workload(story_pointers(test_slice(5))).size();
   EXPECT_EQ(run.stream_words, expected);
   EXPECT_EQ(run.fifo_in_stats.pushes, expected);
 }

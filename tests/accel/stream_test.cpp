@@ -16,7 +16,9 @@ data::EncodedStory story() {
 }
 
 TEST(Stream, EncodeStoryStructure) {
-  const auto words = encode_story(story());
+  const data::EncodedStory one = story();
+  const data::EncodedStory* const stories[] = {&one};
+  const auto words = encode_workload(stories);
   // start, (sent,1,2), (sent,3), qstart, 4, 5, end = 10 words.
   ASSERT_EQ(words.size(), 10U);
   EXPECT_EQ(words[0].op, StreamOp::kStoryStart);
@@ -35,7 +37,7 @@ TEST(Stream, EncodeWorkloadConcatenatesStories) {
   const std::vector<data::EncodedStory> stories = {story(), story()};
   const auto words = encode_workload(story_pointers(stories));
   ASSERT_EQ(words.size(), 2U * 10U);
-  const auto one = encode_story(story());
+  const auto one = encode_workload(story_pointers({stories.data(), 1}));
   EXPECT_TRUE(std::equal(one.begin(), one.end(), words.begin()));
   EXPECT_TRUE(std::equal(one.begin(), one.end(), words.begin() + 10));
 }

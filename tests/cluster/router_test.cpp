@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace mann::cluster {
@@ -191,13 +192,15 @@ TEST(TenantSpill, ConfiguredHomeDegradesToModuloWhenParked) {
 }
 
 TEST(Router, PolicyNamesRoundTrip) {
-  for (const auto kind :
-       {RouterPolicyKind::kTaskAffinity, RouterPolicyKind::kPowerOfTwo,
-        RouterPolicyKind::kTenantSpill}) {
+  const std::pair<RouterPolicyKind, const char*> names[] = {
+      {RouterPolicyKind::kTaskAffinity, "task_affinity"},
+      {RouterPolicyKind::kPowerOfTwo, "power_of_two"},
+      {RouterPolicyKind::kTenantSpill, "tenant_spill"},
+  };
+  for (const auto& [kind, name] : names) {
     RouterConfig config;
     config.kind = kind;
-    EXPECT_STREQ(make_router_policy(config)->name(),
-                 router_policy_name(kind));
+    EXPECT_STREQ(make_router_policy(config)->name(), name);
   }
 }
 

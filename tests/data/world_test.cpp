@@ -111,16 +111,5 @@ TEST(World, ObjectHistoryDistinctOldestFirst) {
   EXPECT_EQ(hist[2], "office");
 }
 
-TEST(World, ActorHistorySkipsRepeats) {
-  World w = make_world();
-  w.move("john", "kitchen");
-  w.move("john", "kitchen");
-  w.move("john", "garden");
-  const auto hist = w.actor_location_history("john");
-  ASSERT_EQ(hist.size(), 2U);
-  EXPECT_EQ(hist[0], "kitchen");
-  EXPECT_EQ(hist[1], "garden");
-}
-
 }  // namespace
 }  // namespace mann::data

@@ -45,25 +45,6 @@ TEST(Flops, HopsScaleMemoryTerms) {
   EXPECT_EQ(fb3.output, fb1.output);
 }
 
-TEST(Flops, ThresholdedReducesOnlyOutput) {
-  const auto full = count_flops(story_for_flops(), config_for_flops());
-  const auto ith =
-      count_flops_thresholded(story_for_flops(), config_for_flops(), 10);
-  EXPECT_EQ(ith.embedding, full.embedding);
-  EXPECT_EQ(ith.addressing, full.addressing);
-  EXPECT_EQ(ith.read, full.read);
-  EXPECT_EQ(ith.controller, full.controller);
-  EXPECT_EQ(ith.output, 10U * (2U * 20U + 1U));
-  EXPECT_LT(ith.total(), full.total());
-}
-
-TEST(Flops, ThresholdedClampsAtVocab) {
-  const auto capped =
-      count_flops_thresholded(story_for_flops(), config_for_flops(), 1000);
-  const auto full = count_flops(story_for_flops(), config_for_flops());
-  EXPECT_EQ(capped.total(), full.total());
-}
-
 TEST(Flops, MemoryTruncationCapsSlots) {
   ModelConfig c = config_for_flops();
   c.max_memory = 1;

@@ -168,15 +168,22 @@ TEST(MemN2N, DeterministicForward) {
   EXPECT_EQ(a.prediction, b.prediction);
 }
 
-TEST(Parameters, ZerosAndFill) {
+TEST(Parameters, ZerosAndAddScaled) {
   Parameters p = Parameters::zeros(tiny_config());
   EXPECT_EQ(p.embedding_a.rows(), 10U);
   EXPECT_EQ(p.w_r.rows(), 4U);
-  p.fill(2.0F);
-  EXPECT_EQ(p.w_o(0, 0), 2.0F);
+  EXPECT_EQ(p.w_o(0, 0), 0.0F);
+  for (numeric::Matrix* m :
+       {&p.embedding_a, &p.embedding_c, &p.embedding_q, &p.w_r, &p.w_o}) {
+    m->fill(2.0F);
+  }
   Parameters q = Parameters::zeros(tiny_config());
   q.add_scaled(p, 0.5F);
+  EXPECT_EQ(q.embedding_a(9, 3), 1.0F);
   EXPECT_EQ(q.embedding_c(3, 2), 1.0F);
+  EXPECT_EQ(q.embedding_q(0, 1), 1.0F);
+  EXPECT_EQ(q.w_r(3, 3), 1.0F);
+  EXPECT_EQ(q.w_o(0, 0), 1.0F);
 }
 
 }  // namespace

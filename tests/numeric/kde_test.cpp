@@ -83,21 +83,5 @@ TEST(KernelDensity, RecoversGaussianShape) {
   }
 }
 
-TEST(KernelDensity, HistogramFitApproximatesRawFit) {
-  Rng rng(19);
-  std::vector<float> samples;
-  Histogram hist(-4.0F, 4.0F, 256);
-  for (int i = 0; i < 5'000; ++i) {
-    const float v = rng.normal(0.0F, 1.0F);
-    samples.push_back(v);
-    hist.add(v);
-  }
-  const KernelDensity raw(samples, 0.3F);
-  const KernelDensity binned(hist, 0.3F);
-  for (float x = -3.0F; x <= 3.0F; x += 0.5F) {
-    EXPECT_NEAR(raw(x), binned(x), 0.01F) << "x=" << x;
-  }
-}
-
 }  // namespace
 }  // namespace mann::numeric

@@ -59,7 +59,7 @@ TracedRun run_traced(std::size_t workers) {
 }
 
 /// Serializes the deterministic (simulated-domain) slice of the trace:
-/// everything except seq and wall_ns, which are host-execution facts.
+/// everything except seq, which is a host-execution fact.
 std::string canonical_sim_trace(const std::vector<obs::TraceEvent>& events) {
   std::string out;
   char line[256];

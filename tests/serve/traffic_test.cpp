@@ -3,14 +3,20 @@
 // live in session_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "numeric/random.hpp"
 #include "serve/request.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
@@ -316,6 +322,189 @@ TEST(TraceCsv, RejectsMalformedRows) {
   expect_throw_for("10,0,1,9");     // too many columns
   expect_throw_for("99999999999999999999,0");  // u64 overflow
   std::filesystem::remove(path);
+}
+
+/// One valid v2 trace with a single edit, and what the loader must do
+/// with it where the edit decides that.
+struct TraceEditCase {
+  enum class Expect { kThrow, kLoad, kEither };
+  std::string text;
+  std::size_t edited_line = 1;  ///< 1-based; a refusal names it or a later one
+  Expect expect = Expect::kEither;
+  std::string edit;  ///< for failure messages
+};
+
+/// Seeded case generator in the shape of seabrute's task_generator:
+/// get_next() yields case i of the sweep as a pure function of (seed, i),
+/// so a failing case reproduces from its number alone.
+class TraceEditGenerator {
+ public:
+  explicit TraceEditGenerator(std::uint64_t seed) : seed_(seed) {}
+
+  TraceEditCase get_next() {
+    const std::uint64_t i = next_++;
+    numeric::Rng rng(numeric::mix64(seed_ ^ i));
+    // The header, then 3-8 rows whose cycles never go backwards (a gap
+    // may be 0) and start above 0, so any row after the first can.
+    std::vector<std::vector<std::string>> rows(3 + rng.index(6));
+    std::uint64_t cycle = 1 + rng.index(1000);
+    for (auto& row : rows) {
+      cycle += rng.index(4) == 0 ? 0 : rng.index(5000);
+      row = {std::to_string(cycle), std::to_string(rng.index(20)),
+             std::to_string(rng.index(4))};
+    }
+    std::size_t target = rng.index(rows.size());
+    const std::size_t field = rng.index(3);
+    std::string& value = rows[target][field];
+    std::optional<std::string> before;  // a line inserted above the target
+    std::string eol = "\n";
+    TraceEditCase c;
+    using Expect = TraceEditCase::Expect;
+    switch (i % 12) {
+      case 0:
+        c.edit = "field dropped";
+        rows[target].erase(rows[target].begin() + field);
+        break;
+      case 1: {
+        c.edit = "field doubled";
+        const std::string doubled = value;
+        rows[target].insert(rows[target].begin() + field, doubled);
+        c.expect = Expect::kThrow;
+        break;
+      }
+      case 2:
+        c.edit = "field emptied";
+        value.clear();
+        c.expect = Expect::kThrow;
+        break;
+      case 3:
+        c.edit = "sign";
+        value.insert(0, rng.index(2) == 0 ? "-" : "+");
+        c.expect = Expect::kThrow;
+        break;
+      case 4:
+        c.edit = "non-digit";
+        value[rng.index(value.size())] = "x.e/:a"[rng.index(6)];
+        c.expect = Expect::kThrow;
+        break;
+      case 5:
+        c.edit = "21-digit count";
+        value = std::to_string(1 + rng.index(9));
+        while (value.size() < 21) {
+          value += static_cast<char>('0' + rng.index(10));
+        }
+        c.expect = Expect::kThrow;
+        break;
+      case 6:
+        c.edit = "tenant at or past 2^32-1";
+        if (rng.index(4) == 0) {
+          rows[target][2] = "4294967295";
+          c.expect = Expect::kLoad;
+        } else {
+          rows[target][2] = std::to_string((1ULL << 32) + rng.index(1000));
+          c.expect = Expect::kThrow;
+        }
+        break;
+      case 7: {
+        c.edit = "backwards cycle";
+        target = std::max<std::size_t>(target, 1);
+        const std::uint64_t previous = std::stoull(rows[target - 1][0]);
+        rows[target][0] = std::to_string(rng.index(previous));
+        c.expect = Expect::kThrow;
+        break;
+      }
+      case 8:
+        c.edit = "fourth column";
+        rows[target].push_back(std::to_string(rng.index(100)));
+        c.expect = Expect::kThrow;
+        break;
+      case 9:
+        c.edit = "CR line ends";
+        eol = "\r\n";
+        target = 0;
+        c.expect = Expect::kLoad;
+        break;
+      case 10:
+        c.edit = "header mid-file";
+        before = rng.index(2) == 0 ? "arrival_cycle,task_id"
+                                   : "arrival_cycle,task_id,tenant_id";
+        c.expect = Expect::kLoad;
+        break;
+      default:
+        c.edit = "blank or comment line";
+        before = std::array<const char*, 3>{"", "   ", "# note"}[rng.index(3)];
+        c.expect = Expect::kLoad;
+        break;
+    }
+    c.text = "arrival_cycle,task_id,tenant_id" + eol;
+    std::size_t line = 1;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (r == target) {
+        if (before) {
+          c.text += *before + eol;
+          ++line;
+        }
+        c.edited_line = line + 1;
+      }
+      for (std::size_t f = 0; f < rows[r].size(); ++f) {
+        c.text += (f == 0 ? "" : ",") + rows[r][f];
+      }
+      c.text += eol;
+      ++line;
+    }
+    return c;
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t next_ = 0;
+};
+
+// A trace file comes from outside the program: every single edit of a
+// valid trace either throws a std::runtime_error naming path:line, at or
+// after the edited line, or loads entries that save and load back
+// unchanged.
+TEST(TraceCsv, SeededSingleEditsFailAtTheirLineOrRoundTrip) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "mann_trace_sweep.csv").string();
+  const std::string copy = (dir / "mann_trace_sweep_copy.csv").string();
+  TraceEditGenerator cases(2019);
+  std::size_t threw = 0;
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < 1200; ++i) {
+    const TraceEditCase c = cases.get_next();
+    SCOPED_TRACE("case " + std::to_string(i) + " (" + c.edit + "):\n" +
+                 c.text);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << c.text;
+    }
+    std::vector<TraceEntry> entries;
+    try {
+      entries = load_trace_csv(path);
+    } catch (const std::runtime_error& error) {
+      ++threw;
+      const std::string message = error.what();
+      const std::size_t at = message.find(path + ":");
+      ASSERT_NE(at, std::string::npos) << message;
+      const std::string_view rest =
+          std::string_view(message).substr(at + path.size() + 1);
+      const std::optional<std::uint64_t> line =
+          parse_digits(rest.substr(0, rest.find(':')));
+      ASSERT_TRUE(line.has_value()) << message;
+      EXPECT_GE(*line, c.edited_line) << message;
+      EXPECT_NE(c.expect, TraceEditCase::Expect::kLoad) << message;
+      continue;
+    }
+    ++loaded;
+    EXPECT_NE(c.expect, TraceEditCase::Expect::kThrow);
+    save_trace_csv(copy, entries);
+    EXPECT_EQ(load_trace_csv(copy), entries);
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(copy);
+  EXPECT_GT(threw, 400U);
+  EXPECT_GT(loaded, 300U);
 }
 
 // A task id a trace names but the replayer was never given is a
