@@ -97,6 +97,7 @@ void validate_program(const DeviceProgram& program) {
   const std::size_t v = program.vocab_size;
   const std::size_t e = program.embedding_dim;
   require(v >= 1, "vocab_size must be at least 1");
+  require(e >= 1, "embedding_dim must be at least 1");
   require(program.hops >= 1, "hops must be at least 1");
   require(program.max_memory >= 1, "max_memory must be at least 1");
   for (const FxMatrix* m : {&program.emb_a, &program.emb_c, &program.emb_q,
@@ -149,20 +150,16 @@ RunResult Accelerator::simulate(
   OutputModule output(state, config_, fifo_out, output_l1_);
 
   sim::Simulator simulator;
-  // Producer-to-consumer order along the write path, then the read path.
-  simulator.add_module(host);
-  simulator.add_module(control);
-  simulator.add_module(input_write);
-  simulator.add_module(read);
-  simulator.add_module(mem);
-  simulator.add_module(output);
-
   const std::size_t expected = stories.size();
   const auto answered = [&] { return host.answers().size() >= expected; };
+  // Producer-to-consumer order along the write path, then the read path.
   if (per_cycle) {
-    (void)simulator.run_until(answered, config_.watchdog_cycles);
+    (void)simulator.run_until(answered, config_.watchdog_cycles, host,
+                              control, input_write, read, mem, output);
   } else {
-    (void)simulator.run_events(answered, config_.watchdog_cycles);
+    (void)simulator.run_events(answered, config_.watchdog_cycles,
+                               sim::kNever, host, control, input_write, read,
+                               mem, output);
   }
 
   RunResult result;

@@ -125,12 +125,12 @@ namespace detail {
 class Accelerator {
  public:
   /// Throws std::invalid_argument on a non-positive clock, on ITH without
-  /// threshold tables, and on an inconsistent program: vocab_size must be
-  /// at least 1 and equal the rows of W_o and of the three embedding
-  /// tables, every matrix must be embedding_dim wide, W_r square, hops
-  /// and max_memory at least 1, and ITH tables, when present, must hold
-  /// vocab_size thresholds and a probe order that is a permutation of
-  /// the classes.
+  /// threshold tables, and on an inconsistent program: vocab_size and
+  /// embedding_dim must be at least 1, vocab_size must equal the rows of
+  /// W_o and of the three embedding tables, every matrix must be
+  /// embedding_dim wide, W_r square, hops and max_memory at least 1, and
+  /// ITH tables, when present, must hold vocab_size thresholds and a
+  /// probe order that is a permutation of the classes.
   Accelerator(AccelConfig config, DeviceProgram program);
 
   [[nodiscard]] const AccelConfig& config() const noexcept { return config_; }

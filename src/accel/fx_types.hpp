@@ -5,10 +5,13 @@
 // saturating accumulate. fx_dot sums its rounded products in 64 bits and
 // returns that sum when their magnitudes sum to at most 2^31 - 1: then no
 // product and no prefix of the sequential sum can saturate, so the two
-// agree bit for bit. Otherwise it runs the sequential loop.
+// agree bit for bit. Otherwise it runs the sequential loop. The kernels
+// run on every datapath event, so they are defined here, where the
+// modules' inlined per-event code can inline them too.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -53,16 +56,68 @@ class FxMatrix {
 /// Quantizes a float matrix to Q16.16 (round-to-nearest, saturating).
 [[nodiscard]] FxMatrix quantize(const numeric::Matrix& m);
 
+/// Throws std::invalid_argument naming `kernel`: its operands' lengths
+/// differ.
+[[noreturn]] void throw_length_mismatch(const char* kernel);
+
 /// Fixed-point dot product: each product rounded by
 /// `Fx::rounded_product` and saturated, then accumulated in order with
 /// saturation.
-[[nodiscard]] Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b);
+[[nodiscard]] inline Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b) {
+  if (a.size() != b.size()) {
+    throw_length_mismatch("fx_dot");
+  }
+  // A rounded Q16.16 product is at most 2^46 in magnitude (kRawMin
+  // squared, shifted back), so up to this many of them sum in 64 bits.
+  constexpr std::size_t kWideTerms = (std::size_t{1} << 17) - 1;
+  if (a.size() <= kWideTerms) {
+    std::int64_t sum = 0;
+    std::int64_t mag = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t r = Fx::rounded_product(a[i], b[i]);
+      sum += r;
+      mag += r < 0 ? -r : r;
+    }
+    if (mag <= Fx::kRawMax) {
+      return Fx::from_raw(static_cast<Fx::raw_type>(sum));
+    }
+  }
+  // Some product or prefix may saturate: the sequential loop is exact.
+  Fx acc;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    acc += a[i] * b[i];
+  }
+  return acc;
+}
 
 /// `y[i] += s * x[i]` in fixed point.
-void fx_axpy(Fx s, std::span<const Fx> x, std::span<Fx> y);
+inline void fx_axpy(Fx s, std::span<const Fx> x, std::span<Fx> y) {
+  if (x.size() != y.size()) {
+    throw_length_mismatch("fx_axpy");
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] += s * x[i];
+  }
+}
 
-/// `y[i] += x[i]`.
-void fx_add(std::span<const Fx> x, std::span<Fx> y);
+/// `y[i] += x[i]`, saturating as Fx's operator+ does. In 32 bits: the
+/// wrapped sum overflowed iff both operands share a sign that it lacks,
+/// and then the result is the bound of that sign.
+inline void fx_add(std::span<const Fx> x, std::span<Fx> y) {
+  if (x.size() != y.size()) {
+    throw_length_mismatch("fx_add");
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const auto a = static_cast<std::uint32_t>(x[i].raw());
+    const auto b = static_cast<std::uint32_t>(y[i].raw());
+    const std::uint32_t sum = a + b;
+    const std::uint32_t overflow = ((a ^ sum) & (b ^ sum)) >> 31;
+    const std::uint32_t bound = (a >> 31) + 0x7FFFFFFFU;  // kRawMax or kRawMin
+    const std::uint32_t keep = overflow - 1;  // all ones unless overflowed
+    y[i] = Fx::from_raw(
+        static_cast<Fx::raw_type>((sum & keep) | (bound & ~keep)));
+  }
+}
 
 /// Sets every element to zero.
 void fx_clear(std::span<Fx> v) noexcept;

@@ -10,13 +10,25 @@
 // stories in memory. During the upload HOST_LINK and CONTROL form the one
 // coupled pair of the event-driven clock (sim/module.hpp): see
 // upload_window().
+//
+// The link credit is a double that tick() raises by the word rate each
+// cycle, so when the next push happens has no exact closed form. A
+// credit run (CreditRun), from one credit value to the add that reaches
+// 1.0, is replayed once, add by add in tick()'s order, and kept: the
+// skip to the crossing that next_activity() reported reads the run it
+// just returned, and a later run from the same credit at the same rate
+// comes from a table.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "accel/config.hpp"
 #include "accel/stream.hpp"
+#include "numeric/random.hpp"
 #include "sim/fifo.hpp"
 #include "sim/module.hpp"
 
@@ -35,17 +47,16 @@ class HostLinkModule final : public sim::Module {
                  sim::Fifo<StreamWord>& fifo_in,
                  sim::Fifo<std::int32_t>& fifo_out);
 
-  void tick() override;
+  void tick();
   /// The next answer drain, credit crossing 1.0 (a push attempt, the
   /// story-latency charge) or the end of a DMA delay followed by that
   /// crossing. A synchronous host waiting on an answer is idle: its
   /// credit only cycles, and the answer arrives through FIFO_OUT. During
   /// a steady upload, the end of upload_window().
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
   /// Inside upload_window() accounts HOST_LINK's half of each steady
   /// cycle (see there); elsewhere only DMA delay and credit move.
-  void skip(sim::Cycle cycles) override;
+  void skip(sim::Cycle cycles);
 
   /// Declares the coupled drain: CONTROL, ticked right after this module
   /// on the same clock, pops one word of FIFO_IN per cycle while a model
@@ -92,6 +103,28 @@ class HostLinkModule final : public sim::Module {
   }
 
  private:
+  /// tick()'s adds of `rate` from a credit of `from`: the `below` adds
+  /// that stay under 1.0 and the credit `last` they leave, and whether
+  /// the add after them reaches 1.0 (`crosses`). `below` stops at
+  /// kCreditReplayCap, and at 1 for a rate that cannot climb, leaving
+  /// `crosses` false.
+  struct CreditRun {
+    double from = 0.0;
+    double rate = 0.0;  ///< 0.0: no run (an empty slot of runs_)
+    double last = 0.0;
+    sim::Cycle below = 0;
+    bool crosses = false;
+  };
+
+  /// Credit ticks one run replays at most. A very slow link then reports
+  /// an early activity (one ordinary tick, then the next run) instead of
+  /// replaying for the whole gap.
+  static constexpr sim::Cycle kCreditReplayCap = sim::Cycle{1} << 16;
+  /// Slots of the direct-mapped run table. A device run meets about one
+  /// run per streamed word of its longest story: a synchronous story
+  /// restarts from 0.0 after its DMA delay, so its runs recur.
+  static constexpr std::size_t kCreditRunSlots = 256;
+
   /// The word at position_ (position_ < words_total()).
   [[nodiscard]] StreamWord next_word() const noexcept {
     return position_ < model_words_ ? StreamWord{StreamOp::kModelWord, 0}
@@ -108,6 +141,13 @@ class HostLinkModule final : public sim::Module {
     return synchronous_ && next_word().op == StreamOp::kStoryStart &&
            answers_.size() < stories_sent_;
   }
+  /// The run from `from` at `rate`: found, or replayed and (for a
+  /// positive rate, the only kind that can recur) kept.
+  [[nodiscard]] CreditRun credit_run(double from, double rate) const;
+  /// Replays a run add by add, in tick()'s order.
+  [[nodiscard]] static CreditRun replay_credit_run(double from, double rate);
+  /// Adds `adds` skipped ticks' credit, as tick() would.
+  void advance_credit(sim::Cycle adds);
   /// HOST_LINK's half of `cycles` steady upload cycles.
   void skip_upload(sim::Cycle cycles);
 
@@ -130,6 +170,166 @@ class HostLinkModule final : public sim::Module {
   sim::Cycle cycle_ = 0;
   sim::Cycle link_active_cycles_ = 0;
   std::vector<Answer> answers_;
+  mutable CreditRun last_run_;  ///< the run credit_run() last returned
+  mutable std::array<CreditRun, kCreditRunSlots> runs_{};
 };
+
+inline void HostLinkModule::tick() {
+  ++cycle_;
+  // Drain one answer per cycle from FIFO_OUT; the host observes it after
+  // the readback latency.
+  if (const auto answer = fifo_out_.try_pop()) {
+    answers_.push_back({*answer, cycle_ + result_latency_cycles_});
+  }
+
+  if (position_ >= words_total()) {
+    return;  // everything sent; only draining answers now
+  }
+  if (delay_ > 0) {
+    // DMA/doorbell setup: the link is occupied but no words flow.
+    --delay_;
+    credit_ = 0.0;
+    ++link_active_cycles_;
+    mark_busy();
+    return;
+  }
+
+  // Model upload is bulk DMA; the inference stream is word-granular.
+  credit_ += current_rate();
+  bool pushed = false;
+  while (credit_ >= 1.0 && position_ < words_total()) {
+    const StreamWord word = next_word();
+    if (word.op == StreamOp::kStoryStart) {
+      // Request/response host: wait for the previous story's answer
+      // before streaming the next request.
+      if (awaiting_answer()) {
+        credit_ = 0.0;
+        break;
+      }
+      if (!latency_charged_ && story_latency_cycles_ > 0) {
+        delay_ = story_latency_cycles_;
+        latency_charged_ = true;
+        break;
+      }
+    }
+    if (!fifo_in_.try_push(word)) {
+      mark_stalled();
+      break;
+    }
+    if (word.op == StreamOp::kStoryStart) {
+      latency_charged_ = false;
+    }
+    if (word.op == StreamOp::kEndOfStory) {
+      ++stories_sent_;
+    }
+    credit_ -= 1.0;
+    ++position_;
+    pushed = true;
+  }
+  if (pushed) {
+    ++link_active_cycles_;
+    mark_busy();
+  }
+}
+
+inline sim::Cycle HostLinkModule::upload_window() const noexcept {
+  // No DMA delay can be pending: one is charged only at a story word. An
+  // answer in FIFO_OUT drains beside the upload; next_activity reports it.
+  if (!upload_drained_ || !(model_words_per_cycle_ > 1.0) ||
+      fifo_in_.capacity() < 2 || fifo_in_.size() + 1 != fifo_in_.capacity() ||
+      position_ + 1 >= model_words_) {
+    return 0;
+  }
+  return model_words_ - 1 - position_;
+}
+
+inline std::optional<sim::Cycle> HostLinkModule::next_activity(
+    sim::Cycle now) const {
+  if (!fifo_out_.empty()) {
+    return now;  // an answer drains on this tick
+  }
+  if (position_ >= words_total() || awaiting_answer()) {
+    return sim::kNever;  // the next answer in FIFO_OUT wakes us
+  }
+  if (const sim::Cycle window = upload_window(); window > 0) {
+    return now + window;
+  }
+  // The run from where the DMA delay (if any) leaves the credit: the
+  // first tick whose add reaches 1.0 tries a push or charges the story
+  // latency.
+  const double rate = current_rate();
+  const CreditRun run = credit_run(delay_ > 0 ? 0.0 : credit_, rate);
+  if (!run.crosses && !(rate > 0.0)) {
+    return sim::kNever;  // a stalled link: only the watchdog ends it
+  }
+  return now + delay_ + run.below;
+}
+
+inline void HostLinkModule::skip(sim::Cycle cycles) {
+  if (upload_window() > 0) {
+    skip_upload(cycles);
+    return;
+  }
+  cycle_ += cycles;
+  if (position_ >= words_total()) {
+    return;
+  }
+  const sim::Cycle setup = std::min(cycles, delay_);
+  if (setup > 0) {
+    delay_ -= setup;
+    credit_ = 0.0;
+    link_active_cycles_ += setup;
+    mark_busy(setup);
+    cycles -= setup;
+  }
+  advance_credit(cycles);
+}
+
+inline HostLinkModule::CreditRun HostLinkModule::credit_run(
+    double from, double rate) const {
+  if (!(rate > 0.0)) {
+    return replay_credit_run(from, rate);
+  }
+  // The run next_activity() just reported, which the skip to its
+  // crossing asks for again; then the table.
+  if (last_run_.rate == rate && last_run_.from == from) {
+    return last_run_;
+  }
+  CreditRun& slot =
+      runs_[numeric::mix64(std::bit_cast<std::uint64_t>(from) ^
+                           std::bit_cast<std::uint64_t>(rate)) %
+            kCreditRunSlots];
+  if (slot.rate != rate || slot.from != from) {
+    slot = replay_credit_run(from, rate);
+  }
+  last_run_ = slot;
+  return slot;
+}
+
+inline void HostLinkModule::advance_credit(sim::Cycle adds) {
+  // Short of a crossing the run's own adds apply. Only a host awaiting an
+  // answer can reach 1.0 here, and its tick resets the credit to 0, so
+  // from then on it follows the run from 0.0, period after period.
+  const double rate = current_rate();
+  while (adds > 0) {
+    const CreditRun run = credit_run(credit_, rate);
+    if (adds < run.below) {
+      for (; adds > 0; --adds) {
+        credit_ += rate;
+      }
+      return;
+    }
+    adds -= run.below;
+    credit_ = run.last;
+    if (adds == 0 || !run.crosses) {
+      continue;
+    }
+    --adds;  // the add that reaches 1.0
+    credit_ = 0.0;
+    if (const CreditRun period = credit_run(0.0, rate); period.crosses) {
+      adds %= period.below + 1;
+    }
+  }
+}
 
 }  // namespace mann::accel

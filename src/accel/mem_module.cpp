@@ -115,31 +115,4 @@ void MemModule::finish() {
   state_.mem_done = true;
 }
 
-void MemModule::tick() {
-  if (busy_ == 0) {
-    if (!state_.mem_request) {
-      return;  // idle
-    }
-    start();
-  }
-  mark_busy();
-  --busy_;
-  if (busy_ == 0) {
-    finish();
-  }
-}
-
-std::optional<sim::Cycle> MemModule::next_activity(sim::Cycle now) const {
-  if (busy_ > 0) {
-    return now + busy_ - 1;
-  }
-  return state_.mem_request ? now : sim::kNever;
-}
-
-void MemModule::skip(sim::Cycle cycles) {
-  const sim::Cycle counted = std::min(cycles, busy_);
-  busy_ -= counted;
-  mark_busy(counted);
-}
-
 }  // namespace mann::accel

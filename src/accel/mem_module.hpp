@@ -6,6 +6,8 @@
 // attention-weighted read through the MAC array.
 #pragma once
 
+#include <algorithm>
+
 #include "accel/config.hpp"
 #include "accel/state.hpp"
 #include "numeric/lut.hpp"
@@ -17,12 +19,11 @@ class MemModule final : public sim::Module {
  public:
   MemModule(AcceleratorState& state, const AccelConfig& config);
 
-  void tick() override;
+  void tick();
   /// The tick that takes busy_ from 1 to 0 publishes the read vector; an
   /// idle MEM acts on READ's request.
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override;
-  void skip(sim::Cycle cycles) override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
+  void skip(sim::Cycle cycles);
 
  private:
   void start();
@@ -40,5 +41,33 @@ class MemModule final : public sim::Module {
   std::vector<Fx> next_attention_;
   FxVector next_read_;
 };
+
+inline void MemModule::tick() {
+  if (busy_ == 0) {
+    if (!state_.mem_request) {
+      return;  // idle
+    }
+    start();
+  }
+  mark_busy();
+  --busy_;
+  if (busy_ == 0) {
+    finish();
+  }
+}
+
+inline std::optional<sim::Cycle> MemModule::next_activity(
+    sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  return state_.mem_request ? now : sim::kNever;
+}
+
+inline void MemModule::skip(sim::Cycle cycles) {
+  const sim::Cycle counted = std::min(cycles, busy_);
+  busy_ -= counted;
+  mark_busy(counted);
+}
 
 }  // namespace mann::accel

@@ -142,50 +142,4 @@ void OutputModule::begin_search() {
   phase_ = Phase::kProbing;
 }
 
-void OutputModule::tick() {
-  switch (phase_) {
-    case Phase::kIdle:
-      if (!state_.features_ready) {
-        return;
-      }
-      begin_search();
-      [[fallthrough]];
-    case Phase::kProbing:
-      mark_busy();
-      if (--busy_ == 0) {
-        phase_ = Phase::kPushing;
-      }
-      return;
-    case Phase::kPushing:
-      if (!fifo_out_.try_push(record_.prediction)) {
-        mark_stalled();
-        return;
-      }
-      mark_busy();
-      records_.push_back(record_);
-      state_.story_active = false;  // datapath free for the next story
-      phase_ = Phase::kIdle;
-      return;
-  }
-}
-
-std::optional<sim::Cycle> OutputModule::next_activity(sim::Cycle now) const {
-  switch (phase_) {
-    case Phase::kIdle:
-      return state_.features_ready ? now : sim::kNever;
-    case Phase::kProbing:
-      return now + busy_ - 1;
-    case Phase::kPushing:
-      break;
-  }
-  return now;
-}
-
-void OutputModule::skip(sim::Cycle cycles) {
-  if (phase_ == Phase::kProbing) {
-    busy_ -= cycles;
-    mark_busy(cycles);
-  }
-}
-
 }  // namespace mann::accel

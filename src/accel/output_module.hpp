@@ -48,13 +48,12 @@ class OutputModule final : public sim::Module {
                sim::Fifo<std::int32_t>& fifo_out,
                std::span<const std::int64_t> row_l1);
 
-  void tick() override;
+  void tick();
   /// The search ends on the tick that takes busy_ from 1 to 0; an idle
   /// OUTPUT acts when features are ready, and a pending answer tries
   /// FIFO_OUT every cycle (a refused push counts in the FIFO's stats).
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override;
-  void skip(sim::Cycle cycles) override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
+  void skip(sim::Cycle cycles);
 
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -78,5 +77,52 @@ class OutputModule final : public sim::Module {
   Record record_;
   std::vector<Record> records_;
 };
+
+inline void OutputModule::tick() {
+  switch (phase_) {
+    case Phase::kIdle:
+      if (!state_.features_ready) {
+        return;
+      }
+      begin_search();
+      [[fallthrough]];
+    case Phase::kProbing:
+      mark_busy();
+      if (--busy_ == 0) {
+        phase_ = Phase::kPushing;
+      }
+      return;
+    case Phase::kPushing:
+      if (!fifo_out_.try_push(record_.prediction)) {
+        mark_stalled();
+        return;
+      }
+      mark_busy();
+      records_.push_back(record_);
+      state_.story_active = false;  // datapath free for the next story
+      phase_ = Phase::kIdle;
+      return;
+  }
+}
+
+inline std::optional<sim::Cycle> OutputModule::next_activity(
+    sim::Cycle now) const {
+  switch (phase_) {
+    case Phase::kIdle:
+      return state_.features_ready ? now : sim::kNever;
+    case Phase::kProbing:
+      return now + busy_ - 1;
+    case Phase::kPushing:
+      break;
+  }
+  return now;
+}
+
+inline void OutputModule::skip(sim::Cycle cycles) {
+  if (phase_ == Phase::kProbing) {
+    busy_ -= cycles;
+    mark_busy(cycles);
+  }
+}
 
 }  // namespace mann::accel

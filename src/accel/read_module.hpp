@@ -12,6 +12,8 @@
 // recurrent paths can be implemented on DFAs").
 #pragma once
 
+#include <algorithm>
+
 #include "accel/config.hpp"
 #include "accel/state.hpp"
 #include "sim/module.hpp"
@@ -22,12 +24,11 @@ class ReadModule final : public sim::Module {
  public:
   ReadModule(AcceleratorState& state, const AccelConfig& config);
 
-  void tick() override;
+  void tick();
   /// The tick that takes busy_ from 1 to 0 finishes a phase; an idle
   /// READ acts when a hop can start or the read vector is ready.
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override;
-  void skip(sim::Cycle cycles) override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
+  void skip(sim::Cycle cycles);
 
  private:
   enum class Phase : std::uint8_t {
@@ -50,5 +51,87 @@ class ReadModule final : public sim::Module {
   FxVector wrk_;     ///< W_r · k of the in-flight hop
   FxVector next_h_;  ///< committed to reg_h when the add drains
 };
+
+inline bool ReadModule::hop_ready() const noexcept {
+  const bool first_hop = state_.input_done && !state_.read_busy &&
+                         state_.hops_done == 0 && !state_.features_ready;
+  const bool next_hop = state_.read_busy &&
+                        state_.hops_done < state_.program.hops &&
+                        state_.hops_done > 0;
+  return first_hop || next_hop;
+}
+
+inline void ReadModule::on_busy_complete() {
+  if (phase_ == Phase::kWrk) {
+    phase_ = Phase::kWaitMem;
+    return;
+  }
+  // Phase::kAdd drained.
+  finish_hop();
+}
+
+inline void ReadModule::tick() {
+  if (busy_ > 0) {
+    mark_busy();
+    --busy_;
+    if (busy_ == 0) {
+      on_busy_complete();
+    }
+    return;
+  }
+  switch (phase_) {
+    case Phase::kIdle:
+      if (hop_ready()) {
+        start_hop();
+        mark_busy();
+      }
+      return;
+    case Phase::kWaitMem: {
+      if (!state_.mem_done) {
+        return;  // stalled on the memory pipeline
+      }
+      state_.mem_done = false;
+      const std::size_t e = state_.program.embedding_dim;
+      next_h_ = wrk_;
+      fx_add(state_.reg_r, next_h_);
+      ops().add += e;
+      phase_ = Phase::kAdd;
+      busy_ = static_cast<sim::Cycle>(
+          sim::ceil_div(e, timing_.lane_width));
+      mark_busy();
+      --busy_;
+      if (busy_ == 0) {
+        on_busy_complete();
+      }
+      return;
+    }
+    case Phase::kWrk:
+    case Phase::kAdd:
+      return;  // busy_ handled above
+  }
+}
+
+inline std::optional<sim::Cycle> ReadModule::next_activity(
+    sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;
+  }
+  switch (phase_) {
+    case Phase::kIdle:
+      return hop_ready() ? now : sim::kNever;
+    case Phase::kWaitMem:
+      return state_.mem_done ? now : sim::kNever;
+    case Phase::kWrk:
+    case Phase::kAdd:
+      break;
+  }
+  return sim::kNever;
+}
+
+inline void ReadModule::skip(sim::Cycle cycles) {
+  const sim::Cycle counted = std::min(cycles, busy_);
+  busy_ -= counted;
+  mark_busy(counted);
+}
 
 }  // namespace mann::accel

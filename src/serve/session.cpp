@@ -58,7 +58,7 @@ class ServerSession::Frontend final : public sim::Module {
   explicit Frontend(ServerSession& session)
       : Module("FRONTEND"), s_(session) {}
 
-  void tick() override {
+  void tick() {
     const sim::Cycle now = s_.simulator_.now();
     while (!s_.arrivals_.empty() &&
            s_.arrivals_.front().enqueue_cycle <= now) {
@@ -133,7 +133,7 @@ class ServerSession::Frontend final : public sim::Module {
   }
 
   [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle /*now*/) const override {
+      sim::Cycle /*now*/) const {
     return s_.next_arrival();
   }
 
@@ -151,7 +151,7 @@ class ServerSession::BatchStage final : public sim::Module {
   explicit BatchStage(ServerSession& session)
       : Module("BATCHER"), s_(session) {}
 
-  void tick() override {
+  void tick() {
     const sim::Cycle now = s_.simulator_.now();
     while (s_.scheduler_.has_capacity()) {
       std::optional<Batch> batch = s_.batcher_.poll(now);
@@ -181,7 +181,7 @@ class ServerSession::BatchStage final : public sim::Module {
   }
 
   [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override {
+      sim::Cycle now) const {
     if (s_.batcher_.pending() == 0) {
       return sim::kNever;
     }
@@ -206,7 +206,7 @@ class ServerSession::Dispatch final : public sim::Module {
   explicit Dispatch(ServerSession& session)
       : Module("DISPATCH"), s_(session) {}
 
-  void tick() override {
+  void tick() {
     const sim::Cycle now = s_.simulator_.now();
     s_.scheduler_.step(now);
     for (const InferenceResponse& response : s_.scheduler_.collect(now)) {
@@ -223,7 +223,7 @@ class ServerSession::Dispatch final : public sim::Module {
   }
 
   [[nodiscard]] std::optional<sim::Cycle> next_activity(
-      sim::Cycle now) const override {
+      sim::Cycle now) const {
     if (s_.scheduler_.pending_batches() > 0) {
       // Next dispatch opportunity: a slot freeing (conservative — a past
       // cycle just vetoes the skip and falls back to per-cycle ticking).
@@ -256,9 +256,6 @@ ServerSession::ServerSession(ServerConfig config,
   frontend_ = std::make_unique<Frontend>(*this);
   batch_stage_ = std::make_unique<BatchStage>(*this);
   dispatch_ = std::make_unique<Dispatch>(*this);
-  simulator_.add_module(*frontend_);
-  simulator_.add_module(*batch_stage_);
-  simulator_.add_module(*dispatch_);
 }
 
 ServerSession::~ServerSession() = default;
@@ -341,7 +338,7 @@ bool ServerSession::step_until(sim::Cycle limit) {
   // before the clock passes the watchdog, so the subtraction is safe.
   (void)simulator_.run_events([this] { return idle(); },
                               config_.watchdog_cycles - simulator_.now(),
-                              limit);
+                              limit, *frontend_, *batch_stage_, *dispatch_);
   return idle();
 }
 

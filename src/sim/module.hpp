@@ -1,4 +1,4 @@
-// Module base class for the cycle-level dataflow simulation.
+// Module base for the cycle-level dataflow simulation.
 //
 // Modules are ticked once per clock cycle in a fixed order by the
 // Simulator. A module models its internal pipelines with cycle counters:
@@ -6,6 +6,13 @@
 // immediately (transaction semantics) and then stays busy for the
 // operation's latency, which preserves cycle-accurate timing at the module
 // boundary without simulating every register.
+//
+// There is no virtual interface. Simulator::run_until and run_events are
+// templates over the concrete module types, so each caller's loop calls
+// its modules' tick(), next_activity() and skip() directly and the
+// compiler can inline them. A module defines tick() and may hide the
+// defaults of next_activity() and skip() below with its own; this base
+// keeps only the name and the busy/stall/op accounting.
 #pragma once
 
 #include <optional>
@@ -18,20 +25,19 @@ namespace mann::sim {
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
-  virtual ~Module() = default;
 
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Advances one clock cycle.
-  virtual void tick() = 0;
+  // A module also defines `void tick()`, which advances one clock cycle.
 
   /// Earliest cycle at which this module's tick could do more than skip()
   /// accounts for, given no new input from other modules: touch state
   /// another module can see, push or pop a FIFO, or throw. `now` is the
-  /// cycle about to be ticked; any cycle <= `now` means "due now". Simulator::run_events uses this to
-  /// fast-forward across quiescent stretches — request arrivals in the
-  /// serving runtime, link credit and busy countdowns in the accelerator.
+  /// cycle about to be ticked; any cycle <= `now` means "due now".
+  /// Simulator::run_events uses this to fast-forward across quiescent
+  /// stretches — request arrivals in the serving runtime, link credit
+  /// and busy countdowns in the accelerator.
   /// Reporting an earlier cycle than the true one is always safe (it only
   /// costs a tick); a later one breaks cycle exactness. kNever means the
   /// module is idle until some other module acts; nullopt means "unknown
@@ -49,8 +55,7 @@ class Module {
   /// each skip() accounts its own half of every cycle: HOST_LINK its
   /// pushes, refused pushes and FIFO_IN's stats, CONTROL the model words
   /// it stores. accel::HostLinkModule::upload_window() has the details.
-  [[nodiscard]] virtual std::optional<Cycle> next_activity(
-      Cycle /*now*/) const {
+  [[nodiscard]] std::optional<Cycle> next_activity(Cycle /*now*/) const {
     return std::nullopt;
   }
 
@@ -59,12 +64,15 @@ class Module {
   /// so these ticks are pure bookkeeping: busy countdowns, busy/stall
   /// counters, credit accumulation. A module whose skipped ticks change
   /// nothing keeps this default no-op.
-  virtual void skip(Cycle /*cycles*/) {}
+  void skip(Cycle /*cycles*/) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const ModuleStats& stats() const noexcept { return stats_; }
 
  protected:
+  /// Never destroyed through a Module pointer: nothing holds one.
+  ~Module() = default;
+
   /// Accounting helpers for subclasses.
   void mark_busy(Cycle cycles = 1) noexcept { stats_.busy_cycles += cycles; }
   void mark_stalled(Cycle cycles = 1) noexcept {

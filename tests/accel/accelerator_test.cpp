@@ -293,6 +293,16 @@ constexpr Refusal kRefusals[] = {
        p.thresholds.clear();
        p.probe_order.clear();
      }},
+    {"EmbeddingDimZero",
+     [](DeviceProgram& p) {
+       // Every table consistently zero wide: READ's add phase would
+       // wrap a countdown of 0 cycles, so a run never ends.
+       p.embedding_dim = 0;
+       for (FxMatrix* m : {&p.emb_a, &p.emb_c, &p.emb_q, &p.w_o}) {
+         *m = FxMatrix(4, 0);
+       }
+       p.w_r = FxMatrix(0, 0);
+     }},
     {"WoShort", [](DeviceProgram& p) { p.w_o = FxMatrix(3, 2); }},
     {"EmbAShort", [](DeviceProgram& p) { p.emb_a = FxMatrix(3, 2); }},
     {"EmbCShort", [](DeviceProgram& p) { p.emb_c = FxMatrix(3, 2); }},

@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -27,65 +28,12 @@
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
 #include "model/trainer.hpp"
+#include "numeric/random.hpp"
+#include "run_results_equal.hpp"
 #include "sim/simulator.hpp"
 
 namespace mann::accel {
 namespace {
-
-void expect_ops_equal(const sim::OpCounts& a, const sim::OpCounts& b) {
-  EXPECT_EQ(a.mac, b.mac);
-  EXPECT_EQ(a.add, b.add);
-  EXPECT_EQ(a.exp, b.exp);
-  EXPECT_EQ(a.div, b.div);
-  EXPECT_EQ(a.mem_read, b.mem_read);
-  EXPECT_EQ(a.mem_write, b.mem_write);
-  EXPECT_EQ(a.compare, b.compare);
-}
-
-void expect_fifo_equal(const sim::FifoStats& a, const sim::FifoStats& b) {
-  EXPECT_EQ(a.pushes, b.pushes);
-  EXPECT_EQ(a.pops, b.pops);
-  EXPECT_EQ(a.full_rejects, b.full_rejects);
-  EXPECT_EQ(a.max_occupancy, b.max_occupancy);
-}
-
-void expect_stats_equal(const sim::ModuleStats& a, const sim::ModuleStats& b) {
-  EXPECT_EQ(a.busy_cycles, b.busy_cycles);
-  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
-  expect_ops_equal(a.ops, b.ops);
-}
-
-/// Every field of a RunResult, story by story and module by module.
-void expect_identical(const RunResult& ticked, const RunResult& events) {
-  EXPECT_EQ(events.total_cycles, ticked.total_cycles);
-  EXPECT_EQ(events.seconds, ticked.seconds);
-  EXPECT_EQ(events.stream_words, ticked.stream_words);
-  EXPECT_EQ(events.link_active_cycles, ticked.link_active_cycles);
-  ASSERT_EQ(events.stories.size(), ticked.stories.size());
-  for (std::size_t i = 0; i < ticked.stories.size(); ++i) {
-    SCOPED_TRACE("story " + std::to_string(i));
-    EXPECT_EQ(events.stories[i].prediction, ticked.stories[i].prediction);
-    EXPECT_EQ(events.stories[i].output_probes,
-              ticked.stories[i].output_probes);
-    EXPECT_EQ(events.stories[i].early_exit, ticked.stories[i].early_exit);
-    EXPECT_EQ(events.stories[i].finish_cycle, ticked.stories[i].finish_cycle);
-  }
-  ASSERT_EQ(events.modules.size(), ticked.modules.size());
-  for (std::size_t i = 0; i < ticked.modules.size(); ++i) {
-    SCOPED_TRACE(ticked.modules[i].name);
-    EXPECT_EQ(events.modules[i].name, ticked.modules[i].name);
-    expect_stats_equal(events.modules[i].stats, ticked.modules[i].stats);
-  }
-  expect_ops_equal(events.total_ops, ticked.total_ops);
-  {
-    SCOPED_TRACE("FIFO_IN");
-    expect_fifo_equal(events.fifo_in_stats, ticked.fifo_in_stats);
-  }
-  {
-    SCOPED_TRACE("FIFO_OUT");
-    expect_fifo_equal(events.fifo_out_stats, ticked.fifo_out_stats);
-  }
-}
 
 /// One trained qa1 model with ITH tables, shared by the suite.
 class EventEquivalence : public ::testing::Test {
@@ -346,31 +294,21 @@ TEST_F(EventEquivalence, WatchdogExpiresMidUploadOnBothClocks) {
 
 // ---- module-level twins --------------------------------------------------
 
-/// Drives `module` to cycle `until` the way run_events would — skipping
-/// to its next activity, never past `until` or `inject_at`, where
-/// `inject` delivers external input before that cycle's tick — while
-/// `twin` ticks every cycle with the same injection.
-void drive_twins(sim::Module& module, sim::Module& twin, sim::Cycle until,
-                 sim::Cycle inject_at,
-                 const std::function<void()>& inject_module,
-                 const std::function<void()>& inject_twin) {
-  for (sim::Cycle c = 0; c < until; ++c) {
-    if (c == inject_at) {
-      inject_twin();
-    }
+/// Drives `module` from cycle `from` to `until` the way run_events would
+/// — skipping to its next activity, never past `until` — while `twin`
+/// ticks every cycle. Input from outside (an answer in FIFO_OUT, a drained
+/// FIFO_IN) goes to both between two calls, before the tick at `until`.
+template <typename Module>
+void drive_twins(Module& module, Module& twin, sim::Cycle from,
+                 sim::Cycle until) {
+  for (sim::Cycle c = from; c < until; ++c) {
     twin.tick();
   }
-  sim::Cycle c = 0;
+  sim::Cycle c = from;
   while (c < until) {
-    if (c == inject_at) {
-      inject_module();
-    }
     const std::optional<sim::Cycle> next = module.next_activity(c);
     ASSERT_TRUE(next.has_value());
-    sim::Cycle target = std::min(*next, until);
-    if (c < inject_at) {
-      target = std::min(target, inject_at);
-    }
+    const sim::Cycle target = std::min(*next, until);
     if (target > c) {
       module.skip(target - c);
       c = target;
@@ -384,10 +322,10 @@ void drive_twins(sim::Module& module, sim::Module& twin, sim::Cycle until,
 /// A HOST_LINK with its own FIFOs, for the twin tests.
 struct LinkRig {
   LinkRig(const AccelConfig& cfg, std::vector<StreamWord> words,
-          std::size_t depth)
+          std::size_t depth, std::size_t model_words = 0)
       : in("IN", depth),
         out("OUT", 4),
-        link(cfg, 0, std::move(words), in, out) {}
+        link(cfg, model_words, std::move(words), in, out) {}
   sim::Fifo<StreamWord> in;
   sim::Fifo<std::int32_t> out;
   HostLinkModule link;
@@ -432,9 +370,10 @@ TEST(EventTwins, SyncWaitCreditResetsOnlyWhenItReachesOne) {
     SCOPED_TRACE("answer at " + std::to_string(answer_at));
     LinkRig events(slow_link(), two_stories(), 16);
     LinkRig ticked(slow_link(), two_stories(), 16);
-    drive_twins(
-        events.link, ticked.link, answer_at + 40, answer_at,
-        [&] { events.out.push(1); }, [&] { ticked.out.push(1); });
+    drive_twins(events.link, ticked.link, 0, answer_at);
+    events.out.push(1);
+    ticked.out.push(1);
+    drive_twins(events.link, ticked.link, answer_at, answer_at + 40);
     EXPECT_TRUE(ticked.link.all_words_sent());
     expect_links_equal(events, ticked);
   }
@@ -450,7 +389,7 @@ TEST(EventTwins, DmaDelayForcesCreditToZero) {
     SCOPED_TRACE("until " + std::to_string(until));
     LinkRig events(cfg, two_stories(), 16);
     LinkRig ticked(cfg, two_stories(), 16);
-    drive_twins(events.link, ticked.link, until, sim::kNever, [] {}, [] {});
+    drive_twins(events.link, ticked.link, 0, until);
     expect_links_equal(events, ticked);
   }
 }
@@ -462,9 +401,154 @@ TEST(EventTwins, PushAgainstFullFifoIsNeverSkipped) {
   cfg.link.synchronous_stories = false;
   LinkRig events(cfg, two_stories(), 2);
   LinkRig ticked(cfg, two_stories(), 2);
-  drive_twins(events.link, ticked.link, 80, sim::kNever, [] {}, [] {});
+  drive_twins(events.link, ticked.link, 0, 80);
   EXPECT_GT(ticked.in.stats().full_rejects, 0U);
   expect_links_equal(events, ticked);
+}
+
+/// One HOST_LINK configuration, its stream, and the seed of the stops,
+/// answers and drains a sweep case drives it with.
+struct LinkCase {
+  AccelConfig config;
+  std::size_t model_words = 0;
+  std::vector<StreamWord> words;
+  std::size_t depth = 2;
+  std::uint64_t schedule_seed = 0;
+  std::string text;  ///< for failure messages
+};
+
+/// Seeded case generator in the shape of seabrute's task_generator:
+/// get_next() yields case i of the sweep as a pure function of (seed, i),
+/// so a failing case reproduces from its number alone.
+class LinkCaseGenerator {
+ public:
+  explicit LinkCaseGenerator(std::uint64_t seed) : seed_(seed) {}
+
+  LinkCase get_next() {
+    const std::uint64_t i = next_++;
+    numeric::Rng rng(numeric::mix64(seed_ ^ i));
+    // Word rates inexact in binary, and above 1 word/cycle.
+    constexpr double kWordRates[] = {0.04, 0.16, 0.3, 1.0 / 3.0, 1.5, 2.5};
+    constexpr double kModelRates[] = {0.3, 0.7, 1.5, 2.0, 8.0 / 3.0};
+    constexpr double kClockHz = 1.0e6;
+    LinkCase c;
+    c.config.clock_hz = kClockHz;
+    const double rate = kWordRates[i % std::size(kWordRates)];
+    const double model_rate = kModelRates[rng.index(std::size(kModelRates))];
+    c.config.link.words_per_second = rate * kClockHz;
+    c.config.link.model_words_per_second = model_rate * kClockHz;
+    c.config.link.synchronous_stories = rng.index(3) != 0;
+    const std::size_t latency = rng.index(2) == 0 ? 0 : 1 + rng.index(9);
+    c.config.link.per_story_latency = static_cast<double>(latency) / kClockHz;
+    c.config.link.result_latency =
+        static_cast<double>(rng.index(4)) / kClockHz;
+    c.model_words = rng.index(2) == 0 ? 0 : 1 + rng.index(40);
+    c.depth = 2 + rng.index(31);
+    const std::size_t stories = 2 + rng.index(3);
+    for (std::size_t k = 0; k < stories; ++k) {
+      c.words.push_back({StreamOp::kStoryStart, 0});
+      c.words.push_back({StreamOp::kSentenceStart, 0});
+      const std::size_t context = 1 + rng.index(12);
+      for (std::size_t w = 0; w < context; ++w) {
+        c.words.push_back({StreamOp::kContextWord, 1});
+      }
+      c.words.push_back({StreamOp::kQuestionStart, 0});
+      c.words.push_back({StreamOp::kQuestionWord, 2});
+      c.words.push_back({StreamOp::kEndOfStory, 0});
+    }
+    c.schedule_seed = rng();
+    c.text = "rate " + std::to_string(rate) + ", " +
+             std::to_string(c.model_words) + " model words at " +
+             std::to_string(model_rate) + ", depth " +
+             std::to_string(c.depth) +
+             (c.config.link.synchronous_stories ? ", synchronous"
+                                                : ", asynchronous") +
+             ", story latency " + std::to_string(latency) + ", " +
+             std::to_string(stories) + " stories";
+    return c;
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t next_ = 0;
+};
+
+TEST(EventTwins, SeededLinkSweepMatchesPerCycleTicking) {
+  // Each case clocks one link twice: event-driven, stopping short of a
+  // credit crossing, at it or past it (several credit periods past it
+  // while a synchronous host awaits its answer), and ticked every cycle.
+  // At each stop the two must agree; then an owed answer may land (at any
+  // offset of the credit period) and FIFO_IN may drain, on both.
+  constexpr sim::Cycle kHorizon = 20'000;
+  LinkCaseGenerator cases(2019);
+  std::size_t awaiting_stops = 0;
+  std::size_t refusing_cases = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const LinkCase c = cases.get_next();
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + c.text);
+    LinkRig events(c.config, c.words, c.depth, c.model_words);
+    LinkRig ticked(c.config, c.words, c.depth, c.model_words);
+    numeric::Rng rng(c.schedule_seed);
+    const double rate = c.config.link.words_per_second / c.config.clock_hz;
+    const auto period =
+        static_cast<sim::Cycle>(rate < 1.0 ? std::ceil(1.0 / rate) : 1.0);
+    // ends[k]: stories whose kEndOfStory is among the first k words.
+    std::vector<std::size_t> ends(c.words.size() + 1, 0);
+    for (std::size_t k = 0; k < c.words.size(); ++k) {
+      ends[k + 1] = ends[k] + (c.words[k].op == StreamOp::kEndOfStory ? 1 : 0);
+    }
+    const std::size_t stories = ends.back();
+    std::size_t answered = 0;
+    sim::Cycle now = 0;
+    while (!ticked.link.all_words_sent() || answered < stories ||
+           !ticked.out.empty()) {
+      ASSERT_LT(now, kHorizon) << "the link never finished";
+      const auto pushed = static_cast<std::size_t>(ticked.in.stats().pushes);
+      const std::size_t sent =
+          ends[pushed > c.model_words ? pushed - c.model_words : 0];
+      const sim::Cycle next = *events.link.next_activity(now);
+      sim::Cycle stop = now + 1;
+      if (next == sim::kNever) {
+        ++awaiting_stops;
+        stop = now + (1 + rng.index(4)) * period + rng.index(period);
+      } else if (next > now) {
+        switch (rng.index(3)) {
+          case 0:
+            stop = now + 1 + rng.index(next - now);  // up to the crossing
+            break;
+          case 1:
+            stop = next;
+            break;
+          default:
+            stop = next + 1 + rng.index(3 * period);
+            break;
+        }
+      }
+      stop = std::min(stop, kHorizon);
+      drive_twins(events.link, ticked.link, now, stop);
+      now = stop;
+      expect_links_equal(events, ticked);
+      EXPECT_EQ(events.link.next_activity(now),
+                ticked.link.next_activity(now));
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+      if (sent > answered && (next == sim::kNever || rng.index(3) == 0)) {
+        events.out.push(1);
+        ticked.out.push(1);
+        ++answered;
+      }
+      if (rng.index(3) == 0) {
+        while (ticked.in.try_pop()) {
+          (void)events.in.try_pop();
+        }
+      }
+    }
+    refusing_cases += ticked.in.stats().full_rejects > 0 ? 1 : 0;
+  }
+  // The sweep reached the paths it is for.
+  EXPECT_GT(awaiting_stops, 1000U);
+  EXPECT_GT(refusing_cases, 100U);
 }
 
 DeviceProgram tiny_program() {
@@ -508,8 +592,10 @@ struct UploadRig {
     return words;
   }
 
-  [[nodiscard]] std::vector<sim::Module*> modules() {
-    return {&link, &control};
+  /// One cycle of the pair, in Accelerator::run's order.
+  void tick() {
+    link.tick();
+    control.tick();
   }
 
   DeviceProgram program;
@@ -531,20 +617,17 @@ sim::Cycle clock_in_strides(UploadRig& rig, sim::Cycle until,
   while (c < until) {
     widest = std::max(widest, rig.link.upload_window());
     sim::Cycle target = until - c > stride ? c + stride : until;
-    for (const sim::Module* m : rig.modules()) {
-      const std::optional<sim::Cycle> next = m->next_activity(c);
+    for (const std::optional<sim::Cycle> next :
+         {rig.link.next_activity(c), rig.control.next_activity(c)}) {
       target = next.has_value() ? std::min(target, *next) : c;
     }
     if (target > c) {
-      for (sim::Module* m : rig.modules()) {
-        m->skip(target - c);
-      }
+      rig.link.skip(target - c);
+      rig.control.skip(target - c);
       c = target;
       continue;
     }
-    for (sim::Module* m : rig.modules()) {
-      m->tick();
-    }
+    rig.tick();
     ++c;
   }
   return widest;
@@ -588,9 +671,7 @@ TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
           UploadRig ticked(cfg, depth);
           widest = std::max(widest, clock_in_strides(events, until, stride));
           for (sim::Cycle c = 0; c < until; ++c) {
-            for (sim::Module* m : ticked.modules()) {
-              m->tick();
-            }
+            ticked.tick();
           }
           expect_rigs_equal(events, ticked);
         }
@@ -726,14 +807,11 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
     OutputModule output(state, cfg, out, l1);
     sim::Simulator sim;
-    sim.add_module(read);
-    sim.add_module(mem);
-    sim.add_module(output);
     const auto done = [&] { return !out.empty(); };
     if (events) {
-      (void)sim.run_events(done, 10'000);
+      (void)sim.run_events(done, 10'000, sim::kNever, read, mem, output);
     } else {
-      (void)sim.run_until(done, 10'000);
+      (void)sim.run_until(done, 10'000, read, mem, output);
     }
     return std::tuple(sim.now(), *out.peek(), read.stats(), mem.stats(),
                       output.stats());

@@ -325,8 +325,8 @@ SearchOutcome module_search(const DeviceProgram& program, const FxVector& h,
   const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
   OutputModule module(state, cfg, out, l1);
   sim::Simulator simulator;
-  simulator.add_module(module);
-  (void)simulator.run_events([&] { return !out.empty(); }, 1'000'000);
+  (void)simulator.run_events([&] { return !out.empty(); }, 1'000'000,
+                             sim::kNever, module);
   const OutputModule::Record& record = module.records().at(0);
   return {record.prediction, record.probes, record.early_exit,
           module.stats()};
@@ -658,6 +658,45 @@ TEST(FxAxpyAndAdd, Basics) {
   EXPECT_FLOAT_EQ(y[0].to_float(), 11.5F);
   fx_clear(y);
   EXPECT_EQ(y[0], Fx{});
+}
+
+TEST(FxAdd, SaturatesAsOperatorPlusDoes) {
+  // fx_add saturates in 32 bits without a branch; operator+ clamps a
+  // 64-bit sum. Every pair of the extremes and of words around the
+  // wrap points, then 1M seeded whole-word pairs.
+  std::vector<std::int32_t> words = {Fx::kRawMin, Fx::kRawMax, 0, 1, -1};
+  for (const std::int32_t near : {Fx::kRawMin, Fx::kRawMax, 0,
+                                  std::int32_t{1} << 30, -(1 << 30)}) {
+    for (std::int32_t d = -2; d <= 2; ++d) {
+      const std::int64_t w = std::int64_t{near} + d;
+      if (w >= Fx::kRawMin && w <= Fx::kRawMax) {
+        words.push_back(static_cast<std::int32_t>(w));
+      }
+    }
+  }
+  FxVector x;
+  FxVector y;
+  for (const std::int32_t a : words) {
+    for (const std::int32_t b : words) {
+      x.push_back(Fx::from_raw(a));
+      y.push_back(Fx::from_raw(b));
+    }
+  }
+  std::mt19937_64 rng(0xADD5A7);
+  const FxVector rx = uniform_words(rng, 1'000'000, Fx::kRawMin, Fx::kRawMax);
+  const FxVector ry = uniform_words(rng, 1'000'000, Fx::kRawMin, Fx::kRawMax);
+  x.insert(x.end(), rx.begin(), rx.end());
+  y.insert(y.end(), ry.begin(), ry.end());
+  FxVector sum = y;
+  fx_add(x, sum);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (sum[i] != x[i] + y[i] && ++mismatches <= 5) {
+      ADD_FAILURE() << x[i].raw() << " + " << y[i].raw() << " gave "
+                    << sum[i].raw() << ", operator+ " << (x[i] + y[i]).raw();
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
 }
 
 TEST(FxAxpy, MismatchThrows) {

@@ -165,9 +165,8 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   ReadModule read(state, cfg);
   MemModule mem(state, cfg);
   sim::Simulator sim;
-  sim.add_module(read);
-  sim.add_module(mem);
-  (void)sim.run_until([&] { return state.features_ready; }, 10'000);
+  (void)sim.run_until([&] { return state.features_ready; }, 10'000, read,
+                      mem);
 
   // One slot -> attention 1.0 -> r = (0,4); W_r = 0 -> h = r after
   // each hop (k2 = h1 = (0,4), same read again).
@@ -191,8 +190,7 @@ TEST(OutputModule, SequentialArgmaxWithoutIth) {
   const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
   OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
-  sim.add_module(module);
-  (void)sim.run_until([&] { return !out.empty(); }, 10'000);
+  (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
 
   EXPECT_EQ(*out.peek(), 3);  // class with weight 4
   ASSERT_EQ(module.records().size(), 1U);
@@ -217,8 +215,7 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
   OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
-  sim.add_module(module);
-  (void)sim.run_until([&] { return !out.empty(); }, 10'000);
+  (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
 
   EXPECT_EQ(*out.peek(), 2);
   EXPECT_EQ(module.records()[0].probes, 1U);
@@ -240,8 +237,7 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
   OutputModule module(state, cfg, out, l1);
   sim::Simulator sim;
-  sim.add_module(module);
-  (void)sim.run_until([&] { return !out.empty(); }, 10'000);
+  (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
   EXPECT_EQ(*out.peek(), 3);
   EXPECT_EQ(module.records()[0].probes, 4U);
   EXPECT_FALSE(module.records()[0].early_exit);

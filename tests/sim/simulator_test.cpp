@@ -8,6 +8,8 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/module.hpp"
+
 namespace mann::sim {
 namespace {
 
@@ -16,7 +18,7 @@ class CountingModule final : public Module {
  public:
   explicit CountingModule(std::string name) : Module(std::move(name)) {}
 
-  void tick() override {
+  void tick() {
     ++ticks;
     if (ticks % 2 == 0) {
       mark_busy();
@@ -32,8 +34,8 @@ class CountingModule final : public Module {
 TEST(Simulator, RunsUntilPredicate) {
   CountingModule m("m");
   Simulator sim;
-  sim.add_module(m);
-  const Cycle elapsed = sim.run_until([&] { return m.ticks >= 10; }, 1000);
+  const Cycle elapsed =
+      sim.run_until([&] { return m.ticks >= 10; }, 1000, m);
   EXPECT_EQ(elapsed, 10U);
   EXPECT_EQ(sim.now(), 10U);
 }
@@ -44,7 +46,7 @@ TEST(Simulator, TicksModulesInRegistrationOrder) {
    public:
     Probe(std::string name, std::vector<int>& log, int id)
         : Module(std::move(name)), log_(log), id_(id) {}
-    void tick() override { log_.push_back(id_); }
+    void tick() { log_.push_back(id_); }
 
    private:
     std::vector<int>& log_;
@@ -53,9 +55,7 @@ TEST(Simulator, TicksModulesInRegistrationOrder) {
   Probe a("a", order, 1);
   Probe b("b", order, 2);
   Simulator sim;
-  sim.add_module(a);
-  sim.add_module(b);
-  (void)sim.run_until([&] { return order.size() >= 4; }, 100);
+  (void)sim.run_until([&] { return order.size() >= 4; }, 100, a, b);
   ASSERT_EQ(order.size(), 4U);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
@@ -66,16 +66,14 @@ TEST(Simulator, TicksModulesInRegistrationOrder) {
 TEST(Simulator, WatchdogThrows) {
   CountingModule m("m");
   Simulator sim;
-  sim.add_module(m);
-  EXPECT_THROW((void)sim.run_until([] { return false; }, 50),
+  EXPECT_THROW((void)sim.run_until([] { return false; }, 50, m),
                std::runtime_error);
 }
 
 TEST(Simulator, StatsAccumulate) {
   CountingModule m("m");
   Simulator sim;
-  sim.add_module(m);
-  (void)sim.run_until([&] { return m.ticks >= 8; }, 100);
+  (void)sim.run_until([&] { return m.ticks >= 8; }, 100, m);
   EXPECT_EQ(m.stats().busy_cycles, 4U);
   EXPECT_EQ(m.stats().stall_cycles, 4U);
   EXPECT_EQ(m.stats().ops.add, 24U);
@@ -84,17 +82,15 @@ TEST(Simulator, StatsAccumulate) {
 TEST(Simulator, SequentialRunsAccumulateTime) {
   CountingModule m("m");
   Simulator sim;
-  sim.add_module(m);
-  (void)sim.run_until([&] { return m.ticks >= 3; }, 100);
-  (void)sim.run_until([&] { return m.ticks >= 7; }, 100);
+  (void)sim.run_until([&] { return m.ticks >= 3; }, 100, m);
+  (void)sim.run_until([&] { return m.ticks >= 7; }, 100, m);
   EXPECT_EQ(sim.now(), 7U);
 }
 
 TEST(Simulator, ImmediateDonePredicateRunsZeroCycles) {
   CountingModule m("m");
   Simulator sim;
-  sim.add_module(m);
-  EXPECT_EQ(sim.run_until([] { return true; }, 10), 0U);
+  EXPECT_EQ(sim.run_until([] { return true; }, 10, m), 0U);
   EXPECT_EQ(m.ticks, 0U);
 }
 
@@ -106,7 +102,7 @@ class EventModule final : public Module {
               std::vector<Cycle> events)
       : Module(std::move(name)), clock_(clock), events_(std::move(events)) {}
 
-  void tick() override {
+  void tick() {
     ++ticks;
     if (next_ < events_.size() && events_[next_] <= clock_.now()) {
       fired.push_back(clock_.now());
@@ -114,8 +110,7 @@ class EventModule final : public Module {
     }
   }
 
-  [[nodiscard]] std::optional<Cycle> next_activity(
-      Cycle /*now*/) const override {
+  [[nodiscard]] std::optional<Cycle> next_activity(Cycle /*now*/) const {
     return next_ < events_.size() ? events_[next_] : kNever;
   }
 
@@ -131,8 +126,8 @@ class EventModule final : public Module {
 TEST(Simulator, RunEventsSkipsQuiescentGaps) {
   Simulator sim;
   EventModule m("m", sim, {5, 1000, 100'000});
-  sim.add_module(m);
-  (void)sim.run_events([&] { return m.fired.size() >= 3; }, 1'000'000);
+  (void)sim.run_events([&] { return m.fired.size() >= 3; }, 1'000'000,
+                       kNever, m);
   // Every event observed at its exact cycle…
   ASSERT_EQ(m.fired.size(), 3U);
   EXPECT_EQ(m.fired[0], 5U);
@@ -147,9 +142,8 @@ TEST(Simulator, RunEventsFallsBackWhenAnyModuleIsUnskippable) {
   Simulator sim;
   EventModule events("e", sim, {50});
   CountingModule dense("d");  // next_activity() = nullopt: tick every cycle
-  sim.add_module(events);
-  sim.add_module(dense);
-  (void)sim.run_events([&] { return !events.fired.empty(); }, 1000);
+  (void)sim.run_events([&] { return !events.fired.empty(); }, 1000, kNever,
+                       events, dense);
   EXPECT_EQ(dense.ticks, 51U);  // cycles 0..50, no skipping
   EXPECT_EQ(sim.now(), 51U);
 }
@@ -157,51 +151,47 @@ TEST(Simulator, RunEventsFallsBackWhenAnyModuleIsUnskippable) {
 TEST(Simulator, RunEventsWatchdogStillFires) {
   Simulator sim;
   EventModule m("m", sim, {});  // permanently idle, done never true
-  sim.add_module(m);
-  EXPECT_THROW((void)sim.run_events([] { return false; }, 100),
+  EXPECT_THROW((void)sim.run_events([] { return false; }, 100, kNever, m),
                std::runtime_error);
 }
 
 TEST(Simulator, RunEventsHoldsAtAnExclusiveLimit) {
   Simulator sim;
   EventModule m("m", sim, {5, 1000, 100'000});
-  sim.add_module(m);
   const auto done = [&] { return m.fired.size() >= 3; };
 
   // Events before the limit run; the next one sits exactly at it, so
   // the call returns with the clock where the last event left it.
-  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000), 6U);
+  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000, m), 6U);
   EXPECT_EQ(m.fired, (std::vector<Cycle>{5}));
   EXPECT_EQ(sim.now(), 6U);
   // Asking again moves nothing.
-  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000), 0U);
+  EXPECT_EQ(sim.run_events(done, 1'000'000, 1000, m), 0U);
   EXPECT_EQ(sim.now(), 6U);
   // A later limit resumes the same timeline, then kNever runs to done().
-  (void)sim.run_events(done, 1'000'000, 1001);
+  (void)sim.run_events(done, 1'000'000, 1001, m);
   EXPECT_EQ(m.fired, (std::vector<Cycle>{5, 1000}));
   EXPECT_EQ(sim.now(), 1001U);
-  (void)sim.run_events(done, 1'000'000);
+  (void)sim.run_events(done, 1'000'000, kNever, m);
   EXPECT_EQ(m.fired, (std::vector<Cycle>{5, 1000, 100'000}));
   EXPECT_EQ(sim.now(), 100'001U);
 
   // Work due every cycle stops at the limit too.
   Simulator dense_sim;
   CountingModule dense("d");
-  dense_sim.add_module(dense);
-  EXPECT_EQ(dense_sim.run_events([] { return false; }, 1000, 10), 10U);
+  EXPECT_EQ(dense_sim.run_events([] { return false; }, 1000, 10, dense), 10U);
   EXPECT_EQ(dense.ticks, 10U);
 }
 
 TEST(Simulator, RunEventsLimitHoldsIdleModulesButKNeverTrips) {
   Simulator sim;
   EventModule m("m", sim, {});  // permanently idle, done never true
-  sim.add_module(m);
   // Under a limit, "idle forever" is only "nothing before the limit".
-  EXPECT_EQ(sim.run_events([] { return false; }, 100, 50), 0U);
+  EXPECT_EQ(sim.run_events([] { return false; }, 100, 50, m), 0U);
   EXPECT_EQ(sim.now(), 0U);
   // Without one, the watchdog still fires at its end.
   try {
-    (void)sim.run_events([] { return false; }, 100);
+    (void)sim.run_events([] { return false; }, 100, kNever, m);
     ADD_FAILURE() << "expected the idle-forever watchdog";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("idle forever"), std::string::npos);
@@ -212,7 +202,6 @@ TEST(Simulator, RunEventsLimitHoldsIdleModulesButKNeverTrips) {
 TEST(Simulator, AdvanceReplaysTimeWithoutTicking) {
   Simulator sim;
   CountingModule counting("count");
-  sim.add_module(counting);
 
   // The cheap timing-replay path: the clock lands exactly where a full
   // simulation of the recorded stretch would, but no module runs.
@@ -221,7 +210,7 @@ TEST(Simulator, AdvanceReplaysTimeWithoutTicking) {
   EXPECT_EQ(counting.ticks, 0U);
 
   // Replayed and simulated time compose on one clock.
-  (void)sim.run_until([&] { return counting.ticks >= 5; }, 100);
+  (void)sim.run_until([&] { return counting.ticks >= 5; }, 100, counting);
   EXPECT_EQ(sim.now(), 1'005U);
 }
 
@@ -237,7 +226,7 @@ class CountdownModule final : public Module {
     start_next();
   }
 
-  void tick() override {
+  void tick() {
     ++ticks;
     if (busy_ == 0) {
       mark_stalled();
@@ -250,12 +239,11 @@ class CountdownModule final : public Module {
     }
   }
 
-  [[nodiscard]] std::optional<Cycle> next_activity(
-      Cycle now) const override {
+  [[nodiscard]] std::optional<Cycle> next_activity(Cycle now) const {
     return busy_ > 0 ? now + busy_ - 1 : kNever;
   }
 
-  void skip(Cycle cycles) override {
+  void skip(Cycle cycles) {
     if (busy_ > 0 && cycles >= busy_) {
       crossed_activity = true;
     }
@@ -289,14 +277,12 @@ TEST(Simulator, SkipAccountingMatchesTickedAccounting) {
     Simulator sim;
     CountdownModule a("a", sim, jobs_a);
     CountdownModule b("b", sim, jobs_b);
-    sim.add_module(a);
-    sim.add_module(b);
     const auto done = [&] {
       return a.completed.size() == jobs_a.size() &&
              b.completed.size() == jobs_b.size();
     };
-    const Cycle elapsed =
-        events ? sim.run_events(done, 10'000) : sim.run_until(done, 10'000);
+    const Cycle elapsed = events ? sim.run_events(done, 10'000, kNever, a, b)
+                                 : sim.run_until(done, 10'000, a, b);
     return std::tuple(elapsed, a.stats().busy_cycles, a.stats().stall_cycles,
                       b.stats().busy_cycles, b.stats().stall_cycles,
                       a.completed, b.completed, a.ticks + b.ticks,
@@ -323,9 +309,8 @@ TEST(Simulator, SkipStopsAtTheEarliestModulesActivity) {
   Simulator sim;
   CountdownModule slow("slow", sim, {1000});
   EventModule fast("fast", sim, {10, 20});
-  sim.add_module(slow);
-  sim.add_module(fast);
-  (void)sim.run_events([&] { return !slow.completed.empty(); }, 10'000);
+  (void)sim.run_events([&] { return !slow.completed.empty(); }, 10'000,
+                       kNever, slow, fast);
   EXPECT_EQ(fast.fired, (std::vector<Cycle>{10, 20}));
   EXPECT_EQ(slow.completed, (std::vector<Cycle>{999}));
   EXPECT_EQ(slow.stats().busy_cycles, 1000U);
