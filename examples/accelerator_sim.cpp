@@ -7,6 +7,7 @@
 // power-model decomposition.
 //
 // Usage: accelerator_sim [clock_mhz=100] [ith=1]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,7 +34,8 @@ int main(int argc, char** argv) {
       runtime::prepare_task(data::TaskId::kSingleSupportingFact, prep);
 
   accel::AccelConfig cfg;
-  cfg.clock_hz = mhz * 1.0e6;
+  // The device clocks in whole Hz, so 33.3 MHz runs at 33,300,000 Hz.
+  cfg.clock_hz = std::round(mhz * 1.0e6);
   cfg.ith_enabled = ith;
   const accel::DeviceProgram program =
       accel::compile_model(art.model, ith ? &art.ith : nullptr);

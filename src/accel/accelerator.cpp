@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -85,15 +86,16 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   return fp.value();
 }
 
+void require(bool ok, const char* what) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("Accelerator: ") + what);
+  }
+}
+
 /// Refuses a program the modules would index out of bounds: every
 /// table a story or a class probe reads must have the shape the
 /// dimensions promise.
 void validate_program(const DeviceProgram& program) {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) {
-      throw std::invalid_argument(std::string("Accelerator: ") + what);
-    }
-  };
   const std::size_t v = program.vocab_size;
   const std::size_t e = program.embedding_dim;
   require(v >= 1, "vocab_size must be at least 1");
@@ -124,6 +126,30 @@ void validate_program(const DeviceProgram& program) {
 }
 
 }  // namespace
+
+void validate_config(const AccelConfig& config) {
+  constexpr double kMaxWhole = 9007199254740992.0;  // 2^53
+  // Each test is false for NaN.
+  const auto whole = [&](double x, double least) {
+    return x >= least && x <= kMaxWhole && x == std::floor(x);
+  };
+  const auto cycles = [&](double seconds) {
+    return seconds >= 0.0 && seconds * config.clock_hz <= kMaxWhole;
+  };
+  require(whole(config.clock_hz, 1.0),
+          "clock_hz must be a whole number of Hz in [1, 2^53]");
+  require(whole(config.link.words_per_second, 1.0),
+          "link.words_per_second must be a whole number in [1, 2^53]");
+  require(whole(config.link.model_words_per_second, 0.0),
+          "link.model_words_per_second must be a whole number in [0, 2^53]");
+  require(cycles(config.link.per_story_latency),
+          "link.per_story_latency must be 0 to 2^53 cycles");
+  require(cycles(config.link.result_latency),
+          "link.result_latency must be 0 to 2^53 cycles");
+  require(config.timing.lane_width >= 1,
+          "timing.lane_width must be at least 1");
+  require(config.fifo_depth >= 1, "fifo_depth must be at least 1");
+}
 
 RunResult Accelerator::simulate(
     std::span<const data::EncodedStory* const> stories, bool model_resident,
@@ -217,9 +243,7 @@ double RunResult::mean_output_probes() const noexcept {
 
 Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
     : config_(config), program_(std::move(program)) {
-  if (config_.clock_hz <= 0.0) {
-    throw std::invalid_argument("Accelerator: clock must be positive");
-  }
+  validate_config(config_);
   if (config_.ith_enabled && !program_.has_ith_tables()) {
     throw std::invalid_argument(
         "Accelerator: ITH enabled but the program has no threshold tables");

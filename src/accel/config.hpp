@@ -12,11 +12,13 @@ namespace mann::accel {
 ///
 /// Wall-clock throughput and latency are clock-independent (PCIe does not
 /// care about the fabric clock); the simulator converts them to cycles at
-/// the configured frequency. The default effective throughput is low
-/// compared to PCIe bulk bandwidth on purpose: the stream is word-granular
-/// writes driven by the host runtime, and the paper's own measurement shows
-/// the interface dominating at high clocks (§V: "inference time is
-/// dominated by the interface between the host and the FPGA").
+/// the configured frequency. Link rates are whole numbers of words/s up
+/// to 2^53, so the link's credit is exact (validate_config). The default
+/// effective throughput is low compared to PCIe bulk bandwidth on purpose:
+/// the stream is word-granular writes driven by the host runtime, and the
+/// paper's own measurement shows the interface dominating at high clocks
+/// (§V: "inference time is dominated by the interface between the host
+/// and the FPGA").
 struct HostLinkConfig {
   /// Effective rate of the word-granular inference stream. Calibrated to
   /// the paper's frequency sweep: Table I solves to a clock-independent
@@ -38,7 +40,9 @@ struct HostLinkConfig {
 
 /// Full device configuration.
 struct AccelConfig {
-  double clock_hz = 100.0e6;  ///< fabric clock (paper sweeps 25-100 MHz)
+  /// Fabric clock (paper sweeps 25-100 MHz): a whole number of Hz up to
+  /// 2^53.
+  double clock_hz = 100.0e6;
   sim::DatapathTiming timing; ///< arithmetic-unit cycle costs
   std::size_t fifo_depth = 32;
   HostLinkConfig link;
@@ -55,5 +59,13 @@ struct AccelConfig {
   /// Watchdog: simulation aborts if one workload exceeds this many cycles.
   sim::Cycle watchdog_cycles = 500'000'000;
 };
+
+/// Throws std::invalid_argument for a config no run could finish
+/// correctly: a clock or word rate that is not a whole number in
+/// [1, 2^53] (a model rate may also be 0, which stalls the upload), a
+/// latency that is negative, not finite or over 2^53 cycles, a zero lane
+/// width or a zero FIFO depth. The Accelerator and HostLinkModule
+/// constructors call it.
+void validate_config(const AccelConfig& config);
 
 }  // namespace mann::accel

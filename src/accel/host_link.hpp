@@ -11,24 +11,18 @@
 // coupled pair of the event-driven clock (sim/module.hpp): see
 // upload_window().
 //
-// The link credit is a double that tick() raises by the word rate each
-// cycle, so when the next push happens has no exact closed form. A
-// credit run (CreditRun), from one credit value to the add that reaches
-// 1.0, is replayed once, add by add in tick()'s order, and kept: the
-// skip to the crossing that next_activity() reported reads the run it
-// just returned, and a later run from the same credit at the same rate
-// comes from a table.
+// The link credit counts words in units of 1/clock_hz: tick() adds the
+// word rate in words/s each cycle, and a push spends clock_hz. Clocks
+// and rates are whole numbers (validate_config), so the credit is exact,
+// and the add on which it next reaches a word is one division away.
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "accel/config.hpp"
 #include "accel/stream.hpp"
-#include "numeric/random.hpp"
 #include "sim/fifo.hpp"
 #include "sim/module.hpp"
 
@@ -48,7 +42,7 @@ class HostLinkModule final : public sim::Module {
                  sim::Fifo<std::int32_t>& fifo_out);
 
   void tick();
-  /// The next answer drain, credit crossing 1.0 (a push attempt, the
+  /// The next answer drain, credit crossing a word (a push attempt, the
   /// story-latency charge) or the end of a DMA delay followed by that
   /// crossing. A synchronous host waiting on an answer is idle: its
   /// credit only cycles, and the answer arrives through FIFO_OUT. During
@@ -103,27 +97,9 @@ class HostLinkModule final : public sim::Module {
   }
 
  private:
-  /// tick()'s adds of `rate` from a credit of `from`: the `below` adds
-  /// that stay under 1.0 and the credit `last` they leave, and whether
-  /// the add after them reaches 1.0 (`crosses`). `below` stops at
-  /// kCreditReplayCap, and at 1 for a rate that cannot climb, leaving
-  /// `crosses` false.
-  struct CreditRun {
-    double from = 0.0;
-    double rate = 0.0;  ///< 0.0: no run (an empty slot of runs_)
-    double last = 0.0;
-    sim::Cycle below = 0;
-    bool crosses = false;
-  };
-
-  /// Credit ticks one run replays at most. A very slow link then reports
-  /// an early activity (one ordinary tick, then the next run) instead of
-  /// replaying for the whole gap.
-  static constexpr sim::Cycle kCreditReplayCap = sim::Cycle{1} << 16;
-  /// Slots of the direct-mapped run table. A device run meets about one
-  /// run per streamed word of its longest story: a synchronous story
-  /// restarts from 0.0 after its DMA delay, so its runs recur.
-  static constexpr std::size_t kCreditRunSlots = 256;
+  /// Words in units of 1/clock_hz. With rates at most 2^53 words/s, a
+  /// run of up to 2^64 cycles cannot wrap it.
+  using Credit = unsigned __int128;
 
   /// The word at position_ (position_ < words_total()).
   [[nodiscard]] StreamWord next_word() const noexcept {
@@ -131,9 +107,9 @@ class HostLinkModule final : public sim::Module {
                                     : words_[position_ - model_words_];
   }
   /// Credit added per cycle while the word at position_ waits.
-  [[nodiscard]] double current_rate() const noexcept {
-    return next_word().op == StreamOp::kModelWord ? model_words_per_cycle_
-                                                  : words_per_cycle_;
+  [[nodiscard]] std::uint64_t current_rate() const noexcept {
+    return next_word().op == StreamOp::kModelWord ? model_words_per_second_
+                                                  : words_per_second_;
   }
   /// The synchronous host holds the next story until the previous
   /// answer has arrived.
@@ -141,11 +117,19 @@ class HostLinkModule final : public sim::Module {
     return synchronous_ && next_word().op == StreamOp::kStoryStart &&
            answers_.size() < stories_sent_;
   }
-  /// The run from `from` at `rate`: found, or replayed and (for a
-  /// positive rate, the only kind that can recur) kept.
-  [[nodiscard]] CreditRun credit_run(double from, double rate) const;
-  /// Replays a run add by add, in tick()'s order.
-  [[nodiscard]] static CreditRun replay_credit_run(double from, double rate);
+  /// Adds of `rate` to a credit of `from` up to the one that holds a
+  /// word, that one included; kNever if none does.
+  [[nodiscard]] sim::Cycle adds_to_word(Credit from,
+                                        std::uint64_t rate) const noexcept {
+    if (from >= clock_hz_) {
+      return 1;
+    }
+    if (rate == 0) {
+      return sim::kNever;
+    }
+    const std::uint64_t owed = clock_hz_ - static_cast<std::uint64_t>(from);
+    return (owed + rate - 1) / rate;
+  }
   /// Adds `adds` skipped ticks' credit, as tick() would.
   void advance_credit(sim::Cycle adds);
   /// HOST_LINK's half of `cycles` steady upload cycles.
@@ -155,13 +139,14 @@ class HostLinkModule final : public sim::Module {
   std::vector<StreamWord> words_;
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<std::int32_t>& fifo_out_;
-  double words_per_cycle_;
-  double model_words_per_cycle_;
-  sim::Cycle story_latency_cycles_;
-  sim::Cycle result_latency_cycles_;
+  std::uint64_t clock_hz_ = 0;
+  std::uint64_t words_per_second_ = 0;
+  std::uint64_t model_words_per_second_ = 0;
+  sim::Cycle story_latency_cycles_ = 0;
+  sim::Cycle result_latency_cycles_ = 0;
 
   std::size_t position_ = 0;
-  double credit_ = 0.0;
+  Credit credit_ = 0;
   sim::Cycle delay_ = 0;
   bool latency_charged_ = false;
   bool synchronous_;
@@ -170,8 +155,6 @@ class HostLinkModule final : public sim::Module {
   sim::Cycle cycle_ = 0;
   sim::Cycle link_active_cycles_ = 0;
   std::vector<Answer> answers_;
-  mutable CreditRun last_run_;  ///< the run credit_run() last returned
-  mutable std::array<CreditRun, kCreditRunSlots> runs_{};
 };
 
 inline void HostLinkModule::tick() {
@@ -188,7 +171,7 @@ inline void HostLinkModule::tick() {
   if (delay_ > 0) {
     // DMA/doorbell setup: the link is occupied but no words flow.
     --delay_;
-    credit_ = 0.0;
+    credit_ = 0;
     ++link_active_cycles_;
     mark_busy();
     return;
@@ -197,13 +180,13 @@ inline void HostLinkModule::tick() {
   // Model upload is bulk DMA; the inference stream is word-granular.
   credit_ += current_rate();
   bool pushed = false;
-  while (credit_ >= 1.0 && position_ < words_total()) {
+  while (credit_ >= clock_hz_ && position_ < words_total()) {
     const StreamWord word = next_word();
     if (word.op == StreamOp::kStoryStart) {
       // Request/response host: wait for the previous story's answer
       // before streaming the next request.
       if (awaiting_answer()) {
-        credit_ = 0.0;
+        credit_ = 0;
         break;
       }
       if (!latency_charged_ && story_latency_cycles_ > 0) {
@@ -222,7 +205,7 @@ inline void HostLinkModule::tick() {
     if (word.op == StreamOp::kEndOfStory) {
       ++stories_sent_;
     }
-    credit_ -= 1.0;
+    credit_ -= clock_hz_;
     ++position_;
     pushed = true;
   }
@@ -235,7 +218,7 @@ inline void HostLinkModule::tick() {
 inline sim::Cycle HostLinkModule::upload_window() const noexcept {
   // No DMA delay can be pending: one is charged only at a story word. An
   // answer in FIFO_OUT drains beside the upload; next_activity reports it.
-  if (!upload_drained_ || !(model_words_per_cycle_ > 1.0) ||
+  if (!upload_drained_ || model_words_per_second_ <= clock_hz_ ||
       fifo_in_.capacity() < 2 || fifo_in_.size() + 1 != fifo_in_.capacity() ||
       position_ + 1 >= model_words_) {
     return 0;
@@ -254,15 +237,14 @@ inline std::optional<sim::Cycle> HostLinkModule::next_activity(
   if (const sim::Cycle window = upload_window(); window > 0) {
     return now + window;
   }
-  // The run from where the DMA delay (if any) leaves the credit: the
-  // first tick whose add reaches 1.0 tries a push or charges the story
-  // latency.
-  const double rate = current_rate();
-  const CreditRun run = credit_run(delay_ > 0 ? 0.0 : credit_, rate);
-  if (!run.crosses && !(rate > 0.0)) {
+  // From where the DMA delay (if any) leaves the credit, the first tick
+  // whose add reaches a word tries a push or charges the story latency.
+  const sim::Cycle adds = adds_to_word(delay_ > 0 ? 0 : credit_,
+                                       current_rate());
+  if (adds == sim::kNever) {
     return sim::kNever;  // a stalled link: only the watchdog ends it
   }
-  return now + delay_ + run.below;
+  return now + delay_ + adds - 1;
 }
 
 inline void HostLinkModule::skip(sim::Cycle cycles) {
@@ -277,7 +259,7 @@ inline void HostLinkModule::skip(sim::Cycle cycles) {
   const sim::Cycle setup = std::min(cycles, delay_);
   if (setup > 0) {
     delay_ -= setup;
-    credit_ = 0.0;
+    credit_ = 0;
     link_active_cycles_ += setup;
     mark_busy(setup);
     cycles -= setup;
@@ -285,51 +267,16 @@ inline void HostLinkModule::skip(sim::Cycle cycles) {
   advance_credit(cycles);
 }
 
-inline HostLinkModule::CreditRun HostLinkModule::credit_run(
-    double from, double rate) const {
-  if (!(rate > 0.0)) {
-    return replay_credit_run(from, rate);
-  }
-  // The run next_activity() just reported, which the skip to its
-  // crossing asks for again; then the table.
-  if (last_run_.rate == rate && last_run_.from == from) {
-    return last_run_;
-  }
-  CreditRun& slot =
-      runs_[numeric::mix64(std::bit_cast<std::uint64_t>(from) ^
-                           std::bit_cast<std::uint64_t>(rate)) %
-            kCreditRunSlots];
-  if (slot.rate != rate || slot.from != from) {
-    slot = replay_credit_run(from, rate);
-  }
-  last_run_ = slot;
-  return slot;
-}
-
 inline void HostLinkModule::advance_credit(sim::Cycle adds) {
-  // Short of a crossing the run's own adds apply. Only a host awaiting an
-  // answer can reach 1.0 here, and its tick resets the credit to 0, so
-  // from then on it follows the run from 0.0, period after period.
-  const double rate = current_rate();
-  while (adds > 0) {
-    const CreditRun run = credit_run(credit_, rate);
-    if (adds < run.below) {
-      for (; adds > 0; --adds) {
-        credit_ += rate;
-      }
-      return;
-    }
-    adds -= run.below;
-    credit_ = run.last;
-    if (adds == 0 || !run.crosses) {
-      continue;
-    }
-    --adds;  // the add that reaches 1.0
-    credit_ = 0.0;
-    if (const CreditRun period = credit_run(0.0, rate); period.crosses) {
-      adds %= period.below + 1;
-    }
+  // Short of a word the adds just sum. Only a host awaiting an answer can
+  // reach one here, and its tick resets the credit to 0, so from then on
+  // the credit repeats the period from 0.
+  const std::uint64_t rate = current_rate();
+  if (const sim::Cycle first = adds_to_word(credit_, rate); adds >= first) {
+    adds = (adds - first) % adds_to_word(0, rate);
+    credit_ = 0;
   }
+  credit_ += Credit{adds} * rate;
 }
 
 }  // namespace mann::accel

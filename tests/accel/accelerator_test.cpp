@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <ostream>
 #include <string>
 
+#include "accel/host_link.hpp"
 #include "accel/stream.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
@@ -265,17 +267,24 @@ DeviceProgram consistent_program() {
   return p;
 }
 
+/// Stories answered by a device of `cfg` and consistent_program() given
+/// one story.
+std::size_t answers_one_story(const AccelConfig& cfg) {
+  data::EncodedStory story;
+  story.context = {{0, 1}, {2}};
+  story.question = {3};
+  return Accelerator(cfg, consistent_program())
+      .run(std::span(&story, 1))
+      .stories.size();
+}
+
 class AcceleratorRefuses : public ::testing::TestWithParam<Refusal> {};
 
 TEST_P(AcceleratorRefuses, InconsistentProgram) {
   AccelConfig cfg;
   cfg.ith_enabled = true;
   // The program before the break runs a story under ITH.
-  const Accelerator valid(cfg, consistent_program());
-  data::EncodedStory story;
-  story.context = {{0, 1}, {2}};
-  story.question = {3};
-  EXPECT_EQ(valid.run(std::span(&story, 1)).stories.size(), 1U);
+  EXPECT_EQ(answers_one_story(cfg), 1U);
 
   DeviceProgram program = consistent_program();
   GetParam().break_program(program);
@@ -329,6 +338,73 @@ constexpr Refusal kRefusals[] = {
 INSTANTIATE_TEST_SUITE_P(
     Accelerator, AcceleratorRefuses, ::testing::ValuesIn(kRefusals),
     [](const ::testing::TestParamInfo<Refusal>& info) {
+      return std::string(info.param.name);
+    });
+
+/// One setting no run can finish correctly, applied to the default
+/// config. Without the refusal each one fails inside a run (a division
+/// by a zero lane width, a zero-capacity FIFO, a watchdog expiry after
+/// a NaN stalls the link) or reports wrong cycles (a negative latency
+/// wraps its cycle count).
+struct ConfigRefusal {
+  const char* name;
+  void (*break_config)(AccelConfig&);
+};
+
+void PrintTo(const ConfigRefusal& refusal, std::ostream* os) {
+  *os << refusal.name;
+}
+
+class AcceleratorRefusesConfig
+    : public ::testing::TestWithParam<ConfigRefusal> {};
+
+TEST_P(AcceleratorRefusesConfig, UnrunnableConfig) {
+  AccelConfig cfg;
+  // The config before the break runs a story.
+  EXPECT_EQ(answers_one_story(cfg), 1U);
+
+  GetParam().break_config(cfg);
+  EXPECT_THROW(Accelerator(cfg, consistent_program()), std::invalid_argument);
+  sim::Fifo<StreamWord> in("IN", 4);
+  sim::Fifo<std::int32_t> out("OUT", 4);
+  EXPECT_THROW(HostLinkModule(cfg, 0, {}, in, out), std::invalid_argument);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+constexpr double kTwoTo53 = 9007199254740992.0;
+
+constexpr ConfigRefusal kConfigRefusals[] = {
+    {"LaneWidthZero", [](AccelConfig& c) { c.timing.lane_width = 0; }},
+    {"FifoDepthZero", [](AccelConfig& c) { c.fifo_depth = 0; }},
+    {"ClockNan", [](AccelConfig& c) { c.clock_hz = kNan; }},
+    {"ClockInfinite", [](AccelConfig& c) { c.clock_hz = kInfinity; }},
+    {"ClockNotWhole", [](AccelConfig& c) { c.clock_hz = 33.3 * 1.0e6; }},
+    {"ClockPast2To53", [](AccelConfig& c) { c.clock_hz = 2.0 * kTwoTo53; }},
+    {"WordRateNan", [](AccelConfig& c) { c.link.words_per_second = kNan; }},
+    {"WordRateZero", [](AccelConfig& c) { c.link.words_per_second = 0.0; }},
+    {"WordRateNotWhole",
+     [](AccelConfig& c) { c.link.words_per_second = 4.0e6 + 0.5; }},
+    {"WordRatePast2To53",
+     [](AccelConfig& c) { c.link.words_per_second = kTwoTo53 + 2.0; }},
+    {"ModelRateNan",
+     [](AccelConfig& c) { c.link.model_words_per_second = kNan; }},
+    {"ModelRateNegative",
+     [](AccelConfig& c) { c.link.model_words_per_second = -1.0; }},
+    {"StoryLatencyNan",
+     [](AccelConfig& c) { c.link.per_story_latency = kNan; }},
+    {"StoryLatencyNegative",
+     [](AccelConfig& c) { c.link.per_story_latency = -2.0e-6; }},
+    {"ResultLatencyNegative",
+     [](AccelConfig& c) { c.link.result_latency = -1.0e-6; }},
+    {"ResultLatencyInfinite",
+     [](AccelConfig& c) { c.link.result_latency = kInfinity; }},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Accelerator, AcceleratorRefusesConfig,
+    ::testing::ValuesIn(kConfigRefusals),
+    [](const ::testing::TestParamInfo<ConfigRefusal>& info) {
       return std::string(info.param.name);
     });
 

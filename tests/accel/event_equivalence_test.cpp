@@ -266,8 +266,8 @@ TEST_F(EventEquivalence, ColdUploadAtEveryModelRateAndDepth) {
 TEST_F(EventEquivalence, UploadCreditCarriesIntoTheStories) {
   // With no story latency an asynchronous host spends the credit the
   // upload left behind on the stories. At 75 MHz the model rate is 8/3
-  // words/cycle, inexact in binary, so the skip replays every add; at
-  // 100 MHz it is 2 and the integer closed form applies.
+  // words/cycle, so the credit the upload leaves is not a whole number of
+  // words; at 100 MHz it is 2, and it is.
   for (const double mhz : {75.0, 100.0}) {
     for (const bool ith : {false, true}) {
       SCOPED_TRACE(std::to_string(mhz) + " MHz, ITH " + (ith ? "on" : "off"));
@@ -427,10 +427,13 @@ class LinkCaseGenerator {
   LinkCase get_next() {
     const std::uint64_t i = next_++;
     numeric::Rng rng(numeric::mix64(seed_ ^ i));
-    // Word rates inexact in binary, and above 1 word/cycle.
-    constexpr double kWordRates[] = {0.04, 0.16, 0.3, 1.0 / 3.0, 1.5, 2.5};
+    // Word rates inexact in binary (0.08 is 50 MHz's default rate), and
+    // above 1 word/cycle. At 3 MHz every rate is a whole number of
+    // words/s, as the link requires.
+    constexpr double kWordRates[] = {0.04, 0.08, 0.16, 0.3,
+                                     1.0 / 3.0, 1.5, 2.5};
     constexpr double kModelRates[] = {0.3, 0.7, 1.5, 2.0, 8.0 / 3.0};
-    constexpr double kClockHz = 1.0e6;
+    constexpr double kClockHz = 3.0e6;
     LinkCase c;
     c.config.clock_hz = kClockHz;
     const double rate = kWordRates[i % std::size(kWordRates)];
@@ -656,6 +659,10 @@ TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
   for (const double rate : {0.7, 1.0, 1.3, 1.5, 2.0, 8.0 / 3.0}) {
     for (const std::size_t depth : {1U, 2U, 5U}) {
       AccelConfig cfg = slow_link();
+      // At 3 MHz 8/3 words/cycle is a whole number of words/s; the story
+      // words keep slow_link()'s 0.3 words/cycle.
+      cfg.clock_hz = 3.0e6;
+      cfg.link.words_per_second = 0.9e6;
       cfg.link.model_words_per_second = rate * cfg.clock_hz;
       cfg.link.synchronous_stories = false;
       const bool opens = rate > 1.0 && depth >= 2;
