@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "model/sparse.hpp"
+#include "model/trainer.hpp"
 
 int main() {
   using namespace mann;
@@ -48,7 +48,7 @@ int main() {
       dense_cycles = cycles;
     }
     const float model_acc =
-        model::evaluate_sparse_accuracy(art.model, art.dataset.test, k);
+        model::evaluate_accuracy(art.model, art.dataset.test, k);
     std::printf("%-8s %13.1f%% %13.1f%% %16.1f %13.1f%%\n",
                 k == 0 ? "dense" : std::to_string(k).c_str(),
                 100.0 * static_cast<double>(model_acc),

@@ -166,7 +166,8 @@ BENCHMARK(BM_ModelForward);
 // cold run). With one story, cold minus resident time is the host cost of
 // one model upload. 200 resident stories at 100 MHz is serving's
 // link-bound shape: the event loop's steady state, where time per
-// iteration / 200 is the host time per story.
+// iteration / 200 is the host time per story. 8 resident stories is the
+// shape of one serving dispatch, where a run's fixed costs show.
 void BM_AcceleratorRun(benchmark::State& state) {
   data::DatasetConfig dc;
   dc.train_stories = 1;
@@ -201,6 +202,7 @@ BENCHMARK(BM_AcceleratorRun)
     ->Args({100, 50, 0})
     ->Args({100, 1, 0})
     ->Args({100, 1, 1})
+    ->Args({100, 8, 1})
     ->Args({100, 200, 1});
 
 }  // namespace

@@ -163,7 +163,7 @@ RunResult Accelerator::simulate(
   }
   sim::Fifo<StreamWord> fifo_in("FIFO_IN", config_.fifo_depth);
   sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config_.fifo_depth);
-  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config_.fifo_depth);
+  sim::Fifo<StreamWord> cmd_fifo("CMD_FIFO", config_.fifo_depth);
 
   HostLinkModule host(config_, model_resident ? 0 : program_.model_words(),
                       encode_workload(stories), fifo_in, fifo_out);

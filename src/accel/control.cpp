@@ -6,7 +6,7 @@ namespace mann::accel {
 
 ControlModule::ControlModule(AcceleratorState& state,
                              sim::Fifo<StreamWord>& fifo_in,
-                             sim::Fifo<InputCmd>& cmd_fifo,
+                             sim::Fifo<StreamWord>& cmd_fifo,
                              HostLinkModule* upstream)
     : Module("CONTROL"),
       state_(state),

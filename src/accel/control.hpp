@@ -1,6 +1,6 @@
 // CONTROL module: decodes the input stream, gates story admission, and
-// forwards word-level commands to the INPUT & WRITE module (Fig. 1's
-// "inference control" + "FIFO control" roles).
+// forwards each story data word, as popped, to the INPUT & WRITE module
+// over CMD_FIFO (Fig. 1's "inference control" + "FIFO control" roles).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@ class ControlModule final : public sim::Module {
   /// and tick right after it on the same clock. Without, CONTROL keeps
   /// the plain per-module contract and ticks every model word.
   ControlModule(AcceleratorState& state, sim::Fifo<StreamWord>& fifo_in,
-                sim::Fifo<InputCmd>& cmd_fifo,
+                sim::Fifo<StreamWord>& cmd_fifo,
                 HostLinkModule* upstream = nullptr);
 
   void tick();
@@ -47,7 +47,7 @@ class ControlModule final : public sim::Module {
 
   AcceleratorState& state_;
   sim::Fifo<StreamWord>& fifo_in_;
-  sim::Fifo<InputCmd>& cmd_fifo_;
+  sim::Fifo<StreamWord>& cmd_fifo_;
   const HostLinkModule* upstream_;
   const std::uint64_t model_words_;  ///< upload length of the program
 };
@@ -89,27 +89,7 @@ inline void ControlModule::tick() {
         mark_stalled();
         return;
       }
-      const StreamWord w = *fifo_in_.try_pop();
-      InputCmd cmd;
-      cmd.word = w.payload;
-      switch (w.op) {
-        case StreamOp::kSentenceStart:
-          cmd.kind = InputCmdKind::kSentenceStart;
-          break;
-        case StreamOp::kContextWord:
-          cmd.kind = InputCmdKind::kContextWord;
-          break;
-        case StreamOp::kQuestionStart:
-          cmd.kind = InputCmdKind::kQuestionStart;
-          break;
-        case StreamOp::kQuestionWord:
-          cmd.kind = InputCmdKind::kQuestionWord;
-          break;
-        default:
-          cmd.kind = InputCmdKind::kEndOfStory;
-          break;
-      }
-      cmd_fifo_.push(cmd);
+      cmd_fifo_.push(*fifo_in_.try_pop());
       mark_busy();
       return;
     }

@@ -2,15 +2,18 @@
 //
 // Exploits Eq. 2's sparsity: a sentence is embedded by fetching one
 // embedding row per word index and accumulating — no dense matrix-vector
-// multiply, no multipliers at all. One word per cycle (the E-wide adder
-// lanes run in parallel); a sentence flush writes the accumulators into
-// the MEM module's address/content banks.
+// multiply, no multipliers at all. One stream word per cycle from
+// CMD_FIFO (the E-wide adder lanes run in parallel); a sentence flush
+// writes the accumulators into the next row of the MEM module's
+// address/content banks, and question words accumulate straight into
+// the read key register.
 #pragma once
 
 #include <algorithm>
 
 #include "accel/config.hpp"
 #include "accel/state.hpp"
+#include "accel/stream.hpp"
 #include "sim/fifo.hpp"
 #include "sim/module.hpp"
 
@@ -19,7 +22,7 @@ namespace mann::accel {
 class InputWriteModule final : public sim::Module {
  public:
   InputWriteModule(AcceleratorState& state, const AccelConfig& config,
-                   sim::Fifo<InputCmd>& cmd_fifo);
+                   sim::Fifo<StreamWord>& cmd_fifo);
 
   void tick();
   /// A command's cycles count down without effect; the tick after the
@@ -28,51 +31,44 @@ class InputWriteModule final : public sim::Module {
   void skip(sim::Cycle cycles);
 
  private:
-  void process(const InputCmd& cmd);
+  void process(const StreamWord& word);
   void flush_sentence();
 
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
-  sim::Fifo<InputCmd>& cmd_fifo_;
+  sim::Fifo<StreamWord>& cmd_fifo_;
   sim::Cycle busy_ = 0;
 };
 
-inline void InputWriteModule::process(const InputCmd& cmd) {
+inline void InputWriteModule::process(const StreamWord& word) {
   const std::size_t e = state_.program.embedding_dim;
-  switch (cmd.kind) {
-    case InputCmdKind::kSentenceStart:
+  const auto w = static_cast<std::size_t>(word.payload);
+  switch (word.op) {
+    case StreamOp::kSentenceStart:
+    case StreamOp::kQuestionStart:
       flush_sentence();
-      busy_ += 1;
       break;
-    case InputCmdKind::kContextWord: {
-      const auto w = static_cast<std::size_t>(cmd.word);
+    case StreamOp::kContextWord:
       fx_add(state_.program.emb_a.row(w), state_.acc_a);
       fx_add(state_.program.emb_c.row(w), state_.acc_c);
       state_.sentence_open = true;
       ops().add += 2 * e;
       ops().mem_read += 2 * e;
-      busy_ += 1;  // one embedding column per cycle, lanes in parallel
       break;
-    }
-    case InputCmdKind::kQuestionStart:
-      flush_sentence();
-      busy_ += 1;
-      break;
-    case InputCmdKind::kQuestionWord: {
-      const auto w = static_cast<std::size_t>(cmd.word);
-      fx_add(state_.program.emb_q.row(w), state_.acc_q);
+    case StreamOp::kQuestionWord:
+      // Eq. 3, t = 1: the read key register accumulates the question.
+      fx_add(state_.program.emb_q.row(w), state_.reg_k);
       ops().add += e;
       ops().mem_read += e;
-      busy_ += 1;
       break;
-    }
-    case InputCmdKind::kEndOfStory:
-      // Eq. 3, t = 1: the read key register takes the embedded question.
-      state_.reg_k = state_.acc_q;
+    case StreamOp::kEndOfStory:
       state_.input_done = true;
-      busy_ += 1;
       break;
+    case StreamOp::kModelWord:
+    case StreamOp::kStoryStart:
+      break;  // CONTROL consumes these; they never reach CMD_FIFO
   }
+  busy_ += 1;  // one word a cycle: one embedding column, lanes in parallel
 }
 
 inline void InputWriteModule::tick() {

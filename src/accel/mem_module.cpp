@@ -31,7 +31,7 @@ MemModule::MemModule(AcceleratorState& state, const AccelConfig& config)
       recip_lut_(shared_recip_lut()) {}
 
 void MemModule::start() {
-  const std::size_t slots = state_.mem_a.size();
+  const std::size_t slots = state_.slots;
   const std::size_t e = state_.program.embedding_dim;
   if (slots == 0) {
     throw std::logic_error("MEM: read requested with empty memory");
@@ -45,7 +45,7 @@ void MemModule::start() {
   scores.resize(slots);
   Fx max_score = Fx::min();
   for (std::size_t i = 0; i < slots; ++i) {
-    scores[i] = fx_dot(state_.mem_a[i], state_.reg_k);
+    scores[i] = fx_dot(state_.mem_a.row(i), state_.reg_k);
     max_score = std::max(max_score, scores[i]);
   }
   ops().mac += slots * e;
@@ -70,13 +70,15 @@ void MemModule::start() {
   }
   const std::size_t active = selected.size();
 
-  // Phase 2 — exp LUT per selected element plus running sum.
-  next_attention_.assign(slots, Fx{});
+  // Phase 2 — exp LUT per selected element plus running sum. Attention
+  // and the read vector are written in place: READ waits for mem_done.
+  std::vector<Fx>& attention = state_.attention;
+  attention.assign(slots, Fx{});
   Fx sum;
   for (const std::size_t i : selected) {
     const float x = (scores[i] - max_score).to_float();
-    next_attention_[i] = Fx::from_float(exp_lut_(x));
-    sum += next_attention_[i];
+    attention[i] = Fx::from_float(exp_lut_(x));
+    sum += attention[i];
   }
   ops().exp += active;
   ops().add += active;
@@ -84,14 +86,14 @@ void MemModule::start() {
   // Phase 3 — normalization through the divider (reciprocal + multiply).
   const Fx inv_sum = Fx::from_float(recip_lut_(sum.to_float()));
   for (const std::size_t i : selected) {
-    next_attention_[i] *= inv_sum;
+    attention[i] *= inv_sum;
   }
   ops().div += active;
 
   // Phase 4 — soft read r = Σ a_i · M_c[i] through the MAC array.
-  next_read_.assign(e, Fx{});
+  fx_clear(state_.reg_r);
   for (const std::size_t i : selected) {
-    fx_axpy(next_attention_[i], state_.mem_c[i], next_read_);
+    fx_axpy(attention[i], state_.mem_c.row(i), state_.reg_r);
   }
   ops().mac += active * e;
   ops().mem_read += active * e;
@@ -107,12 +109,6 @@ void MemModule::start() {
           + timing_.div_block(active)  // normalize
           + block(active);             // weighted read
   state_.mem_request = false;
-}
-
-void MemModule::finish() {
-  state_.attention = next_attention_;
-  state_.reg_r = next_read_;
-  state_.mem_done = true;
 }
 
 }  // namespace mann::accel

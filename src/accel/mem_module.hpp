@@ -20,14 +20,13 @@ class MemModule final : public sim::Module {
   MemModule(AcceleratorState& state, const AccelConfig& config);
 
   void tick();
-  /// The tick that takes busy_ from 1 to 0 publishes the read vector; an
-  /// idle MEM acts on READ's request.
+  /// The tick that takes busy_ from 1 to 0 raises mem_done over the read
+  /// vector start() wrote; an idle MEM acts on READ's request.
   [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
   void skip(sim::Cycle cycles);
 
  private:
   void start();
-  void finish();
 
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
@@ -38,8 +37,6 @@ class MemModule final : public sim::Module {
   sim::Cycle busy_ = 0;
   std::vector<Fx> scores_;             ///< start()'s scratch, reused
   std::vector<std::size_t> selected_;  ///< start()'s scratch, reused
-  std::vector<Fx> next_attention_;
-  FxVector next_read_;
 };
 
 inline void MemModule::tick() {
@@ -52,7 +49,7 @@ inline void MemModule::tick() {
   mark_busy();
   --busy_;
   if (busy_ == 0) {
-    finish();
+    state_.mem_done = true;  // attention and reg_r, written at start()
   }
 }
 

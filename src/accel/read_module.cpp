@@ -8,12 +8,11 @@ ReadModule::ReadModule(AcceleratorState& state, const AccelConfig& config)
 void ReadModule::start_hop() {
   const std::size_t e = state_.program.embedding_dim;
   // Kick MEM off on the same key, then occupy our own MAC array with
-  // W_r · k while MEM walks the memory bank.
-  state_.read_busy = true;
+  // W_r · k while MEM walks the memory bank. W_r · k goes straight into
+  // reg_h, which OUTPUT reads only after features_ready.
   state_.mem_request = true;
-  wrk_.assign(e, Fx{});
   for (std::size_t row = 0; row < e; ++row) {
-    wrk_[row] = fx_dot(state_.program.w_r.row(row), state_.reg_k);
+    state_.reg_h[row] = fx_dot(state_.program.w_r.row(row), state_.reg_k);
   }
   ops().mac += e * e;
   ops().mem_read += e * e;
@@ -23,7 +22,6 @@ void ReadModule::start_hop() {
 }
 
 void ReadModule::finish_hop() {
-  state_.reg_h = next_h_;
   ++state_.hops_done;
   phase_ = Phase::kIdle;
   if (state_.hops_done < state_.program.hops) {
@@ -32,7 +30,6 @@ void ReadModule::finish_hop() {
     state_.reg_k = state_.reg_h;
   } else {
     state_.features_ready = true;
-    state_.read_busy = false;
   }
 }
 

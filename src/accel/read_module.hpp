@@ -35,7 +35,7 @@ class ReadModule final : public sim::Module {
     kIdle,     ///< no hop in flight
     kWrk,      ///< MAC array computing W_r · k (MEM runs in parallel)
     kWaitMem,  ///< W_r·k done, waiting for the read vector r
-    kAdd,      ///< element-wise h = wrk + r
+    kAdd,      ///< element-wise h += r
   };
 
   /// An idle READ starts a story's first hop, or the next hop of one.
@@ -48,17 +48,11 @@ class ReadModule final : public sim::Module {
   const sim::DatapathTiming timing_;
   Phase phase_ = Phase::kIdle;
   sim::Cycle busy_ = 0;
-  FxVector wrk_;     ///< W_r · k of the in-flight hop
-  FxVector next_h_;  ///< committed to reg_h when the add drains
 };
 
 inline bool ReadModule::hop_ready() const noexcept {
-  const bool first_hop = state_.input_done && !state_.read_busy &&
-                         state_.hops_done == 0 && !state_.features_ready;
-  const bool next_hop = state_.read_busy &&
-                        state_.hops_done < state_.program.hops &&
-                        state_.hops_done > 0;
-  return first_hop || next_hop;
+  return state_.hops_done < state_.program.hops &&
+         (state_.hops_done > 0 || state_.input_done);
 }
 
 inline void ReadModule::on_busy_complete() {
@@ -92,8 +86,7 @@ inline void ReadModule::tick() {
       }
       state_.mem_done = false;
       const std::size_t e = state_.program.embedding_dim;
-      next_h_ = wrk_;
-      fx_add(state_.reg_r, next_h_);
+      fx_add(state_.reg_r, state_.reg_h);  // Eq. 4: h = W_r k + r
       ops().add += e;
       phase_ = Phase::kAdd;
       busy_ = static_cast<sim::Cycle>(

@@ -1,5 +1,8 @@
 #include "model/memn2n.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "numeric/vector_ops.hpp"
@@ -7,6 +10,40 @@
 namespace mann::model {
 
 using numeric::Matrix;
+
+namespace {
+
+/// Softmax of `scores` in place over its `top_k` best entries; every
+/// other entry gets exactly zero weight, as in the MEM module's sparse
+/// mode. top_k == 0 or top_k >= scores.size() is the dense softmax.
+void top_k_softmax(std::vector<float>& scores, std::size_t top_k) {
+  const std::size_t n = scores.size();
+  if (top_k == 0 || top_k >= n) {
+    numeric::softmax_inplace(scores);
+    return;
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(top_k),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      return scores[a] > scores[b];
+                    });
+  const float max_score = scores[order[0]];
+  float sum = 0.0F;
+  std::vector<float> out(n, 0.0F);
+  for (std::size_t r = 0; r < top_k; ++r) {
+    const float e = std::exp(scores[order[r]] - max_score);
+    out[order[r]] = e;
+    sum += e;
+  }
+  for (std::size_t r = 0; r < top_k; ++r) {
+    out[order[r]] /= sum;
+  }
+  scores = std::move(out);
+}
+
+}  // namespace
 
 Parameters Parameters::zeros(const ModelConfig& config) {
   Parameters p;
@@ -82,60 +119,58 @@ std::vector<float> MemN2N::embed_question(
   return k;
 }
 
-ForwardTrace MemN2N::forward(const data::EncodedStory& story) const {
-  if (story.context.empty()) {
-    throw std::invalid_argument("MemN2N::forward: story has no context");
-  }
-  ForwardTrace trace;
-  trace.memory_a = embed_memory(story, params_.embedding_a);
-  trace.memory_c = embed_memory(story, params_.embedding_c);
-  trace.k.push_back(embed_question(story));
-
+std::vector<float> MemN2N::read_hops(const data::EncodedStory& story,
+                                     std::size_t top_k,
+                                     ForwardTrace* trace) const {
+  Matrix memory_a = embed_memory(story, params_.embedding_a);
+  Matrix memory_c = embed_memory(story, params_.embedding_c);
+  std::vector<float> k = embed_question(story);
   for (std::size_t hop = 0; hop < config_.hops; ++hop) {
-    const std::vector<float>& k = trace.k.back();
     // Eq. 1: content-based addressing (softmax removed in linear-start
     // training mode).
-    std::vector<float> attention = numeric::matvec(trace.memory_a, k);
+    std::vector<float> attention = numeric::matvec(memory_a, k);
     if (!linear_attention_) {
-      numeric::softmax_inplace(attention);
+      top_k_softmax(attention, top_k);
     }
     // Eq. 5: soft read from content memory.
-    std::vector<float> read = numeric::matvec_transposed(trace.memory_c,
+    std::vector<float> read = numeric::matvec_transposed(memory_c,
                                                          attention);
     // Eq. 4: controller output.
     std::vector<float> h = numeric::matvec(params_.w_r, k);
     numeric::axpy(1.0F, read, std::span<float>(h));
-    trace.a.push_back(std::move(attention));
-    trace.r.push_back(std::move(read));
-    trace.h.push_back(h);
+    if (trace != nullptr) {
+      trace->k.push_back(std::move(k));
+      trace->a.push_back(std::move(attention));
+      trace->r.push_back(std::move(read));
+      trace->h.push_back(h);
+    }
     // Eq. 3, t > 1 branch: next read key is the controller output.
-    trace.k.push_back(std::move(h));
+    k = std::move(h);
   }
+  if (trace != nullptr) {
+    trace->k.push_back(k);
+    trace->memory_a = std::move(memory_a);
+    trace->memory_c = std::move(memory_c);
+  }
+  return k;
+}
 
+ForwardTrace MemN2N::forward(const data::EncodedStory& story,
+                             std::size_t top_k) const {
+  if (story.context.empty()) {
+    throw std::invalid_argument("MemN2N::forward: story has no context");
+  }
+  ForwardTrace trace;
+  const std::vector<float> h = read_hops(story, top_k, &trace);
   // Eq. 6: output layer.
-  trace.logits = numeric::matvec(params_.w_o, trace.h.back());
+  trace.logits = numeric::matvec(params_.w_o, h);
   trace.prediction = numeric::argmax(trace.logits);
   return trace;
 }
 
-std::vector<float> MemN2N::forward_features(
-    const data::EncodedStory& story) const {
-  // Same as forward() but stops before W_o; kept separate so the ITH
-  // runtime cost model can meter it independently.
-  const Matrix memory_a = embed_memory(story, params_.embedding_a);
-  const Matrix memory_c = embed_memory(story, params_.embedding_c);
-  std::vector<float> k = embed_question(story);
-  for (std::size_t hop = 0; hop < config_.hops; ++hop) {
-    std::vector<float> attention = numeric::matvec(memory_a, k);
-    if (!linear_attention_) {
-      numeric::softmax_inplace(attention);
-    }
-    std::vector<float> read = numeric::matvec_transposed(memory_c, attention);
-    std::vector<float> h = numeric::matvec(params_.w_r, k);
-    numeric::axpy(1.0F, read, std::span<float>(h));
-    k = std::move(h);
-  }
-  return k;
+std::vector<float> MemN2N::forward_features(const data::EncodedStory& story,
+                                            std::size_t top_k) const {
+  return read_hops(story, top_k, nullptr);
 }
 
 std::size_t MemN2N::predict(const data::EncodedStory& story) const {

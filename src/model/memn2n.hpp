@@ -82,14 +82,23 @@ class MemN2N {
     return linear_attention_;
   }
 
+  // Both passes take `top_k`, the sparse memory read of the paper's
+  // related work (§VI-B, Rae et al. 2016) that AccelConfig's
+  // sparse_read_slots mirrors on the device: each hop's softmax keeps
+  // only the top_k best-scoring slots and renormalizes over them, while
+  // addressing still scores every slot. 0, or top_k >= slots, is the
+  // dense softmax.
+
   /// Full forward pass with trace (Eqs. 1-6).
-  [[nodiscard]] ForwardTrace forward(const data::EncodedStory& story) const;
+  [[nodiscard]] ForwardTrace forward(const data::EncodedStory& story,
+                                     std::size_t top_k = 0) const;
 
   /// Forward pass up to (and excluding) the output layer; returns h^H.
   /// This is the "Do forward pass M(x) until output layer" of Algo. 1
-  /// Step 4 — inference thresholding takes over from here.
+  /// Step 4 — inference thresholding takes over from here, so W_o is
+  /// never applied.
   [[nodiscard]] std::vector<float> forward_features(
-      const data::EncodedStory& story) const;
+      const data::EncodedStory& story, std::size_t top_k = 0) const;
 
   /// Predicted label = argmax over all logits.
   [[nodiscard]] std::size_t predict(const data::EncodedStory& story) const;
@@ -107,6 +116,12 @@ class MemN2N {
   /// k¹ from the question bag (Eq. 3, t = 1 branch).
   [[nodiscard]] std::vector<float> embed_question(
       const data::EncodedStory& story) const;
+
+  /// The hop loop every pass shares (Eqs. 1-5): returns h^H. With
+  /// `trace`, records the memories and each hop's k, a, r and h.
+  [[nodiscard]] std::vector<float> read_hops(const data::EncodedStory& story,
+                                             std::size_t top_k,
+                                             ForwardTrace* trace) const;
 
   ModelConfig config_;
   Parameters params_;

@@ -103,13 +103,6 @@ template <typename Fx>
   return logits;
 }
 
-/// Argmax prediction of the quantized forward pass.
-template <typename Fx>
-[[nodiscard]] std::size_t quantized_predict(const MemN2N& net,
-                                            const data::EncodedStory& story) {
-  return numeric::argmax(quantized_logits<Fx>(net, story));
-}
-
 /// Aggregate quantization quality over a dataset.
 struct QuantizationReport {
   double argmax_agreement = 0.0;  ///< fraction matching the float argmax

@@ -88,13 +88,15 @@ ExampleGradients backward(const MemN2N& model,
 }
 
 float evaluate_accuracy(const MemN2N& model,
-                        const std::vector<data::EncodedStory>& stories) {
+                        const std::vector<data::EncodedStory>& stories,
+                        std::size_t top_k) {
   if (stories.empty()) {
     return 0.0F;
   }
   std::size_t correct = 0;
   for (const data::EncodedStory& s : stories) {
-    if (model.predict(s) == static_cast<std::size_t>(s.answer)) {
+    if (model.forward(s, top_k).prediction ==
+        static_cast<std::size_t>(s.answer)) {
       ++correct;
     }
   }

@@ -50,9 +50,12 @@ struct ExampleGradients {
 [[nodiscard]] ExampleGradients backward(const MemN2N& model,
                                         const data::EncodedStory& story);
 
-/// Fraction of stories whose argmax prediction matches the answer.
+/// Fraction of stories whose argmax prediction matches the answer, with
+/// each hop's softmax over the `top_k` best slots (0 = dense; see
+/// MemN2N::forward).
 [[nodiscard]] float evaluate_accuracy(
-    const MemN2N& model, const std::vector<data::EncodedStory>& stories);
+    const MemN2N& model, const std::vector<data::EncodedStory>& stories,
+    std::size_t top_k = 0);
 
 /// In-place SGD training loop. Returns per-epoch stats.
 std::vector<EpochStats> train(MemN2N& model,

@@ -26,9 +26,6 @@ class KernelDensity {
   [[nodiscard]] float operator()(float x) const noexcept;
 
   [[nodiscard]] float bandwidth() const noexcept { return bandwidth_; }
-  [[nodiscard]] std::size_t sample_count() const noexcept {
-    return centers_.size();
-  }
   [[nodiscard]] bool empty() const noexcept { return centers_.empty(); }
 
  private:

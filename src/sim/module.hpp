@@ -7,6 +7,11 @@
 // operation's latency, which preserves cycle-accurate timing at the module
 // boundary without simulating every register.
 //
+// Publication rule: a module writes its result registers in place when
+// it starts an operation, and raises the operation's done flag when its
+// latency has passed. The done flags, not staging copies, keep consumers
+// from reading early, so each value is held once (accel/state.hpp).
+//
 // There is no virtual interface. Simulator::run_until and run_events are
 // templates over the concrete module types, so each caller's loop calls
 // its modules' tick(), next_activity() and skip() directly and the

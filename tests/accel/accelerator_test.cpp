@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "accel/host_link.hpp"
 #include "accel/stream.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
 #include "model/trainer.hpp"
+#include "numeric/random.hpp"
+#include "run_results_equal.hpp"
 
 namespace mann::accel {
 namespace {
@@ -233,6 +238,136 @@ TEST_F(AcceleratorFixture, NarrowLanesCostMoreCycles) {
   const auto n = Accelerator(narrow, prog).run(test_slice(10));
   const auto w = Accelerator(wide, prog).run(test_slice(10));
   EXPECT_GT(n.total_cycles, w.total_cycles);
+}
+
+/// Each story's prediction, output probes and early exit agree.
+void expect_same_answers(const RunResult& a, const RunResult& b) {
+  ASSERT_EQ(a.stories.size(), b.stories.size());
+  for (std::size_t i = 0; i < a.stories.size(); ++i) {
+    EXPECT_EQ(a.stories[i].prediction, b.stories[i].prediction) << i;
+    EXPECT_EQ(a.stories[i].output_probes, b.stories[i].output_probes) << i;
+    EXPECT_EQ(a.stories[i].early_exit, b.stories[i].early_exit) << i;
+  }
+}
+
+TEST_F(AcceleratorFixture, StoryStreamIntoFullFifosLosesNoWord) {
+  // Warm runs fed one or two story words a cycle fill FIFO_IN and
+  // CMD_FIFO. CONTROL must stall on a full CMD_FIFO, never drop a word,
+  // so every depth answers every story alike, and the event clock still
+  // matches the per-cycle reference. The asynchronous host has no
+  // per-story latency, so it streams the next story while the datapath
+  // still holds the last one and CONTROL also stalls at kStoryStart.
+  const DeviceProgram program = compile_model(*model_, ith_);
+  const std::span<const data::EncodedStory> stories(dataset_->test);
+  RunOptions warm;
+  warm.model_resident = true;
+  for (const bool synchronous : {true, false}) {
+    for (const double words_per_second : {1.0e8, 2.0e8}) {
+      RunResult shallowest;
+      for (const std::size_t depth : {2U, 4U, 8U, 128U}) {
+        SCOPED_TRACE(std::string(synchronous ? "sync" : "async") + " host, " +
+                     std::to_string(words_per_second) + " words/s, depth " +
+                     std::to_string(depth));
+        AccelConfig cfg = base_config();
+        cfg.ith_enabled = true;
+        cfg.fifo_depth = depth;
+        cfg.link.words_per_second = words_per_second;
+        cfg.link.synchronous_stories = synchronous;
+        if (!synchronous) {
+          cfg.link.per_story_latency = 0.0;
+        }
+        const Accelerator device(cfg, program);
+        RunResult run = device.run(stories, warm);
+        expect_identical(detail::simulate_per_cycle(device, stories, true),
+                         run);
+        if (depth == 2) {
+          // The stream really backs up into CONTROL.
+          const ModuleReport& control = run.modules.at(1);
+          ASSERT_EQ(control.name, "CONTROL");
+          EXPECT_GT(run.fifo_in_stats.full_rejects, 0U);
+          EXPECT_GT(control.stats.stall_cycles, 0U);
+          shallowest = std::move(run);
+          continue;
+        }
+        expect_same_answers(shallowest, run);
+      }
+    }
+  }
+}
+
+/// `count` seeded stories over `vocab` words: 1 to `max_sentences`
+/// sentences of 1 to 4 words each and a 1- to 3-word question.
+std::vector<data::EncodedStory> seeded_stories(std::size_t count,
+                                               std::size_t vocab,
+                                               std::size_t max_sentences,
+                                               std::uint64_t seed) {
+  numeric::Rng rng(seed);
+  const auto fill = [&](std::vector<std::int32_t>& words, std::size_t most) {
+    words.resize(1 + rng.index(most));
+    for (std::int32_t& w : words) {
+      w = static_cast<std::int32_t>(rng.index(vocab));
+    }
+  };
+  std::vector<data::EncodedStory> stories(count);
+  for (data::EncodedStory& story : stories) {
+    story.context.resize(1 + rng.index(max_sentences));
+    for (std::vector<std::int32_t>& sentence : story.context) {
+      fill(sentence, 4);
+    }
+    fill(story.question, 3);
+  }
+  return stories;
+}
+
+TEST(DeviceMemory, FullBanksKeepTheLastSentencesAsTheModelDoes) {
+  // Stories of up to 3 x max_memory sentences against the same stories
+  // cut to their last max_memory sentences (MemN2N::memory_slots' rule),
+  // on one device: its banks drop their oldest slots, so both must get
+  // the same answers, with dense and with sparse reads.
+  constexpr std::size_t kSlots = 3;
+  model::ModelConfig mc;
+  mc.vocab_size = 16;
+  mc.embedding_dim = 8;
+  mc.hops = 2;
+  mc.max_memory = kSlots;
+  mc.init_stddev = 0.5F;
+  numeric::Rng rng(2019);
+  const model::MemN2N net(mc, rng);
+  DeviceProgram program = compile_model(net);
+  // Seeded ITH tables, so probes and early exits are compared too.
+  program.probe_order.resize(mc.vocab_size);
+  std::iota(program.probe_order.begin(), program.probe_order.end(), 0);
+  rng.shuffle(std::span<std::int32_t>(program.probe_order));
+  for (std::size_t c = 0; c < mc.vocab_size; ++c) {
+    program.thresholds.push_back(Fx::from_float(rng.uniform(2.0F, 6.0F)));
+  }
+
+  const std::vector<data::EncodedStory> full =
+      seeded_stories(200, mc.vocab_size, 3 * kSlots, 31);
+  std::vector<data::EncodedStory> cut = full;
+  std::size_t truncated = 0;
+  for (data::EncodedStory& story : cut) {
+    const auto keep = static_cast<std::ptrdiff_t>(
+        std::min(story.context.size(), kSlots));
+    truncated += story.context.size() > kSlots ? 1 : 0;
+    story.context.erase(story.context.begin(), story.context.end() - keep);
+  }
+  ASSERT_GT(truncated, 100U);
+
+  RunOptions warm;
+  warm.model_resident = true;
+  for (const std::size_t sparse : {0U, 2U}) {
+    SCOPED_TRACE("sparse_read_slots " + std::to_string(sparse));
+    AccelConfig cfg;
+    cfg.clock_hz = 100.0e6;
+    cfg.ith_enabled = true;
+    cfg.sparse_read_slots = sparse;
+    const Accelerator device(cfg, program);
+    const RunResult run = device.run(full, warm);
+    EXPECT_GT(run.early_exit_rate(), 0.0);
+    EXPECT_LT(run.early_exit_rate(), 1.0);
+    expect_same_answers(device.run(cut, warm), run);
+  }
 }
 
 TEST_F(AcceleratorFixture, RejectsNonPositiveClock) {

@@ -605,7 +605,7 @@ struct UploadRig {
   AcceleratorState state;
   sim::Fifo<StreamWord> in;
   sim::Fifo<std::int32_t> out;
-  sim::Fifo<InputCmd> cmds;
+  sim::Fifo<StreamWord> cmds;
   HostLinkModule link;
   ControlModule control;
 };
@@ -710,7 +710,7 @@ TEST(EventTwins, UploadWindowNeedsTheCoupledDrain) {
   sim::Fifo<StreamWord> other("OTHER", 3);
   const DeviceProgram prog = tiny_program();
   AcceleratorState state(prog);
-  sim::Fifo<InputCmd> cmds("CMD", 4);
+  sim::Fifo<StreamWord> cmds("CMD", 4);
   EXPECT_THROW((void)ControlModule(state, other, cmds, &link),
                std::invalid_argument);
   ControlModule control(state, in, cmds, &link);
@@ -723,7 +723,7 @@ TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {
   const DeviceProgram prog = tiny_program();
   AcceleratorState state(prog);
   sim::Fifo<StreamWord> in("IN", 8);
-  sim::Fifo<InputCmd> cmds("CMD", 1);
+  sim::Fifo<StreamWord> cmds("CMD", 1);
   ControlModule control(state, in, cmds);
   EXPECT_EQ(control.next_activity(3), sim::kNever);  // empty stream
 
@@ -746,7 +746,7 @@ TEST(EventTwins, BlockedControlStallsInBulk) {
   state.model_loaded = true;
   state.story_active = true;
   sim::Fifo<StreamWord> in("IN", 8);
-  sim::Fifo<InputCmd> cmds("CMD", 1);
+  sim::Fifo<StreamWord> cmds("CMD", 1);
   ControlModule control(state, in, cmds);
 
   in.push({StreamOp::kStoryStart, 0});  // the datapath is still busy
@@ -756,7 +756,7 @@ TEST(EventTwins, BlockedControlStallsInBulk) {
   EXPECT_EQ(control.stats().stall_cycles, 41U);
 
   (void)in.try_pop();
-  cmds.push({InputCmdKind::kSentenceStart, 0});
+  cmds.push({StreamOp::kSentenceStart, 0});
   in.push({StreamOp::kContextWord, 1});  // CMD_FIFO is full
   EXPECT_EQ(control.next_activity(41), sim::kNever);
   control.skip(9);
@@ -771,17 +771,17 @@ TEST(EventTwins, InputWritePopsOnTheTickAfterItsCountdown) {
   state.begin_story();
   AccelConfig cfg;
   cfg.timing.bram_write = 5;
-  sim::Fifo<InputCmd> cmds("CMD", 8);
+  sim::Fifo<StreamWord> cmds("CMD", 8);
   InputWriteModule module(state, cfg, cmds);
 
-  cmds.push({InputCmdKind::kContextWord, 1});
-  cmds.push({InputCmdKind::kSentenceStart, 0});  // flushes: 1 + 5 cycles
+  cmds.push({StreamOp::kContextWord, 1});
+  cmds.push({StreamOp::kSentenceStart, 0});  // flushes: 1 + 5 cycles
   EXPECT_EQ(module.next_activity(0), 0U);
   module.tick();  // context word: done within its own tick
   EXPECT_EQ(module.next_activity(1), 1U);
   module.tick();  // sentence flush: 5 countdown ticks remain
   EXPECT_EQ(module.next_activity(2), sim::kNever);  // nothing queued
-  cmds.push({InputCmdKind::kQuestionStart, 0});
+  cmds.push({StreamOp::kQuestionStart, 0});
   EXPECT_EQ(module.next_activity(2), 7U);
   module.skip(5);
   EXPECT_EQ(module.stats().busy_cycles, 7U);
@@ -800,10 +800,10 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     }
     AcceleratorState state(prog);
     state.begin_story();
-    state.mem_a = {{Fx::from_float(1.0F), Fx{}},
-                   {Fx::from_float(0.5F), Fx::from_float(0.5F)}};
-    state.mem_c = {{Fx{}, Fx::from_float(4.0F)},
-                   {Fx::from_float(1.0F), Fx{}}};
+    state.store_slot(FxVector{Fx::from_float(1.0F), Fx{}},
+                     FxVector{Fx{}, Fx::from_float(4.0F)});
+    state.store_slot(FxVector{Fx::from_float(0.5F), Fx::from_float(0.5F)},
+                     FxVector{Fx::from_float(1.0F), Fx{}});
     state.reg_k = {Fx::from_float(1.0F), Fx{}};
     state.input_done = true;
     AccelConfig cfg;

@@ -62,24 +62,24 @@ TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
   AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
-  sim::Fifo<InputCmd> cmds("CMD", 16);
+  sim::Fifo<StreamWord> cmds("CMD", 16);
   InputWriteModule module(state, cfg, cmds);
 
-  cmds.push({InputCmdKind::kSentenceStart, 0});
-  cmds.push({InputCmdKind::kContextWord, 1});  // a=(2,0), c=(0,2)
-  cmds.push({InputCmdKind::kContextWord, 2});  // a+=(3,0), c+=(0,3)
-  cmds.push({InputCmdKind::kQuestionStart, 0});
-  cmds.push({InputCmdKind::kQuestionWord, 0});  // q=(1,0.5)
-  cmds.push({InputCmdKind::kEndOfStory, 0});
+  cmds.push({StreamOp::kSentenceStart, 0});
+  cmds.push({StreamOp::kContextWord, 1});  // a=(2,0), c=(0,2)
+  cmds.push({StreamOp::kContextWord, 2});  // a+=(3,0), c+=(0,3)
+  cmds.push({StreamOp::kQuestionStart, 0});
+  cmds.push({StreamOp::kQuestionWord, 0});  // q=(1,0.5)
+  cmds.push({StreamOp::kEndOfStory, 0});
 
   for (int i = 0; i < 40 && !state.input_done; ++i) {
     module.tick();
   }
   ASSERT_TRUE(state.input_done);
-  ASSERT_EQ(state.mem_a.size(), 1U);
-  EXPECT_FLOAT_EQ(state.mem_a[0][0].to_float(), 5.0F);
-  EXPECT_FLOAT_EQ(state.mem_a[0][1].to_float(), 0.0F);
-  EXPECT_FLOAT_EQ(state.mem_c[0][1].to_float(), 5.0F);
+  ASSERT_EQ(state.slots, 1U);
+  EXPECT_FLOAT_EQ(state.mem_a(0, 0).to_float(), 5.0F);
+  EXPECT_FLOAT_EQ(state.mem_a(0, 1).to_float(), 0.0F);
+  EXPECT_FLOAT_EQ(state.mem_c(0, 1).to_float(), 5.0F);
   EXPECT_FLOAT_EQ(state.reg_k[0].to_float(), 1.0F);
   EXPECT_FLOAT_EQ(state.reg_k[1].to_float(), 0.5F);
 }
@@ -90,23 +90,23 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
   AcceleratorState state(prog);
   state.begin_story();
   const AccelConfig cfg = tiny_config();
-  sim::Fifo<InputCmd> cmds("CMD", 32);
+  sim::Fifo<StreamWord> cmds("CMD", 32);
   InputWriteModule module(state, cfg, cmds);
 
   for (const std::int32_t w : {0, 1, 2}) {  // three 1-word sentences
-    cmds.push({InputCmdKind::kSentenceStart, 0});
-    cmds.push({InputCmdKind::kContextWord, w});
+    cmds.push({StreamOp::kSentenceStart, 0});
+    cmds.push({StreamOp::kContextWord, w});
   }
-  cmds.push({InputCmdKind::kQuestionStart, 0});
-  cmds.push({InputCmdKind::kEndOfStory, 0});
+  cmds.push({StreamOp::kQuestionStart, 0});
+  cmds.push({StreamOp::kEndOfStory, 0});
   for (int i = 0; i < 60 && !state.input_done; ++i) {
     module.tick();
   }
   ASSERT_TRUE(state.input_done);
-  ASSERT_EQ(state.mem_a.size(), 2U);
+  ASSERT_EQ(state.slots, 2U);
   // Slots hold words 1 and 2 (word 0's sentence was evicted).
-  EXPECT_FLOAT_EQ(state.mem_a[0][0].to_float(), 2.0F);
-  EXPECT_FLOAT_EQ(state.mem_a[1][0].to_float(), 3.0F);
+  EXPECT_FLOAT_EQ(state.mem_a(0, 0).to_float(), 2.0F);
+  EXPECT_FLOAT_EQ(state.mem_a(1, 0).to_float(), 3.0F);
 }
 
 // ---- MEM -------------------------------------------------------------------
@@ -116,10 +116,10 @@ TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
   AcceleratorState state(prog);
   state.begin_story();
   // Two memory slots with known contents.
-  state.mem_a = {{Fx::from_float(1.0F), Fx::from_float(0.0F)},
-                 {Fx::from_float(3.0F), Fx::from_float(0.0F)}};
-  state.mem_c = {{Fx::from_float(0.0F), Fx::from_float(1.0F)},
-                 {Fx::from_float(0.0F), Fx::from_float(2.0F)}};
+  state.store_slot(FxVector{Fx::from_float(1.0F), Fx::from_float(0.0F)},
+                   FxVector{Fx::from_float(0.0F), Fx::from_float(1.0F)});
+  state.store_slot(FxVector{Fx::from_float(3.0F), Fx::from_float(0.0F)},
+                   FxVector{Fx::from_float(0.0F), Fx::from_float(2.0F)});
   state.reg_k = {Fx::from_float(1.0F), Fx::from_float(0.0F)};
   state.mem_request = true;
 
@@ -159,8 +159,8 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   prog.hops = 2;
   AcceleratorState state(prog);
   state.begin_story();
-  state.mem_a = {{Fx::from_float(1.0F), Fx{}}};
-  state.mem_c = {{Fx{}, Fx::from_float(4.0F)}};
+  state.store_slot(FxVector{Fx::from_float(1.0F), Fx{}},
+                   FxVector{Fx{}, Fx::from_float(4.0F)});
   state.reg_k = {Fx::from_float(1.0F), Fx{}};
   state.input_done = true;
 
@@ -176,7 +176,6 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   EXPECT_EQ(state.hops_done, 2U);
   EXPECT_NEAR(state.reg_h[0].to_float(), 0.0F, 1e-4F);
   EXPECT_NEAR(state.reg_h[1].to_float(), 4.0F, 1e-2F);
-  EXPECT_FALSE(state.read_busy);
 }
 
 // ---- OUTPUT ------------------------------------------------------------------
@@ -253,7 +252,7 @@ TEST(ControlModule, CountsModelWordsThenRaisesLoaded) {
   AcceleratorState state(prog);
   const std::size_t words = state.program.model_words();
   sim::Fifo<StreamWord> in("IN", 64);
-  sim::Fifo<InputCmd> cmds("CMD", 64);
+  sim::Fifo<StreamWord> cmds("CMD", 64);
   ControlModule control(state, in, cmds);
   for (std::size_t i = 0; i < words; ++i) {
     in.push({StreamOp::kModelWord, 0});
@@ -269,7 +268,7 @@ TEST(ControlModule, StoryBeforeModelLoadThrows) {
   const DeviceProgram prog = tiny_program();
   AcceleratorState state(prog);
   sim::Fifo<StreamWord> in("IN", 8);
-  sim::Fifo<InputCmd> cmds("CMD", 8);
+  sim::Fifo<StreamWord> cmds("CMD", 8);
   ControlModule control(state, in, cmds);
   in.push({StreamOp::kStoryStart, 0});
   EXPECT_THROW(control.tick(), std::logic_error);
@@ -280,7 +279,7 @@ TEST(ControlModule, DataWordOutsideStoryThrows) {
   AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
-  sim::Fifo<InputCmd> cmds("CMD", 8);
+  sim::Fifo<StreamWord> cmds("CMD", 8);
   ControlModule control(state, in, cmds);
   in.push({StreamOp::kContextWord, 1});
   EXPECT_THROW(control.tick(), std::logic_error);
@@ -291,7 +290,7 @@ TEST(ControlModule, StallsOnBusyDatapathAndFullCmdFifo) {
   AcceleratorState state(prog);
   state.model_loaded = true;
   sim::Fifo<StreamWord> in("IN", 8);
-  sim::Fifo<InputCmd> cmds("CMD", 1);
+  sim::Fifo<StreamWord> cmds("CMD", 1);
   ControlModule control(state, in, cmds);
 
   in.push({StreamOp::kStoryStart, 0});

@@ -84,16 +84,6 @@ TEST(Quantized, EmptyDatasetYieldsZeroReport) {
   EXPECT_EQ(r.max_logit_error, 0.0F);
 }
 
-TEST(Quantized, PredictMatchesLogitsArgmax) {
-  const Prepared& p = prepared();
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto& story = p.dataset.test[i];
-    const auto logits = quantized_logits<numeric::fx16>(p.model, story);
-    EXPECT_EQ(quantized_predict<numeric::fx16>(p.model, story),
-              numeric::argmax(logits));
-  }
-}
-
 TEST(Quantized, MatchesAcceleratorScale) {
   // The device runs Q16.16; the library evaluator at Q16.16 should agree
   // with the float model at least as well as the accelerator test demands

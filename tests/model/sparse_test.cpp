@@ -1,10 +1,9 @@
-#include "model/sparse.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "data/dataset.hpp"
+#include "model/memn2n.hpp"
 #include "model/trainer.hpp"
 #include "numeric/vector_ops.hpp"
 
@@ -43,8 +42,8 @@ TEST(SparseRead, ZeroAndLargeKMatchDenseExactly) {
   for (std::size_t i = 0; i < 10; ++i) {
     const auto& story = p.dataset.test[i];
     const auto dense = p.model.forward_features(story);
-    const auto k0 = sparse_forward_features(p.model, story, 0);
-    const auto k_big = sparse_forward_features(p.model, story, 100);
+    const auto k0 = p.model.forward_features(story, 0);
+    const auto k_big = p.model.forward_features(story, 100);
     ASSERT_EQ(dense.size(), k0.size());
     for (std::size_t d = 0; d < dense.size(); ++d) {
       EXPECT_NEAR(k0[d], dense[d], 1e-5F);
@@ -66,7 +65,7 @@ TEST(SparseRead, TopOneIsHardAttention) {
   // With hops=1 model we could compare directly; here just check the
   // sparse attention concentrates (indirectly: features differ from dense
   // unless attention was already concentrated).
-  const auto sparse1 = sparse_forward_features(p.model, story, 1);
+  const auto sparse1 = p.model.forward_features(story, 1);
   EXPECT_EQ(sparse1.size(), p.model.config().embedding_dim);
   (void)winner;
 }
@@ -74,9 +73,9 @@ TEST(SparseRead, TopOneIsHardAttention) {
 TEST(SparseRead, AccuracyDegradesGracefully) {
   const Prepared& p = prepared();
   const float dense = evaluate_accuracy(p.model, p.dataset.test);
-  const float k4 = evaluate_sparse_accuracy(p.model, p.dataset.test, 4);
-  const float k2 = evaluate_sparse_accuracy(p.model, p.dataset.test, 2);
-  const float k1 = evaluate_sparse_accuracy(p.model, p.dataset.test, 1);
+  const float k4 = evaluate_accuracy(p.model, p.dataset.test, 4);
+  const float k2 = evaluate_accuracy(p.model, p.dataset.test, 2);
+  const float k1 = evaluate_accuracy(p.model, p.dataset.test, 1);
   // Trained attention is concentrated: moderate k loses little.
   EXPECT_GE(k4, dense - 0.05F);
   EXPECT_GE(k2, dense - 0.12F);
@@ -89,7 +88,7 @@ TEST(SparseRead, SparseAttentionSumsToOne) {
   // dense model's (sanity via direct recomputation at k=2).
   const Prepared& p = prepared();
   const auto& story = p.dataset.test[3];
-  const auto logits = sparse_logits(p.model, story, 2);
+  const auto logits = p.model.forward(story, 2).logits;
   EXPECT_EQ(logits.size(), p.model.config().vocab_size);
   for (const float z : logits) {
     EXPECT_TRUE(std::isfinite(z));
@@ -98,7 +97,7 @@ TEST(SparseRead, SparseAttentionSumsToOne) {
 
 TEST(SparseRead, EmptyDatasetIsZeroAccuracy) {
   const Prepared& p = prepared();
-  EXPECT_EQ(evaluate_sparse_accuracy(p.model, {}, 2), 0.0F);
+  EXPECT_EQ(evaluate_accuracy(p.model, {}, 2), 0.0F);
 }
 
 }  // namespace
