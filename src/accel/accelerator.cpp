@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -125,6 +126,30 @@ void validate_program(const DeviceProgram& program) {
   }
 }
 
+/// Refuses a story with a word id the embedding tables cannot index.
+void validate_stories(std::span<const data::EncodedStory* const> stories,
+                      std::size_t vocab_size) {
+  const auto vocab = static_cast<std::int64_t>(vocab_size);
+  const auto check = [&](std::size_t story, std::int32_t word) {
+    if (word < 0 || word >= vocab) {
+      throw std::invalid_argument(
+          "Accelerator: story " + std::to_string(story) + " holds word id " +
+          std::to_string(word) + ", outside the vocabulary [0, " +
+          std::to_string(vocab) + ")");
+    }
+  };
+  for (std::size_t i = 0; i < stories.size(); ++i) {
+    for (const std::vector<std::int32_t>& sentence : stories[i]->context) {
+      for (const std::int32_t word : sentence) {
+        check(i, word);
+      }
+    }
+    for (const std::int32_t word : stories[i]->question) {
+      check(i, word);
+    }
+  }
+}
+
 }  // namespace
 
 void validate_config(const AccelConfig& config) {
@@ -151,8 +176,35 @@ void validate_config(const AccelConfig& config) {
   require(config.fifo_depth >= 1, "fifo_depth must be at least 1");
 }
 
+std::vector<StoryValues> Accelerator::story_values(
+    std::span<const data::EncodedStory* const> stories,
+    ServiceCycleCache* cache,
+    std::span<const std::uint64_t> story_digests) const {
+  validate_stories(stories, program_.vocab_size);
+  std::vector<StoryValues> values(stories.size());
+  std::optional<Datapath> datapath;  // built at the first story computed
+  for (std::size_t i = 0; i < stories.size(); ++i) {
+    if (cache != nullptr) {
+      if (const std::optional<StoryValues> hit =
+              cache->find_story({fingerprint_, story_digests[i]})) {
+        values[i] = *hit;
+        continue;
+      }
+    }
+    if (!datapath) {
+      datapath.emplace(program_, config_, output_l1_);
+    }
+    values[i] = datapath->run(*stories[i]);
+    if (cache != nullptr) {
+      cache->publish_story({fingerprint_, story_digests[i]}, values[i]);
+    }
+  }
+  return values;
+}
+
 RunResult Accelerator::simulate(
-    std::span<const data::EncodedStory* const> stories, bool model_resident,
+    std::span<const data::EncodedStory* const> stories,
+    std::span<const StoryValues> values, bool model_resident,
     bool per_cycle) const {
   AcceleratorState state(program_);
   if (model_resident) {
@@ -173,7 +225,7 @@ RunResult Accelerator::simulate(
   InputWriteModule input_write(state, config_, cmd_fifo);
   MemModule mem(state, config_);
   ReadModule read(state, config_);
-  OutputModule output(state, config_, fifo_out, output_l1_);
+  OutputModule output(state, config_, fifo_out, values);
 
   sim::Simulator simulator;
   const std::size_t expected = stories.size();
@@ -194,16 +246,15 @@ RunResult Accelerator::simulate(
   result.stream_words = host.words_total();
   result.link_active_cycles = host.link_active_cycles();
 
-  const auto& records = output.records();
-  if (records.size() != expected || host.answers().size() != expected) {
-    throw std::logic_error("Accelerator: record/answer count mismatch");
+  if (host.answers().size() != expected) {
+    throw std::logic_error("Accelerator: answer count mismatch");
   }
   result.stories.reserve(expected);
   for (std::size_t i = 0; i < expected; ++i) {
     StoryOutcome outcome;
-    outcome.prediction = records[i].prediction;
-    outcome.output_probes = records[i].probes;
-    outcome.early_exit = records[i].early_exit;
+    outcome.prediction = values[i].prediction;
+    outcome.output_probes = values[i].output_probes;
+    outcome.early_exit = values[i].early_exit;
     outcome.finish_cycle = host.answers()[i].cycle;
     result.stories.push_back(outcome);
   }
@@ -266,32 +317,34 @@ RunResult Accelerator::run(std::span<const data::EncodedStory> stories,
 
 RunResult Accelerator::run(std::span<const data::EncodedStory* const> stories,
                            const RunOptions& options) const {
-  ServiceCycleCache::Key key;
   if (options.cache_outcome != nullptr) {
     *options.cache_outcome = CacheOutcome::kNone;
   }
-  if (options.cycle_cache != nullptr) {
-    key = {fingerprint_, digest_stories(stories), stories.size(),
-           options.model_resident};
-    if (std::optional<RunResult> hit =
-            options.cycle_cache->acquire(key, options.cache_outcome)) {
-      // Timing replay: the memoized result is bit-identical to what
-      // re-simulation would produce — the key covers every input the
-      // simulation depends on — so the whole run collapses to this copy.
-      return std::move(*hit);
-    }
+  ServiceCycleCache* const cache = options.cycle_cache;
+  if (cache == nullptr) {
+    return simulate(stories, story_values(stories, nullptr, {}),
+                    options.model_resident, /*per_cycle=*/false);
+  }
+  std::vector<std::uint64_t> story_digests(stories.size());
+  const ServiceCycleCache::Key key{fingerprint_,
+                                   digest_stories(stories, story_digests),
+                                   stories.size(), options.model_resident};
+  if (std::optional<RunResult> hit =
+          cache->acquire(key, options.cache_outcome)) {
+    // Timing replay: the memoized result is bit-identical to what
+    // re-simulation would produce — the key covers every input the
+    // simulation depends on — so the whole run collapses to this copy.
+    // Its stories passed validate_stories when it was simulated.
+    return std::move(*hit);
   }
   try {
     RunResult result =
-        simulate(stories, options.model_resident, /*per_cycle=*/false);
-    if (options.cycle_cache != nullptr) {
-      options.cycle_cache->publish(key, result);
-    }
+        simulate(stories, story_values(stories, cache, story_digests),
+                 options.model_resident, /*per_cycle=*/false);
+    cache->publish(key, result);
     return result;
   } catch (...) {
-    if (options.cycle_cache != nullptr) {
-      options.cycle_cache->abandon(key);
-    }
+    cache->abandon(key);
     throw;
   }
 }
@@ -301,8 +354,10 @@ namespace detail {
 RunResult simulate_per_cycle(const Accelerator& device,
                              std::span<const data::EncodedStory> stories,
                              bool model_resident) {
-  return device.simulate(story_pointers(stories), model_resident,
-                         /*per_cycle=*/true);
+  const std::vector<const data::EncodedStory*> pointers =
+      story_pointers(stories);
+  return device.simulate(pointers, device.story_values(pointers, nullptr, {}),
+                         model_resident, /*per_cycle=*/true);
 }
 
 }  // namespace detail

@@ -9,6 +9,7 @@
 
 #include "accel/compiler.hpp"
 #include "accel/config.hpp"
+#include "accel/datapath.hpp"
 #include "data/types.hpp"
 #include "sim/fifo.hpp"
 #include "sim/types.hpp"
@@ -91,8 +92,10 @@ struct RunOptions {
   /// When set, run() memoizes through this cache: a previously simulated
   /// (program, stories, resident) workload replays its cached
   /// timing/output instead of re-simulating — bit-identical, since the
-  /// cache key covers every input the simulation depends on. Non-owning;
-  /// the cache may be shared across devices and host threads.
+  /// cache key covers every input the simulation depends on. A workload
+  /// that misses takes each story's values from the cache's story
+  /// entries and computes only the stories it lacks. Non-owning; the
+  /// cache may be shared across devices and host threads.
   ServiceCycleCache* cycle_cache = nullptr;
   /// When non-null, run() reports how the lookup resolved (kNone when no
   /// cycle_cache is set). Observability only — never affects the result.
@@ -105,8 +108,8 @@ namespace detail {
 
 /// Reference clock for the tick-vs-event differential tests: the module
 /// graph Accelerator::run simulates, ticked on every cycle by
-/// Simulator::run_until instead of run_events. Uncached; not a serving
-/// path.
+/// Simulator::run_until instead of run_events, over every story's values
+/// from the value pass. Uncached; not a serving path.
 [[nodiscard]] RunResult simulate_per_cycle(
     const Accelerator& device, std::span<const data::EncodedStory> stories,
     bool model_resident);
@@ -146,7 +149,9 @@ class Accelerator {
 
   /// Streams `stories` through the device and returns the full report.
   /// Builds one array of pointers to the stories and runs the overload
-  /// below on it.
+  /// below on it. Throws std::invalid_argument, before anything is
+  /// simulated or memoized, when a story holds a word id outside
+  /// [0, vocab_size).
   [[nodiscard]] RunResult run(std::span<const data::EncodedStory> stories,
                               const RunOptions& options = {}) const;
 
@@ -160,12 +165,21 @@ class Accelerator {
       const RunOptions& options = {}) const;
 
  private:
-  /// The uncached path: builds the module graph over this device's
-  /// program and ticks it to completion, on Simulator::run_events or,
-  /// when `per_cycle`, run_until (run() adds the memoization layer on
-  /// top).
+  /// The value pass over every story, in order, once every word id has
+  /// been checked against the vocabulary (std::invalid_argument). With a
+  /// cache, a story found under (fingerprint, story_digests[i]) is not
+  /// recomputed, and one computed here is published.
+  [[nodiscard]] std::vector<StoryValues> story_values(
+      std::span<const data::EncodedStory* const> stories,
+      ServiceCycleCache* cache,
+      std::span<const std::uint64_t> story_digests) const;
+
+  /// The timing pass: builds the module graph over this device's program
+  /// and the stories' values and ticks it to completion, on
+  /// Simulator::run_events or, when `per_cycle`, run_until.
   [[nodiscard]] RunResult simulate(
-      std::span<const data::EncodedStory* const> stories, bool model_resident,
+      std::span<const data::EncodedStory* const> stories,
+      std::span<const StoryValues> values, bool model_resident,
       bool per_cycle) const;
 
   AccelConfig config_;

@@ -1,0 +1,108 @@
+// The value pass: the device's Q16.16 datapath over one story.
+//
+// In Fig. 1's dataflow a story's values reach the device's timing only
+// through OUTPUT's probe count under ITH: every other busy cycle, stall
+// and op count follows from the story's shape (words, sentences, slots,
+// hops). So the Accelerator computes each story's values here, in the
+// modules' arithmetic order, and the six modules then tick from the
+// stream and these values alone: the functional/timing split of FAST
+// (Chiou et al., MICRO 2007). ServiceCycleCache memoizes the values per
+// (device, story).
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "accel/compiler.hpp"
+#include "accel/config.hpp"
+#include "accel/fx_types.hpp"
+#include "data/types.hpp"
+#include "numeric/lut.hpp"
+
+namespace mann::accel {
+
+/// One story's values: what OUTPUT's timing reads and the host gets back.
+struct StoryValues {
+  std::int32_t prediction = -1;
+  bool early_exit = false;          ///< an ITH threshold fired
+  std::uint64_t output_probes = 0;  ///< output-layer dot products
+
+  friend bool operator==(const StoryValues&, const StoryValues&) = default;
+};
+
+/// L1_c = Σ_i |raw(w_o[c][i])| for every row of W_o: the per-class half
+/// of OUTPUT's logit bound (search()), computed once per program.
+[[nodiscard]] std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o);
+
+/// The registers and banks of one story and the steps that compute them,
+/// each in the order its module does. run() is the value pass; the steps
+/// are public so that tests can drive each block on hand-built registers.
+/// The program and `row_l1` (row_l1_norms(program.w_o)) are borrowed and
+/// must outlive the datapath, so a temporary program cannot bind.
+class Datapath {
+ public:
+  Datapath(const DeviceProgram& program, const AccelConfig& config,
+           std::span<const std::int64_t> row_l1);
+  Datapath(DeviceProgram&&, const AccelConfig&,
+           std::span<const std::int64_t>) = delete;
+
+  /// embed(), read_hops(), then search(reg_h). Throws std::logic_error
+  /// for a story without a non-empty sentence (MEM would read an empty
+  /// memory).
+  [[nodiscard]] StoryValues run(const data::EncodedStory& story);
+
+  /// INPUT & WRITE (Eq. 2; Eq. 3 at t = 1): the banks hold the embedding
+  /// sums of the story's last max_memory non-empty sentences, oldest
+  /// first, which is what a bank that drops its oldest slot when full
+  /// keeps; MEM's sparse ties and saturating sums depend on that order.
+  /// reg_k holds the question's sum.
+  void embed(const data::EncodedStory& story);
+  /// The program's hops from the key in reg_k, with k ← h between them
+  /// (Eq. 3). Each is READ's W_r·k into reg_h, MEM's address_and_read()
+  /// on the same key, then h += r (Eq. 4).
+  void read_hops();
+  /// MEM (Eq. 1 and 5): scores every occupied slot against reg_k, keeps
+  /// the best sparse_read_slots of them (0 = all), and writes their
+  /// softmax into `attention` and the weighted read into reg_r.
+  void address_and_read();
+  /// OUTPUT (Eq. 6): the device probes every class in order, and with ITH
+  /// it exits at the first logit above its class's threshold. A rounded
+  /// Q16.16 product has |r| = ⌊(|w·h| + 2^15) / 2^16⌋, so a class's logit,
+  /// by fx_dot's wide sum or its saturating loop alike, is at most
+  /// U_c = min(2^31 - 1, ⌊(L1_c·‖h‖∞ + E·2^15) / 2^16⌋). An ITH probe with
+  /// U_c ≤ θ_c cannot fire, and an argmax candidate with U_c below the
+  /// running best, or equal to it at a later rank, cannot win (the
+  /// sequential search keeps the first rank of the maximum, and class 0
+  /// when every logit is Fx::min()). So the search evaluates only the
+  /// logits that can still decide the answer, and reports the device's
+  /// answer and probe count exactly.
+  [[nodiscard]] StoryValues search(std::span<const Fx> h);
+
+  // ---- INPUT & WRITE / MEM: address and content banks ----
+  FxMatrix mem_a;             ///< rows [0, slots): one sentence each
+  FxMatrix mem_c;
+  std::size_t slots = 0;      ///< occupied rows, oldest first
+  std::vector<Fx> attention;  ///< a^t (Eq. 1), one entry per slot
+
+  // ---- READ registers ----
+  FxVector reg_k;  ///< read key k^t (Eq. 3)
+  FxVector reg_r;  ///< read vector r^t (Eq. 5)
+  FxVector reg_h;  ///< controller output h^t (Eq. 4)
+
+ private:
+  [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
+
+  const DeviceProgram& program_;
+  const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
+  const bool ith_enabled_;
+  const std::span<const std::int64_t> row_l1_;
+  const numeric::ExpLut& exp_lut_;
+  const numeric::ReciprocalLut& recip_lut_;
+
+  std::vector<Fx> scores_;             ///< address_and_read()'s work buffer
+  std::vector<std::size_t> selected_;  ///< address_and_read()'s work buffer
+  std::vector<std::int64_t> bound_;    ///< search()'s U per rank
+};
+
+}  // namespace mann::accel

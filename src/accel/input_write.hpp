@@ -6,7 +6,9 @@
 // CMD_FIFO (the E-wide adder lanes run in parallel); a sentence flush
 // writes the accumulators into the next row of the MEM module's
 // address/content banks, and question words accumulate straight into
-// the read key register.
+// the read key register. The sums themselves are the value pass's
+// (Datapath::embed); this module keeps their time, their ops and the
+// slot count.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +24,11 @@ namespace mann::accel {
 class InputWriteModule final : public sim::Module {
  public:
   InputWriteModule(AcceleratorState& state, const AccelConfig& config,
-                   sim::Fifo<StreamWord>& cmd_fifo);
+                   sim::Fifo<StreamWord>& cmd_fifo)
+      : Module("INPUT_WRITE"),
+        state_(state),
+        timing_(config.timing),
+        cmd_fifo_(cmd_fifo) {}
 
   void tick();
   /// A command's cycles count down without effect; the tick after the
@@ -42,22 +48,19 @@ class InputWriteModule final : public sim::Module {
 
 inline void InputWriteModule::process(const StreamWord& word) {
   const std::size_t e = state_.program.embedding_dim;
-  const auto w = static_cast<std::size_t>(word.payload);
   switch (word.op) {
     case StreamOp::kSentenceStart:
     case StreamOp::kQuestionStart:
       flush_sentence();
       break;
     case StreamOp::kContextWord:
-      fx_add(state_.program.emb_a.row(w), state_.acc_a);
-      fx_add(state_.program.emb_c.row(w), state_.acc_c);
+      // One row of emb_a and one of emb_c, each added across E lanes.
       state_.sentence_open = true;
       ops().add += 2 * e;
       ops().mem_read += 2 * e;
       break;
     case StreamOp::kQuestionWord:
       // Eq. 3, t = 1: the read key register accumulates the question.
-      fx_add(state_.program.emb_q.row(w), state_.reg_k);
       ops().add += e;
       ops().mem_read += e;
       break;
@@ -69,6 +72,18 @@ inline void InputWriteModule::process(const StreamWord& word) {
       break;  // CONTROL consumes these; they never reach CMD_FIFO
   }
   busy_ += 1;  // one word a cycle: one embedding column, lanes in parallel
+}
+
+inline void InputWriteModule::flush_sentence() {
+  if (!state_.sentence_open) {
+    return;
+  }
+  // Both accumulators go into the next bank row; a full bank drops its
+  // oldest slot (same recency truncation as the reference model).
+  state_.slots = std::min(state_.slots + 1, state_.program.max_memory);
+  ops().mem_write += 2 * state_.program.embedding_dim;
+  state_.sentence_open = false;
+  busy_ += timing_.bram_write;
 }
 
 inline void InputWriteModule::tick() {

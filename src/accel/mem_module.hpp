@@ -3,25 +3,31 @@
 // cannot be parallelized across the bank, so the pipeline walks the L
 // occupied slots: dot products through the adder tree, max-subtracted exp
 // through the LUT unit, normalization through the divider, then the
-// attention-weighted read through the MAC array.
+// attention-weighted read through the MAC array. The arithmetic is the
+// value pass's (Datapath::address_and_read); this module keeps its time
+// and ops, which depend only on the slot count, the sparse k and E.
 #pragma once
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "accel/config.hpp"
 #include "accel/state.hpp"
-#include "numeric/lut.hpp"
 #include "sim/module.hpp"
 
 namespace mann::accel {
 
 class MemModule final : public sim::Module {
  public:
-  MemModule(AcceleratorState& state, const AccelConfig& config);
+  MemModule(AcceleratorState& state, const AccelConfig& config)
+      : Module("MEM"),
+        state_(state),
+        timing_(config.timing),
+        sparse_slots_(config.sparse_read_slots) {}
 
   void tick();
-  /// The tick that takes busy_ from 1 to 0 raises mem_done over the read
-  /// vector start() wrote; an idle MEM acts on READ's request.
+  /// The tick that takes busy_ from 1 to 0 raises mem_done; an idle MEM
+  /// acts on READ's request.
   [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
   void skip(sim::Cycle cycles);
 
@@ -31,13 +37,46 @@ class MemModule final : public sim::Module {
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
-  const numeric::ExpLut& exp_lut_;
-  const numeric::ReciprocalLut& recip_lut_;
-
   sim::Cycle busy_ = 0;
-  std::vector<Fx> scores_;             ///< start()'s scratch, reused
-  std::vector<std::size_t> selected_;  ///< start()'s scratch, reused
 };
+
+inline void MemModule::start() {
+  const std::size_t slots = state_.slots;
+  const std::size_t e = state_.program.embedding_dim;
+  if (slots == 0) {
+    throw std::logic_error("MEM: read requested with empty memory");
+  }
+  // Addressing: one dot product per slot, and the running max.
+  ops().mac += slots * e;
+  ops().mem_read += slots * e;
+  ops().compare += slots;
+  // Sparse selection (§VI-B): a sequential k-max pass over the scores
+  // costs one compare per slot and `slots` cycles.
+  std::size_t active = slots;
+  sim::Cycle select_cycles = 0;
+  if (sparse_slots_ > 0 && sparse_slots_ < slots) {
+    active = sparse_slots_;
+    ops().compare += slots;
+    select_cycles = static_cast<sim::Cycle>(slots);
+  }
+  ops().exp += active;           // exp LUT per selected slot
+  ops().add += active;           // and its running sum
+  ops().div += active;           // normalization
+  ops().mac += active * e;       // weighted read
+  ops().mem_read += active * e;
+
+  // Cycle cost of the sequential phases (pipelined within each).
+  const auto block = [&](std::size_t n) {
+    return timing_.dot_cycles(e) +
+           static_cast<sim::Cycle>(n - 1) * timing_.dot_ii(e);
+  };
+  busy_ = block(slots)                 // addressing (all slots)
+          + select_cycles              // sparse k-max pass
+          + timing_.exp_block(active)  // exp + sum
+          + timing_.div_block(active)  // normalize
+          + block(active);             // weighted read
+  state_.mem_request = false;
+}
 
 inline void MemModule::tick() {
   if (busy_ == 0) {
@@ -49,7 +88,7 @@ inline void MemModule::tick() {
   mark_busy();
   --busy_;
   if (busy_ == 0) {
-    state_.mem_done = true;  // attention and reg_r, written at start()
+    state_.mem_done = true;
   }
 }
 

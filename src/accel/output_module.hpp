@@ -4,49 +4,35 @@
 // tracking the running maximum, or, with inference thresholding enabled,
 // compares each logit against its per-class threshold θ in silhouette
 // probe order and exits early on the first hit (Algo. 1, Step 4 in
-// hardware). It probes every class up to that exit, and its busy cycles
-// and op counts say so.
-//
-// The host evaluates only the logits whose bound can still decide the
-// answer. A rounded Q16.16 product has |r| = ⌊(|w·h| + 2^15) / 2^16⌋, so a
-// class's logit, by fx_dot's wide sum or its saturating loop alike, is at
-// most U_c = min(2^31 - 1, ⌊(L1_c·‖h‖∞ + E·2^15) / 2^16⌋), where L1_c sums
-// the magnitudes of W_o's row c. An ITH probe with U_c ≤ θ_c cannot fire,
-// and an argmax candidate with U_c below the running best, or equal to it
-// at a later rank, cannot win (the sequential search keeps the first rank
-// of the maximum, and class 0 when every logit is Fx::min()). Skipping
-// those dot products leaves every answer, probe count and cycle exact.
+// hardware). The search itself is the value pass's (Datapath::search);
+// this module spends the story's probes on the adder tree and pushes its
+// answer into FIFO_OUT.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stdexcept>
 
 #include "accel/config.hpp"
+#include "accel/datapath.hpp"
 #include "accel/state.hpp"
 #include "sim/fifo.hpp"
 #include "sim/module.hpp"
 
 namespace mann::accel {
 
-/// L1_c = Σ_i |raw(w_o[c][i])| for every row of W_o: the per-class half
-/// of OUTPUT's logit bound, computed once per program.
-[[nodiscard]] std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o);
-
 class OutputModule final : public sim::Module {
  public:
-  /// Per-story observability used by the run report.
-  struct Record {
-    std::int32_t prediction = -1;
-    std::uint64_t probes = 0;  ///< output-layer dot products performed
-    bool early_exit = false;
-  };
-
-  /// `row_l1` is row_l1_norms(state.program.w_o); it must outlive the
-  /// module.
+  /// `values` holds each story's values in stream order; it must outlive
+  /// the module.
   OutputModule(AcceleratorState& state, const AccelConfig& config,
                sim::Fifo<std::int32_t>& fifo_out,
-               std::span<const std::int64_t> row_l1);
+               std::span<const StoryValues> values)
+      : Module("OUTPUT"),
+        state_(state),
+        timing_(config.timing),
+        fifo_out_(fifo_out),
+        values_(values) {}
 
   void tick();
   /// The search ends on the tick that takes busy_ from 1 to 0; an idle
@@ -55,28 +41,38 @@ class OutputModule final : public sim::Module {
   [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
   void skip(sim::Cycle cycles);
 
-  [[nodiscard]] const std::vector<Record>& records() const noexcept {
-    return records_;
-  }
-
  private:
   void begin_search();
-  [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
-  [[nodiscard]] Fx logit(std::size_t rank) const;
 
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
-  const bool ith_enabled_;
   sim::Fifo<std::int32_t>& fifo_out_;
-  const std::span<const std::int64_t> row_l1_;
-  std::vector<std::int64_t> bound_;  ///< U per rank, rebuilt each search
+  const std::span<const StoryValues> values_;
+  std::size_t story_ = 0;  ///< index into values_ of the current story
 
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };
   Phase phase_ = Phase::kIdle;
   sim::Cycle busy_ = 0;  ///< probe cycles left in the current search
-  Record record_;
-  std::vector<Record> records_;
 };
+
+inline void OutputModule::begin_search() {
+  if (story_ == values_.size()) {
+    throw std::logic_error("OUTPUT: features ready past the last story");
+  }
+  state_.features_ready = false;
+  // Transaction semantics: the module stays busy for the probes' summed
+  // latency (the first pays the tree fill, later ones pipeline).
+  const std::uint64_t probes = values_[story_].output_probes;
+  const std::size_t e = state_.program.embedding_dim;
+  busy_ = probes == 0 ? 0
+                      : timing_.dot_cycles(e) +
+                            static_cast<sim::Cycle>(probes - 1) *
+                                timing_.dot_ii(e);
+  ops().mac += probes * e;
+  ops().mem_read += probes * e;
+  ops().compare += probes;
+  phase_ = Phase::kProbing;
+}
 
 inline void OutputModule::tick() {
   switch (phase_) {
@@ -93,12 +89,12 @@ inline void OutputModule::tick() {
       }
       return;
     case Phase::kPushing:
-      if (!fifo_out_.try_push(record_.prediction)) {
+      if (!fifo_out_.try_push(values_[story_].prediction)) {
         mark_stalled();
         return;
       }
       mark_busy();
-      records_.push_back(record_);
+      ++story_;
       state_.story_active = false;  // datapath free for the next story
       phase_ = Phase::kIdle;
       return;

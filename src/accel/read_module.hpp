@@ -9,7 +9,8 @@
 // *concurrently* with the MEM module's addressing/softmax/read pipeline;
 // only the final element-wise add of r serializes. This overlap is the
 // point of the paper's DFA structure ("layer-wise parallelization and
-// recurrent paths can be implemented on DFAs").
+// recurrent paths can be implemented on DFAs"). The arithmetic is the
+// value pass's (Datapath::hop); this module keeps its time and ops.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +23,8 @@ namespace mann::accel {
 
 class ReadModule final : public sim::Module {
  public:
-  ReadModule(AcceleratorState& state, const AccelConfig& config);
+  ReadModule(AcceleratorState& state, const AccelConfig& config)
+      : Module("READ"), state_(state), timing_(config.timing) {}
 
   void tick();
   /// The tick that takes busy_ from 1 to 0 finishes a phase; an idle
@@ -53,6 +55,28 @@ class ReadModule final : public sim::Module {
 inline bool ReadModule::hop_ready() const noexcept {
   return state_.hops_done < state_.program.hops &&
          (state_.hops_done > 0 || state_.input_done);
+}
+
+inline void ReadModule::start_hop() {
+  // Kick MEM off on the same key, then occupy our own MAC array with
+  // W_r · k while MEM walks the memory bank.
+  const std::size_t e = state_.program.embedding_dim;
+  state_.mem_request = true;
+  ops().mac += e * e;
+  ops().mem_read += e * e;
+  phase_ = Phase::kWrk;
+  busy_ = timing_.dot_cycles(e) +
+          static_cast<sim::Cycle>(e - 1) * timing_.dot_ii(e);
+}
+
+inline void ReadModule::finish_hop() {
+  // Eq. 3 (t > 1) feeds h back as the next read key, and the next hop
+  // starts on the next tick.
+  ++state_.hops_done;
+  phase_ = Phase::kIdle;
+  if (state_.hops_done == state_.program.hops) {
+    state_.features_ready = true;
+  }
 }
 
 inline void ReadModule::on_busy_complete() {
@@ -86,8 +110,7 @@ inline void ReadModule::tick() {
       }
       state_.mem_done = false;
       const std::size_t e = state_.program.embedding_dim;
-      fx_add(state_.reg_r, state_.reg_h);  // Eq. 4: h = W_r k + r
-      ops().add += e;
+      ops().add += e;  // Eq. 4: h = W_r k + r
       phase_ = Phase::kAdd;
       busy_ = static_cast<sim::Cycle>(
           sim::ceil_div(e, timing_.lane_width));

@@ -7,22 +7,33 @@
 namespace mann::accel {
 
 std::uint64_t digest_stories(
-    std::span<const data::EncodedStory* const> stories) noexcept {
-  // Digests index streams, not bytes: one multiply per token.
+    std::span<const data::EncodedStory* const> stories,
+    std::span<std::uint64_t> story_digests) noexcept {
+  // Digests index streams, not bytes: one multiply per token for the
+  // workload and one for its story.
   std::uint64_t h = kFnv1aOffset;
-  for (const data::EncodedStory* story : stories) {
-    h = fnv1a_mix(h, story->context.size());
-    for (const std::vector<std::int32_t>& sentence : story->context) {
-      h = fnv1a_mix(h, sentence.size());
+  for (std::size_t i = 0; i < stories.size(); ++i) {
+    const data::EncodedStory& story = *stories[i];
+    std::uint64_t s = kFnv1aOffset;
+    const auto mix = [&](std::uint64_t word) {
+      h = fnv1a_mix(h, word);
+      s = fnv1a_mix(s, word);
+    };
+    mix(story.context.size());
+    for (const std::vector<std::int32_t>& sentence : story.context) {
+      mix(sentence.size());
       for (const std::int32_t word : sentence) {
-        h = fnv1a_mix(h, static_cast<std::uint64_t>(word));
+        mix(static_cast<std::uint64_t>(word));
       }
     }
-    h = fnv1a_mix(h, story->question.size());
-    for (const std::int32_t word : story->question) {
-      h = fnv1a_mix(h, static_cast<std::uint64_t>(word));
+    mix(story.question.size());
+    for (const std::int32_t word : story.question) {
+      mix(static_cast<std::uint64_t>(word));
     }
-    h = fnv1a_mix(h, static_cast<std::uint64_t>(story->answer));
+    mix(static_cast<std::uint64_t>(story.answer));
+    if (i < story_digests.size()) {
+      story_digests[i] = s;
+    }
   }
   return h;
 }
@@ -35,6 +46,13 @@ std::size_t ServiceCycleCache::KeyHash::operator()(
   h = fnv1a_mix(h, k.story_count);
   h = fnv1a_mix(h, k.model_resident ? 1 : 0);
   return static_cast<std::size_t>(h);
+}
+
+std::size_t ServiceCycleCache::KeyHash::operator()(
+    const StoryKey& k) const noexcept {
+  return static_cast<std::size_t>(
+      fnv1a_mix(fnv1a_mix(kFnv1aOffset, k.program_fingerprint),
+                k.story_digest));
 }
 
 ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
@@ -54,6 +72,7 @@ ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
     throw std::invalid_argument("ServiceCycleCache: segments must be > 0");
   }
   segment_capacity_ = (capacity_ + segments - 1) / segments;
+  segment_story_capacity_ = (kStoryCapacity + segments - 1) / segments;
   segments_.reserve(segments);
   for (std::size_t i = 0; i < segments; ++i) {
     auto segment = std::make_unique<Segment>();
@@ -67,13 +86,6 @@ ServiceCycleCache::ServiceCycleCache(std::size_t capacity,
     }
     segments_.push_back(std::move(segment));
   }
-}
-
-ServiceCycleCache::Segment& ServiceCycleCache::segment_for(
-    const Key& key) noexcept {
-  // KeyHash mixes the story digest, so concurrent distinct batches
-  // spread across segments instead of queueing on one mutex.
-  return *segments_[KeyHash{}(key) % segments_.size()];
 }
 
 std::unique_lock<std::mutex> ServiceCycleCache::lock_segment(
@@ -176,6 +188,28 @@ void ServiceCycleCache::abandon(const Key& key) noexcept {
   segment.ready.notify_all();
 }
 
+std::optional<StoryValues> ServiceCycleCache::find_story(
+    const StoryKey& key) {
+  Segment& segment = segment_for(key);
+  std::unique_lock lock = lock_segment(segment);
+  if (const auto it = segment.stories.find(key);
+      it != segment.stories.end()) {
+    ++segment.stats.story_hits;
+    return it->second;
+  }
+  ++segment.stats.story_misses;
+  return std::nullopt;
+}
+
+void ServiceCycleCache::publish_story(const StoryKey& key,
+                                      const StoryValues& values) {
+  Segment& segment = segment_for(key);
+  std::unique_lock lock = lock_segment(segment);
+  if (segment.stories.size() < segment_story_capacity_) {
+    segment.stories.emplace(key, values);
+  }
+}
+
 void ServiceCycleCache::set_eviction_policy(
     serve::EvictionPolicyKind kind) noexcept {
   for (const auto& segment : segments_) {
@@ -206,6 +240,8 @@ ServiceCycleCacheStats ServiceCycleCache::stats() const {
     total.insertions += segment->stats.insertions;
     total.evictions += segment->stats.evictions;
     total.entries += segment->index.size();
+    total.story_hits += segment->stats.story_hits;
+    total.story_misses += segment->stats.story_misses;
   }
   return total;
 }

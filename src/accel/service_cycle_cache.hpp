@@ -19,6 +19,14 @@
 // lets the simulation thread pick up a prefetched result the moment it
 // is ready.
 //
+// Beside the batch entries the cache memoizes each story's values (the
+// value pass, accel/datapath.hpp) under (program fingerprint, story
+// digest): a batch that misses recomputes only the stories no earlier
+// batch on a device of the same fingerprint has seen. Two threads that
+// compute the same story compute the same values, so story entries need
+// no in-flight rendezvous. At most kStoryCapacity of them are kept, each
+// segment its share; past that a segment memoizes no new story.
+//
 // Capacity eviction takes the front of one ordered index per segment.
 // An entry's rank is (simulated cycles under
 // set_eviction_policy(serve::EvictionPolicyKind::kCostAware), or 0 under
@@ -52,6 +60,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "accel/datapath.hpp"
 #include "data/types.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eviction.hpp"
@@ -70,6 +79,10 @@ struct ServiceCycleCacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;        ///< resident entries at sample time
+  /// Story-entry lookups, apart from the batch lookups above: values
+  /// found in the memo, and values the value pass had to compute.
+  std::uint64_t story_hits = 0;
+  std::uint64_t story_misses = 0;
 
   /// True hits over all lookups (hits + waits + misses).
   [[nodiscard]] double hit_rate() const noexcept {
@@ -91,9 +104,15 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
 /// FNV-1a digest of a workload's stories (shapes and contents, never
 /// addresses), in order. Two workloads with the same digest and count are
-/// treated as the same workload, wherever their stories live.
+/// treated as the same workload, wherever their stories live. The same
+/// pass writes each story's own digest (the digest of the one-story
+/// workload) into `story_digests[i]`, for as many stories as it has
+/// slots. The batch digest runs on across the stories instead of folding
+/// theirs: folding would move each batch to another segment of a sharded
+/// cache, and with it which entries a full segment evicts.
 [[nodiscard]] std::uint64_t digest_stories(
-    std::span<const data::EncodedStory* const> stories) noexcept;
+    std::span<const data::EncodedStory* const> stories,
+    std::span<std::uint64_t> story_digests = {}) noexcept;
 
 class ServiceCycleCache {
  public:
@@ -105,6 +124,18 @@ class ServiceCycleCache {
 
     [[nodiscard]] bool operator==(const Key&) const noexcept = default;
   };
+
+  /// One story's values on one device.
+  struct StoryKey {
+    std::uint64_t program_fingerprint = 0;
+    std::uint64_t story_digest = 0;
+
+    [[nodiscard]] bool operator==(const StoryKey&) const noexcept = default;
+  };
+
+  /// Story entries kept at most, across all segments: about 1 MB. A
+  /// serving corpus of 20 tasks' 200-story test splits is 4,000.
+  static constexpr std::size_t kStoryCapacity = std::size_t{1} << 14;
 
   /// `capacity` bounds resident entries; overflow evicts by the kind
   /// set_eviction_policy chose (kLru until it is called). Throws
@@ -139,6 +170,14 @@ class ServiceCycleCache {
   /// blocked acquire() takes over the computation.
   void abandon(const Key& key) noexcept;
 
+  /// The memoized values of the story under `key`, counted as a story
+  /// hit, or nullopt, counted as a story miss.
+  [[nodiscard]] std::optional<StoryValues> find_story(const StoryKey& key);
+
+  /// Memoizes `values` under `key`, unless the key's segment already
+  /// holds its share of kStoryCapacity or the key.
+  void publish_story(const StoryKey& key, const StoryValues& values);
+
   /// Chooses how capacity eviction picks its victim in every segment:
   /// kLru (the default) or kCostAware (see the header comment). A change
   /// of kind re-ranks every resident entry, so it applies from the next
@@ -154,6 +193,7 @@ class ServiceCycleCache {
  private:
   struct KeyHash {
     [[nodiscard]] std::size_t operator()(const Key& k) const noexcept;
+    [[nodiscard]] std::size_t operator()(const StoryKey& k) const noexcept;
   };
   struct Entry {
     RunResult result;
@@ -174,6 +214,7 @@ class ServiceCycleCache {
     std::map<Rank, Key> order;
     serve::EvictionPolicyKind kind = serve::EvictionPolicyKind::kLru;
     std::unordered_set<Key, KeyHash> in_flight;
+    std::unordered_map<StoryKey, StoryValues, KeyHash> stories;
     ServiceCycleCacheStats stats;
     std::uint64_t touch_counter = 0;
     // Mirrored per-segment obs instruments (null without a registry or
@@ -192,7 +233,12 @@ class ServiceCycleCache {
             entry.touch_seq};
   }
 
-  [[nodiscard]] Segment& segment_for(const Key& key) noexcept;
+  template <typename K>
+  [[nodiscard]] Segment& segment_for(const K& key) noexcept {
+    // KeyHash mixes the story digest, so concurrent distinct batches
+    // spread across segments instead of queueing on one mutex.
+    return *segments_[KeyHash{}(key) % segments_.size()];
+  }
   /// Locks `segment.mutex`, counting the acquisition as contended when
   /// another thread already holds it.
   [[nodiscard]] std::unique_lock<std::mutex> lock_segment(Segment& segment);
@@ -202,6 +248,7 @@ class ServiceCycleCache {
 
   std::size_t capacity_;
   std::size_t segment_capacity_;
+  std::size_t segment_story_capacity_;
   std::vector<std::unique_ptr<Segment>> segments_;
   /// Resident entries across all segments, maintained atomically so the
   /// entries gauge never needs a cross-segment lock sweep.

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -33,7 +33,9 @@ struct FifoStats {
 
 /// Single-clock bounded queue. Producers must check full() (or use
 /// try_push) — pushing into a full FIFO throws, because in hardware that
-/// is a dropped word, i.e. a design bug.
+/// is a dropped word, i.e. a design bug. The items live in a ring that
+/// grows as pushes need it, to at most the capacity, and is then reused,
+/// so a queue that has reached its working depth allocates nothing.
 template <typename T>
 class Fifo {
  public:
@@ -46,11 +48,9 @@ class Fifo {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-  [[nodiscard]] bool full() const noexcept {
-    return items_.size() >= capacity_;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
 
   /// Pushes or throws std::logic_error when full.
   void push(T item) {
@@ -65,26 +65,37 @@ class Fifo {
       ++stats_.full_rejects;
       return false;
     }
-    items_.push_back(std::move(item));
+    if (size_ == ring_.size()) {
+      grow();
+    }
+    std::size_t tail = head_ + size_;
+    if (tail >= ring_.size()) {
+      tail -= ring_.size();
+    }
+    ring_[tail] = std::move(item);
+    ++size_;
     ++stats_.pushes;
-    stats_.max_occupancy = std::max(stats_.max_occupancy, items_.size());
+    stats_.max_occupancy = std::max(stats_.max_occupancy, size_);
     return true;
   }
 
   /// Pops the head if present.
   [[nodiscard]] std::optional<T> try_pop() {
-    if (items_.empty()) {
+    if (size_ == 0) {
       return std::nullopt;
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
+    T item = std::move(ring_[head_]);
+    if (++head_ == ring_.size()) {
+      head_ = 0;
+    }
+    --size_;
     ++stats_.pops;
     return item;
   }
 
   /// Peeks without consuming.
   [[nodiscard]] const T* peek() const noexcept {
-    return items_.empty() ? nullptr : &items_.front();
+    return size_ == 0 ? nullptr : &ring_[head_];
   }
 
   /// Accounts `cycles` cycles of a queue one item short of full, in each
@@ -101,15 +112,29 @@ class Fifo {
     stats_.pushes += cycles;
     stats_.pops += cycles;
     stats_.full_rejects += full_rejects;
-    stats_.max_occupancy = std::max(stats_.max_occupancy, items_.size() + 1);
+    stats_.max_occupancy = std::max(stats_.max_occupancy, size_ + 1);
   }
 
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
  private:
+  /// A full ring below the capacity doubles (to at most the capacity),
+  /// its items moved to the front in queue order.
+  void grow() {
+    std::vector<T> grown(
+        std::min(capacity_, std::max<std::size_t>(2 * ring_.size(), 16)));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+
   std::string name_;
   std::size_t capacity_;
-  std::deque<T> items_;
+  std::vector<T> ring_;   ///< the items from head_, wrapping at the end
+  std::size_t head_ = 0;  ///< index of the oldest item
+  std::size_t size_ = 0;
   FifoStats stats_;
 };
 

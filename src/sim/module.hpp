@@ -2,15 +2,14 @@
 //
 // Modules are ticked once per clock cycle in a fixed order by the
 // Simulator. A module models its internal pipelines with cycle counters:
-// when it starts a multi-cycle operation it performs the arithmetic
-// immediately (transaction semantics) and then stays busy for the
-// operation's latency, which preserves cycle-accurate timing at the module
-// boundary without simulating every register.
-//
-// Publication rule: a module writes its result registers in place when
-// it starts an operation, and raises the operation's done flag when its
-// latency has passed. The done flags, not staging copies, keep consumers
-// from reading early, so each value is held once (accel/state.hpp).
+// when it starts a multi-cycle operation it stays busy for the
+// operation's latency (transaction semantics) and raises the operation's
+// done flag when that has passed, which preserves cycle-accurate timing
+// at the module boundary without simulating every register. The
+// accelerator's modules keep only time: the values their operations
+// compute come from a separate value pass (accel/datapath.hpp), and the
+// done flags order the modules as those values' dependences do
+// (accel/state.hpp).
 //
 // There is no virtual interface. Simulator::run_until and run_events are
 // templates over the concrete module types, so each caller's loop calls

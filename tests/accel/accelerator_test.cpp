@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <numeric>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "accel/host_link.hpp"
+#include "accel/service_cycle_cache.hpp"
 #include "accel/stream.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
@@ -253,8 +256,8 @@ void expect_same_answers(const RunResult& a, const RunResult& b) {
 TEST_F(AcceleratorFixture, StoryStreamIntoFullFifosLosesNoWord) {
   // Warm runs fed one or two story words a cycle fill FIFO_IN and
   // CMD_FIFO. CONTROL must stall on a full CMD_FIFO, never drop a word,
-  // so every depth answers every story alike, and the event clock still
-  // matches the per-cycle reference. The asynchronous host has no
+  // so every depth answers every story alike with the same INPUT&WRITE
+  // work, and the event clock still matches the per-cycle reference. The asynchronous host has no
   // per-story latency, so it streams the next story while the datapath
   // still holds the last one and CONTROL also stalls at kStoryStart.
   const DeviceProgram program = compile_model(*model_, ith_);
@@ -290,6 +293,15 @@ TEST_F(AcceleratorFixture, StoryStreamIntoFullFifosLosesNoWord) {
           continue;
         }
         expect_same_answers(shallowest, run);
+        // INPUT&WRITE takes every story word once at any depth, so its
+        // ops and busy cycles cannot move: a CONTROL that drops a word
+        // on a full CMD_FIFO changes them even where the answers hold.
+        const ModuleReport& input_write = run.modules.at(2);
+        ASSERT_EQ(input_write.name, "INPUT_WRITE");
+        expect_ops_equal(shallowest.modules.at(2).stats.ops,
+                         input_write.stats.ops);
+        EXPECT_EQ(shallowest.modules.at(2).stats.busy_cycles,
+                  input_write.stats.busy_cycles);
       }
     }
   }
@@ -368,6 +380,52 @@ TEST(DeviceMemory, FullBanksKeepTheLastSentencesAsTheModelDoes) {
     EXPECT_LT(run.early_exit_rate(), 1.0);
     expect_same_answers(device.run(cut, warm), run);
   }
+}
+
+TEST_F(AcceleratorFixture, RefusesWordsOutsideTheVocabulary) {
+  // An id the embedding tables cannot index, in a context sentence or in
+  // the question, is refused, naming the story and the word, before
+  // anything is simulated or memoized: with a cache or without, and on
+  // the per-cycle reference.
+  const Accelerator device(base_config(), compile_model(*model_));
+  const auto vocab = static_cast<std::int32_t>(dataset_->vocab_size());
+  ServiceCycleCache cache;
+  for (const std::int32_t bad : {vocab, vocab + 100'000'000, -1}) {
+    for (const bool in_question : {false, true}) {
+      SCOPED_TRACE("word " + std::to_string(bad) +
+                   (in_question ? " in the question" : " in the context"));
+      std::vector<data::EncodedStory> stories(test_slice(3).begin(),
+                                              test_slice(3).end());
+      (in_question ? stories[1].question : stories[1].context.back())
+          .back() = bad;
+      for (ServiceCycleCache* cycle_cache :
+           std::initializer_list<ServiceCycleCache*>{nullptr, &cache}) {
+        RunOptions options;
+        options.cycle_cache = cycle_cache;
+        try {
+          (void)device.run(stories, options);
+          ADD_FAILURE() << "the run answered";
+        } catch (const std::invalid_argument& error) {
+          const std::string what = error.what();
+          EXPECT_NE(what.find("story 1 "), std::string::npos) << what;
+          EXPECT_NE(what.find(" " + std::to_string(bad) + ","),
+                    std::string::npos)
+              << what;
+        }
+      }
+      EXPECT_THROW(
+          (void)detail::simulate_per_cycle(device, stories, false),
+          std::invalid_argument);
+    }
+  }
+  const ServiceCycleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0U);
+  EXPECT_EQ(stats.story_hits + stats.story_misses, 0U);
+  // The last id in range still runs.
+  std::vector<data::EncodedStory> edge(test_slice(1).begin(),
+                                       test_slice(1).end());
+  edge[0].question.back() = vocab - 1;
+  EXPECT_EQ(device.run(edge).stories.size(), 1U);
 }
 
 TEST_F(AcceleratorFixture, RejectsNonPositiveClock) {

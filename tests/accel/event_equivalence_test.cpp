@@ -11,6 +11,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -18,6 +19,7 @@
 
 #include "accel/accelerator.hpp"
 #include "accel/control.hpp"
+#include "accel/datapath.hpp"
 #include "accel/host_link.hpp"
 #include "accel/input_write.hpp"
 #include "accel/mem_module.hpp"
@@ -219,6 +221,72 @@ TEST_F(EventEquivalence, PointerSpanRunsLikeTheValueSpan) {
       EXPECT_EQ(outcome, CacheOutcome::kMiss);
       expect_identical(by_value, device.run(borrowed, options));
       EXPECT_EQ(outcome, CacheOutcome::kHit);
+    }
+  }
+}
+
+TEST_F(EventEquivalence, StoryMemoRunsLikeTheValuePass) {
+  // Every RunResult field is the same whether a run computes its
+  // stories' values (no cache, a cold cache), takes every one from the
+  // cache's story entries (a warm cache, through a batch it has not
+  // seen: the stories in reverse), or meets a memo at its cap, which
+  // memoizes no further story.
+  const std::span<const data::EncodedStory> stories(dataset_->test);
+  const std::vector<data::EncodedStory> reversed(stories.rbegin(),
+                                                 stories.rend());
+  const std::uint64_t n = stories.size();
+  std::set<std::uint64_t> digests;
+  for (const data::EncodedStory& story : stories) {
+    const data::EncodedStory* one = &story;
+    digests.insert(digest_stories(std::span(&one, 1)));
+  }
+  const std::uint64_t distinct = digests.size();
+  struct Setup {
+    const char* name;
+    bool ith;
+    std::size_t sparse_read_slots;
+  };
+  for (const Setup setup : {Setup{"plain", false, 0}, Setup{"ITH", true, 0},
+                            Setup{"sparse 2", false, 2}}) {
+    AccelConfig cfg = config(100.0e6);
+    cfg.ith_enabled = setup.ith;
+    cfg.sparse_read_slots = setup.sparse_read_slots;
+    const Accelerator device(cfg, setup.ith ? *with_ith_ : *plain_);
+    for (const bool resident : {false, true}) {
+      SCOPED_TRACE(std::string(setup.name) +
+                   (resident ? ", model_resident" : ", cold"));
+      RunOptions options;
+      options.model_resident = resident;
+      const RunResult uncached = device.run(stories, options);
+      const RunResult uncached_reversed = device.run(reversed, options);
+      expect_identical(detail::simulate_per_cycle(device, stories, resident),
+                       uncached);
+
+      ServiceCycleCache cache;
+      options.cycle_cache = &cache;
+      expect_identical(uncached, device.run(stories, options));
+      ServiceCycleCacheStats stats = cache.stats();
+      EXPECT_EQ(stats.misses, 1U);
+      EXPECT_EQ(stats.story_misses, distinct);
+      EXPECT_EQ(stats.story_hits, n - distinct);
+
+      expect_identical(uncached_reversed, device.run(reversed, options));
+      stats = cache.stats();
+      EXPECT_EQ(stats.misses, 2U);
+      EXPECT_EQ(stats.story_misses, distinct);
+      EXPECT_EQ(stats.story_hits, n - distinct + n);
+
+      ServiceCycleCache full;
+      for (std::uint64_t i = 0; i < ServiceCycleCache::kStoryCapacity; ++i) {
+        full.publish_story({device.fingerprint() + 1, i}, StoryValues{});
+      }
+      options.cycle_cache = &full;
+      expect_identical(uncached, device.run(stories, options));
+      expect_identical(uncached_reversed, device.run(reversed, options));
+      stats = full.stats();
+      EXPECT_EQ(stats.misses, 2U);
+      EXPECT_EQ(stats.story_hits, 0U);
+      EXPECT_EQ(stats.story_misses, 2 * n);
     }
   }
 }
@@ -798,21 +866,32 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     for (std::size_t i = 0; i < 4; ++i) {
       prog.w_o(i, 1) = Fx::from_float(static_cast<float>(i + 1));
     }
-    AcceleratorState state(prog);
-    state.begin_story();
-    state.store_slot(FxVector{Fx::from_float(1.0F), Fx{}},
-                     FxVector{Fx{}, Fx::from_float(4.0F)});
-    state.store_slot(FxVector{Fx::from_float(0.5F), Fx::from_float(0.5F)},
-                     FxVector{Fx::from_float(1.0F), Fx{}});
-    state.reg_k = {Fx::from_float(1.0F), Fx{}};
-    state.input_done = true;
     AccelConfig cfg;
     cfg.timing.lane_width = 1;
+    // The story's values: two slots and a key, through the value pass.
+    const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+    Datapath datapath(prog, cfg, l1);
+    for (const auto& [a, c] :
+         {std::pair{FxVector{Fx::from_float(1.0F), Fx{}},
+                    FxVector{Fx{}, Fx::from_float(4.0F)}},
+          std::pair{FxVector{Fx::from_float(0.5F), Fx::from_float(0.5F)},
+                    FxVector{Fx::from_float(1.0F), Fx{}}}}) {
+      std::ranges::copy(a, datapath.mem_a.row(datapath.slots).begin());
+      std::ranges::copy(c, datapath.mem_c.row(datapath.slots).begin());
+      ++datapath.slots;
+    }
+    datapath.reg_k = {Fx::from_float(1.0F), Fx{}};
+    datapath.read_hops();
+    const StoryValues values = datapath.search(datapath.reg_h);
+
+    AcceleratorState state(prog);
+    state.begin_story();
+    state.slots = datapath.slots;
+    state.input_done = true;
     sim::Fifo<std::int32_t> out("OUT", 1);
     ReadModule read(state, cfg);
     MemModule mem(state, cfg);
-    const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-    OutputModule output(state, cfg, out, l1);
+    OutputModule output(state, cfg, out, std::span(&values, 1));
     sim::Simulator sim;
     const auto done = [&] { return !out.empty(); };
     if (events) {

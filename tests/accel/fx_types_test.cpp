@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "accel/compiler.hpp"
+#include "accel/datapath.hpp"
 #include "accel/output_module.hpp"
 #include "core/ith.hpp"
 #include "data/dataset.hpp"
@@ -313,22 +314,23 @@ SearchOutcome exhaustive_search(const DeviceProgram& program,
   return out;
 }
 
-/// One story through OutputModule: `h` in reg_h, clocked until the
-/// answer reaches FIFO_OUT.
+/// One story's search on `h` through the value pass, then its probes
+/// through OutputModule, clocked until the answer reaches FIFO_OUT.
 SearchOutcome module_search(const DeviceProgram& program, const FxVector& h,
                             const AccelConfig& cfg) {
+  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
+  Datapath datapath(program, cfg, l1);
+  const StoryValues values = datapath.search(h);
   AcceleratorState state(program);
   state.begin_story();
-  state.reg_h = h;
   state.features_ready = true;
   sim::Fifo<std::int32_t> out("OUT", 1);
-  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
-  OutputModule module(state, cfg, out, l1);
+  OutputModule module(state, cfg, out, std::span(&values, 1));
   sim::Simulator simulator;
   (void)simulator.run_events([&] { return !out.empty(); }, 1'000'000,
                              sim::kNever, module);
-  const OutputModule::Record& record = module.records().at(0);
-  return {record.prediction, record.probes, record.early_exit,
+  EXPECT_EQ(*out.peek(), values.prediction);
+  return {values.prediction, values.output_probes, values.early_exit,
           module.stats()};
 }
 
@@ -414,8 +416,9 @@ void add_ith_tables(DeviceProgram& program, const FxVector& h,
   }
 }
 
-/// Counts the stories on which OutputModule and the exhaustive search
-/// differ in any reported field, reporting the first few.
+/// Counts the stories on which the value pass's search with OutputModule's
+/// timing and the exhaustive search differ in any reported field,
+/// reporting the first few.
 class SearchChecker {
  public:
   explicit SearchChecker(std::uint64_t seed) : rng_(seed) {}

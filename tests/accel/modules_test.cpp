@@ -1,15 +1,19 @@
 // Module-level tests of the accelerator: each of Fig. 1's blocks driven
-// in isolation against hand-built device state, plus host-link behaviour
-// that the end-to-end tests cannot pin down (rates, latency charging,
-// synchronous gating).
+// in isolation against hand-built device state, its values through the
+// value pass (Datapath) and its timing through its module, plus
+// host-link behaviour that the end-to-end tests cannot pin down (rates,
+// latency charging, synchronous gating).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "accel/control.hpp"
+#include "accel/datapath.hpp"
 #include "accel/host_link.hpp"
 #include "accel/input_write.hpp"
 #include "accel/mem_module.hpp"
@@ -55,6 +59,22 @@ AccelConfig tiny_config() {
   return cfg;
 }
 
+/// One story of the given sentences and question.
+data::EncodedStory story_of(std::vector<std::vector<std::int32_t>> context,
+                            std::vector<std::int32_t> question) {
+  data::EncodedStory story;
+  story.context = std::move(context);
+  story.question = std::move(question);
+  return story;
+}
+
+/// Writes one slot of hand-built bank contents into the datapath.
+void load_slot(Datapath& datapath, const FxVector& a, const FxVector& c) {
+  std::ranges::copy(a, datapath.mem_a.row(datapath.slots).begin());
+  std::ranges::copy(c, datapath.mem_c.row(datapath.slots).begin());
+  ++datapath.slots;
+}
+
 // ---- INPUT & WRITE ---------------------------------------------------------
 
 TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
@@ -77,11 +97,20 @@ TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
   }
   ASSERT_TRUE(state.input_done);
   ASSERT_EQ(state.slots, 1U);
-  EXPECT_FLOAT_EQ(state.mem_a(0, 0).to_float(), 5.0F);
-  EXPECT_FLOAT_EQ(state.mem_a(0, 1).to_float(), 0.0F);
-  EXPECT_FLOAT_EQ(state.mem_c(0, 1).to_float(), 5.0F);
-  EXPECT_FLOAT_EQ(state.reg_k[0].to_float(), 1.0F);
-  EXPECT_FLOAT_EQ(state.reg_k[1].to_float(), 0.5F);
+  // Two context words through two lanes and one question word, E = 2.
+  EXPECT_EQ(module.stats().ops.add, 10U);
+  EXPECT_EQ(module.stats().ops.mem_write, 4U);
+
+  // The value pass embeds the same story.
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, cfg, l1);
+  datapath.embed(story_of({{1, 2}}, {0}));
+  ASSERT_EQ(datapath.slots, 1U);
+  EXPECT_FLOAT_EQ(datapath.mem_a(0, 0).to_float(), 5.0F);
+  EXPECT_FLOAT_EQ(datapath.mem_a(0, 1).to_float(), 0.0F);
+  EXPECT_FLOAT_EQ(datapath.mem_c(0, 1).to_float(), 5.0F);
+  EXPECT_FLOAT_EQ(datapath.reg_k[0].to_float(), 1.0F);
+  EXPECT_FLOAT_EQ(datapath.reg_k[1].to_float(), 0.5F);
 }
 
 TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
@@ -104,37 +133,49 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
   }
   ASSERT_TRUE(state.input_done);
   ASSERT_EQ(state.slots, 2U);
-  // Slots hold words 1 and 2 (word 0's sentence was evicted).
-  EXPECT_FLOAT_EQ(state.mem_a(0, 0).to_float(), 2.0F);
-  EXPECT_FLOAT_EQ(state.mem_a(1, 0).to_float(), 3.0F);
+
+  // The value pass keeps the same two slots: words 1 and 2 (word 0's
+  // sentence was evicted).
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, cfg, l1);
+  datapath.embed(story_of({{0}, {1}, {2}}, {}));
+  ASSERT_EQ(datapath.slots, 2U);
+  EXPECT_FLOAT_EQ(datapath.mem_a(0, 0).to_float(), 2.0F);
+  EXPECT_FLOAT_EQ(datapath.mem_a(1, 0).to_float(), 3.0F);
 }
 
 // ---- MEM -------------------------------------------------------------------
 
 TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
   const DeviceProgram prog = tiny_program();
+  const AccelConfig cfg = tiny_config();
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, cfg, l1);
+  // Two memory slots with known contents.
+  load_slot(datapath, {Fx::from_float(1.0F), Fx::from_float(0.0F)},
+            {Fx::from_float(0.0F), Fx::from_float(1.0F)});
+  load_slot(datapath, {Fx::from_float(3.0F), Fx::from_float(0.0F)},
+            {Fx::from_float(0.0F), Fx::from_float(2.0F)});
+  datapath.reg_k = {Fx::from_float(1.0F), Fx::from_float(0.0F)};
+  datapath.address_and_read();
+  // Scores are 1 and 3 -> softmax = (0.119, 0.881).
+  ASSERT_EQ(datapath.attention.size(), 2U);
+  EXPECT_NEAR(datapath.attention[0].to_float(), 0.1192F, 5e-3F);
+  EXPECT_NEAR(datapath.attention[1].to_float(), 0.8808F, 5e-3F);
+  // r = a0*(0,1) + a1*(0,2).
+  EXPECT_NEAR(datapath.reg_r[1].to_float(), 0.1192F + 2.0F * 0.8808F, 1e-2F);
+  EXPECT_NEAR(datapath.reg_r[0].to_float(), 0.0F, 1e-4F);
+
+  // The module's timing over the same two slots.
   AcceleratorState state(prog);
   state.begin_story();
-  // Two memory slots with known contents.
-  state.store_slot(FxVector{Fx::from_float(1.0F), Fx::from_float(0.0F)},
-                   FxVector{Fx::from_float(0.0F), Fx::from_float(1.0F)});
-  state.store_slot(FxVector{Fx::from_float(3.0F), Fx::from_float(0.0F)},
-                   FxVector{Fx::from_float(0.0F), Fx::from_float(2.0F)});
-  state.reg_k = {Fx::from_float(1.0F), Fx::from_float(0.0F)};
+  state.slots = 2;
   state.mem_request = true;
-
-  MemModule module(state, tiny_config());
+  MemModule module(state, cfg);
   for (int i = 0; i < 200 && !state.mem_done; ++i) {
     module.tick();
   }
   ASSERT_TRUE(state.mem_done);
-  // Scores are 1 and 3 -> softmax = (0.119, 0.881).
-  ASSERT_EQ(state.attention.size(), 2U);
-  EXPECT_NEAR(state.attention[0].to_float(), 0.1192F, 5e-3F);
-  EXPECT_NEAR(state.attention[1].to_float(), 0.8808F, 5e-3F);
-  // r = a0*(0,1) + a1*(0,2).
-  EXPECT_NEAR(state.reg_r[1].to_float(), 0.1192F + 2.0F * 0.8808F, 1e-2F);
-  EXPECT_NEAR(state.reg_r[0].to_float(), 0.0F, 1e-4F);
   EXPECT_FALSE(state.mem_request);
   // Op accounting: 2 slots x 2 dims dots twice (address + read).
   EXPECT_EQ(module.stats().ops.mac, 8U);
@@ -146,10 +187,14 @@ TEST(MemModule, EmptyMemoryIsAProtocolBug) {
   const DeviceProgram prog = tiny_program();
   AcceleratorState state(prog);
   state.begin_story();
-  state.reg_k = {Fx::from_float(1.0F), Fx{}};
   state.mem_request = true;
   MemModule module(state, tiny_config());
   EXPECT_THROW(module.tick(), std::logic_error);
+
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, tiny_config(), l1);
+  datapath.reg_k = {Fx::from_float(1.0F), Fx{}};
+  EXPECT_THROW(datapath.address_and_read(), std::logic_error);
 }
 
 // ---- READ + MEM recurrence ---------------------------------------------------
@@ -159,9 +204,7 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   prog.hops = 2;
   AcceleratorState state(prog);
   state.begin_story();
-  state.store_slot(FxVector{Fx::from_float(1.0F), Fx{}},
-                   FxVector{Fx{}, Fx::from_float(4.0F)});
-  state.reg_k = {Fx::from_float(1.0F), Fx{}};
+  state.slots = 1;
   state.input_done = true;
 
   const AccelConfig cfg = tiny_config();
@@ -170,35 +213,49 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
   sim::Simulator sim;
   (void)sim.run_until([&] { return state.features_ready; }, 10'000, read,
                       mem);
+  EXPECT_EQ(state.hops_done, 2U);
 
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, cfg, l1);
+  load_slot(datapath, {Fx::from_float(1.0F), Fx{}},
+            {Fx{}, Fx::from_float(4.0F)});
+  datapath.reg_k = {Fx::from_float(1.0F), Fx{}};
+  datapath.read_hops();
   // One slot -> attention 1.0 -> r = (0,4); W_r = 0 -> h = r after
   // each hop (k2 = h1 = (0,4), same read again).
-  EXPECT_EQ(state.hops_done, 2U);
-  EXPECT_NEAR(state.reg_h[0].to_float(), 0.0F, 1e-4F);
-  EXPECT_NEAR(state.reg_h[1].to_float(), 4.0F, 1e-2F);
+  EXPECT_NEAR(datapath.reg_h[0].to_float(), 0.0F, 1e-4F);
+  EXPECT_NEAR(datapath.reg_h[1].to_float(), 4.0F, 1e-2F);
 }
 
 // ---- OUTPUT ------------------------------------------------------------------
 
-TEST(OutputModule, SequentialArgmaxWithoutIth) {
-  const DeviceProgram prog = tiny_program();
+/// OUTPUT's timing for one story of `values`: its answer in FIFO_OUT.
+std::int32_t output_answer(const DeviceProgram& prog, const AccelConfig& cfg,
+                           const StoryValues& values) {
   AcceleratorState state(prog);
   state.begin_story();
-  state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logits = 1,2,3,4
   state.features_ready = true;
-
-  const AccelConfig cfg = tiny_config();
   sim::Fifo<std::int32_t> out("OUT", 4);
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  OutputModule module(state, cfg, out, l1);
+  OutputModule module(state, cfg, out, std::span(&values, 1));
   sim::Simulator sim;
   (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
-
-  EXPECT_EQ(*out.peek(), 3);  // class with weight 4
-  ASSERT_EQ(module.records().size(), 1U);
-  EXPECT_EQ(module.records()[0].probes, 4U);
-  EXPECT_FALSE(module.records()[0].early_exit);
   EXPECT_FALSE(state.story_active);
+  EXPECT_EQ(module.stats().ops.compare, values.output_probes);
+  return *out.peek();
+}
+
+TEST(OutputModule, SequentialArgmaxWithoutIth) {
+  const DeviceProgram prog = tiny_program();
+  const AccelConfig cfg = tiny_config();
+  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
+  Datapath datapath(prog, cfg, l1);
+  const FxVector h = {Fx{}, Fx::from_float(1.0F)};  // logits = 1,2,3,4
+  const StoryValues values = datapath.search(h);
+
+  EXPECT_EQ(values.prediction, 3);  // class with weight 4
+  EXPECT_EQ(values.output_probes, 4U);
+  EXPECT_FALSE(values.early_exit);
+  EXPECT_EQ(output_answer(prog, cfg, values), 3);
 }
 
 TEST(OutputModule, IthStopsAtFirstThresholdCross) {
@@ -206,43 +263,34 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   // Probe order 2,3,0,1; thresholds: class 2 fires when z > 2.5.
   prog.probe_order = {2, 3, 0, 1};
   prog.thresholds = {Fx::max(), Fx::max(), Fx::from_float(2.5F), Fx::max()};
-  AcceleratorState state(prog);
-  state.begin_story();
-  state.reg_h = {Fx{}, Fx::from_float(1.0F)};  // logit of class 2 = 3
-  state.features_ready = true;
-
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
-  sim::Fifo<std::int32_t> out("OUT", 4);
   const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  OutputModule module(state, cfg, out, l1);
-  sim::Simulator sim;
-  (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
+  Datapath datapath(prog, cfg, l1);
+  const FxVector h = {Fx{}, Fx::from_float(1.0F)};  // logit of class 2 = 3
+  const StoryValues values = datapath.search(h);
 
-  EXPECT_EQ(*out.peek(), 2);
-  EXPECT_EQ(module.records()[0].probes, 1U);
-  EXPECT_TRUE(module.records()[0].early_exit);
+  EXPECT_EQ(values.prediction, 2);
+  EXPECT_EQ(values.output_probes, 1U);
+  EXPECT_TRUE(values.early_exit);
+  EXPECT_EQ(output_answer(prog, cfg, values), 2);
 }
 
 TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   DeviceProgram prog = tiny_program();
   prog.probe_order = {0, 1, 2, 3};
   prog.thresholds.assign(4, Fx::max());
-  AcceleratorState state(prog);
-  state.begin_story();
-  state.reg_h = {Fx{}, Fx::from_float(1.0F)};
-  state.features_ready = true;
-
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
-  sim::Fifo<std::int32_t> out("OUT", 4);
   const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  OutputModule module(state, cfg, out, l1);
-  sim::Simulator sim;
-  (void)sim.run_until([&] { return !out.empty(); }, 10'000, module);
-  EXPECT_EQ(*out.peek(), 3);
-  EXPECT_EQ(module.records()[0].probes, 4U);
-  EXPECT_FALSE(module.records()[0].early_exit);
+  Datapath datapath(prog, cfg, l1);
+  const FxVector h = {Fx{}, Fx::from_float(1.0F)};
+  const StoryValues values = datapath.search(h);
+
+  EXPECT_EQ(values.prediction, 3);
+  EXPECT_EQ(values.output_probes, 4U);
+  EXPECT_FALSE(values.early_exit);
+  EXPECT_EQ(output_answer(prog, cfg, values), 3);
 }
 
 // ---- CONTROL -----------------------------------------------------------------

@@ -513,11 +513,15 @@ TEST(ServiceCycleCacheSharded, StatTotalsAreInvariantAcrossSegmentCounts) {
 
 TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
   // TSan coverage for the segment locks and the in-flight rendezvous:
-  // four threads over an 8-segment cache, overlapping key ranges so the
-  // same segments see hits, misses, publishes and waits concurrently.
+  // four threads over an 8-segment cache, each walking the 256 keys 16
+  // apart from the next, so the same keys and segments see hits, misses,
+  // publishes and waits concurrently.
   // The second input installs cost-aware eviction by kind (one policy
   // per segment) at a capacity the 256 distinct keys overflow, so
   // victim choice also runs under concurrently held segment locks.
+  // Beside the batches every thread walks the same 64 story entries from
+  // its own offset, so several threads miss, compute and publish one
+  // story at once, which story entries allow without a rendezvous.
   struct Input {
     std::size_t capacity;
     bool cost_aware;
@@ -537,7 +541,10 @@ TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
       threads.emplace_back([&cache, t] {
         for (int round = 0; round < kRounds; ++round) {
           for (std::uint64_t k = 0; k < kKeys; ++k) {
-            const ServiceCycleCache::Key key{k + 1, (k + t) % kKeys + 1, 2,
+            const std::uint64_t j =
+                (k + 16 * t + kKeys * static_cast<std::uint64_t>(round)) %
+                (kThreads * kKeys);
+            const ServiceCycleCache::Key key{j % kKeys + 1, j / kKeys + 1, 2,
                                              false};
             const std::optional<RunResult> seen = cache.acquire(key);
             if (seen.has_value()) {
@@ -545,6 +552,16 @@ TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
             } else {
               cache.publish(key,
                             fake_result(1'000 + key.program_fingerprint));
+            }
+            const std::uint64_t s = (k + t * 16) % kKeys;
+            const ServiceCycleCache::StoryKey story{s % 8 + 1, s + 1};
+            const StoryValues values{static_cast<std::int32_t>(s), s % 2 == 0,
+                                     3 * s};
+            if (const std::optional<StoryValues> memo =
+                    cache.find_story(story)) {
+              EXPECT_EQ(*memo, values);
+            } else {
+              cache.publish_story(story, values);
             }
           }
         }
@@ -561,6 +578,12 @@ TEST(ServiceCycleCacheSharded, ConcurrentHammerKeepsLedgerConsistent) {
     if (input.cost_aware) {
       EXPECT_GT(stats.evictions, 0U);
     }
+    // Every story lookup is one hit or one miss; each key missed first,
+    // and on each thread at most once.
+    EXPECT_EQ(stats.story_hits + stats.story_misses,
+              kThreads * kRounds * kKeys);
+    EXPECT_GE(stats.story_misses, kKeys);
+    EXPECT_LE(stats.story_misses, kThreads * kKeys);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 namespace mann::sim {
 namespace {
@@ -88,6 +92,41 @@ TEST(Fifo, AccountPushPopMatchesTheCyclesItStandsFor) {
 
   bulk.account_push_pop(0, 0);  // an empty stretch changes nothing
   EXPECT_EQ(bulk.stats().pushes, 8U);
+}
+
+TEST(Fifo, RingKeepsOrderThroughGrowthAndWrap) {
+  // Seeded pushes and pops against a std::deque, at capacities below,
+  // at and past the ring's first size, so the ring grows with its head
+  // anywhere and wraps at every depth.
+  for (const std::size_t capacity : {1U, 3U, 16U, 17U, 100U}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Fifo<int> fifo("f", capacity);
+    std::deque<int> reference;
+    std::mt19937 rng(static_cast<unsigned>(capacity));
+    for (int step = 0; step < 5'000; ++step) {
+      // Lean toward pushing first, then toward popping, to fill and drain.
+      const bool push = rng() % 100 < (step % 1'000 < 500 ? 70U : 30U);
+      if (push) {
+        const bool accepted = fifo.try_push(step);
+        EXPECT_EQ(accepted, reference.size() < capacity);
+        if (accepted) {
+          reference.push_back(step);
+        }
+      } else {
+        const std::optional<int> popped = fifo.try_pop();
+        ASSERT_EQ(popped.has_value(), !reference.empty());
+        if (popped) {
+          EXPECT_EQ(*popped, reference.front());
+          reference.pop_front();
+        }
+      }
+      ASSERT_EQ(fifo.size(), reference.size());
+      EXPECT_EQ(fifo.full(), reference.size() == capacity);
+      if (!reference.empty()) {
+        EXPECT_EQ(*fifo.peek(), reference.front());
+      }
+    }
+  }
 }
 
 TEST(Fifo, BackpressureRoundTrip) {
