@@ -22,14 +22,20 @@ namespace mann::accel {
 
 namespace {
 
-// FNV-1a (the cache's shared mixer) over the timing-relevant device
-// identity (config + program). Everything the simulation's timing or
-// outputs can depend on is mixed in; watchdog_cycles is deliberately
-// excluded (it only bounds runaway simulations — expiry throws, so a
-// watchdog difference can never publish a differing result).
+// FNV-1a (the cache's shared mixer) over two digests in one pass. The
+// device digest covers the timing-relevant identity (config + program):
+// everything the simulation's timing or outputs can depend on is mixed
+// in; watchdog_cycles is deliberately excluded (it only bounds runaway
+// simulations — expiry throws, so a watchdog difference can never
+// publish a differing result). The values digest covers only what the
+// value pass (Datapath) reads: the program and the two knobs that change
+// its arithmetic.
 class Fingerprint {
  public:
-  void mix(std::uint64_t word) noexcept { h_ = fnv1a_mix(h_, word); }
+  void mix(std::uint64_t word) noexcept {
+    device_ = fnv1a_mix(device_, word);
+    values_ = fnv1a_mix(values_, word);
+  }
   void mix(double value) noexcept { mix(std::bit_cast<std::uint64_t>(value)); }
   void mix(bool value) noexcept { mix(std::uint64_t{value ? 1U : 0U}); }
   void mix_matrix(const FxMatrix& m) noexcept {
@@ -42,14 +48,18 @@ class Fingerprint {
       }
     }
   }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+  /// Drops what the values digest has mixed so far.
+  void restart_values() noexcept { values_ = kFnv1aOffset; }
+  [[nodiscard]] std::uint64_t device() const noexcept { return device_; }
+  [[nodiscard]] std::uint64_t values() const noexcept { return values_; }
 
  private:
-  std::uint64_t h_ = kFnv1aOffset;
+  std::uint64_t device_ = kFnv1aOffset;
+  std::uint64_t values_ = kFnv1aOffset;
 };
 
-std::uint64_t fingerprint_device(const AccelConfig& config,
-                                 const DeviceProgram& program) noexcept {
+Fingerprint fingerprint_device(const AccelConfig& config,
+                               const DeviceProgram& program) noexcept {
   Fingerprint fp;
   fp.mix(config.clock_hz);
   fp.mix(config.timing.lane_width);
@@ -64,6 +74,7 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   fp.mix(config.link.per_story_latency);
   fp.mix(config.link.result_latency);
   fp.mix(config.link.synchronous_stories);
+  fp.restart_values();  // the value pass reads none of the above
   fp.mix(config.sparse_read_slots);
   fp.mix(config.ith_enabled);
 
@@ -84,7 +95,7 @@ std::uint64_t fingerprint_device(const AccelConfig& config,
   for (const std::int32_t c : program.probe_order) {
     fp.mix(static_cast<std::uint64_t>(c));
   }
-  return fp.value();
+  return fp;
 }
 
 void require(bool ok, const char* what) {
@@ -186,7 +197,7 @@ std::vector<StoryValues> Accelerator::story_values(
   for (std::size_t i = 0; i < stories.size(); ++i) {
     if (cache != nullptr) {
       if (const std::optional<StoryValues> hit =
-              cache->find_story({fingerprint_, story_digests[i]})) {
+              cache->find_story({values_fingerprint_, story_digests[i]})) {
         values[i] = *hit;
         continue;
       }
@@ -196,7 +207,8 @@ std::vector<StoryValues> Accelerator::story_values(
     }
     values[i] = datapath->run(*stories[i]);
     if (cache != nullptr) {
-      cache->publish_story({fingerprint_, story_digests[i]}, values[i]);
+      cache->publish_story({values_fingerprint_, story_digests[i]},
+                           values[i]);
     }
   }
   return values;
@@ -219,10 +231,11 @@ RunResult Accelerator::simulate(
 
   HostLinkModule host(config_, model_resident ? 0 : program_.model_words(),
                       encode_workload(stories), fifo_in, fifo_out);
-  // CONTROL drains FIFO_IN right after HOST_LINK ticks, which lets the
-  // two skip a steady model upload together.
+  // CONTROL drains FIFO_IN right after HOST_LINK ticks and INPUT&WRITE
+  // drains CMD_FIFO right after CONTROL: the coupled chain, which skips a
+  // model upload and a story's data words as one event each.
   ControlModule control(state, fifo_in, cmd_fifo, &host);
-  InputWriteModule input_write(state, config_, cmd_fifo);
+  InputWriteModule input_write(state, config_, cmd_fifo, &control);
   MemModule mem(state, config_);
   ReadModule read(state, config_);
   OutputModule output(state, config_, fifo_out, values);
@@ -301,7 +314,9 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
   }
   validate_program(program_);
   output_l1_ = row_l1_norms(program_.w_o);
-  fingerprint_ = fingerprint_device(config_, program_);
+  const Fingerprint fp = fingerprint_device(config_, program_);
+  fingerprint_ = fp.device();
+  values_fingerprint_ = fp.values();
 }
 
 sim::FifoStats RunResult::queue_stats() const noexcept {

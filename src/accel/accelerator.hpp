@@ -167,8 +167,8 @@ class Accelerator {
  private:
   /// The value pass over every story, in order, once every word id has
   /// been checked against the vocabulary (std::invalid_argument). With a
-  /// cache, a story found under (fingerprint, story_digests[i]) is not
-  /// recomputed, and one computed here is published.
+  /// cache, a story found under (values_fingerprint_, story_digests[i])
+  /// is not recomputed, and one computed here is published.
   [[nodiscard]] std::vector<StoryValues> story_values(
       std::span<const data::EncodedStory* const> stories,
       ServiceCycleCache* cache,
@@ -186,6 +186,10 @@ class Accelerator {
   DeviceProgram program_;
   std::vector<std::int64_t> output_l1_;  ///< row_l1_norms(program_.w_o)
   std::uint64_t fingerprint_ = 0;
+  /// Digest of what the value pass reads (the program, sparse_read_slots
+  /// and ITH): the story entries' key, shared by devices that differ
+  /// only in clock, link or timing.
+  std::uint64_t values_fingerprint_ = 0;
 
   friend RunResult detail::simulate_per_cycle(
       const Accelerator& device, std::span<const data::EncodedStory> stories,

@@ -3,6 +3,7 @@
 // over CMD_FIFO (Fig. 1's "inference control" + "FIFO control" roles).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "accel/host_link.hpp"
@@ -16,30 +17,51 @@ namespace mann::accel {
 class ControlModule final : public sim::Module {
  public:
   /// With `upstream`, CONTROL is the coupled drain of that HOST_LINK
-  /// (HostLinkModule::upload_window): it must drain the link's FIFO_IN
-  /// and tick right after it on the same clock. Without, CONTROL keeps
-  /// the plain per-module contract and ticks every model word.
+  /// (sim/module.hpp's coupled chain): it must drain the link's FIFO_IN,
+  /// tick right after it on the same clock, and still have to store
+  /// exactly the model words the link uploads (std::invalid_argument
+  /// otherwise). Without, CONTROL keeps the plain per-module contract and
+  /// ticks every model word.
   ControlModule(AcceleratorState& state, sim::Fifo<StreamWord>& fifo_in,
                 sim::Fifo<StreamWord>& cmd_fifo,
                 HostLinkModule* upstream = nullptr);
+
+  /// Declares INPUT&WRITE, ticked right after CONTROL, as the sink of
+  /// CMD_FIFO (HostLinkModule::couple_sink) and returns the upstream
+  /// link, which records what its windows stream (nullptr when CONTROL
+  /// has none). Throws std::invalid_argument unless `cmd_fifo` is this
+  /// module's CMD_FIFO.
+  const HostLinkModule* couple_sink(const sim::Fifo<StreamWord>& cmd_fifo,
+                                    const sim::Cycle& countdown,
+                                    sim::Cycle flush_cycles);
 
   void tick();
   /// Now when the head of FIFO_IN can move (or is illegal, so the tick
   /// throws); kNever while FIFO_IN is empty or the head is blocked on
   /// the datapath or a full CMD_FIFO, which other modules release. A
-  /// model word at the head moves on every cycle, and inside the
-  /// upstream link's steady-upload window that is all CONTROL does, so
-  /// it reports the window's end, as HOST_LINK does.
+  /// model word at the head moves on every cycle: inside the upstream
+  /// link's upload window that is all CONTROL does, so it reports the
+  /// window's end, as HOST_LINK does; outside one, the coupled CONTROL
+  /// pops the model words queued at the head one a cycle, and only the
+  /// word behind them is due.
   [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  /// A blocked head stalls every skipped cycle. A model word at the head
-  /// can only be skipped inside an upload window: CONTROL's half of each
-  /// cycle is one model word seen, one BRAM write and a busy cycle (the
-  /// pop itself is in FIFO_IN's stats, which HOST_LINK accounts).
+  /// A blocked head stalls every skipped cycle. Inside a window CONTROL's
+  /// share is what the upstream link streamed through it: one model word
+  /// stored a cycle (the pops are in FIFO_IN's stats, which HOST_LINK
+  /// accounts), or each story word forwarded through CMD_FIFO on its
+  /// push cycle, a busy cycle each. Outside one the queued model words
+  /// pop, one a cycle, for as long as the skip lasts.
   void skip(sim::Cycle cycles);
 
  private:
   /// Accounts `count` model words popped from FIFO_IN into BRAM.
   void store_model_words(std::uint64_t count) noexcept;
+  /// The model words at the head of FIFO_IN: those CONTROL has yet to
+  /// store that the coupled link has already pushed.
+  [[nodiscard]] std::uint64_t queued_model_words() const noexcept {
+    return model_words_ - state_.model_words_seen -
+           upstream_->model_words_left();
+  }
   /// The head word is legal but cannot move this cycle.
   [[nodiscard]] bool blocked(const StreamWord& word) const noexcept;
   /// Throws std::logic_error for an illegal head word.
@@ -48,7 +70,7 @@ class ControlModule final : public sim::Module {
   AcceleratorState& state_;
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<StreamWord>& cmd_fifo_;
-  const HostLinkModule* upstream_;
+  HostLinkModule* upstream_;
   const std::uint64_t model_words_;  ///< upload length of the program
 };
 
@@ -122,19 +144,38 @@ inline std::optional<sim::Cycle> ControlModule::next_activity(
   if (word == nullptr || blocked(*word)) {
     return sim::kNever;
   }
-  if (word->op == StreamOp::kModelWord && upstream_ != nullptr) {
-    return now + upstream_->upload_window();
+  if (word->op != StreamOp::kModelWord || upstream_ == nullptr) {
+    return now;
   }
-  return now;
+  if (const sim::Cycle window = upstream_->upload_window(); window > 0) {
+    return now + window;
+  }
+  const std::uint64_t queued = queued_model_words();
+  return queued < fifo_in_.size() ? now + queued : sim::kNever;
 }
 
 inline void ControlModule::skip(sim::Cycle cycles) {
+  if (upstream_ != nullptr) {
+    const HostLinkModule::Streamed& streamed = upstream_->streamed();
+    if (streamed.upload) {
+      store_model_words(cycles);  // an upload window: one word a cycle
+      return;
+    }
+    if (const std::size_t words = streamed.words.size(); words > 0) {
+      cmd_fifo_.account_push_pop(words, 0);  // a story window
+      mark_busy(words);
+      return;
+    }
+  }
   const StreamWord* word = fifo_in_.peek();
   if (word == nullptr) {
     return;
   }
-  if (word->op == StreamOp::kModelWord) {
-    store_model_words(cycles);  // an upload window: one word a cycle
+  if (word->op == StreamOp::kModelWord && upstream_ != nullptr) {
+    const auto popped = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cycles, queued_model_words()));
+    fifo_in_.drop(popped);
+    store_model_words(popped);
     return;
   }
   if (blocked(*word)) {

@@ -7,9 +7,10 @@
 //
 // The model upload streams as a count: `model_words` identical kModelWord
 // words precede the materialised words, so a cold run holds only its
-// stories in memory. During the upload HOST_LINK and CONTROL form the one
-// coupled pair of the event-driven clock (sim/module.hpp): see
-// upload_window().
+// stories in memory. HOST_LINK heads the coupled chain of the
+// event-driven clock (sim/module.hpp): with CONTROL and INPUT&WRITE
+// declared behind it, a model upload (upload_window()) and a story's
+// data words (story_window()) each skip as one event.
 //
 // The link credit counts words in units of 1/clock_hz: tick() adds the
 // word rate in words/s each cycle, and a push spends clock_hz. Clocks
@@ -19,9 +20,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/config.hpp"
+#include "accel/state.hpp"
 #include "accel/stream.hpp"
 #include "sim/fifo.hpp"
 #include "sim/module.hpp"
@@ -35,6 +38,20 @@ class HostLinkModule final : public sim::Module {
     sim::Cycle cycle = 0;  ///< when the host observed the result
   };
 
+  /// What the last skip() moved through the coupled chain, for CONTROL's
+  /// and INPUT&WRITE's skip() to account their shares: run_events skips
+  /// each of them right after the module before it.
+  struct Streamed {
+    /// An upload window: CONTROL stored one model word a cycle.
+    bool upload = false;
+    /// A story window: the data words pushed, at most one a cycle, each
+    /// forwarded by CONTROL and processed by INPUT&WRITE on its push
+    /// cycle.
+    std::span<const StreamWord> words;
+    /// Cycles of the skip after the one that pushed the last of `words`.
+    sim::Cycle since_last_push = 0;
+  };
+
   /// Streams `model_words` kModelWord words, then `words`.
   HostLinkModule(const AccelConfig& config, std::size_t model_words,
                  std::vector<StreamWord> words,
@@ -45,40 +62,94 @@ class HostLinkModule final : public sim::Module {
   /// The next answer drain, credit crossing a word (a push attempt, the
   /// story-latency charge) or the end of a DMA delay followed by that
   /// crossing. A synchronous host waiting on an answer is idle: its
-  /// credit only cycles, and the answer arrives through FIFO_OUT. During
-  /// a steady upload, the end of upload_window().
+  /// credit only cycles, and the answer arrives through FIFO_OUT. Inside
+  /// a window, the window's end.
   [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  /// Inside upload_window() accounts HOST_LINK's half of each steady
-  /// cycle (see there); elsewhere only DMA delay and credit move.
+  /// Inside a window accounts HOST_LINK's share of it and records in
+  /// streamed() what crossed; elsewhere only DMA delay and credit move.
   void skip(sim::Cycle cycles);
 
   /// Declares the coupled drain: CONTROL, ticked right after this module
-  /// on the same clock, pops one word of FIFO_IN per cycle while a model
-  /// word is at its head. ControlModule calls it when constructed with
-  /// this link; without it no upload window ever opens, so a link driven
-  /// on its own keeps the plain per-module contract.
-  void couple_upload_drain(const sim::Fifo<StreamWord>& drained);
+  /// on the same clock, pops FIFO_IN, one model word a cycle. ControlModule
+  /// calls it when constructed with this link; without it no window ever
+  /// opens, so a link driven on its own keeps the plain per-module
+  /// contract. Throws std::invalid_argument unless `drained` is this
+  /// link's FIFO_IN.
+  void couple_drain(const sim::Fifo<StreamWord>& drained);
+  /// Declares the rest of the chain: CONTROL forwards each story data word
+  /// of FIFO_IN into `cmd_fifo` while `state.story_active`, and
+  /// INPUT&WRITE, ticked right after CONTROL, pops it on the same cycle
+  /// once its `countdown` is 0; each word costs it one cycle, a sentence
+  /// flush `flush_cycles` more. ControlModule forwards it from
+  /// InputWriteModule. Story windows open only when
+  /// ⌊clock_hz / words_per_second⌋ > `flush_cycles`: then consecutive
+  /// words land at least 1 + `flush_cycles` cycles apart, so a flush ends
+  /// before the next word lands.
+  void couple_sink(const AcceleratorState& state,
+                   const sim::Fifo<StreamWord>& cmd_fifo,
+                   const sim::Cycle& countdown, sim::Cycle flush_cycles);
 
-  /// Cycles of steady model upload ahead of this cycle boundary, 0 when
-  /// none. Steady means, from state HOST_LINK and CONTROL both see:
-  ///   - a coupled drain and a model rate above 1 word/cycle (at exactly
-  ///     1 FIFO_IN never fills);
-  ///   - FIFO_IN one word short of full, and at least two words deep so
-  ///     that CONTROL has a head to pop at the cycle boundary;
-  ///   - the next word a model word.
-  /// Then every cycle HOST_LINK pushes one model word (filling FIFO_IN),
-  /// refuses another push if its credit is still >= 1, and CONTROL pops
-  /// one, so the FIFO contents never change. The window ends one push
-  /// before the last model word: that push is ticked, since the story
-  /// stream's kStoryStart logic follows it in the same tick.
+  /// Cycles of model upload ahead of this cycle boundary that skip as one
+  /// event, 0 when none. It opens, from state HOST_LINK and CONTROL both
+  /// see, with:
+  ///   - a coupled drain and a model rate above 1 word/cycle;
+  ///   - FIFO_IN holding at least one word and not full, so CONTROL has a
+  ///     model word to pop at the cycle boundary;
+  ///   - the next word a model word, and not the last one.
+  /// Then every cycle the credit gains a rate's worth, HOST_LINK pushes
+  /// model words while the credit holds one and FIFO_IN has room, refusing
+  /// one more push when the credit outlasts the room, and CONTROL pops
+  /// one. Each cycle pushes at least one word, so FIFO_IN fills from its
+  /// level to one word short of full and then stays there: after t
+  /// cycles the pushes are min(⌊(credit + t·rate)/clock⌋, room - 1 + t).
+  /// The window ends before the cycle that would push the last model
+  /// word: that push is ticked, since the story stream's kStoryStart logic
+  /// follows it in the same tick.
   ///
-  /// Both modules report now + upload_window() from next_activity and
-  /// account their own half in skip(): HOST_LINK the pushes, position,
-  /// busy and link-active cycles, the refused pushes as stalls, and
-  /// FIFO_IN's push/pop/reject stats; CONTROL the model words seen, BRAM
-  /// writes and busy cycles. Any prefix of a window is exact, so a
-  /// watchdog clamp may cut it short.
+  /// HOST_LINK and CONTROL both report now + upload_window() from
+  /// next_activity and account their own share in skip(): HOST_LINK the
+  /// pushes, position, credit, busy and link-active cycles, the refused
+  /// pushes as stalls, and FIFO_IN's push/pop/reject stats and peak (the
+  /// last cycle's level before its pop); CONTROL the model words seen,
+  /// BRAM writes and busy cycles.
   [[nodiscard]] sim::Cycle upload_window() const noexcept;
+
+  /// Cycles of a story's data words ahead of this cycle boundary that
+  /// skip as one event, 0 when none. It opens, with the whole chain
+  /// coupled and the spacing rule of couple_sink() holding, at a boundary
+  /// where:
+  ///   - FIFO_IN, FIFO_OUT and CMD_FIFO are empty and no DMA delay is
+  ///     pending;
+  ///   - the credit holds less than one word, so at most one word lands a
+  ///     cycle;
+  ///   - the next word is a data word other than kEndOfStory, and
+  ///     story_active is set;
+  ///   - INPUT&WRITE's countdown ends before the next push.
+  /// Then each word HOST_LINK pushes crosses FIFO_IN and CMD_FIFO on its
+  /// push cycle, and INPUT&WRITE processes it there. The window ends at
+  /// the push of the story's kEndOfStory, which is ticked.
+  ///
+  /// HOST_LINK reports now + story_window() from next_activity (CONTROL
+  /// and INPUT&WRITE, with empty inputs, are idle) and each skip()
+  /// accounts its own share: HOST_LINK its pushes, credit, busy and
+  /// link-active cycles and FIFO_IN's stats; CONTROL its busy cycles and
+  /// CMD_FIFO's stats; INPUT&WRITE each word's ops, the slots and flags it
+  /// sets and its busy cycles, the last word's countdown cut by the
+  /// skip's end.
+  ///
+  /// Any prefix of either window is exact, so a watchdog clamp or another
+  /// module's earlier activity may cut it short.
+  [[nodiscard]] sim::Cycle story_window() const noexcept;
+
+  /// What the last skip() moved through the chain.
+  [[nodiscard]] const Streamed& streamed() const noexcept { return streamed_; }
+  /// The model words this link uploads, and those not yet pushed.
+  [[nodiscard]] std::size_t model_words() const noexcept {
+    return model_words_;
+  }
+  [[nodiscard]] std::size_t model_words_left() const noexcept {
+    return model_words_ - std::min(position_, model_words_);
+  }
 
   [[nodiscard]] bool all_words_sent() const noexcept {
     return position_ >= words_total();
@@ -117,23 +188,35 @@ class HostLinkModule final : public sim::Module {
     return synchronous_ && next_word().op == StreamOp::kStoryStart &&
            answers_.size() < stories_sent_;
   }
-  /// Adds of `rate` to a credit of `from` up to the one that holds a
-  /// word, that one included; kNever if none does.
-  [[nodiscard]] sim::Cycle adds_to_word(Credit from,
-                                        std::uint64_t rate) const noexcept {
-    if (from >= clock_hz_) {
+  /// Adds of `rate` to a credit of `from` up to the one that brings it to
+  /// `target`, that one included (1 when `from` already holds it); kNever
+  /// if none does.
+  [[nodiscard]] static sim::Cycle adds_to(Credit from, Credit target,
+                                          std::uint64_t rate) noexcept {
+    if (from >= target) {
       return 1;
     }
     if (rate == 0) {
       return sim::kNever;
     }
-    const std::uint64_t owed = clock_hz_ - static_cast<std::uint64_t>(from);
-    return (owed + rate - 1) / rate;
+    return static_cast<sim::Cycle>((target - from + rate - 1) / rate);
+  }
+  /// Adds of `rate` to a credit of `from` up to the one that holds a
+  /// word.
+  [[nodiscard]] sim::Cycle adds_to_word(Credit from,
+                                        std::uint64_t rate) const noexcept {
+    return adds_to(from, clock_hz_, rate);
   }
   /// Adds `adds` skipped ticks' credit, as tick() would.
   void advance_credit(sim::Cycle adds);
-  /// HOST_LINK's half of `cycles` steady upload cycles.
+  /// HOST_LINK's share of `cycles` cycles of an upload window.
   void skip_upload(sim::Cycle cycles);
+  /// HOST_LINK's share of `cycles` cycles of a story window.
+  void skip_story(sim::Cycle cycles);
+  /// Index in words_ of the kEndOfStory that ends the story starting at
+  /// `start`, or words_.size() when a word other than a story data word
+  /// comes first.
+  [[nodiscard]] std::size_t find_story_end(std::size_t start) const noexcept;
 
   std::size_t model_words_;
   std::vector<StreamWord> words_;
@@ -150,11 +233,19 @@ class HostLinkModule final : public sim::Module {
   sim::Cycle delay_ = 0;
   bool latency_charged_ = false;
   bool synchronous_;
-  bool upload_drained_ = false;  ///< couple_upload_drain() was called
+  bool drained_ = false;  ///< couple_drain() was called
+  // What couple_sink() declared; null until then, and when the spacing
+  // rule fails.
+  const AcceleratorState* sink_state_ = nullptr;
+  const sim::Fifo<StreamWord>* cmd_fifo_ = nullptr;
+  const sim::Cycle* sink_countdown_ = nullptr;
   std::size_t stories_sent_ = 0;  ///< kEndOfStory words pushed
+  /// find_story_end() of the kStoryStart pushed last.
+  std::size_t story_end_ = 0;
   sim::Cycle cycle_ = 0;
   sim::Cycle link_active_cycles_ = 0;
   std::vector<Answer> answers_;
+  Streamed streamed_;
 };
 
 inline void HostLinkModule::tick() {
@@ -201,6 +292,7 @@ inline void HostLinkModule::tick() {
     }
     if (word.op == StreamOp::kStoryStart) {
       latency_charged_ = false;
+      story_end_ = find_story_end(position_ - model_words_);
     }
     if (word.op == StreamOp::kEndOfStory) {
       ++stories_sent_;
@@ -218,12 +310,40 @@ inline void HostLinkModule::tick() {
 inline sim::Cycle HostLinkModule::upload_window() const noexcept {
   // No DMA delay can be pending: one is charged only at a story word. An
   // answer in FIFO_OUT drains beside the upload; next_activity reports it.
-  if (!upload_drained_ || model_words_per_second_ <= clock_hz_ ||
-      fifo_in_.capacity() < 2 || fifo_in_.size() + 1 != fifo_in_.capacity() ||
-      position_ + 1 >= model_words_) {
+  const std::size_t level = fifo_in_.size();
+  if (!drained_ || model_words_per_second_ <= clock_hz_ || level == 0 ||
+      level >= fifo_in_.capacity() || position_ + 1 >= model_words_) {
     return 0;
   }
-  return model_words_ - 1 - position_;
+  // The pushes, at least one more each cycle, stay short of the last
+  // model word's while either bound does.
+  const std::uint64_t left = model_words_ - 1 - position_;
+  const std::size_t room = fifo_in_.capacity() - level;
+  const sim::Cycle by_credit =
+      adds_to(credit_, Credit{left + 1} * clock_hz_,
+              model_words_per_second_) -
+      1;
+  const sim::Cycle by_room = left + 1 > room ? left + 1 - room : 0;
+  return std::max(by_credit, by_room);
+}
+
+inline sim::Cycle HostLinkModule::story_window() const noexcept {
+  if (sink_state_ == nullptr || !sink_state_->story_active || delay_ > 0 ||
+      credit_ >= clock_hz_ || !fifo_in_.empty() || !fifo_out_.empty() ||
+      !cmd_fifo_->empty() || position_ < model_words_) {
+    return 0;
+  }
+  // The next word is a data word of the current story, short of its
+  // kEndOfStory.
+  const std::size_t at = position_ - model_words_;
+  if (at >= story_end_ || story_end_ >= words_.size() ||
+      *sink_countdown_ >= adds_to_word(credit_, words_per_second_)) {
+    return 0;
+  }
+  // The ticked push is the kEndOfStory's, the (words + 1)-th from here.
+  const std::size_t words = story_end_ - at;
+  return adds_to(credit_, Credit{words + 1} * clock_hz_, words_per_second_) -
+         1;
 }
 
 inline std::optional<sim::Cycle> HostLinkModule::next_activity(
@@ -237,6 +357,9 @@ inline std::optional<sim::Cycle> HostLinkModule::next_activity(
   if (const sim::Cycle window = upload_window(); window > 0) {
     return now + window;
   }
+  if (const sim::Cycle window = story_window(); window > 0) {
+    return now + window;
+  }
   // From where the DMA delay (if any) leaves the credit, the first tick
   // whose add reaches a word tries a push or charges the story latency.
   const sim::Cycle adds = adds_to_word(delay_ > 0 ? 0 : credit_,
@@ -248,8 +371,13 @@ inline std::optional<sim::Cycle> HostLinkModule::next_activity(
 }
 
 inline void HostLinkModule::skip(sim::Cycle cycles) {
+  streamed_ = {};
   if (upload_window() > 0) {
     skip_upload(cycles);
+    return;
+  }
+  if (story_window() > 0) {
+    skip_story(cycles);
     return;
   }
   cycle_ += cycles;

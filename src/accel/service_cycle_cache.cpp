@@ -51,7 +51,7 @@ std::size_t ServiceCycleCache::KeyHash::operator()(
 std::size_t ServiceCycleCache::KeyHash::operator()(
     const StoryKey& k) const noexcept {
   return static_cast<std::size_t>(
-      fnv1a_mix(fnv1a_mix(kFnv1aOffset, k.program_fingerprint),
+      fnv1a_mix(fnv1a_mix(kFnv1aOffset, k.values_fingerprint),
                 k.story_digest));
 }
 

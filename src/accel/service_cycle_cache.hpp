@@ -20,9 +20,10 @@
 // is ready.
 //
 // Beside the batch entries the cache memoizes each story's values (the
-// value pass, accel/datapath.hpp) under (program fingerprint, story
+// value pass, accel/datapath.hpp) under (values fingerprint, story
 // digest): a batch that misses recomputes only the stories no earlier
-// batch on a device of the same fingerprint has seen. Two threads that
+// batch has seen on a device with the same program, sparse_read_slots
+// and ITH setting, whatever its clock, link or timing. Two threads that
 // compute the same story compute the same values, so story entries need
 // no in-flight rendezvous. At most kStoryCapacity of them are kept, each
 // segment its share; past that a segment memoizes no new story.
@@ -125,9 +126,11 @@ class ServiceCycleCache {
     [[nodiscard]] bool operator==(const Key&) const noexcept = default;
   };
 
-  /// One story's values on one device.
+  /// One story's values under one value pass.
   struct StoryKey {
-    std::uint64_t program_fingerprint = 0;
+    /// Digest of what the value pass reads: the program,
+    /// sparse_read_slots and ITH (not the clock, link or timing).
+    std::uint64_t values_fingerprint = 0;
     std::uint64_t story_digest = 0;
 
     [[nodiscard]] bool operator==(const StoryKey&) const noexcept = default;

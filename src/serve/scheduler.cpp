@@ -429,13 +429,13 @@ std::size_t Scheduler::dispatch_most_urgent(std::size_t first,
   }
   const std::size_t shard = best_queue / tenant_lanes_;
   const PendingBatch pending = pop_queue(best_queue);
-  std::vector<Slot*> free_slots;
+  free_slots_.clear();
   for (Slot& slot : slots_) {
     if (slot_eligible(slot, shard, pending.batch, now)) {
-      free_slots.push_back(&slot);
+      free_slots_.push_back(&slot);
     }
   }
-  Slot* slot = choose_slot_edf(free_slots, shard, pending.batch.task);
+  Slot* slot = choose_slot_edf(free_slots_, shard, pending.batch.task);
   const std::size_t dedicated = config_.dedicated_devices;
   const bool stolen =
       dedicated > 0 && slot->id < dedicated && slot->id != shard;
@@ -625,20 +625,20 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
   }
 }
 
-std::vector<InferenceResponse> Scheduler::collect(sim::Cycle now) {
+const std::vector<InferenceResponse>& Scheduler::collect(sim::Cycle now) {
   // One in-place pass: completed responses move out in dispatch order,
   // and the rest close up in front, in theirs.
-  std::vector<InferenceResponse> done;
+  collected_.clear();
   auto kept = in_flight_.begin();
   for (InferenceResponse& r : in_flight_) {
     if (r.complete_cycle <= now) {
-      done.push_back(std::move(r));
+      collected_.push_back(std::move(r));
     } else {
       *kept++ = std::move(r);
     }
   }
   in_flight_.erase(kept, in_flight_.end());
-  return done;
+  return collected_;
 }
 
 sim::Cycle Scheduler::next_completion() const noexcept {

@@ -206,8 +206,11 @@ class Scheduler {
   /// on a WFQ-constructed scheduler, always succeeds.
   [[nodiscard]] bool set_policy(SchedulerPolicy policy);
 
-  /// Moves out every response whose completion time has been reached.
-  [[nodiscard]] std::vector<InferenceResponse> collect(sim::Cycle now);
+  /// Moves out every response whose completion time has been reached,
+  /// in dispatch order, into a buffer the scheduler keeps: the reference
+  /// stays valid until the next collect(), and a collect allocates only
+  /// when it hands out more responses than any before it.
+  [[nodiscard]] const std::vector<InferenceResponse>& collect(sim::Cycle now);
 
   [[nodiscard]] std::size_t pending_batches() const noexcept {
     return pending_total_;
@@ -396,6 +399,10 @@ class Scheduler {
   std::size_t queue_capacity_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<InferenceResponse> in_flight_;  ///< completion times known
+  std::vector<InferenceResponse> collected_;  ///< collect()'s answer
+  /// dispatch_most_urgent()'s eligible slots, kept between dispatches so
+  /// that a dispatch allocates nothing.
+  std::vector<Slot*> free_slots_;
   sim::OpCounts device_ops_;
   sim::Cycle link_active_cycles_ = 0;
   std::vector<TaskCycleEstimate> task_cycles_;

@@ -48,17 +48,26 @@ class Module {
   /// — tick me every cycle", the default for a module without a model of
   /// its own timing.
   ///
-  /// One coupled pair is exempt from "no new input": the accelerator's
-  /// HOST_LINK and CONTROL during a steady model upload, when every cycle
-  /// HOST_LINK pushes a word into FIFO_IN and CONTROL pops one. Neither
-  /// alone is quiescent, but the pair repeats the same cycle. The
-  /// precondition is state both see at the cycle boundary (FIFO_IN one
-  /// word short of full, a model word next, a model rate above 1
-  /// word/cycle) plus the wiring: CONTROL drains the link's FIFO_IN and
-  /// is ticked right after it. Both then report the same window end, and
-  /// each skip() accounts its own half of every cycle: HOST_LINK its
-  /// pushes, refused pushes and FIFO_IN's stats, CONTROL the model words
-  /// it stores. accel::HostLinkModule::upload_window() has the details.
+  /// One coupled chain is exempt from "no new input": the accelerator's
+  /// HOST_LINK, CONTROL and INPUT&WRITE, each declared at construction as
+  /// draining the FIFO of the module before it and ticked right after it.
+  /// Over three steady stretches words flow down the chain on every cycle
+  /// or every few, so no module alone is quiescent, but the stretch is a
+  /// closed form of state all of them see at the cycle boundary:
+  ///   - a model upload (accel::HostLinkModule::upload_window()): FIFO_IN
+  ///     holds model words and fills to one short of full while HOST_LINK
+  ///     pushes them faster than CONTROL's one a cycle;
+  ///   - a story's data words (HostLinkModule::story_window()): at most
+  ///     one a cycle, each crossing FIFO_IN and CMD_FIFO into INPUT&WRITE
+  ///     on the cycle it lands, up to the story's kEndOfStory;
+  ///   - the model words left in FIFO_IN after the upload, which CONTROL
+  ///     pops one a cycle on its own; the link's next push bounds that
+  ///     skip, as any module's next activity does.
+  /// In a window the chain reports the window's end, and each module's
+  /// skip() accounts its own share of every cycle: HOST_LINK its pushes,
+  /// credit and FIFO_IN's stats, and records what it streamed for
+  /// CONTROL and INPUT&WRITE, which skip right after it. A module driven
+  /// on its own never opens a window, and any prefix of one is exact.
   [[nodiscard]] std::optional<Cycle> next_activity(Cycle /*now*/) const {
     return std::nullopt;
   }

@@ -291,6 +291,72 @@ TEST_F(EventEquivalence, StoryMemoRunsLikeTheValuePass) {
   }
 }
 
+TEST_F(EventEquivalence, StoryMemoIsKeyedByWhatTheValuePassReads) {
+  // A story's values depend on the program, sparse_read_slots and ITH
+  // alone. One ITH program's stories run at 25 MHz and then at 100 MHz
+  // (and with another link and bram_write) through one cache compute
+  // each story once, and every RunResult field equals an uncached run's.
+  // Plain and ITH programs, and dense and sparse reads, never share an
+  // entry: each first run through the cache computes all its stories.
+  const std::span<const data::EncodedStory> stories(dataset_->test);
+  std::set<std::uint64_t> digests;
+  for (const data::EncodedStory& story : stories) {
+    const data::EncodedStory* one = &story;
+    digests.insert(digest_stories(std::span(&one, 1)));
+  }
+  const std::uint64_t distinct = digests.size();
+  const std::uint64_t n = stories.size();
+  ServiceCycleCache cache;
+  RunOptions cached;
+  cached.cycle_cache = &cache;
+  std::uint64_t misses = 0;
+  std::uint64_t hits = 0;
+  const auto run_both = [&](const AccelConfig& cfg,
+                            const DeviceProgram& program) {
+    const Accelerator device(cfg, program);
+    expect_identical(device.run(stories), device.run(stories, cached));
+    return cache.stats();
+  };
+
+  AccelConfig ith = config(25.0e6);
+  ith.ith_enabled = true;
+  ServiceCycleCacheStats stats = run_both(ith, *with_ith_);
+  misses += distinct;
+  hits += n - distinct;
+  EXPECT_EQ(stats.story_misses, misses);
+  EXPECT_EQ(stats.story_hits, hits);
+  ith.clock_hz = 100.0e6;
+  stats = run_both(ith, *with_ith_);
+  hits += n;
+  EXPECT_EQ(stats.story_misses, misses);
+  EXPECT_EQ(stats.story_hits, hits);
+  ith.link.words_per_second = 2.0e6;
+  ith.timing.bram_write = 3;
+  stats = run_both(ith, *with_ith_);
+  hits += n;
+  EXPECT_EQ(stats.story_misses, misses);
+  EXPECT_EQ(stats.story_hits, hits);
+
+  struct Setup {
+    const char* name;
+    bool ith;
+    std::size_t sparse_read_slots;
+  };
+  for (const Setup setup :
+       {Setup{"plain", false, 0}, Setup{"plain, sparse 2", false, 2},
+        Setup{"ITH, sparse 2", true, 2}}) {
+    SCOPED_TRACE(setup.name);
+    AccelConfig cfg = config(100.0e6);
+    cfg.ith_enabled = setup.ith;
+    cfg.sparse_read_slots = setup.sparse_read_slots;
+    stats = run_both(cfg, setup.ith ? *with_ith_ : *plain_);
+    misses += distinct;
+    hits += n - distinct;
+    EXPECT_EQ(stats.story_misses, misses);
+    EXPECT_EQ(stats.story_hits, hits);
+  }
+}
+
 TEST_F(EventEquivalence, DeadlockTripsTheWatchdogOnBothClocks) {
   // No model bandwidth: the upload never finishes, nothing ever answers.
   AccelConfig stuck = config(100.0e6);
@@ -344,6 +410,48 @@ TEST_F(EventEquivalence, UploadCreditCarriesIntoTheStories) {
       cfg.link.per_story_latency = 0.0;
       cfg.ith_enabled = ith;
       check(cfg);
+    }
+  }
+}
+
+TEST_F(EventEquivalence, StoryWindowOnBothSidesOfTheSpacingRule) {
+  // HOST_LINK, CONTROL and INPUT&WRITE skip a story's data words as one
+  // event only when ⌊clock/rate⌋ ≥ 1 + bram_write: a sentence flush then
+  // ends before the next word lands. At ⌊clock/rate⌋ = bram_write the
+  // flush still runs when the next word arrives, which waits in CMD_FIFO,
+  // and the words tick one by one; at 0 (a rate above the clock) two
+  // words can land in one cycle. Each spacing runs at an exact and an
+  // inexact word rate (1 word/cycle is the clock itself), each with the
+  // default link, no story latency, and an asynchronous host.
+  constexpr double kClockHz = 100.0e6;
+  for (const sim::Cycle bram_write :
+       {sim::Cycle{0}, sim::Cycle{1}, sim::Cycle{3}}) {
+    for (const sim::Cycle spacing : {bram_write, bram_write + 1}) {
+      const auto s = static_cast<double>(spacing);
+      const std::vector<double> words_per_cycle =
+          spacing == 0 ? std::vector{2.0, 1.5}
+                       : std::vector{1.0 / s, 1.0 / (s + 0.5)};
+      for (const double rate : words_per_cycle) {
+        for (const int host : {0, 1, 2}) {
+          SCOPED_TRACE("bram_write " + std::to_string(bram_write) + ", " +
+                       std::to_string(rate) + " words/cycle, " +
+                       (host == 0   ? "default link"
+                        : host == 1 ? "no story latency"
+                                    : "asynchronous host"));
+          AccelConfig cfg = config(kClockHz);
+          cfg.timing.bram_write = bram_write;
+          cfg.link.words_per_second = std::round(rate * kClockHz);
+          ASSERT_EQ(static_cast<sim::Cycle>(kClockHz) /
+                        static_cast<sim::Cycle>(cfg.link.words_per_second),
+                    spacing);
+          if (host == 1) {
+            cfg.link.per_story_latency = 0.0;
+          } else if (host == 2) {
+            cfg.link.synchronous_stories = false;
+          }
+          check(cfg);
+        }
+      }
     }
   }
 }
@@ -680,13 +788,19 @@ struct UploadRig {
 
 /// Clocks `rig` to cycle `until` as run_events does, except that no skip
 /// spans more than `stride` cycles, so skips end anywhere inside an
-/// upload window. Returns the widest window seen.
+/// upload window. Returns the widest window seen; `opened_at` gains the
+/// FIFO_IN level of each cycle boundary at which a window opened.
 sim::Cycle clock_in_strides(UploadRig& rig, sim::Cycle until,
-                            sim::Cycle stride) {
+                            sim::Cycle stride,
+                            std::set<std::size_t>& opened_at) {
   sim::Cycle widest = 0;
   sim::Cycle c = 0;
   while (c < until) {
-    widest = std::max(widest, rig.link.upload_window());
+    const sim::Cycle window = rig.link.upload_window();
+    if (window > 0) {
+      opened_at.insert(rig.in.size());
+    }
+    widest = std::max(widest, window);
     sim::Cycle target = until - c > stride ? c + stride : until;
     for (const std::optional<sim::Cycle> next :
          {rig.link.next_activity(c), rig.control.next_activity(c)}) {
@@ -720,12 +834,16 @@ void expect_rigs_equal(const UploadRig& a, const UploadRig& b) {
 TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
   // Cut the coupled upload at every cycle, skipping in strides of 1, 3
   // and unbounded: HOST_LINK's pushes, refusals and credit, CONTROL's
-  // model words and FIFO_IN's stats must match a ticked twin at each cut,
-  // and so must the story words the leftover credit streams afterwards
-  // at the slower word rate.
+  // model words and FIFO_IN's stats and level must match a ticked twin at
+  // each cut, and so must the model words left in FIFO_IN, which CONTROL
+  // pops in bulk, and the story words the leftover credit streams
+  // afterwards at the slower word rate. A window opens from any FIFO_IN
+  // level, so FIFO_IN fills inside it: over the model rates, windows open
+  // at every level from 1 to depth - 1.
   const sim::Cycle model_words = tiny_program().model_words();
-  for (const double rate : {0.7, 1.0, 1.3, 1.5, 2.0, 8.0 / 3.0}) {
-    for (const std::size_t depth : {1U, 2U, 5U}) {
+  for (const std::size_t depth : {1U, 2U, 5U}) {
+    std::set<std::size_t> opened_at;
+    for (const double rate : {0.7, 1.0, 1.3, 1.5, 2.0, 8.0 / 3.0}) {
       AccelConfig cfg = slow_link();
       // At 3 MHz 8/3 words/cycle is a whole number of words/s; the story
       // words keep slow_link()'s 0.3 words/cycle.
@@ -744,7 +862,8 @@ TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
                        std::to_string(stride));
           UploadRig events(cfg, depth);
           UploadRig ticked(cfg, depth);
-          widest = std::max(widest, clock_in_strides(events, until, stride));
+          widest = std::max(widest,
+                            clock_in_strides(events, until, stride, opened_at));
           for (sim::Cycle c = 0; c < until; ++c) {
             ticked.tick();
           }
@@ -759,6 +878,11 @@ TEST(EventTwins, UploadWindowSkipsInAnyPrefix) {
         EXPECT_EQ(widest, 0U);
       }
     }
+    std::set<std::size_t> every_level;
+    for (std::size_t level = 1; level < depth; ++level) {
+      every_level.insert(level);
+    }
+    EXPECT_EQ(opened_at, every_level) << "depth " << depth;
   }
 }
 
@@ -785,6 +909,281 @@ TEST(EventTwins, UploadWindowNeedsTheCoupledDrain) {
   EXPECT_EQ(link.upload_window(), 36U - 1U - 2U);
   EXPECT_EQ(link.next_activity(1), 1U + 33U);
   EXPECT_EQ(control.next_activity(1), 1U + 33U);
+}
+
+/// HOST_LINK + CONTROL + INPUT&WRITE, the whole coupled chain as
+/// Accelerator::run wires it: a cold upload of tiny_program() or none,
+/// then one story of empty and non-empty sentences streamed into
+/// INPUT&WRITE.
+struct ChainRig {
+  ChainRig(const AccelConfig& cfg, bool cold)
+      : program(tiny_program()),
+        state(loaded_state(program, cold)),
+        in("IN", cfg.fifo_depth),
+        out("OUT", 4),
+        cmds("CMD", cfg.fifo_depth),
+        link(cfg, cold ? program.model_words() : 0, story(), in, out),
+        control(state, in, cmds, &link),
+        input_write(state, cfg, cmds, &control) {}
+
+  static AcceleratorState loaded_state(const DeviceProgram& program,
+                                       bool cold) {
+    AcceleratorState state(program);
+    if (!cold) {
+      state.model_words_seen = program.model_words();
+      state.model_loaded = true;
+    }
+    return state;
+  }
+
+  static std::vector<StreamWord> story() {
+    std::vector<StreamWord> words = {{StreamOp::kStoryStart, 0}};
+    for (const std::int32_t length : {3, 0, 5, 2, 1}) {
+      words.push_back({StreamOp::kSentenceStart, 0});
+      for (std::int32_t w = 0; w < length; ++w) {
+        words.push_back({StreamOp::kContextWord, w % 4});
+      }
+    }
+    words.push_back({StreamOp::kQuestionStart, 0});
+    words.push_back({StreamOp::kQuestionWord, 1});
+    words.push_back({StreamOp::kQuestionWord, 2});
+    words.push_back({StreamOp::kEndOfStory, 0});
+    return words;
+  }
+
+  /// One cycle of the chain, in Accelerator::run's order.
+  void tick() {
+    link.tick();
+    control.tick();
+    input_write.tick();
+  }
+
+  DeviceProgram program;
+  AcceleratorState state;
+  sim::Fifo<StreamWord> in;
+  sim::Fifo<std::int32_t> out;
+  sim::Fifo<StreamWord> cmds;
+  HostLinkModule link;
+  ControlModule control;
+  InputWriteModule input_write;
+};
+
+/// Clocks `rig` from cycle `from` to `until` as run_events does, no skip
+/// spanning more than `stride` cycles. Returns the most story words one
+/// skip streamed.
+std::size_t clock_chain(ChainRig& rig, sim::Cycle from, sim::Cycle until,
+                        sim::Cycle stride) {
+  std::size_t most = 0;
+  sim::Cycle c = from;
+  while (c < until) {
+    sim::Cycle target = until - c > stride ? c + stride : until;
+    for (const std::optional<sim::Cycle> next :
+         {rig.link.next_activity(c), rig.control.next_activity(c),
+          rig.input_write.next_activity(c)}) {
+      target = next.has_value() ? std::min(target, *next) : c;
+    }
+    if (target > c) {
+      rig.link.skip(target - c);
+      rig.control.skip(target - c);
+      rig.input_write.skip(target - c);
+      most = std::max(most, rig.link.streamed().words.size());
+      c = target;
+      continue;
+    }
+    rig.tick();
+    ++c;
+  }
+  return most;
+}
+
+void expect_chains_equal(const ChainRig& a, const ChainRig& b) {
+  EXPECT_EQ(a.in.size(), b.in.size());
+  EXPECT_EQ(a.cmds.size(), b.cmds.size());
+  expect_fifo_equal(a.in.stats(), b.in.stats());
+  expect_fifo_equal(a.cmds.stats(), b.cmds.stats());
+  expect_stats_equal(a.link.stats(), b.link.stats());
+  expect_stats_equal(a.control.stats(), b.control.stats());
+  expect_stats_equal(a.input_write.stats(), b.input_write.stats());
+  EXPECT_EQ(a.link.link_active_cycles(), b.link.link_active_cycles());
+  EXPECT_EQ(a.link.all_words_sent(), b.link.all_words_sent());
+  EXPECT_EQ(a.state.model_words_seen, b.state.model_words_seen);
+  EXPECT_EQ(a.state.model_loaded, b.state.model_loaded);
+  EXPECT_EQ(a.state.story_active, b.state.story_active);
+  EXPECT_EQ(a.state.slots, b.state.slots);
+  EXPECT_EQ(a.state.sentence_open, b.state.sentence_open);
+  EXPECT_EQ(a.state.input_done, b.state.input_done);
+}
+
+TEST(EventTwins, StoryWindowSkipsInAnyPrefix) {
+  // Cut the coupled chain at every cycle of a cold upload and a story,
+  // skipping in strides of 1, 3 and unbounded: HOST_LINK's pushes and
+  // credit, CONTROL's forwards, INPUT&WRITE's ops, slots, flags and busy
+  // cycles (a flush's countdown cut anywhere), and both FIFOs' stats must
+  // match a ticked twin at each cut. Word rates sit on both sides of the
+  // spacing rule; only ⌊clock/rate⌋ > bram_write opens a story window.
+  constexpr double kClockHz = 3.0e6;
+  for (const sim::Cycle bram_write :
+       {sim::Cycle{0}, sim::Cycle{1}, sim::Cycle{3}}) {
+    for (const sim::Cycle spacing : {bram_write, bram_write + 1}) {
+      if (spacing == 0) {
+        continue;
+      }
+      const auto s = static_cast<double>(spacing);
+      for (const double rate : {1.0 / s, 1.0 / (s + 0.5)}) {
+        for (const double latency : {0.0, 2.0 / kClockHz}) {
+          for (const bool cold : {false, true}) {
+            for (const std::size_t depth : {1U, 2U, 4U}) {
+              AccelConfig cfg;
+              cfg.clock_hz = kClockHz;
+              cfg.timing.bram_write = bram_write;
+              cfg.fifo_depth = depth;
+              cfg.link.words_per_second = std::round(rate * kClockHz);
+              cfg.link.model_words_per_second = 1.5 * kClockHz;
+              cfg.link.per_story_latency = latency;
+              const std::string text =
+                  "bram_write " + std::to_string(bram_write) + ", " +
+                  std::to_string(rate) + " words/cycle, story latency " +
+                  std::to_string(latency * kClockHz) +
+                  (cold ? ", cold" : ", resident") + ", depth " +
+                  std::to_string(depth);
+              SCOPED_TRACE(text);
+              // The cycle INPUT&WRITE sees kEndOfStory, and a little past.
+              ChainRig probe(cfg, cold);
+              sim::Cycle end = 0;
+              while (!probe.state.input_done) {
+                ASSERT_LT(end, 10'000U);
+                probe.tick();
+                ++end;
+              }
+              std::size_t most = 0;
+              for (sim::Cycle until = 1; until < end + 8; ++until) {
+                for (const sim::Cycle stride :
+                     {sim::Cycle{1}, sim::Cycle{3}, sim::kNever}) {
+                  SCOPED_TRACE("until " + std::to_string(until) +
+                               ", stride " + std::to_string(stride));
+                  ChainRig events(cfg, cold);
+                  ChainRig ticked(cfg, cold);
+                  most =
+                      std::max(most, clock_chain(events, 0, until, stride));
+                  for (sim::Cycle c = 0; c < until; ++c) {
+                    ticked.tick();
+                  }
+                  expect_chains_equal(events, ticked);
+                  if (::testing::Test::HasFailure()) {
+                    return;
+                  }
+                }
+              }
+              // Resident, the window carries every word between the
+              // story's kStoryStart and its kEndOfStory. After a cold
+              // upload it may open later or not at all: model words left
+              // in FIFO_IN, or credit the upload left, can hold the story
+              // words back so that FIFO_IN never empties.
+              const std::size_t data_words = ChainRig::story().size() - 2;
+              if (spacing == bram_write) {
+                EXPECT_EQ(most, 0U);
+              } else if (!cold) {
+                EXPECT_EQ(most, data_words);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EventTwins, StoryWindowWaitsOutTheSinksCountdown) {
+  // A backlog in CMD_FIFO (here two words put there from outside, at
+  // every offset of the link's word period) lets INPUT&WRITE end it with
+  // a sentence flush whose countdown outlasts the link's next push: that
+  // word then waits in CMD_FIFO, so no story window may open until the
+  // countdown ends before the next push. Cut at every cycle after the
+  // backlog, in strides of 1, 3 and unbounded.
+  AccelConfig cfg;
+  cfg.clock_hz = 3.0e6;
+  cfg.timing.bram_write = 3;
+  cfg.link.words_per_second = 0.75e6;  // a word every 4 cycles
+  cfg.link.per_story_latency = 0.0;
+  for (sim::Cycle at = 1; at < 12; ++at) {
+    for (sim::Cycle until = at + 1; until < at + 100; ++until) {
+      for (const sim::Cycle stride : {sim::Cycle{1}, sim::Cycle{3},
+                                      sim::kNever}) {
+        SCOPED_TRACE("backlog at " + std::to_string(at) + ", until " +
+                     std::to_string(until) + ", stride " +
+                     std::to_string(stride));
+        ChainRig events(cfg, false);
+        ChainRig ticked(cfg, false);
+        (void)clock_chain(events, 0, at, stride);
+        for (sim::Cycle c = 0; c < at; ++c) {
+          ticked.tick();
+        }
+        for (ChainRig* rig : {&events, &ticked}) {
+          rig->cmds.push({StreamOp::kContextWord, 1});
+          rig->cmds.push({StreamOp::kSentenceStart, 0});
+        }
+        (void)clock_chain(events, at, until, stride);
+        for (sim::Cycle c = at; c < until; ++c) {
+          ticked.tick();
+        }
+        expect_chains_equal(events, ticked);
+        if (::testing::Test::HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(EventTwins, StoryWindowOpensAtEveryPaperClock) {
+  // At the default link a story word lands every 6.25 to 25 cycles at 25
+  // to 100 MHz, against 1 + bram_write = 2: at every paper clock one
+  // event carries all of a story's words between kStoryStart and
+  // kEndOfStory, cold and resident, and the chain still matches a ticked
+  // twin.
+  for (const double mhz : {25.0, 50.0, 75.0, 100.0}) {
+    for (const bool cold : {false, true}) {
+      SCOPED_TRACE(std::to_string(mhz) + " MHz" +
+                   (cold ? ", cold" : ", resident"));
+      AccelConfig cfg;
+      cfg.clock_hz = mhz * 1.0e6;
+      ChainRig events(cfg, cold);
+      ChainRig ticked(cfg, cold);
+      sim::Cycle end = 0;
+      while (!ticked.state.input_done) {
+        ASSERT_LT(end, 100'000U);
+        ticked.tick();
+        ++end;
+      }
+      EXPECT_EQ(clock_chain(events, 0, end, sim::kNever),
+                ChainRig::story().size() - 2);
+      expect_chains_equal(events, ticked);
+    }
+  }
+}
+
+TEST(EventTwins, ChainCouplingChecksItsWiring) {
+  // Each module couples to the one it drains: the wrong FIFO, or a link
+  // that uploads other than the model words CONTROL has left to store,
+  // is refused at construction.
+  const DeviceProgram prog = tiny_program();
+  AccelConfig cfg;
+  sim::Fifo<StreamWord> in("IN", 4);
+  sim::Fifo<std::int32_t> out("OUT", 4);
+  sim::Fifo<StreamWord> cmds("CMD", 4);
+  sim::Fifo<StreamWord> other("OTHER", 4);
+  HostLinkModule link(cfg, prog.model_words(), {}, in, out);
+  AcceleratorState state(prog);
+  ControlModule control(state, in, cmds, &link);
+  EXPECT_THROW((void)InputWriteModule(state, cfg, other, &control),
+               std::invalid_argument);
+
+  AcceleratorState resident(prog);
+  resident.model_words_seen = prog.model_words();
+  resident.model_loaded = true;
+  HostLinkModule uploading(cfg, prog.model_words(), {}, in, out);
+  EXPECT_THROW((void)ControlModule(resident, in, cmds, &uploading),
+               std::invalid_argument);
 }
 
 TEST(EventTwins, ControlTicksWhenItsTickWouldThrow) {

@@ -94,6 +94,33 @@ TEST(Fifo, AccountPushPopMatchesTheCyclesItStandsFor) {
   EXPECT_EQ(bulk.stats().pushes, 8U);
 }
 
+TEST(Fifo, DropPopsTheHeadAsTryPopWould) {
+  // Across the ring's wrap point: drop(n) leaves the same items, size and
+  // stats as n try_pop() calls.
+  for (std::size_t n = 0; n <= 5; ++n) {
+    SCOPED_TRACE("drop " + std::to_string(n));
+    Fifo<int> popped("popped", 16);
+    Fifo<int> dropped("dropped", 16);
+    for (int i = 0; i < 36; ++i) {  // the head ends at the ring's last slot
+      for (Fifo<int>* fifo : {&popped, &dropped}) {
+        fifo->push(i);
+        if (i < 31) {
+          (void)fifo->try_pop();
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      (void)popped.try_pop();
+    }
+    dropped.drop(n);
+    EXPECT_EQ(dropped.size(), popped.size());
+    EXPECT_EQ(dropped.stats().pops, popped.stats().pops);
+    while (!popped.empty()) {
+      EXPECT_EQ(dropped.try_pop(), popped.try_pop());
+    }
+  }
+}
+
 TEST(Fifo, RingKeepsOrderThroughGrowthAndWrap) {
   // Seeded pushes and pops against a std::deque, at capacities below,
   // at and past the ring's first size, so the ring grows with its head
