@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
 #include "accel/compiler.hpp"
+#include "accel/datapath.hpp"
 #include "accel/fx_types.hpp"
 #include "data/dataset.hpp"
 #include "model/memn2n.hpp"
@@ -44,13 +46,14 @@ void BM_Dot(benchmark::State& state) {
 }
 BENCHMARK(BM_Dot)->Arg(24)->Arg(256);
 
-/// One 24-element fx_dot per iteration, streamed as OUTPUT probes: over
-/// the rows of a 155x24 matrix (the shape of W_o), with the next of 64
-/// registers (one per story) after each pass. The products' signs repeat
-/// only every 64 passes, so the branch predictor cannot learn them as it
-/// does a repeated pair. Words lie in [-1, 1]; with `saturating:1` in
-/// [-256, 256], so products saturate and the sequential fallback is
-/// timed.
+/// One 24-element fx_dot per iteration, at the baseline (BM_ValuePass
+/// times the kernels at each level the value pass is compiled for),
+/// streamed as OUTPUT probes: over the rows of a 155x24 matrix (the shape
+/// of W_o), with the next of 64 registers (one per story) after each
+/// pass. The products' signs repeat only every 64 passes, so the branch
+/// predictor cannot learn them as it does a repeated pair. Words lie in
+/// [-1, 1]; with `saturating:1` in [-256, 256], so products saturate and
+/// the sequential fallback is timed.
 void BM_FxDot(benchmark::State& state) {
   constexpr std::size_t kRows = 155;
   constexpr std::size_t kCols = 24;
@@ -158,6 +161,36 @@ void BM_ModelForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelForward);
 
+/// The qa1 test stories and randomly initialised model that
+/// BM_AcceleratorRun and BM_ValuePass run (at least 50 stories are
+/// generated; stories() is the first `count`).
+struct Qa1Workload {
+  data::TaskDataset dataset;
+  accel::DeviceProgram program;
+  std::size_t count = 0;
+
+  [[nodiscard]] std::span<const data::EncodedStory> stories() const {
+    return {dataset.test.data(), count};
+  }
+};
+
+Qa1Workload qa1_workload(std::size_t count) {
+  data::DatasetConfig dc;
+  dc.train_stories = 1;
+  dc.test_stories = std::max<std::size_t>(50, count);
+  Qa1Workload workload;
+  workload.dataset =
+      data::build_task_dataset(data::TaskId::kSingleSupportingFact, dc);
+  workload.count = count;
+  model::ModelConfig mc;
+  mc.vocab_size = workload.dataset.vocab_size();
+  mc.embedding_dim = 24;
+  mc.hops = 3;
+  numeric::Rng rng(11);
+  workload.program = accel::compile_model(model::MemN2N(mc, rng));
+  return workload;
+}
+
 // One Accelerator::run over qa1 test stories, on a randomly initialised
 // model: the uncached device-simulation path. Items are simulated cycles,
 // so items_per_second is simulated cycles per host second (1e9 / it = host
@@ -169,28 +202,16 @@ BENCHMARK(BM_ModelForward);
 // iteration / 200 is the host time per story. 8 resident stories is the
 // shape of one serving dispatch, where a run's fixed costs show.
 void BM_AcceleratorRun(benchmark::State& state) {
-  data::DatasetConfig dc;
-  dc.train_stories = 1;
-  dc.test_stories =
-      std::max<std::size_t>(50, static_cast<std::size_t>(state.range(1)));
-  const auto ds =
-      data::build_task_dataset(data::TaskId::kSingleSupportingFact, dc);
-  model::ModelConfig mc;
-  mc.vocab_size = ds.vocab_size();
-  mc.embedding_dim = 24;
-  mc.hops = 3;
-  numeric::Rng rng(11);
-  const model::MemN2N net(mc, rng);
+  const Qa1Workload workload =
+      qa1_workload(static_cast<std::size_t>(state.range(1)));
   accel::AccelConfig config;
   config.clock_hz = static_cast<double>(state.range(0)) * 1.0e6;
-  const accel::Accelerator device(config, accel::compile_model(net));
-  const std::span<const data::EncodedStory> stories(
-      ds.test.data(), static_cast<std::size_t>(state.range(1)));
+  const accel::Accelerator device(config, workload.program);
   accel::RunOptions options;
   options.model_resident = state.range(2) != 0;
   std::int64_t cycles = 0;
   for (auto _ : state) {
-    const accel::RunResult result = device.run(stories, options);
+    const accel::RunResult result = device.run(workload.stories(), options);
     cycles += static_cast<std::int64_t>(result.total_cycles);
     benchmark::DoNotOptimize(result.stories.data());
   }
@@ -204,5 +225,33 @@ BENCHMARK(BM_AcceleratorRun)
     ->Args({100, 1, 1})
     ->Args({100, 8, 1})
     ->Args({100, 200, 1});
+
+// The value pass alone (accel::Datapath::run) over BM_AcceleratorRun's
+// 200 stories, once per level this host runs (the name's suffix): the
+// same source at the baseline's, AVX2's and AVX-512's vector width.
+// items_per_second is stories per host second.
+void BM_ValuePass(benchmark::State& state, accel::VectorLevel level) {
+  const Qa1Workload workload = qa1_workload(200);
+  const std::vector<std::int64_t> l1 =
+      accel::row_l1_norms(workload.program.w_o);
+  accel::Datapath datapath(workload.program, accel::AccelConfig{}, l1, level);
+  for (auto _ : state) {
+    for (const data::EncodedStory& story : workload.stories()) {
+      benchmark::DoNotOptimize(datapath.run(story));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(workload.count));
+}
+
+[[maybe_unused]] const bool kValuePassRegistered = [] {
+  for (const accel::VectorLevel level : accel::host_vector_levels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_ValuePass/") + accel::vector_level_name(level))
+            .c_str(),
+        BM_ValuePass, level);
+  }
+  return true;
+}();
 
 }  // namespace

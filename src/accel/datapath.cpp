@@ -4,6 +4,18 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+
+// x86-64 builds compile the value pass at x86-64-v3 and v4 beside the
+// baseline when the compiler can test the CPU for a level by name
+// (__builtin_cpu_supports("x86-64-v3"): GCC 12, Clang 18).
+#if defined(__x86_64__) &&                                  \
+    ((defined(__clang__) && __clang_major__ >= 18) ||       \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12))
+#define MANN_X86_64_LEVELS 1
+#else
+#define MANN_X86_64_LEVELS 0
+#endif
 
 namespace mann::accel {
 
@@ -32,7 +44,95 @@ const numeric::ReciprocalLut& shared_recip_lut() {
   return lut;
 }
 
+// Sparse selection (§VI-B): keeps the best `k` slots by score, earlier
+// slots first on ties. It compares and moves indices and does no MAC
+// work, so it stays out of line: the levels' entry points below share
+// this one copy rather than each inlining the sort's merge routines.
+[[gnu::noinline]] void keep_best(std::vector<std::size_t>& selected,
+                                 std::span<const Fx> scores, std::size_t k) {
+  std::stable_sort(selected.begin(), selected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scores[a] > scores[b];
+                   });
+  selected.resize(k);
+}
+
+// The value pass at each level (header). The baseline calls the steps as
+// they are compiled. Each wider entry point flattens the same call: its
+// steps and the kernels they call are inlined into it, and its target
+// attribute compiles that one body at its level's vector width. What it
+// still calls out of line (the LUTs, fx_clear, the library) stays the
+// baseline's, so no out-of-line copy of a header function is built for a
+// wider level.
+using ValuePass = StoryValues (*)(Datapath&, const data::EncodedStory&);
+
+StoryValues pass_baseline(Datapath& datapath,
+                          const data::EncodedStory& story) {
+  datapath.embed(story);
+  datapath.read_hops();
+  return datapath.search(datapath.reg_h);
+}
+
+#if MANN_X86_64_LEVELS
+[[gnu::flatten, gnu::target("arch=x86-64-v3")]] StoryValues pass_x86_64_v3(
+    Datapath& datapath, const data::EncodedStory& story) {
+  return pass_baseline(datapath, story);
+}
+
+[[gnu::flatten, gnu::target("arch=x86-64-v4")]] StoryValues pass_x86_64_v4(
+    Datapath& datapath, const data::EncodedStory& story) {
+  return pass_baseline(datapath, story);
+}
+#endif
+
+ValuePass pass_at(VectorLevel level) {
+  const std::span<const VectorLevel> levels = host_vector_levels();
+  if (std::ranges::find(levels, level) == levels.end()) {
+    throw std::invalid_argument(
+        std::string("Datapath: this CPU does not run ") +
+        vector_level_name(level));
+  }
+#if MANN_X86_64_LEVELS
+  if (level == VectorLevel::kX86_64_V4) {
+    return pass_x86_64_v4;
+  }
+  if (level == VectorLevel::kX86_64_V3) {
+    return pass_x86_64_v3;
+  }
+#endif
+  return pass_baseline;
+}
+
 }  // namespace
+
+const char* vector_level_name(VectorLevel level) noexcept {
+  switch (level) {
+    case VectorLevel::kBaseline:
+      return "baseline";
+    case VectorLevel::kX86_64_V3:
+      return "x86-64-v3";
+    case VectorLevel::kX86_64_V4:
+      return "x86-64-v4";
+  }
+  return "unknown";
+}
+
+std::span<const VectorLevel> host_vector_levels() {
+  static const std::vector<VectorLevel> levels = [] {
+    std::vector<VectorLevel> found = {VectorLevel::kBaseline};
+#if MANN_X86_64_LEVELS
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v3")) {
+      found.push_back(VectorLevel::kX86_64_V3);
+      if (__builtin_cpu_supports("x86-64-v4")) {
+        found.push_back(VectorLevel::kX86_64_V4);
+      }
+    }
+#endif
+    return found;
+  }();
+  return levels;
+}
 
 std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o) {
   std::vector<std::int64_t> l1(w_o.rows(), 0);
@@ -45,12 +145,13 @@ std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o) {
 }
 
 Datapath::Datapath(const DeviceProgram& program, const AccelConfig& config,
-                   std::span<const std::int64_t> row_l1)
+                   std::span<const std::int64_t> row_l1, VectorLevel level)
     : mem_a(program.max_memory, program.embedding_dim),
       mem_c(program.max_memory, program.embedding_dim),
       reg_k(program.embedding_dim),
       reg_r(program.embedding_dim),
       reg_h(program.embedding_dim),
+      pass_(pass_at(level)),
       program_(program),
       sparse_slots_(config.sparse_read_slots),
       ith_enabled_(config.ith_enabled && program.has_ith_tables()),
@@ -61,9 +162,7 @@ Datapath::Datapath(const DeviceProgram& program, const AccelConfig& config,
 }
 
 StoryValues Datapath::run(const data::EncodedStory& story) {
-  embed(story);
-  read_hops();
-  return search(reg_h);
+  return pass_(*this, story);
 }
 
 void Datapath::embed(const data::EncodedStory& story) {
@@ -128,17 +227,13 @@ void Datapath::address_and_read() {
     max_score = std::max(max_score, scores[i]);
   }
 
-  // Sparse selection (§VI-B): keep only the best k slots for the
-  // exp/divide/read phases, earlier slots first on ties.
+  // Sparse mode keeps only the best k slots for the exp/divide/read
+  // phases.
   std::vector<std::size_t>& selected = selected_;
   selected.resize(slots);
   std::iota(selected.begin(), selected.end(), std::size_t{0});
   if (sparse_slots_ > 0 && sparse_slots_ < slots) {
-    std::stable_sort(selected.begin(), selected.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return scores[a] > scores[b];
-                     });
-    selected.resize(sparse_slots_);
+    keep_best(selected, scores, sparse_slots_);
   }
 
   // Max-subtracted exp through the LUT, with its running sum.

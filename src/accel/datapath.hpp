@@ -8,6 +8,19 @@
 // stream and these values alone: the functional/timing split of FAST
 // (Chiou et al., MICRO 2007). ServiceCycleCache memoizes the values per
 // (device, story).
+//
+// The value pass is compiled once per x86-64 level from one source
+// (datapath.cpp): the baseline, x86-64-v3 (AVX2) and x86-64-v4
+// (AVX-512VL). The two wider levels' entry points inline embed(),
+// read_hops(), address_and_read() and search() with the fx_types.hpp
+// kernels, so the MAC loops run as wide as the CPU's vector lanes, as the
+// device's MAC lanes do. A process takes the widest level its CPU runs,
+// once, from the CPU's features; nothing else chooses it. Every level
+// gives the baseline's bits (the kernels' integer arithmetic does not
+// depend on the width, and the float steps call the same out-of-line
+// LUTs), which Host/DatapathLevels.* hold on seeded programs and
+// Host/SuiteDatapathLevels.* on the trained suite. Other architectures,
+// and compilers that cannot name the levels, build the baseline only.
 #pragma once
 
 #include <cstdint>
@@ -31,25 +44,44 @@ struct StoryValues {
   friend bool operator==(const StoryValues&, const StoryValues&) = default;
 };
 
+/// An instruction-set level the value pass is compiled for.
+enum class VectorLevel : std::uint8_t {
+  kBaseline,   ///< every CPU of the architecture (x86-64: SSE2)
+  kX86_64_V3,  ///< AVX2, BMI2, FMA
+  kX86_64_V4,  ///< AVX-512 F, BW, CD, DQ and VL
+};
+
+/// "baseline", "x86-64-v3" or "x86-64-v4".
+[[nodiscard]] const char* vector_level_name(VectorLevel level) noexcept;
+
+/// The levels this build compiled and this CPU runs, baseline first and
+/// the widest last: the one every Datapath runs unless a test names
+/// another. Read from the CPU once per process.
+[[nodiscard]] std::span<const VectorLevel> host_vector_levels();
+
 /// L1_c = Σ_i |raw(w_o[c][i])| for every row of W_o: the per-class half
 /// of OUTPUT's logit bound (search()), computed once per program.
 [[nodiscard]] std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o);
 
 /// The registers and banks of one story and the steps that compute them,
-/// each in the order its module does. run() is the value pass; the steps
-/// are public so that tests can drive each block on hand-built registers.
-/// The program and `row_l1` (row_l1_norms(program.w_o)) are borrowed and
-/// must outlive the datapath, so a temporary program cannot bind.
+/// each in the order its module does. run() is the value pass, compiled
+/// at `level` (the host's widest by default); the steps are public so that
+/// tests can drive each block on hand-built registers, and called one by
+/// one they run at the baseline. The program and `row_l1`
+/// (row_l1_norms(program.w_o)) are borrowed and must outlive the
+/// datapath, so a temporary program cannot bind. Throws
+/// std::invalid_argument for a level outside host_vector_levels().
 class Datapath {
  public:
   Datapath(const DeviceProgram& program, const AccelConfig& config,
-           std::span<const std::int64_t> row_l1);
-  Datapath(DeviceProgram&&, const AccelConfig&,
-           std::span<const std::int64_t>) = delete;
+           std::span<const std::int64_t> row_l1,
+           VectorLevel level = host_vector_levels().back());
+  Datapath(DeviceProgram&&, const AccelConfig&, std::span<const std::int64_t>,
+           VectorLevel = host_vector_levels().back()) = delete;
 
-  /// embed(), read_hops(), then search(reg_h). Throws std::logic_error
-  /// for a story without a non-empty sentence (MEM would read an empty
-  /// memory).
+  /// embed(), read_hops(), then search(reg_h), at the datapath's level.
+  /// Throws std::logic_error for a story without a non-empty sentence (MEM
+  /// would read an empty memory).
   [[nodiscard]] StoryValues run(const data::EncodedStory& story);
 
   /// INPUT & WRITE (Eq. 2; Eq. 3 at t = 1): the banks hold the embedding
@@ -93,6 +125,8 @@ class Datapath {
  private:
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
 
+  /// run()'s body, compiled at the datapath's level (datapath.cpp).
+  StoryValues (*pass_)(Datapath&, const data::EncodedStory&);
   const DeviceProgram& program_;
   const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
   const bool ith_enabled_;

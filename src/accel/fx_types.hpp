@@ -5,11 +5,19 @@
 // saturating accumulate. fx_dot sums its rounded products in 64 bits and
 // returns that sum when their magnitudes sum to at most 2^31 - 1: then no
 // product and no prefix of the sequential sum can saturate, so the two
-// agree bit for bit. Otherwise it runs the sequential loop. The kernels
-// run on every datapath event, so they are defined here, where the
-// modules' inlined per-event code can inline them too.
+// agree bit for bit. Otherwise it runs the sequential loop. fx_add and
+// fx_axpy saturate without a branch, so at x86-64-v3 and v4 all three
+// loops vectorise; at the baseline only fx_add does, since the others'
+// 64-bit products and compares need SSE4.
+// The kernels run on every datapath event, so they are defined here,
+// where the value pass (accel/datapath.cpp) inlines them into one entry
+// point per x86-64 level: compiled there at AVX2 or AVX-512 width, they
+// give the baseline's bits, since none of them rounds or saturates
+// differently at any width. No file is built with -m or -march flags, so
+// every out-of-line copy of a kernel is the baseline's.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -90,32 +98,47 @@ class FxMatrix {
   return acc;
 }
 
-/// `y[i] += s * x[i]` in fixed point.
+namespace detail {
+
+/// `x + y` saturated as Fx's operator+ does, in 32 bits and without a
+/// branch: the wrapped sum overflowed iff both operands share a sign that
+/// it lacks, and then the result is the bound of that sign.
+[[nodiscard]] inline Fx saturating_add(Fx x, Fx y) noexcept {
+  const auto a = static_cast<std::uint32_t>(x.raw());
+  const auto b = static_cast<std::uint32_t>(y.raw());
+  const std::uint32_t sum = a + b;
+  const std::uint32_t overflow = ((a ^ sum) & (b ^ sum)) >> 31;
+  const std::uint32_t bound = (a >> 31) + 0x7FFFFFFFU;  // kRawMax or kRawMin
+  const std::uint32_t keep = overflow - 1;  // all ones unless overflowed
+  return Fx::from_raw(
+      static_cast<Fx::raw_type>((sum & keep) | (bound & ~keep)));
+}
+
+}  // namespace detail
+
+/// `y[i] += s * x[i]`, saturating as Fx's operators do: the rounded
+/// product clamped to 32 bits (operator*), then added under fx_add's
+/// overflow rule (operator+).
 inline void fx_axpy(Fx s, std::span<const Fx> x, std::span<Fx> y) {
   if (x.size() != y.size()) {
     throw_length_mismatch("fx_axpy");
   }
   for (std::size_t i = 0; i < x.size(); ++i) {
-    y[i] += s * x[i];
+    const std::int64_t wide =
+        std::max<std::int64_t>(Fx::rounded_product(s, x[i]), Fx::kRawMin);
+    const auto product =
+        static_cast<Fx::raw_type>(std::min<std::int64_t>(wide, Fx::kRawMax));
+    y[i] = detail::saturating_add(Fx::from_raw(product), y[i]);
   }
 }
 
-/// `y[i] += x[i]`, saturating as Fx's operator+ does. In 32 bits: the
-/// wrapped sum overflowed iff both operands share a sign that it lacks,
-/// and then the result is the bound of that sign.
+/// `y[i] += x[i]`, saturating as Fx's operator+ does.
 inline void fx_add(std::span<const Fx> x, std::span<Fx> y) {
   if (x.size() != y.size()) {
     throw_length_mismatch("fx_add");
   }
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto a = static_cast<std::uint32_t>(x[i].raw());
-    const auto b = static_cast<std::uint32_t>(y[i].raw());
-    const std::uint32_t sum = a + b;
-    const std::uint32_t overflow = ((a ^ sum) & (b ^ sum)) >> 31;
-    const std::uint32_t bound = (a >> 31) + 0x7FFFFFFFU;  // kRawMax or kRawMin
-    const std::uint32_t keep = overflow - 1;  // all ones unless overflowed
-    y[i] = Fx::from_raw(
-        static_cast<Fx::raw_type>((sum & keep) | (bound & ~keep)));
+    y[i] = detail::saturating_add(x[i], y[i]);
   }
 }
 

@@ -10,7 +10,8 @@
 // only the final element-wise add of r serializes. This overlap is the
 // point of the paper's DFA structure ("layer-wise parallelization and
 // recurrent paths can be implemented on DFAs"). The arithmetic is the
-// value pass's (Datapath::hop); this module keeps its time and ops.
+// value pass's (Datapath::read_hops); this module keeps its time and
+// ops.
 #pragma once
 
 #include <algorithm>

@@ -8,6 +8,17 @@
 
 namespace mann::serve {
 
+namespace {
+
+/// The in-flight heap's order: std::push_heap and std::pop_heap keep the
+/// greatest element in front, so the later completion compares less.
+/// Ties need no order: collect() sorts what is due by dispatch sequence.
+constexpr auto completes_later = [](const auto& a, const auto& b) {
+  return a.response.complete_cycle > b.response.complete_cycle;
+};
+
+}  // namespace
+
 const char* scheduler_policy_name(SchedulerPolicy policy) noexcept {
   switch (policy) {
     case SchedulerPolicy::kFifo:
@@ -621,32 +632,33 @@ void Scheduler::dispatch(Slot& slot, const PendingBatch& pending,
       trace_->end_async("service", request.id, response.complete_cycle);
       trace_->end_async("request", request.id, response.complete_cycle);
     }
-    in_flight_.push_back(response);
+    in_flight_.push_back({response, responses_dispatched_++});
+    std::push_heap(in_flight_.begin(), in_flight_.end(), completes_later);
   }
 }
 
 const std::vector<InferenceResponse>& Scheduler::collect(sim::Cycle now) {
-  // One in-place pass: completed responses move out in dispatch order,
-  // and the rest close up in front, in theirs.
-  collected_.clear();
-  auto kept = in_flight_.begin();
-  for (InferenceResponse& r : in_flight_) {
-    if (r.complete_cycle <= now) {
-      collected_.push_back(std::move(r));
-    } else {
-      *kept++ = std::move(r);
-    }
+  // The due responses leave the heap in completion order; the metrics
+  // take them in dispatch order.
+  due_.clear();
+  while (!in_flight_.empty() &&
+         in_flight_.front().response.complete_cycle <= now) {
+    std::pop_heap(in_flight_.begin(), in_flight_.end(), completes_later);
+    due_.push_back(std::move(in_flight_.back()));
+    in_flight_.pop_back();
   }
-  in_flight_.erase(kept, in_flight_.end());
+  std::sort(due_.begin(), due_.end(),
+            [](const InFlight& a, const InFlight& b) { return a.seq < b.seq; });
+  collected_.clear();
+  for (InFlight& due : due_) {
+    collected_.push_back(std::move(due.response));
+  }
   return collected_;
 }
 
 sim::Cycle Scheduler::next_completion() const noexcept {
-  sim::Cycle next = sim::kNever;
-  for (const InferenceResponse& r : in_flight_) {
-    next = std::min(next, r.complete_cycle);
-  }
-  return next;
+  return in_flight_.empty() ? sim::kNever
+                            : in_flight_.front().response.complete_cycle;
 }
 
 sim::Cycle Scheduler::next_slot_free(sim::Cycle now) const noexcept {

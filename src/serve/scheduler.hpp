@@ -398,8 +398,17 @@ class Scheduler {
   std::size_t pending_stories_ = 0;
   std::size_t queue_capacity_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<InferenceResponse> in_flight_;  ///< completion times known
+  /// A dispatched response and its place in dispatch order.
+  struct InFlight {
+    InferenceResponse response;
+    std::uint64_t seq = 0;
+  };
+  /// Min-heap on complete_cycle: its front is the next completion, so
+  /// collect() and next_completion() read only what is due.
+  std::vector<InFlight> in_flight_;
+  std::vector<InFlight> due_;  ///< collect()'s work buffer
   std::vector<InferenceResponse> collected_;  ///< collect()'s answer
+  std::uint64_t responses_dispatched_ = 0;    ///< the next InFlight::seq
   /// dispatch_most_urgent()'s eligible slots, kept between dispatches so
   /// that a dispatch allocates nothing.
   std::vector<Slot*> free_slots_;

@@ -1,0 +1,205 @@
+// The value pass at every x86-64 level this host runs, held to the
+// baseline's bits: seeded programs whose words keep fx_dot in its wide
+// sum, push some of its dots into the sequential fallback or saturate
+// every product, with ITH on and off, dense and sparse reads, and stories
+// longer than the banks. The suite-scale twin is
+// tests/integration/datapath_levels_test.cpp.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <numeric>
+#include <random>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "accel/datapath.hpp"
+
+namespace mann::accel {
+namespace {
+
+/// A program of `v` classes and `e`-wide words, every weight uniform in
+/// [-word_max, word_max] (raw), with a random probe order and thresholds
+/// that never fire, always fire or sit anywhere in the word range.
+DeviceProgram seeded_program(std::mt19937_64& rng, std::size_t v,
+                             std::size_t e, std::size_t hops,
+                             std::size_t max_memory, std::int64_t word_max) {
+  std::uniform_int_distribution<std::int64_t> word(-word_max, word_max);
+  const auto fill = [&](std::size_t rows, std::size_t cols) {
+    FxMatrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (Fx& x : m.row(r)) {
+        x = Fx::from_raw(static_cast<std::int32_t>(word(rng)));
+      }
+    }
+    return m;
+  };
+  DeviceProgram p;
+  p.vocab_size = v;
+  p.embedding_dim = e;
+  p.hops = hops;
+  p.max_memory = max_memory;
+  p.emb_a = fill(v, e);
+  p.emb_c = fill(v, e);
+  p.emb_q = fill(v, e);
+  p.w_r = fill(e, e);
+  p.w_o = fill(v, e);
+  p.probe_order.resize(v);
+  std::iota(p.probe_order.begin(), p.probe_order.end(), 0);
+  std::shuffle(p.probe_order.begin(), p.probe_order.end(), rng);
+  std::uniform_int_distribution<int> kind(0, 3);
+  for (std::size_t c = 0; c < v; ++c) {
+    const int k = kind(rng);
+    p.thresholds.push_back(k == 0   ? Fx::max()
+                           : k == 1 ? Fx::min()
+                                    : Fx::from_raw(static_cast<std::int32_t>(
+                                          word(rng))));
+  }
+  return p;
+}
+
+/// Stories of up to 3 x max_memory sentences (some empty, the first
+/// not), so the banks drop their oldest slots.
+std::vector<data::EncodedStory> seeded_stories(std::mt19937_64& rng,
+                                               const DeviceProgram& program,
+                                               std::size_t count) {
+  std::uniform_int_distribution<std::int32_t> word(
+      0, static_cast<std::int32_t>(program.vocab_size) - 1);
+  std::uniform_int_distribution<std::size_t> sentences(
+      1, 3 * program.max_memory);
+  std::uniform_int_distribution<std::size_t> length(0, 6);
+  std::vector<data::EncodedStory> stories(count);
+  for (data::EncodedStory& story : stories) {
+    story.context.resize(sentences(rng));
+    for (std::size_t s = 0; s < story.context.size(); ++s) {
+      story.context[s].resize(s == 0 ? 1 + length(rng) : length(rng));
+      for (std::int32_t& w : story.context[s]) {
+        w = word(rng);
+      }
+    }
+    story.question.resize(1 + length(rng));
+    for (std::int32_t& w : story.question) {
+      w = word(rng);
+    }
+  }
+  return stories;
+}
+
+std::string level_names() {
+  std::string names;
+  for (const VectorLevel level : host_vector_levels()) {
+    names += names.empty() ? "" : " ";
+    names += vector_level_name(level);
+  }
+  return names;
+}
+
+class DatapathLevels : public ::testing::TestWithParam<VectorLevel> {};
+
+TEST_P(DatapathLevels, RunLikeTheBaseline) {
+  std::printf("value pass levels on this host: %s; checking %s\n",
+              level_names().c_str(), vector_level_name(GetParam()));
+  struct Shape {
+    std::size_t v, e, hops, max_memory;
+  };
+  // e = 5 and 40 leave vector remainders at every width.
+  const Shape shapes[] = {{20, 24, 3, 8}, {7, 5, 2, 3}, {33, 40, 1, 4},
+                          {16, 64, 3, 16}};
+  // Working-range words, words whose dots sometimes pass 2^31 - 1 in
+  // magnitude (fx_dot's fallback), and full-range words.
+  const std::int64_t word_maxes[] = {std::int64_t{1} << 16,
+                                     std::int64_t{1} << 22, Fx::kRawMax};
+  std::mt19937_64 rng(0x5EEDD47A);
+  std::size_t mismatches = 0;
+  std::size_t stories_run = 0;
+  for (const Shape& shape : shapes) {
+    for (const std::int64_t word_max : word_maxes) {
+      const DeviceProgram program = seeded_program(
+          rng, shape.v, shape.e, shape.hops, shape.max_memory, word_max);
+      const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
+      const std::vector<data::EncodedStory> stories =
+          seeded_stories(rng, program, 40);
+      for (const bool ith : {false, true}) {
+        for (const std::size_t sparse : {0U, 2U}) {
+          AccelConfig config;
+          config.ith_enabled = ith;
+          config.sparse_read_slots = sparse;
+          Datapath baseline(program, config, l1, VectorLevel::kBaseline);
+          Datapath wide(program, config, l1, GetParam());
+          const auto same_banks = [&] {
+            for (std::size_t r = 0; r < baseline.slots; ++r) {
+              if (!std::ranges::equal(wide.mem_a.row(r),
+                                      baseline.mem_a.row(r)) ||
+                  !std::ranges::equal(wide.mem_c.row(r),
+                                      baseline.mem_c.row(r))) {
+                return false;
+              }
+            }
+            return true;
+          };
+          for (std::size_t i = 0; i < stories.size(); ++i) {
+            const StoryValues want = baseline.run(stories[i]);
+            const StoryValues got = wide.run(stories[i]);
+            ++stories_run;
+            const bool same =
+                got.prediction == want.prediction &&
+                got.early_exit == want.early_exit &&
+                got.output_probes == want.output_probes &&
+                wide.slots == baseline.slots && same_banks() &&
+                wide.reg_k == baseline.reg_k && wide.reg_r == baseline.reg_r &&
+                wide.reg_h == baseline.reg_h &&
+                wide.attention == baseline.attention;
+            if (!same && ++mismatches <= 5) {
+              ADD_FAILURE()
+                  << vector_level_name(GetParam()) << ": V=" << shape.v
+                  << " E=" << shape.e << " words to " << word_max
+                  << ", ITH " << ith << ", sparse " << sparse << ", story "
+                  << i << ": prediction " << got.prediction << " vs "
+                  << want.prediction << ", early exit " << got.early_exit
+                  << " vs " << want.early_exit << ", probes "
+                  << got.output_probes << " vs " << want.output_probes;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "of " << stories_run << " stories";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Host, DatapathLevels, ::testing::ValuesIn(host_vector_levels()),
+    [](const ::testing::TestParamInfo<VectorLevel>& info) {
+      std::string name = vector_level_name(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(VectorLevels, ADatapathRunsOnlyTheHostsLevels) {
+  const std::span<const VectorLevel> levels = host_vector_levels();
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), VectorLevel::kBaseline);
+  DeviceProgram program;
+  program.vocab_size = 1;
+  program.embedding_dim = 1;
+  program.hops = 1;
+  program.max_memory = 1;
+  program.w_o = FxMatrix(1, 1);
+  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
+  for (const VectorLevel level :
+       {VectorLevel::kBaseline, VectorLevel::kX86_64_V3,
+        VectorLevel::kX86_64_V4}) {
+    if (std::ranges::find(levels, level) != levels.end()) {
+      EXPECT_NO_THROW(Datapath(program, AccelConfig{}, l1, level));
+    } else {
+      EXPECT_THROW(Datapath(program, AccelConfig{}, l1, level),
+                   std::invalid_argument);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace mann::accel

@@ -702,6 +702,61 @@ TEST(FxAdd, SaturatesAsOperatorPlusDoes) {
   EXPECT_EQ(mismatches, 0U);
 }
 
+TEST(FxAxpy, SaturatesAsOperatorsDo) {
+  // fx_axpy clamps the rounded product to 32 bits and adds under fx_add's
+  // overflow rule, without a branch; the operators clamp the product,
+  // then clamp a 64-bit sum. Every triple of the extremes, of words
+  // around the wrap points and of ties (k·2^16 ± 2^15 times an odd word
+  // rounds half away from zero), then 1M seeded whole-word triples, a
+  // thousand to each scale so that the vector loop runs.
+  std::vector<std::int32_t> words = {Fx::kRawMin, Fx::kRawMax, 0, 1, -1, 3,
+                                     -3};
+  for (const std::int32_t near : {Fx::kRawMin, Fx::kRawMax,
+                                  std::int32_t{1} << 30, -(1 << 30)}) {
+    for (std::int32_t d = -2; d <= 2; ++d) {
+      const std::int64_t w = std::int64_t{near} + d;
+      if (w >= Fx::kRawMin && w <= Fx::kRawMax && w != near) {
+        words.push_back(static_cast<std::int32_t>(w));
+      }
+    }
+  }
+  for (const std::int32_t k : {-3, -1, 0, 1, 2, 32767}) {
+    words.push_back(k * 65536 + 32768);
+    words.push_back(k * 65536 - 32768);
+  }
+  std::size_t mismatches = 0;
+  const auto check = [&](Fx s, const FxVector& x, const FxVector& y) {
+    FxVector got = y;
+    fx_axpy(s, x, got);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const Fx want = y[i] + s * x[i];
+      if (got[i] != want && ++mismatches <= 5) {
+        ADD_FAILURE() << y[i].raw() << " + " << s.raw() << " * " << x[i].raw()
+                      << " gave " << got[i].raw() << ", operators "
+                      << want.raw();
+      }
+    }
+  };
+  for (const std::int32_t s : words) {
+    FxVector x;
+    FxVector y;
+    for (const std::int32_t a : words) {
+      for (const std::int32_t b : words) {
+        x.push_back(Fx::from_raw(a));
+        y.push_back(Fx::from_raw(b));
+      }
+    }
+    check(Fx::from_raw(s), x, y);
+  }
+  std::mt19937_64 rng(0xA8B1);
+  for (int chunk = 0; chunk < 1000; ++chunk) {
+    const Fx s = uniform_words(rng, 1, Fx::kRawMin, Fx::kRawMax)[0];
+    check(s, uniform_words(rng, 1000, Fx::kRawMin, Fx::kRawMax),
+          uniform_words(rng, 1000, Fx::kRawMin, Fx::kRawMax));
+  }
+  EXPECT_EQ(mismatches, 0U);
+}
+
 TEST(FxAxpy, MismatchThrows) {
   FxVector x(3);
   FxVector y(2);

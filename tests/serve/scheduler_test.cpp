@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "obs/trace.hpp"
 #include "serve_test_util.hpp"
 
 namespace mann::serve {
@@ -147,6 +151,107 @@ TEST(Scheduler, CollectKeepsDispatchOrderWhenCompletionsInterleave) {
     EXPECT_EQ(ids(scheduler.collect(sim::kNever - 1)), left)
         << "after collect(" << now << ")";
     EXPECT_TRUE(scheduler.idle());
+  }
+}
+
+/// What collect() and next_completion() did before the in-flight
+/// responses were kept by completion cycle: one scan over all of them, in
+/// dispatch order.
+struct InFlightScan {
+  std::vector<std::pair<RequestId, sim::Cycle>> in_flight;  ///< (id, cycle)
+
+  std::vector<std::pair<RequestId, sim::Cycle>> collect(sim::Cycle now) {
+    std::vector<std::pair<RequestId, sim::Cycle>> done;
+    std::vector<std::pair<RequestId, sim::Cycle>> kept;
+    for (const auto& r : in_flight) {
+      (r.second <= now ? done : kept).push_back(r);
+    }
+    in_flight = std::move(kept);
+    return done;
+  }
+
+  [[nodiscard]] sim::Cycle next_completion() const {
+    sim::Cycle next = sim::kNever;
+    for (const auto& r : in_flight) {
+      next = std::min(next, r.second);
+    }
+    return next;
+  }
+};
+
+TEST(Scheduler, InFlightHeapMatchesLinearScan) {
+  // Seeded batches of 1-6 stories for three tasks and three tenants, on
+  // three devices, so completions interleave across devices; the clock
+  // moves to the next completion, past it or short of it. The trace's
+  // service spans, in record order, give every dispatch and its
+  // completion cycle to the scan.
+  const auto stories = tiny_stories(6);
+  std::vector<TenantConfig> tenants(3);
+  tenants[1].weight = 2.0;
+  tenants[2].weight = 3.0;
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kFifo, SchedulerPolicy::kEdf, SchedulerPolicy::kWfq}) {
+    SCOPED_TRACE(scheduler_policy_name(policy));
+    obs::TraceRecorder trace;
+    Scheduler scheduler({.devices = 3, .policy = policy, .trace = &trace},
+                        task_devices(3), tenants);
+    InFlightScan scan;
+    std::uint64_t traced = 0;  // trace events already read
+    std::mt19937_64 rng(0x1F11E5 + static_cast<unsigned>(policy));
+    std::uniform_int_distribution<int> coin(0, 3);
+    RequestId next_id = 0;
+    sim::Cycle now = 0;
+    std::size_t collected = 0;
+    for (int round = 0; round < 400; ++round) {
+      for (int b = coin(rng) % 3; b > 0 && round < 300; --b) {
+        const std::size_t task = rng() % 3;
+        const auto tenant = static_cast<TenantId>(rng() % 3);
+        const std::size_t count = 1 + rng() % 6;
+        Batch batch = make_batch(task, stories, count, now, next_id);
+        batch.tenant = tenant;
+        batch.deadline = now + 1'000 + rng() % 200'000;
+        for (InferenceRequest& request : batch.requests) {
+          request.tenant = tenant;
+          request.deadline_cycle = batch.deadline;
+        }
+        next_id += count;
+        ASSERT_TRUE(scheduler.submit(std::move(batch)));
+      }
+      scheduler.step(now);
+      std::vector<obs::TraceEvent> events = trace.merged();
+      std::sort(events.begin(), events.end(),
+                [](const auto& a, const auto& b) { return a.seq < b.seq; });
+      for (const obs::TraceEvent& e : events) {
+        if (e.seq >= traced && e.phase == obs::Phase::kAsyncEnd &&
+            std::string_view(e.name) == "service") {
+          scan.in_flight.emplace_back(e.id, e.ts);
+        }
+      }
+      traced = events.empty() ? traced : events.back().seq + 1;
+      ASSERT_EQ(scheduler.in_flight(), scan.in_flight.size());
+      ASSERT_EQ(scheduler.next_completion(), scan.next_completion())
+          << "round " << round;
+      std::vector<std::pair<RequestId, sim::Cycle>> got;
+      for (const InferenceResponse& r : scheduler.collect(now)) {
+        got.emplace_back(r.id, r.complete_cycle);
+      }
+      ASSERT_EQ(got, scan.collect(now)) << "round " << round;
+      collected += got.size();
+      const sim::Cycle next = scheduler.next_completion();
+      switch (coin(rng)) {
+        case 0:
+          now += 1 + rng() % 20'000;  // may stop short of the next one
+          break;
+        case 1:
+          now = next == sim::kNever ? now + 1 : next;
+          break;
+        default:
+          now = next == sim::kNever ? now + 1 : next + rng() % 50'000;
+          break;
+      }
+    }
+    EXPECT_EQ(collected + scheduler.in_flight(), next_id);
+    EXPECT_GT(collected, next_id / 2);
   }
 }
 
