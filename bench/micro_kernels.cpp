@@ -232,9 +232,9 @@ BENCHMARK(BM_AcceleratorRun)
 // items_per_second is stories per host second.
 void BM_ValuePass(benchmark::State& state, accel::VectorLevel level) {
   const Qa1Workload workload = qa1_workload(200);
-  const std::vector<std::int64_t> l1 =
-      accel::row_l1_norms(workload.program.w_o);
-  accel::Datapath datapath(workload.program, accel::AccelConfig{}, l1, level);
+  const accel::DatapathTables tables(workload.program, accel::AccelConfig{});
+  accel::Datapath datapath(workload.program, accel::AccelConfig{}, tables,
+                           level);
   for (auto _ : state) {
     for (const data::EncodedStory& story : workload.stories()) {
       benchmark::DoNotOptimize(datapath.run(story));

@@ -203,7 +203,7 @@ std::vector<StoryValues> Accelerator::story_values(
       }
     }
     if (!datapath) {
-      datapath.emplace(program_, config_, output_l1_);
+      datapath.emplace(program_, config_, tables_);
     }
     values[i] = datapath->run(*stories[i]);
     if (cache != nullptr) {
@@ -313,7 +313,7 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
         "Accelerator: ITH enabled but the program has no threshold tables");
   }
   validate_program(program_);
-  output_l1_ = row_l1_norms(program_.w_o);
+  tables_ = DatapathTables(program_, config_);
   const Fingerprint fp = fingerprint_device(config_, program_);
   fingerprint_ = fp.device();
   values_fingerprint_ = fp.values();

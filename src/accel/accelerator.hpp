@@ -184,7 +184,7 @@ class Accelerator {
 
   AccelConfig config_;
   DeviceProgram program_;
-  std::vector<std::int64_t> output_l1_;  ///< row_l1_norms(program_.w_o)
+  DatapathTables tables_;  ///< built once; every run's Datapath borrows it
   std::uint64_t fingerprint_ = 0;
   /// Digest of what the value pass reads (the program, sparse_read_slots
   /// and ITH): the story entries' key, shared by devices that differ

@@ -1,6 +1,7 @@
 #include "accel/datapath.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -22,9 +23,9 @@ namespace mann::accel {
 namespace {
 
 constexpr std::int64_t kRawMax = Fx::kRawMax;
-/// Marks a rank whose logit the search has already taken into account:
-/// below every running best, so no later visit evaluates it again.
-constexpr std::int64_t kSeen = std::numeric_limits<std::int64_t>::min();
+/// (2^31 - 1)·2^16: a sum of rounded products whose unrounded magnitudes
+/// plus their rounding slack stay within it stays within Fx's range.
+constexpr std::int64_t kShiftedMax = kRawMax << Fx::kFracBits;
 
 std::int64_t magnitude(Fx x) noexcept {
   const std::int64_t raw = x.raw();
@@ -134,18 +135,36 @@ std::span<const VectorLevel> host_vector_levels() {
   return levels;
 }
 
-std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o) {
-  std::vector<std::int64_t> l1(w_o.rows(), 0);
-  for (std::size_t c = 0; c < w_o.rows(); ++c) {
-    for (const Fx w : w_o.row(c)) {
-      l1[c] += magnitude(w);
+DatapathTables::DatapathTables(const DeviceProgram& program,
+                               const AccelConfig& config)
+    : vocab_size(program.vocab_size),
+      width(program.embedding_dim),
+      ith(config.ith_enabled && program.has_ith_tables()),
+      padded_width((width + kSweepLanes - 1) / kSweepLanes * kSweepLanes),
+      w_r_columns(width * padded_width, 0),
+      w_r_l1(width, 0),
+      output_l1(vocab_size, 0),
+      by_bound(vocab_size) {
+  for (std::size_t i = 0; i < width; ++i) {
+    for (std::size_t j = 0; j < width; ++j) {
+      w_r_columns[j * padded_width + i] = program.w_r(i, j).raw();
+      w_r_l1[i] += magnitude(program.w_r(i, j));
     }
   }
-  return l1;
+  for (std::size_t rank = 0; rank < vocab_size; ++rank) {
+    const std::size_t cls =
+        ith ? static_cast<std::size_t>(program.probe_order[rank]) : rank;
+    for (const Fx w : program.w_o.row(cls)) {
+      output_l1[rank] += magnitude(w);
+    }
+  }
+  std::iota(by_bound.begin(), by_bound.end(), std::size_t{0});
+  std::ranges::stable_sort(by_bound, std::greater{},
+                           [&](std::size_t rank) { return output_l1[rank]; });
 }
 
 Datapath::Datapath(const DeviceProgram& program, const AccelConfig& config,
-                   std::span<const std::int64_t> row_l1, VectorLevel level)
+                   const DatapathTables& tables, VectorLevel level)
     : mem_a(program.max_memory, program.embedding_dim),
       mem_c(program.max_memory, program.embedding_dim),
       reg_k(program.embedding_dim),
@@ -155,9 +174,23 @@ Datapath::Datapath(const DeviceProgram& program, const AccelConfig& config,
       program_(program),
       sparse_slots_(config.sparse_read_slots),
       ith_enabled_(config.ith_enabled && program.has_ith_tables()),
-      row_l1_(row_l1),
+      tables_(tables),
       exp_lut_(shared_exp_lut()),
-      recip_lut_(shared_recip_lut()) {
+      recip_lut_(shared_recip_lut()),
+      sweep_(tables.padded_width) {
+  const auto refuse = [](const char* what) {
+    throw std::invalid_argument(
+        std::string("Datapath: the tables were built for another ") + what);
+  };
+  if (tables.vocab_size != program.vocab_size) {
+    refuse("vocabulary size");
+  }
+  if (tables.width != program.embedding_dim) {
+    refuse("embedding width");
+  }
+  if (tables.ith != ith_enabled_) {
+    refuse("ITH setting");
+  }
   attention.reserve(program.max_memory);
 }
 
@@ -203,11 +236,56 @@ void Datapath::read_hops() {
     }
     // READ's MAC array computes W_r·k while MEM walks the bank on the
     // same key; h = W_r·k + r once the read vector is back.
-    for (std::size_t row = 0; row < reg_h.size(); ++row) {
-      reg_h[row] = fx_dot(program_.w_r.row(row), reg_k);
-    }
+    multiply_w_r();
     address_and_read();
     fx_add(reg_r, reg_h);
+  }
+}
+
+void Datapath::multiply_w_r() {
+  const std::size_t e = reg_k.size();
+  if (e > kWideDotTerms) {
+    for (std::size_t row = 0; row < e; ++row) {
+      reg_h[row] = fx_dot(program_.w_r.row(row), reg_k);
+    }
+    return;
+  }
+  // The bound (read_hops()) as L1_i ≤ ⌊(kShiftedMax - E·2^15) / ‖k‖∞⌋,
+  // which cannot overflow.
+  std::int64_t k_max = 0;
+  for (const Fx x : reg_k) {
+    k_max = std::max(k_max, magnitude(x));
+  }
+  const std::int64_t room =
+      kShiftedMax - (static_cast<std::int64_t>(e) << (Fx::kFracBits - 1));
+  const std::int64_t l1_limit =
+      k_max == 0 ? std::numeric_limits<std::int64_t>::max() : room / k_max;
+  // Every row's rounded products in one sweep over W_r's columns. A term
+  // is Fx::rounded_product's ⌊(p + 2^15 - [p < 0]) / 2^16⌋ formed 2^63
+  // higher, where the shift is a logical one (AVX2 has no 64-bit
+  // arithmetic shift), so it reads 2^47 high and a sum E·2^47 high. The
+  // sums wrap mod 2^64, and under the term limit every true sum fits in
+  // 64 bits, so the difference is exact.
+  const std::size_t padded = tables_.padded_width;
+  std::uint64_t* const sum = sweep_.data();
+  std::fill_n(sum, padded, 0);
+  constexpr std::uint64_t kBias =
+      (std::uint64_t{1} << 63) + (std::uint64_t{1} << (Fx::kFracBits - 1));
+  for (std::size_t j = 0; j < e; ++j) {
+    const std::int32_t* const column = tables_.w_r_columns.data() + j * padded;
+    const std::int64_t k = reg_k[j].raw();
+    for (std::size_t row = 0; row < padded; ++row) {
+      const auto p = static_cast<std::uint64_t>(column[row] * k);
+      sum[row] += (p + kBias - (p >> 63)) >> Fx::kFracBits;
+    }
+  }
+  const std::uint64_t offset = static_cast<std::uint64_t>(e)
+                               << (63 - Fx::kFracBits);
+  for (std::size_t row = 0; row < e; ++row) {
+    reg_h[row] = tables_.w_r_l1[row] <= l1_limit
+                     ? Fx::from_raw(static_cast<Fx::raw_type>(
+                           static_cast<std::int64_t>(sum[row] - offset)))
+                     : fx_dot(program_.w_r.row(row), reg_k);
   }
 }
 
@@ -271,6 +349,9 @@ StoryValues Datapath::search(std::span<const Fx> h) {
   const auto logit = [&](std::size_t rank) {
     return fx_dot(program_.w_o.row(probe_class(rank)), h);
   };
+  const auto threshold = [&](std::size_t rank) {
+    return program_.thresholds[probe_class(rank)].raw();
+  };
 
   // U per rank (header). Past l1_limit, L1·‖h‖∞ alone exceeds
   // (2^31 - 1)·2^16, so the bound saturates without forming the product.
@@ -278,19 +359,16 @@ StoryValues Datapath::search(std::span<const Fx> h) {
   for (const Fx x : h) {
     h_max = std::max(h_max, magnitude(x));
   }
-  constexpr std::int64_t kShiftedMax = kRawMax << Fx::kFracBits;
   const std::int64_t l1_limit =
       h_max == 0 ? std::numeric_limits<std::int64_t>::max()
                  : kShiftedMax / h_max;
   const auto slack = static_cast<std::int64_t>(e) << (Fx::kFracBits - 1);
-  bound_.resize(v);
-  for (std::size_t rank = 0; rank < v; ++rank) {
-    const std::int64_t l1 = row_l1_[probe_class(rank)];
-    bound_[rank] = l1 > l1_limit
-                       ? kRawMax
-                       : std::min(kRawMax, (l1 * h_max + slack) >>
-                                               Fx::kFracBits);
-  }
+  const auto bound = [&](std::size_t rank) {
+    const std::int64_t l1 = tables_.output_l1[rank];
+    return l1 > l1_limit ? kRawMax
+                         : std::min(kRawMax,
+                                    (l1 * h_max + slack) >> Fx::kFracBits);
+  };
 
   // The running argmax, first rank on ties. A best of Fx::min() answers
   // class 0 whatever its rank, as the sequential search's initial
@@ -302,19 +380,17 @@ StoryValues Datapath::search(std::span<const Fx> h) {
       best = z;
       best_rank = rank;
     }
-    bound_[rank] = kSeen;
   };
 
   StoryValues values;
   values.output_probes = v;
   if (ith_enabled_) {
     for (std::size_t rank = 0; rank < v; ++rank) {
-      const Fx theta = program_.thresholds[probe_class(rank)];
-      if (bound_[rank] <= theta.raw()) {
+      if (bound(rank) <= threshold(rank)) {
         continue;  // logit <= U <= θ: this probe cannot fire
       }
       const Fx z = logit(rank);
-      if (z > theta) {
+      if (z.raw() > threshold(rank)) {
         values.output_probes = rank + 1;
         values.prediction = static_cast<std::int32_t>(probe_class(rank));
         values.early_exit = true;
@@ -323,20 +399,18 @@ StoryValues Datapath::search(std::span<const Fx> h) {
       consider(rank, z);
     }
   }
-  const auto visit = [&](std::size_t rank) {
-    const std::int64_t u = bound_[rank];
-    if (u < best.raw() || (u == best.raw() && rank > best_rank)) {
-      return;  // logit <= U cannot beat the best, nor tie it earlier
+  // The largest bounds first: once one is below the best, so is every
+  // later one.
+  for (const std::size_t rank : tables_.by_bound) {
+    const std::int64_t u = bound(rank);
+    if (u < best.raw()) {
+      break;
+    }
+    if ((u == best.raw() && rank > best_rank) ||
+        (ith_enabled_ && u > threshold(rank))) {
+      continue;  // it cannot tie at an earlier rank, or ITH's phase had it
     }
     consider(rank, logit(rank));
-  };
-  // The largest bound first: its logit lifts the running best early.
-  const auto largest = std::max_element(bound_.begin(), bound_.end());
-  if (largest != bound_.end()) {
-    visit(static_cast<std::size_t>(largest - bound_.begin()));
-  }
-  for (std::size_t rank = 0; rank < v; ++rank) {
-    visit(rank);
   }
   values.prediction = static_cast<std::int32_t>(
       best == Fx::min() ? 0 : probe_class(best_rank));

@@ -21,6 +21,13 @@
 // LUTs), which Host/DatapathLevels.* hold on seeded programs and
 // Host/SuiteDatapathLevels.* on the trained suite. Other architectures,
 // and compilers that cannot name the levels, build the baseline only.
+//
+// What the pass reads besides the program's matrices is laid out for its
+// loops in DatapathTables, which each Accelerator builds once and every
+// Datapath borrows: READ forms W_r·k in one sweep over W_r's columns,
+// proved saturation-free row by row by an L1 bound before it starts, and
+// OUTPUT visits its classes in descending-bound order, stopping at the
+// first bound below the running best (read_hops(), search()).
 #pragma once
 
 #include <cstdint>
@@ -59,24 +66,57 @@ enum class VectorLevel : std::uint8_t {
 /// another. Read from the CPU once per process.
 [[nodiscard]] std::span<const VectorLevel> host_vector_levels();
 
-/// L1_c = Σ_i |raw(w_o[c][i])| for every row of W_o: the per-class half
-/// of OUTPUT's logit bound (search()), computed once per program.
-[[nodiscard]] std::vector<std::int64_t> row_l1_norms(const FxMatrix& w_o);
+/// What the value pass reads of a program besides its matrices, laid out
+/// for its loops. An Accelerator builds them once, in its constructor
+/// (O(E^2 + V log V)), and every Datapath it makes borrows them.
+struct DatapathTables {
+  /// W_r's columns are padded to a multiple of this many rows, so READ's
+  /// sweep has no remainder loop at any vector width.
+  static constexpr std::size_t kSweepLanes = 8;
+
+  DatapathTables() = default;
+  /// The tables of `program` (consistent, as Accelerator checks) under
+  /// `config`'s ITH setting.
+  DatapathTables(const DeviceProgram& program, const AccelConfig& config);
+
+  // What they were built for: a Datapath refuses any other program.
+  std::size_t vocab_size = 0;  ///< V
+  std::size_t width = 0;       ///< E
+  bool ith = false;            ///< OUTPUT probes in ITH's order
+
+  /// E rounded up to a multiple of kSweepLanes: a column's length.
+  std::size_t padded_width = 0;
+  /// W_r transposed: column j holds raw(W_r[i][j]) for every row i at
+  /// [j·padded_width, (j + 1)·padded_width), zero past row E.
+  std::vector<std::int32_t> w_r_columns;
+  /// Σ_j |raw(W_r[i][j])| per row i: the half of READ's sweep bound that
+  /// does not depend on the key.
+  std::vector<std::int64_t> w_r_l1;
+  /// Σ_i |raw(W_o[c][i])| of the class c probed at each rank (rank order,
+  /// or ITH's order): the per-class half of OUTPUT's logit bound.
+  std::vector<std::int64_t> output_l1;
+  /// The ranks by descending output_l1, so by descending bound; the
+  /// earlier rank first on a tie.
+  std::vector<std::size_t> by_bound;
+};
 
 /// The registers and banks of one story and the steps that compute them,
 /// each in the order its module does. run() is the value pass, compiled
 /// at `level` (the host's widest by default); the steps are public so that
 /// tests can drive each block on hand-built registers, and called one by
-/// one they run at the baseline. The program and `row_l1`
-/// (row_l1_norms(program.w_o)) are borrowed and must outlive the
-/// datapath, so a temporary program cannot bind. Throws
-/// std::invalid_argument for a level outside host_vector_levels().
+/// one they run at the baseline. The program and the tables are borrowed
+/// and must outlive the datapath, so a temporary cannot bind. Throws
+/// std::invalid_argument for a level outside host_vector_levels(), and for
+/// tables built for another vocabulary size, width or ITH setting than
+/// `program` under `config` has.
 class Datapath {
  public:
   Datapath(const DeviceProgram& program, const AccelConfig& config,
-           std::span<const std::int64_t> row_l1,
+           const DatapathTables& tables,
            VectorLevel level = host_vector_levels().back());
-  Datapath(DeviceProgram&&, const AccelConfig&, std::span<const std::int64_t>,
+  Datapath(DeviceProgram&&, const AccelConfig&, const DatapathTables&,
+           VectorLevel = host_vector_levels().back()) = delete;
+  Datapath(const DeviceProgram&, const AccelConfig&, DatapathTables&&,
            VectorLevel = host_vector_levels().back()) = delete;
 
   /// embed(), read_hops(), then search(reg_h), at the datapath's level.
@@ -92,7 +132,13 @@ class Datapath {
   void embed(const data::EncodedStory& story);
   /// The program's hops from the key in reg_k, with k ← h between them
   /// (Eq. 3). Each is READ's W_r·k into reg_h, MEM's address_and_read()
-  /// on the same key, then h += r (Eq. 4).
+  /// on the same key, then h += r (Eq. 4). READ forms W_r·k for every row
+  /// in one sweep over W_r's columns, summing the rounded products in 64
+  /// bits. Row i keeps its sum when L1_i·‖k‖∞ + E·2^15 ≤ (2^31 - 1)·2^16,
+  /// with L1_i = Σ_j |raw(W_r[i][j])|: then Σ_j |r_j| ≤ 2^31 - 1, so, as
+  /// in fx_dot, no product and no prefix of the sequential sum saturates.
+  /// Every other row takes fx_dot, as every row does past fx_dot's
+  /// kWideDotTerms, where a 64-bit sum could overflow.
   void read_hops();
   /// MEM (Eq. 1 and 5): scores every occupied slot against reg_k, keeps
   /// the best sparse_read_slots of them (0 = all), and writes their
@@ -106,9 +152,12 @@ class Datapath {
   /// U_c ≤ θ_c cannot fire, and an argmax candidate with U_c below the
   /// running best, or equal to it at a later rank, cannot win (the
   /// sequential search keeps the first rank of the maximum, and class 0
-  /// when every logit is Fx::min()). So the search evaluates only the
-  /// logits that can still decide the answer, and reports the device's
-  /// answer and probe count exactly.
+  /// when every logit is Fx::min()). So the search walks ITH's phase in
+  /// probe order, evaluating only the probes that can fire, then visits
+  /// the ranks that phase left unevaluated by descending U (U grows with
+  /// L1_c) and stops at the first U below the running best: no later rank
+  /// can reach it (exact MIPS in norm order, as in LEMP; Teflioudi et al.,
+  /// SIGMOD 2015). It reports the device's answer and probe count exactly.
   [[nodiscard]] StoryValues search(std::span<const Fx> h);
 
   // ---- INPUT & WRITE / MEM: address and content banks ----
@@ -125,18 +174,21 @@ class Datapath {
  private:
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
 
+  /// READ's W_r·k into reg_h (read_hops()).
+  void multiply_w_r();
+
   /// run()'s body, compiled at the datapath's level (datapath.cpp).
   StoryValues (*pass_)(Datapath&, const data::EncodedStory&);
   const DeviceProgram& program_;
   const std::size_t sparse_slots_;  ///< 0 = dense softmax/read
   const bool ith_enabled_;
-  const std::span<const std::int64_t> row_l1_;
+  const DatapathTables& tables_;
   const numeric::ExpLut& exp_lut_;
   const numeric::ReciprocalLut& recip_lut_;
 
   std::vector<Fx> scores_;             ///< address_and_read()'s work buffer
   std::vector<std::size_t> selected_;  ///< address_and_read()'s work buffer
-  std::vector<std::int64_t> bound_;    ///< search()'s U per rank
+  std::vector<std::uint64_t> sweep_;   ///< multiply_w_r()'s row sums
 };
 
 }  // namespace mann::accel

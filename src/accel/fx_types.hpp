@@ -14,7 +14,10 @@
 // point per x86-64 level: compiled there at AVX2 or AVX-512 width, they
 // give the baseline's bits, since none of them rounds or saturates
 // differently at any width. No file is built with -m or -march flags, so
-// every out-of-line copy of a kernel is the baseline's.
+// every out-of-line copy of a kernel is the baseline's. READ's W_r·k
+// (Datapath::read_hops) sums the same rounded products for all rows at
+// once and keeps fx_dot's condition, Σ|r| ≤ 2^31 - 1, proved ahead of the
+// sweep by an L1 bound, and its kWideDotTerms limit.
 #pragma once
 
 #include <algorithm>
@@ -68,6 +71,10 @@ class FxMatrix {
 /// differ.
 [[noreturn]] void throw_length_mismatch(const char* kernel);
 
+/// A rounded Q16.16 product is at most 2^46 in magnitude (kRawMin
+/// squared, shifted back), so up to this many of them sum in 64 bits.
+inline constexpr std::size_t kWideDotTerms = (std::size_t{1} << 17) - 1;
+
 /// Fixed-point dot product: each product rounded by
 /// `Fx::rounded_product` and saturated, then accumulated in order with
 /// saturation.
@@ -75,10 +82,7 @@ class FxMatrix {
   if (a.size() != b.size()) {
     throw_length_mismatch("fx_dot");
   }
-  // A rounded Q16.16 product is at most 2^46 in magnitude (kRawMin
-  // squared, shifted back), so up to this many of them sum in 64 bits.
-  constexpr std::size_t kWideTerms = (std::size_t{1} << 17) - 1;
-  if (a.size() <= kWideTerms) {
+  if (a.size() <= kWideDotTerms) {
     std::int64_t sum = 0;
     std::int64_t mag = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {

@@ -3,7 +3,9 @@
 // sum, push some of its dots into the sequential fallback or saturate
 // every product, with ITH on and off, dense and sparse reads, and stories
 // longer than the banks. The suite-scale twin is
-// tests/integration/datapath_levels_test.cpp.
+// tests/integration/datapath_levels_test.cpp. Also here: one datapath
+// over many stories against a fresh one per story, and the tables a
+// datapath refuses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,6 +90,26 @@ std::vector<data::EncodedStory> seeded_stories(std::mt19937_64& rng,
   return stories;
 }
 
+/// Working-range words, words whose dots sometimes pass 2^31 - 1 in
+/// magnitude (fx_dot's fallback), and full-range words.
+constexpr std::int64_t kWordMaxes[] = {std::int64_t{1} << 16,
+                                       std::int64_t{1} << 22, Fx::kRawMax};
+
+/// Whether two datapaths hold the same occupied bank rows and registers.
+bool same_registers(const Datapath& a, const Datapath& b) {
+  if (a.slots != b.slots || a.reg_k != b.reg_k || a.reg_r != b.reg_r ||
+      a.reg_h != b.reg_h || a.attention != b.attention) {
+    return false;
+  }
+  for (std::size_t r = 0; r < a.slots; ++r) {
+    if (!std::ranges::equal(a.mem_a.row(r), b.mem_a.row(r)) ||
+        !std::ranges::equal(a.mem_c.row(r), b.mem_c.row(r))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string level_names() {
   std::string names;
   for (const VectorLevel level : host_vector_levels()) {
@@ -108,18 +130,13 @@ TEST_P(DatapathLevels, RunLikeTheBaseline) {
   // e = 5 and 40 leave vector remainders at every width.
   const Shape shapes[] = {{20, 24, 3, 8}, {7, 5, 2, 3}, {33, 40, 1, 4},
                           {16, 64, 3, 16}};
-  // Working-range words, words whose dots sometimes pass 2^31 - 1 in
-  // magnitude (fx_dot's fallback), and full-range words.
-  const std::int64_t word_maxes[] = {std::int64_t{1} << 16,
-                                     std::int64_t{1} << 22, Fx::kRawMax};
   std::mt19937_64 rng(0x5EEDD47A);
   std::size_t mismatches = 0;
   std::size_t stories_run = 0;
   for (const Shape& shape : shapes) {
-    for (const std::int64_t word_max : word_maxes) {
+    for (const std::int64_t word_max : kWordMaxes) {
       const DeviceProgram program = seeded_program(
           rng, shape.v, shape.e, shape.hops, shape.max_memory, word_max);
-      const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
       const std::vector<data::EncodedStory> stories =
           seeded_stories(rng, program, 40);
       for (const bool ith : {false, true}) {
@@ -127,31 +144,14 @@ TEST_P(DatapathLevels, RunLikeTheBaseline) {
           AccelConfig config;
           config.ith_enabled = ith;
           config.sparse_read_slots = sparse;
-          Datapath baseline(program, config, l1, VectorLevel::kBaseline);
-          Datapath wide(program, config, l1, GetParam());
-          const auto same_banks = [&] {
-            for (std::size_t r = 0; r < baseline.slots; ++r) {
-              if (!std::ranges::equal(wide.mem_a.row(r),
-                                      baseline.mem_a.row(r)) ||
-                  !std::ranges::equal(wide.mem_c.row(r),
-                                      baseline.mem_c.row(r))) {
-                return false;
-              }
-            }
-            return true;
-          };
+          const DatapathTables tables(program, config);
+          Datapath baseline(program, config, tables, VectorLevel::kBaseline);
+          Datapath wide(program, config, tables, GetParam());
           for (std::size_t i = 0; i < stories.size(); ++i) {
             const StoryValues want = baseline.run(stories[i]);
             const StoryValues got = wide.run(stories[i]);
             ++stories_run;
-            const bool same =
-                got.prediction == want.prediction &&
-                got.early_exit == want.early_exit &&
-                got.output_probes == want.output_probes &&
-                wide.slots == baseline.slots && same_banks() &&
-                wide.reg_k == baseline.reg_k && wide.reg_r == baseline.reg_r &&
-                wide.reg_h == baseline.reg_h &&
-                wide.attention == baseline.attention;
+            const bool same = got == want && same_registers(wide, baseline);
             if (!same && ++mismatches <= 5) {
               ADD_FAILURE()
                   << vector_level_name(GetParam()) << ": V=" << shape.v
@@ -178,6 +178,83 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+TEST(DatapathReuse, OneDatapathRunsEachStoryLikeAFreshOne) {
+  // Host/DatapathLevels.* compares two long-lived datapaths, so state that
+  // one story leaves for the next (a bank row, a register, a work buffer)
+  // would leak into both alike. Here one datapath runs 48 stories and is
+  // held, story by story, to a datapath built for that story alone, at
+  // every level this host runs: ITH on (whose thresholds exit early on
+  // some stories and never on others) and off, dense and sparse reads,
+  // the three word ranges.
+  std::mt19937_64 rng(0x0DA7A11FE);
+  std::size_t mismatches = 0;
+  std::size_t stories_run = 0;
+  for (const std::int64_t word_max : kWordMaxes) {
+    const DeviceProgram program = seeded_program(rng, 20, 24, 3, 8, word_max);
+    const std::vector<data::EncodedStory> stories =
+        seeded_stories(rng, program, 48);
+    for (const bool ith : {false, true}) {
+      for (const std::size_t sparse : {0U, 2U}) {
+        AccelConfig config;
+        config.ith_enabled = ith;
+        config.sparse_read_slots = sparse;
+        const DatapathTables tables(program, config);
+        for (const VectorLevel level : host_vector_levels()) {
+          Datapath reused(program, config, tables, level);
+          for (std::size_t i = 0; i < stories.size(); ++i) {
+            Datapath fresh(program, config, tables, level);
+            const StoryValues want = fresh.run(stories[i]);
+            const StoryValues got = reused.run(stories[i]);
+            ++stories_run;
+            if ((got != want || !same_registers(reused, fresh)) &&
+                ++mismatches <= 5) {
+              ADD_FAILURE() << vector_level_name(level) << ": words to "
+                            << word_max << ", ITH " << ith << ", sparse "
+                            << sparse << ", story " << i << ": prediction "
+                            << got.prediction << " vs " << want.prediction
+                            << ", probes " << got.output_probes << " vs "
+                            << want.output_probes;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "of " << stories_run << " stories";
+}
+
+/// A seeded program of `v` classes and `e`-wide words.
+DeviceProgram program_of(std::size_t v, std::size_t e) {
+  std::mt19937_64 rng(v * 100 + e);
+  return seeded_program(rng, v, e, 1, 2, std::int64_t{1} << 16);
+}
+
+TEST(DatapathRefusesTables, BuiltForAnotherVocabularySize) {
+  const DeviceProgram program = program_of(7, 5);
+  const DatapathTables tables(program_of(8, 5), AccelConfig{});
+  EXPECT_THROW(Datapath(program, AccelConfig{}, tables),
+               std::invalid_argument);
+}
+
+TEST(DatapathRefusesTables, BuiltForAnotherWidth) {
+  const DeviceProgram program = program_of(7, 5);
+  const DatapathTables tables(program_of(7, 6), AccelConfig{});
+  EXPECT_THROW(Datapath(program, AccelConfig{}, tables),
+               std::invalid_argument);
+}
+
+TEST(DatapathRefusesTables, BuiltForAnotherIthSetting) {
+  const DeviceProgram program = program_of(7, 5);
+  AccelConfig ith;
+  ith.ith_enabled = true;
+  const DatapathTables plain_tables(program, AccelConfig{});
+  const DatapathTables ith_tables(program, ith);
+  EXPECT_THROW(Datapath(program, ith, plain_tables), std::invalid_argument);
+  EXPECT_THROW(Datapath(program, AccelConfig{}, ith_tables),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Datapath(program, ith, ith_tables));
+}
+
 TEST(VectorLevels, ADatapathRunsOnlyTheHostsLevels) {
   const std::span<const VectorLevel> levels = host_vector_levels();
   ASSERT_FALSE(levels.empty());
@@ -187,15 +264,16 @@ TEST(VectorLevels, ADatapathRunsOnlyTheHostsLevels) {
   program.embedding_dim = 1;
   program.hops = 1;
   program.max_memory = 1;
+  program.w_r = FxMatrix(1, 1);
   program.w_o = FxMatrix(1, 1);
-  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
+  const DatapathTables tables(program, AccelConfig{});
   for (const VectorLevel level :
        {VectorLevel::kBaseline, VectorLevel::kX86_64_V3,
         VectorLevel::kX86_64_V4}) {
     if (std::ranges::find(levels, level) != levels.end()) {
-      EXPECT_NO_THROW(Datapath(program, AccelConfig{}, l1, level));
+      EXPECT_NO_THROW(Datapath(program, AccelConfig{}, tables, level));
     } else {
-      EXPECT_THROW(Datapath(program, AccelConfig{}, l1, level),
+      EXPECT_THROW(Datapath(program, AccelConfig{}, tables, level),
                    std::invalid_argument);
     }
   }

@@ -1268,8 +1268,8 @@ TEST(EventTwins, DatapathActsOnTheTickThatEndsItsCountdown) {
     AccelConfig cfg;
     cfg.timing.lane_width = 1;
     // The story's values: two slots and a key, through the value pass.
-    const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-    Datapath datapath(prog, cfg, l1);
+    const DatapathTables tables(prog, cfg);
+    Datapath datapath(prog, cfg, tables);
     for (const auto& [a, c] :
          {std::pair{FxVector{Fx::from_float(1.0F), Fx{}},
                     FxVector{Fx{}, Fx::from_float(4.0F)}},

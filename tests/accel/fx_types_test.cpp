@@ -318,8 +318,8 @@ SearchOutcome exhaustive_search(const DeviceProgram& program,
 /// through OutputModule, clocked until the answer reaches FIFO_OUT.
 SearchOutcome module_search(const DeviceProgram& program, const FxVector& h,
                             const AccelConfig& cfg) {
-  const std::vector<std::int64_t> l1 = row_l1_norms(program.w_o);
-  Datapath datapath(program, cfg, l1);
+  const DatapathTables tables(program, cfg);
+  Datapath datapath(program, cfg, tables);
   const StoryValues values = datapath.search(h);
   AcceleratorState state(program);
   state.begin_story();
@@ -649,6 +649,93 @@ TEST(OutputSearch, MatchesExhaustiveSearchOnATrainedProgram) {
   }
   EXPECT_EQ(checker.cases(), 2 * (dc.train_stories + dc.test_stories));
   EXPECT_EQ(checker.mismatches(), 0U);
+}
+
+/// Runs one story per key through the value pass at every level this
+/// host runs and holds READ's W_r·k, row by row, to sequential dots. The
+/// program has one hop, keys READ with emb_q's row `q` (question {q}) and
+/// has one context word of zero content, so MEM's one slot reads r = 0 and
+/// the pass leaves h = W_r·k in reg_h. Returns the rows checked whose dot
+/// saturates, so that a case can show it reached fx_dot's fallback.
+std::size_t check_read_sweep(const FxMatrix& w_r,
+                             const std::vector<FxVector>& keys,
+                             const std::string& what,
+                             std::size_t& mismatches) {
+  const std::size_t e = w_r.rows();
+  DeviceProgram program = output_program(keys.size(), e);
+  program.w_r = w_r;
+  for (std::size_t q = 0; q < keys.size(); ++q) {
+    std::ranges::copy(keys[q], program.emb_q.row(q).begin());
+  }
+  const DatapathTables tables(program, AccelConfig{});
+  std::size_t saturated = 0;
+  for (const VectorLevel level : host_vector_levels()) {
+    Datapath datapath(program, AccelConfig{}, tables, level);
+    for (std::size_t q = 0; q < keys.size(); ++q) {
+      data::EncodedStory story;
+      story.context = {{0}};
+      story.question = {static_cast<std::int32_t>(q)};
+      (void)datapath.run(story);
+      for (std::size_t row = 0; row < e; ++row) {
+        const std::int32_t want = sequential_dot(w_r.row(row), keys[q]);
+        const std::int32_t got = datapath.reg_h[row].raw();
+        saturated += want == Fx::kRawMax || want == Fx::kRawMin ? 1 : 0;
+        if (got != want && ++mismatches <= 5) {
+          ADD_FAILURE() << what << " at " << vector_level_name(level)
+                        << ", E " << e << ", key " << q << ", row " << row
+                        << ": h " << got << ", sequential dot " << want;
+        }
+      }
+    }
+  }
+  return saturated;
+}
+
+TEST(ReadSweep, HoldsEveryRowToSequentialDots) {
+  // Rows of one W_r at scales 2^0 to 2^-12 of the word range, so one sweep
+  // keeps the wide sum on some rows and sends others to fx_dot; keys from
+  // the same range, some holding Fx::min() (|Fx::min()| is one more than
+  // Fx::max()), one all Fx::min() and one all Fx::max().
+  std::mt19937_64 rng(0x5EE9);
+  std::size_t mismatches = 0;
+  std::size_t saturated = 0;
+  for (const std::size_t e : {1U, 5U, 8U, 16U, 24U, 40U, 64U}) {
+    for (const std::int64_t word_max :
+         {std::int64_t{1} << 16, std::int64_t{1} << 22,
+          std::int64_t{Fx::kRawMax}}) {
+      FxMatrix w_r(e, e);
+      for (std::size_t row = 0; row < e; ++row) {
+        const std::int64_t max = word_max >> (rng() % 13);
+        const FxVector words = uniform_words(rng, e, -max, max);
+        std::ranges::copy(words, w_r.row(row).begin());
+      }
+      std::vector<FxVector> keys;
+      for (int k = 0; k < 6; ++k) {
+        keys.push_back(uniform_words(rng, e, -word_max, word_max));
+        if (k % 2 == 1) {
+          keys.back()[rng() % e] = Fx::min();
+        }
+      }
+      keys.emplace_back(e, Fx::min());
+      keys.emplace_back(e, Fx::max());
+      saturated += check_read_sweep(
+          w_r, keys, "words to " + std::to_string(word_max), mismatches);
+    }
+  }
+  EXPECT_GT(saturated, 0U) << "no case reached fx_dot's fallback";
+  // The edge row: L1·‖k‖∞ = (16·2^12)·(2^31 - 1) is exactly
+  // (2^31 - 1)·2^16, and each product, 2^12·(2^31 - 1), rounds up to 2^27.
+  // The sequential sum saturates at 2^31 - 1; the wide sum reads 2^31,
+  // which wraps to -2^31, so only the bound's E·2^15 keeps it off the
+  // wide sum.
+  FxMatrix edge(16, 16);
+  for (std::size_t row = 0; row < 16; ++row) {
+    std::ranges::fill(edge.row(row), Fx::from_raw(4096));
+  }
+  EXPECT_EQ(check_read_sweep(edge, {FxVector(16, Fx::max())}, "edge row",
+                             mismatches),
+            16 * host_vector_levels().size());
+  EXPECT_EQ(mismatches, 0U);
 }
 
 TEST(FxAxpyAndAdd, Basics) {

@@ -102,8 +102,8 @@ TEST(InputWriteModule, AccumulatesAndFlushesSentences) {
   EXPECT_EQ(module.stats().ops.mem_write, 4U);
 
   // The value pass embeds the same story.
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   datapath.embed(story_of({{1, 2}}, {0}));
   ASSERT_EQ(datapath.slots, 1U);
   EXPECT_FLOAT_EQ(datapath.mem_a(0, 0).to_float(), 5.0F);
@@ -136,8 +136,8 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
 
   // The value pass keeps the same two slots: words 1 and 2 (word 0's
   // sentence was evicted).
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   datapath.embed(story_of({{0}, {1}, {2}}, {}));
   ASSERT_EQ(datapath.slots, 2U);
   EXPECT_FLOAT_EQ(datapath.mem_a(0, 0).to_float(), 2.0F);
@@ -149,8 +149,8 @@ TEST(InputWriteModule, DropsOldestSlotWhenMemoryFull) {
 TEST(MemModule, ComputesSoftmaxAttentionAndWeightedRead) {
   const DeviceProgram prog = tiny_program();
   const AccelConfig cfg = tiny_config();
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   // Two memory slots with known contents.
   load_slot(datapath, {Fx::from_float(1.0F), Fx::from_float(0.0F)},
             {Fx::from_float(0.0F), Fx::from_float(1.0F)});
@@ -191,8 +191,8 @@ TEST(MemModule, EmptyMemoryIsAProtocolBug) {
   MemModule module(state, tiny_config());
   EXPECT_THROW(module.tick(), std::logic_error);
 
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, tiny_config(), l1);
+  const DatapathTables tables(prog, tiny_config());
+  Datapath datapath(prog, tiny_config(), tables);
   datapath.reg_k = {Fx::from_float(1.0F), Fx{}};
   EXPECT_THROW(datapath.address_and_read(), std::logic_error);
 }
@@ -215,8 +215,8 @@ TEST(ReadModule, RunsHopsAndRaisesFeaturesReady) {
                       mem);
   EXPECT_EQ(state.hops_done, 2U);
 
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   load_slot(datapath, {Fx::from_float(1.0F), Fx{}},
             {Fx{}, Fx::from_float(4.0F)});
   datapath.reg_k = {Fx::from_float(1.0F), Fx{}};
@@ -247,8 +247,8 @@ std::int32_t output_answer(const DeviceProgram& prog, const AccelConfig& cfg,
 TEST(OutputModule, SequentialArgmaxWithoutIth) {
   const DeviceProgram prog = tiny_program();
   const AccelConfig cfg = tiny_config();
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   const FxVector h = {Fx{}, Fx::from_float(1.0F)};  // logits = 1,2,3,4
   const StoryValues values = datapath.search(h);
 
@@ -265,8 +265,8 @@ TEST(OutputModule, IthStopsAtFirstThresholdCross) {
   prog.thresholds = {Fx::max(), Fx::max(), Fx::from_float(2.5F), Fx::max()};
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   const FxVector h = {Fx{}, Fx::from_float(1.0F)};  // logit of class 2 = 3
   const StoryValues values = datapath.search(h);
 
@@ -282,8 +282,8 @@ TEST(OutputModule, IthFallsBackToArgmaxWhenNothingFires) {
   prog.thresholds.assign(4, Fx::max());
   AccelConfig cfg = tiny_config();
   cfg.ith_enabled = true;
-  const std::vector<std::int64_t> l1 = row_l1_norms(prog.w_o);
-  Datapath datapath(prog, cfg, l1);
+  const DatapathTables tables(prog, cfg);
+  Datapath datapath(prog, cfg, tables);
   const FxVector h = {Fx{}, Fx::from_float(1.0F)};
   const StoryValues values = datapath.search(h);
 

@@ -36,7 +36,6 @@ TEST_P(SuiteDatapathLevels, RunLikeTheBaseline) {
     for (const bool ith : {false, true}) {
       const accel::DeviceProgram program = accel::compile_model(
           artifacts.model, ith ? &artifacts.ith : nullptr);
-      const std::vector<std::int64_t> l1 = accel::row_l1_norms(program.w_o);
       for (const std::size_t sparse : {0U, 2U}) {
         SCOPED_TRACE("task " + std::to_string(task) + ", ITH " +
                      (ith ? "on" : "off") + ", sparse " +
@@ -44,9 +43,10 @@ TEST_P(SuiteDatapathLevels, RunLikeTheBaseline) {
         accel::AccelConfig config;
         config.ith_enabled = ith;
         config.sparse_read_slots = sparse;
-        accel::Datapath baseline(program, config, l1,
+        const accel::DatapathTables tables(program, config);
+        accel::Datapath baseline(program, config, tables,
                                  accel::VectorLevel::kBaseline);
-        accel::Datapath wide(program, config, l1, GetParam());
+        accel::Datapath wide(program, config, tables, GetParam());
         std::size_t mismatches = 0;
         for (const data::EncodedStory& story : artifacts.dataset.test) {
           const accel::StoryValues want = baseline.run(story);
