@@ -198,9 +198,9 @@ Qa1Workload qa1_workload(std::size_t count) {
 // whether the model is already resident (1) or uploaded first (0, the
 // cold run). With one story, cold minus resident time is the host cost of
 // one model upload. 200 resident stories at 100 MHz is serving's
-// link-bound shape: the event loop's steady state, where time per
-// iteration / 200 is the host time per story. 8 resident stories is the
-// shape of one serving dispatch, where a run's fixed costs show.
+// link-bound shape, where time per iteration / 200 is the host time per
+// story. 8 resident stories is the shape of one serving dispatch, where a
+// run's fixed costs show.
 void BM_AcceleratorRun(benchmark::State& state) {
   const Qa1Workload workload =
       qa1_workload(static_cast<std::size_t>(state.range(1)));

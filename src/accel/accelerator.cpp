@@ -1,5 +1,6 @@
 #include "accel/accelerator.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -104,39 +105,6 @@ void require(bool ok, const char* what) {
   }
 }
 
-/// Refuses a program the modules would index out of bounds: every
-/// table a story or a class probe reads must have the shape the
-/// dimensions promise.
-void validate_program(const DeviceProgram& program) {
-  const std::size_t v = program.vocab_size;
-  const std::size_t e = program.embedding_dim;
-  require(v >= 1, "vocab_size must be at least 1");
-  require(e >= 1, "embedding_dim must be at least 1");
-  require(program.hops >= 1, "hops must be at least 1");
-  require(program.max_memory >= 1, "max_memory must be at least 1");
-  for (const FxMatrix* m : {&program.emb_a, &program.emb_c, &program.emb_q,
-                            &program.w_o}) {
-    require(m->rows() == v && m->cols() == e,
-            "embedding tables and W_o must be vocab_size x embedding_dim");
-  }
-  require(program.w_r.rows() == e && program.w_r.cols() == e,
-          "W_r must be embedding_dim x embedding_dim");
-  if (program.thresholds.empty() && program.probe_order.empty()) {
-    return;
-  }
-  require(program.thresholds.size() == v,
-          "ITH thresholds must have vocab_size entries");
-  require(program.probe_order.size() == v,
-          "ITH probe_order must have vocab_size entries");
-  std::vector<bool> seen(v, false);
-  for (const std::int32_t cls : program.probe_order) {
-    require(cls >= 0 && static_cast<std::size_t>(cls) < v &&
-                !seen[static_cast<std::size_t>(cls)],
-            "ITH probe_order must be a permutation of the classes");
-    seen[static_cast<std::size_t>(cls)] = true;
-  }
-}
-
 /// Refuses a story with a word id the embedding tables cannot index.
 void validate_stories(std::span<const data::EncodedStory* const> stories,
                       std::size_t vocab_size) {
@@ -159,6 +127,252 @@ void validate_stories(std::span<const data::EncodedStory* const> stories,
       check(i, word);
     }
   }
+}
+
+// ---- A synchronous run in closed form ---------------------------------------
+//
+// With synchronous_stories the host sends a story only once the previous
+// answer has arrived, so nothing overlaps across stories and every stage
+// of a run is known in length when it starts: the additive time of the
+// paper's request/response host (config.hpp). The fold below gives the
+// ticks of the module graph (HostLinkModule::tick and the five modules
+// ticked after it) stage by stage. With f the clock, w and r the word and
+// model rates, D the FIFO depth and M the model words, and credits in
+// units of 1/f words as HOST_LINK keeps them:
+//   - a cold upload: after t ticks HOST_LINK has pushed
+//     min(⌊t·r/f⌋, D + t − 1) model words, CONTROL popping one a tick;
+//   - a story's words, at most one a tick: each crosses FIFO_IN and
+//     CMD_FIFO into INPUT&WRITE on its tick, since ⌊f/w⌋ > bram_write
+//     ends a sentence flush before the next word lands;
+//   - from kEndOfStory's tick, each hop: READ's W_r·k countdown beside
+//     MEM's pipeline, then the add;
+//   - OUTPUT's search and its push, which HOST_LINK pops a tick later;
+//   - while the host awaits that answer its credit drops to 0 on each
+//     tick that brings it to a word, and the next story starts from
+//     where the credit stands when the answer comes.
+// Outside that domain (an asynchronous host, words closer than a flush,
+// or a first kStoryStart that would land while model words still wait in
+// FIFO_IN) a run ticks every cycle. Tests hold every RunResult field of
+// the fold to detail::simulate_per_cycle.
+
+constexpr std::array<const char*, 6> kModuleNames = {
+    "HOST_LINK", "CONTROL", "INPUT_WRITE", "READ", "MEM", "OUTPUT"};
+
+/// Ticks and credits: wide enough for every product below, since clocks
+/// and rates are at most 2^53 (validate_config).
+using Wide = unsigned __int128;
+
+Wide ceil_div(Wide a, Wide b) noexcept { return (a + b - 1) / b; }
+
+/// A tick on which the host's credit reaches a story's kStoryStart, and
+/// what that tick's add brought the credit to. The story's DMA delay is
+/// charged on it or, with none, the word goes out on it.
+struct Crossing {
+  Wide tick = 0;
+  Wide credit = 0;
+};
+
+/// How a run in the fold's domain starts: the upload, if cold, and the
+/// first story's crossing.
+struct SynchronousStart {
+  Crossing first;
+  std::uint64_t model_words = 0;  ///< uploaded: none on a warm device
+  Wide upload_busy = 0;           ///< ticks that pushed model words
+  Wide upload_rejects = 0;        ///< ticks that found FIFO_IN full
+  Wide upload_peak = 0;           ///< FIFO_IN's most words
+};
+
+/// The start of a run, or nullopt when the run is outside the fold's
+/// domain.
+std::optional<SynchronousStart> synchronous_start(const AccelConfig& config,
+                                                  const LinkTiming& link,
+                                                  std::uint64_t model_words,
+                                                  bool model_resident) {
+  const Wide f = link.clock_hz;
+  const Wide w = link.words_per_second;
+  if (!config.link.synchronous_stories || f / w <= config.timing.bram_write) {
+    return std::nullopt;
+  }
+  const Wide period = ceil_div(f, w);  // ticks from no credit to a word
+  SynchronousStart start;
+  if (model_resident) {
+    start.first = {period, period * w};
+    return start;
+  }
+  const Wide r = link.model_words_per_second;
+  const Wide m = model_words;
+  const Wide depth = config.fifo_depth;
+  if (r == 0) {
+    return std::nullopt;  // the upload never ends; the watchdog ends the run
+  }
+  // The tick that pushes the last model word, and the credit it leaves.
+  // CONTROL pops a model word every tick from the first: it stores the
+  // last one on tick M above one word a tick, otherwise on the tick it
+  // is pushed.
+  const Wide end = std::max(ceil_div(m * f, r), m + 1 > depth ? m + 1 - depth
+                                                               : Wide{1});
+  const Wide stored = std::max(end, m);
+  const Wide left = end * r - m * f;
+  if (left >= f) {
+    // The first kStoryStart is due on tick `end` itself. With no DMA
+    // delay to charge there it would go out behind the model words still
+    // in FIFO_IN.
+    if (link.story_latency == 0) {
+      return std::nullopt;
+    }
+    start.first = {end, left};
+  } else {
+    const Wide tick = end + ceil_div(f - left, w);
+    start.first = {tick, left + (tick - end) * w};
+  }
+  const Wide lands =
+      start.first.tick +
+      (link.story_latency > 0 ? link.story_latency + period : 0);
+  if (lands <= stored) {
+    return std::nullopt;
+  }
+  start.model_words = model_words;
+  start.upload_busy = std::min(end, m);
+  // Above one word a tick FIFO_IN fills, and from tick ⌈D·f/(r − f)⌉ on
+  // the credit outlasts its room: every tick short of `end` refuses a push.
+  if (r > f) {
+    const Wide refusing = ceil_div(depth * f, r - f);
+    start.upload_rejects = end > refusing ? end - refusing : 0;
+  }
+  start.upload_peak = m + 1 > end ? m + 1 - end : 1;
+  return start;
+}
+
+/// Every RunResult field of a run that starts at `start`, one story at a
+/// time. Throws std::runtime_error, as the per-cycle clock's watchdog
+/// does, when the last answer comes after config.watchdog_cycles.
+RunResult fold_synchronous(const AccelConfig& config,
+                           const DeviceProgram& program,
+                           const LinkTiming& link,
+                           const SynchronousStart& start,
+                           std::span<const data::EncodedStory* const> stories,
+                           std::span<const StoryValues> values) {
+  const sim::DatapathTiming& timing = config.timing;
+  const std::size_t e = program.embedding_dim;
+  const std::uint64_t hops = program.hops;
+  const Wide f = link.clock_hz;
+  const Wide w = link.words_per_second;
+  const Wide period = ceil_div(f, w);
+  const sim::Cycle latency = link.story_latency;
+  // READ's W_r·k countdown and its add.
+  const sim::Cycle w_r_k = timing.dot_block(e, e);
+  const auto add = static_cast<sim::Cycle>(sim::ceil_div(e, timing.lane_width));
+
+  std::array<sim::ModuleStats, kModuleNames.size()> stats{};
+  auto& [host, control, input_write, read, mem, output] = stats;
+  RunResult result;
+  result.stories.reserve(stories.size());
+  std::uint64_t words_total = 0;
+  Crossing next = start.first;
+  Wide last_answer = 0;
+  for (std::size_t i = 0; i < stories.size(); ++i) {
+    const data::EncodedStory& story = *stories[i];
+    std::uint64_t context = 0;
+    std::uint64_t sentences = 0;  // non-empty ones: INPUT&WRITE's flushes
+    for (const std::vector<std::int32_t>& sentence : story.context) {
+      context += sentence.size();
+      sentences += sentence.empty() ? 0 : 1;
+    }
+    const std::uint64_t question = story.question.size();
+    // kStoryStart, a kSentenceStart a sentence, kQuestionStart, kEndOfStory.
+    const std::uint64_t words = 3 + story.context.size() + context + question;
+
+    // The kStoryStart goes out on `pushed`, a DMA delay after the
+    // crossing if there is one, and leaves less than a word of credit.
+    Wide pushed = next.tick;
+    Wide credit = next.credit - f;
+    if (latency > 0) {
+      pushed += latency + period;
+      credit = period * w - f;
+    }
+    // kEndOfStory goes out words − 1 words later, and READ starts the
+    // first hop on its tick.
+    const Wide tail = Wide{words - 1} * f;
+    const Wide eos = pushed + ceil_div(tail - credit, w);
+    const Wide eos_credit = credit + (eos - pushed) * w - tail;
+    const std::size_t slots =
+        std::min<std::size_t>(sentences, program.max_memory);
+    const bool sparse = config.sparse_read_slots > 0 &&
+                        config.sparse_read_slots < slots;
+    const std::size_t active = sparse ? config.sparse_read_slots : slots;
+    const sim::Cycle mem_cycles =
+        timing.dot_block(slots, e) + (sparse ? slots : 0) +
+        timing.exp_block(active) + timing.div_block(active) +
+        timing.dot_block(active, e);
+    const sim::Cycle hop = std::max(w_r_k + 1, mem_cycles) + add;
+    // OUTPUT searches from the last add's tick and pushes when done;
+    // HOST_LINK pops the answer a tick later.
+    const StoryValues& v = values[i];
+    const sim::Cycle search = timing.dot_block(v.output_probes, e);
+    const Wide answer = eos + Wide{hops} * hop + search;
+    if (answer > config.watchdog_cycles) {
+      throw std::runtime_error(
+          "Accelerator: watchdog expired — the run needs more than "
+          "watchdog_cycles");
+    }
+    result.stories.push_back(
+        {v.prediction, v.output_probes, v.early_exit,
+         static_cast<sim::Cycle>(answer) + link.result_latency});
+    last_answer = answer;
+    // The host awaiting the answer zeroes its credit on each tick that
+    // brings it to a word; the next crossing is the first such tick at or
+    // after the answer's.
+    const Wide reach = eos + ceil_div(f - eos_credit, w);
+    next = answer <= reach
+               ? Crossing{reach, eos_credit + (reach - eos) * w}
+               : Crossing{reach + ceil_div(answer - reach, period) * period,
+                          period * w};
+
+    words_total += words;
+    host.busy_cycles += latency + words;
+    control.busy_cycles += words;
+    input_write.busy_cycles += words - 1 + timing.bram_write * sentences;
+    input_write.ops.add += (2 * context + question) * e;
+    input_write.ops.mem_read += (2 * context + question) * e;
+    input_write.ops.mem_write += 2 * e * sentences;
+    read.busy_cycles += hops * (w_r_k + 1 + add);
+    read.ops.mac += hops * e * e;
+    read.ops.mem_read += hops * e * e;
+    read.ops.add += hops * e;
+    mem.busy_cycles += hops * mem_cycles;
+    mem.ops.mac += hops * (slots + active) * e;
+    mem.ops.mem_read += hops * (slots + active) * e;
+    mem.ops.compare += hops * (sparse ? 2 * slots : slots);
+    mem.ops.exp += hops * active;
+    mem.ops.add += hops * active;
+    mem.ops.div += hops * active;
+    output.busy_cycles += search + 1;
+    output.ops.mac += v.output_probes * e;
+    output.ops.mem_read += v.output_probes * e;
+    output.ops.compare += v.output_probes;
+  }
+
+  const std::uint64_t m = start.model_words;
+  result.stream_words = m + words_total;
+  if (!stories.empty()) {
+    host.busy_cycles += static_cast<sim::Cycle>(start.upload_busy);
+    host.stall_cycles = static_cast<sim::Cycle>(start.upload_rejects);
+    control.busy_cycles += m;
+    control.ops.mem_write = m;
+    result.fifo_in_stats = {m + words_total, m + words_total,
+                            static_cast<std::uint64_t>(start.upload_rejects),
+                            static_cast<std::size_t>(
+                                std::max(start.upload_peak, Wide{1}))};
+    result.fifo_out_stats = {stories.size(), stories.size(), 0, 1};
+  }
+  result.total_cycles = static_cast<sim::Cycle>(last_answer);
+  result.seconds = static_cast<double>(result.total_cycles) / config.clock_hz;
+  result.link_active_cycles = host.busy_cycles;
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    result.modules.push_back({kModuleNames[i], stats[i]});
+    result.total_ops += stats[i].ops;
+  }
+  return result;
 }
 
 }  // namespace
@@ -218,6 +432,14 @@ RunResult Accelerator::simulate(
     std::span<const data::EncodedStory* const> stories,
     std::span<const StoryValues> values, bool model_resident,
     bool per_cycle) const {
+  if (!per_cycle) {
+    const LinkTiming link(config_);
+    if (const std::optional<SynchronousStart> start = synchronous_start(
+            config_, link, program_.model_words(), model_resident)) {
+      return fold_synchronous(config_, program_, link, *start, stories,
+                              values);
+    }
+  }
   AcceleratorState state(program_);
   if (model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
@@ -231,11 +453,8 @@ RunResult Accelerator::simulate(
 
   HostLinkModule host(config_, model_resident ? 0 : program_.model_words(),
                       encode_workload(stories), fifo_in, fifo_out);
-  // CONTROL drains FIFO_IN right after HOST_LINK ticks and INPUT&WRITE
-  // drains CMD_FIFO right after CONTROL: the coupled chain, which skips a
-  // model upload and a story's data words as one event each.
-  ControlModule control(state, fifo_in, cmd_fifo, &host);
-  InputWriteModule input_write(state, config_, cmd_fifo, &control);
+  ControlModule control(state, fifo_in, cmd_fifo);
+  InputWriteModule input_write(state, config_, cmd_fifo);
   MemModule mem(state, config_);
   ReadModule read(state, config_);
   OutputModule output(state, config_, fifo_out, values);
@@ -244,14 +463,8 @@ RunResult Accelerator::simulate(
   const std::size_t expected = stories.size();
   const auto answered = [&] { return host.answers().size() >= expected; };
   // Producer-to-consumer order along the write path, then the read path.
-  if (per_cycle) {
-    (void)simulator.run_until(answered, config_.watchdog_cycles, host,
-                              control, input_write, read, mem, output);
-  } else {
-    (void)simulator.run_events(answered, config_.watchdog_cycles,
-                               sim::kNever, host, control, input_write, read,
-                               mem, output);
-  }
+  (void)simulator.run_until(answered, config_.watchdog_cycles, host, control,
+                            input_write, read, mem, output);
 
   RunResult result;
   result.total_cycles = simulator.now();
@@ -312,8 +525,7 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
     throw std::invalid_argument(
         "Accelerator: ITH enabled but the program has no threshold tables");
   }
-  validate_program(program_);
-  tables_ = DatapathTables(program_, config_);
+  tables_ = DatapathTables(program_, config_);  // refuses a bad program
   const Fingerprint fp = fingerprint_device(config_, program_);
   fingerprint_ = fp.device();
   values_fingerprint_ = fp.values();
@@ -373,6 +585,12 @@ RunResult simulate_per_cycle(const Accelerator& device,
       story_pointers(stories);
   return device.simulate(pointers, device.story_values(pointers, nullptr, {}),
                          model_resident, /*per_cycle=*/true);
+}
+
+bool takes_closed_form(const Accelerator& device, bool model_resident) {
+  return synchronous_start(device.config(), LinkTiming(device.config()),
+                           device.program().model_words(), model_resident)
+      .has_value();
 }
 
 }  // namespace detail

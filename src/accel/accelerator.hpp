@@ -1,5 +1,8 @@
 // Top-level accelerator: wires the host link, FIFOs and the five modules
-// of Fig. 1 together and runs a workload to completion.
+// of Fig. 1 together and runs a workload to completion. A synchronous
+// run's time comes in closed form, one fold over its stories; any other
+// run ticks the module graph every cycle (detail::simulate_per_cycle,
+// the reference the fold is held to).
 #pragma once
 
 #include <cstdint>
@@ -106,13 +109,21 @@ class Accelerator;
 
 namespace detail {
 
-/// Reference clock for the tick-vs-event differential tests: the module
-/// graph Accelerator::run simulates, ticked on every cycle by
-/// Simulator::run_until instead of run_events, over every story's values
-/// from the value pass. Uncached; not a serving path.
+/// The reference clock: the module graph of Fig. 1 ticked on every cycle
+/// by Simulator::run_until, over every story's values from the value
+/// pass. Accelerator::run gives the same RunResult, in closed form where
+/// takes_closed_form() holds. Uncached; not a serving path.
 [[nodiscard]] RunResult simulate_per_cycle(
     const Accelerator& device, std::span<const data::EncodedStory> stories,
     bool model_resident);
+
+/// Whether Accelerator::run times a run of `device` at this residency in
+/// closed form rather than ticking every cycle: with a synchronous host,
+/// ⌊clock_hz / words_per_second⌋ above bram_write and, on a cold run, a
+/// first kStoryStart that lands after CONTROL has stored the last model
+/// word. For the differential tests, which count the cases it covers.
+[[nodiscard]] bool takes_closed_form(const Accelerator& device,
+                                     bool model_resident);
 
 }  // namespace detail
 
@@ -127,13 +138,9 @@ namespace detail {
 /// device slots on separate host threads against the same Accelerator.
 class Accelerator {
  public:
-  /// Throws std::invalid_argument on a non-positive clock, on ITH without
-  /// threshold tables, and on an inconsistent program: vocab_size and
-  /// embedding_dim must be at least 1, vocab_size must equal the rows of
-  /// W_o and of the three embedding tables, every matrix must be
-  /// embedding_dim wide, W_r square, hops and max_memory at least 1, and
-  /// ITH tables, when present, must hold vocab_size thresholds and a
-  /// probe order that is a permutation of the classes.
+  /// Throws std::invalid_argument on a config validate_config refuses, on
+  /// ITH without threshold tables, and on a program validate_program
+  /// refuses (compiler.hpp), which building the DatapathTables checks.
   Accelerator(AccelConfig config, DeviceProgram program);
 
   [[nodiscard]] const AccelConfig& config() const noexcept { return config_; }
@@ -174,9 +181,10 @@ class Accelerator {
       ServiceCycleCache* cache,
       std::span<const std::uint64_t> story_digests) const;
 
-  /// The timing pass: builds the module graph over this device's program
-  /// and the stories' values and ticks it to completion, on
-  /// Simulator::run_events or, when `per_cycle`, run_until.
+  /// The timing pass over the stories' values: the closed form of a
+  /// synchronous run (accelerator.cpp) unless `per_cycle` or the run is
+  /// outside its domain; otherwise the module graph over this device's
+  /// program, ticked to completion on Simulator::run_until.
   [[nodiscard]] RunResult simulate(
       std::span<const data::EncodedStory* const> stories,
       std::span<const StoryValues> values, bool model_resident,

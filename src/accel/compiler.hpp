@@ -39,6 +39,15 @@ struct DeviceProgram {
   }
 };
 
+/// Throws std::invalid_argument for a program the device would read past:
+/// vocab_size and embedding_dim must be at least 1, vocab_size must equal
+/// the rows of W_o and of the three embedding tables, every matrix must be
+/// embedding_dim wide, W_r square, hops and max_memory at least 1, and ITH
+/// tables, when present, must hold vocab_size thresholds and a probe order
+/// that is a permutation of the classes. DatapathTables' constructor
+/// calls it, so no table is built for such a program.
+void validate_program(const DeviceProgram& program);
+
 /// Quantizes a trained model (and optional ITH calibration) for the device.
 /// Classes whose calibrated threshold is +inf get the saturated fx maximum,
 /// which no Q16.16 logit can exceed — hardware's "never fires" encoding.

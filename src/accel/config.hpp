@@ -64,7 +64,7 @@ struct AccelConfig {
 /// correctly: a clock or word rate that is not a whole number in
 /// [1, 2^53] (a model rate may also be 0, which stalls the upload), a
 /// latency that is negative, not finite or over 2^53 cycles, a zero lane
-/// width or a zero FIFO depth. The Accelerator and HostLinkModule
+/// width or a zero FIFO depth. The Accelerator and LinkTiming
 /// constructors call it.
 void validate_config(const AccelConfig& config);
 

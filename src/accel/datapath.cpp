@@ -136,15 +136,16 @@ std::span<const VectorLevel> host_vector_levels() {
 }
 
 DatapathTables::DatapathTables(const DeviceProgram& program,
-                               const AccelConfig& config)
-    : vocab_size(program.vocab_size),
-      width(program.embedding_dim),
-      ith(config.ith_enabled && program.has_ith_tables()),
-      padded_width((width + kSweepLanes - 1) / kSweepLanes * kSweepLanes),
-      w_r_columns(width * padded_width, 0),
-      w_r_l1(width, 0),
-      output_l1(vocab_size, 0),
-      by_bound(vocab_size) {
+                               const AccelConfig& config) {
+  validate_program(program);  // every loop below then reads within shape
+  vocab_size = program.vocab_size;
+  width = program.embedding_dim;
+  ith = config.ith_enabled && program.has_ith_tables();
+  padded_width = (width + kSweepLanes - 1) / kSweepLanes * kSweepLanes;
+  w_r_columns.assign(width * padded_width, 0);
+  w_r_l1.assign(width, 0);
+  output_l1.assign(vocab_size, 0);
+  by_bound.resize(vocab_size);
   for (std::size_t i = 0; i < width; ++i) {
     for (std::size_t j = 0; j < width; ++j) {
       w_r_columns[j * padded_width + i] = program.w_r(i, j).raw();

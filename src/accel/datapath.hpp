@@ -4,10 +4,11 @@
 // through OUTPUT's probe count under ITH: every other busy cycle, stall
 // and op count follows from the story's shape (words, sentences, slots,
 // hops). So the Accelerator computes each story's values here, in the
-// modules' arithmetic order, and the six modules then tick from the
-// stream and these values alone: the functional/timing split of FAST
-// (Chiou et al., MICRO 2007). ServiceCycleCache memoizes the values per
-// (device, story).
+// modules' arithmetic order, and times the run from the stories' shapes
+// and these values alone: in closed form when the host is synchronous,
+// otherwise by ticking the six modules. That is the functional/timing
+// split of FAST (Chiou et al., MICRO 2007). ServiceCycleCache memoizes
+// the values per (device, story).
 //
 // The value pass is compiled once per x86-64 level from one source
 // (datapath.cpp): the baseline, x86-64-v3 (AVX2) and x86-64-v4
@@ -75,8 +76,9 @@ struct DatapathTables {
   static constexpr std::size_t kSweepLanes = 8;
 
   DatapathTables() = default;
-  /// The tables of `program` (consistent, as Accelerator checks) under
-  /// `config`'s ITH setting.
+  /// The tables of `program` under `config`'s ITH setting. Throws
+  /// std::invalid_argument, before anything is built, for a program
+  /// validate_program refuses.
   DatapathTables(const DeviceProgram& program, const AccelConfig& config);
 
   // What they were built for: a Datapath refuses any other program.

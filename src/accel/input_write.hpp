@@ -8,16 +8,12 @@
 // address/content banks, and question words accumulate straight into
 // the read key register. The sums themselves are the value pass's
 // (Datapath::embed); this module keeps their time, their ops and the
-// slot count. Coupled behind CONTROL, it is the last module of the
-// chain that skips a story's data words as one event
-// (HostLinkModule::story_window).
+// slot count.
 #pragma once
 
 #include <algorithm>
 
 #include "accel/config.hpp"
-#include "accel/control.hpp"
-#include "accel/host_link.hpp"
 #include "accel/state.hpp"
 #include "accel/stream.hpp"
 #include "sim/fifo.hpp"
@@ -27,30 +23,14 @@ namespace mann::accel {
 
 class InputWriteModule final : public sim::Module {
  public:
-  /// With `upstream`, INPUT&WRITE is the coupled sink of that CONTROL's
-  /// CMD_FIFO (ControlModule::couple_sink) and must tick right after it.
-  /// Without, it keeps the plain per-module contract.
   InputWriteModule(AcceleratorState& state, const AccelConfig& config,
-                   sim::Fifo<StreamWord>& cmd_fifo,
-                   ControlModule* upstream = nullptr)
+                   sim::Fifo<StreamWord>& cmd_fifo)
       : Module("INPUT_WRITE"),
         state_(state),
         timing_(config.timing),
-        cmd_fifo_(cmd_fifo) {
-    if (upstream != nullptr) {
-      link_ = upstream->couple_sink(cmd_fifo_, busy_, timing_.bram_write);
-    }
-  }
+        cmd_fifo_(cmd_fifo) {}
 
   void tick();
-  /// A command's cycles count down without effect; the tick after the
-  /// last one pops the next command, if CMD_FIFO holds one.
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  /// Counts the countdown down. Inside a story window it also processes
-  /// each word the link streamed, as its push cycle's tick would: the
-  /// spacing rule ends every word's countdown before the next push, and
-  /// the skip's end cuts the last one's.
-  void skip(sim::Cycle cycles);
 
  private:
   void process(const StreamWord& word);
@@ -59,7 +39,6 @@ class InputWriteModule final : public sim::Module {
   AcceleratorState& state_;
   const sim::DatapathTiming timing_;
   sim::Fifo<StreamWord>& cmd_fifo_;
-  const HostLinkModule* link_ = nullptr;  ///< the chain's head, if coupled
   sim::Cycle busy_ = 0;
 };
 
@@ -113,30 +92,6 @@ inline void InputWriteModule::tick() {
   }
   mark_busy();
   --busy_;
-}
-
-inline std::optional<sim::Cycle> InputWriteModule::next_activity(
-    sim::Cycle now) const {
-  return cmd_fifo_.empty() ? sim::kNever : now + busy_;
-}
-
-inline void InputWriteModule::skip(sim::Cycle cycles) {
-  const sim::Cycle counted = std::min(cycles, busy_);
-  busy_ -= counted;
-  mark_busy(counted);
-  if (link_ == nullptr) {
-    return;
-  }
-  const HostLinkModule::Streamed& streamed = link_->streamed();
-  for (std::size_t i = 0; i < streamed.words.size(); ++i) {
-    process(streamed.words[i]);
-    const sim::Cycle spent =
-        i + 1 < streamed.words.size()
-            ? busy_
-            : std::min(busy_, streamed.since_last_push + 1);
-    busy_ -= spent;
-    mark_busy(spent);
-  }
 }
 
 }  // namespace mann::accel

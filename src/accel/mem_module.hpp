@@ -8,7 +8,6 @@
 // and ops, which depend only on the slot count, the sparse k and E.
 #pragma once
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "accel/config.hpp"
@@ -26,10 +25,6 @@ class MemModule final : public sim::Module {
         sparse_slots_(config.sparse_read_slots) {}
 
   void tick();
-  /// The tick that takes busy_ from 1 to 0 raises mem_done; an idle MEM
-  /// acts on READ's request.
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  void skip(sim::Cycle cycles);
 
  private:
   void start();
@@ -66,15 +61,11 @@ inline void MemModule::start() {
   ops().mem_read += active * e;
 
   // Cycle cost of the sequential phases (pipelined within each).
-  const auto block = [&](std::size_t n) {
-    return timing_.dot_cycles(e) +
-           static_cast<sim::Cycle>(n - 1) * timing_.dot_ii(e);
-  };
-  busy_ = block(slots)                 // addressing (all slots)
-          + select_cycles              // sparse k-max pass
-          + timing_.exp_block(active)  // exp + sum
-          + timing_.div_block(active)  // normalize
-          + block(active);             // weighted read
+  busy_ = timing_.dot_block(slots, e)      // addressing (all slots)
+          + select_cycles                  // sparse k-max pass
+          + timing_.exp_block(active)      // exp + sum
+          + timing_.div_block(active)      // normalize
+          + timing_.dot_block(active, e);  // weighted read
   state_.mem_request = false;
 }
 
@@ -90,20 +81,6 @@ inline void MemModule::tick() {
   if (busy_ == 0) {
     state_.mem_done = true;
   }
-}
-
-inline std::optional<sim::Cycle> MemModule::next_activity(
-    sim::Cycle now) const {
-  if (busy_ > 0) {
-    return now + busy_ - 1;
-  }
-  return state_.mem_request ? now : sim::kNever;
-}
-
-inline void MemModule::skip(sim::Cycle cycles) {
-  const sim::Cycle counted = std::min(cycles, busy_);
-  busy_ -= counted;
-  mark_busy(counted);
 }
 
 }  // namespace mann::accel

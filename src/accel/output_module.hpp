@@ -35,11 +35,6 @@ class OutputModule final : public sim::Module {
         values_(values) {}
 
   void tick();
-  /// The search ends on the tick that takes busy_ from 1 to 0; an idle
-  /// OUTPUT acts when features are ready, and a pending answer tries
-  /// FIFO_OUT every cycle (a refused push counts in the FIFO's stats).
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  void skip(sim::Cycle cycles);
 
  private:
   void begin_search();
@@ -64,10 +59,7 @@ inline void OutputModule::begin_search() {
   // latency (the first pays the tree fill, later ones pipeline).
   const std::uint64_t probes = values_[story_].output_probes;
   const std::size_t e = state_.program.embedding_dim;
-  busy_ = probes == 0 ? 0
-                      : timing_.dot_cycles(e) +
-                            static_cast<sim::Cycle>(probes - 1) *
-                                timing_.dot_ii(e);
+  busy_ = timing_.dot_block(probes, e);
   ops().mac += probes * e;
   ops().mem_read += probes * e;
   ops().compare += probes;
@@ -98,26 +90,6 @@ inline void OutputModule::tick() {
       state_.story_active = false;  // datapath free for the next story
       phase_ = Phase::kIdle;
       return;
-  }
-}
-
-inline std::optional<sim::Cycle> OutputModule::next_activity(
-    sim::Cycle now) const {
-  switch (phase_) {
-    case Phase::kIdle:
-      return state_.features_ready ? now : sim::kNever;
-    case Phase::kProbing:
-      return now + busy_ - 1;
-    case Phase::kPushing:
-      break;
-  }
-  return now;
-}
-
-inline void OutputModule::skip(sim::Cycle cycles) {
-  if (phase_ == Phase::kProbing) {
-    busy_ -= cycles;
-    mark_busy(cycles);
   }
 }
 

@@ -14,8 +14,6 @@
 // ops.
 #pragma once
 
-#include <algorithm>
-
 #include "accel/config.hpp"
 #include "accel/state.hpp"
 #include "sim/module.hpp"
@@ -28,10 +26,6 @@ class ReadModule final : public sim::Module {
       : Module("READ"), state_(state), timing_(config.timing) {}
 
   void tick();
-  /// The tick that takes busy_ from 1 to 0 finishes a phase; an idle
-  /// READ acts when a hop can start or the read vector is ready.
-  [[nodiscard]] std::optional<sim::Cycle> next_activity(sim::Cycle now) const;
-  void skip(sim::Cycle cycles);
 
  private:
   enum class Phase : std::uint8_t {
@@ -66,8 +60,7 @@ inline void ReadModule::start_hop() {
   ops().mac += e * e;
   ops().mem_read += e * e;
   phase_ = Phase::kWrk;
-  busy_ = timing_.dot_cycles(e) +
-          static_cast<sim::Cycle>(e - 1) * timing_.dot_ii(e);
+  busy_ = timing_.dot_block(e, e);
 }
 
 inline void ReadModule::finish_hop() {
@@ -126,29 +119,6 @@ inline void ReadModule::tick() {
     case Phase::kAdd:
       return;  // busy_ handled above
   }
-}
-
-inline std::optional<sim::Cycle> ReadModule::next_activity(
-    sim::Cycle now) const {
-  if (busy_ > 0) {
-    return now + busy_ - 1;
-  }
-  switch (phase_) {
-    case Phase::kIdle:
-      return hop_ready() ? now : sim::kNever;
-    case Phase::kWaitMem:
-      return state_.mem_done ? now : sim::kNever;
-    case Phase::kWrk:
-    case Phase::kAdd:
-      break;
-  }
-  return sim::kNever;
-}
-
-inline void ReadModule::skip(sim::Cycle cycles) {
-  const sim::Cycle counted = std::min(cycles, busy_);
-  busy_ -= counted;
-  mark_busy(counted);
 }
 
 }  // namespace mann::accel

@@ -36,9 +36,7 @@ struct StreamWord {
 /// Renders every story of a workload, in order, appending each story's
 /// words in place. On a cold run the trained parameters cross the PCIe
 /// link first, as identical kModelWord words, so HostLinkModule streams
-/// them from a count instead of rendered words. That identity is also
-/// what lets HOST_LINK and CONTROL skip a steady upload without touching
-/// FIFO_IN's contents (HostLinkModule::upload_window).
+/// them from a count instead of rendered words.
 [[nodiscard]] std::vector<StreamWord> encode_workload(
     std::span<const data::EncodedStory* const> stories);
 

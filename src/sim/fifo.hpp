@@ -98,36 +98,6 @@ class Fifo {
     return size_ == 0 ? nullptr : &ring_[head_];
   }
 
-  /// Accounts `count` pushes, each followed by a pop of the head, plus
-  /// `full_rejects` pushes refused in between; the queue never holds more
-  /// than size() + 1 items. The contents stay as they are, which is exact
-  /// when the queue is empty (each pushed item is popped again) or when
-  /// every queued item equals every pushed one. HOST_LINK's streams are
-  /// the callers: a story word crossing an empty FIFO_IN or CMD_FIFO, and
-  /// FIFO_IN during a model upload, which holds nothing but identical
-  /// kModelWord words.
-  void account_push_pop(std::uint64_t count,
-                        std::uint64_t full_rejects) noexcept {
-    if (count == 0) {
-      return;
-    }
-    stats_.pushes += count;
-    stats_.pops += count;
-    stats_.full_rejects += full_rejects;
-    stats_.max_occupancy = std::max(stats_.max_occupancy, size_ + 1);
-  }
-
-  /// Pops the `count` items at the head (at most size()) unseen, as
-  /// `count` try_pop() calls would.
-  void drop(std::size_t count) noexcept {
-    if (count == 0) {
-      return;
-    }
-    head_ = (head_ + count) % ring_.size();
-    size_ -= count;
-    stats_.pops += count;
-  }
-
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
  private:

@@ -9,14 +9,18 @@
 // accelerator's modules keep only time: the values their operations
 // compute come from a separate value pass (accel/datapath.hpp), and the
 // done flags order the modules as those values' dependences do
-// (accel/state.hpp).
+// (accel/state.hpp). They define tick() alone: ticked every cycle they
+// time each run outside a synchronous run's closed form, and they are
+// the reference that closed form is held to
+// (accel::detail::simulate_per_cycle).
 //
 // There is no virtual interface. Simulator::run_until and run_events are
 // templates over the concrete module types, so each caller's loop calls
 // its modules' tick(), next_activity() and skip() directly and the
 // compiler can inline them. A module defines tick() and may hide the
-// defaults of next_activity() and skip() below with its own; this base
-// keeps only the name and the busy/stall/op accounting.
+// defaults of next_activity() and skip() below with its own, as the
+// serving session's stages do; this base keeps only the name and the
+// busy/stall/op accounting.
 #pragma once
 
 #include <optional>
@@ -40,43 +44,21 @@ class Module {
   /// another module can see, push or pop a FIFO, or throw. `now` is the
   /// cycle about to be ticked; any cycle <= `now` means "due now".
   /// Simulator::run_events uses this to fast-forward across quiescent
-  /// stretches — request arrivals in the serving runtime, link credit
-  /// and busy countdowns in the accelerator.
+  /// stretches, such as the serving runtime's sparse request arrivals.
   /// Reporting an earlier cycle than the true one is always safe (it only
   /// costs a tick); a later one breaks cycle exactness. kNever means the
   /// module is idle until some other module acts; nullopt means "unknown
   /// — tick me every cycle", the default for a module without a model of
   /// its own timing.
-  ///
-  /// One coupled chain is exempt from "no new input": the accelerator's
-  /// HOST_LINK, CONTROL and INPUT&WRITE, each declared at construction as
-  /// draining the FIFO of the module before it and ticked right after it.
-  /// Over three steady stretches words flow down the chain on every cycle
-  /// or every few, so no module alone is quiescent, but the stretch is a
-  /// closed form of state all of them see at the cycle boundary:
-  ///   - a model upload (accel::HostLinkModule::upload_window()): FIFO_IN
-  ///     holds model words and fills to one short of full while HOST_LINK
-  ///     pushes them faster than CONTROL's one a cycle;
-  ///   - a story's data words (HostLinkModule::story_window()): at most
-  ///     one a cycle, each crossing FIFO_IN and CMD_FIFO into INPUT&WRITE
-  ///     on the cycle it lands, up to the story's kEndOfStory;
-  ///   - the model words left in FIFO_IN after the upload, which CONTROL
-  ///     pops one a cycle on its own; the link's next push bounds that
-  ///     skip, as any module's next activity does.
-  /// In a window the chain reports the window's end, and each module's
-  /// skip() accounts its own share of every cycle: HOST_LINK its pushes,
-  /// credit and FIFO_IN's stats, and records what it streamed for
-  /// CONTROL and INPUT&WRITE, which skip right after it. A module driven
-  /// on its own never opens a window, and any prefix of one is exact.
   [[nodiscard]] std::optional<Cycle> next_activity(Cycle /*now*/) const {
     return std::nullopt;
   }
 
   /// Bulk-accounts `cycles` ticks that run_events jumps over. The
   /// simulator only skips cycles before every module's next_activity(),
-  /// so these ticks are pure bookkeeping: busy countdowns, busy/stall
-  /// counters, credit accumulation. A module whose skipped ticks change
-  /// nothing keeps this default no-op.
+  /// so these ticks are pure bookkeeping: countdowns and busy/stall
+  /// counters. A module whose skipped ticks change nothing keeps this
+  /// default no-op.
   void skip(Cycle /*cycles*/) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }

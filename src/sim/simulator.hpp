@@ -3,9 +3,9 @@
 //
 // The loops are templates over the concrete module types and the
 // predicate's type, in place of a virtual Module interface and a
-// std::function: each caller (the accelerator's six modules, the serving
-// session's three stages) instantiates its own loop with direct calls
-// that the compiler can inline.
+// std::function: each caller (the accelerator's per-cycle reference over
+// its six modules, the serving session's three stages) instantiates its
+// own loop with direct calls that the compiler can inline.
 #pragma once
 
 #include <algorithm>
@@ -40,8 +40,7 @@ class Simulator {
   /// each module's skip() bulk-accounts the gap, then advance() moves the
   /// clock. Cycle-exact (same state, stats and done() cycle as
   /// run_until) for modules that honour the next_activity/skip contract;
-  /// identical to run_until when any module returns nullopt. The
-  /// accelerator runs every device simulation on it, and the serving
+  /// identical to run_until when any module returns nullopt. The serving
   /// session steps on it to cross sparse request arrivals over billions
   /// of cycles in bounded host time.
   ///

@@ -57,6 +57,15 @@ struct DatapathTiming {
     return issue > 0 ? issue : 1;
   }
 
+  /// n back-to-back dot products of length e, pipelined: the first pays
+  /// the tree fill, each later one an issue interval.
+  [[nodiscard]] Cycle dot_block(std::size_t n, std::size_t e) const noexcept {
+    if (n == 0) {
+      return 0;
+    }
+    return dot_cycles(e) + static_cast<Cycle>(n - 1) * dot_ii(e);
+  }
+
   /// n sequential exp evaluations, pipelined.
   [[nodiscard]] Cycle exp_block(std::size_t n) const noexcept {
     if (n == 0) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/accelerator.hpp"
 #include "accel/datapath.hpp"
 
 namespace mann::accel {
@@ -255,6 +256,21 @@ TEST(DatapathRefusesTables, BuiltForAnotherIthSetting) {
   EXPECT_NO_THROW(Datapath(program, ith, ith_tables));
 }
 
+TEST(DatapathRefusesTables, ForAProgramTheyWouldReadPast) {
+  // The tables validate the program before building anything: a 0x0 W_r
+  // would send the sweep past W_r's end, and a W_o short of a row the
+  // output bounds past W_o's.
+  DeviceProgram no_w_r = program_of(7, 5);
+  no_w_r.w_r = FxMatrix(0, 0);
+  DeviceProgram short_w_o = program_of(7, 5);
+  short_w_o.w_o = FxMatrix(6, 5);
+  for (const DeviceProgram* program : {&no_w_r, &short_w_o}) {
+    EXPECT_THROW(DatapathTables(*program, AccelConfig{}),
+                 std::invalid_argument);
+    EXPECT_THROW(Accelerator(AccelConfig{}, *program), std::invalid_argument);
+  }
+}
+
 TEST(VectorLevels, ADatapathRunsOnlyTheHostsLevels) {
   const std::span<const VectorLevel> levels = host_vector_levels();
   ASSERT_FALSE(levels.empty());
@@ -264,6 +280,9 @@ TEST(VectorLevels, ADatapathRunsOnlyTheHostsLevels) {
   program.embedding_dim = 1;
   program.hops = 1;
   program.max_memory = 1;
+  program.emb_a = FxMatrix(1, 1);
+  program.emb_c = FxMatrix(1, 1);
+  program.emb_q = FxMatrix(1, 1);
   program.w_r = FxMatrix(1, 1);
   program.w_o = FxMatrix(1, 1);
   const DatapathTables tables(program, AccelConfig{});

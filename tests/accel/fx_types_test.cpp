@@ -327,8 +327,7 @@ SearchOutcome module_search(const DeviceProgram& program, const FxVector& h,
   sim::Fifo<std::int32_t> out("OUT", 1);
   OutputModule module(state, cfg, out, std::span(&values, 1));
   sim::Simulator simulator;
-  (void)simulator.run_events([&] { return !out.empty(); }, 1'000'000,
-                             sim::kNever, module);
+  (void)simulator.run_until([&] { return !out.empty(); }, 1'000'000, module);
   EXPECT_EQ(*out.peek(), values.prediction);
   return {values.prediction, values.output_probes, values.early_exit,
           module.stats()};

@@ -383,8 +383,7 @@ TEST(HostLinkModule, RespectsWordRate) {
 
 TEST(HostLinkModule, PushesAtItsExactRate) {
   // An asynchronous, latency-free stream into a FIFO that never fills
-  // pushes its k-th word on tick ceil(k * clock_hz / words_per_second),
-  // whether the link ticks every cycle or skips to each next activity.
+  // pushes its k-th word on tick ceil(k * clock_hz / words_per_second).
   // At 50 MHz the default 4 Mwords/s is 0.08 words a cycle, which a
   // credit summed in binary fractions reaches one tick late on every
   // other word. At 3 Hz a credit one unit off shows.
@@ -405,40 +404,31 @@ TEST(HostLinkModule, PushesAtItsExactRate) {
   words.front() = {StreamOp::kStoryStart, 0};
   words.back() = {StreamOp::kEndOfStory, 0};
   for (const Rate& r : kRates) {
-    for (const bool skipping : {false, true}) {
-      SCOPED_TRACE(std::to_string(r.clock_hz) + " Hz, " +
-                   std::to_string(r.words_per_second) + " words/s" +
-                   (skipping ? ", skipping" : ", ticked"));
-      AccelConfig cfg = tiny_config();
-      cfg.clock_hz = static_cast<double>(r.clock_hz);
-      cfg.link.words_per_second = static_cast<double>(r.words_per_second);
-      cfg.link.per_story_latency = 0.0;
-      cfg.link.result_latency = 0.0;
-      cfg.link.synchronous_stories = false;
-      sim::Fifo<StreamWord> in("IN", kWords);
-      sim::Fifo<std::int32_t> out("OUT", 4);
-      HostLinkModule link(cfg, 0, words, in, out);
-      std::vector<sim::Cycle> pushed_on;  // pushed_on[k - 1]: word k's tick
-      for (sim::Cycle now = 0; !link.all_words_sent() && now < 10'000;) {
-        if (const sim::Cycle next = *link.next_activity(now);
-            skipping && next > now) {
-          link.skip(next - now);
-          now = next;
-          continue;
-        }
-        link.tick();
-        ++now;  // tick number `now` has run
-        pushed_on.resize(in.size(), now);
-      }
-      ASSERT_EQ(pushed_on.size(), kWords);
-      for (std::uint64_t k = 1; k <= kWords; ++k) {
-        // 128 bits: k * clock_hz passes 2^64 at the 2^53 Hz clock.
-        const auto due = static_cast<sim::Cycle>(
-            (static_cast<unsigned __int128>(k) * r.clock_hz +
-             r.words_per_second - 1) /
-            r.words_per_second);
-        EXPECT_EQ(pushed_on[k - 1], due) << "word " << k;
-      }
+    SCOPED_TRACE(std::to_string(r.clock_hz) + " Hz, " +
+                 std::to_string(r.words_per_second) + " words/s");
+    AccelConfig cfg = tiny_config();
+    cfg.clock_hz = static_cast<double>(r.clock_hz);
+    cfg.link.words_per_second = static_cast<double>(r.words_per_second);
+    cfg.link.per_story_latency = 0.0;
+    cfg.link.result_latency = 0.0;
+    cfg.link.synchronous_stories = false;
+    sim::Fifo<StreamWord> in("IN", kWords);
+    sim::Fifo<std::int32_t> out("OUT", 4);
+    HostLinkModule link(cfg, 0, words, in, out);
+    std::vector<sim::Cycle> pushed_on;  // pushed_on[k - 1]: word k's tick
+    for (sim::Cycle now = 0; !link.all_words_sent() && now < 10'000;) {
+      link.tick();
+      ++now;  // tick number `now` has run
+      pushed_on.resize(in.size(), now);
+    }
+    ASSERT_EQ(pushed_on.size(), kWords);
+    for (std::uint64_t k = 1; k <= kWords; ++k) {
+      // 128 bits: k * clock_hz passes 2^64 at the 2^53 Hz clock.
+      const auto due = static_cast<sim::Cycle>(
+          (static_cast<unsigned __int128>(k) * r.clock_hz +
+           r.words_per_second - 1) /
+          r.words_per_second);
+      EXPECT_EQ(pushed_on[k - 1], due) << "word " << k;
     }
   }
 }

@@ -1,6 +1,7 @@
 // Field-by-field comparison of two device runs: every RunResult field,
-// story by story and module by module. Shared by the event-vs-per-cycle
-// differential tests here and the suite-scale one in tests/integration.
+// story by story and module by module. Shared by the differential tests
+// of Accelerator::run against the per-cycle clock here and the
+// suite-scale one in tests/integration.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -37,35 +38,33 @@ inline void expect_stats_equal(const sim::ModuleStats& a,
 }
 
 /// Every field of a RunResult, story by story and module by module.
-inline void expect_identical(const RunResult& ticked,
-                             const RunResult& events) {
-  EXPECT_EQ(events.total_cycles, ticked.total_cycles);
-  EXPECT_EQ(events.seconds, ticked.seconds);
-  EXPECT_EQ(events.stream_words, ticked.stream_words);
-  EXPECT_EQ(events.link_active_cycles, ticked.link_active_cycles);
-  ASSERT_EQ(events.stories.size(), ticked.stories.size());
+inline void expect_identical(const RunResult& ticked, const RunResult& run) {
+  EXPECT_EQ(run.total_cycles, ticked.total_cycles);
+  EXPECT_EQ(run.seconds, ticked.seconds);
+  EXPECT_EQ(run.stream_words, ticked.stream_words);
+  EXPECT_EQ(run.link_active_cycles, ticked.link_active_cycles);
+  ASSERT_EQ(run.stories.size(), ticked.stories.size());
   for (std::size_t i = 0; i < ticked.stories.size(); ++i) {
     SCOPED_TRACE("story " + std::to_string(i));
-    EXPECT_EQ(events.stories[i].prediction, ticked.stories[i].prediction);
-    EXPECT_EQ(events.stories[i].output_probes,
-              ticked.stories[i].output_probes);
-    EXPECT_EQ(events.stories[i].early_exit, ticked.stories[i].early_exit);
-    EXPECT_EQ(events.stories[i].finish_cycle, ticked.stories[i].finish_cycle);
+    EXPECT_EQ(run.stories[i].prediction, ticked.stories[i].prediction);
+    EXPECT_EQ(run.stories[i].output_probes, ticked.stories[i].output_probes);
+    EXPECT_EQ(run.stories[i].early_exit, ticked.stories[i].early_exit);
+    EXPECT_EQ(run.stories[i].finish_cycle, ticked.stories[i].finish_cycle);
   }
-  ASSERT_EQ(events.modules.size(), ticked.modules.size());
+  ASSERT_EQ(run.modules.size(), ticked.modules.size());
   for (std::size_t i = 0; i < ticked.modules.size(); ++i) {
     SCOPED_TRACE(ticked.modules[i].name);
-    EXPECT_EQ(events.modules[i].name, ticked.modules[i].name);
-    expect_stats_equal(events.modules[i].stats, ticked.modules[i].stats);
+    EXPECT_EQ(run.modules[i].name, ticked.modules[i].name);
+    expect_stats_equal(run.modules[i].stats, ticked.modules[i].stats);
   }
-  expect_ops_equal(events.total_ops, ticked.total_ops);
+  expect_ops_equal(run.total_ops, ticked.total_ops);
   {
     SCOPED_TRACE("FIFO_IN");
-    expect_fifo_equal(events.fifo_in_stats, ticked.fifo_in_stats);
+    expect_fifo_equal(run.fifo_in_stats, ticked.fifo_in_stats);
   }
   {
     SCOPED_TRACE("FIFO_OUT");
-    expect_fifo_equal(events.fifo_out_stats, ticked.fifo_out_stats);
+    expect_fifo_equal(run.fifo_out_stats, ticked.fifo_out_stats);
   }
 }
 

@@ -66,61 +66,6 @@ TEST(Fifo, StatsTrackTraffic) {
   EXPECT_EQ(st.max_occupancy, 3U);
 }
 
-TEST(Fifo, AccountPushPopMatchesTheCyclesItStandsFor) {
-  // Three words in a four-deep queue of identical words: each cycle one
-  // push fills it, a second push is refused on some cycles, one pop.
-  Fifo<int> ticked("ticked", 4);
-  Fifo<int> bulk("bulk", 4);
-  for (int i = 0; i < 3; ++i) {
-    ticked.push(7);
-    bulk.push(7);
-  }
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    ticked.push(7);
-    if (cycle % 2 == 0) {
-      EXPECT_FALSE(ticked.try_push(7));
-    }
-    EXPECT_EQ(ticked.try_pop().value(), 7);
-  }
-  bulk.account_push_pop(5, 3);
-  EXPECT_EQ(bulk.size(), ticked.size());
-  EXPECT_EQ(bulk.stats().pushes, ticked.stats().pushes);
-  EXPECT_EQ(bulk.stats().pops, ticked.stats().pops);
-  EXPECT_EQ(bulk.stats().full_rejects, ticked.stats().full_rejects);
-  EXPECT_EQ(bulk.stats().max_occupancy, 4U);
-  EXPECT_EQ(ticked.stats().max_occupancy, 4U);
-
-  bulk.account_push_pop(0, 0);  // an empty stretch changes nothing
-  EXPECT_EQ(bulk.stats().pushes, 8U);
-}
-
-TEST(Fifo, DropPopsTheHeadAsTryPopWould) {
-  // Across the ring's wrap point: drop(n) leaves the same items, size and
-  // stats as n try_pop() calls.
-  for (std::size_t n = 0; n <= 5; ++n) {
-    SCOPED_TRACE("drop " + std::to_string(n));
-    Fifo<int> popped("popped", 16);
-    Fifo<int> dropped("dropped", 16);
-    for (int i = 0; i < 36; ++i) {  // the head ends at the ring's last slot
-      for (Fifo<int>* fifo : {&popped, &dropped}) {
-        fifo->push(i);
-        if (i < 31) {
-          (void)fifo->try_pop();
-        }
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      (void)popped.try_pop();
-    }
-    dropped.drop(n);
-    EXPECT_EQ(dropped.size(), popped.size());
-    EXPECT_EQ(dropped.stats().pops, popped.stats().pops);
-    while (!popped.empty()) {
-      EXPECT_EQ(dropped.try_pop(), popped.try_pop());
-    }
-  }
-}
-
 TEST(Fifo, RingKeepsOrderThroughGrowthAndWrap) {
   // Seeded pushes and pops against a std::deque, at capacities below,
   // at and past the ring's first size, so the ring grows with its head
